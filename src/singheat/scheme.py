@@ -21,6 +21,7 @@ solutions decrease in n, and the pointwise infimum is the distinguished
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -206,7 +207,7 @@ def duhamel_rule(t_left: float, t_target: float, gamma: float, n_nodes: int):
     p = 2.0 / (2.0 - gamma)
     span = t_target - t_left
     s_hi = span ** (1.0 / p)
-    x, w = leggauss(n_nodes)
+    x, w = _reference_rule(n_nodes)
     s = 0.5 * s_hi * (x + 1.0)
     ws = 0.5 * s_hi * w
     # strong grading (p large) can shrink s^p below the ulp of t_target, which
@@ -214,19 +215,20 @@ def duhamel_rule(t_left: float, t_target: float, gamma: float, n_nodes: int):
     # nodes that still collapse to the same float (same evaluation point, so
     # summing their weights leaves the rule's value unchanged)
     gap = np.maximum(s**p, max(span * 1e-14, abs(t_target) * 1e-15))
-    sig = t_target - gap
-    wq = ws * p * s ** (p - 1.0)
-    order = np.argsort(sig)
-    sig, wq = sig[order], wq[order]
-    keep_s = [float(sig[0])]
-    keep_w = [float(wq[0])]
-    for s_i, w_i in zip(sig[1:], wq[1:]):
-        if s_i == keep_s[-1]:
-            keep_w[-1] += float(w_i)
-        else:
-            keep_s.append(float(s_i))
-            keep_w.append(float(w_i))
-    return np.array(keep_s), np.array(keep_w)
+    # s ascends, so the gap does too and the nodes t_target - gap descend
+    sig = (t_target - gap)[::-1]
+    wq = (ws * p * s ** (p - 1.0))[::-1]
+    starts = np.flatnonzero(np.concatenate(([True], sig[1:] != sig[:-1])))
+    return sig[starts], np.add.reduceat(wq, starts)
+
+
+@functools.lru_cache(maxsize=64)
+def _reference_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
+    x, w = leggauss(n_nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def contraction_window(gamma: float, lipschitz: float, eta1_value: float, theta: float = 0.5) -> float:
@@ -445,20 +447,24 @@ def _json_safe(v) -> bool:
 # Picard marching
 # ---------------------------------------------------------------------------
 
-def _interp_stack(knots: np.ndarray, stack: list[np.ndarray], t: float) -> np.ndarray:
-    """Linear interpolation between stored fields; exact at the knots."""
-    i = int(np.searchsorted(knots, t))
-    if i <= 0:
-        return stack[0]
-    if i >= knots.size:
-        return stack[-1]
-    t0, t1 = knots[i - 1], knots[i]
-    if t >= t1:
-        return stack[i]
-    if t <= t0:
-        return stack[i - 1]
-    th = (t - t0) / (t1 - t0)
-    return (1.0 - th) * stack[i - 1] + th * stack[i]
+def _window_sources(a: float, targets: np.ndarray, rules) -> tuple:
+    """The source rows of one window's sweep, one per quadrature node.
+
+    rules[i] is the quadrature (nodes, weights) for target i.  Row j belongs
+    to the target owning node sigma_j; the field there is interpolated
+    linearly between the knots a, targets[0], ... (exact at the knots) as
+    (1 - theta[j]) * stack[lo[j]] + theta[j] * stack[lo[j] + 1].  Returns
+    lo, theta, the lags tau_i - sigma_j and the (targets, rows) weight matrix.
+    """
+    knots = np.concatenate(([a], targets))
+    sigmas = np.concatenate([nodes for nodes, _ in rules])
+    owner = np.repeat(np.arange(len(rules)), [nodes.size for nodes, _ in rules])
+    hi = np.clip(np.searchsorted(knots, sigmas), 1, knots.size - 1)
+    lo = hi - 1
+    theta = np.clip((sigmas - knots[lo]) / (knots[hi] - knots[lo]), 0.0, 1.0)
+    weights = np.zeros((len(rules), sigmas.size))
+    weights[owner, np.arange(sigmas.size)] = np.concatenate([wts for _, wts in rules])
+    return lo, theta, targets[owner] - sigmas, weights
 
 
 def picard_solve(
@@ -475,7 +481,10 @@ def picard_solve(
     quadrature nodes and at b.  Each sweep recomputes every unknown from the
     free term S(tau - a) u(a) plus the graded quadrature of
     S_gamma(tau - sigma) g(u(sigma)), interpolating the previous sweep's
-    fields linearly in time between stored nodes.  Sweeps stop when the
+    fields linearly in time between stored nodes.  A sweep works on whole
+    stacks: the source fields at every (target, node) pair are interpolated,
+    passed through the nonlinearity and propagated in one batched call, which
+    returns the per-target quadrature sums.  Sweeps stop when the
     largest nodewise update falls below config.eps_fp; exceeding the sweep
     budget raises ConvergenceError.
 
@@ -513,27 +522,23 @@ def picard_solve(
         b = mesh.boundaries[widx + 1]
         sig = mesh.window_nodes[widx]
         targets = np.append(sig, b)
-        free = [prop.apply_heat_values(u_left, tau - a) for tau in targets]
-        rules = [duhamel_rule(a, tau, gam, mesh.nodes_per_window) for tau in targets]
-        state = [f.copy() for f in free]
-        knots = np.concatenate(([a], targets))
+        free = prop.apply_heat_values(
+            np.broadcast_to(u_left, (targets.size,) + grid.shape), targets - a
+        )
+        rules = [duhamel_rule(a, tau, gam, mesh.nodes_per_window) for tau in sig]
+        rules.append((sig, mesh.window_weights[widx]))
+        lo, theta, lags, weights = _window_sources(a, targets, rules)
+        theta = theta.reshape((-1,) + (1,) * grid.n_dim)
+        state = np.array(free)
         converged = False
         resid = math.inf
         for _ in range(config.max_picard_sweeps):
-            stack = [u_left] + state
-            new_state = []
-            for i, tau in enumerate(targets):
-                sigs, wts = rules[i]
-                acc = free[i].copy()
-                for s_val, w_val in zip(sigs, wts):
-                    f_at = positive_part(_interp_stack(knots, stack, s_val))
-                    acc += w_val * prop.apply_weighted_values(
-                        nonlinearity(f_at), tau - s_val, gam
-                    )
-                new_state.append(acc)
-            resid = max(
-                float(np.max(np.abs(nv - ov))) for nv, ov in zip(new_state, state)
+            stack = np.concatenate((u_left[None], state))
+            sources = (1.0 - theta) * stack[lo] + theta * stack[lo + 1]
+            new_state = free + prop.apply_weighted_values(
+                nonlinearity(positive_part(sources)), lags, gam, weights
             )
+            resid = float(np.max(np.abs(new_state - state)))
             state = new_state
             total_sweeps += 1
             if resid <= config.eps_fp:
@@ -545,7 +550,7 @@ def picard_solve(
                 f"after {config.max_picard_sweeps} sweeps (eps_fp = {config.eps_fp})"
             )
         worst_resid = max(worst_resid, resid)
-        u_left = state[-1]
+        u_left = state[-1].copy()
         if b in records:
             times_out.append(b)
             snaps_out.append(GridFunction(grid, u_left))

@@ -16,6 +16,13 @@ smoothed.
 
 Small grids (M <= 128 per axis) use direct separable convolution; larger
 grids use FFT on the doubled (zero-padded) box.  Both evaluate the same sums.
+
+One call can also apply a stack of fields, each for its own time, and return
+weighted sums of the results: the batched form of the Duhamel quadrature,
+which the Picard sweep uses once per sweep.  On the FFT path the sums are
+taken in the spectral domain, so J fields for T targets cost J forward and T
+inverse transforms.  Rows are transformed in batches sized by a fixed
+workspace budget, which keeps the padded arrays in cache.
 """
 
 from __future__ import annotations
@@ -40,6 +47,9 @@ __all__ = [
 ]
 
 _DIRECT_LIMIT = 128  # per-axis size up to which direct summation is used
+# Padded-FFT workspace of one batch of rows.  Sized to stay in a core's L2
+# cache: transforms of a larger batch run slower per row than single ones.
+_FFT_WORKSPACE_BYTES = 2**20
 
 
 def heat_kernel(t: float, x: "float | Sequence[float]") -> float:
@@ -139,29 +149,121 @@ class HeatPropagator:
 
     # -- application ---------------------------------------------------------
 
-    def apply_heat_values(self, values: np.ndarray, t: float) -> np.ndarray:
-        """S(t) applied to a value array of the grid's shape."""
-        if not math.isfinite(t) or t < 0.0:
-            raise ParameterError(f"evolution time must be >= 0 (got {t})")
-        if values.shape != self.grid.shape:
+    def apply_heat_values(self, values: np.ndarray, t, weights=None) -> np.ndarray:
+        """S(t) applied to a value array of the grid's shape, or to a stack.
+
+        With a scalar t, values has the grid's shape and the result is
+        S(t) values.  With a length-J time array, values is a (J, *grid)
+        stack and the result is the stack of S(t[j]) values[j]; a (T, J)
+        weights matrix instead returns the T sums
+        sum_j weights[i, j] S(t[j]) values[j].  On the FFT path those sums
+        are formed in the spectral domain: J forward transforms, T inverse.
+        """
+        single = np.ndim(t) == 0
+        if single:
+            if not math.isfinite(t) or t < 0.0:
+                raise ParameterError(f"evolution time must be >= 0 (got {t})")
+            if values.shape != self.grid.shape:
+                raise ParameterError(
+                    f"value shape {values.shape} does not match grid shape {self.grid.shape}"
+                )
+            if weights is not None:
+                raise ParameterError("a weight matrix needs a time array, not a scalar time")
+            if t == 0.0:
+                return np.array(values, dtype=float, copy=True)
+            times = (float(t),)
+            stack = np.asarray(values, dtype=float)[None]
+        else:
+            times, stack, weights = self._check_stack(values, t, weights)
+        if self._spectral:
+            out = self._spectral_sums(stack, times, weights)
+        else:
+            out = self._direct_sums(stack, times, weights)
+        return out[0] if single else out
+
+    def _check_stack(self, values, t, weights):
+        times = np.asarray(t, dtype=float)
+        if times.ndim != 1 or times.size < 1:
             raise ParameterError(
-                f"value shape {values.shape} does not match grid shape {self.grid.shape}"
+                f"evolution times must form a non-empty 1D array (got shape {times.shape})"
             )
-        if t == 0.0:
-            return np.array(values, dtype=float, copy=True)
-        entry = self._kernel_entry(t)
-        if not self._spectral:
-            out = np.asarray(values, dtype=float)
-            for ax in range(self.grid.n_dim):
-                out = ndimage.correlate1d(out, entry, axis=ax, mode="constant", cval=0.0)
-            return out
+        if not np.all(np.isfinite(times)) or float(times.min()) < 0.0:
+            raise ParameterError(f"evolution times must be finite and >= 0 (got {times})")
+        stack = np.asarray(values, dtype=float)
+        if stack.shape != (times.size,) + self.grid.shape:
+            raise ParameterError(
+                f"stack shape {stack.shape} does not match {times.size} fields of grid "
+                f"shape {self.grid.shape}"
+            )
+        if weights is not None:
+            weights = np.asarray(weights, dtype=float)
+            if weights.ndim != 2 or weights.shape[1] != times.size:
+                raise ParameterError(
+                    f"weight matrix shape {weights.shape} does not match {times.size} fields"
+                )
+        return times.tolist(), stack, weights
+
+    def _direct_sums(self, stack: np.ndarray, times, weights) -> np.ndarray:
+        rows = np.empty(stack.shape)
+        for j, t in enumerate(times):
+            row = stack[j]
+            if t > 0.0:
+                entry = self._kernel_entry(t)
+                for ax in range(self.grid.n_dim):
+                    row = ndimage.correlate1d(row, entry, axis=ax, mode="constant", cval=0.0)
+            rows[j] = row
+        return rows if weights is None else _weighted_sums(weights, rows)
+
+    def _spectral_sums(self, stack: np.ndarray, times, weights) -> np.ndarray:
+        """FFT path, in batches whose padded workspace fits _FFT_WORKSPACE_BYTES
+        (at least one row each).  Without weights each batch is transformed
+        there and back; with weights, each target's batches are contracted
+        into one spectrum, which then takes one inverse transform."""
+        count = len(times)
+        row_bytes = 16 * (2 * self.grid.points_per_axis) ** self.grid.n_dim
+        step = max(1, _FFT_WORKSPACE_BYTES // row_bytes)
+        if count <= step:
+            return self._inverse(self._spectra(stack, times, weights))
+        if weights is None:
+            return np.concatenate(
+                [
+                    self._inverse(self._spectra(stack[k : k + step], times[k : k + step], None))
+                    for k in range(0, count, step)
+                ]
+            )
+        out = np.zeros((weights.shape[0],) + self.grid.shape)
+        for i, (lo, hi) in enumerate(_spans(weights)):
+            spec = None
+            for k in range(lo, hi, step):
+                end = min(k + step, hi)
+                part = self._spectra(stack[k:end], times[k:end], weights[i : i + 1, k:end])
+                if spec is None:
+                    spec = part
+                else:
+                    spec += part
+            if spec is not None:
+                out[i] = self._inverse(spec)[0]
+        return out
+
+    def _spectra(self, stack: np.ndarray, times, weights) -> np.ndarray:
+        """Spectra of the zero-padded rows times their kernels, contracted
+        by weights when given."""
         m = self.grid.points_per_axis
-        shape = (2 * m,) * self.grid.n_dim
-        padded = np.zeros(shape)
-        padded[(slice(0, m),) * self.grid.n_dim] = values
-        axes = tuple(range(self.grid.n_dim))
-        conv = np.fft.irfftn(np.fft.rfftn(padded, s=shape, axes=axes) * entry, s=shape, axes=axes)
-        return conv[(slice(0, m),) * self.grid.n_dim]
+        n = self.grid.n_dim
+        shape = (2 * m,) * n
+        padded = np.zeros((len(times),) + shape)
+        padded[(slice(None),) + (slice(0, m),) * n] = stack
+        spec = np.fft.rfftn(padded, s=shape, axes=tuple(range(1, n + 1)))
+        for j, t in enumerate(times):
+            if t > 0.0:  # S(0) is the identity: its spectrum is all ones
+                spec[j] *= self._kernel_entry(t)
+        return spec if weights is None else _weighted_sums(weights, spec)
+
+    def _inverse(self, spec: np.ndarray) -> np.ndarray:
+        m = self.grid.points_per_axis
+        n = self.grid.n_dim
+        conv = np.fft.irfftn(spec, s=(2 * m,) * n, axes=tuple(range(1, n + 1)))
+        return conv[(slice(None),) + (slice(0, m),) * n]
 
     def weight_values(self, gamma: float) -> np.ndarray:
         vals = self._weights.get(gamma)
@@ -170,11 +272,35 @@ class HeatPropagator:
             self._weights[gamma] = vals
         return vals
 
-    def apply_weighted_values(self, values: np.ndarray, t: float, gamma: float) -> np.ndarray:
-        """S_gamma(t) = S(t) after multiplication by the cell-averaged weight."""
+    def apply_weighted_values(
+        self, values: np.ndarray, t, gamma: float, weights=None
+    ) -> np.ndarray:
+        """S_gamma(t) = S(t) after multiplication by the cell-averaged weight;
+        takes a stack, times and weights as apply_heat_values does."""
         if gamma == 0.0:
-            return self.apply_heat_values(values, t)
-        return self.apply_heat_values(values * self.weight_values(gamma), t)
+            return self.apply_heat_values(values, t, weights)
+        return self.apply_heat_values(values * self.weight_values(gamma), t, weights)
+
+
+def _spans(weights: np.ndarray) -> list[tuple[int, int]]:
+    """Per row of weights, the column range [lo, hi) holding its nonzeros."""
+    nz = weights != 0.0
+    cols = weights.shape[1]
+    lo = np.argmax(nz, axis=1)
+    hi = cols - np.argmax(nz[:, ::-1], axis=1)
+    return [(int(a), int(b)) if any_ else (0, 0) for a, b, any_ in zip(lo, hi, nz.any(axis=1))]
+
+
+def _weighted_sums(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """out[i] = sum_j weights[i, j] rows[j], summed over row i's nonzero span."""
+    flat = rows.reshape(rows.shape[0], -1)
+    out = np.zeros((weights.shape[0], flat.shape[1]), dtype=rows.dtype)
+    for i, (lo, hi) in enumerate(_spans(weights)):
+        if hi - lo == 1:  # numpy's matrix product is ~10x slower for one term
+            np.multiply(weights[i, lo], flat[lo], out=out[i])
+        elif hi > lo:
+            out[i] = weights[i, lo:hi] @ flat[lo:hi]
+    return out.reshape((weights.shape[0],) + rows.shape[1:])
 
 
 def apply_heat(f: GridFunction, t: float, eps_tail: float = 1e-10) -> GridFunction:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from singheat import (
     ConvergenceError,
+    HeatPropagator,
     Nonlinearity,
     ParameterError,
     Params,
@@ -361,6 +362,76 @@ def test_picard_sweep_budget_enforced():
     mesh = TimeMesh.build(1.0, 0.0, 0.25)
     with pytest.raises(ConvergenceError):
         picard_solve(u0, nl, p, mesh, SolveConfig(eps_fp=1e-8, max_picard_sweeps=1))
+
+
+def _interp_stack(knots, stack, t):
+    """Linear interpolation between stored fields; exact at the knots."""
+    i = int(np.searchsorted(knots, t))
+    if i <= 0:
+        return stack[0]
+    if i >= knots.size:
+        return stack[-1]
+    t0, t1 = knots[i - 1], knots[i]
+    if t >= t1:
+        return stack[i]
+    if t <= t0:
+        return stack[i - 1]
+    th = (t - t0) / (t1 - t0)
+    return (1.0 - th) * stack[i - 1] + th * stack[i]
+
+
+def _reference_picard(u0, nonlinearity, params, mesh, config):
+    """The per-node Jacobi sweep: one propagator apply per (target, node)
+    pair, each with its own interpolation and source evaluation.  Returns
+    the field at every window end and the number of sweeps."""
+    prop = HeatPropagator.shared(u0.grid, config.eps_tail)
+    gam = params.gamma
+    u_left = np.array(u0.values, dtype=float)
+    ends, sweeps = [], 0
+    for widx in range(mesh.window_count):
+        a, b = mesh.boundaries[widx], mesh.boundaries[widx + 1]
+        targets = np.append(mesh.window_nodes[widx], b)
+        free = [prop.apply_heat_values(u_left, tau - a) for tau in targets]
+        rules = [duhamel_rule(a, tau, gam, mesh.nodes_per_window) for tau in targets]
+        state = [f.copy() for f in free]
+        knots = np.concatenate(([a], targets))
+        for _ in range(config.max_picard_sweeps):
+            stack = [u_left] + state
+            new_state = []
+            for i, tau in enumerate(targets):
+                acc = free[i].copy()
+                for s_val, w_val in zip(*rules[i]):
+                    f_at = positive_part(_interp_stack(knots, stack, s_val))
+                    acc += w_val * prop.apply_weighted_values(nonlinearity(f_at), tau - s_val, gam)
+                new_state.append(acc)
+            resid = max(float(np.max(np.abs(nv - ov))) for nv, ov in zip(new_state, state))
+            state = new_state
+            sweeps += 1
+            if resid <= config.eps_fp:
+                break
+        else:
+            raise ConvergenceError("reference sweep stalled")
+        u_left = state[-1]
+        ends.append(u_left)
+    return ends, sweeps
+
+
+@pytest.mark.parametrize("points", [64, 256])  # direct path, FFT path
+def test_picard_matches_the_per_node_reference_sweep(points):
+    g = make_grid(1, 10.0, points)
+    p = Params(q=0.5, gamma=0.3, n_dim=1)
+    u0 = standard_data(g, "bump")
+    nl = Nonlinearity.regularized(0.5, 4)
+    w = min(0.25, contraction_window(0.3, nl.lipschitz, eta1(0.3, 1)))
+    mesh = TimeMesh.build(0.5, 0.3, w)
+    cfg = SolveConfig()
+    traj = picard_solve(u0, nl, p, mesh, cfg)
+    ends, sweeps = _reference_picard(u0, nl, p, mesh, cfg)
+    assert mesh.window_count >= 3
+    assert traj.diagnostics["total_sweeps"] == sweeps
+    assert len(traj.snapshots) == 1 + len(ends)
+    for snap, ref in zip(traj.snapshots[1:], ends):
+        np.testing.assert_allclose(snap.values, ref, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

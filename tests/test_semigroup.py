@@ -21,6 +21,7 @@ from singheat import (
     standard_data,
     sup_norm,
 )
+from singheat import semigroup
 from singheat.constants import eta1
 
 
@@ -112,6 +113,87 @@ def test_direct_and_spectral_paths_agree():
         k = np.exp(-((x[:, None] - x[None, :]) ** 2) / (4 * t)) / total
         ref = k @ f.values
         np.testing.assert_allclose(out.values, ref, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Batched application
+# ---------------------------------------------------------------------------
+
+_BATCH_TIMES = np.array([0.3, 0.0, 0.05, 0.3, 1.0])  # a t = 0 row and a repeated time
+_BATCH_WEIGHTS = np.array(
+    [
+        [0.5, 0.25, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 2.0, 0.0, 0.0],
+        [0.1, 0.2, 0.3, 0.4, 0.5],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.7],
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "n_dim,points,batch_rows",
+    [
+        (1, 64, None),
+        (1, 256, None),
+        (1, 256, 1),
+        (1, 256, 2),
+        (2, 32, None),
+        (2, 136, None),
+        (2, 136, 1),
+    ],
+)
+@pytest.mark.parametrize("gamma", [0.0, 0.4])
+def test_batched_apply_matches_single_applies(n_dim, points, batch_rows, gamma, monkeypatch):
+    # direct path up to 128 points per axis, FFT beyond; batch_rows shrinks
+    # the FFT workspace so the rows are transformed that many at a time
+    if batch_rows is not None:
+        row_bytes = 16 * (2 * points) ** n_dim
+        monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * row_bytes)
+    g = make_grid(n_dim, 8.0, points)
+    prop = HeatPropagator.shared(g)
+    rng = np.random.default_rng(100 * n_dim + points)
+    stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + g.shape)
+    singles = np.stack(
+        [prop.apply_weighted_values(f, float(t), gamma) for f, t in zip(stack, _BATCH_TIMES)]
+    )
+    batched = prop.apply_weighted_values(stack, _BATCH_TIMES, gamma)
+    np.testing.assert_allclose(batched, singles, rtol=0, atol=1e-13)
+    # the t = 0 row is the (weighted) field itself
+    weighted = stack[1] * prop.weight_values(gamma) if gamma else stack[1]
+    np.testing.assert_allclose(batched[1], weighted, rtol=0, atol=1e-13)
+    summed = prop.apply_weighted_values(stack, _BATCH_TIMES, gamma, _BATCH_WEIGHTS)
+    assert summed.shape == (_BATCH_WEIGHTS.shape[0],) + g.shape
+    np.testing.assert_allclose(
+        summed, np.tensordot(_BATCH_WEIGHTS, singles, axes=1), rtol=0, atol=1e-13
+    )
+
+
+@pytest.mark.parametrize("points", [64, 256])
+def test_single_apply_is_the_one_row_batch(points):
+    g = make_grid(1, 8.0, points)
+    prop = HeatPropagator.shared(g)
+    f = standard_data(g, "bump:2").values
+    one = prop.apply_heat_values(f, 0.4)
+    np.testing.assert_array_equal(prop.apply_heat_values(f[None], np.array([0.4]))[0], one)
+
+
+@pytest.mark.parametrize("points", [64, 256])
+def test_batched_apply_validation(points):
+    g = make_grid(1, 8.0, points)
+    prop = HeatPropagator.shared(g)
+    stack = np.ones((3,) + g.shape)
+    for bad in ([0.1, -0.2, 0.3], [0.1, 0.2, math.nan], [math.inf, 0.2, 0.3]):
+        with pytest.raises(ParameterError):
+            prop.apply_heat_values(stack, np.array(bad))
+    with pytest.raises(ParameterError):
+        prop.apply_heat_values(stack, np.array([0.1, 0.2]))  # three fields, two times
+    with pytest.raises(ParameterError):
+        prop.apply_heat_values(stack[0], np.array([0.1]))  # no stack axis
+    with pytest.raises(ParameterError):
+        prop.apply_heat_values(stack, np.array([0.1, 0.2, 0.3]), np.ones((2, 2)))
+    with pytest.raises(ParameterError):
+        prop.apply_heat_values(stack[0], 0.1, np.ones((1, 1)))
 
 
 def test_smoothing_bound_for_weighted_operator():
