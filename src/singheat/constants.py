@@ -283,40 +283,53 @@ def gamma_star(q: float, n_dim: int, scan_points: int = 256, value_tol: float = 
     return GammaStarResult(value=mid, crossed=True, lambda_value=lambda_gamma(q, mid, n_dim))
 
 
-def mittag_leffler(sigma: float, z: float) -> float:
+def mittag_leffler(sigma: float, z: "float | np.ndarray") -> "float | np.ndarray":
     """One-parameter Mittag-Leffler function E_sigma(z) = sum z^n / Gamma(n sigma + 1).
 
-    Series evaluation in log space; terms stop once below
-    1e-14 * (1 + |partial sum|) past the term peak.  Restricted to |z| <= 50,
-    and aborts if any term would overflow double precision (both raise
-    SeriesRangeError).  E_1 = exp and E_2(z) = cosh(sqrt z) for z >= 0.
+    Series evaluation in log space, for a float z or elementwise over an
+    array (all points summed together); each point's terms stop once below
+    1e-14 * (1 + |partial sum|) past its term peak.  Restricted to
+    |z| <= 50, and aborts if any term would overflow double precision (both
+    raise SeriesRangeError).  E_1 = exp and E_2(z) = cosh(sqrt z) for z >= 0.
     """
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ParameterError(f"sigma must be positive (got {sigma})")
-    if not math.isfinite(z) or abs(z) > 50.0:
-        raise SeriesRangeError(f"series evaluation restricted to |z| <= 50 (got {z})")
-    if z == 0.0:
-        return 1.0
-    ln_az = math.log(abs(z))
+    zs = np.asarray(z, dtype=float)
+    bad = ~(np.abs(zs) <= 50.0)  # also catches nan and inf
+    if np.any(bad):
+        raise SeriesRangeError(
+            f"series evaluation restricted to |z| <= 50 (got {zs[bad].flat[0]})"
+        )
+    flat = zs.ravel()
+    total = np.ones(flat.size)  # n = 0 term; E(0) = 1 exactly
+    live = np.flatnonzero(flat != 0.0)  # points still summing
+    az = np.abs(flat[live])
+    ln_az = np.log(az)
+    neg = flat[live] < 0.0
     # terms can grow before they decay; do not stop before the peak index
-    n_peak = int(abs(z) ** (1.0 / sigma)) + 2
-    total = 1.0  # n = 0 term
+    with np.errstate(over="ignore"):  # an infinite peak overflows a term first
+        n_peak = np.floor(az ** (1.0 / sigma)) + 2.0
     n = 1
-    while True:
+    while live.size:
         ln_term = n * ln_az - math.lgamma(n * sigma + 1.0)
-        if ln_term > 700.0:
+        if np.any(ln_term > 700.0):
             raise SeriesRangeError(
-                f"term {n} of E_{sigma}({z}) exceeds the double-precision range"
+                f"term {n} of E_{sigma}(z) exceeds the double-precision range "
+                f"(|z| up to {float(np.max(np.exp(ln_az))):.6g})"
             )
-        term = math.exp(ln_term)
-        if z < 0.0 and n % 2 == 1:
-            term = -term
-        total += term
-        if abs(term) < 1e-14 * (1.0 + abs(total)) and n >= n_peak:
-            return total
+        term = np.exp(ln_term)
+        if n % 2 == 1:
+            np.negative(term, out=term, where=neg)
+        part = total[live] + term
+        total[live] = part
+        going = (np.abs(term) >= 1e-14 * (1.0 + np.abs(part))) | (n < n_peak)
+        if not going.all():
+            live, ln_az, neg, n_peak = live[going], ln_az[going], neg[going], n_peak[going]
         n += 1
         if n > 200_000:
-            raise SeriesRangeError(f"series for E_{sigma}({z}) failed to settle")
+            raise SeriesRangeError(f"series for E_{sigma}(z) failed to settle")
+    out = total.reshape(zs.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

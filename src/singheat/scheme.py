@@ -165,11 +165,14 @@ def subsolution_coefficient(params: Params) -> float:
     return ((1.0 - params.q) * e0) ** (1.0 / (1.0 - params.q))
 
 
-def subsolution_w(grid: Grid, params: Params, t: float) -> GridFunction:
+def subsolution_w(
+    grid: Grid, params: Params, t: float, radius: "np.ndarray | None" = None
+) -> GridFunction:
     """Explicit sub-solution w(x, t) = lambda t^{1/(1-q)} (|x| + sqrt t)^{-gamma/(1-q)}.
 
     Vanishes identically at t = 0 and is radially non-increasing; every
-    non-negative solution of the integral equation dominates it.
+    non-negative solution of the integral equation dominates it.  A caller
+    evaluating many times may pass the grid's radius field once.
     """
     if not math.isfinite(t) or t < 0.0:
         raise ParameterError(f"time must be >= 0 (got {t})")
@@ -177,7 +180,7 @@ def subsolution_w(grid: Grid, params: Params, t: float) -> GridFunction:
         return GridFunction(grid, np.zeros(grid.shape))
     lam = subsolution_coefficient(params)
     expo = params.gamma / (1.0 - params.q)
-    r = grid.radius_values()
+    r = grid.radius_values() if radius is None else radius
     vals = lam * t ** (1.0 / (1.0 - params.q)) * (r + math.sqrt(t)) ** (-expo)
     return GridFunction(grid, vals)
 

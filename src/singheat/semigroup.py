@@ -16,6 +16,10 @@ smoothed.
 
 Small grids (M <= 128 per axis) use direct separable convolution; larger
 grids use FFT on the doubled (zero-padded) box.  Both evaluate the same sums.
+The sampled kernel is a product of one 1D kernel per axis, so its N-D
+spectrum is the outer product of 1D spectra: the cache holds one 1D spectrum
+per time (O(M) bytes in any dimension), and each row's spectrum is multiplied
+by it once per axis.
 
 One call can also apply a stack of fields, each for its own time, and return
 weighted sums of the results: the batched form of the Duhamel quadrature,
@@ -28,6 +32,7 @@ workspace budget, which keeps the padded arrays in cache.
 from __future__ import annotations
 
 import math
+import threading
 from collections import OrderedDict
 from typing import Sequence
 
@@ -50,6 +55,7 @@ _DIRECT_LIMIT = 128  # per-axis size up to which direct summation is used
 # Padded-FFT workspace of one batch of rows.  Sized to stay in a core's L2
 # cache: transforms of a larger batch run slower per row than single ones.
 _FFT_WORKSPACE_BYTES = 2**20
+_CACHE_BYTES = 1.5e8  # memory budget of one propagator's kernel cache
 
 
 def heat_kernel(t: float, x: "float | Sequence[float]") -> float:
@@ -66,9 +72,14 @@ def heat_kernel(t: float, x: "float | Sequence[float]") -> float:
 class HeatPropagator:
     """Applies S(t) and S_gamma(t) on one grid, caching kernel data per t.
 
-    Cached entries are keyed by the evolution time rounded to 12 significant
-    digits, so times that agree to rounding noise share one kernel.  The
-    cache is LRU-bounded by an approximate memory budget.
+    A cached entry is one 1D array: the normalized axis samples on the
+    direct path, the spectrum of the wrapped axis kernel on the FFT path
+    (the half spectrum in 1D, the full one in 2D and 3D, whose last axis
+    uses its first M+1 values).  The N-D kernel is the product of that
+    factor over the axes and is never formed.  Entries are keyed by the
+    evolution time rounded to 12 significant digits, so times that agree to
+    rounding noise share one kernel.  The cache is LRU-bounded by a memory
+    budget and locked, so threads may share a propagator.
     """
 
     _registry: "dict[tuple[Grid, float], HeatPropagator]" = {}
@@ -80,8 +91,9 @@ class HeatPropagator:
         self.eps_tail = float(eps_tail)
         self._spectral = grid.points_per_axis > _DIRECT_LIMIT
         self._kernels: OrderedDict = OrderedDict()
-        entry_bytes = 16 * (2 * grid.points_per_axis) ** grid.n_dim
-        self._cache_cap = max(8, int(1.5e8 / max(entry_bytes, 1)))
+        self._lock = threading.Lock()
+        # an entry holds at most 2M complex values (the full axis spectrum)
+        self._cache_cap = max(1, int(_CACHE_BYTES // (32 * grid.points_per_axis)))
         self._weights: dict[float, np.ndarray] = {}
 
     @classmethod
@@ -119,12 +131,15 @@ class HeatPropagator:
     def _cache_key(t: float) -> float:
         return float(f"{t:.12e}")
 
-    def _kernel_entry(self, t: float):
+    def _kernel_entry(self, t: float) -> np.ndarray:
+        """The cached 1D kernel factor for time t (see the class docstring)."""
         key = self._cache_key(t)
-        entry = self._kernels.get(key)
-        if entry is not None:
-            self._kernels.move_to_end(key)
-            return entry
+        with self._lock:
+            entry = self._kernels.get(key)
+            if entry is not None:
+                self._kernels.move_to_end(key)
+                return entry
+        # built outside the lock: two threads may build one key, to equal arrays
         g1 = self._axis_samples(t)
         axis_mass = float(np.sum(g1))
         self._check_mass(t, axis_mass**self.grid.n_dim)
@@ -134,17 +149,13 @@ class HeatPropagator:
             wrapped = np.zeros(2 * m)
             wrapped[: m] = g1[m - 1 :]          # displacements 0 .. M-1
             wrapped[m + 1 :] = g1[: m - 1]      # displacements -(M-1) .. -1
-            shape = (2 * m,) * self.grid.n_dim
-            kern = wrapped
-            for _ in range(self.grid.n_dim - 1):
-                kern = np.multiply.outer(kern, wrapped)
-            axes = tuple(range(self.grid.n_dim))
-            entry = np.fft.rfftn(kern, s=shape, axes=axes)
+            entry = np.fft.rfft(wrapped) if self.grid.n_dim == 1 else np.fft.fft(wrapped)
         else:
             entry = g1
-        self._kernels[key] = entry
-        if len(self._kernels) > self._cache_cap:
-            self._kernels.popitem(last=False)
+        with self._lock:
+            self._kernels[key] = entry
+            if len(self._kernels) > self._cache_cap:
+                self._kernels.popitem(last=False)
         return entry
 
     # -- application ---------------------------------------------------------
@@ -256,7 +267,11 @@ class HeatPropagator:
         spec = np.fft.rfftn(padded, s=shape, axes=tuple(range(1, n + 1)))
         for j, t in enumerate(times):
             if t > 0.0:  # S(0) is the identity: its spectrum is all ones
-                spec[j] *= self._kernel_entry(t)
+                entry = self._kernel_entry(t)
+                row = spec[j]
+                for ax in range(n - 1):  # full-spectrum axes
+                    row *= entry.reshape((-1,) + (1,) * (n - 1 - ax))
+                row *= entry[: m + 1]  # the last axis holds the half spectrum
         return spec if weights is None else _weighted_sums(weights, spec)
 
     def _inverse(self, spec: np.ndarray) -> np.ndarray:

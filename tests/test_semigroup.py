@@ -196,6 +196,121 @@ def test_batched_apply_validation(points):
         prop.apply_heat_values(stack[0], 0.1, np.ones((1, 1)))
 
 
+# ---------------------------------------------------------------------------
+# Per-axis kernel cache
+# ---------------------------------------------------------------------------
+
+def _spectral_propagator(grid, monkeypatch):
+    """A fresh FFT-path propagator, whatever the grid size."""
+    monkeypatch.setattr(semigroup, "_DIRECT_LIMIT", 0)
+    return HeatPropagator(grid)
+
+
+@pytest.mark.parametrize("n_dim,points", [(2, 24), (3, 12)])
+def test_per_axis_spectrum_is_the_full_kernel_spectrum(n_dim, points, monkeypatch):
+    g = make_grid(n_dim, 4.0, points)
+    prop = _spectral_propagator(g, monkeypatch)
+    m = points
+    for t in (0.05, 0.6):
+        entry = prop._kernel_entry(t)
+        assert entry.shape == (2 * m,)
+        # the full N-D kernel, built as the outer product of the wrapped axis kernel
+        g1 = prop._axis_samples(t)
+        g1 = g1 / g1.sum()
+        wrapped = np.zeros(2 * m)
+        wrapped[:m] = g1[m - 1 :]
+        wrapped[m + 1 :] = g1[: m - 1]
+        kern = wrapped
+        for _ in range(n_dim - 1):
+            kern = np.multiply.outer(kern, wrapped)
+        ref = np.fft.rfftn(kern)
+        prod = np.ones(ref.shape, dtype=complex)
+        for ax in range(n_dim):
+            factor = entry if ax < n_dim - 1 else entry[: m + 1]
+            prod = prod * factor.reshape((-1,) + (1,) * (n_dim - 1 - ax))
+        np.testing.assert_allclose(prod, ref, rtol=0, atol=1e-15)
+
+
+def test_one_dimensional_entry_is_the_half_spectrum():
+    g = make_grid(1, 8.0, 256)
+    prop = HeatPropagator(g)
+    entry = prop._kernel_entry(0.3)
+    assert entry.shape == (257,)
+
+
+@pytest.mark.parametrize("n_dim,points", [(2, 40), (3, 12)])
+def test_spectral_and_direct_paths_agree(n_dim, points, monkeypatch):
+    g = make_grid(n_dim, 6.0, points)
+    spectral = _spectral_propagator(g, monkeypatch)
+    monkeypatch.setattr(semigroup, "_DIRECT_LIMIT", 10**6)
+    direct = HeatPropagator(g)
+    assert spectral._spectral and not direct._spectral
+    rng = np.random.default_rng(11)
+    stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + g.shape)
+    for gamma in (0.0, 0.4):
+        for t in (0.05, 0.7):
+            np.testing.assert_allclose(
+                spectral.apply_weighted_values(stack[0], t, gamma),
+                direct.apply_weighted_values(stack[0], t, gamma),
+                rtol=0,
+                atol=1e-13,
+            )
+        np.testing.assert_allclose(
+            spectral.apply_weighted_values(stack, _BATCH_TIMES, gamma, _BATCH_WEIGHTS),
+            direct.apply_weighted_values(stack, _BATCH_TIMES, gamma, _BATCH_WEIGHTS),
+            rtol=0,
+            atol=1e-13,
+        )
+
+
+@pytest.mark.parametrize("points", [64, 256])
+def test_kernel_cache_is_safe_under_threads(points, monkeypatch):
+    # a cap of 2 with 5 distinct times evicts on nearly every lookup; short
+    # switch intervals make the threads interleave inside the lookups
+    import sys
+    import threading
+
+    g = make_grid(1, 8.0, points)
+    prop = HeatPropagator(g)
+    monkeypatch.setattr(prop, "_cache_cap", 2)
+    old_interval = sys.getswitchinterval()
+    errors = []
+    times = [0.1, 0.2, 0.3, 0.4, 0.5]
+    ref = {t: prop._axis_samples(t) / prop._axis_samples(t).sum() for t in times}
+
+    def hammer(offset):
+        try:
+            for k in range(1500):
+                t = times[(k + offset) % len(times)]
+                entry = prop._kernel_entry(t)
+                if not prop._spectral:
+                    np.testing.assert_array_equal(entry, ref[t])
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(k,)) for k in range(3)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors, errors[0]
+    assert len(prop._kernels) <= 2
+
+
+def test_kernel_cache_fits_its_budget_for_large_3d_grids():
+    # only the grid and the propagator: no 3D field is ever allocated
+    g = make_grid(3, 8.0, 256)
+    prop = HeatPropagator(g)
+    entry = prop._kernel_entry(0.5)
+    assert entry.nbytes == 16 * 2 * 256
+    assert 1.5e8 - entry.nbytes < prop._cache_cap * entry.nbytes <= 1.5e8
+
+
 def test_smoothing_bound_for_weighted_operator():
     # sup S_gamma(t) f <= eta1 * t^{-gamma/2} sup f  (up to truncation slack)
     g = make_grid(1, 12.0, 1024)

@@ -56,6 +56,37 @@ def test_subsolution_check_gamma_zero_equality_case():
     assert abs(rep.margin) < 1e-4
 
 
+def _per_node_subsolution_margins(q, gamma, n_dim, times=(0.25, 1.0), nodes=32):
+    """The sub-solution check as one weighted apply per quadrature node."""
+    from singheat import HeatPropagator, Params, duhamel_rule, make_grid, subsolution_w
+    from singheat.verify import _default_grid, _trusted_mask
+
+    params = Params(q=q, gamma=gamma, n_dim=n_dim)
+    grid = make_grid(n_dim, *_default_grid(n_dim))
+    prop = HeatPropagator.shared(grid)
+    out = {}
+    for t in times:
+        sigs, wts = duhamel_rule(0.0, float(t), gamma, nodes)
+        acc = np.zeros(grid.shape)
+        for s, w in zip(sigs, wts):
+            ws = subsolution_w(grid, params, float(s)).values
+            acc += w * prop.apply_weighted_values(ws**q, float(t) - float(s), gamma)
+        target = subsolution_w(grid, params, float(t)).values
+        mask = _trusted_mask(grid, float(t))
+        out[repr(float(t))] = float(np.min((acc - target)[mask]))
+    return out
+
+
+@pytest.mark.parametrize("name,args", [("subsolution", (0.5, 0.3, 1)), ("subsolution-2d", (0.3, 0.5, 2))])
+def test_batched_subsolution_matches_per_node_sum(name, args):
+    rep = default_suite()[name]()
+    ref = _per_node_subsolution_margins(*args)
+    got = rep.details["per_time_margin"]
+    assert sorted(got) == sorted(ref)
+    for key, value in ref.items():
+        assert abs(got[key] - value) <= 1e-13
+
+
 def test_lower_bound_check_light():
     rep = check_lower_bound(
         "zero", 0.5, 0.3, 1, times=(0.5, 1.0), half_width=12.0, points=256, config=LIGHT
@@ -120,6 +151,66 @@ def test_gronwall_envelope_overflow_is_reported():
         check_gronwall(GronwallInstance(a_const=1.0, m_const=1.0, alpha=0.8, t_end=1.0))
 
 
+def _series_mittag_leffler(sigma, z):
+    """Scalar Mittag-Leffler series, one term at a time in log space."""
+    import math
+
+    if z == 0.0:
+        return 1.0
+    ln_az = math.log(abs(z))
+    n_peak = int(abs(z) ** (1.0 / sigma)) + 2
+    total, n = 1.0, 1
+    while True:
+        term = math.exp(n * ln_az - math.lgamma(n * sigma + 1.0))
+        if z < 0.0 and n % 2 == 1:
+            term = -term
+        total += term
+        if abs(term) < 1e-14 * (1.0 + abs(total)) and n >= n_peak:
+            return total
+        n += 1
+
+
+@pytest.mark.parametrize("name", ["gronwall-exp", "gronwall-singular", "gronwall-zero"])
+def test_array_mittag_leffler_matches_the_scalar_series(name, monkeypatch):
+    import math
+    import warnings
+
+    from singheat import mittag_leffler, verify
+
+    # the instance of each default check, caught on its way into the check
+    caught = []
+    monkeypatch.setattr(verify, "check_gronwall", lambda inst=None, tol=None: caught.append(inst))
+    default_suite()[name]()
+    (inst,) = caught
+    t, _ = volterra_extremal(inst)
+    sig = 1.0 - inst.alpha
+    z = inst.m_const * math.gamma(sig) * t**sig
+    assert z[0] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no log(0) or 0 * inf on the way
+        got = mittag_leffler(sig, z)
+        neg = mittag_leffler(sig, -z)
+    ref = np.array([_series_mittag_leffler(sig, float(v)) for v in z])
+    ref_neg = np.array([_series_mittag_leffler(sig, -float(v)) for v in z])
+    assert got[0] == 1.0
+    np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(neg, ref_neg, rtol=1e-14, atol=1e-15)
+    if inst.a_const:
+        np.testing.assert_allclose(gronwall_envelope(inst, t), inst.a_const * ref, rtol=1e-14)
+
+
+def test_array_mittag_leffler_keeps_the_range_guards():
+    from singheat import SeriesRangeError, mittag_leffler
+
+    assert isinstance(mittag_leffler(0.5, 1.0), float)
+    assert mittag_leffler(0.7, np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
+    for bad in (np.array([1.0, 51.0]), np.array([0.5, np.nan]), np.array([np.inf])):
+        with pytest.raises(SeriesRangeError):
+            mittag_leffler(1.0, bad)
+    with pytest.raises(SeriesRangeError):
+        mittag_leffler(0.1, np.array([0.5, 40.0]))  # one point's terms overflow
+
+
 def test_gronwall_zero_data_stays_zero():
     rep = check_gronwall(GronwallInstance(a_const=0.0, m_const=2.0, alpha=0.5, t_end=1.0))
     assert rep.passed
@@ -144,6 +235,13 @@ def test_max_at_origin_passes_and_is_deterministic():
     b = check_max_at_origin(n_profiles=6, points=256)
     assert a.passed and b.passed
     assert a.margin == b.margin  # seeded profiles
+
+
+def test_max_at_origin_reports_its_3d_cap():
+    rep = check_max_at_origin(n_profiles=2, n_dim=3, points=128)
+    assert rep.details["grid"] == [3, 10.0, 96]
+    rep = check_max_at_origin(n_profiles=2, n_dim=1, points=256)
+    assert rep.details["grid"] == [1, 10.0, 256]
 
 
 def test_max_at_origin_flags_increasing_profiles():
