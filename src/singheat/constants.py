@@ -1,10 +1,15 @@
 """Scalar constants of the problem, special functions, and the threshold.
 
 Everything here is a radial integral against the Gaussian exp(-r^2/4) or a
-Beta-type integral on (0, 1).  The adaptive quadrature is QUADPACK through
-scipy, with the algebraic-weight variant on [0, 1] whenever the radial
-measure r^{N-1-gamma} dr carries a negative power; Gaussian tails are cut at
-r = 44 where the factor exp(-r^2/4) is below 1e-210.
+Beta-type integral on (0, 1).  Those with a singular radial power have
+closed forms: beta_gamma is a Beta function, eta1 a Gamma function, and eta2
+splits at r = 1 into lower incomplete Gamma functions at 1/4 (a short series
+in pure ``math``).  The smooth moments eta0 and eta_k use one fixed
+composite 32-point Gauss-Legendre rule on [0, 44], where exp(-r^2/4) is
+below 1e-210 at the right end; its panels near 0 shrink like 1/(1+s) for an
+integrand decaying like (1+r)^{-s}.  Adaptive QUADPACK quadrature (scipy)
+is used only by eta1_by_quadrature, the cross-check of eta1, and is imported
+there.
 
 Naming: eta0 drives the sub-solution coefficient, eta1 the smoothing rate of
 the weighted semigroup, eta2 the crude weighted-kernel bound, beta_gamma the
@@ -21,7 +26,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
+from numpy.polynomial.legendre import leggauss
 
 from .errors import ParameterError, SeriesRangeError
 from .fields import Params
@@ -48,7 +53,9 @@ __all__ = [
 ]
 
 _TAIL_RADIUS = 44.0  # exp(-44^2/4) ~ 1e-210, far below every tolerance used
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
+_GL_NODES, _GL_WEIGHTS = leggauss(32)
+# panel edges past r = 1; the panels below 1 depend on the integrand's decay
+_OUTER_EDGES = np.array([1.0, 2.0, 4.0, 6.0, 8.0, 12.0, 16.0, _TAIL_RADIUS])
 
 
 def gamma_fn(x: float) -> float:
@@ -65,19 +72,35 @@ def sphere_area(n_dim: int) -> float:
     return 2.0 * math.pi ** (0.5 * n_dim) / math.gamma(0.5 * n_dim)
 
 
-def _radial_integral(smooth, n_dim: int, sing_pow: float) -> float:
-    """Integral over (0, inf) of smooth(r) * r^{n_dim - 1 - sing_pow} dr.
+def _radial_integral(smooth, n_dim: int, decay: float) -> float:
+    """Integral over (0, 44) of smooth(r) * r^{n_dim - 1} dr.
 
-    ``smooth`` must be bounded near 0 and Gaussian-small past _TAIL_RADIUS;
-    ``sing_pow`` < n_dim keeps the power integrable at the origin.
+    ``smooth`` takes an array of radii, is analytic on [0, 44] and decays
+    like (1 + r)^{-decay} near 0 before the Gaussian takes over.  The rule is
+    composite 32-point Gauss-Legendre: panels [0, c], [c, 2c], [2c, 4c], ...
+    up to 1 with c = 1/(1 + decay), then the fixed _OUTER_EDGES.
     """
-    expo = n_dim - 1.0 - sing_pow
-    if expo < 0.0:
-        head, _ = integrate.quad(smooth, 0.0, 1.0, weight="alg", wvar=(expo, 0.0), **_QUAD_OPTS)
-    else:
-        head, _ = integrate.quad(lambda r: smooth(r) * r**expo, 0.0, 1.0, **_QUAD_OPTS)
-    tail, _ = integrate.quad(lambda r: smooth(r) * r**expo, 1.0, _TAIL_RADIUS, **_QUAD_OPTS)
-    return head + tail
+    c = 1.0 / (1.0 + decay)
+    head = c * 2.0 ** np.arange(math.ceil(-math.log2(c)))
+    edges = np.concatenate(([0.0], head[head < 1.0], _OUTER_EDGES))
+    half = 0.5 * np.diff(edges)
+    r = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
+    return float(np.sum((half[:, None] * _GL_WEIGHTS) * smooth(r) * r ** (n_dim - 1)))
+
+
+def _lower_gamma_quarter(a: float) -> float:
+    """Lower incomplete Gamma function: integral over (0, 1/4) of e^{-u} u^{a-1} du.
+
+    Series x^a e^{-x} sum_k x^k / (a (a+1) ... (a+k)) at x = 1/4; its terms
+    are positive and shrink at least fourfold, so about 20 of them settle it.
+    """
+    term = total = 1.0 / a
+    k = 0
+    while term > 1e-17 * total:
+        k += 1
+        term *= 0.25 / (a + k)
+        total += term
+    return 0.25**a * math.exp(-0.25) * total
 
 
 @lru_cache(maxsize=4096)
@@ -92,7 +115,7 @@ def eta0(q: float, gamma: float, n_dim: int) -> float:
     if gamma == 0.0:
         return 1.0  # the integrand reduces to the unit-mass Gaussian
     s = gamma / (1.0 - q)
-    val = _radial_integral(lambda r: math.exp(-0.25 * r * r) * (1.0 + r) ** (-s), n_dim, 0.0)
+    val = _radial_integral(lambda r: np.exp(-0.25 * r * r) * (1.0 + r) ** (-s), n_dim, s)
     out = (4.0 * math.pi) ** (-0.5 * n_dim) * sphere_area(n_dim) * val
     if not (0.0 < out <= 1.0 + 1e-10):
         raise ParameterError(f"eta0 left its admissible range (0, 1]: {out}")
@@ -125,13 +148,26 @@ def eta1(gamma: float, n_dim: int) -> float:
 
 
 def eta1_by_quadrature(gamma: float, n_dim: int) -> float:
-    """Same constant through adaptive quadrature; cross-check of eta1."""
+    """Same constant through adaptive QUADPACK quadrature; cross-check of eta1.
+
+    The radial power r^{N-1-gamma} goes into the algebraic weight on [0, 1]
+    when it is negative.
+    """
+    from scipy import integrate
+
     if n_dim not in (1, 2, 3):
         raise ParameterError(f"n_dim must be one of 1, 2, 3 (got {n_dim})")
     if not (0.0 <= gamma < n_dim):
         raise ParameterError(f"requires 0 <= gamma < n_dim (got {gamma}, {n_dim})")
-    val = _radial_integral(lambda r: math.exp(-0.25 * r * r), n_dim, gamma)
-    return (4.0 * math.pi) ** (-0.5 * n_dim) * sphere_area(n_dim) * val
+    opts = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
+    expo = n_dim - 1.0 - gamma
+    gauss = lambda r: math.exp(-0.25 * r * r)
+    if expo < 0.0:
+        head, _ = integrate.quad(gauss, 0.0, 1.0, weight="alg", wvar=(expo, 0.0), **opts)
+    else:
+        head, _ = integrate.quad(lambda r: gauss(r) * r**expo, 0.0, 1.0, **opts)
+    tail, _ = integrate.quad(lambda r: gauss(r) * r**expo, 1.0, _TAIL_RADIUS, **opts)
+    return (4.0 * math.pi) ** (-0.5 * n_dim) * sphere_area(n_dim) * (head + tail)
 
 
 @lru_cache(maxsize=4096)
@@ -140,7 +176,10 @@ def eta2(gamma: float, n_dim: int) -> float:
 
     (4 pi)^{-N/2} * 2^{gamma/2} * [ integral_{|y|>=1} exp(-|y|^2/4) dy
     + integral_{|y|<=1} exp(-|y|^2/4) |y|^{-gamma} dy ].  Finite for
-    gamma < N and divergent as gamma -> N through the inner piece.
+    gamma < N and divergent as gamma -> N through the inner piece.  With
+    u = r^2/4 the radial pieces are 2^{N-gamma-1} g((N-gamma)/2) inside and
+    2^{N-1} (Gamma(N/2) - g(N/2)) outside, g(a) being the lower incomplete
+    Gamma function at 1/4.
     """
     if n_dim not in (1, 2, 3):
         raise ParameterError(f"n_dim must be one of 1, 2, 3 (got {n_dim})")
@@ -149,13 +188,8 @@ def eta2(gamma: float, n_dim: int) -> float:
             f"eta2 requires 0 <= gamma < n_dim: the inner integral diverges "
             f"at gamma = {gamma}, n_dim = {n_dim}"
         )
-    expo = n_dim - 1.0 - gamma
-    gauss = lambda r: math.exp(-0.25 * r * r)
-    if expo < 0.0:
-        inner, _ = integrate.quad(gauss, 0.0, 1.0, weight="alg", wvar=(expo, 0.0), **_QUAD_OPTS)
-    else:
-        inner, _ = integrate.quad(lambda r: gauss(r) * r**expo, 0.0, 1.0, **_QUAD_OPTS)
-    outer, _ = integrate.quad(lambda r: gauss(r) * r ** (n_dim - 1.0), 1.0, _TAIL_RADIUS, **_QUAD_OPTS)
+    inner = 2.0 ** (n_dim - gamma - 1.0) * _lower_gamma_quarter(0.5 * (n_dim - gamma))
+    outer = 2.0 ** (n_dim - 1.0) * (math.gamma(0.5 * n_dim) - _lower_gamma_quarter(0.5 * n_dim))
     return (
         (4.0 * math.pi) ** (-0.5 * n_dim)
         * 2.0 ** (0.5 * gamma)
@@ -179,15 +213,9 @@ def beta_gamma(q: float, gamma: float) -> float:
         raise ParameterError(f"gamma must lie in [0, 2) (got {gamma})")
     a = (2.0 - gamma) / (2.0 * (1.0 - q))
     b = 1.0 - 0.5 * gamma
-    val, _ = integrate.quad(
-        lambda s: 1.0, 0.0, 1.0, weight="alg", wvar=(a - 1.0, b - 1.0), **_QUAD_OPTS
-    )
-    closed = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-    if abs(val - closed) > 1e-10 * max(1.0, abs(closed)):
-        raise ParameterError(
-            f"beta_gamma quadrature {val} drifted from the Gamma-function form {closed}"
-        )
-    return val
+    if a + b < 171.0:  # math.gamma overflows past 171.6
+        return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 @lru_cache(maxsize=4096)
@@ -213,11 +241,11 @@ def eta_k_limit(q: float, gamma: float, n_dim: int) -> float:
 
 def _eta_k_integral(gamma: float, second_exp: float, n_dim: int) -> float:
     val = _radial_integral(
-        lambda r: math.exp(-0.25 * r * r)
+        lambda r: np.exp(-0.25 * r * r)
         * (1.0 + r) ** (-gamma)
         * (2.0 + r) ** (-second_exp),
         n_dim,
-        0.0,
+        gamma + second_exp,
     )
     return (4.0 * math.pi) ** (-0.5 * n_dim) * sphere_area(n_dim) * val
 

@@ -16,10 +16,13 @@ smoothed.
 
 Small grids (M <= 128 per axis) use direct separable convolution; larger
 grids use FFT on the doubled (zero-padded) box.  Both evaluate the same sums.
-The sampled kernel is a product of one 1D kernel per axis, so its N-D
-spectrum is the outer product of 1D spectra: the cache holds one 1D spectrum
-per time (O(M) bytes in any dimension), and each row's spectrum is multiplied
-by it once per axis.
+The sampled kernel is a product of one 1D kernel per axis.  On the direct
+path, zero-extended correlation with it along one axis is a product with an
+M x M Toeplitz matrix, and all rows of a call are multiplied by their
+matrices in one batched matmul per axis.  On the FFT path the N-D spectrum
+is the outer product of 1D spectra: the cache holds one 1D spectrum per time
+(O(M) bytes in any dimension), and each row's spectrum is multiplied by it
+once per axis.
 
 One call can also apply a stack of fields, each for its own time, and return
 weighted sums of the results: the batched form of the Duhamel quadrature,
@@ -37,7 +40,8 @@ from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage
+import numpy.fft  # noqa: F401  (numpy loads it lazily; keep that out of the first apply)
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, TruncationError
 from .fields import Grid, GridFunction, weight_field
@@ -83,6 +87,7 @@ class HeatPropagator:
     """
 
     _registry: "dict[tuple[Grid, float], HeatPropagator]" = {}
+    _registry_lock = threading.Lock()
 
     def __init__(self, grid: Grid, eps_tail: float = 1e-10):
         if not (0.0 < eps_tail < 1.0):
@@ -98,11 +103,14 @@ class HeatPropagator:
 
     @classmethod
     def shared(cls, grid: Grid, eps_tail: float = 1e-10) -> "HeatPropagator":
+        """The one propagator of the registry for (grid, eps_tail); threads
+        asking for a new key at once all get the first one built."""
         key = (grid, float(eps_tail))
-        prop = cls._registry.get(key)
-        if prop is None:
-            prop = cls(grid, eps_tail)
-            cls._registry[key] = prop
+        with cls._registry_lock:
+            prop = cls._registry.get(key)
+            if prop is None:
+                prop = cls(grid, eps_tail)  # cheap: kernels are built on first use
+                cls._registry[key] = prop
         return prop
 
     # -- kernel construction -------------------------------------------------
@@ -215,14 +223,24 @@ class HeatPropagator:
         return times.tolist(), stack, weights
 
     def _direct_sums(self, stack: np.ndarray, times, weights) -> np.ndarray:
-        rows = np.empty(stack.shape)
-        for j, t in enumerate(times):
-            row = stack[j]
-            if t > 0.0:
-                entry = self._kernel_entry(t)
-                for ax in range(self.grid.n_dim):
-                    row = ndimage.correlate1d(row, entry, axis=ax, mode="constant", cval=0.0)
-            rows[j] = row
+        """Direct path.  Zero-extended correlation of an axis with the 2M-1
+        normalized samples g is the product with the M x M Toeplitz matrix
+        T[i, k] = g[k - i + M - 1], whose row i is the window g[M-1-i : 2M-1-i].
+        The rows with t > 0 get their T as a sliding-window view of their
+        samples (no copy) and are multiplied by them in one batched matmul
+        per axis; rows with t = 0 pass through unchanged."""
+        rows = stack.copy()
+        live = [j for j, t in enumerate(times) if t > 0.0]
+        if live:
+            m = self.grid.points_per_axis
+            samples = np.stack([self._kernel_entry(times[j]) for j in live])
+            toeplitz = sliding_window_view(samples, m, axis=1)[:, ::-1]
+            part = rows[live]
+            for ax in range(1, self.grid.n_dim + 1):
+                moved = np.moveaxis(part, ax, 1)
+                prod = np.matmul(toeplitz, moved.reshape(len(live), m, -1))
+                part = np.moveaxis(prod.reshape(moved.shape), 1, ax)
+            rows[live] = part
         return rows if weights is None else _weighted_sums(weights, rows)
 
     def _spectral_sums(self, stack: np.ndarray, times, weights) -> np.ndarray:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it lazily; keep that out of the checks)
 
 from . import constants
 from .errors import ParameterError, SeriesRangeError

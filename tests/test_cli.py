@@ -207,3 +207,22 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["eta0"] == 1.0
+
+
+def test_commands_never_import_scipy(tmp_path):
+    # scipy is only for the quadrature cross-checks: no command path loads it
+    script = f"""
+import sys
+from singheat.cli import main
+out = {str(tmp_path)!r}
+assert main(["solve", "--gamma", "0.3", "--points", "32", "--half-width", "6",
+             "--t-end", "0.25", "--n-schedule", "1,2", "--out", out + "/s.csv"]) == 0
+assert main(["verify", "--suite", "lambda-limit,subsolution", "--json", out + "/v.json"]) == 0
+assert main(["constants", "--gamma", "0.3", "--dim", "2"]) == 0
+assert main(["gamma-star", "--q", "0.5"]) == 0
+assert main(["sweep", "--param", "gamma", "--start", "0", "--stop", "0.4", "--count", "3"]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

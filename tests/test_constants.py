@@ -2,8 +2,10 @@
 
 The eta constants are redone here as plain midpoint Riemann sums after the
 substitution v = r^{N - gamma} (which removes the origin singularity from the
-radial measure), so any systematic error in the QUADPACK route would show up
-as a mismatch at the 1e-6 level.
+radial measure), so any systematic error in the closed forms or the
+Gauss-Legendre rule would show up as a mismatch at the 1e-6 level.  The
+tighter cross-checks against adaptive QUADPACK quadrature (scipy) are at the
+end of the file.
 """
 
 import math
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from singheat import (
     ConstantsReport,
@@ -345,3 +348,111 @@ def test_constants_report_validates_ranges():
         ConstantsReport(params=p, eta0=0.9, eta1=1.0, eta2=1.0, beta=0.5, lam=0.5)
     with pytest.raises(ParameterError):
         ConstantsReport(params=p, eta0=1.0, eta1=-1.0, eta2=1.0, beta=0.5, lam=0.5)
+
+
+# ---------------------------------------------------------------------------
+# Cross-checks against adaptive quadrature
+# ---------------------------------------------------------------------------
+#
+# The references rebuild the QUADPACK construction the constants once used:
+# the radial integral split at r = 1, the Gaussian tail cut at r = 44, and
+# the algebraic weight for a singular power on [0, 1].  They ask for relative
+# accuracy only (epsabs = 0).  An absolute tolerance of 1e-12 stops QUADPACK
+# early once the integral itself is that small (eta_k_limit at q = 0.99,
+# gamma = 1.999, N = 3 is about 5e-66 and came out 7e-8 off) and left 1.8e-13
+# in eta2 at gamma = 1e-6, N = 2.
+
+_QUAD = dict(epsabs=0.0, epsrel=1e-13, limit=400)
+
+# q near 1 drives the decay exponent gamma/(1-q) of eta0 up to 2000
+QUAD_QS = (0.01, 0.3, 0.5, 0.9, 0.99, 0.999)
+QUAD_PAIRS = [(g, n) for n in (1, 2, 3) for g in (1e-6, 0.3, 1.0, 1.999) if g < min(2, n)]
+
+
+def quad_pieces(smooth, n_dim, power=0.0):
+    """Integrals of smooth(r) r^{N-1-power} dr over (0, 1) and (1, 44)."""
+    expo = n_dim - 1.0 - power
+    if expo < 0.0:
+        head, _ = integrate.quad(smooth, 0.0, 1.0, weight="alg", wvar=(expo, 0.0), **_QUAD)
+    else:
+        head, _ = integrate.quad(lambda r: smooth(r) * r**expo, 0.0, 1.0, **_QUAD)
+    tail, _ = integrate.quad(lambda r: smooth(r) * r**expo, 1.0, 44.0, **_QUAD)
+    return head, tail
+
+
+def quad_radial(smooth, n_dim):
+    """(4 pi)^{-N/2} omega_{N-1} * integral over (0, 44) of smooth(r) r^{N-1} dr."""
+    return (4 * math.pi) ** (-0.5 * n_dim) * sphere_area(n_dim) * sum(quad_pieces(smooth, n_dim))
+
+
+def quad_eta_k(gamma, second_exp, n_dim):
+    return quad_radial(
+        lambda r: math.exp(-0.25 * r * r) * (1 + r) ** (-gamma) * (2 + r) ** (-second_exp), n_dim
+    )
+
+
+@pytest.mark.parametrize("q", QUAD_QS)
+def test_eta0_matches_adaptive_quadrature(q):
+    for g, n in QUAD_PAIRS:
+        s = g / (1 - q)
+        ref = quad_radial(lambda r: math.exp(-0.25 * r * r) * (1 + r) ** (-s), n)
+        assert eta0(q, g, n) == pytest.approx(ref, rel=1e-12, abs=0), (g, n)
+
+
+@pytest.mark.parametrize("q", QUAD_QS)
+def test_eta_k_matches_adaptive_quadrature(q):
+    for g, n in QUAD_PAIRS:
+        for k in (1, 3):
+            ref = quad_eta_k(g, g * q * (1 - q**k) / (1 - q), n)
+            assert eta_k(q, g, n, k) == pytest.approx(ref, rel=1e-12, abs=0), (g, n, k)
+        # 2^{-gamma q/(1-q)} makes it subnormal or 0.0 at q = 0.999, gamma >= 1
+        ref = quad_eta_k(g, g * q / (1 - q), n)
+        assert eta_k_limit(q, g, n) == pytest.approx(ref, rel=1e-12, abs=0), (g, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eta2_matches_adaptive_quadrature(n):
+    for g in (0.0, 1e-6, 0.3, 0.999999, 1.5, 1.999, 2.5, 2.999):
+        if g >= n:
+            continue
+        gauss = lambda r: math.exp(-0.25 * r * r)
+        inner, _ = quad_pieces(gauss, n, g)
+        _, outer = quad_pieces(gauss, n)
+        ref = (4 * math.pi) ** (-0.5 * n) * 2 ** (0.5 * g) * sphere_area(n) * (inner + outer)
+        assert eta2(g, n) == pytest.approx(ref, rel=1e-13, abs=0), (g, n)
+
+
+def test_beta_matches_algebraic_weight_quadrature():
+    for q in (0.05, 0.3, 0.5, 0.9, 0.99, 0.999):
+        for g in (0.0, 1e-6, 0.5, 1.0, 1.999):
+            a = (2 - g) / (2 * (1 - q))
+            b = 1 - g / 2
+            ref, _ = integrate.quad(
+                lambda s: 1.0, 0.0, 1.0, weight="alg", wvar=(a - 1, b - 1),
+                epsabs=1e-12, epsrel=1e-12, limit=400,
+            )
+            assert beta_gamma(q, g) == pytest.approx(ref, rel=1e-10, abs=0), (q, g)
+
+
+def test_eta2_lower_incomplete_gamma_series():
+    # gamma(1/2, 1/4) = sqrt(pi) erf(1/2) and gamma(1, 1/4) = 1 - e^{-1/4}
+    from singheat.constants import _lower_gamma_quarter
+
+    assert _lower_gamma_quarter(0.5) == pytest.approx(math.sqrt(math.pi) * math.erf(0.5), rel=1e-15)
+    assert _lower_gamma_quarter(1.0) == pytest.approx(-math.expm1(-0.25), rel=1e-15)
+
+
+def test_constants_raise_parameter_errors():
+    for args in [(0.0, 0.3), (1.0, 0.3), (0.5, -0.1), (0.5, 2.0)]:
+        with pytest.raises(ParameterError):
+            beta_gamma(*args)
+    for args in [(-0.1, 1), (1.0, 1), (3.0, 3), (0.3, 4), (0.3, 0)]:
+        with pytest.raises(ParameterError):
+            eta2(*args)
+    for args in [(0.0, 0.3, 1), (1.0, 0.3, 1), (0.5, 1.0, 1), (0.5, 2.0, 3), (0.5, -0.1, 2), (0.5, 0.3, 4)]:
+        with pytest.raises(ParameterError):
+            eta0(*args)
+        with pytest.raises(ParameterError):
+            eta_k(*args, 2)
+        with pytest.raises(ParameterError):
+            eta_k_limit(*args)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from singheat import (
     HeatPropagator,
@@ -196,6 +197,34 @@ def test_batched_apply_validation(points):
         prop.apply_heat_values(stack[0], 0.1, np.ones((1, 1)))
 
 
+@pytest.mark.parametrize("n_dim,points", [(1, 16), (2, 10), (3, 6)])
+@pytest.mark.parametrize("gamma", [0.0, 0.4])
+def test_direct_path_equals_per_row_correlation(n_dim, points, gamma):
+    # reference: each row with t > 0 correlated axis by axis with its
+    # normalized 2M-1 kernel samples, zero outside the box
+    g = make_grid(n_dim, 8.0, points)
+    prop = HeatPropagator(g)
+    assert not prop._spectral
+    rng = np.random.default_rng(7 * n_dim + points)
+    stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + g.shape)
+    weighted = stack * prop.weight_values(gamma) if gamma else stack
+    ref = np.empty_like(stack)
+    for j, t in enumerate(_BATCH_TIMES):
+        row = weighted[j]
+        if t > 0.0:
+            samples = prop._axis_samples(t)
+            for ax in range(n_dim):
+                row = ndimage.correlate1d(row, samples / samples.sum(), axis=ax, mode="constant")
+        ref[j] = row
+    out = prop.apply_weighted_values(stack, _BATCH_TIMES, gamma)
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(out[1], weighted[1])  # t = 0 passes through
+    summed = prop.apply_weighted_values(stack, _BATCH_TIMES, gamma, _BATCH_WEIGHTS)
+    np.testing.assert_allclose(
+        summed, np.tensordot(_BATCH_WEIGHTS, ref, axes=1), rtol=0, atol=1e-14
+    )
+
+
 # ---------------------------------------------------------------------------
 # Per-axis kernel cache
 # ---------------------------------------------------------------------------
@@ -336,6 +365,32 @@ def test_shared_propagator_is_cached_per_grid():
     assert HeatPropagator.shared(g) is HeatPropagator.shared(g)
     g2 = make_grid(1, 8.0, 512)
     assert HeatPropagator.shared(g) is not HeatPropagator.shared(g2)
+
+
+def test_shared_propagator_is_one_object_under_threads(monkeypatch):
+    # a slow constructor widens the window between lookup and insert
+    import threading
+    import time
+
+    build = HeatPropagator.__init__
+
+    def slow_init(self, *args, **kwargs):
+        time.sleep(0.05)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(HeatPropagator, "__init__", slow_init)
+    g = make_grid(1, 8.0, 98)  # a grid no other test registers
+    got = []
+    threads = [
+        threading.Thread(target=lambda: got.append(HeatPropagator.shared(g))) for _ in range(3)
+    ]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=30)
+    assert not any(th.is_alive() for th in threads)
+    assert len(got) == 3
+    assert got[0] is got[1] is got[2] is HeatPropagator.shared(g)
 
 
 def test_propagator_preserves_symmetry():
