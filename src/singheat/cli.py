@@ -27,7 +27,7 @@ import numpy as np
 
 from . import constants as const_mod
 from .errors import ConvergenceError, ParameterError, SeriesRangeError, TruncationError
-from .fields import Params, make_grid, standard_data
+from .fields import DEFAULT_POINTS, Params, make_grid, standard_data
 from .scheme import SolveConfig, monotone_solve
 from .verify import default_suite, run_suite
 
@@ -38,7 +38,7 @@ _DEFAULTS: dict = {
     "gamma": 0.3,
     "dim": 1,
     "half_width": 12.0,
-    "points": 1024,
+    "points": None,  # DEFAULT_POINTS of the dimension
     "t_end": 1.0,
     "n_schedule": "1,2,4,8,16,32,64",
     "eps_fp": 1e-8,
@@ -92,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float, help="weight strength in [0, min(2, dim))")
         p.add_argument("--dim", type=int, help="space dimension (1, 2 or 3)")
         p.add_argument("--half-width", dest="half_width", type=float, help="box half width L")
-        p.add_argument("--points", type=int, help="grid points per axis (even)")
+        p.add_argument("--points", type=int,
+                       help="grid points per axis, even (default 1024, 192, 64 in 1D, 2D, 3D)")
         p.add_argument("--t-end", dest="t_end", type=float, help="final time")
         p.add_argument("--n-schedule", dest="n_schedule", help="comma list of regularization levels")
         p.add_argument("--eps-fp", dest="eps_fp", type=float, help="fixed-point stopping tolerance")
@@ -101,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window-cap", dest="window_cap", type=float,
                        help="upper bound on the Picard window length")
         p.add_argument("--jobs", type=int,
-                       help="parallel workers (default: SINGHEAT_JOBS or CPU count)")
+                       help="verify's parallel workers (default: SINGHEAT_JOBS or CPU count)")
 
     p_const = sub.add_parser("constants", help="scalar constants for one parameter triple")
     common(p_const)
@@ -200,7 +201,7 @@ def parse_config(argv: "Sequence[str] | None" = None) -> RunConfig:
     half_width = float(merged["half_width"])
     if not (half_width > 0.0 and math.isfinite(half_width)):
         fail(f"half_width: must be positive (got {merged['half_width']})")
-    points = int(merged["points"])
+    points = DEFAULT_POINTS[dim] if merged["points"] is None else int(merged["points"])
     if points < 2 or points % 2:
         fail(f"points: must be an even integer >= 2 (got {merged['points']})")
     t_end = float(merged["t_end"])
@@ -372,17 +373,10 @@ def run(cfg: RunConfig) -> int:
                 raise ParameterError(f"q sweep range [{cfg.start}, {cfg.stop}] leaves (0, 1)")
             triples = [(float(qq), cfg.gamma, cfg.dim) for qq in values]
 
-        def one(triple):
-            q, g, n = triple
-            return const_mod.constants_report(Params(q=q, gamma=g, n_dim=n)).as_json_dict()
-
-        if cfg.jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                records = list(pool.map(one, triples))
-        else:
-            records = [one(t) for t in triples]
+        records = [
+            const_mod.constants_report(Params(q=q, gamma=g, n_dim=n)).as_json_dict()
+            for q, g, n in triples
+        ]
         payload = {
             "param": cfg.param,
             "values": [float(v) for v in values],
@@ -398,7 +392,9 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     cfg = parse_config(argv)
     try:
         return run(cfg)
-    except (ParameterError, TruncationError, ConvergenceError, SeriesRangeError) as exc:
+    except (
+        ParameterError, TruncationError, ConvergenceError, SeriesRangeError, MemoryError
+    ) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 3
 

@@ -20,6 +20,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import GridMismatchError, ParameterError
 
 __all__ = [
+    "DEFAULT_POINTS",
     "Grid",
     "GridFunction",
     "Params",
@@ -29,6 +30,10 @@ __all__ = [
     "sup_norm",
     "weight_field",
 ]
+
+# Grid points per axis when none are given, by dimension: one field of the 3D
+# default is 2 MB, where 1024 points per axis would be 8.6 GB.
+DEFAULT_POINTS = {1: 1024, 2: 192, 3: 64}
 
 
 @dataclass(frozen=True)

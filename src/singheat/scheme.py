@@ -456,8 +456,10 @@ def _window_sources(a: float, targets: np.ndarray, rules) -> tuple:
     rules[i] is the quadrature (nodes, weights) for target i.  Row j belongs
     to the target owning node sigma_j; the field there is interpolated
     linearly between the knots a, targets[0], ... (exact at the knots) as
-    (1 - theta[j]) * stack[lo[j]] + theta[j] * stack[lo[j] + 1].  Returns
-    lo, theta, the lags tau_i - sigma_j and the (targets, rows) weight matrix.
+    (1 - theta) * stack[lo] + theta * stack[lo + 1], the row of the
+    (rows, knots) matrix interp that holds 1 - theta and theta in columns lo
+    and lo + 1.  Returns interp, the lags tau_i - sigma_j and the
+    (targets, rows) weight matrix.
     """
     knots = np.concatenate(([a], targets))
     sigmas = np.concatenate([nodes for nodes, _ in rules])
@@ -465,9 +467,13 @@ def _window_sources(a: float, targets: np.ndarray, rules) -> tuple:
     hi = np.clip(np.searchsorted(knots, sigmas), 1, knots.size - 1)
     lo = hi - 1
     theta = np.clip((sigmas - knots[lo]) / (knots[hi] - knots[lo]), 0.0, 1.0)
+    rows = np.arange(sigmas.size)
+    interp = np.zeros((sigmas.size, knots.size))
+    interp[rows, lo] = 1.0 - theta
+    interp[rows, hi] = theta
     weights = np.zeros((len(rules), sigmas.size))
-    weights[owner, np.arange(sigmas.size)] = np.concatenate([wts for _, wts in rules])
-    return lo, theta, targets[owner] - sigmas, weights
+    weights[owner, rows] = np.concatenate([wts for _, wts in rules])
+    return interp, targets[owner] - sigmas, weights
 
 
 def picard_solve(
@@ -487,7 +493,9 @@ def picard_solve(
     fields linearly in time between stored nodes.  A sweep works on whole
     stacks: the source fields at every (target, node) pair are interpolated,
     passed through the nonlinearity and propagated in one batched call, which
-    returns the per-target quadrature sums.  Sweeps stop when the
+    returns the per-target quadrature sums.  The lags and weights of that
+    call are fixed per window, so its operator is prepared once per window.
+    Sweeps stop when the
     largest nodewise update falls below config.eps_fp; exceeding the sweep
     budget raises ConvergenceError.
 
@@ -530,16 +538,16 @@ def picard_solve(
         )
         rules = [duhamel_rule(a, tau, gam, mesh.nodes_per_window) for tau in sig]
         rules.append((sig, mesh.window_weights[widx]))
-        lo, theta, lags, weights = _window_sources(a, targets, rules)
-        theta = theta.reshape((-1,) + (1,) * grid.n_dim)
+        interp, lags, weights = _window_sources(a, targets, rules)
+        sweep = prop.prepare(lags, weights)
         state = np.array(free)
         converged = False
         resid = math.inf
         for _ in range(config.max_picard_sweeps):
-            stack = np.concatenate((u_left[None], state))
-            sources = (1.0 - theta) * stack[lo] + theta * stack[lo + 1]
+            stack = np.concatenate((u_left[None], state)).reshape(targets.size + 1, -1)
+            sources = (interp @ stack).reshape((-1,) + grid.shape)
             new_state = free + prop.apply_weighted_values(
-                nonlinearity(positive_part(sources)), lags, gam, weights
+                nonlinearity(positive_part(sources)), sweep, gam
             )
             resid = float(np.max(np.abs(new_state - state)))
             state = new_state

@@ -25,11 +25,17 @@ is the outer product of 1D spectra: the cache holds one 1D spectrum per time
 once per axis.
 
 One call can also apply a stack of fields, each for its own time, and return
-weighted sums of the results: the batched form of the Duhamel quadrature,
-which the Picard sweep uses once per sweep.  On the FFT path the sums are
-taken in the spectral domain, so J fields for T targets cost J forward and T
-inverse transforms.  Rows are transformed in batches sized by a fixed
-workspace budget, which keeps the padded arrays in cache.
+weighted sums of the results: the batched form of the Duhamel quadrature.
+Every call goes through a prepared operator (PreparedHeat), built by
+HeatPropagator.prepare for fixed times and weights: it looks the kernels up
+once and holds them stacked, one row per field, together with the batch
+plan and a workspace reused by every apply.  The Picard sweep prepares one
+per window, since a window's lags do not change between its sweeps, and
+applies it once per sweep.  On the FFT path the sums are taken in the
+spectral domain, so J fields for T targets cost J forward and T inverse
+transforms.  Rows are transformed in batches sized by a fixed workspace
+budget, which keeps the padded arrays in cache; each batch is added only
+into the targets that weigh its rows.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .fields import Grid, GridFunction, weight_field
 
 __all__ = [
     "HeatPropagator",
+    "PreparedHeat",
     "apply_heat",
     "apply_weighted_heat",
     "gaussian_exact",
@@ -168,39 +175,10 @@ class HeatPropagator:
 
     # -- application ---------------------------------------------------------
 
-    def apply_heat_values(self, values: np.ndarray, t, weights=None) -> np.ndarray:
-        """S(t) applied to a value array of the grid's shape, or to a stack.
-
-        With a scalar t, values has the grid's shape and the result is
-        S(t) values.  With a length-J time array, values is a (J, *grid)
-        stack and the result is the stack of S(t[j]) values[j]; a (T, J)
-        weights matrix instead returns the T sums
-        sum_j weights[i, j] S(t[j]) values[j].  On the FFT path those sums
-        are formed in the spectral domain: J forward transforms, T inverse.
-        """
-        single = np.ndim(t) == 0
-        if single:
-            if not math.isfinite(t) or t < 0.0:
-                raise ParameterError(f"evolution time must be >= 0 (got {t})")
-            if values.shape != self.grid.shape:
-                raise ParameterError(
-                    f"value shape {values.shape} does not match grid shape {self.grid.shape}"
-                )
-            if weights is not None:
-                raise ParameterError("a weight matrix needs a time array, not a scalar time")
-            if t == 0.0:
-                return np.array(values, dtype=float, copy=True)
-            times = (float(t),)
-            stack = np.asarray(values, dtype=float)[None]
-        else:
-            times, stack, weights = self._check_stack(values, t, weights)
-        if self._spectral:
-            out = self._spectral_sums(stack, times, weights)
-        else:
-            out = self._direct_sums(stack, times, weights)
-        return out[0] if single else out
-
-    def _check_stack(self, values, t, weights):
+    def prepare(self, t, weights=None) -> "PreparedHeat":
+        """The operator stack -> sum_j weights[i, j] S(t[j]) stack[j] for a
+        fixed length-J time array (and an optional (T, J) weight matrix),
+        with its kernel factors looked up once; see PreparedHeat."""
         times = np.asarray(t, dtype=float)
         if times.ndim != 1 or times.size < 1:
             raise ParameterError(
@@ -208,95 +186,44 @@ class HeatPropagator:
             )
         if not np.all(np.isfinite(times)) or float(times.min()) < 0.0:
             raise ParameterError(f"evolution times must be finite and >= 0 (got {times})")
-        stack = np.asarray(values, dtype=float)
-        if stack.shape != (times.size,) + self.grid.shape:
-            raise ParameterError(
-                f"stack shape {stack.shape} does not match {times.size} fields of grid "
-                f"shape {self.grid.shape}"
-            )
         if weights is not None:
             weights = np.asarray(weights, dtype=float)
             if weights.ndim != 2 or weights.shape[1] != times.size:
                 raise ParameterError(
                     f"weight matrix shape {weights.shape} does not match {times.size} fields"
                 )
-        return times.tolist(), stack, weights
+        return PreparedHeat(self, times, weights)
 
-    def _direct_sums(self, stack: np.ndarray, times, weights) -> np.ndarray:
-        """Direct path.  Zero-extended correlation of an axis with the 2M-1
-        normalized samples g is the product with the M x M Toeplitz matrix
-        T[i, k] = g[k - i + M - 1], whose row i is the window g[M-1-i : 2M-1-i].
-        The rows with t > 0 get their T as a sliding-window view of their
-        samples (no copy) and are multiplied by them in one batched matmul
-        per axis; rows with t = 0 pass through unchanged."""
-        rows = stack.copy()
-        live = [j for j, t in enumerate(times) if t > 0.0]
-        if live:
-            m = self.grid.points_per_axis
-            samples = np.stack([self._kernel_entry(times[j]) for j in live])
-            toeplitz = sliding_window_view(samples, m, axis=1)[:, ::-1]
-            part = rows[live]
-            for ax in range(1, self.grid.n_dim + 1):
-                moved = np.moveaxis(part, ax, 1)
-                prod = np.matmul(toeplitz, moved.reshape(len(live), m, -1))
-                part = np.moveaxis(prod.reshape(moved.shape), 1, ax)
-            rows[live] = part
-        return rows if weights is None else _weighted_sums(weights, rows)
+    def apply_heat_values(self, values: np.ndarray, t, weights=None) -> np.ndarray:
+        """S(t) applied to a value array of the grid's shape, or to a stack.
 
-    def _spectral_sums(self, stack: np.ndarray, times, weights) -> np.ndarray:
-        """FFT path, in batches whose padded workspace fits _FFT_WORKSPACE_BYTES
-        (at least one row each).  Without weights each batch is transformed
-        there and back; with weights, each target's batches are contracted
-        into one spectrum, which then takes one inverse transform."""
-        count = len(times)
-        row_bytes = 16 * (2 * self.grid.points_per_axis) ** self.grid.n_dim
-        step = max(1, _FFT_WORKSPACE_BYTES // row_bytes)
-        if count <= step:
-            return self._inverse(self._spectra(stack, times, weights))
-        if weights is None:
-            return np.concatenate(
-                [
-                    self._inverse(self._spectra(stack[k : k + step], times[k : k + step], None))
-                    for k in range(0, count, step)
-                ]
+        With a scalar t, values has the grid's shape and the result is
+        S(t) values.  With a length-J time array, values is a (J, *grid)
+        stack and the result is the stack of S(t[j]) values[j]; a (T, J)
+        weights matrix instead returns the T sums
+        sum_j weights[i, j] S(t[j]) values[j].  t may also be an operator
+        from prepare(), which carries its own times and weights: a caller
+        applying the same times to many stacks prepares them once.
+        """
+        if isinstance(t, PreparedHeat):
+            if t.propagator is not self or weights is not None:
+                raise ParameterError(
+                    "a prepared operator carries its own weights and belongs to its propagator"
+                )
+            return t.apply(values)
+        if np.ndim(t) != 0:
+            return self.prepare(t, weights).apply(values)
+        if not math.isfinite(t) or t < 0.0:
+            raise ParameterError(f"evolution time must be >= 0 (got {t})")
+        if values.shape != self.grid.shape:
+            raise ParameterError(
+                f"value shape {values.shape} does not match grid shape {self.grid.shape}"
             )
-        out = np.zeros((weights.shape[0],) + self.grid.shape)
-        for i, (lo, hi) in enumerate(_spans(weights)):
-            spec = None
-            for k in range(lo, hi, step):
-                end = min(k + step, hi)
-                part = self._spectra(stack[k:end], times[k:end], weights[i : i + 1, k:end])
-                if spec is None:
-                    spec = part
-                else:
-                    spec += part
-            if spec is not None:
-                out[i] = self._inverse(spec)[0]
-        return out
-
-    def _spectra(self, stack: np.ndarray, times, weights) -> np.ndarray:
-        """Spectra of the zero-padded rows times their kernels, contracted
-        by weights when given."""
-        m = self.grid.points_per_axis
-        n = self.grid.n_dim
-        shape = (2 * m,) * n
-        padded = np.zeros((len(times),) + shape)
-        padded[(slice(None),) + (slice(0, m),) * n] = stack
-        spec = np.fft.rfftn(padded, s=shape, axes=tuple(range(1, n + 1)))
-        for j, t in enumerate(times):
-            if t > 0.0:  # S(0) is the identity: its spectrum is all ones
-                entry = self._kernel_entry(t)
-                row = spec[j]
-                for ax in range(n - 1):  # full-spectrum axes
-                    row *= entry.reshape((-1,) + (1,) * (n - 1 - ax))
-                row *= entry[: m + 1]  # the last axis holds the half spectrum
-        return spec if weights is None else _weighted_sums(weights, spec)
-
-    def _inverse(self, spec: np.ndarray) -> np.ndarray:
-        m = self.grid.points_per_axis
-        n = self.grid.n_dim
-        conv = np.fft.irfftn(spec, s=(2 * m,) * n, axes=tuple(range(1, n + 1)))
-        return conv[(slice(None),) + (slice(0, m),) * n]
+        if weights is not None:
+            raise ParameterError("a weight matrix needs a time array, not a scalar time")
+        if t == 0.0:
+            return np.array(values, dtype=float, copy=True)
+        return self.prepare([float(t)]).apply(values[None])[0]
 
     def weight_values(self, gamma: float) -> np.ndarray:
         vals = self._weights.get(gamma)
@@ -309,31 +236,155 @@ class HeatPropagator:
         self, values: np.ndarray, t, gamma: float, weights=None
     ) -> np.ndarray:
         """S_gamma(t) = S(t) after multiplication by the cell-averaged weight;
-        takes a stack, times and weights as apply_heat_values does."""
+        takes a stack, times (or a prepared operator) and weights as
+        apply_heat_values does."""
         if gamma == 0.0:
             return self.apply_heat_values(values, t, weights)
         return self.apply_heat_values(values * self.weight_values(gamma), t, weights)
 
 
-def _spans(weights: np.ndarray) -> list[tuple[int, int]]:
-    """Per row of weights, the column range [lo, hi) holding its nonzeros."""
-    nz = weights != 0.0
-    cols = weights.shape[1]
-    lo = np.argmax(nz, axis=1)
-    hi = cols - np.argmax(nz[:, ::-1], axis=1)
-    return [(int(a), int(b)) if any_ else (0, 0) for a, b, any_ in zip(lo, hi, nz.any(axis=1))]
+class PreparedHeat:
+    """sum_j weights[i, j] S(t[j]) f_j (or the stack of S(t[j]) f_j without
+    weights) for fixed times and weights, applied to any number of stacks f.
 
+    Built once by HeatPropagator.prepare, it holds everything that depends
+    on the times and weights alone:
 
-def _weighted_sums(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """out[i] = sum_j weights[i, j] rows[j], summed over row i's nonzero span."""
-    flat = rows.reshape(rows.shape[0], -1)
-    out = np.zeros((weights.shape[0], flat.shape[1]), dtype=rows.dtype)
-    for i, (lo, hi) in enumerate(_spans(weights)):
-        if hi - lo == 1:  # numpy's matrix product is ~10x slower for one term
-            np.multiply(weights[i, lo], flat[lo], out=out[i])
-        elif hi > lo:
-            out[i] = weights[i, lo:hi] @ flat[lo:hi]
-    return out.reshape((weights.shape[0],) + rows.shape[1:])
+    - FFT path: the per-row kernel factors stacked into one (J, 2M) complex
+      array ((J, M+1) in 1D), ones for t = 0 rows; the batches of rows whose
+      padded workspace fits _FFT_WORKSPACE_BYTES, each with the range of
+      targets that weigh its rows and that block of weights; and the padded
+      workspace, spectra and target spectra, allocated by the first apply
+      and reused by every later one.  One
+      apply copies each batch into the workspace, transforms it, multiplies
+      it by the factors once per axis (one broadcast multiply over the
+      batch), adds weights @ spectra into its targets, and ends with the T
+      inverse transforms.
+    - Direct path: the stacked Toeplitz views of the rows with t > 0.
+
+    The workspace makes an operator single-threaded: prepare one per thread.
+    """
+
+    def __init__(self, prop: HeatPropagator, times: np.ndarray, weights):
+        self.propagator = prop
+        self.weights = weights
+        grid = prop.grid
+        m = grid.points_per_axis
+        n = grid.n_dim
+        count = times.size
+        self._shape = (count,) + grid.shape
+        if not prop._spectral:
+            self._live = live = np.flatnonzero(times > 0.0)
+            samples = np.empty((live.size, 2 * m - 1))
+            for row, t in zip(samples, times[live].tolist()):
+                row[:] = prop._kernel_entry(t)
+            self._toeplitz = sliding_window_view(samples, m, axis=1)[:, ::-1]
+            return
+        one = np.ones(m + 1 if n == 1 else 2 * m, dtype=complex)  # S(0) is the identity
+        factors = np.stack([prop._kernel_entry(t) if t > 0.0 else one for t in times.tolist()])
+        # factor of each row along each axis, shaped to broadcast over the row
+        # spectrum; the last axis holds the half spectrum
+        self._factors = [
+            factors.reshape((count,) + (1,) * ax + (2 * m,) + (1,) * (n - 1 - ax))
+            for ax in range(n - 1)
+        ] + [factors[:, : m + 1].reshape((count,) + (1,) * (n - 1) + (m + 1,))]
+        row_bytes = 16 * (2 * m) ** n
+        self._step = step = max(1, min(count, _FFT_WORKSPACE_BYTES // row_bytes))
+        self._batches = []
+        for lo in range(0, count, step):
+            hi = min(lo + step, count)
+            if weights is None:
+                self._batches.append((lo, hi, None, None))
+                continue
+            hit = np.flatnonzero((weights[:, lo:hi] != 0.0).any(axis=1))
+            if hit.size:  # rows no target weighs are never transformed
+                own = slice(int(hit[0]), int(hit[-1]) + 1)
+                self._batches.append((lo, hi, own, np.ascontiguousarray(weights[own, lo:hi])))
+        self._axes = tuple(range(1, n + 1))
+        self._corner = (slice(None),) + (slice(0, m),) * n
+        self._padded = (2 * m,) * n
+        self._workspace = None
+
+    def apply(self, values) -> np.ndarray:
+        """The T weighted sums (without weights, the J results) for one
+        (J, *grid) stack."""
+        stack = np.asarray(values, dtype=float)
+        if stack.shape != self._shape:
+            raise ParameterError(
+                f"stack shape {stack.shape} does not match {self._shape[0]} fields of grid "
+                f"shape {self._shape[1:]}"
+            )
+        if self.propagator._spectral:
+            return self._apply_spectral(stack)
+        return self._apply_direct(stack)
+
+    def _apply_direct(self, stack: np.ndarray) -> np.ndarray:
+        """Zero-extended correlation of an axis with the 2M-1 normalized
+        samples g is the product with the M x M Toeplitz matrix
+        T[i, k] = g[k - i + M - 1], whose row i is the window g[M-1-i : 2M-1-i].
+        The rows with t > 0 are multiplied by their T (a sliding-window view
+        of their samples, no copy) in one batched matmul per axis; rows with
+        t = 0 pass through unchanged."""
+        count = self._shape[0]
+        live = self._live
+        part = stack if live.size == count else stack[live]
+        if live.size:
+            m = self.propagator.grid.points_per_axis
+            for ax in range(1, len(self._shape)):
+                moved = np.moveaxis(part, ax, 1)
+                prod = np.matmul(self._toeplitz, moved.reshape(live.size, m, -1))
+                part = np.moveaxis(prod.reshape(moved.shape), 1, ax)
+        if live.size == count:
+            rows = part
+        else:
+            rows = stack.copy()
+            rows[live] = part
+        if self.weights is None:
+            return np.ascontiguousarray(rows)
+        flat = rows.reshape(count, -1)
+        return (self.weights @ flat).reshape((self.weights.shape[0],) + self._shape[1:])
+
+    def _apply_spectral(self, stack: np.ndarray) -> np.ndarray:
+        """One forward transform per row and one inverse per output field.
+        With weights, each batch's spectra go into the sums of the targets
+        that weigh them, as one real matrix product on the complex values
+        viewed as float pairs."""
+        if self._workspace is None:
+            # allocated on first use, so that an operator replacing another
+            # one (the next Picard window's) reuses the memory the old one
+            # released instead of adding to it
+            half = self._padded[:-1] + (self._padded[-1] // 2 + 1,)
+            targets = 0 if self.weights is None else self.weights.shape[0]
+            self._workspace = (
+                np.zeros((self._step,) + self._padded),
+                np.empty((self._step,) + half, dtype=complex),
+                np.empty((targets,) + half, dtype=complex),
+            )
+        work, spec, sums = self._workspace
+        if self.weights is None:
+            out = np.empty(self._shape)
+        else:
+            sums.fill(0.0)
+            flat_sums = sums.view(float).reshape(sums.shape[0], -1)
+        for lo, hi, own, wts in self._batches:
+            nb = hi - lo
+            work[: nb][self._corner] = stack[lo:hi]
+            part = np.fft.rfftn(work[:nb], axes=self._axes, out=spec[:nb])
+            for factor in self._factors:
+                part *= factor[lo:hi]
+            if own is None:
+                out[lo:hi] = self._inverse(part)
+            else:
+                flat_sums[own] += wts @ part.view(float).reshape(nb, -1)
+        if self.weights is None:
+            return out
+        out = np.empty((sums.shape[0],) + self._shape[1:])
+        for k in range(0, sums.shape[0], self._step):
+            out[k : k + self._step] = self._inverse(sums[k : k + self._step])
+        return out
+
+    def _inverse(self, spec: np.ndarray) -> np.ndarray:
+        return np.fft.irfftn(spec, s=self._padded, axes=self._axes)[self._corner]
 
 
 def apply_heat(f: GridFunction, t: float, eps_tail: float = 1e-10) -> GridFunction:

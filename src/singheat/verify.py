@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -29,7 +29,16 @@ import numpy.random  # noqa: F401  (numpy loads it lazily; keep that out of the 
 
 from . import constants
 from .errors import ParameterError, SeriesRangeError
-from .fields import Grid, GridFunction, Params, make_grid, sample, standard_data, sup_norm
+from .fields import (
+    DEFAULT_POINTS,
+    Grid,
+    GridFunction,
+    Params,
+    make_grid,
+    sample,
+    standard_data,
+    sup_norm,
+)
 from .scheme import (
     Nonlinearity,
     SolveConfig,
@@ -108,7 +117,7 @@ def _trusted_mask(grid: Grid, t: float, pad_factor: float = 5.0) -> np.ndarray:
 
 
 def _default_grid(n_dim: int) -> tuple[float, int]:
-    return {1: (16.0, 1024), 2: (10.0, 192), 3: (8.0, 64)}[n_dim]
+    return {1: 16.0, 2: 10.0, 3: 8.0}[n_dim], DEFAULT_POINTS[n_dim]
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +680,8 @@ def default_suite() -> "dict[str, Callable[[], CheckReport]]":
 
 
 def run_suite(names: "Sequence[str] | None" = None, jobs: "int | None" = None) -> list[CheckReport]:
-    """Run named checks (default: all) and return reports sorted by name.
+    """Run named checks (default: all) and return their reports, each named
+    by its suite key, sorted by that key.
 
     Failures inside a check (as opposed to failed inequalities) are converted
     into failing reports carrying the error text, so one broken check cannot
@@ -692,7 +702,7 @@ def run_suite(names: "Sequence[str] | None" = None, jobs: "int | None" = None) -
     def run_one(item):
         name, fn = item
         try:
-            return fn()
+            return replace(fn(), name=name)
         except Exception as exc:  # surface as a failing report, don't crash the suite
             return CheckReport(
                 name=name,

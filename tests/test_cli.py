@@ -21,6 +21,24 @@ def test_defaults_resolve():
     assert cfg.jobs >= 1
 
 
+@pytest.mark.parametrize("dim,points", [(1, 1024), (2, 192), (3, 64)])
+def test_points_default_depends_on_dimension(dim, points):
+    assert parse_config(["solve", "--dim", str(dim), "--out", "x.csv"]).points == points
+    cfg = parse_config(["solve", "--dim", str(dim), "--points", "32", "--out", "x.csv"])
+    assert cfg.points == 32
+
+
+def test_memory_error_exits_3(monkeypatch, capsys):
+    import singheat.cli as cli_mod
+
+    def exhausted(cfg):
+        raise MemoryError("Unable to allocate 8.00 GiB")
+
+    monkeypatch.setattr(cli_mod, "run", exhausted)
+    assert main(["solve", "--dim", "3", "--out", "x.csv"]) == 3
+    assert capsys.readouterr().err == "error: MemoryError: Unable to allocate 8.00 GiB\n"
+
+
 def test_config_file_overrides_defaults_and_flags_override_file(tmp_path):
     cfile = tmp_path / "c.json"
     cfile.write_text(json.dumps({"gamma": 0.1, "points": 256, "q": 0.4}))
@@ -139,7 +157,7 @@ def test_verify_subset_exit_zero_and_report(tmp_path, capsys):
     assert len(out) == 2
     assert all(line.startswith("PASS ") for line in out)
     payload = json.loads(rep.read_text())
-    assert [r["name"] for r in payload] == ["gronwall_a0", "max_at_origin"]
+    assert [r["name"] for r in payload] == ["gronwall-exp", "max-at-origin"]
     assert all(r["passed"] for r in payload)
 
 

@@ -364,6 +364,34 @@ def test_picard_sweep_budget_enforced():
         picard_solve(u0, nl, p, mesh, SolveConfig(eps_fp=1e-8, max_picard_sweeps=1))
 
 
+def test_picard_looks_up_kernels_once_per_window(monkeypatch):
+    # a window's lags do not change between its sweeps: the kernel lookups
+    # depend on the windows alone, not on how many sweeps they take
+    lookups = []
+    lookup = HeatPropagator._kernel_entry
+
+    def counted(self, t):
+        lookups.append(t)
+        return lookup(self, t)
+
+    monkeypatch.setattr(HeatPropagator, "_kernel_entry", counted)
+    g = make_grid(1, 12.0, 256)  # FFT path
+    p = Params(q=0.5, gamma=0.3, n_dim=1)
+    u0 = standard_data(g, "bump")
+    nl = Nonlinearity.regularized(0.5, 2)
+    mesh = TimeMesh.build(0.5, 0.3, 0.125)
+    counts, sweeps = [], []
+    for eps in (1e-6, 1e-10):
+        lookups.clear()
+        traj = picard_solve(u0, nl, p, mesh, SolveConfig(eps_fp=eps))
+        counts.append(len(lookups))
+        sweeps.append(traj.diagnostics["total_sweeps"])
+    assert sweeps[0] < sweeps[1]
+    # per window: one free-term lookup per target, one per (target, node) row
+    targets = mesh.nodes_per_window + 1
+    assert counts[0] == counts[1] == mesh.window_count * targets * (1 + mesh.nodes_per_window)
+
+
 def _interp_stack(knots, stack, t):
     """Linear interpolation between stored fields; exact at the knots."""
     i = int(np.searchsorted(knots, t))

@@ -226,6 +226,101 @@ def test_direct_path_equals_per_row_correlation(n_dim, points, gamma):
 
 
 # ---------------------------------------------------------------------------
+# Prepared operator
+# ---------------------------------------------------------------------------
+
+def _per_row_reference(prop, stack, times, weights):
+    """Each row through its own kernel, then the weighted sums.  FFT path:
+    the zero-padded row is transformed, its spectrum multiplied by the axis
+    factor once per axis, and transformed back.  Direct path: each axis is
+    multiplied by the dense Toeplitz matrix of the normalized samples."""
+    m = prop.grid.points_per_axis
+    n = prop.grid.n_dim
+    corner = (slice(0, m),) * n
+    rows = []
+    for f, t in zip(stack, times):
+        if t == 0.0:
+            rows.append(f.copy())
+            continue
+        entry = prop._kernel_entry(float(t))
+        if prop._spectral:
+            padded = np.zeros((2 * m,) * n)
+            padded[corner] = f
+            spec = np.fft.rfftn(padded)
+            for ax in range(n - 1):
+                spec = spec * entry.reshape((-1,) + (1,) * (n - 1 - ax))
+            spec = spec * entry[: m + 1]
+            rows.append(np.fft.irfftn(spec, s=(2 * m,) * n, axes=tuple(range(n)))[corner])
+        else:
+            idx = np.arange(m)
+            toeplitz = entry[idx[None, :] - idx[:, None] + m - 1]
+            row = f
+            for ax in range(n):
+                row = np.moveaxis(np.tensordot(toeplitz, row, axes=([1], [ax])), 0, ax)
+            rows.append(row)
+    rows = np.stack(rows)
+    return rows if weights is None else np.tensordot(weights, rows, axes=1)
+
+
+@pytest.mark.parametrize(
+    "n_dim,points,spectral,batch_rows",
+    [
+        (1, 256, True, None),  # one batch of all rows
+        (1, 256, True, 1),
+        (1, 256, True, 2),
+        (2, 24, True, None),
+        (2, 24, True, 2),
+        (2, 136, True, None),  # one-row batches at the default workspace
+        (3, 12, True, None),  # batches of 4 rows and 1
+        (3, 12, True, 1),
+        (1, 64, False, None),
+        (2, 16, False, None),
+    ],
+)
+@pytest.mark.parametrize("gamma", [0.0, 0.4])
+def test_prepared_apply_equals_per_row_construction(
+    n_dim, points, spectral, batch_rows, gamma, monkeypatch
+):
+    # _BATCH_TIMES has a t = 0 row; _BATCH_WEIGHTS an all-zero target row and
+    # columns weighted by two targets
+    monkeypatch.setattr(semigroup, "_DIRECT_LIMIT", 0 if spectral else 10**6)
+    if batch_rows is not None:
+        row_bytes = 16 * (2 * points) ** n_dim
+        monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * row_bytes)
+    g = make_grid(n_dim, 6.0, points)
+    prop = HeatPropagator(g)
+    assert prop._spectral == spectral
+    rng = np.random.default_rng(3 * n_dim + points)
+    for weights in (None, _BATCH_WEIGHTS):
+        op = prop.prepare(_BATCH_TIMES, weights)
+        # the operator's workspace is reused: a second stack must not see the first
+        for _ in range(2):
+            stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + g.shape)
+            weighted = stack * prop.weight_values(gamma) if gamma else stack
+            ref = _per_row_reference(prop, weighted, _BATCH_TIMES, weights)
+            out = prop.apply_weighted_values(stack, op, gamma)
+            assert out.shape == ref.shape
+            np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
+        if weights is not None:
+            np.testing.assert_array_equal(out[3], 0.0)  # the all-zero weight row
+
+
+def test_prepared_operator_validation():
+    g = make_grid(1, 8.0, 256)
+    prop = HeatPropagator(g)
+    op = prop.prepare(np.array([0.1, 0.2]), np.ones((1, 2)))
+    with pytest.raises(ParameterError):
+        prop.apply_heat_values(np.ones((3,) + g.shape), op)  # three fields, two times
+    with pytest.raises(ParameterError):
+        prop.apply_heat_values(np.ones((2,) + g.shape), op, np.ones((1, 2)))
+    with pytest.raises(ParameterError):
+        HeatPropagator(g).apply_heat_values(np.ones((2,) + g.shape), op)  # another propagator
+    for bad in ([0.1, -0.2], [math.nan, 0.2], []):
+        with pytest.raises(ParameterError):
+            prop.prepare(np.array(bad))
+
+
+# ---------------------------------------------------------------------------
 # Per-axis kernel cache
 # ---------------------------------------------------------------------------
 
