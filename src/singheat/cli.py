@@ -5,11 +5,13 @@ threshold crossing), ``solve`` (march one problem, write CSV + JSON sidecar),
 ``verify`` (run named checks, exit 0 only if all pass), ``sweep`` (constants
 along a parameter segment).
 
-Option precedence is built-in defaults, then a JSON config file (--config),
-then explicit flags.  Outputs are written atomically (temp file + rename)
-and are byte-identical across reruns of the same configuration.  Exit codes:
-0 success / all checks pass, 1 check failures, 2 usage errors, 3 runtime
-failures (reported as one structured line on stderr).
+Each subcommand accepts only the options it reads (``_COMMANDS``).  Option
+precedence is built-in defaults, then a JSON config file (--config) that may
+set those of them, then explicit flags.  Outputs are written atomically
+(temp file + rename) and are byte-identical across reruns of the same
+configuration.  Exit codes: 0 success / all checks pass, 1 check failures,
+2 usage errors, 3 runtime failures (reported as one structured line on
+stderr).
 """
 
 from __future__ import annotations
@@ -51,32 +53,50 @@ _DEFAULTS: dict = {
 
 _DATA_NAMES = ("zero", "const", "bump", "gauss", "step")
 
+# The options each command reads, after its one-line help.  The parser offers
+# a command exactly these, and its --config file may set those of them that
+# have a built-in default.
+_COMMANDS: dict = {
+    "constants": ("scalar constants for one parameter triple", ("q", "gamma", "dim", "json_path")),
+    "gamma-star": ("threshold gamma where the contraction factor hits 1",
+                   ("q", "dim", "json_path")),
+    "solve": ("march one problem and write the trajectory",
+              ("q", "gamma", "dim", "half_width", "points", "t_end", "n_schedule", "eps_fp",
+               "nodes_per_window", "window_cap", "u0", "record", "out")),
+    "verify": ("run checks; exit 0 only if all pass", ("suite", "json_path", "jobs")),
+    "sweep": ("constants along a parameter segment",
+              ("q", "gamma", "dim", "param", "start", "stop", "count", "json_path")),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved invocation: one command plus every numeric knob."""
+    """Fully resolved invocation: one command and the options it reads.
+
+    A field the command does not read is None.
+    """
 
     command: str
-    q: float
-    gamma: float
-    dim: int
-    half_width: float
-    points: int
-    t_end: float
-    n_schedule: tuple[int, ...]
-    eps_fp: float
-    nodes_per_window: int
-    window_cap: float
-    u0: str
-    record: "tuple[float, ...] | None"
-    out: "str | None"
-    json_path: "str | None"
-    suite: "tuple[str, ...] | None"
-    param: "str | None"
-    start: "float | None"
-    stop: "float | None"
-    count: "int | None"
-    jobs: int
+    q: "float | None" = None
+    gamma: "float | None" = None
+    dim: "int | None" = None
+    half_width: "float | None" = None
+    points: "int | None" = None
+    t_end: "float | None" = None
+    n_schedule: "tuple[int, ...] | None" = None
+    eps_fp: "float | None" = None
+    nodes_per_window: "int | None" = None
+    window_cap: "float | None" = None
+    u0: "str | None" = None
+    record: "tuple[float, ...] | None" = None
+    out: "str | None" = None
+    json_path: "str | None" = None
+    suite: "tuple[str, ...] | None" = None
+    param: "str | None" = None
+    start: "float | None" = None
+    stop: "float | None" = None
+    count: "int | None" = None
+    jobs: "int | None" = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,53 +104,42 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="singheat",
         description="solver and checks for the singular-weight sublinear heat equation",
     )
+    # every option: its dest, then its flag and argparse keywords
+    options = {
+        "q": ("--q", {"type": float, "help": "source exponent in (0, 1)"}),
+        "gamma": ("--gamma", {"type": float, "help": "weight strength in [0, min(2, dim))"}),
+        "dim": ("--dim", {"type": int, "help": "space dimension (1, 2 or 3)"}),
+        "half_width": ("--half-width", {"type": float, "help": "box half width L"}),
+        "points": ("--points", {
+            "type": int,
+            "help": "grid points per axis, even (default 1024, 192, 64 in 1D, 2D, 3D)"}),
+        "t_end": ("--t-end", {"type": float, "help": "final time"}),
+        "n_schedule": ("--n-schedule", {"help": "comma list of regularization levels"}),
+        "eps_fp": ("--eps-fp", {"type": float, "help": "fixed-point stopping tolerance"}),
+        "nodes_per_window": ("--nodes-per-window", {
+            "type": int, "help": "quadrature nodes per time window"}),
+        "window_cap": ("--window-cap", {
+            "type": float, "help": "upper bound on the Picard window length"}),
+        "u0": ("--u0", {"help": "initial data: zero | const:c | bump[:R] | gauss:a | step"}),
+        "record": ("--record", {"help": "comma list of snapshot times (default: t_end)"}),
+        "out": ("--out", {"required": True, "help": "CSV output path (JSON sidecar alongside)"}),
+        "suite": ("--suite", {"default": "all", "help": "'all' or comma list of check names"}),
+        "jobs": ("--jobs", {
+            "type": int, "help": "parallel workers (default: SINGHEAT_JOBS or CPU count)"}),
+        "param": ("--param", {
+            "required": True, "choices": ("gamma", "q"), "help": "which parameter to sweep"}),
+        "start": ("--start", {"required": True, "type": float, "help": "first value"}),
+        "stop": ("--stop", {"required": True, "type": float, "help": "last value"}),
+        "count": ("--count", {"required": True, "type": int, "help": "number of points (>= 2)"}),
+        "json_path": ("--json", {"help": "write the JSON output to this file"}),
+    }
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON file with option defaults")
-        p.add_argument("--q", type=float, help="source exponent in (0, 1)")
-        p.add_argument("--gamma", type=float, help="weight strength in [0, min(2, dim))")
-        p.add_argument("--dim", type=int, help="space dimension (1, 2 or 3)")
-        p.add_argument("--half-width", dest="half_width", type=float, help="box half width L")
-        p.add_argument("--points", type=int,
-                       help="grid points per axis, even (default 1024, 192, 64 in 1D, 2D, 3D)")
-        p.add_argument("--t-end", dest="t_end", type=float, help="final time")
-        p.add_argument("--n-schedule", dest="n_schedule", help="comma list of regularization levels")
-        p.add_argument("--eps-fp", dest="eps_fp", type=float, help="fixed-point stopping tolerance")
-        p.add_argument("--nodes-per-window", dest="nodes_per_window", type=int,
-                       help="quadrature nodes per time window")
-        p.add_argument("--window-cap", dest="window_cap", type=float,
-                       help="upper bound on the Picard window length")
-        p.add_argument("--jobs", type=int,
-                       help="verify's parallel workers (default: SINGHEAT_JOBS or CPU count)")
-
-    p_const = sub.add_parser("constants", help="scalar constants for one parameter triple")
-    common(p_const)
-    p_const.add_argument("--json", dest="json_path", help="write the report here instead of stdout")
-
-    p_gs = sub.add_parser("gamma-star", help="threshold gamma where the contraction factor hits 1")
-    common(p_gs)
-    p_gs.add_argument("--json", dest="json_path", help="write the result here as JSON")
-
-    p_solve = sub.add_parser("solve", help="march one problem and write the trajectory")
-    common(p_solve)
-    p_solve.add_argument("--u0", help="initial data: zero | const:c | bump[:R] | gauss:a | step")
-    p_solve.add_argument("--record", help="comma list of snapshot times (default: t_end)")
-    p_solve.add_argument("--out", required=True, help="CSV output path (JSON sidecar alongside)")
-
-    p_verify = sub.add_parser("verify", help="run checks; exit 0 only if all pass")
-    common(p_verify)
-    p_verify.add_argument("--suite", default="all",
-                          help="'all' or comma list of check names")
-    p_verify.add_argument("--json", dest="json_path", help="write the report array here")
-
-    p_sweep = sub.add_parser("sweep", help="constants along a parameter segment")
-    common(p_sweep)
-    p_sweep.add_argument("--param", choices=("gamma", "q"), help="which parameter to sweep")
-    p_sweep.add_argument("--start", type=float, help="first value")
-    p_sweep.add_argument("--stop", type=float, help="last value")
-    p_sweep.add_argument("--count", type=int, help="number of points (>= 2)")
-    p_sweep.add_argument("--json", dest="json_path", help="write the record list here")
+    for command, (help_line, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        p.add_argument("--config", help="JSON file with defaults for this command's options")
+        for name in names:
+            flag, kwargs = options[name]
+            p.add_argument(flag, dest=name, **kwargs)
     return parser
 
 
@@ -159,118 +168,121 @@ def _parse_record(text, fail) -> "tuple[float, ...] | None":
     return tuple(sorted(set(vals)))
 
 
+def _range_error(param: str, value: float, dim: int) -> "str | None":
+    """Why ``value`` is not a valid q or gamma in dimension ``dim``, or None."""
+    if param == "q":
+        return None if 0.0 < value < 1.0 else f"must lie in (0, 1) (got {value})"
+    top = min(2, dim)
+    return None if 0.0 <= value < top else f"must lie in [0, {top}) for dim={dim} (got {value})"
+
+
+def _solve_options(merged: dict, dim: int, fail) -> dict:
+    """The numeric knobs of ``solve``, validated."""
+    opts: dict = {}
+    half_width = opts["half_width"] = float(merged["half_width"])
+    if not (half_width > 0.0 and math.isfinite(half_width)):
+        fail(f"half_width: must be positive (got {merged['half_width']})")
+    points = opts["points"] = (
+        DEFAULT_POINTS[dim] if merged["points"] is None else int(merged["points"])
+    )
+    if points < 2 or points % 2:
+        fail(f"points: must be an even integer >= 2 (got {merged['points']})")
+    t_end = opts["t_end"] = float(merged["t_end"])
+    if not (t_end > 0.0 and math.isfinite(t_end)):
+        fail(f"t_end: must be positive (got {merged['t_end']})")
+    opts["n_schedule"] = _parse_schedule(merged["n_schedule"], fail)
+    eps_fp = opts["eps_fp"] = float(merged["eps_fp"])
+    if not (0.0 < eps_fp < 1.0):
+        fail(f"eps_fp: must lie in (0, 1) (got {merged['eps_fp']})")
+    npw = opts["nodes_per_window"] = int(merged["nodes_per_window"])
+    if npw < 2:
+        fail(f"nodes_per_window: must be >= 2 (got {merged['nodes_per_window']})")
+    wcap = opts["window_cap"] = float(merged["window_cap"])
+    if not (wcap > 0.0):
+        fail(f"window_cap: must be positive (got {merged['window_cap']})")
+    u0 = opts["u0"] = str(merged["u0"])
+    if u0.partition(":")[0] not in _DATA_NAMES:
+        fail(f"u0: unknown data spec {u0!r} (expect one of {', '.join(_DATA_NAMES)})")
+    record = opts["record"] = _parse_record(merged["record"], fail)
+    if record is not None and any(t > t_end * (1 + 1e-9) for t in record):
+        fail(f"record: times must not exceed t_end = {t_end}")
+    return opts
+
+
 def parse_config(argv: "Sequence[str] | None" = None) -> RunConfig:
     """Parse argv into a RunConfig.
 
     Precedence: built-in defaults, then the --config JSON file, then explicit
-    flags.  Invalid values exit with a usage error naming the offending key.
+    flags.  Invalid values, and config keys the command does not read, exit
+    with a usage error naming the offending key.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
     fail = parser.error  # prints usage and exits 2
+    command = args.command
+    names = _COMMANDS[command][1]
 
-    merged = dict(_DEFAULTS)
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
+    merged = {key: _DEFAULTS[key] for key in names if key in _DEFAULTS}
+    if args.config:
         try:
-            loaded = json.loads(Path(cfg_path).read_text())
+            loaded = json.loads(Path(args.config).read_text())
         except OSError as exc:
-            fail(f"config: cannot read {cfg_path}: {exc}")
+            fail(f"config: cannot read {args.config}: {exc}")
         except json.JSONDecodeError as exc:
-            fail(f"config: {cfg_path} is not valid JSON: {exc}")
+            fail(f"config: {args.config} is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
-            fail(f"config: {cfg_path} must hold a JSON object")
+            fail(f"config: {args.config} must hold a JSON object")
         for key, val in loaded.items():
-            if key not in _DEFAULTS:
-                fail(f"config: unknown key {key!r} in {cfg_path}")
+            if key not in merged:
+                fail(f"config: key {key!r} in {args.config} is not an option of {command} "
+                     f"(expect one of {', '.join(sorted(merged))})")
             merged[key] = val
-    for key in _DEFAULTS:
-        flag_val = getattr(args, key, None)
+    for key in merged:
+        flag_val = getattr(args, key)
         if flag_val is not None:
             merged[key] = flag_val
+    # flag-only options pass through as parsed
+    opts = {key: getattr(args, key) for key in names if key not in merged}
 
-    q = float(merged["q"])
-    gamma = float(merged["gamma"])
-    dim = int(merged["dim"])
-    if dim not in (1, 2, 3):
-        fail(f"dim: must be 1, 2 or 3 (got {merged['dim']})")
-    if not (0.0 < q < 1.0):
-        fail(f"q: must lie in (0, 1) (got {merged['q']})")
-    if not (0.0 <= gamma < min(2, dim)):
-        fail(f"gamma: must lie in [0, {min(2, dim)}) for dim={dim} (got {merged['gamma']})")
-    half_width = float(merged["half_width"])
-    if not (half_width > 0.0 and math.isfinite(half_width)):
-        fail(f"half_width: must be positive (got {merged['half_width']})")
-    points = DEFAULT_POINTS[dim] if merged["points"] is None else int(merged["points"])
-    if points < 2 or points % 2:
-        fail(f"points: must be an even integer >= 2 (got {merged['points']})")
-    t_end = float(merged["t_end"])
-    if not (t_end > 0.0 and math.isfinite(t_end)):
-        fail(f"t_end: must be positive (got {merged['t_end']})")
-    schedule = _parse_schedule(merged["n_schedule"], fail)
-    eps_fp = float(merged["eps_fp"])
-    if not (0.0 < eps_fp < 1.0):
-        fail(f"eps_fp: must lie in (0, 1) (got {merged['eps_fp']})")
-    npw = int(merged["nodes_per_window"])
-    if npw < 2:
-        fail(f"nodes_per_window: must be >= 2 (got {merged['nodes_per_window']})")
-    wcap = float(merged["window_cap"])
-    if not (wcap > 0.0):
-        fail(f"window_cap: must be positive (got {merged['window_cap']})")
-    u0 = str(merged["u0"])
-    if u0.partition(":")[0] not in _DATA_NAMES:
-        fail(f"u0: unknown data spec {u0!r} (expect one of {', '.join(_DATA_NAMES)})")
-    record = _parse_record(merged["record"], fail)
-    if record is not None and any(t > t_end * (1 + 1e-9) for t in record):
-        fail(f"record: times must not exceed t_end = {t_end}")
+    dim = 1
+    if "dim" in merged:
+        dim = opts["dim"] = int(merged["dim"])
+        if dim not in (1, 2, 3):
+            fail(f"dim: must be 1, 2 or 3 (got {merged['dim']})")
+    for key in ("q", "gamma"):
+        if key in merged:
+            opts[key] = float(merged[key])
+            why = _range_error(key, opts[key], dim)
+            if why:
+                fail(f"{key}: {why}")
 
-    jobs_val = merged["jobs"]
-    if jobs_val is None:
-        jobs_val = os.environ.get("SINGHEAT_JOBS")
-    jobs = int(jobs_val) if jobs_val is not None else (os.cpu_count() or 1)
-    if jobs < 1:
-        fail(f"jobs: must be >= 1 (got {jobs})")
+    if command == "solve":
+        opts.update(_solve_options(merged, dim, fail))
 
-    suite = None
-    if getattr(args, "suite", None) and args.suite != "all":
-        suite = tuple(s.strip() for s in args.suite.split(",") if s.strip())
-        unknown = [s for s in suite if s not in default_suite()]
-        if unknown:
-            fail(f"suite: unknown check name(s) {unknown}; "
-                 f"available: {', '.join(sorted(default_suite()))}")
+    if command == "verify":
+        jobs_val = merged["jobs"]
+        if jobs_val is None:
+            jobs_val = os.environ.get("SINGHEAT_JOBS")
+        jobs = opts["jobs"] = int(jobs_val) if jobs_val is not None else (os.cpu_count() or 1)
+        if jobs < 1:
+            fail(f"jobs: must be >= 1 (got {jobs})")
+        opts["suite"] = None
+        if args.suite != "all":
+            suite = opts["suite"] = tuple(s.strip() for s in args.suite.split(",") if s.strip())
+            unknown = [s for s in suite if s not in default_suite()]
+            if unknown:
+                fail(f"suite: unknown check name(s) {unknown}; "
+                     f"available: {', '.join(sorted(default_suite()))}")
 
-    if args.command == "sweep":
-        if getattr(args, "param", None) is None:
-            fail("sweep requires --param")
-        for key in ("start", "stop", "count"):
-            if getattr(args, key, None) is None:
-                fail(f"sweep requires --{key}")
+    if command == "sweep":
+        for key in ("start", "stop"):
+            why = _range_error(args.param, opts[key], dim)
+            if why:
+                fail(f"{key}: the swept {args.param} {why}")
         if args.count < 2:
             fail(f"count: must be >= 2 (got {args.count})")
 
-    return RunConfig(
-        command=args.command,
-        q=q,
-        gamma=gamma,
-        dim=dim,
-        half_width=half_width,
-        points=points,
-        t_end=t_end,
-        n_schedule=schedule,
-        eps_fp=eps_fp,
-        nodes_per_window=npw,
-        window_cap=wcap,
-        u0=u0,
-        record=record,
-        out=getattr(args, "out", None),
-        json_path=getattr(args, "json_path", None),
-        suite=suite,
-        param=getattr(args, "param", None),
-        start=getattr(args, "start", None),
-        stop=getattr(args, "stop", None),
-        count=getattr(args, "count", None),
-        jobs=jobs,
-    )
+    return RunConfig(command=command, **opts)
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -363,14 +375,8 @@ def run(cfg: RunConfig) -> int:
     if cfg.command == "sweep":
         values = np.linspace(cfg.start, cfg.stop, cfg.count)
         if cfg.param == "gamma":
-            if not (0.0 <= cfg.start and cfg.stop < min(2, cfg.dim)):
-                raise ParameterError(
-                    f"gamma sweep range [{cfg.start}, {cfg.stop}] leaves [0, {min(2, cfg.dim)})"
-                )
             triples = [(cfg.q, float(g), cfg.dim) for g in values]
         else:
-            if not (0.0 < cfg.start and cfg.stop < 1.0):
-                raise ParameterError(f"q sweep range [{cfg.start}, {cfg.stop}] leaves (0, 1)")
             triples = [(float(qq), cfg.gamma, cfg.dim) for qq in values]
 
         records = [

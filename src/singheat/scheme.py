@@ -44,9 +44,7 @@ __all__ = [
     "g_n",
     "monotone_solve",
     "picard_solve",
-    "pointwise_positive_diff",
     "positive_part",
-    "power_lipschitz",
     "subsolution_coefficient",
     "subsolution_w",
 ]
@@ -79,11 +77,6 @@ def g_n(values, n: int, q: float) -> np.ndarray:
 def positive_part(values) -> np.ndarray:
     """max(r, 0), elementwise."""
     return np.maximum(np.asarray(values, dtype=float), 0.0)
-
-
-def pointwise_positive_diff(a, b) -> np.ndarray:
-    """[a - b]_+ elementwise; the quantity contraction arguments run on."""
-    return positive_part(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -136,23 +129,6 @@ class Nonlinearity:
     @staticmethod
     def zero() -> "Nonlinearity":
         return Nonlinearity(kind="zero")
-
-
-def power_lipschitz(u0: GridFunction, q: float) -> float:
-    """Sup-norm Lipschitz scale for the pure power on uniformly positive data.
-
-    Along the evolution from data with floor m = min u0 > 0, fields stay
-    above m/2 over the horizons the windowing uses (the box-truncated heat
-    flow can halve the floor near the boundary but not more), and on
-    [m/2, inf) the power has Lipschitz constant q (m/2)^{q-1}.
-    """
-    m = float(np.min(u0.values))
-    if m <= 0.0:
-        raise ParameterError(
-            "pure-power marching requires data with a strictly positive floor; "
-            "use the regularized scheme for degenerate data"
-        )
-    return q * (0.5 * m) ** (q - 1.0)
 
 
 # ---------------------------------------------------------------------------

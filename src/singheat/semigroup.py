@@ -56,9 +56,7 @@ __all__ = [
     "HeatPropagator",
     "PreparedHeat",
     "apply_heat",
-    "apply_weighted_heat",
     "gaussian_exact",
-    "gaussian_floor",
     "heat_kernel",
 ]
 
@@ -393,12 +391,6 @@ def apply_heat(f: GridFunction, t: float, eps_tail: float = 1e-10) -> GridFuncti
     return GridFunction(f.grid, prop.apply_heat_values(f.values, t))
 
 
-def apply_weighted_heat(f: GridFunction, t: float, gamma: float, eps_tail: float = 1e-10) -> GridFunction:
-    """Weighted semigroup S_gamma(t) f = S(t)(|.|^{-gamma} f)."""
-    prop = HeatPropagator.shared(f.grid, eps_tail)
-    return GridFunction(f.grid, prop.apply_weighted_values(f.values, t, gamma))
-
-
 def gaussian_exact(grid: Grid, a: float, t: float) -> GridFunction:
     """Closed-form heat evolution of exp(-a |x|^2).
 
@@ -414,34 +406,3 @@ def gaussian_exact(grid: Grid, a: float, t: float) -> GridFunction:
     denom = 1.0 + 4.0 * a * t
     vals = denom ** (-0.5 * grid.n_dim) * np.exp(-a * r2 / denom)
     return GridFunction(grid, vals)
-
-
-def gaussian_floor(v0: GridFunction, t0: float) -> tuple[GridFunction, float]:
-    """Pointwise Gaussian lower barrier for S(t0) v0 with v0 >= 0, v0 != 0.
-
-    From exp(-|x-y|^2/(4 t0)) >= exp(-|x|^2/(2 t0)) exp(-|y|^2/(2 t0))
-    (squared triangle inequality |x-y|^2 <= 2|x|^2 + 2|y|^2), every discrete
-    sum defining [S(t0) v0](x) dominates coeff * exp(-|x|^2/(2 t0)) with
-
-        coeff = (4 pi t0)^{-N/2} * h^N * sum_y exp(-|y|^2/(2 t0)) v0(y),
-
-    so the bound holds node by node for the *unnormalized* sampled operator;
-    renormalization only enlarges the left-hand side.  Returns the barrier
-    field and the coefficient.
-    """
-    if not (math.isfinite(t0) and t0 > 0.0):
-        raise ParameterError(f"t0 must be positive (got {t0})")
-    vals = v0.values
-    if float(vals.min()) < 0.0:
-        raise ParameterError("gaussian_floor requires non-negative data")
-    if float(vals.max()) == 0.0:
-        raise ParameterError("gaussian_floor requires data that is not identically zero")
-    grid = v0.grid
-    r2 = grid.radius_values() ** 2
-    gauss_half = np.exp(-r2 / (2.0 * t0))
-    coeff = float(
-        (4.0 * math.pi * t0) ** (-0.5 * grid.n_dim)
-        * grid.h**grid.n_dim
-        * np.sum(gauss_half * vals)
-    )
-    return GridFunction(grid, coeff * gauss_half), coeff

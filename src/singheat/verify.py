@@ -12,9 +12,14 @@ boundary.  Inequalities with an exact continuum proof therefore hold on the
 discrete level only away from that layer, and the pointwise checks restrict
 to nodes with max_i |x_i| <= L - 5 sqrt(t) (the complementary Gaussian mass
 at distance 5 sqrt(t) is below 1e-3 of the local scale, decaying like
-erfc(5/2)/2 ~ 2e-4 toward the interior).  Order-comparison checks need no
-mask: the same discrete operator drives both trajectories, so ordering is
-preserved at every node including the sagging ones.
+erfc(5/2)/2 ~ 2e-4 toward the interior).  Comparing two trajectories of one
+ladder level needs no mask: the same discrete operator and the same g_n drive
+both, so ordering is preserved at every node including the sagging ones.
+That does not extend to two ladder levels: they use different g_n, and where
+the walls drag values below the knee 1/(2n), g_m > g_n for m > n, so the
+ladder's decrease can fail there (the zero-data gamma = 0 solve with L = 12,
+M = 64, t = 1 and n = 1, 2, ..., 256 stops at n = 99 on an increase of
+3.07e-5).
 """
 
 from __future__ import annotations

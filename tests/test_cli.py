@@ -1,24 +1,32 @@
 """Command-line surface: precedence, exit codes, deterministic outputs."""
 
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from singheat.cli import main, parse_config
+from singheat.cli import _build_parser, main, parse_config
 
 
-def test_defaults_resolve():
-    cfg = parse_config(["constants"])
-    assert cfg.command == "constants"
+def test_defaults_resolve(monkeypatch):
+    cfg = parse_config(["solve", "--out", "x.csv"])
+    assert cfg.command == "solve"
     assert cfg.q == 0.5 and cfg.gamma == 0.3 and cfg.dim == 1
     assert cfg.half_width == 12.0 and cfg.points == 1024
     assert cfg.t_end == 1.0
     assert cfg.n_schedule == (1, 2, 4, 8, 16, 32, 64)
     assert cfg.eps_fp == 1e-8
-    assert cfg.u0 == "bump"
-    assert cfg.jobs >= 1
+    assert cfg.nodes_per_window == 8 and cfg.window_cap == 0.25
+    assert cfg.u0 == "bump" and cfg.record is None
+    assert cfg.jobs is None and cfg.suite is None  # verify's options
+    monkeypatch.delenv("SINGHEAT_JOBS", raising=False)
+    cfg = parse_config(["verify"])
+    assert cfg.jobs >= 1 and cfg.suite is None
+    assert cfg.q is None and cfg.points is None  # solve's options
 
 
 @pytest.mark.parametrize("dim,points", [(1, 1024), (2, 192), (3, 64)])
@@ -42,7 +50,7 @@ def test_memory_error_exits_3(monkeypatch, capsys):
 def test_config_file_overrides_defaults_and_flags_override_file(tmp_path):
     cfile = tmp_path / "c.json"
     cfile.write_text(json.dumps({"gamma": 0.1, "points": 256, "q": 0.4}))
-    cfg = parse_config(["constants", "--config", str(cfile), "--q", "0.6"])
+    cfg = parse_config(["solve", "--config", str(cfile), "--q", "0.6", "--out", "x.csv"])
     assert cfg.gamma == 0.1      # from file
     assert cfg.points == 256     # from file
     assert cfg.q == 0.6          # flag wins over file
@@ -62,18 +70,56 @@ def test_unknown_config_key_is_a_usage_error(tmp_path):
         ["constants", "--gamma", "1.0"],                    # out of range for dim 1
         ["constants", "--q", "1.5"],
         ["constants", "--dim", "4"],
-        ["constants", "--points", "255"],                   # odd
+        ["solve", "--out", "x.csv", "--points", "255"],     # odd
         ["solve", "--out", "x.csv", "--n-schedule", "4,2"],
         ["solve", "--out", "x.csv", "--u0", "wedge"],
         ["solve", "--out", "x.csv", "--record", "2.5"],     # beyond t_end = 1
         ["verify", "--suite", "no-such-check"],
         ["sweep", "--param", "gamma", "--start", "0", "--stop", "0.5"],  # missing count
+        ["sweep", "--param", "gamma", "--start", "1.5", "--stop", "0.1", "--dim", "1",
+         "--count", "3"],                                   # start leaves [0, 1)
+        ["sweep", "--param", "q", "--start", "1.2", "--stop", "0.5", "--count", "3"],
     ],
 )
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         parse_config(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,key,value",
+    [
+        (["constants"], "points", 32),
+        (["gamma-star"], "gamma", 0.1),
+        (["solve", "--out", "x.csv"], "jobs", 1),
+        (["verify"], "q", 0.5),
+        (["sweep", "--param", "q", "--start", "0.2", "--stop", "0.8", "--count", "3"],
+         "t_end", 2),
+    ],
+)
+def test_commands_reject_options_they_do_not_read(tmp_path, argv, key, value):
+    parse_config(argv)
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps({key: value}))
+    flag = "--" + key.replace("_", "-")
+    for bad in (argv + [flag, str(value)], argv + ["--config", str(cfile)]):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(bad)
+        assert exc.value.code == 2
+
+
+def test_readme_lists_each_commands_options():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `([a-z-]+)` \|(.*)\|$", section, re.MULTILINE)
+    documented = {cmd: set(re.findall(r"--[a-z0-9-]+", opts)) for cmd, opts in rows}
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    offered = {
+        cmd: {flag for act in p._actions for flag in act.option_strings} - {"-h", "--help"}
+        for cmd, p in sub.choices.items()
+    }
+    assert documented == offered
 
 
 def test_constants_json_payload(capsys):
@@ -183,7 +229,7 @@ def test_numerical_errors_exit_3(tmp_path, capsys):
 def test_sweep_preserves_input_order(capsys):
     rc = main(
         ["sweep", "--param", "gamma", "--start", "0.0", "--stop", "0.4",
-         "--count", "5", "--jobs", "2"]
+         "--count", "5"]
     )
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
@@ -202,11 +248,12 @@ def test_sweep_q_with_fixed_gamma(capsys):
     assert all(r["gamma"] == 0.1 for r in payload["records"])
 
 
-def test_sweep_out_of_range_exits_3(capsys):
-    rc = main(["sweep", "--param", "gamma", "--start", "0.5", "--stop", "1.5",
-               "--count", "3"])  # stop leaves [0, 1) for dim 1
-    assert rc == 3
-    assert "error:" in capsys.readouterr().err
+def test_sweep_out_of_range_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--param", "gamma", "--start", "0.5", "--stop", "1.5",
+              "--count", "3"])  # stop leaves [0, 1) for dim 1
+    assert exc.value.code == 2
+    assert "stop: the swept gamma must lie in [0, 1)" in capsys.readouterr().err
 
 
 def test_jobs_env_variable(monkeypatch):
