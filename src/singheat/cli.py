@@ -143,6 +143,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _number(key: str, value, kind, fail):
+    """A flag, config-file or environment value as a float, or as an int when
+    kind is int; anything else (text, a bool, a non-integral value for an
+    int) is a usage error naming key."""
+    try:
+        num = float(value)
+    except (TypeError, ValueError):
+        num = None
+    if num is None or isinstance(value, bool):
+        fail(f"{key}: expected a number (got {value!r})")
+    if kind is int:
+        if not num.is_integer():
+            fail(f"{key}: expected an integer (got {value!r})")
+        return int(num)
+    return num
+
+
 def _parse_schedule(text: str, fail) -> tuple[int, ...]:
     try:
         sched = tuple(int(s) for s in str(text).split(",") if s.strip())
@@ -157,7 +174,7 @@ def _parse_record(text, fail) -> "tuple[float, ...] | None":
     if text is None:
         return None
     if isinstance(text, (list, tuple)):
-        vals = tuple(float(x) for x in text)
+        vals = tuple(_number("record", x, float, fail) for x in text)
     else:
         try:
             vals = tuple(float(s) for s in str(text).split(",") if s.strip())
@@ -179,25 +196,28 @@ def _range_error(param: str, value: float, dim: int) -> "str | None":
 def _solve_options(merged: dict, dim: int, fail) -> dict:
     """The numeric knobs of ``solve``, validated."""
     opts: dict = {}
-    half_width = opts["half_width"] = float(merged["half_width"])
+    half_width = opts["half_width"] = _number("half_width", merged["half_width"], float, fail)
     if not (half_width > 0.0 and math.isfinite(half_width)):
         fail(f"half_width: must be positive (got {merged['half_width']})")
     points = opts["points"] = (
-        DEFAULT_POINTS[dim] if merged["points"] is None else int(merged["points"])
+        DEFAULT_POINTS[dim] if merged["points"] is None
+        else _number("points", merged["points"], int, fail)
     )
     if points < 2 or points % 2:
         fail(f"points: must be an even integer >= 2 (got {merged['points']})")
-    t_end = opts["t_end"] = float(merged["t_end"])
+    t_end = opts["t_end"] = _number("t_end", merged["t_end"], float, fail)
     if not (t_end > 0.0 and math.isfinite(t_end)):
         fail(f"t_end: must be positive (got {merged['t_end']})")
     opts["n_schedule"] = _parse_schedule(merged["n_schedule"], fail)
-    eps_fp = opts["eps_fp"] = float(merged["eps_fp"])
+    eps_fp = opts["eps_fp"] = _number("eps_fp", merged["eps_fp"], float, fail)
     if not (0.0 < eps_fp < 1.0):
         fail(f"eps_fp: must lie in (0, 1) (got {merged['eps_fp']})")
-    npw = opts["nodes_per_window"] = int(merged["nodes_per_window"])
+    npw = opts["nodes_per_window"] = _number(
+        "nodes_per_window", merged["nodes_per_window"], int, fail
+    )
     if npw < 2:
         fail(f"nodes_per_window: must be >= 2 (got {merged['nodes_per_window']})")
-    wcap = opts["window_cap"] = float(merged["window_cap"])
+    wcap = opts["window_cap"] = _number("window_cap", merged["window_cap"], float, fail)
     if not (wcap > 0.0):
         fail(f"window_cap: must be positive (got {merged['window_cap']})")
     u0 = opts["u0"] = str(merged["u0"])
@@ -246,12 +266,12 @@ def parse_config(argv: "Sequence[str] | None" = None) -> RunConfig:
 
     dim = 1
     if "dim" in merged:
-        dim = opts["dim"] = int(merged["dim"])
+        dim = opts["dim"] = _number("dim", merged["dim"], int, fail)
         if dim not in (1, 2, 3):
             fail(f"dim: must be 1, 2 or 3 (got {merged['dim']})")
     for key in ("q", "gamma"):
         if key in merged:
-            opts[key] = float(merged[key])
+            opts[key] = _number(key, merged[key], float, fail)
             why = _range_error(key, opts[key], dim)
             if why:
                 fail(f"{key}: {why}")
@@ -260,10 +280,12 @@ def parse_config(argv: "Sequence[str] | None" = None) -> RunConfig:
         opts.update(_solve_options(merged, dim, fail))
 
     if command == "verify":
-        jobs_val = merged["jobs"]
+        key, jobs_val = "jobs", merged["jobs"]
         if jobs_val is None:
-            jobs_val = os.environ.get("SINGHEAT_JOBS")
-        jobs = opts["jobs"] = int(jobs_val) if jobs_val is not None else (os.cpu_count() or 1)
+            key, jobs_val = "SINGHEAT_JOBS", os.environ.get("SINGHEAT_JOBS")
+        jobs = opts["jobs"] = (
+            (os.cpu_count() or 1) if jobs_val is None else _number(key, jobs_val, int, fail)
+        )
         if jobs < 1:
             fail(f"jobs: must be >= 1 (got {jobs})")
         opts["suite"] = None

@@ -29,9 +29,10 @@ weighted sums of the results: the batched form of the Duhamel quadrature.
 Every call goes through a prepared operator (PreparedHeat), built by
 HeatPropagator.prepare for fixed times and weights: it looks the kernels up
 once and holds them stacked, one row per field, together with the batch
-plan and a workspace reused by every apply.  The Picard sweep prepares one
-per window, since a window's lags do not change between its sweeps, and
-applies it once per sweep.  On the FFT path the sums are taken in the
+plan and a workspace reused by every apply.  The Picard solve prepares its
+sweep and free-term operators once per window length, in window-relative
+time, since a window's lags depend on its length alone, and applies them to
+every window of that length.  On the FFT path the sums are taken in the
 spectral domain, so J fields for T targets cost J forward and T inverse
 transforms.  Rows are transformed in batches sized by a fixed workspace
 budget, which keeps the padded arrays in cache; each batch is added only
@@ -349,8 +350,8 @@ class PreparedHeat:
         viewed as float pairs."""
         if self._workspace is None:
             # allocated on first use, so that an operator replacing another
-            # one (the next Picard window's) reuses the memory the old one
-            # released instead of adding to it
+            # one (the next ladder level's Picard plan) reuses the memory the
+            # old one released instead of adding to it
             half = self._padded[:-1] + (self._padded[-1] // 2 + 1,)
             targets = 0 if self.weights is None else self.weights.shape[0]
             self._workspace = (

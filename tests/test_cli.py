@@ -88,6 +88,31 @@ def test_usage_errors_exit_2(argv):
 
 
 @pytest.mark.parametrize(
+    "command,config,env,key",
+    [
+        (["constants"], {"q": "abc"}, None, "q"),
+        (["solve", "--out", "x.csv"], {"points": 32.9}, None, "points"),
+        (["solve", "--out", "x.csv"], {"record": [0.5, "late"]}, None, "record"),
+        (["verify"], {}, "abc", "SINGHEAT_JOBS"),
+    ],
+)
+def test_values_that_are_not_numbers_exit_2(tmp_path, monkeypatch, capsys, command, config,
+                                             env, key):
+    # config-file and environment values are converted with the same checks
+    # as flags: text, or a fraction for an integer option, is a usage error
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps(config))
+    if env is None:
+        monkeypatch.delenv("SINGHEAT_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("SINGHEAT_JOBS", env)
+    with pytest.raises(SystemExit) as exc:
+        parse_config(command + ["--config", str(cfile)])
+    assert exc.value.code == 2
+    assert f"error: {key}: expected " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv,key,value",
     [
         (["constants"], "points", 32),

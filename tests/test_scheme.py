@@ -88,6 +88,25 @@ def test_g_n_sup_gap_closed_form_and_decay():
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
+def test_g_n_is_the_branch_formula_to_an_ulp(q):
+    # the smaller of line and power against the branch-by-branch formula:
+    # equal to an ulp at the knee, bit for bit away from it
+    for n in (1, 3, 64, 1024):
+        knee = 0.5 / n
+        slope = (2.0 * n) ** (1.0 - q)
+        r = np.concatenate((
+            [0.0, knee],
+            np.linspace(0.0, 3.0 * knee, 30_001),
+            knee * (1.0 + np.arange(-2000, 2001) * 2.0**-52),
+        ))
+        branch = np.where(r <= knee, slope * r, np.maximum(r, knee) ** q)
+        got = g_n(r, n, q)
+        np.testing.assert_array_max_ulp(got, branch, maxulp=1)
+        far = np.abs(r - knee) > 1e-9 * knee
+        np.testing.assert_array_equal(got[far], branch[far])
+
+
 def test_g_n_rejects_negative_input():
     with pytest.raises(ParameterError):
         g_n(-0.1, 4, 0.5)
@@ -354,9 +373,9 @@ def test_picard_sweep_budget_enforced():
         picard_solve(u0, nl, p, mesh, SolveConfig(eps_fp=1e-8, max_picard_sweeps=1))
 
 
-def test_picard_looks_up_kernels_once_per_window(monkeypatch):
-    # a window's lags do not change between its sweeps: the kernel lookups
-    # depend on the windows alone, not on how many sweeps they take
+def test_picard_looks_up_kernels_once_per_window_length(monkeypatch):
+    # a window's lags depend on its length alone: the kernel lookups depend
+    # on the distinct window lengths, not on the windows or their sweeps
     lookups = []
     lookup = HeatPropagator._kernel_entry
 
@@ -369,17 +388,20 @@ def test_picard_looks_up_kernels_once_per_window(monkeypatch):
     p = Params(q=0.5, gamma=0.3, n_dim=1)
     u0 = standard_data(g, "bump")
     nl = Nonlinearity.regularized(0.5, 2)
-    mesh = TimeMesh.build(0.5, 0.3, 0.125)
+    # windows of 0.075 on [0, 0.15], then of 0.35/3 on [0.15, 0.5]
+    mesh = TimeMesh.build(0.5, 0.3, 0.125, must_include=(0.15,))
     counts, sweeps = [], []
     for eps in (1e-6, 1e-10):
         lookups.clear()
         traj = picard_solve(u0, nl, p, mesh, SolveConfig(eps_fp=eps))
         counts.append(len(lookups))
         sweeps.append(traj.diagnostics["total_sweeps"])
+        assert traj.diagnostics["windows"] == mesh.window_count == 5
+        assert traj.diagnostics["window_plans"] == 2
     assert sweeps[0] < sweeps[1]
-    # per window: one free-term lookup per target, one per (target, node) row
+    # per length: one free-term lookup per target, one per (target, node) row
     targets = mesh.nodes_per_window + 1
-    assert counts[0] == counts[1] == mesh.window_count * targets * (1 + mesh.nodes_per_window)
+    assert counts[0] == counts[1] == 2 * targets * (1 + mesh.nodes_per_window)
 
 
 def _interp_stack(knots, stack, t):
@@ -434,22 +456,37 @@ def _reference_picard(u0, nonlinearity, params, mesh, config):
     return ends, sweeps
 
 
-@pytest.mark.parametrize("points", [64, 256])  # direct path, FFT path
-def test_picard_matches_the_per_node_reference_sweep(points):
+def _check_against_reference(points, mesh):
     g = make_grid(1, 10.0, points)
     p = Params(q=0.5, gamma=0.3, n_dim=1)
     u0 = standard_data(g, "bump")
     nl = Nonlinearity.regularized(0.5, 4)
-    w = min(0.25, contraction_window(0.3, nl.lipschitz, eta1(0.3, 1)))
-    mesh = TimeMesh.build(0.5, 0.3, w)
     cfg = SolveConfig()
     traj = picard_solve(u0, nl, p, mesh, cfg)
     ends, sweeps = _reference_picard(u0, nl, p, mesh, cfg)
-    assert mesh.window_count >= 3
     assert traj.diagnostics["total_sweeps"] == sweeps
     assert len(traj.snapshots) == 1 + len(ends)
     for snap, ref in zip(traj.snapshots[1:], ends):
         np.testing.assert_allclose(snap.values, ref, rtol=0, atol=1e-12)
+    return traj
+
+
+@pytest.mark.parametrize("points", [64, 256])  # direct path, FFT path
+def test_picard_matches_the_per_node_reference_sweep(points):
+    nl = Nonlinearity.regularized(0.5, 4)
+    w = min(0.25, contraction_window(0.3, nl.lipschitz, eta1(0.3, 1)))
+    mesh = TimeMesh.build(0.5, 0.3, w)
+    assert mesh.window_count >= 3
+    _check_against_reference(points, mesh)
+
+
+@pytest.mark.parametrize("points", [64, 256])  # direct path, FFT path
+def test_picard_matches_the_reference_on_two_window_lengths(points):
+    # the record time splits the mesh into windows of 0.075 and of 0.35/3:
+    # each window reuses the plan of its length, built in relative time
+    mesh = TimeMesh.build(0.5, 0.3, 0.125, must_include=(0.15,))
+    traj = _check_against_reference(points, mesh)
+    assert (traj.diagnostics["windows"], traj.diagnostics["window_plans"]) == (5, 2)
 
 
 # ---------------------------------------------------------------------------
