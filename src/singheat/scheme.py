@@ -524,6 +524,7 @@ def picard_solve(
     # plans by window length (to the kernel cache's rounding); local to the
     # call, since a prepared operator's workspace is single-threaded
     plans: dict[float, tuple] = {}
+    last = None
     for widx in range(mesh.window_count):
         a = mesh.boundaries[widx]
         b = mesh.boundaries[widx + 1]
@@ -531,6 +532,12 @@ def picard_solve(
         plan = plans.get(key)
         if plan is None:
             plan = plans[key] = _window_plan(prop, mesh, widx, gam)
+        if last is not None and last is not plan:
+            # a new length: free the last plan's workspace before this one's
+            # first apply allocates its own
+            last[0].release()
+            last[2].release()
+        last = plan
         free_op, interp, sweep = plan
         knots = interp.shape[1]  # the window start and the targets
         free = prop.apply_heat_values(

@@ -14,15 +14,21 @@ falls short of 1 by more than eps_tail, i.e. when the box itself truncates
 the kernel: results past that point would be quantitatively wrong, not just
 smoothed.
 
-Small grids (M <= 128 per axis) use direct separable convolution; larger
-grids use FFT on the doubled (zero-padded) box.  Both evaluate the same sums.
-The sampled kernel is a product of one 1D kernel per axis.  On the direct
-path, zero-extended correlation with it along one axis is a product with an
-M x M Toeplitz matrix, and all rows of a call are multiplied by their
-matrices in one batched matmul per axis.  On the FFT path the N-D spectrum
-is the outer product of 1D spectra: the cache holds one 1D spectrum per time
-(O(M) bytes in any dimension), and each row's spectrum is multiplied by it
-once per axis.
+1D grids, and 2D and 3D grids of more than 128 points per axis, use FFTs on
+a zero-padded box; smaller 2D and 3D grids use direct separable
+convolution.  Both evaluate the same sums.  The sampled kernel is a product
+of one 1D kernel per axis.  On the direct path, zero-extended correlation
+with it along one axis is a product with an M x M Toeplitz matrix, and all
+rows of a call are multiplied by their matrices in one batched matmul per
+axis.  On the FFT path each axis is padded from M to P points: P covers the
+box plus the reach of the operator's longest-time kernel (13 sqrt(t_max),
+beyond which the Gaussian is zero in double precision), rounded up to an
+even 5-smooth length and capped at the doubled box 2M.  The kernel wrapped
+at length P keeps its displacements up to P - M, so the circular
+convolution folds nothing back onto the box.  The N-D spectrum is the outer
+product of 1D spectra: the cache holds one 1D spectrum per (time, P) (O(M)
+bytes in any dimension), and each row's spectrum is multiplied by it once
+per axis.
 
 One call can also apply a stack of fields, each for its own time, and return
 weighted sums of the results: the batched form of the Duhamel quadrature.
@@ -61,7 +67,10 @@ __all__ = [
     "heat_kernel",
 ]
 
-_DIRECT_LIMIT = 128  # per-axis size up to which direct summation is used
+_DIRECT_LIMIT = 128  # per-axis size up to which 2D and 3D use direct summation
+# Reach of the FFT kernel in units of sqrt(t): the Gaussian's mass beyond it,
+# erfc(13 / 2) = 3.8e-20, is below double-precision rounding (2^-53 = 1.1e-16).
+_KERNEL_REACH = 13.0
 # Padded-FFT workspace of one batch of rows.  Sized to stay in a core's L2
 # cache: transforms of a larger batch run slower per row than single ones.
 _FFT_WORKSPACE_BYTES = 2**20
@@ -79,17 +88,34 @@ def heat_kernel(t: float, x: "float | Sequence[float]") -> float:
     return float((4.0 * math.pi * t) ** (-0.5 * n) * math.exp(-float(xs @ xs) / (4.0 * t)))
 
 
+def _padded_length(m: int, h: float, t_max: float) -> int:
+    """FFT length of an axis of m points for kernels of times up to t_max:
+    the smallest even 5-smooth integer >= m + ceil(_KERNEL_REACH sqrt(t_max)
+    / h), capped at 2m."""
+    lo = m + math.ceil(_KERNEL_REACH * math.sqrt(t_max) / h)
+    for p in range(lo + lo % 2, 2 * m, 2):
+        r = p
+        for f in (2, 3, 5):
+            while r % f == 0:
+                r //= f
+        if r == 1:
+            return p
+    return 2 * m
+
+
 class HeatPropagator:
     """Applies S(t) and S_gamma(t) on one grid, caching kernel data per t.
 
-    A cached entry is one 1D array: the normalized axis samples on the
-    direct path, the spectrum of the wrapped axis kernel on the FFT path
-    (the half spectrum in 1D, the full one in 2D and 3D, whose last axis
-    uses its first M+1 values).  The N-D kernel is the product of that
-    factor over the axes and is never formed.  Entries are keyed by the
+    A cached entry is one 1D array: the 2M-1 normalized axis samples on the
+    direct path; on the FFT path, the spectrum of the axis kernel wrapped at
+    the padded length P <= 2M of the operator that asks for it (the P/2+1
+    half spectrum in 1D, the full P in 2D and 3D, whose last axis uses its
+    first P/2+1 values).  The N-D kernel is the product of that factor over
+    the axes and is never formed.  Entries are keyed by (t, P), the
     evolution time rounded to 12 significant digits, so times that agree to
-    rounding noise share one kernel.  The cache is LRU-bounded by a memory
-    budget and locked, so threads may share a propagator.
+    rounding noise share one kernel, and operators of different lengths
+    never share a spectrum.  The cache is LRU-bounded by a memory budget and
+    locked, so threads may share a propagator.
     """
 
     _registry: "dict[tuple[Grid, float], HeatPropagator]" = {}
@@ -100,7 +126,7 @@ class HeatPropagator:
             raise ParameterError(f"eps_tail must lie in (0, 1) (got {eps_tail})")
         self.grid = grid
         self.eps_tail = float(eps_tail)
-        self._spectral = grid.points_per_axis > _DIRECT_LIMIT
+        self._spectral = grid.n_dim == 1 or grid.points_per_axis > _DIRECT_LIMIT
         self._kernels: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         # an entry holds at most 2M complex values (the full axis spectrum)
@@ -145,9 +171,12 @@ class HeatPropagator:
     def _cache_key(t: float) -> float:
         return float(f"{t:.12e}")
 
-    def _kernel_entry(self, t: float) -> np.ndarray:
-        """The cached 1D kernel factor for time t (see the class docstring)."""
-        key = self._cache_key(t)
+    def _kernel_entry(self, t: float, length: "int | None" = None) -> np.ndarray:
+        """The cached 1D kernel factor for time t, at padded length `length`
+        (default 2M) on the FFT path (see the class docstring)."""
+        m = self.grid.points_per_axis
+        length = 2 * m if length is None else length
+        key = (self._cache_key(t), length)
         with self._lock:
             entry = self._kernels.get(key)
             if entry is not None:
@@ -159,10 +188,12 @@ class HeatPropagator:
         self._check_mass(t, axis_mass**self.grid.n_dim)
         g1 = g1 / axis_mass
         if self._spectral:
-            m = self.grid.points_per_axis
-            wrapped = np.zeros(2 * m)
-            wrapped[: m] = g1[m - 1 :]          # displacements 0 .. M-1
-            wrapped[m + 1 :] = g1[: m - 1]      # displacements -(M-1) .. -1
+            # displacements up to k on each side; length >= M + k keeps the
+            # circular convolution from wrapping any of them onto the box
+            k = min(length - m, m - 1)
+            wrapped = np.zeros(length)
+            wrapped[: k + 1] = g1[m - 1 : m + k]            # displacements 0 .. k
+            wrapped[length - k :] = g1[m - 1 - k : m - 1]   # displacements -k .. -1
             entry = np.fft.rfft(wrapped) if self.grid.n_dim == 1 else np.fft.fft(wrapped)
         else:
             entry = g1
@@ -249,16 +280,17 @@ class PreparedHeat:
     Built once by HeatPropagator.prepare, it holds everything that depends
     on the times and weights alone:
 
-    - FFT path: the per-row kernel factors stacked into one (J, 2M) complex
-      array ((J, M+1) in 1D), ones for t = 0 rows; the batches of rows whose
+    - FFT path: the padded length P of every axis, sized to the reach of
+      the kernel of the largest time (see _padded_length); the per-row
+      kernel factors at that length stacked into one (J, P) complex array
+      ((J, P/2+1) in 1D), ones for t = 0 rows; the batches of rows whose
       padded workspace fits _FFT_WORKSPACE_BYTES, each with the range of
       targets that weigh its rows and that block of weights; and the padded
       workspace, spectra and target spectra, allocated by the first apply
-      and reused by every later one.  One
-      apply copies each batch into the workspace, transforms it, multiplies
-      it by the factors once per axis (one broadcast multiply over the
-      batch), adds weights @ spectra into its targets, and ends with the T
-      inverse transforms.
+      and reused by every later one until release().  One apply copies each
+      batch into the workspace, transforms it, multiplies it by the factors
+      once per axis (one broadcast multiply over the batch), adds weights @
+      spectra into its targets, and ends with the T inverse transforms.
     - Direct path: the stacked Toeplitz views of the rows with t > 0.
 
     The workspace makes an operator single-threaded: prepare one per thread.
@@ -272,6 +304,7 @@ class PreparedHeat:
         n = grid.n_dim
         count = times.size
         self._shape = (count,) + grid.shape
+        self._workspace = None
         if not prop._spectral:
             self._live = live = np.flatnonzero(times > 0.0)
             samples = np.empty((live.size, 2 * m - 1))
@@ -279,15 +312,17 @@ class PreparedHeat:
                 row[:] = prop._kernel_entry(t)
             self._toeplitz = sliding_window_view(samples, m, axis=1)[:, ::-1]
             return
-        one = np.ones(m + 1 if n == 1 else 2 * m, dtype=complex)  # S(0) is the identity
-        factors = np.stack([prop._kernel_entry(t) if t > 0.0 else one for t in times.tolist()])
+        p = _padded_length(m, grid.h, float(times.max()))
+        half = p // 2 + 1
+        one = np.ones(half if n == 1 else p, dtype=complex)  # S(0) is the identity
+        factors = np.stack([prop._kernel_entry(t, p) if t > 0.0 else one for t in times.tolist()])
         # factor of each row along each axis, shaped to broadcast over the row
         # spectrum; the last axis holds the half spectrum
         self._factors = [
-            factors.reshape((count,) + (1,) * ax + (2 * m,) + (1,) * (n - 1 - ax))
+            factors.reshape((count,) + (1,) * ax + (p,) + (1,) * (n - 1 - ax))
             for ax in range(n - 1)
-        ] + [factors[:, : m + 1].reshape((count,) + (1,) * (n - 1) + (m + 1,))]
-        row_bytes = 16 * (2 * m) ** n
+        ] + [factors[:, :half].reshape((count,) + (1,) * (n - 1) + (half,))]
+        row_bytes = 16 * p**n
         self._step = step = max(1, min(count, _FFT_WORKSPACE_BYTES // row_bytes))
         self._batches = []
         for lo in range(0, count, step):
@@ -301,7 +336,10 @@ class PreparedHeat:
                 self._batches.append((lo, hi, own, np.ascontiguousarray(weights[own, lo:hi])))
         self._axes = tuple(range(1, n + 1))
         self._corner = (slice(None),) + (slice(0, m),) * n
-        self._padded = (2 * m,) * n
+        self._padded = (p,) * n
+
+    def release(self) -> None:
+        """Free the workspace; the next apply allocates it again."""
         self._workspace = None
 
     def apply(self, values) -> np.ndarray:
@@ -350,8 +388,8 @@ class PreparedHeat:
         viewed as float pairs."""
         if self._workspace is None:
             # allocated on first use, so that an operator replacing another
-            # one (the next ladder level's Picard plan) reuses the memory the
-            # old one released instead of adding to it
+            # one (the Picard plan of the next window length or ladder level)
+            # reuses the memory the old one released instead of adding to it
             half = self._padded[:-1] + (self._padded[-1] // 2 + 1,)
             targets = 0 if self.weights is None else self.weights.shape[0]
             self._workspace = (

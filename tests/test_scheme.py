@@ -29,6 +29,8 @@ from singheat import (
     sup_norm,
 )
 from singheat.constants import ck_fixed_point, eta1
+from singheat.scheme import _window_plan
+from singheat.semigroup import PreparedHeat
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +378,20 @@ def test_picard_sweep_budget_enforced():
 def test_picard_looks_up_kernels_once_per_window_length(monkeypatch):
     # a window's lags depend on its length alone: the kernel lookups depend
     # on the distinct window lengths, not on the windows or their sweeps
-    lookups = []
+    lookups, released = [], []
     lookup = HeatPropagator._kernel_entry
+    release = PreparedHeat.release
 
-    def counted(self, t):
+    def counted(self, t, length=None):
         lookups.append(t)
-        return lookup(self, t)
+        return lookup(self, t, length)
+
+    def counted_release(self):
+        released.append(self)
+        release(self)
 
     monkeypatch.setattr(HeatPropagator, "_kernel_entry", counted)
+    monkeypatch.setattr(PreparedHeat, "release", counted_release)
     g = make_grid(1, 12.0, 256)  # FFT path
     p = Params(q=0.5, gamma=0.3, n_dim=1)
     u0 = standard_data(g, "bump")
@@ -393,15 +401,29 @@ def test_picard_looks_up_kernels_once_per_window_length(monkeypatch):
     counts, sweeps = [], []
     for eps in (1e-6, 1e-10):
         lookups.clear()
+        released.clear()
         traj = picard_solve(u0, nl, p, mesh, SolveConfig(eps_fp=eps))
         counts.append(len(lookups))
         sweeps.append(traj.diagnostics["total_sweeps"])
         assert traj.diagnostics["windows"] == mesh.window_count == 5
         assert traj.diagnostics["window_plans"] == 2
+        # the one change of length frees the first plan's two operators
+        assert len(released) == 2 and all(op._workspace is None for op in released)
     assert sweeps[0] < sweeps[1]
     # per length: one free-term lookup per target, one per (target, node) row
     targets = mesh.nodes_per_window + 1
     assert counts[0] == counts[1] == 2 * targets * (1 + mesh.nodes_per_window)
+
+
+def test_ladder_exact_window_plan_pads_to_the_kernel_reach():
+    # the first level of `solve --dim 1 --points 256 --t-end 0.0625 --record
+    # 0.03125,0.0625`: windows of 1/32, so every lag is at most 1/32 and each
+    # axis is padded to 256 + ceil(13 sqrt(1/32) / h) = 281 -> 288, not 512
+    g = make_grid(1, 12.0, 256)
+    mesh = TimeMesh.build(0.0625, 0.0, 0.25, must_include=(0.03125, 0.0625))
+    assert mesh.boundaries == (0.0, 0.03125, 0.0625)
+    free_op, _, sweep = _window_plan(HeatPropagator(g), mesh, 0, 0.0)
+    assert free_op._padded == sweep._padded == (288,)
 
 
 def _interp_stack(knots, stack, t):
@@ -471,7 +493,7 @@ def _check_against_reference(points, mesh):
     return traj
 
 
-@pytest.mark.parametrize("points", [64, 256])  # direct path, FFT path
+@pytest.mark.parametrize("points", [64, 256])  # a coarse and a fine grid (1D: FFT path)
 def test_picard_matches_the_per_node_reference_sweep(points):
     nl = Nonlinearity.regularized(0.5, 4)
     w = min(0.25, contraction_window(0.3, nl.lipschitz, eta1(0.3, 1)))
@@ -480,7 +502,7 @@ def test_picard_matches_the_per_node_reference_sweep(points):
     _check_against_reference(points, mesh)
 
 
-@pytest.mark.parametrize("points", [64, 256])  # direct path, FFT path
+@pytest.mark.parametrize("points", [64, 256])  # a coarse and a fine grid (1D: FFT path)
 def test_picard_matches_the_reference_on_two_window_lengths(points):
     # the record time splits the mesh into windows of 0.075 and of 0.35/3:
     # each window reuses the plan of its length, built in relative time

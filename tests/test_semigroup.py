@@ -92,23 +92,25 @@ def test_positivity_and_sup_contraction():
 
 
 def test_direct_and_spectral_paths_agree():
-    # below the size threshold the operator runs as a direct correlation,
-    # above it through zero-padded FFTs; both must give the same field
-    g_small = make_grid(1, 8.0, 128)
-    g_large = make_grid(1, 8.0, 256)
-    for g in (g_small, g_large):
+    # a small 2D grid runs as a direct correlation, a 1D grid through
+    # zero-padded FFTs; both must give the dense reference's field
+    g_direct = make_grid(2, 8.0, 64)
+    g_fft = make_grid(1, 8.0, 256)
+    assert not HeatPropagator.shared(g_direct)._spectral
+    assert HeatPropagator.shared(g_fft)._spectral
+    for g in (g_direct, g_fft):
         f = standard_data(g, "bump:2")
         t = 0.5
         out = apply_heat(f, t)
-        # dense reference: kernel matrix normalized by the total sample mass
-        # over the full displacement set (matching the operator's single
-        # global renormalization, not a per-row one)
+        # dense reference: axis kernel matrix normalized by the total sample
+        # mass over the full displacement set (matching the operator's single
+        # global renormalization, not a per-row one), applied along each axis
         x = g.axis_nodes()
         m = g.points_per_axis
         disp = np.arange(-(m - 1), m) * g.h
         total = np.exp(-(disp**2) / (4 * t)).sum()
         k = np.exp(-((x[:, None] - x[None, :]) ** 2) / (4 * t)) / total
-        ref = k @ f.values
+        ref = k @ f.values if g.n_dim == 1 else k @ f.values @ k.T
         np.testing.assert_allclose(out.values, ref, atol=1e-12)
 
 
@@ -142,12 +144,13 @@ _BATCH_WEIGHTS = np.array(
 )
 @pytest.mark.parametrize("gamma", [0.0, 0.4])
 def test_batched_apply_matches_single_applies(n_dim, points, batch_rows, gamma, monkeypatch):
-    # direct path up to 128 points per axis, FFT beyond; batch_rows shrinks
-    # the FFT workspace so the rows are transformed that many at a time
-    if batch_rows is not None:
-        row_bytes = 16 * (2 * points) ** n_dim
-        monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * row_bytes)
+    # FFT path in 1D and beyond 128 points per axis, direct otherwise;
+    # batch_rows shrinks the FFT workspace so the rows are transformed that
+    # many at a time
     g = make_grid(n_dim, 8.0, points)
+    if batch_rows is not None:
+        p = semigroup._padded_length(points, g.h, float(_BATCH_TIMES.max()))
+        monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * p**n_dim)
     prop = HeatPropagator.shared(g)
     rng = np.random.default_rng(100 * n_dim + points)
     stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + g.shape)
@@ -193,7 +196,7 @@ def test_batched_apply_validation(points):
         prop.apply_heat_values(stack[0], 0.1, np.ones((1, 1)))
 
 
-@pytest.mark.parametrize("n_dim,points", [(1, 16), (2, 10), (3, 6)])
+@pytest.mark.parametrize("n_dim,points", [(2, 16), (2, 10), (3, 6)])
 @pytest.mark.parametrize("gamma", [0.0, 0.4])
 def test_direct_path_equals_per_row_correlation(n_dim, points, gamma):
     # reference: each row with t > 0 correlated axis by axis with its
@@ -227,8 +230,9 @@ def test_direct_path_equals_per_row_correlation(n_dim, points, gamma):
 
 def _per_row_reference(prop, stack, times, weights):
     """Each row through its own kernel, then the weighted sums.  FFT path:
-    the zero-padded row is transformed, its spectrum multiplied by the axis
-    factor once per axis, and transformed back.  Direct path: each axis is
+    the row zero-padded to the doubled box 2M is transformed, its spectrum
+    multiplied by the full-length axis factor once per axis, and transformed
+    back.  Direct path: each axis is
     multiplied by the dense Toeplitz matrix of the normalized samples."""
     m = prop.grid.points_per_axis
     n = prop.grid.n_dim
@@ -267,9 +271,9 @@ def _per_row_reference(prop, stack, times, weights):
         (2, 24, True, None),
         (2, 24, True, 2),
         (2, 136, True, None),  # one-row batches at the default workspace
-        (3, 12, True, None),  # batches of 4 rows and 1
+        (3, 12, True, None),  # batches of 4 rows and 1 (P = 2M = 24)
         (3, 12, True, 1),
-        (1, 64, False, None),
+        (2, 64, False, None),
         (2, 16, False, None),
     ],
 )
@@ -280,15 +284,20 @@ def test_prepared_apply_equals_per_row_construction(
     # _BATCH_TIMES has a t = 0 row; _BATCH_WEIGHTS an all-zero target row and
     # columns weighted by two targets
     monkeypatch.setattr(semigroup, "_DIRECT_LIMIT", 0 if spectral else 10**6)
-    if batch_rows is not None:
-        row_bytes = 16 * (2 * points) ** n_dim
-        monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * row_bytes)
     g = make_grid(n_dim, 6.0, points)
+    if batch_rows is not None:
+        # the workspace holds batch_rows rows padded to the operator's length
+        p = semigroup._padded_length(points, g.h, float(_BATCH_TIMES.max()))
+        monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * p**n_dim)
     prop = HeatPropagator(g)
     assert prop._spectral == spectral
     rng = np.random.default_rng(3 * n_dim + points)
     for weights in (None, _BATCH_WEIGHTS):
         op = prop.prepare(_BATCH_TIMES, weights)
+        if batch_rows is not None:
+            assert op._step == batch_rows
+        elif n_dim == 3:
+            assert op._step == 4  # the default workspace splits the rows 4 + 1
         # the operator's workspace is reused: a second stack must not see the first
         for _ in range(2):
             stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + g.shape)
@@ -299,6 +308,48 @@ def test_prepared_apply_equals_per_row_construction(
             np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
         if weights is not None:
             np.testing.assert_array_equal(out[3], 0.0)  # the all-zero weight row
+
+
+@pytest.mark.parametrize("n_dim,points", [(1, 256), (2, 24), (3, 12)])
+@pytest.mark.parametrize("t_max", [0.02, 1.0])
+def test_padded_length_leaves_the_operator_unchanged(n_dim, points, t_max, monkeypatch):
+    # padded only as far as the longest kernel reaches (P < 2M for short
+    # times, the doubled box for long ones), the operator is the one padded
+    # to 2M, since the kernel is zero beyond that reach in double precision.
+    # Bound: 8 ulps of the largest output; the batched sums and the per-row
+    # reference round differently even at P = 2M (up to 4.5 ulps measured)
+    monkeypatch.setattr(semigroup, "_DIRECT_LIMIT", 0)
+    g = make_grid(n_dim, 6.0, points)
+    prop = HeatPropagator(g)
+    times = _BATCH_TIMES * t_max
+    rng = np.random.default_rng(5 * n_dim + points)
+    for weights in (None, _BATCH_WEIGHTS):
+        op = prop.prepare(times, weights)
+        p = op._padded[-1]
+        assert p < 2 * points if t_max < 1.0 else p == 2 * points
+        stack = rng.uniform(0.0, 2.0, (times.size,) + g.shape)
+        ref = _per_row_reference(prop, stack, times, weights)
+        ulp = np.finfo(float).eps * np.abs(ref).max()
+        np.testing.assert_allclose(prop.apply_heat_values(stack, op), ref, rtol=0, atol=8 * ulp)
+
+
+def _is_5_smooth(p):
+    for f in (2, 3, 5):
+        while p % f == 0:
+            p //= f
+    return p == 1
+
+
+@pytest.mark.parametrize("m", [12, 64, 136, 256, 1024])
+@pytest.mark.parametrize("t_max", [1e-6, 1e-3, 0.03, 0.5, 8.0])
+def test_padded_length_is_the_least_smooth_cover_of_the_kernel_reach(m, t_max):
+    h = 24.0 / m
+    p = semigroup._padded_length(m, h, t_max)
+    least = m + math.ceil(13.0 * math.sqrt(t_max) / h)
+    fits = [q for q in range(least, 2 * m) if q % 2 == 0 and _is_5_smooth(q)]
+    # the least even 5-smooth length covering the box and the reach, or else
+    # the doubled box, which covers any kernel the box holds
+    assert p == (fits[0] if fits else 2 * m)
 
 
 def test_prepared_operator_validation():
