@@ -474,6 +474,9 @@ def picard_solve(
     mesh: TimeMesh,
     config: SolveConfig = SolveConfig(),
     record_times: "Sequence[float] | None" = None,
+    *,
+    propagator: "HeatPropagator | None" = None,
+    plans: "dict | None" = None,
 ) -> Trajectory:
     """March the integral equation over the mesh windows by Jacobi sweeps.
 
@@ -495,6 +498,13 @@ def picard_solve(
     record_times selects which window boundaries are kept as snapshots
     (default: all of them).  Fields stay non-negative throughout; values are
     clipped at 0 before the nonlinearity only to absorb FFT rounding dust.
+
+    propagator (on u0's grid) and plans (window plans by length) let
+    successive calls on one grid, gamma and nodes per window share their
+    plans, as the levels of monotone_solve do; by default the call makes
+    its own.  A call first drops the plans of lengths its mesh lacks and
+    frees the workspace of the plan it used last before returning.  The
+    diagnostics' window_plans counts the plans the call built.
     """
     grid = u0.grid
     if float(u0.values.min()) < 0.0:
@@ -503,7 +513,14 @@ def picard_solve(
         raise ParameterError(
             f"mesh was graded for gamma = {mesh.gamma}, params carry {params.gamma}"
         )
-    prop = HeatPropagator.shared(grid, config.eps_tail)
+    prop = HeatPropagator(grid, config.eps_tail) if propagator is None else propagator
+    if prop.grid != grid:
+        raise ParameterError("the propagator belongs to another grid")
+    plans = {} if plans is None else plans
+    # lengths that agree to rounding noise share a plan
+    keys = [float(f"{b - a:.12e}") for a, b in zip(mesh.boundaries, mesh.boundaries[1:])]
+    for key in set(plans) - set(keys):
+        del plans[key]
     gam = params.gamma
     tolb = 1e-9 * max(1.0, mesh.t_end)
     bset = list(mesh.boundaries)
@@ -521,17 +538,15 @@ def picard_solve(
     u_left = np.array(u0.values, dtype=float)
     total_sweeps = 0
     worst_resid = 0.0
-    # plans by window length (to the kernel cache's rounding); local to the
-    # call, since a prepared operator's workspace is single-threaded
-    plans: dict[float, tuple] = {}
+    built = 0
     last = None
-    for widx in range(mesh.window_count):
+    for widx, key in enumerate(keys):
         a = mesh.boundaries[widx]
         b = mesh.boundaries[widx + 1]
-        key = HeatPropagator._cache_key(b - a)
         plan = plans.get(key)
         if plan is None:
             plan = plans[key] = _window_plan(prop, mesh, widx, gam)
+            built += 1
         if last is not None and last is not plan:
             # a new length: free the last plan's workspace before this one's
             # first apply allocates its own
@@ -568,9 +583,12 @@ def picard_solve(
         if b in records:
             times_out.append(b)
             snaps_out.append(GridFunction(grid, u_left))
+    # the plans outlive the call; their workspaces are reallocated on use
+    last[0].release()
+    last[2].release()
     diag = {
         "windows": mesh.window_count,
-        "window_plans": len(plans),
+        "window_plans": built,
         "total_sweeps": total_sweeps,
         "max_residual": worst_resid,
         "nonlinearity": nonlinearity.kind,
@@ -601,6 +619,10 @@ def monotone_solve(
     diagnostics carry the inter-level sup gaps; with keep_history=True the
     per-level snapshot arrays are attached (not serialized) so callers can
     inspect the whole ladder.
+
+    Every level marches on one propagator and one dict of window plans, so
+    a window length that recurs from level to level is planned once; the
+    diagnostics' window_plans counts the plans of the whole ladder.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ParameterError(f"t_end must be positive (got {t_end})")
@@ -611,6 +633,9 @@ def monotone_solve(
     gaps: list[float] = []
     worst_violation = 0.0
     history: list[tuple[int, tuple[np.ndarray, ...]]] = []
+    prop = HeatPropagator(u0.grid, config.eps_tail)
+    plans: dict[float, tuple] = {}
+    built = 0
     for n in config.n_schedule:
         nl = Nonlinearity.regularized(params.q, n)
         w_len = min(
@@ -625,7 +650,10 @@ def monotone_solve(
             must_include=records,
         )
         shifted = GridFunction(u0.grid, u0.values + 1.0 / n)
-        traj = picard_solve(shifted, nl, params, mesh, config, record_times=records)
+        traj = picard_solve(
+            shifted, nl, params, mesh, config, record_times=records, propagator=prop, plans=plans
+        )
+        built += traj.diagnostics["window_plans"]
         cur_snaps = [s.values for s in traj.snapshots]
         if prev_snaps is not None:
             viol = max(
@@ -654,6 +682,7 @@ def monotone_solve(
             ),
             "inter_level_gaps": gaps,
             "monotone_violation": worst_violation,
+            "window_plans": built,
         }
     )
     if keep_history:

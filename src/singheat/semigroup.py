@@ -26,30 +26,30 @@ beyond which the Gaussian is zero in double precision), rounded up to an
 even 5-smooth length and capped at the doubled box 2M.  The kernel wrapped
 at length P keeps its displacements up to P - M, so the circular
 convolution folds nothing back onto the box.  The N-D spectrum is the outer
-product of 1D spectra: the cache holds one 1D spectrum per (time, P) (O(M)
+product of 1D spectra: an operator holds one 1D spectrum per time (O(M)
 bytes in any dimension), and each row's spectrum is multiplied by it once
 per axis.
 
 One call can also apply a stack of fields, each for its own time, and return
 weighted sums of the results: the batched form of the Duhamel quadrature.
 Every call goes through a prepared operator (PreparedHeat), built by
-HeatPropagator.prepare for fixed times and weights: it looks the kernels up
+HeatPropagator.prepare for fixed times and weights: it builds the kernels
 once and holds them stacked, one row per field, together with the batch
-plan and a workspace reused by every apply.  The Picard solve prepares its
-sweep and free-term operators once per window length, in window-relative
-time, since a window's lags depend on its length alone, and applies them to
-every window of that length.  On the FFT path the sums are taken in the
-spectral domain, so J fields for T targets cost J forward and T inverse
-transforms.  Rows are transformed in batches sized by a fixed workspace
-budget, which keeps the padded arrays in cache; each batch is added only
-into the targets that weigh its rows.
+plan and a workspace reused by every apply.  Nothing caches kernels beyond
+the operators that hold them: a caller that applies the same times again
+keeps its operator.  The Picard solve prepares its sweep and free-term
+operators once per window length, in window-relative time, since a
+window's lags depend on its length alone, and applies them to every window
+of that length, on every ladder level that has one.  On the FFT path the
+sums are taken in the spectral domain, so J fields for T targets cost J
+forward and T inverse transforms.  Rows are transformed in batches sized
+by a fixed workspace budget, which keeps the padded arrays in cache; each
+batch is added only into the targets that weigh its rows.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
@@ -74,7 +74,6 @@ _KERNEL_REACH = 13.0
 # Padded-FFT workspace of one batch of rows.  Sized to stay in a core's L2
 # cache: transforms of a larger batch run slower per row than single ones.
 _FFT_WORKSPACE_BYTES = 2**20
-_CACHE_BYTES = 1.5e8  # memory budget of one propagator's kernel cache
 
 
 def heat_kernel(t: float, x: "float | Sequence[float]") -> float:
@@ -104,22 +103,18 @@ def _padded_length(m: int, h: float, t_max: float) -> int:
 
 
 class HeatPropagator:
-    """Applies S(t) and S_gamma(t) on one grid, caching kernel data per t.
+    """Applies S(t) and S_gamma(t) on one grid.
 
-    A cached entry is one 1D array: the 2M-1 normalized axis samples on the
+    A kernel factor is one 1D array: the 2M-1 normalized axis samples on the
     direct path; on the FFT path, the spectrum of the axis kernel wrapped at
     the padded length P <= 2M of the operator that asks for it (the P/2+1
     half spectrum in 1D, the full P in 2D and 3D, whose last axis uses its
     first P/2+1 values).  The N-D kernel is the product of that factor over
-    the axes and is never formed.  Entries are keyed by (t, P), the
-    evolution time rounded to 12 significant digits, so times that agree to
-    rounding noise share one kernel, and operators of different lengths
-    never share a spectrum.  The cache is LRU-bounded by a memory budget and
-    locked, so threads may share a propagator.
+    the axes and is never formed.  The propagator keeps no kernels: each
+    prepared operator builds its own factors and holds them while it lives.
+    It memoizes the weight field of each gamma; use one propagator per
+    thread.
     """
-
-    _registry: "dict[tuple[Grid, float], HeatPropagator]" = {}
-    _registry_lock = threading.Lock()
 
     def __init__(self, grid: Grid, eps_tail: float = 1e-10):
         if not (0.0 < eps_tail < 1.0):
@@ -127,23 +122,7 @@ class HeatPropagator:
         self.grid = grid
         self.eps_tail = float(eps_tail)
         self._spectral = grid.n_dim == 1 or grid.points_per_axis > _DIRECT_LIMIT
-        self._kernels: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-        # an entry holds at most 2M complex values (the full axis spectrum)
-        self._cache_cap = max(1, int(_CACHE_BYTES // (32 * grid.points_per_axis)))
         self._weights: dict[float, np.ndarray] = {}
-
-    @classmethod
-    def shared(cls, grid: Grid, eps_tail: float = 1e-10) -> "HeatPropagator":
-        """The one propagator of the registry for (grid, eps_tail); threads
-        asking for a new key at once all get the first one built."""
-        key = (grid, float(eps_tail))
-        with cls._registry_lock:
-            prop = cls._registry.get(key)
-            if prop is None:
-                prop = cls(grid, eps_tail)  # cheap: kernels are built on first use
-                cls._registry[key] = prop
-        return prop
 
     # -- kernel construction -------------------------------------------------
 
@@ -167,48 +146,33 @@ class HeatPropagator:
                 f"t = {t}: discrete mass {mass:.12g} < 1 - {self.eps_tail}"
             )
 
-    @staticmethod
-    def _cache_key(t: float) -> float:
-        return float(f"{t:.12e}")
-
     def _kernel_entry(self, t: float, length: "int | None" = None) -> np.ndarray:
-        """The cached 1D kernel factor for time t, at padded length `length`
+        """The 1D kernel factor for time t, at padded length `length`
         (default 2M) on the FFT path (see the class docstring)."""
         m = self.grid.points_per_axis
-        length = 2 * m if length is None else length
-        key = (self._cache_key(t), length)
-        with self._lock:
-            entry = self._kernels.get(key)
-            if entry is not None:
-                self._kernels.move_to_end(key)
-                return entry
-        # built outside the lock: two threads may build one key, to equal arrays
         g1 = self._axis_samples(t)
         axis_mass = float(np.sum(g1))
         self._check_mass(t, axis_mass**self.grid.n_dim)
-        g1 = g1 / axis_mass
-        if self._spectral:
-            # displacements up to k on each side; length >= M + k keeps the
-            # circular convolution from wrapping any of them onto the box
-            k = min(length - m, m - 1)
-            wrapped = np.zeros(length)
-            wrapped[: k + 1] = g1[m - 1 : m + k]            # displacements 0 .. k
-            wrapped[length - k :] = g1[m - 1 - k : m - 1]   # displacements -k .. -1
-            entry = np.fft.rfft(wrapped) if self.grid.n_dim == 1 else np.fft.fft(wrapped)
-        else:
-            entry = g1
-        with self._lock:
-            self._kernels[key] = entry
-            if len(self._kernels) > self._cache_cap:
-                self._kernels.popitem(last=False)
-        return entry
+        g1 /= axis_mass
+        if not self._spectral:
+            # the far samples underflow to subnormals, on which matmul is slow
+            g1[g1 < np.finfo(float).tiny] = 0.0
+            return g1
+        length = 2 * m if length is None else length
+        # displacements up to k on each side; length >= M + k keeps the
+        # circular convolution from wrapping any of them onto the box
+        k = min(length - m, m - 1)
+        wrapped = np.zeros(length)
+        wrapped[: k + 1] = g1[m - 1 : m + k]            # displacements 0 .. k
+        wrapped[length - k :] = g1[m - 1 - k : m - 1]   # displacements -k .. -1
+        return np.fft.rfft(wrapped) if self.grid.n_dim == 1 else np.fft.fft(wrapped)
 
     # -- application ---------------------------------------------------------
 
     def prepare(self, t, weights=None) -> "PreparedHeat":
         """The operator stack -> sum_j weights[i, j] S(t[j]) stack[j] for a
         fixed length-J time array (and an optional (T, J) weight matrix),
-        with its kernel factors looked up once; see PreparedHeat."""
+        with its kernel factors built once; see PreparedHeat."""
         times = np.asarray(t, dtype=float)
         if times.ndim != 1 or times.size < 1:
             raise ParameterError(
@@ -425,8 +389,10 @@ class PreparedHeat:
 
 
 def apply_heat(f: GridFunction, t: float, eps_tail: float = 1e-10) -> GridFunction:
-    """Discrete heat semigroup S(t) acting on a grid function."""
-    prop = HeatPropagator.shared(f.grid, eps_tail)
+    """Discrete heat semigroup S(t) acting on a grid function; builds its
+    kernel afresh (a caller applying one time to many fields prepares it
+    once with HeatPropagator.prepare)."""
+    prop = HeatPropagator(f.grid, eps_tail)
     return GridFunction(f.grid, prop.apply_heat_values(f.values, t))
 
 

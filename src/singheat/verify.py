@@ -37,12 +37,10 @@ from .errors import ParameterError, SeriesRangeError
 from .fields import (
     DEFAULT_POINTS,
     Grid,
-    GridFunction,
     Params,
     make_grid,
     sample,
     standard_data,
-    sup_norm,
 )
 from .scheme import (
     Nonlinearity,
@@ -153,7 +151,7 @@ def check_subsolution(
         half_width = half_width if half_width is not None else dflt[0]
         points = points if points is not None else dflt[1]
     grid = make_grid(n_dim, half_width, points)
-    prop = HeatPropagator.shared(grid)
+    prop = HeatPropagator(grid)
     radius = grid.radius_values()
     per_time = {}
     worst = math.inf
@@ -453,13 +451,15 @@ def check_max_at_origin(
     fns = list(profiles) if profiles is not None else [
         _random_radial_profile(rng) for _ in range(n_profiles)
     ]
+    prop = HeatPropagator(grid)
+    op = prop.prepare([t])  # one kernel for every profile
     worst = math.inf
     for fn in fns:
         _require_nonincreasing(fn, r_max)
-        f0 = GridFunction(grid, np.asarray(fn(r), dtype=float))
-        evolved = apply_heat(f0, t)
-        scale = max(1.0, sup_norm(evolved))
-        m = (float(np.max(evolved.values[inner])) - float(np.max(evolved.values))) / scale
+        f = np.asarray(fn(r), dtype=float)
+        evolved = prop.apply_heat_values(f[None], op)[0]
+        scale = max(1.0, float(np.max(np.abs(evolved))))
+        m = (float(np.max(evolved[inner])) - float(np.max(evolved))) / scale
         worst = min(worst, m)
     details = {
         "profiles": len(fns),
@@ -526,7 +526,7 @@ def check_smoothing_exponent(
     if points is None:
         points = 2048 if n_dim == 1 else 256
     grid = make_grid(n_dim, half_width, points)
-    prop = HeatPropagator.shared(grid)
+    prop = HeatPropagator(grid)
     ones = np.ones(grid.shape)
     inner = np.max(np.abs(np.stack(grid.node_mesh())), axis=0) <= 0.5 * grid.h + 1e-12 * grid.h
     vals = []

@@ -179,7 +179,7 @@ def test_c04_gamma_star_existence():
 def test_c05_semigroup_exactness():
     grid = make_grid(1, 16.0, 1024)
     u0 = gaussian_exact(grid, 0.25, 0.0)
-    prop = HeatPropagator.shared(grid)
+    prop = HeatPropagator(grid)
     sup_dev = 0.0
     mass_dev = 0.0
     for t in (0.5, 1.0, 2.0):

@@ -28,6 +28,7 @@ from singheat import (
     subsolution_w,
     sup_norm,
 )
+from singheat import scheme
 from singheat.constants import ck_fixed_point, eta1
 from singheat.scheme import _window_plan
 from singheat.semigroup import PreparedHeat
@@ -363,6 +364,10 @@ def test_picard_rejects_mismatched_mesh_and_records():
     neg = u0.with_values(np.full(g.shape, -1.0))
     with pytest.raises(ParameterError):
         picard_solve(neg, Nonlinearity.zero(), p, mesh)
+    # same shape, other spacing: its plans would be silently wrong here
+    other = HeatPropagator(make_grid(1, 12.0, 64))
+    with pytest.raises(ParameterError):
+        picard_solve(u0, Nonlinearity.zero(), p, mesh, propagator=other)
 
 
 def test_picard_sweep_budget_enforced():
@@ -407,8 +412,9 @@ def test_picard_looks_up_kernels_once_per_window_length(monkeypatch):
         sweeps.append(traj.diagnostics["total_sweeps"])
         assert traj.diagnostics["windows"] == mesh.window_count == 5
         assert traj.diagnostics["window_plans"] == 2
-        # the one change of length frees the first plan's two operators
-        assert len(released) == 2 and all(op._workspace is None for op in released)
+        # the one change of length frees the first plan's two operators, and
+        # the end of the call the second's
+        assert len(released) == 4 and all(op._workspace is None for op in released)
     assert sweeps[0] < sweeps[1]
     # per length: one free-term lookup per target, one per (target, node) row
     targets = mesh.nodes_per_window + 1
@@ -446,7 +452,7 @@ def _reference_picard(u0, nonlinearity, params, mesh, config):
     """The per-node Jacobi sweep: one propagator apply per (target, node)
     pair, each with its own interpolation and source evaluation.  Returns
     the field at every window end and the number of sweeps."""
-    prop = HeatPropagator.shared(u0.grid, config.eps_tail)
+    prop = HeatPropagator(u0.grid, config.eps_tail)
     gam = params.gamma
     u_left = np.array(u0.values, dtype=float)
     ends, sweeps = [], 0
@@ -538,6 +544,44 @@ def test_monotone_ladder_decreases_and_tracks_the_ode():
     # gaps shrink roughly like the 1/n data shift
     gaps = traj.diagnostics["inter_level_gaps"]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+
+def test_ladder_levels_share_their_window_plans(monkeypatch):
+    # zero data, gamma = 0, records at 0.1 and 0.25: levels 1 and 2 march
+    # windows of 0.1 and 0.15, level 4 of 0.1 and 0.075, level 8 of 0.05 and
+    # 0.075, so the ladder plans four lengths, not eight
+    g = make_grid(1, 12.0, 64)
+    p = Params(q=0.5, gamma=0.0, n_dim=1)
+    u0 = standard_data(g, "zero")
+    cfg = SolveConfig(n_schedule=(1, 2, 4, 8))
+    solve, plan = scheme.picard_solve, scheme._window_plan
+    planned, levels = [], []
+
+    def counted_plan(prop, mesh, widx, gamma):
+        planned.append(mesh.boundaries[widx + 1] - mesh.boundaries[widx])
+        return plan(prop, mesh, widx, gamma)
+
+    def spied_solve(u, nl, params, mesh, config, record_times, *, propagator, plans):
+        traj = solve(u, nl, params, mesh, config, record_times, propagator=propagator, plans=plans)
+        bounds = mesh.boundaries
+        lengths = {float(f"{b - a:.12e}") for a, b in zip(bounds, bounds[1:])}
+        assert set(plans) == lengths  # only this level's lengths are kept
+        assert all(op._workspace is None for f, _, s in plans.values() for op in (f, s))
+        levels.append(((u, nl, params, mesh, config, record_times), traj))
+        return traj
+
+    monkeypatch.setattr(scheme, "_window_plan", counted_plan)
+    monkeypatch.setattr(scheme, "picard_solve", spied_solve)
+    traj = monotone_solve(u0, p, 0.25, cfg, record_times=(0.1, 0.25))
+    assert traj.times == (0.0, 0.1, 0.25)
+    assert len(levels) == 4
+    assert np.allclose(sorted(planned), [0.05, 0.075, 0.1, 0.15], rtol=0, atol=1e-15)
+    assert traj.diagnostics["window_plans"] == 4
+    # each level as its own call with fresh plans
+    for args, shared in levels:
+        fresh = solve(*args)
+        for a, b in zip(fresh.snapshots, shared.snapshots, strict=True):
+            np.testing.assert_allclose(b.values, a.values, rtol=0, atol=1e-15)
 
 
 def test_monotone_ladder_early_stop():

@@ -34,7 +34,7 @@ def test_heat_kernel_pointwise():
 
 def test_raw_kernel_mass_close_to_one():
     g = make_grid(1, 12.0, 1024)
-    prop = HeatPropagator.shared(g)
+    prop = HeatPropagator(g)
     for t in (0.01, 0.5, 1.0, 2.0):
         assert prop.raw_kernel_mass(t) == pytest.approx(1.0, abs=1e-12)
 
@@ -96,8 +96,8 @@ def test_direct_and_spectral_paths_agree():
     # zero-padded FFTs; both must give the dense reference's field
     g_direct = make_grid(2, 8.0, 64)
     g_fft = make_grid(1, 8.0, 256)
-    assert not HeatPropagator.shared(g_direct)._spectral
-    assert HeatPropagator.shared(g_fft)._spectral
+    assert not HeatPropagator(g_direct)._spectral
+    assert HeatPropagator(g_fft)._spectral
     for g in (g_direct, g_fft):
         f = standard_data(g, "bump:2")
         t = 0.5
@@ -151,7 +151,7 @@ def test_batched_apply_matches_single_applies(n_dim, points, batch_rows, gamma, 
     if batch_rows is not None:
         p = semigroup._padded_length(points, g.h, float(_BATCH_TIMES.max()))
         monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * p**n_dim)
-    prop = HeatPropagator.shared(g)
+    prop = HeatPropagator(g)
     rng = np.random.default_rng(100 * n_dim + points)
     stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + g.shape)
     singles = np.stack(
@@ -172,7 +172,7 @@ def test_batched_apply_matches_single_applies(n_dim, points, batch_rows, gamma, 
 @pytest.mark.parametrize("points", [64, 256])
 def test_single_apply_is_the_one_row_batch(points):
     g = make_grid(1, 8.0, points)
-    prop = HeatPropagator.shared(g)
+    prop = HeatPropagator(g)
     f = standard_data(g, "bump:2").values
     one = prop.apply_heat_values(f, 0.4)
     np.testing.assert_array_equal(prop.apply_heat_values(f[None], np.array([0.4]))[0], one)
@@ -181,7 +181,7 @@ def test_single_apply_is_the_one_row_batch(points):
 @pytest.mark.parametrize("points", [64, 256])
 def test_batched_apply_validation(points):
     g = make_grid(1, 8.0, points)
-    prop = HeatPropagator.shared(g)
+    prop = HeatPropagator(g)
     stack = np.ones((3,) + g.shape)
     for bad in ([0.1, -0.2, 0.3], [0.1, 0.2, math.nan], [math.inf, 0.2, 0.3]):
         with pytest.raises(ParameterError):
@@ -368,7 +368,7 @@ def test_prepared_operator_validation():
 
 
 # ---------------------------------------------------------------------------
-# Per-axis kernel cache
+# Per-axis kernel factors
 # ---------------------------------------------------------------------------
 
 def _spectral_propagator(grid, monkeypatch):
@@ -409,6 +409,23 @@ def test_one_dimensional_entry_is_the_half_spectrum():
     assert entry.shape == (257,)
 
 
+@pytest.mark.parametrize("n_dim,points", [(2, 64), (3, 32)])
+def test_direct_samples_have_no_subnormals(n_dim, points):
+    # exp(-d^2 / 4t) underflows to subnormals between the normal samples and
+    # the zeros; the direct path flushes them to zero and keeps the rest
+    g = make_grid(n_dim, 8.0, points)
+    prop = HeatPropagator(g)
+    assert not prop._spectral
+    tiny = np.finfo(float).tiny
+    for t in (1 / 32, 0.05):
+        raw = prop._axis_samples(t)
+        raw = raw / raw.sum()
+        assert np.any((raw > 0.0) & (raw < tiny))  # the case is not vacuous
+        entry = prop._kernel_entry(t)
+        assert not np.any((entry > 0.0) & (entry < tiny))
+        np.testing.assert_array_equal(entry, np.where(raw < tiny, 0.0, raw))
+
+
 @pytest.mark.parametrize("n_dim,points", [(2, 40), (3, 12)])
 def test_spectral_and_direct_paths_agree(n_dim, points, monkeypatch):
     g = make_grid(n_dim, 6.0, points)
@@ -434,61 +451,13 @@ def test_spectral_and_direct_paths_agree(n_dim, points, monkeypatch):
         )
 
 
-@pytest.mark.parametrize("points", [64, 256])
-def test_kernel_cache_is_safe_under_threads(points, monkeypatch):
-    # a cap of 2 with 5 distinct times evicts on nearly every lookup; short
-    # switch intervals make the threads interleave inside the lookups
-    import sys
-    import threading
-
-    g = make_grid(1, 8.0, points)
-    prop = HeatPropagator(g)
-    monkeypatch.setattr(prop, "_cache_cap", 2)
-    old_interval = sys.getswitchinterval()
-    errors = []
-    times = [0.1, 0.2, 0.3, 0.4, 0.5]
-    ref = {t: prop._axis_samples(t) / prop._axis_samples(t).sum() for t in times}
-
-    def hammer(offset):
-        try:
-            for k in range(1500):
-                t = times[(k + offset) % len(times)]
-                entry = prop._kernel_entry(t)
-                if not prop._spectral:
-                    np.testing.assert_array_equal(entry, ref[t])
-        except Exception as exc:  # reported by the main thread
-            errors.append(exc)
-
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=hammer, args=(k,)) for k in range(3)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert not any(th.is_alive() for th in threads)
-    assert not errors, errors[0]
-    assert len(prop._kernels) <= 2
-
-
-def test_kernel_cache_fits_its_budget_for_large_3d_grids():
-    # only the grid and the propagator: no 3D field is ever allocated
-    g = make_grid(3, 8.0, 256)
-    prop = HeatPropagator(g)
-    entry = prop._kernel_entry(0.5)
-    assert entry.nbytes == 16 * 2 * 256
-    assert 1.5e8 - entry.nbytes < prop._cache_cap * entry.nbytes <= 1.5e8
-
-
 def test_smoothing_bound_for_weighted_operator():
     # sup S_gamma(t) f <= eta1 * t^{-gamma/2} sup f  (up to truncation slack)
     g = make_grid(1, 12.0, 1024)
     gamma = 0.5
     f = standard_data(g, "const:1")
     for t in (0.25, 1.0):
-        out = HeatPropagator.shared(g).apply_weighted_values(f.values, t, gamma)
+        out = HeatPropagator(g).apply_weighted_values(f.values, t, gamma)
         bound = eta1(gamma, 1) * t ** (-gamma / 2)
         assert float(np.max(np.abs(out))) <= bound * (1 + 1e-10)
         assert np.all(out > 0)
@@ -497,42 +466,9 @@ def test_smoothing_bound_for_weighted_operator():
 def test_weighted_operator_gamma_zero_is_plain_heat():
     g = make_grid(1, 8.0, 256)
     f = standard_data(g, "gauss:1")
-    a = HeatPropagator.shared(g).apply_weighted_values(f.values, 0.5, 0.0)
+    a = HeatPropagator(g).apply_weighted_values(f.values, 0.5, 0.0)
     b = apply_heat(f, 0.5)
     np.testing.assert_array_equal(a, b.values)
-
-
-def test_shared_propagator_is_cached_per_grid():
-    g = make_grid(1, 8.0, 256)
-    assert HeatPropagator.shared(g) is HeatPropagator.shared(g)
-    g2 = make_grid(1, 8.0, 512)
-    assert HeatPropagator.shared(g) is not HeatPropagator.shared(g2)
-
-
-def test_shared_propagator_is_one_object_under_threads(monkeypatch):
-    # a slow constructor widens the window between lookup and insert
-    import threading
-    import time
-
-    build = HeatPropagator.__init__
-
-    def slow_init(self, *args, **kwargs):
-        time.sleep(0.05)
-        build(self, *args, **kwargs)
-
-    monkeypatch.setattr(HeatPropagator, "__init__", slow_init)
-    g = make_grid(1, 8.0, 98)  # a grid no other test registers
-    got = []
-    threads = [
-        threading.Thread(target=lambda: got.append(HeatPropagator.shared(g))) for _ in range(3)
-    ]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join(timeout=30)
-    assert not any(th.is_alive() for th in threads)
-    assert len(got) == 3
-    assert got[0] is got[1] is got[2] is HeatPropagator.shared(g)
 
 
 def test_propagator_preserves_symmetry():

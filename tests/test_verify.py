@@ -63,7 +63,7 @@ def _per_node_subsolution_margins(q, gamma, n_dim, times=(0.25, 1.0), nodes=32):
 
     params = Params(q=q, gamma=gamma, n_dim=n_dim)
     grid = make_grid(n_dim, *_default_grid(n_dim))
-    prop = HeatPropagator.shared(grid)
+    prop = HeatPropagator(grid)
     out = {}
     for t in times:
         sigs, wts = duhamel_rule(0.0, float(t), gamma, nodes)
@@ -346,7 +346,8 @@ def test_run_suite_converts_crashes_to_failing_reports(monkeypatch):
 
 
 def test_run_suite_parallel_matches_serial():
-    names = ["gronwall-exp", "gronwall-zero", "max-at-origin"]
+    # three propagator checks at once, each on its own propagator
+    names = ["gronwall-exp", "gronwall-zero", "max-at-origin", "smoothing", "subsolution"]
     serial = run_suite(names, jobs=1)
     parallel = run_suite(names, jobs=3)
     assert [r.name for r in serial] == [r.name for r in parallel]
