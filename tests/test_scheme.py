@@ -575,6 +575,7 @@ def test_ladder_levels_share_their_window_plans(monkeypatch):
     traj = monotone_solve(u0, p, 0.25, cfg, record_times=(0.1, 0.25))
     assert traj.times == (0.0, 0.1, 0.25)
     assert len(levels) == 4
+    assert len(planned) == 4
     assert np.allclose(sorted(planned), [0.05, 0.075, 0.1, 0.15], rtol=0, atol=1e-15)
     assert traj.diagnostics["window_plans"] == 4
     # each level as its own call with fresh plans
