@@ -10,6 +10,7 @@ the full strength of the singular mass near the origin.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -213,10 +214,20 @@ def _weight_1d(grid: Grid, gamma: float) -> np.ndarray:
     return np.concatenate((avg[::-1], avg))
 
 
+@functools.lru_cache(maxsize=64)
+def gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per node
+    count and shared read-only."""
+    x, w = leggauss(n_nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _corner_cell_avg(n_dim: int, h: float, gamma: float) -> float:
     # pyramid split of [0, h]^n from the singular corner: radial part exact,
     # cross-section smooth on [0, 1]^(n-1)
-    x, w = leggauss(32)
+    x, w = gauss_legendre(32)
     u = 0.5 * (x + 1.0)
     wu = 0.5 * w
     if n_dim == 2:
@@ -228,7 +239,7 @@ def _corner_cell_avg(n_dim: int, h: float, gamma: float) -> float:
 
 
 def _single_cell_avg(center: tuple[float, ...], h: float, gamma: float, npts: int) -> float:
-    x, w = leggauss(npts)
+    x, w = gauss_legendre(npts)
     off = 0.5 * h * x
     wt = 0.5 * w
     pts2 = [(c + off) ** 2 for c in center]
@@ -243,7 +254,7 @@ def _weight_nd(grid: Grid, gamma: float) -> np.ndarray:
     h = grid.h
     ax = grid.axis_nodes()
     m = grid.points_per_axis
-    x, w = leggauss(6)
+    x, w = gauss_legendre(6)
     off = 0.5 * h * x
     wt = 0.5 * w
     pts2 = (ax[:, None] + off[None, :]) ** 2  # (M, 6)

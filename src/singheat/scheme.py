@@ -21,17 +21,15 @@ solutions decrease in n, and the pointwise infimum is the distinguished
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import constants
 from .errors import ConvergenceError, ParameterError
-from .fields import Grid, GridFunction, Params
+from .fields import Grid, GridFunction, Params, gauss_legendre
 from .semigroup import HeatPropagator
 
 __all__ = [
@@ -152,9 +150,12 @@ def subsolution_w(
 ) -> GridFunction:
     """Explicit sub-solution w(x, t) = lambda t^{1/(1-q)} (|x| + sqrt t)^{-gamma/(1-q)}.
 
-    Vanishes identically at t = 0 and is radially non-increasing; every
-    non-negative solution of the integral equation dominates it.  A caller
-    evaluating many times may pass the grid's radius field once.
+    Vanishes identically at t = 0 and is radially non-increasing.  The
+    maximal solution of the integral equation dominates it (the ladder's
+    levels are checked against it by verify.check_lower_bound); not every
+    non-negative solution does, since with zero data u = 0 is one and lies
+    below w at every t > 0.  A caller evaluating many times may pass the
+    grid's radius field once.
     """
     if not math.isfinite(t) or t < 0.0:
         raise ParameterError(f"time must be >= 0 (got {t})")
@@ -192,7 +193,7 @@ def duhamel_rule(t_left: float, t_target: float, gamma: float, n_nodes: int):
     p = 2.0 / (2.0 - gamma)
     span = t_target - t_left
     s_hi = span ** (1.0 / p)
-    x, w = _reference_rule(n_nodes)
+    x, w = gauss_legendre(n_nodes)
     s = 0.5 * s_hi * (x + 1.0)
     ws = 0.5 * s_hi * w
     # strong grading (p large) can shrink s^p below the ulp of t_target, which
@@ -205,15 +206,6 @@ def duhamel_rule(t_left: float, t_target: float, gamma: float, n_nodes: int):
     wq = (ws * p * s ** (p - 1.0))[::-1]
     starts = np.flatnonzero(np.concatenate(([True], sig[1:] != sig[:-1])))
     return sig[starts], np.add.reduceat(wq, starts)
-
-
-@functools.lru_cache(maxsize=64)
-def _reference_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
-    x, w = leggauss(n_nodes)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
 
 
 def contraction_window(gamma: float, lipschitz: float, eta1_value: float, theta: float = 0.5) -> float:
@@ -390,13 +382,13 @@ class Trajectory:
         n = self.grid.n_dim
         header = "t,node_index," + ",".join(f"coord_{i + 1}" for i in range(n)) + ",u"
         coords = np.stack([m.ravel() for m in self.grid.node_mesh()], axis=1)
+        # each node's "index,coordinates" once, shared by every snapshot
+        nodes = [f"{idx}," + ",".join(map(repr, row)) for idx, row in enumerate(coords.tolist())]
         lines = [header]
         for t, snap in zip(self.times, self.snapshots):
-            flat = snap.values.ravel()
             t_txt = repr(float(t))
-            for idx in range(flat.size):
-                cs = ",".join(repr(float(c)) for c in coords[idx])
-                lines.append(f"{t_txt},{idx},{cs},{repr(float(flat[idx]))}")
+            values = map(repr, snap.values.ravel().tolist())
+            lines.extend(f"{t_txt},{node},{v}" for node, v in zip(nodes, values))
         return "\n".join(lines) + "\n"
 
     def metadata(self) -> dict:
@@ -491,7 +483,10 @@ def picard_solve(
     call, the free term's times and the interpolation depend only on the
     window's length (they are shift-invariant in time), so they are built
     once per distinct window length, in window-relative time, and reused by
-    every window of that length and each of its sweeps.  Sweeps stop when
+    every window of that length and each of its sweeps.  The sweeps write
+    their stacks (the knots' fields, the interpolated sources and the
+    residual's difference) into arrays allocated once per call, and again
+    only when a plan's row or knot count changes.  Sweeps stop when
     the largest nodewise update falls below config.eps_fp; exceeding the
     sweep budget raises ConvergenceError.
 
@@ -540,6 +535,10 @@ def picard_solve(
     worst_resid = 0.0
     built = 0
     last = None
+    # the sweep's arrays, allocated once per row and knot count of the plans:
+    # the knots' fields [u_left; state], their interpolated sources and the
+    # residual's difference
+    stack = shape = sources = diff = None
     for widx, key in enumerate(keys):
         a = mesh.boundaries[widx]
         b = mesh.boundaries[widx + 1]
@@ -554,21 +553,24 @@ def picard_solve(
             last[2].release()
         last = plan
         free_op, interp, sweep = plan
-        knots = interp.shape[1]  # the window start and the targets
-        free = prop.apply_heat_values(
-            np.broadcast_to(u_left, (knots - 1,) + grid.shape), free_op
-        )
-        state = np.array(free)
+        if interp.shape != shape:
+            shape = interp.shape  # (rows, knots): the window start and the targets
+            stack = np.empty((shape[1],) + grid.shape)
+            sources = np.empty((shape[0],) + grid.shape)
+            diff = np.empty((shape[1] - 1,) + grid.shape)
+        state = stack[1:]
+        free = prop.apply_heat_values(np.broadcast_to(u_left, state.shape), free_op)
+        stack[0] = u_left
+        state[...] = free
         converged = False
         resid = math.inf
         for _ in range(config.max_picard_sweeps):
-            stack = np.concatenate((u_left[None], state)).reshape(knots, -1)
-            sources = (interp @ stack).reshape((-1,) + grid.shape)
-            new_state = free + prop.apply_weighted_values(
-                nonlinearity(positive_part(sources)), sweep, gam
-            )
-            resid = float(np.max(np.abs(new_state - state)))
-            state = new_state
+            np.matmul(interp, stack.reshape(shape[1], -1), out=sources.reshape(shape[0], -1))
+            np.maximum(sources, 0.0, out=sources)  # FFT rounding dust below 0
+            new_state = prop.apply_weighted_values(nonlinearity(sources), sweep, gam)
+            new_state += free
+            resid = float(np.max(np.abs(np.subtract(new_state, state, out=diff), out=diff)))
+            state[...] = new_state
             total_sweeps += 1
             if resid <= config.eps_fp:
                 converged = True

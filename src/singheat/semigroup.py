@@ -34,17 +34,19 @@ One call can also apply a stack of fields, each for its own time, and return
 weighted sums of the results: the batched form of the Duhamel quadrature.
 Every call goes through a prepared operator (PreparedHeat), built by
 HeatPropagator.prepare for fixed times and weights: it builds the kernels
-once and holds them stacked, one row per field, together with the batch
-plan and a workspace reused by every apply.  Nothing caches kernels beyond
-the operators that hold them: a caller that applies the same times again
-keeps its operator.  The Picard solve prepares its sweep and free-term
-operators once per window length, in window-relative time, since a
-window's lags depend on its length alone, and applies them to every window
-of that length, on every ladder level that has one.  On the FFT path the
-sums are taken in the spectral domain, so J fields for T targets cost J
-forward and T inverse transforms.  Rows are transformed in batches sized
-by a fixed workspace budget, which keeps the padded arrays in cache; each
-batch is added only into the targets that weigh its rows.
+once, all in one vectorized pass (one array of samples, one mass check per
+row, one batched transform), and holds them stacked, one row per field,
+together with the batch plan and a workspace reused by every apply.  Nothing
+caches kernels beyond the operators that hold them: a caller that applies
+the same times again keeps its operator.  The Picard solve prepares its
+sweep and free-term operators once per window length, in window-relative
+time, since a window's lags depend on its length alone, and applies them to
+every window of that length, on every ladder level that has one; its sweeps
+write into arrays it allocates once per call.  On the FFT path the sums are
+taken in the spectral domain, so J fields for T targets cost J forward and T
+inverse transforms.  Rows are transformed in batches sized by a fixed
+workspace budget, which keeps the padded arrays in cache; each batch is
+added only into the targets that weigh its rows.
 """
 
 from __future__ import annotations
@@ -71,6 +73,8 @@ _DIRECT_LIMIT = 128  # per-axis size up to which 2D and 3D use direct summation
 # Reach of the FFT kernel in units of sqrt(t): the Gaussian's mass beyond it,
 # erfc(13 / 2) = 3.8e-20, is below double-precision rounding (2^-53 = 1.1e-16).
 _KERNEL_REACH = 13.0
+# exp(x) rounds to 0.0 for every x below this (exp(-746) < 2^-1075).
+_EXP_ZERO = -746.0
 # Padded-FFT workspace of one batch of rows.  Sized to stay in a core's L2
 # cache: transforms of a larger batch run slower per row than single ones.
 _FFT_WORKSPACE_BYTES = 2**20
@@ -111,7 +115,8 @@ class HeatPropagator:
     half spectrum in 1D, the full P in 2D and 3D, whose last axis uses its
     first P/2+1 values).  The N-D kernel is the product of that factor over
     the axes and is never formed.  The propagator keeps no kernels: each
-    prepared operator builds its own factors and holds them while it lives.
+    prepared operator builds its own factors, all in one call, and holds
+    them while it lives.
     It memoizes the weight field of each gamma; use one propagator per
     thread.
     """
@@ -126,12 +131,19 @@ class HeatPropagator:
 
     # -- kernel construction -------------------------------------------------
 
-    def _axis_samples(self, t: float) -> np.ndarray:
-        """1D kernel samples h * G_t at displacements -(M-1)..(M-1)."""
+    def _axis_samples(self, t) -> np.ndarray:
+        """1D kernel samples h * G_t at displacements -(M-1)..(M-1); for a
+        1D time array, one row per time."""
         m = self.grid.points_per_axis
         h = self.grid.h
         d = np.arange(-(m - 1), m, dtype=float) * h
-        return h * (4.0 * math.pi * t) ** -0.5 * np.exp(-d * d / (4.0 * t))
+        times = np.atleast_1d(np.asarray(t, dtype=float))
+        arg = -d * d / (4.0 * times[:, None])
+        # exp underflows to 0 below _EXP_ZERO, and numpy's exp is several
+        # times slower on such arguments than on the others: skip them
+        samples = np.exp(arg, out=np.zeros_like(arg), where=arg > _EXP_ZERO)
+        samples *= np.array([h * (4.0 * math.pi * s) ** -0.5 for s in times.tolist()])[:, None]
+        return samples[0] if np.ndim(t) == 0 else samples
 
     def raw_kernel_mass(self, t: float) -> float:
         """Discrete mass of the sampled kernel before renormalization."""
@@ -146,14 +158,19 @@ class HeatPropagator:
                 f"t = {t}: discrete mass {mass:.12g} < 1 - {self.eps_tail}"
             )
 
-    def _kernel_entry(self, t: float, length: "int | None" = None) -> np.ndarray:
+    def _kernel_entry(self, t, length: "int | None" = None) -> np.ndarray:
         """The 1D kernel factor for time t, at padded length `length`
-        (default 2M) on the FFT path (see the class docstring)."""
+        (default 2M) on the FFT path (see the class docstring).  For a 1D
+        array of times t > 0, the factors are built in one pass, one row per
+        time; a truncating time raises TruncationError naming it."""
         m = self.grid.points_per_axis
+        scalar = np.ndim(t) == 0
         g1 = self._axis_samples(t)
-        axis_mass = float(np.sum(g1))
-        self._check_mass(t, axis_mass**self.grid.n_dim)
-        g1 /= axis_mass
+        g = g1[None] if scalar else g1
+        axis_mass = np.sum(g, axis=1)
+        for s, mass in zip(np.atleast_1d(t).tolist(), axis_mass.tolist()):
+            self._check_mass(s, mass**self.grid.n_dim)
+        g /= axis_mass[:, None]
         if not self._spectral:
             # the far samples underflow to subnormals, on which matmul is slow
             g1[g1 < np.finfo(float).tiny] = 0.0
@@ -162,10 +179,11 @@ class HeatPropagator:
         # displacements up to k on each side; length >= M + k keeps the
         # circular convolution from wrapping any of them onto the box
         k = min(length - m, m - 1)
-        wrapped = np.zeros(length)
-        wrapped[: k + 1] = g1[m - 1 : m + k]            # displacements 0 .. k
-        wrapped[length - k :] = g1[m - 1 - k : m - 1]   # displacements -k .. -1
-        return np.fft.rfft(wrapped) if self.grid.n_dim == 1 else np.fft.fft(wrapped)
+        wrapped = np.zeros((g.shape[0], length))
+        wrapped[:, : k + 1] = g[:, m - 1 : m + k]            # displacements 0 .. k
+        wrapped[:, length - k :] = g[:, m - 1 - k : m - 1]   # displacements -k .. -1
+        spectra = np.fft.rfft(wrapped) if self.grid.n_dim == 1 else np.fft.fft(wrapped)
+        return spectra[0] if scalar else spectra
 
     # -- application ---------------------------------------------------------
 
@@ -255,7 +273,9 @@ class PreparedHeat:
       batch into the workspace, transforms it, multiplies it by the factors
       once per axis (one broadcast multiply over the batch), adds weights @
       spectra into its targets, and ends with the T inverse transforms.
-    - Direct path: the stacked Toeplitz views of the rows with t > 0.
+    - Direct path: the stacked Toeplitz views of the rows with t > 0, and
+      two arrays of those rows, the moved input and the matmul output of
+      each axis, allocated by the first apply and reused until release().
 
     The workspace makes an operator single-threaded: prepare one per thread.
     """
@@ -269,17 +289,17 @@ class PreparedHeat:
         count = times.size
         self._shape = (count,) + grid.shape
         self._workspace = None
+        self._live = live = np.flatnonzero(times > 0.0)
         if not prop._spectral:
-            self._live = live = np.flatnonzero(times > 0.0)
-            samples = np.empty((live.size, 2 * m - 1))
-            for row, t in zip(samples, times[live].tolist()):
-                row[:] = prop._kernel_entry(t)
+            samples = prop._kernel_entry(times[live]) if live.size else np.empty((0, 2 * m - 1))
             self._toeplitz = sliding_window_view(samples, m, axis=1)[:, ::-1]
             return
         p = _padded_length(m, grid.h, float(times.max()))
         half = p // 2 + 1
-        one = np.ones(half if n == 1 else p, dtype=complex)  # S(0) is the identity
-        factors = np.stack([prop._kernel_entry(t, p) if t > 0.0 else one for t in times.tolist()])
+        # S(0) is the identity: its rows keep factors of one
+        factors = np.ones((count, half if n == 1 else p), dtype=complex)
+        if live.size:
+            factors[live] = prop._kernel_entry(times[live], p)
         # factor of each row along each axis, shaped to broadcast over the row
         # spectrum; the last axis holds the half spectrum
         self._factors = [
@@ -325,23 +345,41 @@ class PreparedHeat:
         T[i, k] = g[k - i + M - 1], whose row i is the window g[M-1-i : 2M-1-i].
         The rows with t > 0 are multiplied by their T (a sliding-window view
         of their samples, no copy) in one batched matmul per axis; rows with
-        t = 0 pass through unchanged."""
+        t = 0 pass through unchanged.  Each axis is moved to the front of a
+        row in one workspace array and multiplied into the other, both
+        allocated by the first apply and reused until release()."""
         count = self._shape[0]
         live = self._live
         part = stack if live.size == count else stack[live]
         if live.size:
             m = self.propagator.grid.points_per_axis
+            if self._workspace is None:
+                size = live.size * m ** (len(self._shape) - 1)
+                self._workspace = (np.empty(size), np.empty(size))
+            prod, moved_rows = self._workspace
             for ax in range(1, len(self._shape)):
                 moved = np.moveaxis(part, ax, 1)
-                prod = np.matmul(self._toeplitz, moved.reshape(live.size, m, -1))
-                part = np.moveaxis(prod.reshape(moved.shape), 1, ax)
-        if live.size == count:
-            rows = part
-        else:
+                if ax > 1:  # the previous axis's product, in this axis's order
+                    buf = moved_rows.reshape(moved.shape)
+                    buf[...] = moved
+                    moved = buf
+                out = prod.reshape(moved.shape)
+                np.matmul(
+                    self._toeplitz,
+                    moved.reshape(live.size, m, -1),
+                    out=out.reshape(live.size, m, -1),
+                )
+                part = np.moveaxis(out, 1, ax)
+        if live.size < count:
             rows = stack.copy()
             rows[live] = part
+        elif self.weights is None:
+            return np.array(part)  # a result of its own, in grid order
+        else:
+            rows = moved_rows.reshape(self._shape)
+            rows[...] = part
         if self.weights is None:
-            return np.ascontiguousarray(rows)
+            return rows
         flat = rows.reshape(count, -1)
         return (self.weights @ flat).reshape((self.weights.shape[0],) + self._shape[1:])
 
@@ -370,7 +408,7 @@ class PreparedHeat:
         for lo, hi, own, wts in self._batches:
             nb = hi - lo
             work[: nb][self._corner] = stack[lo:hi]
-            part = np.fft.rfftn(work[:nb], axes=self._axes, out=spec[:nb])
+            part = self._forward(work[:nb], spec[:nb])
             for factor in self._factors:
                 part *= factor[lo:hi]
             if own is None:
@@ -384,7 +422,18 @@ class PreparedHeat:
             out[k : k + self._step] = self._inverse(sums[k : k + self._step])
         return out
 
+    def _forward(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The half spectra of a batch of padded rows, into out.  In 1D this
+        and _inverse call rfft and irfft themselves: rfftn and irfftn only
+        add argument handling, which costs about as much as the 9 inverse
+        transforms of a 1D sweep at M = 256."""
+        if len(self._axes) == 1:
+            return np.fft.rfft(rows, axis=1, out=out)
+        return np.fft.rfftn(rows, axes=self._axes, out=out)
+
     def _inverse(self, spec: np.ndarray) -> np.ndarray:
+        if len(self._axes) == 1:
+            return np.fft.irfft(spec, n=self._padded[0], axis=1)[self._corner]
         return np.fft.irfftn(spec, s=self._padded, axes=self._axes)[self._corner]
 
 

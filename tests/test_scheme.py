@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from singheat import (
     ConvergenceError,
+    GridFunction,
     HeatPropagator,
     Nonlinearity,
     ParameterError,
     Params,
     SolveConfig,
     TimeMesh,
+    Trajectory,
     apply_heat,
     contraction_window,
     duhamel_rule,
@@ -382,13 +384,14 @@ def test_picard_sweep_budget_enforced():
 
 def test_picard_looks_up_kernels_once_per_window_length(monkeypatch):
     # a window's lags depend on its length alone: the kernel lookups depend
-    # on the distinct window lengths, not on the windows or their sweeps
+    # on the distinct window lengths, not on the windows or their sweeps.
+    # Each prepared operator looks up all of its kernels in one call.
     lookups, released = [], []
     lookup = HeatPropagator._kernel_entry
     release = PreparedHeat.release
 
     def counted(self, t, length=None):
-        lookups.append(t)
+        lookups.append(np.size(t))
         return lookup(self, t, length)
 
     def counted_release(self):
@@ -408,7 +411,7 @@ def test_picard_looks_up_kernels_once_per_window_length(monkeypatch):
         lookups.clear()
         released.clear()
         traj = picard_solve(u0, nl, p, mesh, SolveConfig(eps_fp=eps))
-        counts.append(len(lookups))
+        counts.append((len(lookups), sum(lookups)))
         sweeps.append(traj.diagnostics["total_sweeps"])
         assert traj.diagnostics["windows"] == mesh.window_count == 5
         assert traj.diagnostics["window_plans"] == 2
@@ -416,9 +419,10 @@ def test_picard_looks_up_kernels_once_per_window_length(monkeypatch):
         # the end of the call the second's
         assert len(released) == 4 and all(op._workspace is None for op in released)
     assert sweeps[0] < sweeps[1]
-    # per length: one free-term lookup per target, one per (target, node) row
+    # per length: one lookup for the free term's operator, of one kernel per
+    # target, and one for the sweep's, of one kernel per (target, node) row
     targets = mesh.nodes_per_window + 1
-    assert counts[0] == counts[1] == 2 * targets * (1 + mesh.nodes_per_window)
+    assert counts[0] == counts[1] == (2 * 2, 2 * targets * (1 + mesh.nodes_per_window))
 
 
 def test_ladder_exact_window_plan_pads_to_the_kernel_reach():
@@ -517,6 +521,28 @@ def test_picard_matches_the_reference_on_two_window_lengths(points):
     assert (traj.diagnostics["windows"], traj.diagnostics["window_plans"]) == (5, 2)
 
 
+def test_picard_snapshots_are_arrays_of_their_own():
+    # the sweep reuses its arrays from window to window, and the plans' from
+    # call to call: a snapshot recorded at every boundary shares no memory
+    # with another, and a later call on the same plans leaves it unchanged
+    g = make_grid(1, 10.0, 64)
+    p = Params(q=0.5, gamma=0.3, n_dim=1)
+    nl = Nonlinearity.regularized(0.5, 4)
+    mesh = TimeMesh.build(0.5, 0.3, 0.125, must_include=(0.15,))
+    prop, plans = HeatPropagator(g), {}
+    traj = picard_solve(standard_data(g, "bump"), nl, p, mesh, propagator=prop, plans=plans)
+    values = [s.values for s in traj.snapshots]
+    assert len(values) == 1 + mesh.window_count
+    for i, a in enumerate(values):
+        for b in values[i + 1 :]:
+            assert not np.shares_memory(a, b)
+            assert not np.array_equal(a, b)
+    kept = [v.copy() for v in values]
+    picard_solve(standard_data(g, "const:2"), nl, p, mesh, propagator=prop, plans=plans)
+    for v, k in zip(values, kept):
+        np.testing.assert_array_equal(v, k)
+
+
 # ---------------------------------------------------------------------------
 # Monotone ladder
 # ---------------------------------------------------------------------------
@@ -585,6 +611,22 @@ def test_ladder_levels_share_their_window_plans(monkeypatch):
             np.testing.assert_allclose(b.values, a.values, rtol=0, atol=1e-15)
 
 
+def test_ladder_history_levels_share_no_memory():
+    g = make_grid(1, 12.0, 64)
+    p = Params(q=0.5, gamma=0.0, n_dim=1)
+    cfg = SolveConfig(n_schedule=(1, 2, 4))
+    traj = monotone_solve(
+        standard_data(g, "zero"), p, 0.25, cfg, record_times=(0.1, 0.25), keep_history=True
+    )
+    hist = traj.diagnostics["history"]
+    assert [n for n, _ in hist] == [1, 2, 4]
+    arrays = [a for _, snaps in hist for a in snaps]
+    assert len(arrays) == 3 * 3
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
+
+
 def test_monotone_ladder_early_stop():
     g = make_grid(1, 10.0, 64)
     p = Params(q=0.5, gamma=0.0, n_dim=1)
@@ -627,6 +669,29 @@ def test_trajectory_csv_and_metadata():
     import json
 
     json.dumps(meta)  # metadata must be JSON-serializable as-is
+
+
+def test_trajectory_csv_text_is_pinned():
+    # the exact bytes of a small 2D trajectory: nodes in C order over the
+    # axis meshes, values and coordinates as repr of their floats
+    g = make_grid(2, 1.0, 2)
+    p = Params(q=0.5, gamma=0.0, n_dim=2)
+    snaps = (
+        GridFunction(g, np.array([[0.0, 0.25], [1.0, 1.0 / 3.0]])),
+        GridFunction(g, np.array([[1e-20, 2.0], [0.1, 12345.678]])),
+    )
+    traj = Trajectory(grid=g, params=p, times=(0.0, 0.125), snapshots=snaps)
+    assert traj.to_csv_text() == (
+        "t,node_index,coord_1,coord_2,u\n"
+        "0.0,0,-0.5,-0.5,0.0\n"
+        "0.0,1,-0.5,0.5,0.25\n"
+        "0.0,2,0.5,-0.5,1.0\n"
+        "0.0,3,0.5,0.5,0.3333333333333333\n"
+        "0.125,0,-0.5,-0.5,1e-20\n"
+        "0.125,1,-0.5,0.5,2.0\n"
+        "0.125,2,0.5,-0.5,0.1\n"
+        "0.125,3,0.5,0.5,12345.678\n"
+    )
 
 
 def test_trajectory_snapshot_lookup_raises_off_knot():

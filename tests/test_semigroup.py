@@ -426,6 +426,61 @@ def test_direct_samples_have_no_subnormals(n_dim, points):
         np.testing.assert_array_equal(entry, np.where(raw < tiny, 0.0, raw))
 
 
+@pytest.mark.parametrize("n_dim,points", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("times", [_BATCH_TIMES, _BATCH_TIMES[_BATCH_TIMES > 0.0]])
+def test_direct_apply_results_own_their_memory(n_dim, points, times):
+    # the direct path multiplies in a workspace the operator keeps: no
+    # result shares memory with it, and a later apply leaves it unchanged
+    g = make_grid(n_dim, 6.0, points)
+    prop = HeatPropagator(g)
+    assert not prop._spectral
+    rng = np.random.default_rng(points)
+    for weights in (None, rng.uniform(0.0, 1.0, (2, times.size))):
+        op = prop.prepare(times, weights)
+        first = op.apply(rng.uniform(0.0, 1.0, (times.size,) + g.shape))
+        kept = first.copy()
+        second = op.apply(rng.uniform(0.0, 1.0, (times.size,) + g.shape))
+        assert not np.shares_memory(first, second)
+        assert not any(np.shares_memory(first, buf) for buf in op._workspace)
+        np.testing.assert_array_equal(first, kept)
+        op.release()
+        assert op._workspace is None
+        np.testing.assert_array_equal(op.apply(np.zeros((times.size,) + g.shape)), 0.0)
+
+
+@pytest.mark.parametrize(
+    "n_dim,points,spectral",
+    [(1, 256, True), (2, 24, True), (2, 64, False), (3, 32, False)],
+)
+def test_kernel_entry_on_a_time_array_stacks_the_scalar_calls(n_dim, points, spectral, monkeypatch):
+    # one pass over a time array builds, row by row, what one call per time
+    # builds: samples and factors, at the default and at a padded length
+    monkeypatch.setattr(semigroup, "_DIRECT_LIMIT", 0 if spectral else 10**6)
+    g = make_grid(n_dim, 8.0, points)
+    prop = HeatPropagator(g)
+    assert prop._spectral == spectral
+    times = np.array([1e-4, 1 / 32, 0.05, 0.3, 1.0])
+    samples = prop._axis_samples(times)
+    assert samples.shape == (times.size, 2 * points - 1)
+    np.testing.assert_array_equal(samples, np.stack([prop._axis_samples(t) for t in times]))
+    lengths = (None, semigroup._padded_length(points, g.h, 1.0)) if spectral else (None,)
+    for length in lengths:
+        batch = prop._kernel_entry(times, length)
+        rows = np.stack([prop._kernel_entry(float(t), length) for t in times])
+        assert batch.shape == rows.shape and batch.dtype == rows.dtype
+        np.testing.assert_allclose(batch, rows, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_dim,points", [(1, 64), (2, 16)])
+def test_kernel_entry_batch_names_its_truncating_time(n_dim, points):
+    g = make_grid(n_dim, 4.0, points)
+    prop = HeatPropagator(g)
+    with pytest.raises(TruncationError, match=r"t = 25\.0:"):
+        prop._kernel_entry(np.array([0.01, 0.5, 25.0, 0.02]))
+    with pytest.raises(TruncationError, match=r"t = 25\.0:"):
+        prop.prepare([0.01, 25.0])
+
+
 @pytest.mark.parametrize("n_dim,points", [(2, 40), (3, 12)])
 def test_spectral_and_direct_paths_agree(n_dim, points, monkeypatch):
     g = make_grid(n_dim, 6.0, points)
