@@ -52,7 +52,7 @@ __all__ = [
 # Pointwise operations
 # ---------------------------------------------------------------------------
 
-def g_n(values, n: int, q: float) -> np.ndarray:
+def g_n(values, n: int, q: float, out=None) -> np.ndarray:
     """Lipschitz regularization of r -> r^q.
 
     Linear with slope (2n)^{1-q} on [0, 1/(2n)], equal to r^q beyond; the two
@@ -63,7 +63,8 @@ def g_n(values, n: int, q: float) -> np.ndarray:
     The line lies below the power exactly up to the knee, so g_n is the
     smaller of the two.  Away from the knee that is bit for bit the branch
     value; within rounding of the knee the two branches agree to an ulp and
-    either may be returned.
+    either may be returned.  With out (an array of the input's shape that
+    does not overlap it), the result is written there and returned.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterError(f"regularization index n must be an integer >= 1 (got {n})")
@@ -72,9 +73,11 @@ def g_n(values, n: int, q: float) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.size and float(arr.min()) < 0.0:
         raise ParameterError("g_n expects non-negative input")
+    if out is None:
+        out = np.empty_like(arr)
     # one temporary besides the result: on a 72 x 256 sweep stack a second
     # one made this 4x slower (0.16 against 0.04 ms)
-    line = np.multiply(arr, (2.0 * n) ** (1.0 - q), out=np.empty_like(arr))
+    line = np.multiply(arr, (2.0 * n) ** (1.0 - q), out=out)
     return np.minimum(line, arr**q, out=line)
 
 
@@ -104,15 +107,21 @@ class Nonlinearity:
         if self.kind == "regularized" and (not isinstance(self.n, (int, np.integer)) or self.n < 1):
             raise ParameterError(f"regularized nonlinearity needs integer n >= 1 (got {self.n})")
 
-    def __call__(self, values) -> np.ndarray:
+    def __call__(self, values, out=None) -> np.ndarray:
+        """The source at values; with out, written into it as g_n does."""
+        if self.kind == "regularized":
+            return g_n(values, self.n, self.q, out)
+        arr = np.asarray(values, dtype=float)
         if self.kind == "zero":
-            return np.zeros_like(np.asarray(values, dtype=float))
-        if self.kind == "power":
-            arr = np.asarray(values, dtype=float)
+            res = np.zeros_like(arr)
+        else:
             if arr.size and float(arr.min()) < 0.0:
                 raise ParameterError("power nonlinearity expects non-negative input")
-            return arr**self.q
-        return g_n(values, self.n, self.q)
+            res = arr**self.q
+        if out is None:
+            return res
+        out[...] = res
+        return out
 
     @property
     def lipschitz(self) -> float | None:
@@ -484,11 +493,12 @@ def picard_solve(
     window's length (they are shift-invariant in time), so they are built
     once per distinct window length, in window-relative time, and reused by
     every window of that length and each of its sweeps.  The sweeps write
-    their stacks (the knots' fields, the interpolated sources and the
-    residual's difference) into arrays allocated once per call, and again
-    only when a plan's row or knot count changes.  Sweeps stop when
-    the largest nodewise update falls below config.eps_fp; exceeding the
-    sweep budget raises ConvergenceError.
+    their stacks (the knots' fields, the interpolated sources, their
+    nonlinearity values, weighted in place, and the residual's difference)
+    into arrays allocated once per call, and again only when a plan's row
+    or knot count changes.  Sweeps stop when the largest nodewise update
+    falls below config.eps_fp; exceeding the sweep budget raises
+    ConvergenceError.
 
     record_times selects which window boundaries are kept as snapshots
     (default: all of them).  Fields stay non-negative throughout; values are
@@ -536,9 +546,10 @@ def picard_solve(
     built = 0
     last = None
     # the sweep's arrays, allocated once per row and knot count of the plans:
-    # the knots' fields [u_left; state], their interpolated sources and the
+    # the knots' fields [u_left; state], their interpolated sources, the
+    # sources' nonlinearity values (weighted in place when gamma > 0) and the
     # residual's difference
-    stack = shape = sources = diff = None
+    stack = shape = sources = gvals = diff = None
     for widx, key in enumerate(keys):
         a = mesh.boundaries[widx]
         b = mesh.boundaries[widx + 1]
@@ -557,6 +568,7 @@ def picard_solve(
             shape = interp.shape  # (rows, knots): the window start and the targets
             stack = np.empty((shape[1],) + grid.shape)
             sources = np.empty((shape[0],) + grid.shape)
+            gvals = np.empty_like(sources)
             diff = np.empty((shape[1] - 1,) + grid.shape)
         state = stack[1:]
         free = prop.apply_heat_values(np.broadcast_to(u_left, state.shape), free_op)
@@ -567,7 +579,10 @@ def picard_solve(
         for _ in range(config.max_picard_sweeps):
             np.matmul(interp, stack.reshape(shape[1], -1), out=sources.reshape(shape[0], -1))
             np.maximum(sources, 0.0, out=sources)  # FFT rounding dust below 0
-            new_state = prop.apply_weighted_values(nonlinearity(sources), sweep, gam)
+            nonlinearity(sources, out=gvals)
+            if gam != 0.0:
+                gvals *= prop.weight_values(gam)
+            new_state = prop.apply_heat_values(gvals, sweep)
             new_state += free
             resid = float(np.max(np.abs(np.subtract(new_state, state, out=diff), out=diff)))
             state[...] = new_state

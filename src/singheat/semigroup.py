@@ -387,7 +387,10 @@ class PreparedHeat:
         """One forward transform per row and one inverse per output field.
         With weights, each batch's spectra go into the sums of the targets
         that weigh them, as one real matrix product on the complex values
-        viewed as float pairs."""
+        viewed as float pairs.  A batch of one row is added as that row
+        scaled by each target's weight instead: the same products and sums,
+        bit for bit, without the matmul's overhead (at 2D P = 320, 0.10
+        against 0.30 ms per row)."""
         if self._workspace is None:
             # allocated on first use, so that an operator replacing another
             # one (the Picard plan of the next window length or ladder level)
@@ -413,6 +416,8 @@ class PreparedHeat:
                 part *= factor[lo:hi]
             if own is None:
                 out[lo:hi] = self._inverse(part)
+            elif nb == 1:
+                flat_sums[own] += wts * part.view(float).reshape(1, -1)
             else:
                 flat_sums[own] += wts @ part.view(float).reshape(nb, -1)
         if self.weights is None:

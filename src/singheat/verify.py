@@ -51,6 +51,7 @@ from .scheme import (
     g_n,
     monotone_solve,
     picard_solve,
+    subsolution_coefficient,
     subsolution_w,
 )
 from .semigroup import HeatPropagator, apply_heat
@@ -143,7 +144,10 @@ def check_subsolution(
     At gamma = 0, q = 1/2 the two sides agree identically (the barrier is the
     exact extremal), so the margin there measures pure quadrature error.
     Each time's quadrature sum is one batched propagator call on the stack
-    of w(sigma_j)^q.
+    of w(sigma_j)^q.  Each row takes one power, as
+    lambda^q sigma^{q/(1-q)} (r + sqrt sigma)^{-gamma q/(1-q)}, and the
+    weight is multiplied into the stack in place, so the check holds one
+    stack.
     """
     params = Params(q=q, gamma=gamma, n_dim=n_dim)
     if half_width is None or points is None:
@@ -153,14 +157,20 @@ def check_subsolution(
     grid = make_grid(n_dim, half_width, points)
     prop = HeatPropagator(grid)
     radius = grid.radius_values()
+    lam_q = subsolution_coefficient(params) ** q
+    expo = gamma * q / (1.0 - q)
     per_time = {}
     worst = math.inf
     for t in times:
         sigs, wts = duhamel_rule(0.0, float(t), gamma, nodes)
         stack = np.empty((len(sigs),) + grid.shape)
-        for row, s in zip(stack, sigs):
-            np.power(subsolution_w(grid, params, float(s), radius).values, q, out=row)
-        acc = prop.apply_weighted_values(stack, float(t) - sigs, gamma, weights=wts[None])[0]
+        for row, s in zip(stack, sigs.tolist()):
+            np.add(radius, math.sqrt(s), out=row)
+            np.power(row, -expo, out=row)
+            row *= lam_q * s ** (q / (1.0 - q))
+        if gamma != 0.0:
+            stack *= prop.weight_values(gamma)
+        acc = prop.apply_heat_values(stack, float(t) - sigs, weights=wts[None])[0]
         target = subsolution_w(grid, params, float(t), radius).values
         mask = _trusted_mask(grid, float(t))
         m = float(np.min((acc - target)[mask]))
@@ -261,6 +271,8 @@ def check_comparison(
 # Singular Gronwall machinery
 # ---------------------------------------------------------------------------
 
+_VOLTERRA_BLOCK = 128  # nodes per block of volterra_extremal's forward substitution
+
 @dataclass(frozen=True)
 class GronwallInstance:
     """One inequality psi(t) <= a_const + m_const * integral_0^t
@@ -286,11 +298,26 @@ class GronwallInstance:
 def volterra_extremal(inst: GronwallInstance) -> tuple[np.ndarray, np.ndarray]:
     """Solve psi(t) = A + M integral_0^t psi(tau)(t - tau)^{-alpha} d tau.
 
-    Product integration: psi is piecewise linear on a uniform grid and the
+    Product integration (Linz, Analytical and Numerical Methods for Volterra
+    Equations, 1985): psi is piecewise linear on a uniform grid and the
     singular kernel is integrated exactly against that interpolant on each
-    subinterval, giving an implicit one-step recursion (the diagonal moment
-    is solved for).  This extremal equality solution is the largest function
-    satisfying the inequality of the instance.
+    subinterval.  Node i then satisfies
+    (1 - d) psi_i - M sum_{0<k<i} c[i-k] psi_k = A + M w_j[i-1] psi_0,
+    a lower-triangular Toeplitz system in psi_1..psi_n with d = M w_j1[0]
+    and c[l] = w_j[l-1] + w_j1[l].  It is solved by blocked forward
+    substitution, _VOLTERRA_BLOCK nodes at a time: a block's right-hand side
+    takes the history of the earlier nodes as one Toeplitz product (a
+    convolution with c), and the block is then the diagonal block's inverse
+    times it.  Every diagonal block of a Toeplitz matrix is the same matrix,
+    and the leading part of a lower-triangular inverse is the inverse of the
+    leading part, so one inverse, built once, serves every block including a
+    short last one.  That inverse is lower-triangular Toeplitz as well, so it
+    is held as its first column and applied as a convolution.  Nothing here
+    calls a threaded BLAS routine: with np.linalg.inv and a matrix product
+    in their place, the check running first in the verify pool took about
+    0.1 s instead of 0.01 s while the other thread also called BLAS.  This
+    extremal equality solution is the largest function satisfying the
+    inequality of the instance.
     """
     a_c, m_c, al = inst.a_const, inst.m_const, inst.alpha
     n = inst.steps
@@ -310,28 +337,40 @@ def volterra_extremal(inst: GronwallInstance) -> tuple[np.ndarray, np.ndarray]:
     p2 = (s1**e2 - s0**e2) / e2
     w_at_j = (p2 - s0 * p1) / dt
     w_at_j1 = (s1 * p1 - p2) / dt
-    psi = np.empty(n + 1)
-    psi[0] = a_c
     diag = m_c * w_at_j1[0]
     if diag >= 1.0:
         raise ParameterError(
             f"product-integration step too coarse: m_const * dt^(1-alpha) scale "
             f"{diag:.3g} >= 1; increase steps"
         )
-    with np.errstate(over="raise"):
-        try:
-            for i in range(1, n + 1):
-                # psi_{i-m} against w_at_j[m-1], m = 1..i, and psi_{i-m+1}
-                # against w_at_j1[m-1], m = 2..i: reversed views of psi
-                known = float(
-                    np.dot(psi[i - 1 :: -1], w_at_j[:i]) + np.dot(psi[i - 1 : 0 : -1], w_at_j1[1:i])
+    # c[l], the coefficient of psi_{i-l} in row i, for l = 1 .. n-1 (c[0] = 0)
+    c = np.zeros(n)
+    c[1:] = w_at_j[:-1] + w_at_j1[1:]
+    size = min(_VOLTERRA_BLOCK, n)
+    rhs = a_c + (m_c * a_c) * w_at_j  # rows 1..n, without their history
+    psi = np.empty(n + 1)
+    psi[0] = a_c
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the inverse of the diagonal block, by its first column: the block's
+        # own recursion on the unit vector
+        inv = np.empty(size)
+        inv[0] = 1.0 / (1.0 - diag)
+        for k in range(1, size):
+            inv[k] = m_c * float(np.dot(c[1 : k + 1], inv[k - 1 :: -1])) * inv[0]
+        for lo in range(1, n + 1, size):
+            hi = min(lo + size, n + 1)
+            b = rhs[lo - 1 : hi - 1]
+            if lo > 1:
+                # sum_{0<k<lo} c[i-k] psi_k for i = lo .. hi-1
+                b = b + m_c * np.convolve(c[1 : hi - 1], psi[1:lo], "valid")
+            psi[lo:hi] = np.convolve(inv[: hi - lo], b)[: hi - lo]
+            bad = np.flatnonzero(~np.isfinite(psi[lo:hi]))
+            if bad.size:
+                raise SeriesRangeError(
+                    f"extremal solution left the double-precision range near t = "
+                    f"{(lo + bad[0]) * dt:.3g} (alpha = {al}, m_const = {m_c}); "
+                    f"shrink t_end or m_const"
                 )
-                psi[i] = (a_c + m_c * known) / (1.0 - diag)
-        except FloatingPointError:
-            raise SeriesRangeError(
-                f"extremal solution left the double-precision range near t = "
-                f"{i * dt:.3g} (alpha = {al}, m_const = {m_c}); shrink t_end or m_const"
-            ) from None
     return t, psi
 
 

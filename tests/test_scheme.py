@@ -162,6 +162,10 @@ def test_nonlinearity_kinds():
     np.testing.assert_allclose(reg(vals), g_n(vals, 4, 0.5))
     np.testing.assert_allclose(pow_(vals), vals**0.5)
     np.testing.assert_array_equal(zero(vals), 0.0)
+    for nl in (reg, pow_, zero):
+        out = np.full_like(vals, np.nan)
+        assert nl(vals, out=out) is out
+        np.testing.assert_array_equal(out, nl(vals))
     assert reg.lipschitz == pytest.approx(1.5 * 8**0.5)
     assert pow_.lipschitz is None
     assert zero.lipschitz == 0.0

@@ -117,6 +117,62 @@ def test_comparison_check_light_and_data_ordering_guard():
 # Gronwall machinery
 # ---------------------------------------------------------------------------
 
+def _reference_volterra(inst):
+    """The product-integration recursion of volterra_extremal, solved one
+    node at a time."""
+    from singheat import SeriesRangeError
+
+    a_c, m_c, al = inst.a_const, inst.m_const, inst.alpha
+    n = inst.steps
+    dt = inst.t_end / n
+    e1, e2 = 1.0 - al, 2.0 - al
+    m_idx = np.arange(1, n + 1, dtype=float)
+    s0 = (m_idx - 1.0) * dt
+    s1 = m_idx * dt
+    p1 = (s1**e1 - s0**e1) / e1
+    p2 = (s1**e2 - s0**e2) / e2
+    w_at_j = (p2 - s0 * p1) / dt
+    w_at_j1 = (s1 * p1 - p2) / dt
+    psi = np.empty(n + 1)
+    psi[0] = a_c
+    diag = m_c * w_at_j1[0]
+    with np.errstate(over="raise"):
+        try:
+            for i in range(1, n + 1):
+                # psi_{i-m} against w_at_j[m-1], m = 1..i, and psi_{i-m+1}
+                # against w_at_j1[m-1], m = 2..i: reversed views of psi
+                known = float(
+                    np.dot(psi[i - 1 :: -1], w_at_j[:i]) + np.dot(psi[i - 1 : 0 : -1], w_at_j1[1:i])
+                )
+                psi[i] = (a_c + m_c * known) / (1.0 - diag)
+        except FloatingPointError:
+            raise SeriesRangeError(f"extremal solution left the range near t = {i * dt:.3g}") from None
+    return psi
+
+
+@pytest.mark.parametrize("steps", [8, 127, 128, 129, 1000, 2048])
+@pytest.mark.parametrize("alpha,m", [(0.0, 1.0), (0.3, 1.0), (0.5, 1.0), (0.8, 0.3)])
+def test_blocked_volterra_matches_the_recursion(alpha, m, steps):
+    inst = GronwallInstance(a_const=1.0, m_const=m, alpha=alpha, t_end=1.0, steps=steps)
+    t, psi = volterra_extremal(inst)
+    assert t.shape == psi.shape == (steps + 1,)
+    np.testing.assert_allclose(psi, _reference_volterra(inst), rtol=1e-12, atol=0)
+
+
+def test_blocked_volterra_zero_data_and_overflow():
+    from singheat import SeriesRangeError
+
+    _, psi = volterra_extremal(GronwallInstance(a_const=0.0, m_const=1.0, alpha=0.5, t_end=1.0))
+    assert np.all(psi == 0.0)
+    # psi grows like exp(800 t) and leaves the double range at the same node
+    # in both solves
+    inst = GronwallInstance(a_const=1.0, m_const=800.0, alpha=0.0, t_end=1.0)
+    with pytest.raises(SeriesRangeError, match=r"near t = 0\.876\b"):
+        _reference_volterra(inst)
+    with pytest.raises(SeriesRangeError, match=r"near t = 0\.876\b"):
+        volterra_extremal(inst)
+
+
 def test_volterra_alpha_zero_matches_exponential():
     inst = GronwallInstance(a_const=2.0, m_const=1.5, alpha=0.0, t_end=1.0)
     t, psi = volterra_extremal(inst)
@@ -346,10 +402,15 @@ def test_run_suite_converts_crashes_to_failing_reports(monkeypatch):
 
 
 def test_run_suite_parallel_matches_serial():
-    # three propagator checks at once, each on its own propagator
-    names = ["gronwall-exp", "gronwall-zero", "max-at-origin", "smoothing", "subsolution"]
+    # the nine light checks of the benchmark suite; the propagator checks run
+    # at once, each on its own propagator
+    names = [
+        "gronwall-exp", "gronwall-singular", "gronwall-zero", "heaviside", "lambda-limit",
+        "max-at-origin", "smoothing", "subsolution", "subsolution-2d",
+    ]
     serial = run_suite(names, jobs=1)
-    parallel = run_suite(names, jobs=3)
+    parallel = run_suite(names, jobs=2)
+    assert all(r.passed for r in serial)
     assert [r.name for r in serial] == [r.name for r in parallel]
     for a, b in zip(serial, parallel):
         assert a.margin == b.margin
