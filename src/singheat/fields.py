@@ -190,7 +190,11 @@ def weight_field(grid: Grid, gamma: float) -> GridFunction:
     smooth cross-section for a 32-point Gauss rule; the remaining cells with
     centers within 3h of the origin use a 32-point tensor Gauss rule, and the
     far field a 6-point tensor rule (the integrand is analytic there, with
-    the nearest singularity several cell widths away).
+    the nearest singularity several cell widths away).  The rules run over
+    the positive orthant only; each class of cells that permuting the axes
+    maps onto each other takes the value of one of them, and the other
+    orthants are its mirror images, so the field has the grid's symmetries
+    exactly.
     """
     if not (0.0 <= gamma < grid.n_dim):
         raise ParameterError(
@@ -251,40 +255,45 @@ def _single_cell_avg(center: tuple[float, ...], h: float, gamma: float, npts: in
 
 
 def _weight_nd(grid: Grid, gamma: float) -> np.ndarray:
+    """The cell averages of the positive orthant, made exactly symmetric
+    under permutations of the axes and mirrored onto the others."""
     h = grid.h
-    ax = grid.axis_nodes()
-    m = grid.points_per_axis
+    n = grid.n_dim
+    half = grid.points_per_axis // 2
+    ax = grid.axis_nodes()[half:]  # (k + 1/2) h, k = 0 .. M/2 - 1
     x, w = gauss_legendre(6)
     off = 0.5 * h * x
     wt = 0.5 * w
-    pts2 = (ax[:, None] + off[None, :]) ** 2  # (M, 6)
+    pts2 = (ax[:, None] + off[None, :]) ** 2  # (M/2, 6)
     p = -0.5 * gamma
-    out = np.empty(grid.shape)
-    if grid.n_dim == 2:
-        for i in range(m):
-            r2 = pts2[i][:, None, None] + pts2[None, :, :]  # (6, M, 6)
+    out = np.empty((half,) * n)
+    if n == 2:
+        for i in range(half):
+            r2 = pts2[i][:, None, None] + pts2[None, :, :]  # (6, M/2, 6)
             out[i] = np.einsum("a,b,ajb->j", wt, wt, r2**p)
     else:
-        for i in range(m):
+        for i in range(half):
             r2 = (
                 pts2[i][:, None, None, None, None]
                 + pts2[None, :, :, None, None]
                 + pts2[None, None, None, :, :]
-            )  # (6, M, 6, M, 6)
+            )  # (6, M/2, 6, M/2, 6)
             out[i] = np.einsum("a,b,c,ambnc->mn", wt, wt, wt, r2**p)
-    # refine cells whose centers lie within 3h of the origin
-    radius = grid.radius_values()
-    near = np.argwhere(radius <= 3.0 * h + 1e-12 * h)
-    mesh = grid.node_mesh()
-    corner_val = _corner_cell_avg(grid.n_dim, h, gamma)
-    tol = 1e-9 * h
-    for idx_arr in near:
-        idx = tuple(int(k) for k in idx_arr)
-        center = tuple(float(mm[idx]) for mm in mesh)
-        if all(abs(abs(c) - 0.5 * h) <= tol for c in center):
-            out[idx] = corner_val
+    # refine cells whose centers lie within 3h of the origin; the corner
+    # cell touches it
+    idx = np.indices(out.shape)
+    near = np.argwhere(np.sqrt(np.sum(ax[idx] ** 2, axis=0)) <= 3.0 * h + 1e-12 * h)
+    for cell in near:
+        if not cell.any():
+            out[tuple(cell)] = _corner_cell_avg(n, h, gamma)
         else:
-            out[idx] = _single_cell_avg(center, h, gamma, 32)
+            out[tuple(cell)] = _single_cell_avg(tuple(ax[cell].tolist()), h, gamma, 32)
+    # one value per class of cells that a permutation of the axes maps onto
+    # each other: the one at sorted indices
+    idx.sort(axis=0)
+    out = out[tuple(idx)]
+    for axis in range(n):
+        out = np.concatenate((np.flip(out, axis), out), axis=axis)
     return out
 
 

@@ -493,12 +493,14 @@ def picard_solve(
     window's length (they are shift-invariant in time), so they are built
     once per distinct window length, in window-relative time, and reused by
     every window of that length and each of its sweeps.  The sweeps write
-    their stacks (the knots' fields, the interpolated sources, their
-    nonlinearity values, weighted in place, and the residual's difference)
-    into arrays allocated once per call, and again only when a plan's row
-    or knot count changes.  Sweeps stop when the largest nodewise update
-    falls below config.eps_fp; exceeding the sweep budget raises
-    ConvergenceError.
+    their stacks (the knots' fields, the interpolated sources, one matmul
+    per sweep, and the residual's difference) into arrays allocated once
+    per call, and again only when a plan's row or knot count changes.  The
+    sources' nonlinearity values, weighted when gamma > 0, are never held
+    as a stack: the sweep operator asks for them batch by batch and they
+    are written straight into its workspace.  Sweeps stop when the largest
+    nodewise update falls below config.eps_fp; exceeding the sweep budget
+    raises ConvergenceError.
 
     record_times selects which window boundaries are kept as snapshots
     (default: all of them).  Fields stay non-negative throughout; values are
@@ -546,10 +548,20 @@ def picard_solve(
     built = 0
     last = None
     # the sweep's arrays, allocated once per row and knot count of the plans:
-    # the knots' fields [u_left; state], their interpolated sources, the
-    # sources' nonlinearity values (weighted in place when gamma > 0) and the
+    # the knots' fields [u_left; state], their interpolated sources and the
     # residual's difference
-    stack = shape = sources = gvals = diff = None
+    stack = shape = sources = diff = None
+    weight = prop.weight_values(gam) if gam != 0.0 else None
+
+    def source_rows(lo, hi, out):
+        # the sweep operator's producer: rows lo:hi of the weighted source,
+        # written into its workspace
+        rows = sources[lo:hi]
+        np.maximum(rows, 0.0, out=rows)  # FFT rounding dust below 0
+        nonlinearity(rows, out=out)
+        if weight is not None:
+            out *= weight
+
     for widx, key in enumerate(keys):
         a = mesh.boundaries[widx]
         b = mesh.boundaries[widx + 1]
@@ -568,7 +580,6 @@ def picard_solve(
             shape = interp.shape  # (rows, knots): the window start and the targets
             stack = np.empty((shape[1],) + grid.shape)
             sources = np.empty((shape[0],) + grid.shape)
-            gvals = np.empty_like(sources)
             diff = np.empty((shape[1] - 1,) + grid.shape)
         state = stack[1:]
         free = prop.apply_heat_values(np.broadcast_to(u_left, state.shape), free_op)
@@ -578,11 +589,7 @@ def picard_solve(
         resid = math.inf
         for _ in range(config.max_picard_sweeps):
             np.matmul(interp, stack.reshape(shape[1], -1), out=sources.reshape(shape[0], -1))
-            np.maximum(sources, 0.0, out=sources)  # FFT rounding dust below 0
-            nonlinearity(sources, out=gvals)
-            if gam != 0.0:
-                gvals *= prop.weight_values(gam)
-            new_state = prop.apply_heat_values(gvals, sweep)
+            new_state = prop.apply_heat_values(source_rows, sweep)
             new_state += free
             resid = float(np.max(np.abs(np.subtract(new_state, state, out=diff), out=diff)))
             state[...] = new_state

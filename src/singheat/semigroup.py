@@ -47,6 +47,17 @@ taken in the spectral domain, so J fields for T targets cost J forward and T
 inverse transforms.  Rows are transformed in batches sized by a fixed
 workspace budget, which keeps the padded arrays in cache; each batch is
 added only into the targets that weigh its rows.
+
+An apply takes the J fields as a stack or as a producer that writes each
+batch's rows into the operator's workspace, so a caller whose fields are
+computed (the Picard sweep's source values, the sub-solution check's
+barrier powers) never holds all J of them.  The FFT workspace pads the
+rows along the last axis only, and the transforms skip the lines that hold
+only padding.  Forward, rfft runs over the M^(N-1) lines of the last axis,
+then fft along each earlier axis over the lines that are non-zero so far;
+inverse, after each axis only the M lines that reach the box go on.  Both
+keep numpy's rfftn and irfftn axis order, so the sums are theirs bit for
+bit.
 """
 
 from __future__ import annotations
@@ -77,6 +88,7 @@ _KERNEL_REACH = 13.0
 _EXP_ZERO = -746.0
 # Padded-FFT workspace of one batch of rows.  Sized to stay in a core's L2
 # cache: transforms of a larger batch run slower per row than single ones.
+# The direct path asks a producer for as many rows per call as fit in it.
 _FFT_WORKSPACE_BYTES = 2**20
 
 
@@ -206,7 +218,7 @@ class HeatPropagator:
                 )
         return PreparedHeat(self, times, weights)
 
-    def apply_heat_values(self, values: np.ndarray, t, weights=None) -> np.ndarray:
+    def apply_heat_values(self, values, t, weights=None) -> np.ndarray:
         """S(t) applied to a value array of the grid's shape, or to a stack.
 
         With a scalar t, values has the grid's shape and the result is
@@ -215,7 +227,9 @@ class HeatPropagator:
         weights matrix instead returns the T sums
         sum_j weights[i, j] S(t[j]) values[j].  t may also be an operator
         from prepare(), which carries its own times and weights: a caller
-        applying the same times to many stacks prepares them once.
+        applying the same times to many stacks prepares them once.  With a
+        time array or an operator, values may also be a producer
+        fill(lo, hi, out) of the stack's rows (see PreparedHeat.apply).
         """
         if isinstance(t, PreparedHeat):
             if t.propagator is not self or weights is not None:
@@ -266,16 +280,19 @@ class PreparedHeat:
       the kernel of the largest time (see _padded_length); the per-row
       kernel factors at that length stacked into one (J, P) complex array
       ((J, P/2+1) in 1D), ones for t = 0 rows; the batches of rows whose
-      padded workspace fits _FFT_WORKSPACE_BYTES, each with the range of
-      targets that weigh its rows and that block of weights; and the padded
-      workspace, spectra and target spectra, allocated by the first apply
-      and reused by every later one until release().  One apply copies each
-      batch into the workspace, transforms it, multiplies it by the factors
-      once per axis (one broadcast multiply over the batch), adds weights @
-      spectra into its targets, and ends with the T inverse transforms.
+      padded spectra fit _FFT_WORKSPACE_BYTES, each with the range of
+      targets that weigh its rows and that block of weights; and the
+      workspace (the batch's rows, the same rows padded along the last
+      axis, their spectra and the target spectra), allocated by the first
+      apply and reused by every later one until release().  One apply
+      produces each batch into the workspace, transforms it (see
+      _forward), multiplies it by the factors once per axis (one broadcast
+      multiply over the batch), adds weights @ spectra into its targets,
+      and ends with the T inverse transforms.
     - Direct path: the stacked Toeplitz views of the rows with t > 0, and
-      two arrays of those rows, the moved input and the matmul output of
-      each axis, allocated by the first apply and reused until release().
+      two arrays, the J produced rows (the moved input of each later axis)
+      and the matmul output of the rows with t > 0, allocated by the first
+      apply and reused until release().
 
     The workspace makes an operator single-threaded: prepare one per thread.
     """
@@ -293,6 +310,7 @@ class PreparedHeat:
         if not prop._spectral:
             samples = prop._kernel_entry(times[live]) if live.size else np.empty((0, 2 * m - 1))
             self._toeplitz = sliding_window_view(samples, m, axis=1)[:, ::-1]
+            self._step = max(1, min(count, _FFT_WORKSPACE_BYTES // (8 * m**n)))
             return
         p = _padded_length(m, grid.h, float(times.max()))
         half = p // 2 + 1
@@ -318,8 +336,6 @@ class PreparedHeat:
             if hit.size:  # rows no target weighs are never transformed
                 own = slice(int(hit[0]), int(hit[-1]) + 1)
                 self._batches.append((lo, hi, own, np.ascontiguousarray(weights[own, lo:hi])))
-        self._axes = tuple(range(1, n + 1))
-        self._corner = (slice(None),) + (slice(0, m),) * n
         self._padded = (p,) * n
 
     def release(self) -> None:
@@ -327,42 +343,60 @@ class PreparedHeat:
         self._workspace = None
 
     def apply(self, values) -> np.ndarray:
-        """The T weighted sums (without weights, the J results) for one
-        (J, *grid) stack."""
-        stack = np.asarray(values, dtype=float)
-        if stack.shape != self._shape:
-            raise ParameterError(
-                f"stack shape {stack.shape} does not match {self._shape[0]} fields of grid "
-                f"shape {self._shape[1:]}"
-            )
-        if self.propagator._spectral:
-            return self._apply_spectral(stack)
-        return self._apply_direct(stack)
+        """The T weighted sums (without weights, the J results) of J fields.
 
-    def _apply_direct(self, stack: np.ndarray) -> np.ndarray:
+        values is a (J, *grid) stack, or a producer fill(lo, hi, out) that
+        writes fields lo .. hi - 1 into out, a contiguous (hi - lo, *grid)
+        view of the workspace.  The operator calls it once per batch of
+        rows, in order, so the caller never holds the whole stack.  A stack
+        is the producer that copies its rows.
+        """
+        if callable(values):
+            fill = values
+        else:
+            stack = np.asarray(values, dtype=float)
+            if stack.shape != self._shape:
+                raise ParameterError(
+                    f"stack shape {stack.shape} does not match {self._shape[0]} fields of "
+                    f"grid shape {self._shape[1:]}"
+                )
+
+            def fill(lo, hi, out):
+                out[...] = stack[lo:hi]
+
+        if self.propagator._spectral:
+            return self._apply_spectral(fill)
+        return self._apply_direct(fill)
+
+    def _apply_direct(self, fill) -> np.ndarray:
         """Zero-extended correlation of an axis with the 2M-1 normalized
         samples g is the product with the M x M Toeplitz matrix
         T[i, k] = g[k - i + M - 1], whose row i is the window g[M-1-i : 2M-1-i].
-        The rows with t > 0 are multiplied by their T (a sliding-window view
+        The rows are produced into a workspace of J rows, _step at a time.
+        Those with t > 0 are multiplied by their T (a sliding-window view
         of their samples, no copy) in one batched matmul per axis; rows with
         t = 0 pass through unchanged.  Each axis is moved to the front of a
-        row in one workspace array and multiplied into the other, both
+        row in the spent input and multiplied into a second array; both are
         allocated by the first apply and reused until release()."""
         count = self._shape[0]
         live = self._live
-        part = stack if live.size == count else stack[live]
+        if self._workspace is None:
+            cells = math.prod(self._shape[1:])
+            self._workspace = (np.empty(count * cells), np.empty(live.size * cells))
+        buf, prod = self._workspace
+        rows = buf.reshape(self._shape)
+        for lo in range(0, count, self._step):
+            fill(lo, min(lo + self._step, count), rows[lo : lo + self._step])
         if live.size:
             m = self.propagator.grid.points_per_axis
-            if self._workspace is None:
-                size = live.size * m ** (len(self._shape) - 1)
-                self._workspace = (np.empty(size), np.empty(size))
-            prod, moved_rows = self._workspace
+            part = rows if live.size == count else rows[live]
+            spent = part.reshape(-1)  # the input, free once the first axis is multiplied
             for ax in range(1, len(self._shape)):
                 moved = np.moveaxis(part, ax, 1)
                 if ax > 1:  # the previous axis's product, in this axis's order
-                    buf = moved_rows.reshape(moved.shape)
-                    buf[...] = moved
-                    moved = buf
+                    scratch = spent.reshape(moved.shape)
+                    scratch[...] = moved
+                    moved = scratch
                 out = prod.reshape(moved.shape)
                 np.matmul(
                     self._toeplitz,
@@ -370,27 +404,27 @@ class PreparedHeat:
                     out=out.reshape(live.size, m, -1),
                 )
                 part = np.moveaxis(out, 1, ax)
-        if live.size < count:
-            rows = stack.copy()
-            rows[live] = part
-        elif self.weights is None:
-            return np.array(part)  # a result of its own, in grid order
-        else:
-            rows = moved_rows.reshape(self._shape)
-            rows[...] = part
+            if live.size == count:
+                rows[...] = part
+            else:
+                rows[live] = part
         if self.weights is None:
-            return rows
+            return rows.copy()
         flat = rows.reshape(count, -1)
         return (self.weights @ flat).reshape((self.weights.shape[0],) + self._shape[1:])
 
-    def _apply_spectral(self, stack: np.ndarray) -> np.ndarray:
+    def _apply_spectral(self, fill) -> np.ndarray:
         """One forward transform per row and one inverse per output field.
-        With weights, each batch's spectra go into the sums of the targets
-        that weigh them, as one real matrix product on the complex values
-        viewed as float pairs.  A batch of one row is added as that row
-        scaled by each target's weight instead: the same products and sums,
-        bit for bit, without the matmul's overhead (at 2D P = 320, 0.10
-        against 0.30 ms per row)."""
+        Each batch is produced into a contiguous array and copied into a
+        workspace padded along the last axis only, whose padding stays
+        zero: the producer's elementwise passes run slower on a strided
+        view (g_n on a 2D M = 192 row: 70 us more).  With weights, each
+        batch's spectra go into the sums of the targets that weigh them, as
+        one real matrix product on the complex values viewed as float
+        pairs.  A batch of one row is added as that row scaled by each
+        target's weight instead: the same products and sums, bit for bit,
+        without the matmul's overhead (at 2D P = 320, 0.10 against 0.30 ms
+        per row)."""
         if self._workspace is None:
             # allocated on first use, so that an operator replacing another
             # one (the Picard plan of the next window length or ladder level)
@@ -398,11 +432,12 @@ class PreparedHeat:
             half = self._padded[:-1] + (self._padded[-1] // 2 + 1,)
             targets = 0 if self.weights is None else self.weights.shape[0]
             self._workspace = (
-                np.zeros((self._step,) + self._padded),
+                np.empty((self._step,) + self._shape[1:]),
+                np.zeros((self._step,) + self._shape[1:-1] + self._padded[-1:]),
                 np.empty((self._step,) + half, dtype=complex),
                 np.empty((targets,) + half, dtype=complex),
             )
-        work, spec, sums = self._workspace
+        rows, work, spec, sums = self._workspace
         if self.weights is None:
             out = np.empty(self._shape)
         else:
@@ -410,7 +445,8 @@ class PreparedHeat:
             flat_sums = sums.view(float).reshape(sums.shape[0], -1)
         for lo, hi, own, wts in self._batches:
             nb = hi - lo
-            work[: nb][self._corner] = stack[lo:hi]
+            fill(lo, hi, rows[:nb])
+            work[:nb, ..., : self._shape[-1]] = rows[:nb]
             part = self._forward(work[:nb], spec[:nb])
             for factor in self._factors:
                 part *= factor[lo:hi]
@@ -428,18 +464,38 @@ class PreparedHeat:
         return out
 
     def _forward(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The half spectra of a batch of padded rows, into out.  In 1D this
-        and _inverse call rfft and irfft themselves: rfftn and irfftn only
-        add argument handling, which costs about as much as the 9 inverse
-        transforms of a 1D sweep at M = 256."""
-        if len(self._axes) == 1:
+        """The half spectra of a batch of rows zero-padded to P points per
+        axis, into out: what rfftn computes, in its axis order, transforming
+        only the lines that hold data.  rows holds the M^(N-1) lines of the
+        last axis, padded to P (numpy transforms a padded line faster than
+        it pads one itself); the lines of each earlier axis that are
+        non-zero so far are padded with zeros in place and transformed
+        there.  rfft and fft are called directly: rfftn only adds argument
+        handling, which costs about as much as the 9 inverse transforms of a
+        1D sweep at M = 256."""
+        n = rows.ndim - 1
+        if n == 1:
             return np.fft.rfft(rows, axis=1, out=out)
-        return np.fft.rfftn(rows, axes=self._axes, out=out)
+        m = rows.shape[1]
+        np.fft.rfft(rows, axis=n, out=out[(slice(None),) + (slice(0, m),) * (n - 1)])
+        for ax in range(n - 1, 0, -1):
+            lines = out[(slice(None),) + (slice(0, m),) * (ax - 1)]
+            lines[(slice(None),) * ax + (slice(m, None),)] = 0.0
+            np.fft.fft(lines, axis=ax, out=lines)
+        return out
 
     def _inverse(self, spec: np.ndarray) -> np.ndarray:
-        if len(self._axes) == 1:
-            return np.fft.irfft(spec, n=self._padded[0], axis=1)[self._corner]
-        return np.fft.irfftn(spec, s=self._padded, axes=self._axes)[self._corner]
+        """The box of the inverse transforms of a batch of half spectra, as
+        irfftn computes it, in its axis order: after each axis only the
+        first M lines, which the box holds, go on to the next.  Overwrites
+        spec."""
+        n = spec.ndim - 1
+        p = self._padded[0]
+        m = self._shape[1]
+        for ax in range(1, n):
+            np.fft.ifft(spec, axis=ax, out=spec)
+            spec = spec[(slice(None),) * ax + (slice(0, m),)]
+        return np.fft.irfft(spec, n=p, axis=n)[..., :m]
 
 
 def apply_heat(f: GridFunction, t: float, eps_tail: float = 1e-10) -> GridFunction:

@@ -143,11 +143,12 @@ def check_subsolution(
 
     At gamma = 0, q = 1/2 the two sides agree identically (the barrier is the
     exact extremal), so the margin there measures pure quadrature error.
-    Each time's quadrature sum is one batched propagator call on the stack
-    of w(sigma_j)^q.  Each row takes one power, as
-    lambda^q sigma^{q/(1-q)} (r + sqrt sigma)^{-gamma q/(1-q)}, and the
-    weight is multiplied into the stack in place, so the check holds one
-    stack.
+    Each time's quadrature sum is one batched propagator call, whose
+    producer writes each batch's rows of w(sigma_j)^q straight into the
+    operator's workspace, so the check holds no stack.  A row is
+    lambda^q sigma^{q/(1-q)} (r + sqrt sigma)^{-gamma q/(1-q)}: one power per
+    distinct radius (the grid's mirror symmetry leaves 3498 of 36864 in 2D
+    at M = 192), gathered onto the grid, then multiplied by the weight.
     """
     params = Params(q=q, gamma=gamma, n_dim=n_dim)
     if half_width is None or points is None:
@@ -157,20 +158,25 @@ def check_subsolution(
     grid = make_grid(n_dim, half_width, points)
     prop = HeatPropagator(grid)
     radius = grid.radius_values()
+    radii, where = np.unique(radius, return_inverse=True)
+    where = where.reshape(grid.shape)  # numpy 2.x releases disagree on its shape
+    weight = prop.weight_values(gamma) if gamma != 0.0 else None
     lam_q = subsolution_coefficient(params) ** q
     expo = gamma * q / (1.0 - q)
     per_time = {}
     worst = math.inf
     for t in times:
         sigs, wts = duhamel_rule(0.0, float(t), gamma, nodes)
-        stack = np.empty((len(sigs),) + grid.shape)
-        for row, s in zip(stack, sigs.tolist()):
-            np.add(radius, math.sqrt(s), out=row)
-            np.power(row, -expo, out=row)
-            row *= lam_q * s ** (q / (1.0 - q))
-        if gamma != 0.0:
-            stack *= prop.weight_values(gamma)
-        acc = prop.apply_heat_values(stack, float(t) - sigs, weights=wts[None])[0]
+
+        def fill(lo, hi, out, sig_list=sigs.tolist()):
+            for row, s in zip(out, sig_list[lo:hi]):
+                vals = np.power(radii + math.sqrt(s), -expo)
+                vals *= lam_q * s ** (q / (1.0 - q))
+                np.take(vals, where, out=row)
+            if weight is not None:
+                out *= weight
+
+        acc = prop.apply_heat_values(fill, float(t) - sigs, weights=wts[None])[0]
         target = subsolution_w(grid, params, float(t), radius).values
         mask = _trusted_mask(grid, float(t))
         m = float(np.min((acc - target)[mask]))

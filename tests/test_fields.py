@@ -19,6 +19,7 @@ from singheat import (
     sup_norm,
     weight_field,
 )
+from singheat.fields import _corner_cell_avg, _single_cell_avg, gauss_legendre
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +235,51 @@ def test_weight_3d_corner_cell_is_finite_and_positive():
     assert np.all(w > 0)
     # corner cells carry the largest average
     assert w[2, 2, 2] == np.max(w)
+
+
+def _per_cell_weight(grid, gamma):
+    """The weight field by the per-cell rule applied to every cell of the
+    grid, each orthant on its own: the reference that the orthant-and-mirror
+    construction must reproduce to rounding."""
+    h = grid.h
+    ax = grid.axis_nodes()
+    x, w = gauss_legendre(6)
+    off = 0.5 * h * x
+    wt = 0.5 * w
+    pts2 = (ax[:, None] + off[None, :]) ** 2
+    p = -0.5 * gamma
+    out = np.empty(grid.shape)
+    for i in range(grid.points_per_axis):
+        if grid.n_dim == 2:
+            r2 = pts2[i][:, None, None] + pts2[None, :, :]
+            out[i] = np.einsum("a,b,ajb->j", wt, wt, r2**p)
+        else:
+            r2 = (
+                pts2[i][:, None, None, None, None]
+                + pts2[None, :, :, None, None]
+                + pts2[None, None, None, :, :]
+            )
+            out[i] = np.einsum("a,b,c,ambnc->mn", wt, wt, wt, r2**p)
+    mesh = grid.node_mesh()
+    for idx in map(tuple, np.argwhere(grid.radius_values() <= 3.0 * h + 1e-12 * h)):
+        center = tuple(float(m[idx]) for m in mesh)
+        if all(abs(abs(c) - 0.5 * h) <= 1e-9 * h for c in center):
+            out[idx] = _corner_cell_avg(grid.n_dim, h, gamma)
+        else:
+            out[idx] = _single_cell_avg(center, h, gamma, 32)
+    return out
+
+
+@pytest.mark.parametrize("n_dim,points", [(2, 8), (2, 64), (2, 192), (3, 8), (3, 32)])
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 1.2])
+def test_weight_field_is_exactly_symmetric_and_matches_the_per_cell_rule(n_dim, points, gamma):
+    g = make_grid(n_dim, 10.0, points)
+    w = weight_field(g, gamma).values
+    for axis in range(n_dim):  # mirror images and axis swaps are bit for bit equal
+        np.testing.assert_array_equal(w, np.flip(w, axis))
+        np.testing.assert_array_equal(w, np.swapaxes(w, axis, (axis + 1) % n_dim))
+    ref = _per_cell_weight(g, gamma)
+    assert np.max(np.abs(w - ref) / ref) <= 1e-14
 
 
 def test_weight_rejects_gamma_out_of_range(grid_1d):

@@ -310,6 +310,89 @@ def test_prepared_apply_equals_per_row_construction(
             np.testing.assert_array_equal(out[3], 0.0)  # the all-zero weight row
 
 
+@pytest.mark.parametrize(
+    "n_dim,points,spectral,batch_rows",
+    [
+        (1, 256, True, None),  # one batch of every row
+        (1, 256, True, 1),
+        (2, 136, True, None),  # one-row batches at the default workspace
+        (2, 24, True, 2),
+        (3, 12, True, None),  # batches of 4 rows and 1
+        (3, 12, True, 1),
+        (2, 64, False, None),  # producer chunks of every row
+        (2, 64, False, 1),
+        (3, 32, False, None),  # chunks of 4 rows and 1
+        (3, 32, False, 1),
+    ],
+)
+@pytest.mark.parametrize("gamma", [0.0, 0.4])
+def test_producer_apply_equals_stack_apply(
+    n_dim, points, spectral, batch_rows, gamma, monkeypatch
+):
+    # a producer that writes the rows of a stack gives that stack's result
+    # bit for bit, on both paths, with and without weights and with a t = 0
+    # row; the operator asks for every row once, in order, and hands the
+    # producer views of its own workspace
+    monkeypatch.setattr(semigroup, "_DIRECT_LIMIT", 0 if spectral else 10**6)
+    g = make_grid(n_dim, 6.0, points)
+    if batch_rows is not None:
+        # the FFT workspace holds batch_rows padded rows; the direct path
+        # asks for as many unpadded rows as the same budget holds
+        p = semigroup._padded_length(points, g.h, float(_BATCH_TIMES.max()))
+        row_bytes = 16 * p**n_dim if spectral else 8 * points**n_dim
+        monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * row_bytes)
+    prop = HeatPropagator(g)
+    assert prop._spectral == spectral
+    rng = np.random.default_rng(7 * n_dim + points)
+    stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + g.shape)
+    weight = prop.weight_values(gamma) if gamma else None
+    for weights in (None, _BATCH_WEIGHTS):
+        op = prop.prepare(_BATCH_TIMES, weights)
+        if batch_rows is not None:
+            assert op._step == batch_rows
+        calls = []
+
+        def fill(lo, hi, out):
+            calls.append((lo, hi))
+            assert out.shape == (hi - lo,) + g.shape
+            assert any(np.shares_memory(out, buf) for buf in op._workspace)
+            for k, row in enumerate(out):
+                row[...] = stack[lo + k] * weight if gamma else stack[lo + k]
+
+        produced = prop.apply_heat_values(fill, op)
+        ref = prop.apply_weighted_values(stack, op, gamma)
+        np.testing.assert_array_equal(produced, ref)
+        # every column of _BATCH_WEIGHTS is weighted, so no batch is skipped
+        count, step = _BATCH_TIMES.size, op._step
+        assert calls == [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+@pytest.mark.parametrize("n_dim,points", [(1, 64), (2, 24), (2, 40), (3, 12), (3, 16)])
+@pytest.mark.parametrize("t_max", [0.02, 1.0])
+def test_pruned_transforms_equal_numpys(n_dim, points, t_max, monkeypatch):
+    # the forward transform of the rows padded along the last axis is rfftn
+    # of the rows zero-padded to P per axis, and the inverse is irfftn cut
+    # to the box, both bit for bit, at P < 2M and at P = 2M
+    monkeypatch.setattr(semigroup, "_DIRECT_LIMIT", 0)
+    g = make_grid(n_dim, 6.0, points)
+    op = HeatPropagator(g).prepare(_BATCH_TIMES * t_max)
+    p = op._padded[-1]
+    assert p < 2 * points if t_max < 1.0 else p == 2 * points
+    rng = np.random.default_rng(points)
+    rows = rng.uniform(-1.0, 1.0, (3,) + g.shape)
+    padded = np.zeros((3,) + (p,) * n_dim)
+    box = (slice(None),) + (slice(0, points),) * n_dim
+    padded[box] = rows
+    axes = tuple(range(1, n_dim + 1))
+    ref = np.fft.rfftn(padded, axes=axes)
+    out = np.full(ref.shape, np.nan, dtype=complex)  # the transform must write every value
+    lines = padded[(slice(None),) + (slice(0, points),) * (n_dim - 1)]  # the workspace's rows
+    np.testing.assert_array_equal(op._forward(lines, out), ref)
+    spec = rng.uniform(-1.0, 1.0, ref.shape) + 1j * rng.uniform(-1.0, 1.0, ref.shape)
+    inv_ref = np.fft.irfftn(spec, s=(p,) * n_dim, axes=axes)[box]
+    np.testing.assert_array_equal(op._inverse(spec.copy()), inv_ref)
+
+
 @pytest.mark.parametrize("n_dim,points", [(1, 256), (2, 24), (3, 12)])
 @pytest.mark.parametrize("t_max", [0.02, 1.0])
 def test_padded_length_leaves_the_operator_unchanged(n_dim, points, t_max, monkeypatch):

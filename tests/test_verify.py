@@ -1,6 +1,8 @@
 """The check library: each inequality check on light instances, plus failure
 and error paths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,20 @@ def test_subsolution_check_passes_at_reference_point():
     rep = check_subsolution(0.5, 0.3, 1, times=(0.25, 1.0))
     assert rep.passed
     assert rep.margin > 0
+
+
+def test_subsolution_check_holds_no_stack():
+    # the 2D check of the default suite writes its rows of w^q into the
+    # operator's workspace batch by batch; a (32, 192, 192) stack of them
+    # alone would be 9.4 MB (the peak was 19.2 MB while it held one)
+    tracemalloc.start()
+    try:
+        rep = check_subsolution(0.3, 0.5, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 8e6
 
 
 def test_subsolution_check_gamma_zero_equality_case():
