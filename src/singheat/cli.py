@@ -48,7 +48,6 @@ _DEFAULTS: dict = {
     "window_cap": 0.25,
     "u0": "bump",
     "record": None,
-    "jobs": None,
 }
 
 _DATA_NAMES = ("zero", "const", "bump", "gauss", "step")
@@ -63,7 +62,7 @@ _COMMANDS: dict = {
     "solve": ("march one problem and write the trajectory",
               ("q", "gamma", "dim", "half_width", "points", "t_end", "n_schedule", "eps_fp",
                "nodes_per_window", "window_cap", "u0", "record", "out")),
-    "verify": ("run checks; exit 0 only if all pass", ("suite", "json_path", "jobs")),
+    "verify": ("run checks; exit 0 only if all pass", ("suite", "json_path")),
     "sweep": ("constants along a parameter segment",
               ("q", "gamma", "dim", "param", "start", "stop", "count", "json_path")),
 }
@@ -96,7 +95,6 @@ class RunConfig:
     start: "float | None" = None
     stop: "float | None" = None
     count: "int | None" = None
-    jobs: "int | None" = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -124,8 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "record": ("--record", {"help": "comma list of snapshot times (default: t_end)"}),
         "out": ("--out", {"required": True, "help": "CSV output path (JSON sidecar alongside)"}),
         "suite": ("--suite", {"default": "all", "help": "'all' or comma list of check names"}),
-        "jobs": ("--jobs", {
-            "type": int, "help": "parallel workers (default: SINGHEAT_JOBS or CPU count)"}),
         "param": ("--param", {
             "required": True, "choices": ("gamma", "q"), "help": "which parameter to sweep"}),
         "start": ("--start", {"required": True, "type": float, "help": "first value"}),
@@ -144,9 +140,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _number(key: str, value, kind, fail):
-    """A flag, config-file or environment value as a float, or as an int when
-    kind is int; anything else (text, a bool, a non-integral value for an
-    int) is a usage error naming key."""
+    """A flag or config-file value as a float, or as an int when kind is
+    int; anything else (text, a bool, a non-integral value for an int) is a
+    usage error naming key."""
     try:
         num = float(value)
     except (TypeError, ValueError):
@@ -254,8 +250,10 @@ def parse_config(argv: "Sequence[str] | None" = None) -> RunConfig:
             fail(f"config: {args.config} must hold a JSON object")
         for key, val in loaded.items():
             if key not in merged:
+                expect = (f"expect one of {', '.join(sorted(merged))}" if merged
+                          else f"{command} takes no config keys")
                 fail(f"config: key {key!r} in {args.config} is not an option of {command} "
-                     f"(expect one of {', '.join(sorted(merged))})")
+                     f"({expect})")
             merged[key] = val
     for key in merged:
         flag_val = getattr(args, key)
@@ -280,21 +278,14 @@ def parse_config(argv: "Sequence[str] | None" = None) -> RunConfig:
         opts.update(_solve_options(merged, dim, fail))
 
     if command == "verify":
-        key, jobs_val = "jobs", merged["jobs"]
-        if jobs_val is None:
-            key, jobs_val = "SINGHEAT_JOBS", os.environ.get("SINGHEAT_JOBS")
-        jobs = opts["jobs"] = (
-            (os.cpu_count() or 1) if jobs_val is None else _number(key, jobs_val, int, fail)
-        )
-        if jobs < 1:
-            fail(f"jobs: must be >= 1 (got {jobs})")
         opts["suite"] = None
         if args.suite != "all":
             suite = opts["suite"] = tuple(s.strip() for s in args.suite.split(",") if s.strip())
-            unknown = [s for s in suite if s not in default_suite()]
+            available = default_suite()
+            unknown = [s for s in suite if s not in available]
             if unknown:
                 fail(f"suite: unknown check name(s) {unknown}; "
-                     f"available: {', '.join(sorted(default_suite()))}")
+                     f"available: {', '.join(sorted(available))}")
 
     if command == "sweep":
         for key in ("start", "stop"):
@@ -385,7 +376,7 @@ def run(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command == "verify":
-        reports = run_suite(cfg.suite, jobs=cfg.jobs)
+        reports = run_suite(cfg.suite)
         for rep in reports:
             sys.stdout.write(rep.summary_line() + "\n")
         if cfg.json_path:

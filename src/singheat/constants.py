@@ -269,20 +269,24 @@ class GammaStarResult(NamedTuple):
     lambda_value: float
 
 
-def gamma_star(q: float, n_dim: int, scan_points: int = 256, value_tol: float = 1e-8) -> GammaStarResult:
+_GAMMA_STAR_SCAN = 256  # interior points of gamma_star's uniform scan
+_GAMMA_STAR_TOL = 1e-8  # |lambda - 1| at which gamma_star's bisection stops
+
+
+def gamma_star(q: float, n_dim: int) -> GammaStarResult:
     """Smallest gamma with lambda_gamma(q, gamma, n_dim) = 1.
 
-    A uniform scan over (0, gamma_sup) locates the first sign change of
-    lambda - 1 without assuming monotonicity, and bisection refines it until
-    |lambda - 1| <= value_tol.  If the scan sees no crossing the result
-    carries the right endpoint and crossed=False.
+    A uniform scan of _GAMMA_STAR_SCAN points over (0, gamma_sup) locates
+    the first sign change of lambda - 1 without assuming monotonicity, and
+    bisection refines it until |lambda - 1| <= _GAMMA_STAR_TOL.  If the scan
+    sees no crossing the result carries the right endpoint and crossed=False.
     """
     if not (0.0 < q < 1.0):
         raise ParameterError(f"q must lie in (0, 1) (got {q})")
     if n_dim not in (1, 2, 3):
         raise ParameterError(f"n_dim must be one of 1, 2, 3 (got {n_dim})")
     g_sup = float(min(2, n_dim))
-    grid = g_sup * (np.arange(1, scan_points + 1)) / (scan_points + 1)
+    grid = g_sup * (np.arange(1, _GAMMA_STAR_SCAN + 1)) / (_GAMMA_STAR_SCAN + 1)
     lo = grid[0] * 1e-3  # lambda -> q < 1 as gamma -> 0, so the left end is below 1
     f_lo = lambda_gamma(q, float(lo), n_dim) - 1.0
     if f_lo >= 0.0:
@@ -302,7 +306,7 @@ def gamma_star(q: float, n_dim: int, scan_points: int = 256, value_tol: float = 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = lambda_gamma(q, mid, n_dim) - 1.0
-        if abs(f_mid) <= value_tol:
+        if abs(f_mid) <= _GAMMA_STAR_TOL:
             return GammaStarResult(value=mid, crossed=True, lambda_value=f_mid + 1.0)
         if f_mid < 0.0:
             lo = mid

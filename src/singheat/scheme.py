@@ -47,6 +47,9 @@ __all__ = [
     "subsolution_w",
 ]
 
+# Picard sweeps a window may take before it counts as stalled.
+_MAX_PICARD_SWEEPS = 80
+
 
 # ---------------------------------------------------------------------------
 # Pointwise operations
@@ -328,21 +331,23 @@ class TimeMesh:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Numerical knobs of the marching scheme."""
+    """Numerical knobs of the marching scheme.
+
+    Two settings are constants, not fields: a window still short of eps_fp
+    after _MAX_PICARD_SWEEPS sweeps raises ConvergenceError, and a kernel
+    whose raw mass falls short of 1 by more than semigroup._EPS_TAIL raises
+    TruncationError.
+    """
 
     eps_fp: float = 1e-8
-    max_picard_sweeps: int = 80
     nodes_per_window: int = 8
     n_schedule: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64)
-    eps_tail: float = 1e-10
     window_cap: float = 0.25
     contraction_theta: float = 0.5
 
     def __post_init__(self) -> None:
         if not (0.0 < self.eps_fp < 1.0):
             raise ParameterError(f"eps_fp must lie in (0, 1) (got {self.eps_fp})")
-        if self.max_picard_sweeps < 1:
-            raise ParameterError("max_picard_sweeps must be >= 1")
         if self.nodes_per_window < 2:
             raise ParameterError("nodes_per_window must be >= 2")
         sched = tuple(int(n) for n in self.n_schedule)
@@ -354,8 +359,6 @@ class SolveConfig:
                 f"(got {self.n_schedule})"
             )
         object.__setattr__(self, "n_schedule", sched)
-        if not (0.0 < self.eps_tail < 1.0):
-            raise ParameterError("eps_tail must lie in (0, 1)")
         if not (self.window_cap > 0.0):
             raise ParameterError("window_cap must be positive")
         if not (0.0 < self.contraction_theta < 1.0):
@@ -499,8 +502,8 @@ def picard_solve(
     sources' nonlinearity values, weighted when gamma > 0, are never held
     as a stack: the sweep operator asks for them batch by batch and they
     are written straight into its workspace.  Sweeps stop when the largest
-    nodewise update falls below config.eps_fp; exceeding the sweep budget
-    raises ConvergenceError.
+    nodewise update falls below config.eps_fp; a window that needs more than
+    _MAX_PICARD_SWEEPS sweeps raises ConvergenceError.
 
     record_times selects which window boundaries are kept as snapshots
     (default: all of them).  Fields stay non-negative throughout; values are
@@ -520,7 +523,7 @@ def picard_solve(
         raise ParameterError(
             f"mesh was graded for gamma = {mesh.gamma}, params carry {params.gamma}"
         )
-    prop = HeatPropagator(grid, config.eps_tail) if propagator is None else propagator
+    prop = HeatPropagator(grid) if propagator is None else propagator
     if prop.grid != grid:
         raise ParameterError("the propagator belongs to another grid")
     plans = {} if plans is None else plans
@@ -587,7 +590,7 @@ def picard_solve(
         state[...] = free
         converged = False
         resid = math.inf
-        for _ in range(config.max_picard_sweeps):
+        for _ in range(_MAX_PICARD_SWEEPS):
             np.matmul(interp, stack.reshape(shape[1], -1), out=sources.reshape(shape[0], -1))
             new_state = prop.apply_heat_values(source_rows, sweep)
             new_state += free
@@ -600,7 +603,7 @@ def picard_solve(
         if not converged:
             raise ConvergenceError(
                 f"Picard window [{a:.6g}, {b:.6g}] stalled at residual {resid:.3g} "
-                f"after {config.max_picard_sweeps} sweeps (eps_fp = {config.eps_fp})"
+                f"after {_MAX_PICARD_SWEEPS} sweeps (eps_fp = {config.eps_fp})"
             )
         worst_resid = max(worst_resid, resid)
         u_left = state[-1].copy()
@@ -657,7 +660,7 @@ def monotone_solve(
     gaps: list[float] = []
     worst_violation = 0.0
     history: list[tuple[int, tuple[np.ndarray, ...]]] = []
-    prop = HeatPropagator(u0.grid, config.eps_tail)
+    prop = HeatPropagator(u0.grid)
     plans: dict[float, tuple] = {}
     built = 0
     for n in config.n_schedule:

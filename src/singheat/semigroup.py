@@ -10,9 +10,9 @@ The sampled kernel is renormalized to unit discrete mass.  That keeps the
 discrete operator an L-infinity contraction that preserves constants exactly,
 and makes the t -> 0 limit the identity even when h is too coarse to resolve
 the kernel.  Renormalization is refused (TruncationError) when the raw mass
-falls short of 1 by more than eps_tail, i.e. when the box itself truncates
-the kernel: results past that point would be quantitatively wrong, not just
-smoothed.
+falls short of 1 by more than _EPS_TAIL = 1e-10, i.e. when the box itself
+truncates the kernel: results past that point would be quantitatively wrong,
+not just smoothed.
 
 1D grids, and 2D and 3D grids of more than 128 points per axis, use FFTs on
 a zero-padded box; smaller 2D and 3D grids use direct separable
@@ -90,6 +90,9 @@ _EXP_ZERO = -746.0
 # cache: transforms of a larger batch run slower per row than single ones.
 # The direct path asks a producer for as many rows per call as fit in it.
 _FFT_WORKSPACE_BYTES = 2**20
+# Largest shortfall of a sampled kernel's raw mass below 1 that
+# renormalization absorbs; a larger one means the box truncates the kernel.
+_EPS_TAIL = 1e-10
 
 
 def heat_kernel(t: float, x: "float | Sequence[float]") -> float:
@@ -128,16 +131,14 @@ class HeatPropagator:
     first P/2+1 values).  The N-D kernel is the product of that factor over
     the axes and is never formed.  The propagator keeps no kernels: each
     prepared operator builds its own factors, all in one call, and holds
-    them while it lives.
+    them while it lives.  A kernel whose raw mass falls short of 1 by more
+    than _EPS_TAIL raises TruncationError.
     It memoizes the weight field of each gamma; use one propagator per
     thread.
     """
 
-    def __init__(self, grid: Grid, eps_tail: float = 1e-10):
-        if not (0.0 < eps_tail < 1.0):
-            raise ParameterError(f"eps_tail must lie in (0, 1) (got {eps_tail})")
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.eps_tail = float(eps_tail)
         self._spectral = grid.n_dim == 1 or grid.points_per_axis > _DIRECT_LIMIT
         self._weights: dict[float, np.ndarray] = {}
 
@@ -164,10 +165,10 @@ class HeatPropagator:
         return float(np.sum(self._axis_samples(t))) ** self.grid.n_dim
 
     def _check_mass(self, t: float, mass: float) -> None:
-        if mass < 1.0 - self.eps_tail:
+        if mass < 1.0 - _EPS_TAIL:
             raise TruncationError(
                 f"box half-width {self.grid.half_width} truncates the heat kernel at "
-                f"t = {t}: discrete mass {mass:.12g} < 1 - {self.eps_tail}"
+                f"t = {t}: discrete mass {mass:.12g} < 1 - {_EPS_TAIL}"
             )
 
     def _kernel_entry(self, t, length: "int | None" = None) -> np.ndarray:
@@ -498,11 +499,11 @@ class PreparedHeat:
         return np.fft.irfft(spec, n=p, axis=n)[..., :m]
 
 
-def apply_heat(f: GridFunction, t: float, eps_tail: float = 1e-10) -> GridFunction:
+def apply_heat(f: GridFunction, t: float) -> GridFunction:
     """Discrete heat semigroup S(t) acting on a grid function; builds its
     kernel afresh (a caller applying one time to many fields prepares it
     once with HeatPropagator.prepare)."""
-    prop = HeatPropagator(f.grid, eps_tail)
+    prop = HeatPropagator(f.grid)
     return GridFunction(f.grid, prop.apply_heat_values(f.values, t))
 
 

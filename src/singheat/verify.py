@@ -25,6 +25,7 @@ M = 64, t = 1 and n = 1, 2, ..., 256 stops at n = 99 on an increase of
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
@@ -109,9 +110,14 @@ def _finish(name: str, margin: float, tolerance: float, details: dict) -> CheckR
     )
 
 
-def _trusted_mask(grid: Grid, t: float, pad_factor: float = 5.0) -> np.ndarray:
-    """Nodes with max_i |x_i| <= L - pad_factor * sqrt(t)."""
-    r_safe = grid.half_width - pad_factor * math.sqrt(t)
+# Width of the boundary layer the pointwise checks leave out, in units of
+# sqrt(t) (see the module docstring).
+_TRUST_PAD = 5.0
+
+
+def _trusted_mask(grid: Grid, t: float) -> np.ndarray:
+    """Nodes with max_i |x_i| <= L - _TRUST_PAD * sqrt(t)."""
+    r_safe = grid.half_width - _TRUST_PAD * math.sqrt(t)
     if r_safe <= grid.h:
         raise ParameterError(
             f"no trusted nodes left: half_width {grid.half_width} too small for t = {t}"
@@ -661,10 +667,8 @@ def check_uniqueness_contraction(
     cfg_a = config if config is not None else SolveConfig()
     cfg_b = SolveConfig(
         eps_fp=cfg_a.eps_fp,
-        max_picard_sweeps=cfg_a.max_picard_sweeps,
         nodes_per_window=cfg_a.nodes_per_window + 2,
         n_schedule=cfg_a.n_schedule,
-        eps_tail=cfg_a.eps_tail,
         window_cap=0.7 * cfg_a.window_cap,
         contraction_theta=0.9 * cfg_a.contraction_theta,
     )
@@ -729,13 +733,15 @@ def default_suite() -> "dict[str, Callable[[], CheckReport]]":
     }
 
 
-def run_suite(names: "Sequence[str] | None" = None, jobs: "int | None" = None) -> list[CheckReport]:
+def run_suite(names: "Sequence[str] | None" = None) -> list[CheckReport]:
     """Run named checks (default: all) and return their reports, each named
     by its suite key, sorted by that key.
 
-    Failures inside a check (as opposed to failed inequalities) are converted
-    into failing reports carrying the error text, so one broken check cannot
-    take down the suite.
+    The checks run on a thread pool of os.cpu_count() workers, capped at the
+    number of checks selected; with one worker they run in the calling
+    thread.  Failures inside a check (as opposed to failed inequalities) are
+    converted into failing reports carrying the error text, so one broken
+    check cannot take down the suite.
     """
     suite = default_suite()
     if names:
@@ -762,7 +768,8 @@ def run_suite(names: "Sequence[str] | None" = None, jobs: "int | None" = None) -
                 details={"error": f"{type(exc).__name__}: {exc}"},
             )
 
-    if jobs is not None and jobs > 1:
+    jobs = min(os.cpu_count() or 1, len(ordered))
+    if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(run_one, ordered))
     else:

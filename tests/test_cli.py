@@ -12,7 +12,7 @@ import pytest
 from singheat.cli import _build_parser, main, parse_config
 
 
-def test_defaults_resolve(monkeypatch):
+def test_defaults_resolve():
     cfg = parse_config(["solve", "--out", "x.csv"])
     assert cfg.command == "solve"
     assert cfg.q == 0.5 and cfg.gamma == 0.3 and cfg.dim == 1
@@ -22,10 +22,9 @@ def test_defaults_resolve(monkeypatch):
     assert cfg.eps_fp == 1e-8
     assert cfg.nodes_per_window == 8 and cfg.window_cap == 0.25
     assert cfg.u0 == "bump" and cfg.record is None
-    assert cfg.jobs is None and cfg.suite is None  # verify's options
-    monkeypatch.delenv("SINGHEAT_JOBS", raising=False)
+    assert cfg.suite is None  # verify's option
     cfg = parse_config(["verify"])
-    assert cfg.jobs >= 1 and cfg.suite is None
+    assert cfg.suite is None
     assert cfg.q is None and cfg.points is None  # solve's options
 
 
@@ -93,13 +92,14 @@ def test_usage_errors_exit_2(argv):
         (["constants"], {"q": "abc"}, None, "q"),
         (["solve", "--out", "x.csv"], {"points": 32.9}, None, "points"),
         (["solve", "--out", "x.csv"], {"record": [0.5, "late"]}, None, "record"),
-        (["verify"], {}, "abc", "SINGHEAT_JOBS"),
+        (["solve", "--out", "x.csv"], {"t_end": "late"}, "abc", "t_end"),
     ],
 )
 def test_values_that_are_not_numbers_exit_2(tmp_path, monkeypatch, capsys, command, config,
                                              env, key):
-    # config-file and environment values are converted with the same checks
-    # as flags: text, or a fraction for an integer option, is a usage error
+    # config-file values are converted with the same checks as flags: text,
+    # or a fraction for an integer option, is a usage error naming its key;
+    # env sets SINGHEAT_JOBS, which no command reads
     cfile = tmp_path / "c.json"
     cfile.write_text(json.dumps(config))
     if env is None:
@@ -121,6 +121,7 @@ def test_values_that_are_not_numbers_exit_2(tmp_path, monkeypatch, capsys, comma
         (["verify"], "q", 0.5),
         (["sweep", "--param", "q", "--start", "0.2", "--stop", "0.8", "--count", "3"],
          "t_end", 2),
+        (["verify"], "jobs", 2),  # the pool size is not an option
     ],
 )
 def test_commands_reject_options_they_do_not_read(tmp_path, argv, key, value):
@@ -235,7 +236,7 @@ def test_verify_subset_exit_zero_and_report(tmp_path, capsys):
 def test_verify_exit_one_on_failing_check(monkeypatch, capsys):
     from singheat.verify import CheckReport
 
-    def fake_run_suite(names, jobs=None):
+    def fake_run_suite(names):
         return [CheckReport(name="stub", passed=False, margin=-1.0, tolerance=1e-3)]
 
     monkeypatch.setattr("singheat.cli.run_suite", fake_run_suite)
@@ -281,12 +282,15 @@ def test_sweep_out_of_range_exits_2(capsys):
     assert "stop: the swept gamma must lie in [0, 1)" in capsys.readouterr().err
 
 
-def test_jobs_env_variable(monkeypatch):
-    monkeypatch.setenv("SINGHEAT_JOBS", "3")
-    cfg = parse_config(["verify"])
-    assert cfg.jobs == 3
-    cfg2 = parse_config(["verify", "--jobs", "1"])
-    assert cfg2.jobs == 1  # flag wins over the environment
+def test_verify_ignores_singheat_jobs(monkeypatch, capsys):
+    # the pool size is fixed; the environment variable that once set it is
+    # not read, so a value that is not a number changes nothing
+    monkeypatch.delenv("SINGHEAT_JOBS", raising=False)
+    assert main(["verify", "--suite", "lambda-limit"]) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("SINGHEAT_JOBS", "abc")
+    assert main(["verify", "--suite", "lambda-limit"]) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_console_script_entry_point():

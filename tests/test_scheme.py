@@ -377,14 +377,15 @@ def test_picard_rejects_mismatched_mesh_and_records():
         picard_solve(u0, Nonlinearity.zero(), p, mesh, propagator=other)
 
 
-def test_picard_sweep_budget_enforced():
+def test_picard_sweep_budget_enforced(monkeypatch):
     g = make_grid(1, 12.0, 64)
     p = Params(q=0.5, gamma=0.0, n_dim=1)
     u0 = standard_data(g, "const:1")
     nl = Nonlinearity.regularized(0.5, 1)
     mesh = TimeMesh.build(1.0, 0.0, 0.25)
-    with pytest.raises(ConvergenceError):
-        picard_solve(u0, nl, p, mesh, SolveConfig(eps_fp=1e-8, max_picard_sweeps=1))
+    monkeypatch.setattr(scheme, "_MAX_PICARD_SWEEPS", 1)
+    with pytest.raises(ConvergenceError, match="after 1 sweeps"):
+        picard_solve(u0, nl, p, mesh, SolveConfig(eps_fp=1e-8))
 
 
 def test_picard_looks_up_kernels_once_per_window_length(monkeypatch):
@@ -483,7 +484,7 @@ def _reference_picard(u0, nonlinearity, params, mesh, config):
     """The per-node Jacobi sweep: one propagator apply per (target, node)
     pair, each with its own interpolation and source evaluation.  Returns
     the field at every window end and the number of sweeps."""
-    prop = HeatPropagator(u0.grid, config.eps_tail)
+    prop = HeatPropagator(u0.grid)
     gam = params.gamma
     u_left = np.array(u0.values, dtype=float)
     ends, sweeps = [], 0
@@ -494,7 +495,7 @@ def _reference_picard(u0, nonlinearity, params, mesh, config):
         rules = [duhamel_rule(a, tau, gam, mesh.nodes_per_window) for tau in targets]
         state = [f.copy() for f in free]
         knots = np.concatenate(([a], targets))
-        for _ in range(config.max_picard_sweeps):
+        for _ in range(scheme._MAX_PICARD_SWEEPS):
             stack = [u_left] + state
             new_state = []
             for i, tau in enumerate(targets):

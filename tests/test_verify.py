@@ -417,16 +417,43 @@ def test_run_suite_converts_crashes_to_failing_reports(monkeypatch):
     assert "ZeroDivisionError" in reports[0].details["error"]
 
 
-def test_run_suite_parallel_matches_serial():
-    # the nine light checks of the benchmark suite; the propagator checks run
-    # at once, each on its own propagator
+def test_run_suite_parallel_matches_serial(monkeypatch):
+    # the nine light checks of the benchmark suite on a pool of two threads;
+    # the propagator checks run at once, each on its own propagator
     names = [
         "gronwall-exp", "gronwall-singular", "gronwall-zero", "heaviside", "lambda-limit",
         "max-at-origin", "smoothing", "subsolution", "subsolution-2d",
     ]
-    serial = run_suite(names, jobs=1)
-    parallel = run_suite(names, jobs=2)
+    suite = default_suite()
+    serial = [suite[name]() for name in names]
+    monkeypatch.setattr("singheat.verify.os.cpu_count", lambda: 2)
+    parallel = run_suite(names)
     assert all(r.passed for r in serial)
-    assert [r.name for r in serial] == [r.name for r in parallel]
+    assert [r.name for r in parallel] == names
     for a, b in zip(serial, parallel):
         assert a.margin == b.margin
+
+
+@pytest.mark.parametrize("cores,checks,workers", [(4, 3, 3), (2, 3, 2), (1, 3, None), (4, 1, None)])
+def test_run_suite_pool_size(monkeypatch, cores, checks, workers):
+    # one worker per core, capped at the checks selected; one worker means
+    # no pool
+    import singheat.verify as verify_mod
+
+    sizes = []
+
+    class Recording(verify_mod.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    names = [f"c{k}" for k in range(checks)]
+    monkeypatch.setattr(
+        verify_mod, "default_suite",
+        lambda: {n: (lambda n=n: CheckReport(n, True, 1.0, 0.0)) for n in names},
+    )
+    monkeypatch.setattr(verify_mod, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cores)
+    reports = verify_mod.run_suite(names)
+    assert [r.name for r in reports] == names
+    assert sizes == ([] if workers is None else [workers])
