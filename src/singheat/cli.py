@@ -7,7 +7,8 @@ along a parameter segment).
 
 Each subcommand accepts only the options it reads (``_COMMANDS``).  Option
 precedence is built-in defaults, then a JSON config file (--config) that may
-set those of them, then explicit flags.  Outputs are written atomically
+set those of them, then explicit flags; ``verify``, none of whose options a
+file could set, takes no --config.  Outputs are written atomically
 (temp file + rename) and are byte-identical across reruns of the same
 configuration.  Exit codes: 0 success / all checks pass, 1 check failures,
 2 usage errors, 3 runtime failures (reported as one structured line on
@@ -53,8 +54,8 @@ _DEFAULTS: dict = {
 _DATA_NAMES = ("zero", "const", "bump", "gauss", "step")
 
 # The options each command reads, after its one-line help.  The parser offers
-# a command exactly these, and its --config file may set those of them that
-# have a built-in default.
+# a command exactly these, and a --config file that may set those of them that
+# have a built-in default, when there are any.
 _COMMANDS: dict = {
     "constants": ("scalar constants for one parameter triple", ("q", "gamma", "dim", "json_path")),
     "gamma-star": ("threshold gamma where the contraction factor hits 1",
@@ -132,7 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_line, names) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_line)
-        p.add_argument("--config", help="JSON file with defaults for this command's options")
+        if any(name in _DEFAULTS for name in names):
+            p.add_argument("--config", help="JSON file with defaults for this command's options")
         for name in names:
             flag, kwargs = options[name]
             p.add_argument(flag, dest=name, **kwargs)
@@ -228,9 +230,10 @@ def _solve_options(merged: dict, dim: int, fail) -> dict:
 def parse_config(argv: "Sequence[str] | None" = None) -> RunConfig:
     """Parse argv into a RunConfig.
 
-    Precedence: built-in defaults, then the --config JSON file, then explicit
-    flags.  Invalid values, and config keys the command does not read, exit
-    with a usage error naming the offending key.
+    Precedence: built-in defaults, then the --config JSON file (for the
+    commands that take one), then explicit flags.  Invalid values, and config
+    keys the command does not read, exit with a usage error naming the
+    offending key.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -239,7 +242,7 @@ def parse_config(argv: "Sequence[str] | None" = None) -> RunConfig:
     names = _COMMANDS[command][1]
 
     merged = {key: _DEFAULTS[key] for key in names if key in _DEFAULTS}
-    if args.config:
+    if getattr(args, "config", None):
         try:
             loaded = json.loads(Path(args.config).read_text())
         except OSError as exc:
@@ -250,10 +253,8 @@ def parse_config(argv: "Sequence[str] | None" = None) -> RunConfig:
             fail(f"config: {args.config} must hold a JSON object")
         for key, val in loaded.items():
             if key not in merged:
-                expect = (f"expect one of {', '.join(sorted(merged))}" if merged
-                          else f"{command} takes no config keys")
                 fail(f"config: key {key!r} in {args.config} is not an option of {command} "
-                     f"({expect})")
+                     f"(expect one of {', '.join(sorted(merged))})")
             merged[key] = val
     for key in merged:
         flag_val = getattr(args, key)

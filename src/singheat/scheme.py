@@ -11,6 +11,10 @@ constant (contraction_window), so plain Jacobi sweeps over the stored time
 nodes converge geometrically.  The Duhamel integrand blows up like
 (t - sigma)^{-gamma/2} at the upper limit; the quadrature absorbs that
 exactly by the grading substitution t - sigma = s^p with p = 2/(2 - gamma).
+Between the stored nodes the source |x|^{-gamma} g(u) itself is
+interpolated linearly in time (product integration), so a sweep evaluates
+g once per node and the propagator mixes the quadrature rows from those
+values.
 
 The sublinear power r^q itself is not Lipschitz at 0.  The scheme of record
 replaces it by the regularized g_n (linear of matching slope below 1/(2n)),
@@ -443,13 +447,14 @@ def _window_plan(prop: HeatPropagator, mesh: TimeMesh, widx: int, gamma: float) 
     window of the same length.  Target i is the quadrature node sigma_i - a
     (the last target is the window end b - a); its rule is the Duhamel
     quadrature on [0, target i], one source row per node.  Row j belongs to
-    the target owning node s_j; the field there is interpolated linearly
-    between the knots 0, targets[0], ... (exact at the knots) as
-    (1 - theta) * stack[lo] + theta * stack[lo + 1], the row of the
+    the target owning node s_j.  The sweep knows the weighted source
+    |x|^{-gamma} g(u) at the knots 0, targets[0], ... only, and interpolates
+    it linearly between them (exact at the knots): row j's source is
+    (1 - theta) * knots[lo] + theta * knots[lo + 1], the row of the
     (rows, knots) matrix interp that holds 1 - theta and theta in columns lo
     and lo + 1.  Returns the prepared free-term operator (the stack of
-    S(target i)), interp, and the prepared sweep operator (lags
-    target_i - s_j, weighted per target).
+    S(target i)) and the prepared sweep operator (lags target_i - s_j,
+    weighted per target, its rows mixed from the knots' sources by interp).
     """
     a = mesh.boundaries[widx]
     nodes = mesh.window_nodes[widx] - a
@@ -468,7 +473,7 @@ def _window_plan(prop: HeatPropagator, mesh: TimeMesh, widx: int, gamma: float) 
     interp[rows, hi] = theta
     weights = np.zeros((len(rules), sigmas.size))
     weights[owner, rows] = np.concatenate([wts for _, wts in rules])
-    return prop.prepare(targets), interp, prop.prepare(targets[owner] - sigmas, weights)
+    return prop.prepare(targets), prop.prepare(targets[owner] - sigmas, weights, mix=interp)
 
 
 def picard_solve(
@@ -487,23 +492,26 @@ def picard_solve(
     Within each window [a, b] the unknowns are the fields at the window's
     quadrature nodes and at b.  Each sweep recomputes every unknown from the
     free term S(tau - a) u(a) plus the graded quadrature of
-    S_gamma(tau - sigma) g(u(sigma)), interpolating the previous sweep's
-    fields linearly in time between stored nodes.  A sweep works on whole
-    stacks: the source fields at every (target, node) pair are interpolated,
-    passed through the nonlinearity and propagated in one batched call, which
-    returns the per-target quadrature sums.  The lags and weights of that
-    call, the free term's times and the interpolation depend only on the
-    window's length (they are shift-invariant in time), so they are built
-    once per distinct window length, in window-relative time, and reused by
-    every window of that length and each of its sweeps.  The sweeps write
-    their stacks (the knots' fields, the interpolated sources, one matmul
-    per sweep, and the residual's difference) into arrays allocated once
-    per call, and again only when a plan's row or knot count changes.  The
-    sources' nonlinearity values, weighted when gamma > 0, are never held
-    as a stack: the sweep operator asks for them batch by batch and they
-    are written straight into its workspace.  Sweeps stop when the largest
-    nodewise update falls below config.eps_fp; a window that needs more than
-    _MAX_PICARD_SWEEPS sweeps raises ConvergenceError.
+    S_gamma(tau - sigma) g(u(sigma)).  The source is evaluated at the
+    knots only, the window start and the unknowns, and interpolated
+    linearly in time between them (product integration: Brunner,
+    Collocation Methods for Volterra Integral and Related Functional
+    Equations, 2004).  So a sweep passes the K - 1 unknowns through the
+    nonlinearity once, as one stack (the window start's source is computed
+    once per window), and one batched propagator call mixes the quadrature
+    rows from the K knot sources and returns the per-target quadrature
+    sums; on the FFT path it transforms the K knot sources, not the rows.
+    Interpolating the source instead of the field changes the result by
+    about eps_fp, not its accuracy: both rules are first order between the
+    knots.  The lags and weights of that call, the free term's times and
+    the interpolation depend only on the window's length (they are
+    shift-invariant in time), so they are built once per distinct window
+    length, in window-relative time, and reused by every window of that
+    length and each of its sweeps.  The sweeps write the knots' sources
+    and the residual's difference into arrays allocated once per call, and
+    again only when a plan's knot count changes.  Sweeps stop when the
+    largest nodewise update falls below config.eps_fp; a window that needs
+    more than _MAX_PICARD_SWEEPS sweeps raises ConvergenceError.
 
     record_times selects which window boundaries are kept as snapshots
     (default: all of them).  Fields stay non-negative throughout; values are
@@ -550,18 +558,15 @@ def picard_solve(
     worst_resid = 0.0
     built = 0
     last = None
-    # the sweep's arrays, allocated once per row and knot count of the plans:
-    # the knots' fields [u_left; state], their interpolated sources and the
-    # residual's difference
-    stack = shape = sources = diff = None
+    # the sweep's arrays, allocated once per knot count of the plans: the
+    # knots' weighted sources and the residual's difference, which also
+    # holds the clipped fields on their way into the nonlinearity
+    knots = diff = None
     weight = prop.weight_values(gam) if gam != 0.0 else None
 
-    def source_rows(lo, hi, out):
-        # the sweep operator's producer: rows lo:hi of the weighted source,
-        # written into its workspace
-        rows = sources[lo:hi]
-        np.maximum(rows, 0.0, out=rows)  # FFT rounding dust below 0
-        nonlinearity(rows, out=out)
+    def source(fields, out, scratch):
+        # |x|^{-gamma} g(max(fields, 0)) into out; the max drops FFT rounding dust
+        nonlinearity(np.maximum(fields, 0.0, out=scratch), out=out)
         if weight is not None:
             out *= weight
 
@@ -575,27 +580,25 @@ def picard_solve(
         if last is not None and last is not plan:
             # a new length: free the last plan's workspace before this one's
             # first apply allocates its own
-            last[0].release()
-            last[2].release()
+            for op in last:
+                op.release()
         last = plan
-        free_op, interp, sweep = plan
-        if interp.shape != shape:
-            shape = interp.shape  # (rows, knots): the window start and the targets
-            stack = np.empty((shape[1],) + grid.shape)
-            sources = np.empty((shape[0],) + grid.shape)
-            diff = np.empty((shape[1] - 1,) + grid.shape)
-        state = stack[1:]
-        free = prop.apply_heat_values(np.broadcast_to(u_left, state.shape), free_op)
-        stack[0] = u_left
-        state[...] = free
+        free_op, sweep = plan
+        count = sweep.mix.shape[1]  # the window start and the targets
+        if knots is None or knots.shape[0] != count:
+            knots = np.empty((count,) + grid.shape)
+            diff = np.empty((count - 1,) + grid.shape)
+        free = prop.apply_heat_values(np.broadcast_to(u_left, knots[1:].shape), free_op)
+        state = free
+        source(u_left, knots[0], diff[0])
         converged = False
         resid = math.inf
         for _ in range(_MAX_PICARD_SWEEPS):
-            np.matmul(interp, stack.reshape(shape[1], -1), out=sources.reshape(shape[0], -1))
-            new_state = prop.apply_heat_values(source_rows, sweep)
+            source(state, knots[1:], diff)
+            new_state = prop.apply_heat_values(knots, sweep)
             new_state += free
             resid = float(np.max(np.abs(np.subtract(new_state, state, out=diff), out=diff)))
-            state[...] = new_state
+            state = new_state
             total_sweeps += 1
             if resid <= config.eps_fp:
                 converged = True
@@ -611,8 +614,8 @@ def picard_solve(
             times_out.append(b)
             snaps_out.append(GridFunction(grid, u_left))
     # the plans outlive the call; their workspaces are reallocated on use
-    last[0].release()
-    last[2].release()
+    for op in last:
+        op.release()
     diag = {
         "windows": mesh.window_count,
         "window_plans": built,

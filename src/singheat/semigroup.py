@@ -14,13 +14,13 @@ falls short of 1 by more than _EPS_TAIL = 1e-10, i.e. when the box itself
 truncates the kernel: results past that point would be quantitatively wrong,
 not just smoothed.
 
-1D grids, and 2D and 3D grids of more than 128 points per axis, use FFTs on
-a zero-padded box; smaller 2D and 3D grids use direct separable
-convolution.  Both evaluate the same sums.  The sampled kernel is a product
-of one 1D kernel per axis.  On the direct path, zero-extended correlation
-with it along one axis is a product with an M x M Toeplitz matrix, and all
-rows of a call are multiplied by their matrices in one batched matmul per
-axis.  On the FFT path each axis is padded from M to P points: P covers the
+1D and 2D grids, and 3D grids of more than 128 points per axis, use FFTs on
+a zero-padded box; smaller 3D grids use direct separable convolution (in 2D
+the FFT path is the faster one at every size).  Both evaluate the same
+sums.  The sampled kernel is a product of one 1D kernel per axis.  On the
+direct path, zero-extended correlation with it along one axis is a product
+with an M x M Toeplitz matrix, and all rows of a call are multiplied by
+their matrices in one batched matmul per axis.  On the FFT path each axis is padded from M to P points: P covers the
 box plus the reach of the operator's longest-time kernel (13 sqrt(t_max),
 beyond which the Gaussian is zero in double precision), rounded up to an
 even 5-smooth length and capped at the doubled box 2M.  The kernel wrapped
@@ -33,7 +33,7 @@ per axis.
 One call can also apply a stack of fields, each for its own time, and return
 weighted sums of the results: the batched form of the Duhamel quadrature.
 Every call goes through a prepared operator (PreparedHeat), built by
-HeatPropagator.prepare for fixed times and weights: it builds the kernels
+HeatPropagator.prepare for fixed times, weights and mix: it builds the kernels
 once, all in one vectorized pass (one array of samples, one mass check per
 row, one batched transform), and holds them stacked, one row per field,
 together with the batch plan and a workspace reused by every apply.  Nothing
@@ -48,10 +48,18 @@ inverse transforms.  Rows are transformed in batches sized by a fixed
 workspace budget, which keeps the padded arrays in cache; each batch is
 added only into the targets that weigh its rows.
 
-An apply takes the J fields as a stack or as a producer that writes each
-batch's rows into the operator's workspace, so a caller whose fields are
-computed (the Picard sweep's source values, the sub-solution check's
-barrier powers) never holds all J of them.  The FFT workspace pads the
+An operator prepared with a (J, K) mix matrix takes K inputs and applies
+row j to sum_k mix[j, k] input_k.  The transform is linear, so the FFT path
+transforms the K inputs and forms each batch's row spectra as the same
+mixes of theirs; the direct path mixes the rows in real space.  The Picard
+sweep's source is linear in its knot values between the knots (it
+interpolates the source, not the field), so its J = 72 quadrature rows cost
+K = 10 forward transforms.
+
+An apply takes the J fields (or K inputs) as a stack or as a producer that
+writes each batch's rows into the operator's workspace, so a caller whose
+fields are computed (the sub-solution check's barrier powers) never holds
+all J of them.  The FFT workspace pads the
 rows along the last axis only, and the transforms skip the lines that hold
 only padding.  Forward, rfft runs over the M^(N-1) lines of the last axis,
 then fft along each earlier axis over the lines that are non-zero so far;
@@ -80,7 +88,7 @@ __all__ = [
     "heat_kernel",
 ]
 
-_DIRECT_LIMIT = 128  # per-axis size up to which 2D and 3D use direct summation
+_DIRECT_LIMIT = 128  # per-axis size up to which 3D uses direct summation
 # Reach of the FFT kernel in units of sqrt(t): the Gaussian's mass beyond it,
 # erfc(13 / 2) = 3.8e-20, is below double-precision rounding (2^-53 = 1.1e-16).
 _KERNEL_REACH = 13.0
@@ -139,7 +147,7 @@ class HeatPropagator:
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self._spectral = grid.n_dim == 1 or grid.points_per_axis > _DIRECT_LIMIT
+        self._spectral = grid.n_dim < 3 or grid.points_per_axis > _DIRECT_LIMIT
         self._weights: dict[float, np.ndarray] = {}
 
     # -- kernel construction -------------------------------------------------
@@ -153,8 +161,12 @@ class HeatPropagator:
         times = np.atleast_1d(np.asarray(t, dtype=float))
         arg = -d * d / (4.0 * times[:, None])
         # exp underflows to 0 below _EXP_ZERO, and numpy's exp is several
-        # times slower on such arguments than on the others: skip them
-        samples = np.exp(arg, out=np.zeros_like(arg), where=arg > _EXP_ZERO)
+        # times slower on such arguments than on the others: skip them.  The
+        # samples overwrite their arguments, so a prepare holds one array of
+        # them, not two
+        under = arg <= _EXP_ZERO
+        samples = np.exp(arg, out=arg, where=~under)
+        samples[under] = 0.0
         samples *= np.array([h * (4.0 * math.pi * s) ** -0.5 for s in times.tolist()])[:, None]
         return samples[0] if np.ndim(t) == 0 else samples
 
@@ -200,10 +212,12 @@ class HeatPropagator:
 
     # -- application ---------------------------------------------------------
 
-    def prepare(self, t, weights=None) -> "PreparedHeat":
+    def prepare(self, t, weights=None, mix=None) -> "PreparedHeat":
         """The operator stack -> sum_j weights[i, j] S(t[j]) stack[j] for a
         fixed length-J time array (and an optional (T, J) weight matrix),
-        with its kernel factors built once; see PreparedHeat."""
+        with its kernel factors built once.  With a (J, K) mix matrix the
+        operator takes K fields instead, and row j is S(t[j]) applied to
+        sum_k mix[j, k] stack[k]; see PreparedHeat."""
         times = np.asarray(t, dtype=float)
         if times.ndim != 1 or times.size < 1:
             raise ParameterError(
@@ -217,7 +231,13 @@ class HeatPropagator:
                 raise ParameterError(
                     f"weight matrix shape {weights.shape} does not match {times.size} fields"
                 )
-        return PreparedHeat(self, times, weights)
+        if mix is not None:
+            mix = np.asarray(mix, dtype=float)
+            if mix.ndim != 2 or mix.shape[0] != times.size or mix.shape[1] < 1:
+                raise ParameterError(
+                    f"mix matrix shape {mix.shape} does not match {times.size} rows"
+                )
+        return PreparedHeat(self, times, weights, mix)
 
     def apply_heat_values(self, values, t, weights=None) -> np.ndarray:
         """S(t) applied to a value array of the grid's shape, or to a stack.
@@ -227,9 +247,10 @@ class HeatPropagator:
         stack and the result is the stack of S(t[j]) values[j]; a (T, J)
         weights matrix instead returns the T sums
         sum_j weights[i, j] S(t[j]) values[j].  t may also be an operator
-        from prepare(), which carries its own times and weights: a caller
-        applying the same times to many stacks prepares them once.  With a
-        time array or an operator, values may also be a producer
+        from prepare(), which carries its own times, weights and mix: a
+        caller applying the same times to many stacks prepares them once.
+        An operator prepared with a (J, K) mix takes a (K, *grid) stack.
+        With a time array or an operator, values may also be a producer
         fill(lo, hi, out) of the stack's rows (see PreparedHeat.apply).
         """
         if isinstance(t, PreparedHeat):
@@ -270,42 +291,59 @@ class HeatPropagator:
         return self.apply_heat_values(values * self.weight_values(gamma), t, weights)
 
 
+def _mix_plan(block: np.ndarray):
+    """The range of inputs a batch of mix rows reads (at least one), and
+    that block of the mix."""
+    used = np.flatnonzero((block != 0.0).any(axis=0))
+    ins = slice(int(used[0]), int(used[-1]) + 1) if used.size else slice(0, 1)
+    return ins, np.ascontiguousarray(block[:, ins])
+
+
 class PreparedHeat:
     """sum_j weights[i, j] S(t[j]) f_j (or the stack of S(t[j]) f_j without
     weights) for fixed times and weights, applied to any number of stacks f.
+    With a (J, K) mix matrix the operator takes K inputs x_k and its J rows
+    are the mixes f_j = sum_k mix[j, k] x_k.
 
     Built once by HeatPropagator.prepare, it holds everything that depends
-    on the times and weights alone:
+    on the times, weights and mix alone:
 
     - FFT path: the padded length P of every axis, sized to the reach of
       the kernel of the largest time (see _padded_length); the per-row
       kernel factors at that length stacked into one (J, P) complex array
       ((J, P/2+1) in 1D), ones for t = 0 rows; the batches of rows whose
       padded spectra fit _FFT_WORKSPACE_BYTES, each with the range of
-      targets that weigh its rows and that block of weights; and the
-      workspace (the batch's rows, the same rows padded along the last
-      axis, their spectra and the target spectra), allocated by the first
-      apply and reused by every later one until release().  One apply
-      produces each batch into the workspace, transforms it (see
-      _forward), multiplies it by the factors once per axis (one broadcast
-      multiply over the batch), adds weights @ spectra into its targets,
-      and ends with the T inverse transforms.
+      targets that weigh its rows and that block of weights, and with a
+      mix, the range of inputs its rows mix and that block of the mix; and
+      the workspace (the batch's rows, the same rows padded along the last
+      axis, their spectra, the target spectra and, with a mix, the K input
+      spectra), allocated by the first apply and reused by every later one
+      until release().  One apply produces each batch into the workspace,
+      transforms it (see _forward), multiplies it by the factors once per
+      axis (one broadcast multiply over the batch), adds weights @ spectra
+      into its targets, and ends with the T inverse transforms.  With a
+      mix, the K inputs are produced and transformed first, in batches of
+      the same size, and each batch's row spectra are mixed from theirs:
+      the transform is linear, so K forward transforms serve the J rows.
     - Direct path: the stacked Toeplitz views of the rows with t > 0, and
       two arrays, the J produced rows (the moved input of each later axis)
       and the matmul output of the rows with t > 0, allocated by the first
-      apply and reused until release().
+      apply and reused until release().  With a mix a third array holds the
+      K inputs, and one matmul mixes the J rows from them in real space.
 
     The workspace makes an operator single-threaded: prepare one per thread.
     """
 
-    def __init__(self, prop: HeatPropagator, times: np.ndarray, weights):
+    def __init__(self, prop: HeatPropagator, times: np.ndarray, weights, mix):
         self.propagator = prop
         self.weights = weights
+        self.mix = mix
         grid = prop.grid
         m = grid.points_per_axis
         n = grid.n_dim
         count = times.size
         self._shape = (count,) + grid.shape
+        self._inputs = count if mix is None else mix.shape[1]
         self._workspace = None
         self._live = live = np.flatnonzero(times > 0.0)
         if not prop._spectral:
@@ -330,13 +368,15 @@ class PreparedHeat:
         self._batches = []
         for lo in range(0, count, step):
             hi = min(lo + step, count)
-            if weights is None:
-                self._batches.append((lo, hi, None, None))
-                continue
-            hit = np.flatnonzero((weights[:, lo:hi] != 0.0).any(axis=1))
-            if hit.size:  # rows no target weighs are never transformed
+            own = wts = None
+            if weights is not None:
+                hit = np.flatnonzero((weights[:, lo:hi] != 0.0).any(axis=1))
+                if not hit.size:  # rows no target weighs are never transformed
+                    continue
                 own = slice(int(hit[0]), int(hit[-1]) + 1)
-                self._batches.append((lo, hi, own, np.ascontiguousarray(weights[own, lo:hi])))
+                wts = np.ascontiguousarray(weights[own, lo:hi])
+            mixing = None if mix is None else _mix_plan(mix[lo:hi])
+            self._batches.append((lo, hi, own, wts, mixing))
         self._padded = (p,) * n
 
     def release(self) -> None:
@@ -344,21 +384,22 @@ class PreparedHeat:
         self._workspace = None
 
     def apply(self, values) -> np.ndarray:
-        """The T weighted sums (without weights, the J results) of J fields.
+        """The T weighted sums (without weights, the J results) of J fields,
+        or of the J mixes of K inputs.
 
-        values is a (J, *grid) stack, or a producer fill(lo, hi, out) that
-        writes fields lo .. hi - 1 into out, a contiguous (hi - lo, *grid)
-        view of the workspace.  The operator calls it once per batch of
-        rows, in order, so the caller never holds the whole stack.  A stack
-        is the producer that copies its rows.
+        values is a (J, *grid) stack ((K, *grid) with a mix), or a producer
+        fill(lo, hi, out) that writes fields (inputs) lo .. hi - 1 into out,
+        a contiguous (hi - lo, *grid) view of the workspace.  The operator
+        calls it once per batch, in order, so the caller never holds the
+        whole stack.  A stack is the producer that copies its rows.
         """
         if callable(values):
             fill = values
         else:
             stack = np.asarray(values, dtype=float)
-            if stack.shape != self._shape:
+            if stack.shape != (self._inputs,) + self._shape[1:]:
                 raise ParameterError(
-                    f"stack shape {stack.shape} does not match {self._shape[0]} fields of "
+                    f"stack shape {stack.shape} does not match {self._inputs} fields of "
                     f"grid shape {self._shape[1:]}"
                 )
 
@@ -373,7 +414,9 @@ class PreparedHeat:
         """Zero-extended correlation of an axis with the 2M-1 normalized
         samples g is the product with the M x M Toeplitz matrix
         T[i, k] = g[k - i + M - 1], whose row i is the window g[M-1-i : 2M-1-i].
-        The rows are produced into a workspace of J rows, _step at a time.
+        The rows are produced into a workspace of J rows, _step at a time
+        (with a mix, the K inputs into one of K rows, and mixed into the J
+        rows by one matmul).
         Those with t > 0 are multiplied by their T (a sliding-window view
         of their samples, no copy) in one batched matmul per axis; rows with
         t = 0 pass through unchanged.  Each axis is moved to the front of a
@@ -384,10 +427,17 @@ class PreparedHeat:
         if self._workspace is None:
             cells = math.prod(self._shape[1:])
             self._workspace = (np.empty(count * cells), np.empty(live.size * cells))
-        buf, prod = self._workspace
+            if self.mix is not None:
+                self._workspace += (np.empty(self._inputs * cells),)
+        buf, prod = self._workspace[:2]
         rows = buf.reshape(self._shape)
-        for lo in range(0, count, self._step):
-            fill(lo, min(lo + self._step, count), rows[lo : lo + self._step])
+        inputs = rows if self.mix is None else self._workspace[2].reshape(
+            (self._inputs,) + self._shape[1:]
+        )
+        for lo in range(0, self._inputs, self._step):
+            fill(lo, min(lo + self._step, self._inputs), inputs[lo : lo + self._step])
+        if self.mix is not None:
+            np.matmul(self.mix, inputs.reshape(self._inputs, -1), out=buf.reshape(count, -1))
         if live.size:
             m = self.propagator.grid.points_per_axis
             part = rows if live.size == count else rows[live]
@@ -415,40 +465,55 @@ class PreparedHeat:
         return (self.weights @ flat).reshape((self.weights.shape[0],) + self._shape[1:])
 
     def _apply_spectral(self, fill) -> np.ndarray:
-        """One forward transform per row and one inverse per output field.
-        Each batch is produced into a contiguous array and copied into a
-        workspace padded along the last axis only, whose padding stays
-        zero: the producer's elementwise passes run slower on a strided
-        view (g_n on a 2D M = 192 row: 70 us more).  With weights, each
-        batch's spectra go into the sums of the targets that weigh them, as
+        """One forward transform per row (with a mix, per input) and one
+        inverse per output field.  Each batch is produced into a contiguous
+        array and copied into a workspace padded along the last axis only,
+        whose padding stays zero: the producer's elementwise passes run
+        slower on a strided view (g_n on a 2D M = 192 row: 70 us more).
+        With a mix, a batch's row spectra are its block of the mix times the
+        spectra of the inputs that block reads; with weights, each batch's
+        spectra go into the sums of the targets that weigh them.  Each is
         one real matrix product on the complex values viewed as float
         pairs.  A batch of one row is added as that row scaled by each
         target's weight instead: the same products and sums, bit for bit,
         without the matmul's overhead (at 2D P = 320, 0.10 against 0.30 ms
-        per row)."""
+        per row).  Its mix stays one product, which for a row of two terms
+        at 2D P = 240 took 39 us against 59 us for two scaled adds."""
         if self._workspace is None:
             # allocated on first use, so that an operator replacing another
             # one (the Picard plan of the next window length or ladder level)
             # reuses the memory the old one released instead of adding to it
             half = self._padded[:-1] + (self._padded[-1] // 2 + 1,)
             targets = 0 if self.weights is None else self.weights.shape[0]
+            produced = min(self._step, self._inputs)  # with a mix, the inputs only
             self._workspace = (
-                np.empty((self._step,) + self._shape[1:]),
-                np.zeros((self._step,) + self._shape[1:-1] + self._padded[-1:]),
+                np.empty((produced,) + self._shape[1:]),
+                np.zeros((produced,) + self._shape[1:-1] + self._padded[-1:]),
                 np.empty((self._step,) + half, dtype=complex),
                 np.empty((targets,) + half, dtype=complex),
             )
-        rows, work, spec, sums = self._workspace
+            if self.mix is not None:
+                self._workspace += (np.empty((self._inputs,) + half, dtype=complex),)
+        spec, sums = self._workspace[2:4]
+        if self.mix is not None:
+            inputs = self._workspace[4]
+            for lo in range(0, self._inputs, self._step):
+                hi = min(lo + self._step, self._inputs)
+                self._transform(fill, lo, hi, inputs[lo:hi])
+            flat_inputs = inputs.view(float).reshape(self._inputs, -1)
         if self.weights is None:
             out = np.empty(self._shape)
         else:
             sums.fill(0.0)
             flat_sums = sums.view(float).reshape(sums.shape[0], -1)
-        for lo, hi, own, wts in self._batches:
+        for lo, hi, own, wts, mixing in self._batches:
             nb = hi - lo
-            fill(lo, hi, rows[:nb])
-            work[:nb, ..., : self._shape[-1]] = rows[:nb]
-            part = self._forward(work[:nb], spec[:nb])
+            if mixing is None:
+                part = self._transform(fill, lo, hi, spec[:nb])
+            else:
+                part = spec[:nb]
+                ins, block = mixing
+                np.matmul(block, flat_inputs[ins], out=part.view(float).reshape(nb, -1))
             for factor in self._factors:
                 part *= factor[lo:hi]
             if own is None:
@@ -463,6 +528,15 @@ class PreparedHeat:
         for k in range(0, sums.shape[0], self._step):
             out[k : k + self._step] = self._inverse(sums[k : k + self._step])
         return out
+
+    def _transform(self, fill, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Produce rows lo .. hi - 1 into the workspace, pad them and write
+        their half spectra into out; returns out."""
+        rows, work = self._workspace[:2]
+        nb = hi - lo
+        fill(lo, hi, rows[:nb])
+        work[:nb, ..., : self._shape[-1]] = rows[:nb]
+        return self._forward(work[:nb], out)
 
     def _forward(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The half spectra of a batch of rows zero-padded to P points per

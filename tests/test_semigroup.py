@@ -92,9 +92,9 @@ def test_positivity_and_sup_contraction():
 
 
 def test_direct_and_spectral_paths_agree():
-    # a small 2D grid runs as a direct correlation, a 1D grid through
+    # a small 3D grid runs as a direct correlation, a 1D grid through
     # zero-padded FFTs; both must give the dense reference's field
-    g_direct = make_grid(2, 8.0, 64)
+    g_direct = make_grid(3, 8.0, 32)
     g_fft = make_grid(1, 8.0, 256)
     assert not HeatPropagator(g_direct)._spectral
     assert HeatPropagator(g_fft)._spectral
@@ -110,7 +110,9 @@ def test_direct_and_spectral_paths_agree():
         disp = np.arange(-(m - 1), m) * g.h
         total = np.exp(-(disp**2) / (4 * t)).sum()
         k = np.exp(-((x[:, None] - x[None, :]) ** 2) / (4 * t)) / total
-        ref = k @ f.values if g.n_dim == 1 else k @ f.values @ k.T
+        ref = f.values
+        for ax in range(g.n_dim):
+            ref = np.moveaxis(np.tensordot(k, ref, axes=([1], [ax])), 0, ax)
         np.testing.assert_allclose(out.values, ref, atol=1e-12)
 
 
@@ -140,11 +142,12 @@ _BATCH_WEIGHTS = np.array(
         (2, 32, None),
         (2, 136, None),
         (2, 136, 1),
+        (3, 16, None),
     ],
 )
 @pytest.mark.parametrize("gamma", [0.0, 0.4])
 def test_batched_apply_matches_single_applies(n_dim, points, batch_rows, gamma, monkeypatch):
-    # FFT path in 1D and beyond 128 points per axis, direct otherwise;
+    # FFT path in 1D and 2D, direct in 3D up to 128 points per axis;
     # batch_rows shrinks the FFT workspace so the rows are transformed that
     # many at a time
     g = make_grid(n_dim, 8.0, points)
@@ -196,7 +199,7 @@ def test_batched_apply_validation(points):
         prop.apply_heat_values(stack[0], 0.1, np.ones((1, 1)))
 
 
-@pytest.mark.parametrize("n_dim,points", [(2, 16), (2, 10), (3, 6)])
+@pytest.mark.parametrize("n_dim,points", [(3, 16), (3, 10), (3, 6)])
 @pytest.mark.parametrize("gamma", [0.0, 0.4])
 def test_direct_path_equals_per_row_correlation(n_dim, points, gamma):
     # reference: each row with t > 0 correlated axis by axis with its
@@ -273,8 +276,8 @@ def _per_row_reference(prop, stack, times, weights):
         (2, 136, True, None),  # one-row batches at the default workspace
         (3, 12, True, None),  # batches of 4 rows and 1 (P = 2M = 24)
         (3, 12, True, 1),
-        (2, 64, False, None),
-        (2, 16, False, None),
+        (3, 24, False, None),
+        (3, 16, False, None),
     ],
 )
 @pytest.mark.parametrize("gamma", [0.0, 0.4])
@@ -296,7 +299,7 @@ def test_prepared_apply_equals_per_row_construction(
         op = prop.prepare(_BATCH_TIMES, weights)
         if batch_rows is not None:
             assert op._step == batch_rows
-        elif n_dim == 3:
+        elif n_dim == 3 and spectral:
             assert op._step == 4  # the default workspace splits the rows 4 + 1
         # the operator's workspace is reused: a second stack must not see the first
         for _ in range(2):
@@ -319,8 +322,8 @@ def test_prepared_apply_equals_per_row_construction(
         (2, 24, True, 2),
         (3, 12, True, None),  # batches of 4 rows and 1
         (3, 12, True, 1),
-        (2, 64, False, None),  # producer chunks of every row
-        (2, 64, False, 1),
+        (3, 16, False, None),  # producer chunks of every row
+        (3, 16, False, 1),
         (3, 32, False, None),  # chunks of 4 rows and 1
         (3, 32, False, 1),
     ],
@@ -365,6 +368,72 @@ def test_producer_apply_equals_stack_apply(
         # every column of _BATCH_WEIGHTS is weighted, so no batch is skipped
         count, step = _BATCH_TIMES.size, op._step
         assert calls == [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+# five rows mixed from three inputs: a copy, two interpolations, a row that
+# mixes nothing and one of three terms
+_MIX = np.array(
+    [
+        [1.0, 0.0, 0.0],
+        [0.25, 0.75, 0.0],
+        [0.0, 0.5, 0.5],
+        [0.0, 0.0, 0.0],
+        [0.2, 0.3, 0.5],
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "n_dim,points,spectral,batch_rows",
+    [
+        (1, 256, True, None),  # one batch of every row
+        (1, 256, True, 1),
+        (1, 256, True, 2),
+        (2, 24, True, None),
+        (2, 24, True, 1),
+        (2, 136, True, None),  # one-row batches at the default workspace
+        (3, 16, False, None),
+        (3, 16, False, 1),
+    ],
+)
+@pytest.mark.parametrize("gamma", [0.0, 0.4])
+def test_mixed_inputs_equal_mixed_fields_applied_row_by_row(
+    n_dim, points, spectral, batch_rows, gamma, monkeypatch
+):
+    # an operator prepared with a (J, K) mix takes K inputs and gives the
+    # per-row result on the J mixed fields: the FFT path mixes the rows'
+    # spectra from the inputs' spectra, the direct path mixes the rows in
+    # real space.  A producer of the inputs is asked for each batch of them
+    # once, in order, and gives the stack's result bit for bit
+    g = make_grid(n_dim, 6.0, points)
+    if batch_rows is not None:
+        p = semigroup._padded_length(points, g.h, float(_BATCH_TIMES.max()))
+        row_bytes = 16 * p**n_dim if spectral else 8 * points**n_dim
+        monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * row_bytes)
+    prop = HeatPropagator(g)
+    assert prop._spectral == spectral
+    rng = np.random.default_rng(13 * n_dim + points)
+    weight = prop.weight_values(gamma) if gamma else 1.0
+    count = _MIX.shape[1]
+    for weights in (None, _BATCH_WEIGHTS):
+        op = prop.prepare(_BATCH_TIMES, weights, mix=_MIX)
+        if batch_rows is not None:
+            assert op._step == batch_rows
+        for _ in range(2):  # the workspace is reused: a second stack must not see the first
+            inputs = rng.uniform(0.0, 2.0, (count,) + g.shape)
+            mixed = np.tensordot(_MIX, inputs * weight, axes=1)
+            ref = _per_row_reference(prop, mixed, _BATCH_TIMES, weights)
+            out = prop.apply_weighted_values(inputs, op, gamma)
+            assert out.shape == ref.shape
+            np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
+        calls = []
+
+        def fill(lo, hi, rows):
+            calls.append((lo, hi))
+            rows[...] = inputs[lo:hi] * weight
+
+        np.testing.assert_array_equal(prop.apply_heat_values(fill, op), out)
+        assert calls == [(lo, min(lo + op._step, count)) for lo in range(0, count, op._step)]
 
 
 @pytest.mark.parametrize("n_dim,points", [(1, 64), (2, 24), (2, 40), (3, 12), (3, 16)])
@@ -448,6 +517,12 @@ def test_prepared_operator_validation():
     for bad in ([0.1, -0.2], [math.nan, 0.2], []):
         with pytest.raises(ParameterError):
             prop.prepare(np.array(bad))
+    for bad in (np.ones((3, 2)), np.ones(2), np.ones((2, 0))):  # a mix of J = 2 rows
+        with pytest.raises(ParameterError):
+            prop.prepare(np.array([0.1, 0.2]), mix=bad)
+    mixed = prop.prepare(np.array([0.1, 0.2]), mix=np.ones((2, 3)))
+    with pytest.raises(ParameterError):
+        prop.apply_heat_values(np.ones((2,) + g.shape), mixed)  # two fields, three inputs
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +567,7 @@ def test_one_dimensional_entry_is_the_half_spectrum():
     assert entry.shape == (257,)
 
 
-@pytest.mark.parametrize("n_dim,points", [(2, 64), (3, 32)])
+@pytest.mark.parametrize("n_dim,points", [(3, 64), (3, 32)])
 def test_direct_samples_have_no_subnormals(n_dim, points):
     # exp(-d^2 / 4t) underflows to subnormals between the normal samples and
     # the zeros; the direct path flushes them to zero and keeps the rest
@@ -509,7 +584,7 @@ def test_direct_samples_have_no_subnormals(n_dim, points):
         np.testing.assert_array_equal(entry, np.where(raw < tiny, 0.0, raw))
 
 
-@pytest.mark.parametrize("n_dim,points", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("n_dim,points", [(3, 16), (3, 8)])
 @pytest.mark.parametrize("times", [_BATCH_TIMES, _BATCH_TIMES[_BATCH_TIMES > 0.0]])
 def test_direct_apply_results_own_their_memory(n_dim, points, times):
     # the direct path multiplies in a workspace the operator keeps: no
@@ -533,7 +608,7 @@ def test_direct_apply_results_own_their_memory(n_dim, points, times):
 
 @pytest.mark.parametrize(
     "n_dim,points,spectral",
-    [(1, 256, True), (2, 24, True), (2, 64, False), (3, 32, False)],
+    [(1, 256, True), (2, 24, True), (3, 64, False), (3, 32, False)],
 )
 def test_kernel_entry_on_a_time_array_stacks_the_scalar_calls(n_dim, points, spectral, monkeypatch):
     # one pass over a time array builds, row by row, what one call per time
@@ -564,7 +639,7 @@ def test_kernel_entry_batch_names_its_truncating_time(n_dim, points):
         prop.prepare([0.01, 25.0])
 
 
-@pytest.mark.parametrize("n_dim,points", [(2, 40), (3, 12)])
+@pytest.mark.parametrize("n_dim,points", [(3, 20), (3, 12)])
 def test_spectral_and_direct_paths_agree(n_dim, points, monkeypatch):
     g = make_grid(n_dim, 6.0, points)
     spectral = _spectral_propagator(g, monkeypatch)
