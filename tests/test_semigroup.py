@@ -199,14 +199,13 @@ def test_batched_apply_validation(points):
         prop.apply_heat_values(stack[0], 0.1, np.ones((1, 1)))
 
 
-@pytest.mark.parametrize("n_dim,points", [(3, 16), (3, 10), (3, 6)])
+@pytest.mark.parametrize("n_dim,points", [(2, 16), (2, 10), (3, 16), (3, 10), (3, 6)])
 @pytest.mark.parametrize("gamma", [0.0, 0.4])
 def test_direct_path_equals_per_row_correlation(n_dim, points, gamma):
     # reference: each row with t > 0 correlated axis by axis with its
     # normalized 2M-1 kernel samples, zero outside the box
     g = make_grid(n_dim, 8.0, points)
-    prop = HeatPropagator(g)
-    assert not prop._spectral
+    prop = _direct_propagator(g)
     rng = np.random.default_rng(7 * n_dim + points)
     stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + g.shape)
     weighted = stack * prop.weight_values(gamma) if gamma else stack
@@ -276,6 +275,8 @@ def _per_row_reference(prop, stack, times, weights):
         (2, 136, True, None),  # one-row batches at the default workspace
         (3, 12, True, None),  # batches of 4 rows and 1 (P = 2M = 24)
         (3, 12, True, 1),
+        (2, 64, False, None),
+        (2, 16, False, None),
         (3, 24, False, None),
         (3, 16, False, None),
     ],
@@ -286,14 +287,12 @@ def test_prepared_apply_equals_per_row_construction(
 ):
     # _BATCH_TIMES has a t = 0 row; _BATCH_WEIGHTS an all-zero target row and
     # columns weighted by two targets
-    monkeypatch.setattr(semigroup, "_DIRECT_LIMIT", 0 if spectral else 10**6)
     g = make_grid(n_dim, 6.0, points)
     if batch_rows is not None:
         # the workspace holds batch_rows rows padded to the operator's length
         p = semigroup._padded_length(points, g.h, float(_BATCH_TIMES.max()))
         monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * p**n_dim)
-    prop = HeatPropagator(g)
-    assert prop._spectral == spectral
+    prop = _path_propagator(g, spectral, monkeypatch)
     rng = np.random.default_rng(3 * n_dim + points)
     for weights in (None, _BATCH_WEIGHTS):
         op = prop.prepare(_BATCH_TIMES, weights)
@@ -322,7 +321,9 @@ def test_prepared_apply_equals_per_row_construction(
         (2, 24, True, 2),
         (3, 12, True, None),  # batches of 4 rows and 1
         (3, 12, True, 1),
-        (3, 16, False, None),  # producer chunks of every row
+        (2, 64, False, None),  # producer chunks of every row
+        (2, 64, False, 1),
+        (3, 16, False, None),
         (3, 16, False, 1),
         (3, 32, False, None),  # chunks of 4 rows and 1
         (3, 32, False, 1),
@@ -336,7 +337,6 @@ def test_producer_apply_equals_stack_apply(
     # bit for bit, on both paths, with and without weights and with a t = 0
     # row; the operator asks for every row once, in order, and hands the
     # producer views of its own workspace
-    monkeypatch.setattr(semigroup, "_DIRECT_LIMIT", 0 if spectral else 10**6)
     g = make_grid(n_dim, 6.0, points)
     if batch_rows is not None:
         # the FFT workspace holds batch_rows padded rows; the direct path
@@ -344,8 +344,7 @@ def test_producer_apply_equals_stack_apply(
         p = semigroup._padded_length(points, g.h, float(_BATCH_TIMES.max()))
         row_bytes = 16 * p**n_dim if spectral else 8 * points**n_dim
         monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * row_bytes)
-    prop = HeatPropagator(g)
-    assert prop._spectral == spectral
+    prop = _path_propagator(g, spectral, monkeypatch)
     rng = np.random.default_rng(7 * n_dim + points)
     stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + g.shape)
     weight = prop.weight_values(gamma) if gamma else None
@@ -535,6 +534,19 @@ def _spectral_propagator(grid, monkeypatch):
     return HeatPropagator(grid)
 
 
+def _direct_propagator(grid):
+    """A fresh direct-path propagator, whatever the grid.  The direct path
+    runs in every dimension; by default only 3D grids of up to _DIRECT_LIMIT
+    points per axis take it."""
+    prop = HeatPropagator(grid)
+    prop._spectral = False
+    return prop
+
+
+def _path_propagator(grid, spectral, monkeypatch):
+    return _spectral_propagator(grid, monkeypatch) if spectral else _direct_propagator(grid)
+
+
 @pytest.mark.parametrize("n_dim,points", [(2, 24), (3, 12)])
 def test_per_axis_spectrum_is_the_full_kernel_spectrum(n_dim, points, monkeypatch):
     g = make_grid(n_dim, 4.0, points)
@@ -567,13 +579,12 @@ def test_one_dimensional_entry_is_the_half_spectrum():
     assert entry.shape == (257,)
 
 
-@pytest.mark.parametrize("n_dim,points", [(3, 64), (3, 32)])
+@pytest.mark.parametrize("n_dim,points", [(2, 64), (3, 64), (3, 32)])
 def test_direct_samples_have_no_subnormals(n_dim, points):
     # exp(-d^2 / 4t) underflows to subnormals between the normal samples and
     # the zeros; the direct path flushes them to zero and keeps the rest
     g = make_grid(n_dim, 8.0, points)
-    prop = HeatPropagator(g)
-    assert not prop._spectral
+    prop = _direct_propagator(g)
     tiny = np.finfo(float).tiny
     for t in (1 / 32, 0.05):
         raw = prop._axis_samples(t)
@@ -584,14 +595,13 @@ def test_direct_samples_have_no_subnormals(n_dim, points):
         np.testing.assert_array_equal(entry, np.where(raw < tiny, 0.0, raw))
 
 
-@pytest.mark.parametrize("n_dim,points", [(3, 16), (3, 8)])
+@pytest.mark.parametrize("n_dim,points", [(2, 16), (3, 16), (3, 8)])
 @pytest.mark.parametrize("times", [_BATCH_TIMES, _BATCH_TIMES[_BATCH_TIMES > 0.0]])
 def test_direct_apply_results_own_their_memory(n_dim, points, times):
     # the direct path multiplies in a workspace the operator keeps: no
     # result shares memory with it, and a later apply leaves it unchanged
     g = make_grid(n_dim, 6.0, points)
-    prop = HeatPropagator(g)
-    assert not prop._spectral
+    prop = _direct_propagator(g)
     rng = np.random.default_rng(points)
     for weights in (None, rng.uniform(0.0, 1.0, (2, times.size))):
         op = prop.prepare(times, weights)
@@ -608,15 +618,13 @@ def test_direct_apply_results_own_their_memory(n_dim, points, times):
 
 @pytest.mark.parametrize(
     "n_dim,points,spectral",
-    [(1, 256, True), (2, 24, True), (3, 64, False), (3, 32, False)],
+    [(1, 256, True), (2, 24, True), (2, 64, False), (3, 64, False), (3, 32, False)],
 )
 def test_kernel_entry_on_a_time_array_stacks_the_scalar_calls(n_dim, points, spectral, monkeypatch):
     # one pass over a time array builds, row by row, what one call per time
     # builds: samples and factors, at the default and at a padded length
-    monkeypatch.setattr(semigroup, "_DIRECT_LIMIT", 0 if spectral else 10**6)
     g = make_grid(n_dim, 8.0, points)
-    prop = HeatPropagator(g)
-    assert prop._spectral == spectral
+    prop = _path_propagator(g, spectral, monkeypatch)
     times = np.array([1e-4, 1 / 32, 0.05, 0.3, 1.0])
     samples = prop._axis_samples(times)
     assert samples.shape == (times.size, 2 * points - 1)
@@ -639,13 +647,11 @@ def test_kernel_entry_batch_names_its_truncating_time(n_dim, points):
         prop.prepare([0.01, 25.0])
 
 
-@pytest.mark.parametrize("n_dim,points", [(3, 20), (3, 12)])
+@pytest.mark.parametrize("n_dim,points", [(2, 40), (3, 20), (3, 12)])
 def test_spectral_and_direct_paths_agree(n_dim, points, monkeypatch):
     g = make_grid(n_dim, 6.0, points)
     spectral = _spectral_propagator(g, monkeypatch)
-    monkeypatch.setattr(semigroup, "_DIRECT_LIMIT", 10**6)
-    direct = HeatPropagator(g)
-    assert spectral._spectral and not direct._spectral
+    direct = _direct_propagator(g)
     rng = np.random.default_rng(11)
     stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + g.shape)
     for gamma in (0.0, 0.4):
