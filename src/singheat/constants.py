@@ -26,10 +26,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ParameterError, SeriesRangeError
-from .fields import Params
+from .fields import Params, gauss_legendre
 
 __all__ = [
     "ConstantsReport",
@@ -53,7 +52,7 @@ __all__ = [
 ]
 
 _TAIL_RADIUS = 44.0  # exp(-44^2/4) ~ 1e-210, far below every tolerance used
-_GL_NODES, _GL_WEIGHTS = leggauss(32)
+_GL_NODES, _GL_WEIGHTS = gauss_legendre(32)
 # panel edges past r = 1; the panels below 1 depend on the integrand's decay
 _OUTER_EDGES = np.array([1.0, 2.0, 4.0, 6.0, 8.0, 12.0, 16.0, _TAIL_RADIUS])
 

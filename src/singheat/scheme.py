@@ -452,9 +452,10 @@ def _window_plan(prop: HeatPropagator, mesh: TimeMesh, widx: int, gamma: float) 
     it linearly between them (exact at the knots): row j's source is
     (1 - theta) * knots[lo] + theta * knots[lo + 1], the row of the
     (rows, knots) matrix interp that holds 1 - theta and theta in columns lo
-    and lo + 1.  Returns the prepared free-term operator (the stack of
-    S(target i)) and the prepared sweep operator (lags target_i - s_j,
-    weighted per target, its rows mixed from the knots' sources by interp).
+    and lo + 1.  Returns the prepared free-term operator (S(target i) on
+    each row, all mixed from the window start alone, which is transformed
+    once) and the prepared sweep operator (lags target_i - s_j, weighted
+    per target, its rows mixed from the knots' sources by interp).
     """
     a = mesh.boundaries[widx]
     nodes = mesh.window_nodes[widx] - a
@@ -473,7 +474,8 @@ def _window_plan(prop: HeatPropagator, mesh: TimeMesh, widx: int, gamma: float) 
     interp[rows, hi] = theta
     weights = np.zeros((len(rules), sigmas.size))
     weights[owner, rows] = np.concatenate([wts for _, wts in rules])
-    return prop.prepare(targets), prop.prepare(targets[owner] - sigmas, weights, mix=interp)
+    free = prop.prepare(targets, mix=np.ones((targets.size, 1)))
+    return free, prop.prepare(targets[owner] - sigmas, weights, mix=interp)
 
 
 def picard_solve(
@@ -520,9 +522,9 @@ def picard_solve(
     propagator (on u0's grid) and plans (window plans by length) let
     successive calls on one grid, gamma and nodes per window share their
     plans, as the levels of monotone_solve do; by default the call makes
-    its own.  A call first drops the plans of lengths its mesh lacks and
-    frees the workspace of the plan it used last before returning.  The
-    diagnostics' window_plans counts the plans the call built.
+    its own.  A call first drops the plans of lengths its mesh lacks; the
+    plans hold kernels only.  The diagnostics' window_plans counts the
+    plans the call built.
     """
     grid = u0.grid
     if float(u0.values.min()) < 0.0:
@@ -557,7 +559,6 @@ def picard_solve(
     total_sweeps = 0
     worst_resid = 0.0
     built = 0
-    last = None
     # the sweep's arrays, allocated once per knot count of the plans: the
     # knots' weighted sources and the residual's difference, which also
     # holds the clipped fields on their way into the nonlinearity
@@ -577,18 +578,12 @@ def picard_solve(
         if plan is None:
             plan = plans[key] = _window_plan(prop, mesh, widx, gam)
             built += 1
-        if last is not None and last is not plan:
-            # a new length: free the last plan's workspace before this one's
-            # first apply allocates its own
-            for op in last:
-                op.release()
-        last = plan
         free_op, sweep = plan
         count = sweep.mix.shape[1]  # the window start and the targets
         if knots is None or knots.shape[0] != count:
             knots = np.empty((count,) + grid.shape)
             diff = np.empty((count - 1,) + grid.shape)
-        free = prop.apply_heat_values(np.broadcast_to(u_left, knots[1:].shape), free_op)
+        free = prop.apply_heat_values(u_left[None], free_op)
         state = free
         source(u_left, knots[0], diff[0])
         converged = False
@@ -613,9 +608,6 @@ def picard_solve(
         if b in records:
             times_out.append(b)
             snaps_out.append(GridFunction(grid, u_left))
-    # the plans outlive the call; their workspaces are reallocated on use
-    for op in last:
-        op.release()
     diag = {
         "windows": mesh.window_count,
         "window_plans": built,
@@ -651,8 +643,9 @@ def monotone_solve(
     inspect the whole ladder.
 
     Every level marches on one propagator and one dict of window plans, so
-    a window length that recurs from level to level is planned once; the
-    diagnostics' window_plans counts the plans of the whole ladder.
+    a window length that recurs from level to level is planned once and
+    all levels work in one scratch buffer; the diagnostics' window_plans
+    counts the plans of the whole ladder.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ParameterError(f"t_end must be positive (got {t_end})")

@@ -36,17 +36,16 @@ Every call goes through a prepared operator (PreparedHeat), built by
 HeatPropagator.prepare for fixed times, weights and mix: it builds the kernels
 once, all in one vectorized pass (one array of samples, one mass check per
 row, one batched transform), and holds them stacked, one row per field,
-together with the batch plan and a workspace reused by every apply.  Nothing
-caches kernels beyond the operators that hold them: a caller that applies
-the same times again keeps its operator.  The Picard solve prepares its
-sweep and free-term operators once per window length, in window-relative
-time, since a window's lags depend on its length alone, and applies them to
-every window of that length, on every ladder level that has one; its sweeps
-write into arrays it allocates once per call.  On the FFT path the sums are
-taken in the spectral domain, so J fields for T targets cost J forward and T
-inverse transforms.  Rows are transformed in batches sized by a fixed
-workspace budget, which keeps the padded arrays in cache; each batch is
-added only into the targets that weigh its rows.
+together with the batch plan; every apply works in its propagator's one
+scratch buffer.  Nothing caches kernels beyond the operators that hold them:
+a caller that applies the same times again keeps its operator.  The Picard
+solve prepares its sweep and free-term operators once per window length, in
+window-relative time, since a window's lags depend on its length alone, and
+applies them to every window of that length, on every ladder level that has
+one.  On the FFT path the sums are taken in the spectral domain, so J fields
+for T targets cost J forward and T inverse transforms.  Rows are transformed
+in batches sized by a fixed workspace budget, which keeps the padded arrays
+in cache; each batch is added only into the targets that weigh its rows.
 
 An operator prepared with a (J, K) mix matrix takes K inputs and applies
 row j to sum_k mix[j, k] input_k.  The transform is linear, so the FFT path
@@ -54,22 +53,23 @@ transforms the K inputs and forms each batch's row spectra as the same
 mixes of theirs; the direct path mixes the rows in real space.  The Picard
 sweep's source is linear in its knot values between the knots (it
 interpolates the source, not the field), so its J = 72 quadrature rows cost
-K = 10 forward transforms.
+K = 10 forward transforms; its free term is a one-column mix of the window
+start, whose 9 rows cost one.
 
 An apply takes the J fields (or K inputs) as a stack or as a producer that
-writes each batch's rows into the operator's workspace, so a caller whose
+writes each batch's rows into the propagator's scratch, so a caller whose
 fields are computed (the sub-solution check's barrier powers) never holds
-all J of them.  The FFT workspace pads the
-rows along the last axis only, and the transforms skip the lines that hold
-only padding.  Forward, rfft runs over the M^(N-1) lines of the last axis,
-then fft along each earlier axis over the lines that are non-zero so far;
-inverse, after each axis only the M lines that reach the box go on.  Both
-keep numpy's rfftn and irfftn axis order, so the sums are theirs bit for
-bit.
+all J of them.  The FFT path pads the rows along the last axis only, and
+the transforms skip the lines that hold only padding.  Forward, rfft runs
+over the M^(N-1) lines of the last axis, then fft along each earlier axis
+over the lines that are non-zero so far; inverse, after each axis only the
+M lines that reach the box go on.  Both keep numpy's rfftn and irfftn axis
+order, so the sums are theirs bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -129,6 +129,17 @@ def _padded_length(m: int, h: float, t_max: float) -> int:
     return 2 * m
 
 
+@functools.lru_cache(maxsize=64)
+def _scratch_layout(specs: tuple) -> tuple:
+    """The byte offset of each (shape, dtype) in specs, each a multiple of
+    64, and the bytes they span.  Cached: an operator asks on every apply."""
+    offsets, end = [], 0
+    for shape, dtype in specs:
+        offsets.append(end)
+        end += -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
+    return tuple(offsets), end
+
+
 class HeatPropagator:
     """Applies S(t) and S_gamma(t) on one grid.
 
@@ -141,14 +152,27 @@ class HeatPropagator:
     prepared operator builds its own factors, all in one call, and holds
     them while it lives.  A kernel whose raw mass falls short of 1 by more
     than _EPS_TAIL raises TruncationError.
-    It memoizes the weight field of each gamma; use one propagator per
-    thread.
+    It memoizes the weight field of each gamma and owns the scratch buffer
+    that every apply of its operators works in (see _scratch).  Use one
+    propagator, with its operators, per thread; a producer must not apply
+    another operator of the same propagator.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self._spectral = grid.n_dim < 3 or grid.points_per_axis > _DIRECT_LIMIT
         self._weights: dict[float, np.ndarray] = {}
+        self._buffer = np.empty(0, dtype=np.uint8)
+
+    def _scratch(self, *specs) -> list:
+        """Views of the scratch buffer, one per (shape, dtype), at 64-byte
+        aligned addresses; valid until the next call.  The buffer grows to
+        the largest request and is kept, so successive operators reuse it."""
+        offsets, end = _scratch_layout(specs)
+        if self._buffer.size < end:
+            raw = np.empty(end + 63, dtype=np.uint8)
+            self._buffer = raw[-raw.ctypes.data % 64 :][:end]
+        return [np.ndarray(s, d, self._buffer, off) for off, (s, d) in zip(offsets, specs)]
 
     # -- kernel construction -------------------------------------------------
 
@@ -314,24 +338,19 @@ class PreparedHeat:
       ((J, P/2+1) in 1D), ones for t = 0 rows; the batches of rows whose
       padded spectra fit _FFT_WORKSPACE_BYTES, each with the range of
       targets that weigh its rows and that block of weights, and with a
-      mix, the range of inputs its rows mix and that block of the mix; and
-      the workspace (the batch's rows, the same rows padded along the last
-      axis, their spectra, the target spectra and, with a mix, the K input
-      spectra), allocated by the first apply and reused by every later one
-      until release().  One apply produces each batch into the workspace,
-      transforms it (see _forward), multiplies it by the factors once per
-      axis (one broadcast multiply over the batch), adds weights @ spectra
-      into its targets, and ends with the T inverse transforms.  With a
-      mix, the K inputs are produced and transformed first, in batches of
-      the same size, and each batch's row spectra are mixed from theirs:
-      the transform is linear, so K forward transforms serve the J rows.
-    - Direct path: the stacked Toeplitz views of the rows with t > 0, and
-      two arrays, the J produced rows (the moved input of each later axis)
-      and the matmul output of the rows with t > 0, allocated by the first
-      apply and reused until release().  With a mix a third array holds the
-      K inputs, and one matmul mixes the J rows from them in real space.
+      mix, the range of inputs its rows mix and that block of the mix.  One
+      apply produces each batch into the scratch, transforms it (see
+      _forward), multiplies it by the factors once per axis (one broadcast
+      multiply over the batch), adds weights @ spectra into its targets,
+      and ends with the T inverse transforms.  With a mix, the K inputs
+      are produced and transformed first, in batches of the same size, and
+      each batch's row spectra are mixed from theirs: the transform is
+      linear, so K forward transforms serve the J rows.
+    - Direct path: the stacked Toeplitz views of the rows with t > 0.  With
+      a mix, one matmul mixes the J rows from the K inputs in real space.
 
-    The workspace makes an operator single-threaded: prepare one per thread.
+    The operator holds no workspace: its applies work in the propagator's
+    scratch (see HeatPropagator), and every result is a fresh array.
     """
 
     def __init__(self, prop: HeatPropagator, times: np.ndarray, weights, mix):
@@ -344,7 +363,6 @@ class PreparedHeat:
         count = times.size
         self._shape = (count,) + grid.shape
         self._inputs = count if mix is None else mix.shape[1]
-        self._workspace = None
         self._live = live = np.flatnonzero(times > 0.0)
         if not prop._spectral:
             samples = prop._kernel_entry(times[live]) if live.size else np.empty((0, 2 * m - 1))
@@ -379,19 +397,15 @@ class PreparedHeat:
             self._batches.append((lo, hi, own, wts, mixing))
         self._padded = (p,) * n
 
-    def release(self) -> None:
-        """Free the workspace; the next apply allocates it again."""
-        self._workspace = None
-
     def apply(self, values) -> np.ndarray:
         """The T weighted sums (without weights, the J results) of J fields,
         or of the J mixes of K inputs.
 
         values is a (J, *grid) stack ((K, *grid) with a mix), or a producer
         fill(lo, hi, out) that writes fields (inputs) lo .. hi - 1 into out,
-        a contiguous (hi - lo, *grid) view of the workspace.  The operator
-        calls it once per batch, in order, so the caller never holds the
-        whole stack.  A stack is the producer that copies its rows.
+        a contiguous (hi - lo, *grid) view of the propagator's scratch.  The
+        operator calls it once per batch, in order, so the caller never holds
+        the whole stack.  A stack is the producer that copies its rows.
         """
         if callable(values):
             fill = values
@@ -414,30 +428,26 @@ class PreparedHeat:
         """Zero-extended correlation of an axis with the 2M-1 normalized
         samples g is the product with the M x M Toeplitz matrix
         T[i, k] = g[k - i + M - 1], whose row i is the window g[M-1-i : 2M-1-i].
-        The rows are produced into a workspace of J rows, _step at a time
+        The rows are produced into an array of J rows, _step at a time
         (with a mix, the K inputs into one of K rows, and mixed into the J
-        rows by one matmul).
-        Those with t > 0 are multiplied by their T (a sliding-window view
-        of their samples, no copy) in one batched matmul per axis; rows with
-        t = 0 pass through unchanged.  Each axis is moved to the front of a
-        row in the spent input and multiplied into a second array; both are
-        allocated by the first apply and reused until release()."""
+        rows by one matmul).  Those with t > 0 are multiplied by their T (a
+        sliding-window view of their samples, no copy) in one batched matmul
+        per axis; rows with t = 0 pass through unchanged.  Each axis is moved
+        to the front of a row in the spent input and multiplied into a second
+        array.  They are views of the scratch taken at the start of the
+        call."""
         count = self._shape[0]
         live = self._live
-        if self._workspace is None:
-            cells = math.prod(self._shape[1:])
-            self._workspace = (np.empty(count * cells), np.empty(live.size * cells))
-            if self.mix is not None:
-                self._workspace += (np.empty(self._inputs * cells),)
-        buf, prod = self._workspace[:2]
-        rows = buf.reshape(self._shape)
-        inputs = rows if self.mix is None else self._workspace[2].reshape(
-            (self._inputs,) + self._shape[1:]
+        rows, prod, inputs = self.propagator._scratch(
+            (self._shape, float),
+            ((live.size * math.prod(self._shape[1:]),), float),
+            ((0 if self.mix is None else self._inputs,) + self._shape[1:], float),
         )
+        inputs = rows if self.mix is None else inputs
         for lo in range(0, self._inputs, self._step):
             fill(lo, min(lo + self._step, self._inputs), inputs[lo : lo + self._step])
         if self.mix is not None:
-            np.matmul(self.mix, inputs.reshape(self._inputs, -1), out=buf.reshape(count, -1))
+            np.matmul(self.mix, inputs.reshape(self._inputs, -1), out=rows.reshape(count, -1))
         if live.size:
             m = self.propagator.grid.points_per_axis
             part = rows if live.size == count else rows[live]
@@ -466,10 +476,11 @@ class PreparedHeat:
 
     def _apply_spectral(self, fill) -> np.ndarray:
         """One forward transform per row (with a mix, per input) and one
-        inverse per output field.  Each batch is produced into a contiguous
-        array and copied into a workspace padded along the last axis only,
-        whose padding stays zero: the producer's elementwise passes run
-        slower on a strided view (g_n on a 2D M = 192 row: 70 us more).
+        inverse per output field, in views of the scratch taken at the start
+        of the call.  Each batch is produced into a contiguous array and
+        copied into one padded along the last axis only, whose padding each
+        call zeroes: the producer's elementwise passes run slower on a
+        strided view (g_n on a 2D M = 192 row: 70 us more).
         With a mix, a batch's row spectra are its block of the mix times the
         spectra of the inputs that block reads; with weights, each batch's
         spectra go into the sums of the targets that weigh them.  Each is
@@ -479,27 +490,21 @@ class PreparedHeat:
         without the matmul's overhead (at 2D P = 320, 0.10 against 0.30 ms
         per row).  Its mix stays one product, which for a row of two terms
         at 2D P = 240 took 39 us against 59 us for two scaled adds."""
-        if self._workspace is None:
-            # allocated on first use, so that an operator replacing another
-            # one (the Picard plan of the next window length or ladder level)
-            # reuses the memory the old one released instead of adding to it
-            half = self._padded[:-1] + (self._padded[-1] // 2 + 1,)
-            targets = 0 if self.weights is None else self.weights.shape[0]
-            produced = min(self._step, self._inputs)  # with a mix, the inputs only
-            self._workspace = (
-                np.empty((produced,) + self._shape[1:]),
-                np.zeros((produced,) + self._shape[1:-1] + self._padded[-1:]),
-                np.empty((self._step,) + half, dtype=complex),
-                np.empty((targets,) + half, dtype=complex),
-            )
-            if self.mix is not None:
-                self._workspace += (np.empty((self._inputs,) + half, dtype=complex),)
-        spec, sums = self._workspace[2:4]
+        half = self._padded[:-1] + (self._padded[-1] // 2 + 1,)
+        targets = 0 if self.weights is None else self.weights.shape[0]
+        produced = min(self._step, self._inputs)  # with a mix, the inputs only
+        rows, work, spec, sums, inputs = self.propagator._scratch(
+            ((produced,) + self._shape[1:], float),
+            ((produced,) + self._shape[1:-1] + self._padded[-1:], float),
+            ((self._step,) + half, complex),
+            ((targets,) + half, complex),
+            ((0 if self.mix is None else self._inputs,) + half, complex),
+        )
+        work[..., self._shape[-1] :] = 0.0  # the padding, shared with other operators
         if self.mix is not None:
-            inputs = self._workspace[4]
             for lo in range(0, self._inputs, self._step):
                 hi = min(lo + self._step, self._inputs)
-                self._transform(fill, lo, hi, inputs[lo:hi])
+                self._transform(fill, lo, hi, rows, work, inputs[lo:hi])
             flat_inputs = inputs.view(float).reshape(self._inputs, -1)
         if self.weights is None:
             out = np.empty(self._shape)
@@ -509,7 +514,7 @@ class PreparedHeat:
         for lo, hi, own, wts, mixing in self._batches:
             nb = hi - lo
             if mixing is None:
-                part = self._transform(fill, lo, hi, spec[:nb])
+                part = self._transform(fill, lo, hi, rows, work, spec[:nb])
             else:
                 part = spec[:nb]
                 ins, block = mixing
@@ -529,10 +534,9 @@ class PreparedHeat:
             out[k : k + self._step] = self._inverse(sums[k : k + self._step])
         return out
 
-    def _transform(self, fill, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        """Produce rows lo .. hi - 1 into the workspace, pad them and write
+    def _transform(self, fill, lo: int, hi: int, rows, work, out: np.ndarray) -> np.ndarray:
+        """Produce rows lo .. hi - 1 into rows, pad them into work and write
         their half spectra into out; returns out."""
-        rows, work = self._workspace[:2]
         nb = hi - lo
         fill(lo, hi, rows[:nb])
         work[:nb, ..., : self._shape[-1]] = rows[:nb]

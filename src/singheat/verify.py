@@ -40,18 +40,12 @@ from .fields import (
     Grid,
     Params,
     make_grid,
-    sample,
     standard_data,
 )
 from .scheme import (
-    Nonlinearity,
     SolveConfig,
-    TimeMesh,
-    contraction_window,
     duhamel_rule,
-    g_n,
     monotone_solve,
-    picard_solve,
     subsolution_coefficient,
     subsolution_w,
 )

@@ -1,6 +1,7 @@
 """Command-line surface: precedence, exit codes, deterministic outputs."""
 
 import argparse
+import ast
 import json
 import re
 import subprocess
@@ -320,3 +321,38 @@ assert not loaded, loaded
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _unused_imports(path: Path) -> list:
+    """Names a module imports and never reads.  A read is a name in the
+    code, in a string annotation or in __all__; an import marked
+    `# noqa: F401` is kept for its side effect and not counted."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "noqa: F401" in lines[node.lineno - 1] or getattr(node, "module", "") == "__future__":
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:  # a string annotation, or an __all__ entry
+                read.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+            except SyntaxError:
+                pass
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
+
+
+def test_source_modules_have_no_unused_imports():
+    src = Path(__file__).resolve().parents[1] / "src" / "singheat"
+    modules = sorted(src.glob("*.py"))
+    assert modules
+    unused = {p.name: _unused_imports(p) for p in modules}
+    assert not {name: names for name, names in unused.items() if names}

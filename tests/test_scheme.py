@@ -34,7 +34,6 @@ from singheat import (
 from singheat import scheme
 from singheat.constants import ck_fixed_point, eta1
 from singheat.scheme import _window_plan
-from singheat.semigroup import PreparedHeat
 
 
 # ---------------------------------------------------------------------------
@@ -391,40 +390,48 @@ def test_picard_sweep_budget_enforced(monkeypatch):
 def test_picard_looks_up_kernels_once_per_window_length(monkeypatch):
     # a window's lags depend on its length alone: the kernel lookups depend
     # on the distinct window lengths, not on the windows or their sweeps.
-    # Each prepared operator looks up all of its kernels in one call.
-    lookups, released = [], []
+    # Each prepared operator looks up all of its kernels in one call.  The
+    # operators hold no workspace: their applies share the propagator's
+    # scratch, which a second call on the same propagator does not grow
+    lookups, grown = [], []
     lookup = HeatPropagator._kernel_entry
-    release = PreparedHeat.release
+    scratch = HeatPropagator._scratch
 
     def counted(self, t, length=None):
         lookups.append(np.size(t))
         return lookup(self, t, length)
 
-    def counted_release(self):
-        released.append(self)
-        release(self)
+    def watched(self, *specs):
+        before = self._buffer
+        views = scratch(self, *specs)
+        if self._buffer is not before:
+            grown.append(self._buffer.size)
+        return views
 
     monkeypatch.setattr(HeatPropagator, "_kernel_entry", counted)
-    monkeypatch.setattr(PreparedHeat, "release", counted_release)
+    monkeypatch.setattr(HeatPropagator, "_scratch", watched)
     g = make_grid(1, 12.0, 256)  # FFT path
+    prop = HeatPropagator(g)
     p = Params(q=0.5, gamma=0.3, n_dim=1)
     u0 = standard_data(g, "bump")
     nl = Nonlinearity.regularized(0.5, 2)
     # windows of 0.075 on [0, 0.15], then of 0.35/3 on [0.15, 0.5]
     mesh = TimeMesh.build(0.5, 0.3, 0.125, must_include=(0.15,))
-    counts, sweeps = [], []
+    counts, sweeps, growth = [], [], []
     for eps in (1e-6, 1e-10):
         lookups.clear()
-        released.clear()
-        traj = picard_solve(u0, nl, p, mesh, SolveConfig(eps_fp=eps))
+        grown.clear()
+        traj = picard_solve(u0, nl, p, mesh, SolveConfig(eps_fp=eps), propagator=prop)
         counts.append((len(lookups), sum(lookups)))
         sweeps.append(traj.diagnostics["total_sweeps"])
+        growth.append(list(grown))
         assert traj.diagnostics["windows"] == mesh.window_count == 5
         assert traj.diagnostics["window_plans"] == 2
-        # the one change of length frees the first plan's two operators, and
-        # the end of the call the second's
-        assert len(released) == 4 and all(op._workspace is None for op in released)
+        assert not np.shares_memory(traj.snapshots[-1].values, prop._buffer)
     assert sweeps[0] < sweeps[1]
+    # at most once per operator of each length, and never on reuse
+    assert 1 <= len(growth[0]) <= 4 and growth[0] == sorted(growth[0])
+    assert growth[1] == []
     # per length: one lookup for the free term's operator, of one kernel per
     # target, and one for the sweep's, of one kernel per (target, node) row
     targets = mesh.nodes_per_window + 1
@@ -660,7 +667,7 @@ def test_ladder_levels_share_their_window_plans(monkeypatch):
     u0 = standard_data(g, "zero")
     cfg = SolveConfig(n_schedule=(1, 2, 4, 8))
     solve, plan = scheme.picard_solve, scheme._window_plan
-    planned, levels = [], []
+    planned, levels, scratch = [], [], []
 
     def counted_plan(prop, mesh, widx, gamma):
         planned.append(mesh.boundaries[widx + 1] - mesh.boundaries[widx])
@@ -671,7 +678,9 @@ def test_ladder_levels_share_their_window_plans(monkeypatch):
         bounds = mesh.boundaries
         lengths = {float(f"{b - a:.12e}") for a, b in zip(bounds, bounds[1:])}
         assert set(plans) == lengths  # only this level's lengths are kept
-        assert all(op._workspace is None for ops in plans.values() for op in ops)
+        # every level works in the one propagator's scratch, which only grows
+        scratch.append((propagator, propagator._buffer.size))
+        assert not np.shares_memory(traj.snapshots[-1].values, propagator._buffer)
         levels.append(((u, nl, params, mesh, config, record_times), traj))
         return traj
 
@@ -683,6 +692,9 @@ def test_ladder_levels_share_their_window_plans(monkeypatch):
     assert len(planned) == 4
     assert np.allclose(sorted(planned), [0.05, 0.075, 0.1, 0.15], rtol=0, atol=1e-15)
     assert traj.diagnostics["window_plans"] == 4
+    assert all(prop is scratch[0][0] for prop, _ in scratch)
+    sizes = [size for _, size in scratch]
+    assert sizes[0] > 0 and sizes == sorted(sizes)
     # each level as its own call with fresh plans
     for args, shared in levels:
         fresh = solve(*args)

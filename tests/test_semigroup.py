@@ -336,7 +336,7 @@ def test_producer_apply_equals_stack_apply(
     # a producer that writes the rows of a stack gives that stack's result
     # bit for bit, on both paths, with and without weights and with a t = 0
     # row; the operator asks for every row once, in order, and hands the
-    # producer views of its own workspace
+    # producer views of its propagator's scratch
     g = make_grid(n_dim, 6.0, points)
     if batch_rows is not None:
         # the FFT workspace holds batch_rows padded rows; the direct path
@@ -357,13 +357,14 @@ def test_producer_apply_equals_stack_apply(
         def fill(lo, hi, out):
             calls.append((lo, hi))
             assert out.shape == (hi - lo,) + g.shape
-            assert any(np.shares_memory(out, buf) for buf in op._workspace)
+            assert np.shares_memory(out, prop._buffer)
             for k, row in enumerate(out):
                 row[...] = stack[lo + k] * weight if gamma else stack[lo + k]
 
         produced = prop.apply_heat_values(fill, op)
         ref = prop.apply_weighted_values(stack, op, gamma)
         np.testing.assert_array_equal(produced, ref)
+        assert not np.shares_memory(produced, prop._buffer)
         # every column of _BATCH_WEIGHTS is weighted, so no batch is skipped
         count, step = _BATCH_TIMES.size, op._step
         assert calls == [(lo, min(lo + step, count)) for lo in range(0, count, step)]
@@ -598,8 +599,9 @@ def test_direct_samples_have_no_subnormals(n_dim, points):
 @pytest.mark.parametrize("n_dim,points", [(2, 16), (3, 16), (3, 8)])
 @pytest.mark.parametrize("times", [_BATCH_TIMES, _BATCH_TIMES[_BATCH_TIMES > 0.0]])
 def test_direct_apply_results_own_their_memory(n_dim, points, times):
-    # the direct path multiplies in a workspace the operator keeps: no
-    # result shares memory with it, and a later apply leaves it unchanged
+    # the direct path multiplies in the propagator's scratch: no result
+    # shares memory with it, and a later apply, of this operator or of
+    # another one of the propagator, leaves the result unchanged
     g = make_grid(n_dim, 6.0, points)
     prop = _direct_propagator(g)
     rng = np.random.default_rng(points)
@@ -609,11 +611,44 @@ def test_direct_apply_results_own_their_memory(n_dim, points, times):
         kept = first.copy()
         second = op.apply(rng.uniform(0.0, 1.0, (times.size,) + g.shape))
         assert not np.shares_memory(first, second)
-        assert not any(np.shares_memory(first, buf) for buf in op._workspace)
+        assert not np.shares_memory(first, prop._buffer)
+        prop.prepare(times[:1]).apply(rng.uniform(0.0, 1.0, (1,) + g.shape))
         np.testing.assert_array_equal(first, kept)
-        op.release()
-        assert op._workspace is None
         np.testing.assert_array_equal(op.apply(np.zeros((times.size,) + g.shape)), 0.0)
+
+
+@pytest.mark.parametrize(
+    "n_dim,points,spectral", [(1, 256, True), (2, 24, True), (3, 12, True), (3, 12, False)]
+)
+def test_operators_of_one_propagator_share_its_scratch(n_dim, points, spectral, monkeypatch):
+    # operators whose padded lengths and row counts differ, applied in turn
+    # on one propagator, give what each gives on a fresh propagator, bit for
+    # bit: a free term (one input mixed into four rows), a Picard-like sweep
+    # (weights and a mix, a longer time) and a one-row weighted operator (a
+    # short time, so a shorter padded length on the FFT path).  No result
+    # shares memory with the scratch, which only grows
+    g = make_grid(n_dim, 6.0, points)
+    prop = _path_propagator(g, spectral, monkeypatch)
+    specs = [
+        (np.array([0.05, 0.1, 0.2, 0.3]), None, np.ones((4, 1))),
+        (_BATCH_TIMES, _BATCH_WEIGHTS, _MIX),
+        (np.array([0.01]), np.array([[0.5]]), None),
+    ]
+    if spectral:  # the padded lengths differ
+        assert len({semigroup._padded_length(points, g.h, float(t.max())) for t, _, _ in specs}) > 1
+    ops = [prop.prepare(t, w, mix=x) for t, w, x in specs]
+    rng = np.random.default_rng(5 * n_dim + points)
+    sizes = []
+    for _ in range(2):
+        for (t, w, x), op in zip(specs, ops):
+            count = t.size if x is None else x.shape[1]
+            stack = rng.uniform(0.0, 2.0, (count,) + g.shape)
+            out = op.apply(stack)
+            fresh = _path_propagator(g, spectral, monkeypatch)
+            np.testing.assert_array_equal(out, fresh.prepare(t, w, mix=x).apply(stack))
+            assert not np.shares_memory(out, prop._buffer)
+            sizes.append(prop._buffer.size)
+    assert sizes == sorted(sizes) and sizes[3:] == sizes[2:3] * 3  # grown by the first round
 
 
 @pytest.mark.parametrize(
