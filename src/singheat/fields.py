@@ -25,7 +25,10 @@ __all__ = [
     "Grid",
     "GridFunction",
     "Params",
+    "is_mirror_symmetric",
     "make_grid",
+    "mirrored",
+    "orthant",
     "sample",
     "standard_data",
     "sup_norm",
@@ -149,6 +152,31 @@ class GridFunction:
         return GridFunction(self.grid, values)
 
 
+def orthant(values: np.ndarray) -> np.ndarray:
+    """The block of a full-grid field on the positive orthant, the nodes with
+    every coordinate > 0: shape (M/2,)^N, a view of values."""
+    return values[tuple(slice(s // 2, None) for s in values.shape)]
+
+
+def mirrored(half: np.ndarray) -> np.ndarray:
+    """The full-grid field whose positive orthant is half and which is
+    mirror-symmetric in every axis: a fresh array of shape (M,)^N whose
+    values are exact copies of half's."""
+    out = np.empty(tuple(2 * s for s in half.shape))
+    orthant(out)[...] = half
+    for ax, m in enumerate(half.shape):
+        # the axes before ax are complete: reflect the filled half of this one
+        lead = (slice(None),) * ax
+        tail = tuple(slice(s, None) for s in half.shape[ax + 1 :])
+        out[lead + (slice(0, m),) + tail] = np.flip(out[lead + (slice(m, None),) + tail], ax)
+    return out
+
+
+def is_mirror_symmetric(values: np.ndarray) -> bool:
+    """Whether a full-grid field equals its reflection in every axis exactly."""
+    return all(np.array_equal(values, np.flip(values, ax)) for ax in range(values.ndim))
+
+
 def sup_norm(f: GridFunction) -> float:
     """Maximum absolute node value; zero exactly when the field vanishes."""
     return float(np.max(np.abs(f.values)))
@@ -180,7 +208,7 @@ def sample(grid: Grid, f: Callable) -> GridFunction:
 # Singular weight as exact cell averages
 # ---------------------------------------------------------------------------
 
-def weight_field(grid: Grid, gamma: float) -> GridFunction:
+def weight_field(grid: Grid, gamma: float, orthant: bool = False) -> "GridFunction | np.ndarray":
     """Cell-averaged singular weight |y|^{-gamma}.
 
     Each node carries h^{-N} * integral of |y|^{-gamma} over its own cell,
@@ -194,28 +222,36 @@ def weight_field(grid: Grid, gamma: float) -> GridFunction:
     the positive orthant only; each class of cells that permuting the axes
     maps onto each other takes the value of one of them, and the other
     orthants are its mirror images, so the field has the grid's symmetries
-    exactly.
+    exactly.  With orthant=True the result is the read-only array of those
+    positive-orthant values alone, of shape (M/2,)^N, with no full field
+    built.
     """
     if not (0.0 <= gamma < grid.n_dim):
         raise ParameterError(
             f"weight exponent must satisfy 0 <= gamma < n_dim (got gamma={gamma}, "
             f"n_dim={grid.n_dim})"
         )
+    m = grid.points_per_axis // 2
     if gamma == 0.0:
-        return GridFunction(grid, np.ones(grid.shape))
-    if grid.n_dim == 1:
-        return GridFunction(grid, _weight_1d(grid, gamma))
-    return GridFunction(grid, _weight_nd(grid, gamma))
+        half = np.ones((m,) * grid.n_dim)
+    elif grid.n_dim == 1:
+        half = _weight_1d(grid, gamma)
+    else:
+        half = _weight_nd(grid, gamma)
+    if orthant:
+        half.setflags(write=False)
+        return half
+    return GridFunction(grid, mirrored(half))
 
 
 def _weight_1d(grid: Grid, gamma: float) -> np.ndarray:
+    """The closed-form cell averages of the positive half axis."""
     h = grid.h
     half = grid.points_per_axis // 2
     a = np.arange(half, dtype=float) * h
     b = a + h
     e = 1.0 - gamma
-    avg = (b**e - a**e) / (e * h)
-    return np.concatenate((avg[::-1], avg))
+    return (b**e - a**e) / (e * h)
 
 
 @functools.lru_cache(maxsize=64)
@@ -256,7 +292,7 @@ def _single_cell_avg(center: tuple[float, ...], h: float, gamma: float, npts: in
 
 def _weight_nd(grid: Grid, gamma: float) -> np.ndarray:
     """The cell averages of the positive orthant, made exactly symmetric
-    under permutations of the axes and mirrored onto the others."""
+    under permutations of the axes."""
     h = grid.h
     n = grid.n_dim
     half = grid.points_per_axis // 2
@@ -291,10 +327,7 @@ def _weight_nd(grid: Grid, gamma: float) -> np.ndarray:
     # one value per class of cells that a permutation of the axes maps onto
     # each other: the one at sorted indices
     idx.sort(axis=0)
-    out = out[tuple(idx)]
-    for axis in range(n):
-        out = np.concatenate((np.flip(out, axis), out), axis=axis)
-    return out
+    return out[tuple(idx)]
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,15 @@ import numpy as np
 
 from . import constants
 from .errors import ConvergenceError, ParameterError
-from .fields import Grid, GridFunction, Params, gauss_legendre
+from .fields import (
+    Grid,
+    GridFunction,
+    Params,
+    gauss_legendre,
+    is_mirror_symmetric,
+    mirrored,
+    orthant,
+)
 from .semigroup import HeatPropagator
 
 __all__ = [
@@ -48,6 +56,7 @@ __all__ = [
     "picard_solve",
     "positive_part",
     "subsolution_coefficient",
+    "subsolution_values",
     "subsolution_w",
 ]
 
@@ -177,11 +186,16 @@ def subsolution_w(
         raise ParameterError(f"time must be >= 0 (got {t})")
     if t == 0.0:
         return GridFunction(grid, np.zeros(grid.shape))
+    r = grid.radius_values() if radius is None else radius
+    return GridFunction(grid, subsolution_values(params, t, r))
+
+
+def subsolution_values(params: Params, t: float, radius: np.ndarray) -> np.ndarray:
+    """The barrier w(x, t) of subsolution_w at t > 0, at points of the given
+    radii: an array of radius's shape."""
     lam = subsolution_coefficient(params)
     expo = params.gamma / (1.0 - params.q)
-    r = grid.radius_values() if radius is None else radius
-    vals = lam * t ** (1.0 / (1.0 - params.q)) * (r + math.sqrt(t)) ** (-expo)
-    return GridFunction(grid, vals)
+    return lam * t ** (1.0 / (1.0 - params.q)) * (radius + math.sqrt(t)) ** (-expo)
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +536,14 @@ def picard_solve(
     propagator (on u0's grid) and plans (window plans by length) let
     successive calls on one grid, gamma and nodes per window share their
     plans, as the levels of monotone_solve do; by default the call makes
-    its own.  A call first drops the plans of lengths its mesh lacks; the
-    plans hold kernels only.  The diagnostics' window_plans counts the
-    plans the call built.
+    its own, a mirror propagator when u0 is exactly mirror-symmetric in
+    every axis.  A mirror propagator marches on the positive orthant (the
+    fields, the weight and the sweep's arrays hold (M/2,)^N values), and
+    each recorded snapshot is mirrored back onto the full grid; it takes
+    symmetric data only (ParameterError otherwise).  The diagnostics'
+    orthant says which route the call marched on.  A call first drops the
+    plans of lengths its mesh lacks; the plans hold kernels only.  The
+    diagnostics' window_plans counts the plans the call built.
     """
     grid = u0.grid
     if float(u0.values.min()) < 0.0:
@@ -533,7 +552,14 @@ def picard_solve(
         raise ParameterError(
             f"mesh was graded for gamma = {mesh.gamma}, params carry {params.gamma}"
         )
-    prop = HeatPropagator(grid) if propagator is None else propagator
+    if propagator is None:
+        prop = HeatPropagator(grid, mirror=is_mirror_symmetric(u0.values))
+    else:
+        prop = propagator
+        if prop.mirror and not is_mirror_symmetric(u0.values):
+            raise ParameterError(
+                "a mirror propagator needs data that are mirror-symmetric in every axis"
+            )
     if prop.grid != grid:
         raise ParameterError("the propagator belongs to another grid")
     plans = {} if plans is None else plans
@@ -555,7 +581,7 @@ def picard_solve(
             records.add(hits[0])
     times_out = [0.0]
     snaps_out = [GridFunction(grid, u0.values)]
-    u_left = np.array(u0.values, dtype=float)
+    u_left = np.array(orthant(u0.values) if prop.mirror else u0.values, dtype=float)
     total_sweeps = 0
     worst_resid = 0.0
     built = 0
@@ -581,8 +607,8 @@ def picard_solve(
         free_op, sweep = plan
         count = sweep.mix.shape[1]  # the window start and the targets
         if knots is None or knots.shape[0] != count:
-            knots = np.empty((count,) + grid.shape)
-            diff = np.empty((count - 1,) + grid.shape)
+            knots = np.empty((count,) + prop.shape)
+            diff = np.empty((count - 1,) + prop.shape)
         free = prop.apply_heat_values(u_left[None], free_op)
         state = free
         source(u_left, knots[0], diff[0])
@@ -607,8 +633,9 @@ def picard_solve(
         u_left = state[-1].copy()
         if b in records:
             times_out.append(b)
-            snaps_out.append(GridFunction(grid, u_left))
+            snaps_out.append(GridFunction(grid, mirrored(u_left) if prop.mirror else u_left))
     diag = {
+        "orthant": prop.mirror,
         "windows": mesh.window_count,
         "window_plans": built,
         "total_sweeps": total_sweeps,
@@ -645,7 +672,11 @@ def monotone_solve(
     Every level marches on one propagator and one dict of window plans, so
     a window length that recurs from level to level is planned once and
     all levels work in one scratch buffer; the diagnostics' window_plans
-    counts the plans of the whole ladder.
+    counts the plans of the whole ladder.  The propagator is a mirror one,
+    and the ladder marches on the positive orthant, when u0 is exactly
+    mirror-symmetric in every axis (every shifted level then is too); the
+    snapshots, the gaps and the violation are taken on the full grid
+    either way, and the diagnostics' orthant says which route it took.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ParameterError(f"t_end must be positive (got {t_end})")
@@ -656,7 +687,7 @@ def monotone_solve(
     gaps: list[float] = []
     worst_violation = 0.0
     history: list[tuple[int, tuple[np.ndarray, ...]]] = []
-    prop = HeatPropagator(u0.grid)
+    prop = HeatPropagator(u0.grid, mirror=is_mirror_symmetric(u0.values))
     plans: dict[float, tuple] = {}
     built = 0
     for n in config.n_schedule:

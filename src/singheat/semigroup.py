@@ -14,10 +14,15 @@ falls short of 1 by more than _EPS_TAIL = 1e-10, i.e. when the box itself
 truncates the kernel: results past that point would be quantitatively wrong,
 not just smoothed.
 
-1D and 2D grids, and 3D grids of more than 128 points per axis, use FFTs on
-a zero-padded box; smaller 3D grids use direct separable convolution (in 2D
-the FFT path is the faster one at every size).  Both evaluate the same
-sums.  The sampled kernel is a product of one 1D kernel per axis.  On the
+The operators take one of three routes, which evaluate the same sums.
+Fields that are mirror-symmetric in every axis (every radial field: the
+weight, the radial checks' data, and solves of such data) take the mirror
+route, on the positive orthant alone (see below).  Other fields on 1D and 2D
+grids, and on 3D grids of more than 128 points per axis, use FFTs on a
+zero-padded box; on smaller 3D grids they use direct separable convolution
+(in 2D the FFT path is the faster one at every size).
+
+The sampled kernel is a product of one 1D kernel per axis.  On the
 direct path, zero-extended correlation with it along one axis is a product
 with an M x M Toeplitz matrix, and all rows of a call are multiplied by
 their matrices in one batched matmul per axis.  On the FFT path each axis is padded from M to P points: P covers the
@@ -65,6 +70,18 @@ over the M^(N-1) lines of the last axis, then fft along each earlier axis
 over the lines that are non-zero so far; inverse, after each axis only the
 M lines that reach the box go on.  Both keep numpy's rfftn and irfftn axis
 order, so the sums are theirs bit for bit.
+
+The mirror route (HeatPropagator(grid, mirror=True)) holds every field by
+its positive orthant, (M/2)^N values.  The zero-extended convolution of a
+mirror-symmetric field with the symmetric kernel is a symmetric
+convolution, which a DCT-II, a real product and a DCT-III compute exactly
+on the orthant (Martucci 1994): the FFT path's sums at P = 2Q, where the
+half axis of M/2 points is padded to Q (see _orthant_length).  Each cosine
+transform is one rfft of length Q (Makhoul 1980), so an axis costs about a
+quarter of the FFT path's transform, in every dimension, and 3D grids of
+any size take this route rather than the direct path.  The kernel factor
+of a row is real, the first Q values of the FFT path's factor at P = 2Q,
+and the batch, weight, mix and producer loop is the FFT path's.
 """
 
 from __future__ import annotations
@@ -114,19 +131,36 @@ def heat_kernel(t: float, x: "float | Sequence[float]") -> float:
     return float((4.0 * math.pi * t) ** (-0.5 * n) * math.exp(-float(xs @ xs) / (4.0 * t)))
 
 
-def _padded_length(m: int, h: float, t_max: float) -> int:
-    """FFT length of an axis of m points for kernels of times up to t_max:
-    the smallest even 5-smooth integer >= m + ceil(_KERNEL_REACH sqrt(t_max)
-    / h), capped at 2m."""
-    lo = m + math.ceil(_KERNEL_REACH * math.sqrt(t_max) / h)
-    for p in range(lo + lo % 2, 2 * m, 2):
+def _smooth_length(lo: int, cap: int) -> int:
+    """The smallest even 5-smooth integer >= lo, or cap if none is below it."""
+    for p in range(lo + lo % 2, cap, 2):
         r = p
         for f in (2, 3, 5):
             while r % f == 0:
                 r //= f
         if r == 1:
             return p
-    return 2 * m
+    return cap
+
+
+def _reach(h: float, t_max: float) -> int:
+    """Displacements, in grid steps, that a kernel of time up to t_max reaches."""
+    return math.ceil(_KERNEL_REACH * math.sqrt(t_max) / h)
+
+
+def _padded_length(m: int, h: float, t_max: float) -> int:
+    """FFT length of an axis of m points for kernels of times up to t_max:
+    the smallest even 5-smooth integer >= m + ceil(_KERNEL_REACH sqrt(t_max)
+    / h), capped at 2m."""
+    return _smooth_length(m + _reach(h, t_max), 2 * m)
+
+
+def _orthant_length(m: int, h: float, t_max: float) -> int:
+    """Cosine-transform length Q of the half axis of a grid of m points per
+    axis, for kernels of times up to t_max: the smallest even 5-smooth Q
+    with 2Q >= m + ceil(_KERNEL_REACH sqrt(t_max) / h), capped at m.  That
+    is _padded_length's no-wrap condition on P = 2Q."""
+    return _smooth_length(-(-(m + _reach(h, t_max)) // 2), m)
 
 
 @functools.lru_cache(maxsize=64)
@@ -143,26 +177,43 @@ def _scratch_layout(specs: tuple) -> tuple:
 class HeatPropagator:
     """Applies S(t) and S_gamma(t) on one grid.
 
+    With mirror=True the propagator applies them to fields that are
+    mirror-symmetric in every axis, held by their positive orthant (see
+    fields.orthant): every field it takes and returns, and its weight
+    field, has shape (M/2,)^N.  Such a propagator always takes the mirror
+    route (see the module docstring) and never the direct path.
+
     A kernel factor is one 1D array: the 2M-1 normalized axis samples on the
     direct path; on the FFT path, the spectrum of the axis kernel wrapped at
     the padded length P <= 2M of the operator that asks for it (the P/2+1
     half spectrum in 1D, the full P in 2D and 3D, whose last axis uses its
-    first P/2+1 values).  The N-D kernel is the product of that factor over
-    the axes and is never formed.  The propagator keeps no kernels: each
-    prepared operator builds its own factors, all in one call, and holds
-    them while it lives.  A kernel whose raw mass falls short of 1 by more
-    than _EPS_TAIL raises TruncationError.
+    first P/2+1 values); on the mirror route, the first Q values of the real
+    part of that spectrum at P = 2Q, which is real up to rounding since the
+    wrapped kernel is symmetric.  The N-D kernel is the product of that
+    factor over the axes and is never formed.  The propagator keeps no
+    kernels: each prepared operator builds its own factors, all in one call,
+    and holds them while it lives.  A kernel whose raw mass falls short of 1
+    by more than _EPS_TAIL raises TruncationError.
     It memoizes the weight field of each gamma and owns the scratch buffer
     that every apply of its operators works in (see _scratch).  Use one
     propagator, with its operators, per thread; a producer must not apply
     another operator of the same propagator.
     """
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, mirror: bool = False):
         self.grid = grid
-        self._spectral = grid.n_dim < 3 or grid.points_per_axis > _DIRECT_LIMIT
+        self.mirror = bool(mirror)
+        self._spectral = self.mirror or grid.n_dim < 3 or grid.points_per_axis > _DIRECT_LIMIT
         self._weights: dict[float, np.ndarray] = {}
         self._buffer = np.empty(0, dtype=np.uint8)
+
+    @property
+    def shape(self) -> tuple:
+        """Shape of the fields the propagator applies to: the grid's, or
+        (M/2,)^N on the orthant."""
+        if self.mirror:
+            return (self.grid.points_per_axis // 2,) * self.grid.n_dim
+        return self.grid.shape
 
     def _scratch(self, *specs) -> list:
         """Views of the scratch buffer, one per (shape, dtype), at 64-byte
@@ -207,23 +258,25 @@ class HeatPropagator:
                 f"t = {t}: discrete mass {mass:.12g} < 1 - {_EPS_TAIL}"
             )
 
-    def _kernel_entry(self, t, length: "int | None" = None) -> np.ndarray:
+    def _kernel_entry(self, t, length: "int | None" = None, out=None) -> np.ndarray:
         """The 1D kernel factor for time t, at padded length `length`
-        (default 2M) on the FFT path (see the class docstring).  For a 1D
-        array of times t > 0, the factors are built in one pass, one row per
-        time; a truncating time raises TruncationError naming it."""
+        (default 2M) on the FFT path and the mirror route (see the class
+        docstring).  For a 1D array of times t > 0, the factors are built in
+        one pass, one row per time, and written into out when it is given;
+        a truncating time raises TruncationError naming it.  The samples are
+        freed before the transform, so a build holds at most the wrapped
+        kernels, their spectra and the result at once."""
         m = self.grid.points_per_axis
         scalar = np.ndim(t) == 0
-        g1 = self._axis_samples(t)
-        g = g1[None] if scalar else g1
+        g = self._axis_samples(np.atleast_1d(t))
         axis_mass = np.sum(g, axis=1)
         for s, mass in zip(np.atleast_1d(t).tolist(), axis_mass.tolist()):
             self._check_mass(s, mass**self.grid.n_dim)
         g /= axis_mass[:, None]
         if not self._spectral:
             # the far samples underflow to subnormals, on which matmul is slow
-            g1[g1 < np.finfo(float).tiny] = 0.0
-            return g1
+            g[g < np.finfo(float).tiny] = 0.0
+            return g[0] if scalar else g
         length = 2 * m if length is None else length
         # displacements up to k on each side; length >= M + k keeps the
         # circular convolution from wrapping any of them onto the box
@@ -231,8 +284,17 @@ class HeatPropagator:
         wrapped = np.zeros((g.shape[0], length))
         wrapped[:, : k + 1] = g[:, m - 1 : m + k]            # displacements 0 .. k
         wrapped[:, length - k :] = g[:, m - 1 - k : m - 1]   # displacements -k .. -1
-        spectra = np.fft.rfft(wrapped) if self.grid.n_dim == 1 else np.fft.fft(wrapped)
-        return spectra[0] if scalar else spectra
+        del g
+        if self.mirror:
+            spectra = np.fft.rfft(wrapped)
+            del wrapped
+            if out is None:
+                out = np.empty((spectra.shape[0], length // 2))
+            out[...] = spectra.real[:, : length // 2]
+        else:
+            transform = np.fft.rfft if self.grid.n_dim == 1 else np.fft.fft
+            out = transform(wrapped, out=out)
+        return out[0] if scalar else out
 
     # -- application ---------------------------------------------------------
 
@@ -287,9 +349,9 @@ class HeatPropagator:
             return self.prepare(t, weights).apply(values)
         if not math.isfinite(t) or t < 0.0:
             raise ParameterError(f"evolution time must be >= 0 (got {t})")
-        if values.shape != self.grid.shape:
+        if values.shape != self.shape:
             raise ParameterError(
-                f"value shape {values.shape} does not match grid shape {self.grid.shape}"
+                f"value shape {values.shape} does not match field shape {self.shape}"
             )
         if weights is not None:
             raise ParameterError("a weight matrix needs a time array, not a scalar time")
@@ -298,9 +360,14 @@ class HeatPropagator:
         return self.prepare([float(t)]).apply(values[None])[0]
 
     def weight_values(self, gamma: float) -> np.ndarray:
+        """The cell-averaged weight field of gamma, of the propagator's
+        field shape (on the orthant, built there alone)."""
         vals = self._weights.get(gamma)
         if vals is None:
-            vals = weight_field(self.grid, gamma).values
+            if self.mirror:
+                vals = weight_field(self.grid, gamma, orthant=True)
+            else:
+                vals = weight_field(self.grid, gamma).values
             self._weights[gamma] = vals
         return vals
 
@@ -346,6 +413,12 @@ class PreparedHeat:
       are produced and transformed first, in batches of the same size, and
       each batch's row spectra are mixed from theirs: the transform is
       linear, so K forward transforms serve the J rows.
+    - Mirror route: the same, with the cosine-transform length Q of the half
+      axis in place of P (see _orthant_length), real factors of Q values
+      per row (on the last axis, paired to match the spectrum's float view;
+      see _dct_forward) and the DCT pair in place of the FFTs.  Every
+      spectrum is held as the FFT path's half spectrum at P = Q, so the
+      loop, its batches, mixes and weights are the FFT path's.
     - Direct path: the stacked Toeplitz views of the rows with t > 0.  With
       a mix, one matmul mixes the J rows from the K inputs in real space.
 
@@ -361,7 +434,7 @@ class PreparedHeat:
         m = grid.points_per_axis
         n = grid.n_dim
         count = times.size
-        self._shape = (count,) + grid.shape
+        self._shape = (count,) + prop.shape
         self._inputs = count if mix is None else mix.shape[1]
         self._live = live = np.flatnonzero(times > 0.0)
         if not prop._spectral:
@@ -369,20 +442,52 @@ class PreparedHeat:
             self._toeplitz = sliding_window_view(samples, m, axis=1)[:, ::-1]
             self._step = max(1, min(count, _FFT_WORKSPACE_BYTES // (8 * m**n)))
             return
-        p = _padded_length(m, grid.h, float(times.max()))
-        half = p // 2 + 1
-        # S(0) is the identity: its rows keep factors of one
-        factors = np.ones((count, half if n == 1 else p), dtype=complex)
+        if prop.mirror:
+            q = _orthant_length(m, grid.h, float(times.max()))
+            kernel_length, width = 2 * q, q
+            twiddle = np.exp(-0.5j * np.pi / q * np.arange(q // 2 + 1))
+            self._twiddles = (twiddle, twiddle.conj())
+        else:
+            q = _padded_length(m, grid.h, float(times.max()))
+            kernel_length, width = q, (q // 2 + 1 if n == 1 else q)
+        self._padded = (q,) * n
+        # the half spectra of the last axis, on either route
+        self._spec_shape = (q,) * (n - 1) + (q // 2 + 1,)
+        # the live rows' factors are built straight into the array; S(0) is
+        # the identity, so its rows hold ones
+        factors = np.empty((count, width), dtype=float if prop.mirror else complex)
         if live.size:
-            factors[live] = prop._kernel_entry(times[live], p)
+            prop._kernel_entry(times[live], kernel_length, out=factors[: live.size])
+        if live.size < count:
+            factors[live] = factors[: live.size]  # numpy buffers the overlap
+            factors[times == 0.0] = 1.0
         # factor of each row along each axis, shaped to broadcast over the row
-        # spectrum; the last axis holds the half spectrum
-        self._factors = [
-            factors.reshape((count,) + (1,) * ax + (p,) + (1,) * (n - 1 - ax))
-            for ax in range(n - 1)
-        ] + [factors[:, :half].reshape((count,) + (1,) * (n - 1) + (half,))]
-        row_bytes = 16 * p**n
+        # spectrum; the last axis holds the half spectrum on the FFT path,
+        # and on the mirror route the pairs (c_k, -c_(Q-k)) of cosine
+        # coefficients (see _dct_forward) in the spectrum's float view, so
+        # its factor pairs G_k with G_(Q-k)
+        axes = [
+            factors[:, :w].reshape((count,) + (1,) * ax + (w,) + (1,) * (n - 1 - ax))
+            for ax, w in enumerate(self._spec_shape)
+        ]
+        if prop.mirror:
+            pairs = np.empty((count, q // 2 + 1, 2))
+            pairs[:, :, 0] = factors[:, : q // 2 + 1]
+            pairs[:, 0, 1] = factors[:, 0]  # c_0 pairs with a zero
+            pairs[:, 1:, 1] = factors[:, : q // 2 - 1 : -1]
+            axes[-1] = pairs.reshape((count,) + (1,) * (n - 1) + (q + 2,))
+        self._factors = axes
+        row_bytes = 16 * q**n
         self._step = step = max(1, min(count, _FFT_WORKSPACE_BYTES // row_bytes))
+        produced = min(step, self._inputs)
+        if prop.mirror:
+            # a batch's lines in real space and, for the earlier axes, their
+            # half spectra
+            lines = step * q ** (n - 1) * (q + 2)
+            self._work = ((lines,), (lines // q * (q // 2 + 1) if n > 1 else 0,))
+        else:
+            # the produced rows padded along the last axis; no complex work
+            self._work = ((produced,) + self._shape[1:-1] + self._padded[-1:], (0,))
         self._batches = []
         for lo in range(0, count, step):
             hi = min(lo + step, count)
@@ -395,7 +500,6 @@ class PreparedHeat:
                 wts = np.ascontiguousarray(weights[own, lo:hi])
             mixing = None if mix is None else _mix_plan(mix[lo:hi])
             self._batches.append((lo, hi, own, wts, mixing))
-        self._padded = (p,) * n
 
     def apply(self, values) -> np.ndarray:
         """The T weighted sums (without weights, the J results) of J fields,
@@ -477,30 +581,38 @@ class PreparedHeat:
     def _apply_spectral(self, fill) -> np.ndarray:
         """One forward transform per row (with a mix, per input) and one
         inverse per output field, in views of the scratch taken at the start
-        of the call.  Each batch is produced into a contiguous array and
-        copied into one padded along the last axis only, whose padding each
-        call zeroes: the producer's elementwise passes run slower on a
-        strided view (g_n on a 2D M = 192 row: 70 us more).
+        of the call.  The FFT path and the mirror route share this loop and
+        the layout of their spectra; only their transform pair (_transform,
+        _to_box) and the dtype of their factors differ.  On the mirror route
+        the factors are real and scale the spectra's float view, which holds
+        real cosine coefficients.  Each batch is produced into a contiguous
+        array and copied into one padded along the last axis only (on the
+        mirror route, reordered into the lines of its cosine transform): the
+        producer's elementwise passes run slower on a strided view (g_n on a
+        2D M = 192 row: 70 us more).
         With a mix, a batch's row spectra are its block of the mix times the
         spectra of the inputs that block reads; with weights, each batch's
         spectra go into the sums of the targets that weigh them.  Each is
-        one real matrix product on the complex values viewed as float
-        pairs.  A batch of one row is added as that row scaled by each
-        target's weight instead: the same products and sums, bit for bit,
-        without the matmul's overhead (at 2D P = 320, 0.10 against 0.30 ms
-        per row).  Its mix stays one product, which for a row of two terms
-        at 2D P = 240 took 39 us against 59 us for two scaled adds."""
-        half = self._padded[:-1] + (self._padded[-1] // 2 + 1,)
+        one real matrix product, on complex values viewed as float pairs.
+        A batch of one row is added as that row scaled by each target's
+        weight instead: the same products and sums, bit for bit, without the
+        matmul's overhead (at 2D P = 320, 0.10 against 0.30 ms per row).  Its
+        mix stays one product, which for a row of two terms at 2D P = 240
+        took 39 us against 59 us for two scaled adds."""
+        spec_shape = self._spec_shape
         targets = 0 if self.weights is None else self.weights.shape[0]
         produced = min(self._step, self._inputs)  # with a mix, the inputs only
-        rows, work, spec, sums, inputs = self.propagator._scratch(
+        rows, work, spec, sums, inputs, lines = self.propagator._scratch(
             ((produced,) + self._shape[1:], float),
-            ((produced,) + self._shape[1:-1] + self._padded[-1:], float),
-            ((self._step,) + half, complex),
-            ((targets,) + half, complex),
-            ((0 if self.mix is None else self._inputs,) + half, complex),
+            (self._work[0], float),
+            ((self._step,) + spec_shape, complex),
+            ((targets,) + spec_shape, complex),
+            ((0 if self.mix is None else self._inputs,) + spec_shape, complex),
+            (self._work[1], complex),
         )
-        work[..., self._shape[-1] :] = 0.0  # the padding, shared with other operators
+        work = (work, lines)
+        if not self.propagator.mirror:
+            work[0][..., self._shape[-1] :] = 0.0  # the padding, shared with other operators
         if self.mix is not None:
             for lo in range(0, self._inputs, self._step):
                 hi = min(lo + self._step, self._inputs)
@@ -519,10 +631,11 @@ class PreparedHeat:
                 part = spec[:nb]
                 ins, block = mixing
                 np.matmul(block, flat_inputs[ins], out=part.view(float).reshape(nb, -1))
+            scaled = part.view(float) if self.propagator.mirror else part
             for factor in self._factors:
-                part *= factor[lo:hi]
+                scaled *= factor[lo:hi]
             if own is None:
-                out[lo:hi] = self._inverse(part)
+                self._to_box(part, work, out[lo:hi])
             elif nb == 1:
                 flat_sums[own] += wts * part.view(float).reshape(1, -1)
             else:
@@ -531,16 +644,28 @@ class PreparedHeat:
             return out
         out = np.empty((sums.shape[0],) + self._shape[1:])
         for k in range(0, sums.shape[0], self._step):
-            out[k : k + self._step] = self._inverse(sums[k : k + self._step])
+            self._to_box(sums[k : k + self._step], work, out[k : k + self._step])
         return out
 
     def _transform(self, fill, lo: int, hi: int, rows, work, out: np.ndarray) -> np.ndarray:
-        """Produce rows lo .. hi - 1 into rows, pad them into work and write
-        their half spectra into out; returns out."""
+        """Produce rows lo .. hi - 1 into rows and write their spectra into
+        out: on the FFT path, padded into work and transformed by _forward;
+        on the mirror route, by _dct_forward.  Returns out."""
         nb = hi - lo
         fill(lo, hi, rows[:nb])
-        work[:nb, ..., : self._shape[-1]] = rows[:nb]
-        return self._forward(work[:nb], out)
+        if self.propagator.mirror:
+            return self._dct_forward(rows[:nb], work, out)
+        padded = work[0][:nb]
+        padded[..., : self._shape[-1]] = rows[:nb]
+        return self._forward(padded, out)
+
+    def _to_box(self, spec: np.ndarray, work, out: np.ndarray) -> None:
+        """Write the box of the inverse transforms of a batch of spectra
+        into out; overwrites spec."""
+        if self.propagator.mirror:
+            self._dct_inverse(spec, work, out)
+        else:
+            out[...] = self._inverse(spec)
 
     def _forward(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The half spectra of a batch of rows zero-padded to P points per
@@ -575,6 +700,120 @@ class PreparedHeat:
             np.fft.ifft(spec, axis=ax, out=spec)
             spec = spec[(slice(None),) * ax + (slice(0, m),)]
         return np.fft.irfft(spec, n=p, axis=n)[..., :m]
+
+    # -- the mirror route's cosine transforms --------------------------------
+    #
+    # A field held on the orthant extends to the full box as its mirror image
+    # in every axis, and a half axis of m points zero-padded to Q extends to
+    # the 2Q-periodic line that is symmetric about -1/2: the FFT path's line
+    # padded to P = 2Q, shifted by M/2.  Its DFT is exp(i pi k / 2Q) times
+    # its DCT-II, and the kernel's is real, so the FFT path's circular
+    # convolution at P = 2Q is a DCT-II, a real product and a DCT-III on the
+    # orthant (Martucci, IEEE Trans. Signal Process. 42(5), 1994).  Each
+    # cosine transform of a line is one rfft of length Q of its even
+    # samples followed by its odd ones reversed, turned by exp(-i pi k / 2Q)
+    # (Makhoul, IEEE Trans. ASSP 28(1), 1980): the result W_k, k <= Q/2,
+    # holds half the DCT-II as c_k = Re W_k and c_(Q-k) = -Im W_k.  The last
+    # axis keeps W as it is, so a spectrum has the FFT path's layout at
+    # P = Q; each earlier axis writes c_0 .. c_(Q-1) out in order.  The
+    # inverse runs the same steps backwards; with that scaling it is the
+    # DCT-III over Q, the exact inverse.
+
+    def _dct_forward(self, rows: np.ndarray, work, out: np.ndarray) -> np.ndarray:
+        """The cosine spectra of a batch of orthant rows zero-padded to Q per
+        axis, into the complex array out, in rfftn's axis order: the last
+        axis over its m^(N-1) data lines, then each earlier axis, in the
+        float view, over the lines that are non-zero so far."""
+        real, lines = work
+        n = rows.ndim - 1
+        m = rows.shape[1]
+        q = self._padded[0]
+        half = q // 2
+        twiddle = self._twiddles[0]
+        shape = rows.shape[:-1] + (q,)
+        line = real[: math.prod(shape)].reshape(shape)
+        _reorder(rows, line, n)
+        dst = out[(slice(None),) + (slice(0, m),) * (n - 1)]
+        np.fft.rfft(line, axis=n, out=dst)
+        dst *= twiddle
+        for ax in range(n - 1, 0, -1):
+            at = (slice(None),) * ax
+            src = dst.view(float)
+            shape = src.shape[:ax] + (q,) + src.shape[ax + 1 :]
+            line = real[: math.prod(shape)].reshape(shape)
+            _reorder(src, line, ax)
+            cshape = shape[:ax] + (half + 1,) + shape[ax + 1 :]
+            spec = lines[: math.prod(cshape)].reshape(cshape)
+            np.fft.rfft(line, axis=ax, out=spec)
+            spec *= twiddle.reshape((half + 1,) + (1,) * (n - ax))
+            dst = out[(slice(None),) + (slice(0, m),) * (ax - 1)]
+            flat = dst.view(float)
+            flat[at + (slice(0, half + 1),)] = spec.real
+            np.negative(
+                spec.imag[at + (slice(half - 1, 0, -1),)], out=flat[at + (slice(half + 1, q),)]
+            )
+        return out
+
+    def _dct_inverse(self, spec: np.ndarray, work, out: np.ndarray) -> np.ndarray:
+        """The orthant box of the inverse cosine transforms of a batch of
+        contiguous spectra, into out, axis 1 first: after each earlier axis
+        only the first m values, which the box holds, go on to the next,
+        written over the front of spec.  An earlier axis, in the float view,
+        forms exp(i pi k / 2Q) (d_k - i d_(Q-k)) from its coefficients d; the
+        last axis turns its half spectra by exp(i pi k / 2Q) in place.  Each
+        takes one irfft of length Q per line and reads the box from it: even
+        samples forward, odd samples backward from the end."""
+        real, lines = work
+        n = spec.ndim - 1
+        m = out.shape[1]
+        q = self._padded[0]
+        half = q // 2
+        twiddle = self._twiddles[1]
+        for ax in range(1, n):
+            at = (slice(None),) * ax
+            flat = spec.view(float)
+            cshape = flat.shape[:ax] + (half + 1,) + flat.shape[ax + 1 :]
+            c = lines[: math.prod(cshape)].reshape(cshape)
+            c.real = flat[at + (slice(0, half + 1),)]
+            c.imag[at + (slice(0, 1),)] = 0.0
+            np.negative(
+                flat[at + (slice(q - 1, half - 1, -1),)], out=c.imag[at + (slice(1, None),)]
+            )
+            c *= twiddle.reshape((half + 1,) + (1,) * (n - ax))
+            line = np.fft.irfft(c, n=q, axis=ax, out=real[: flat.size].reshape(flat.shape))
+            box = flat.shape[:ax] + (m,) + flat.shape[ax + 1 :]
+            kept = flat.reshape(-1)[: math.prod(box)].reshape(box)
+            _unreorder(line, kept, ax)
+            spec = kept.view(complex)
+        spec *= twiddle
+        shape = spec.shape[:-1] + (q,)
+        line = np.fft.irfft(spec, n=q, axis=n, out=real[: math.prod(shape)].reshape(shape))
+        _unreorder(line, out, n)
+        return out
+
+
+def _reorder(src: np.ndarray, dst: np.ndarray, ax: int) -> None:
+    """Write the m lines of src along axis ax into the Q lines of dst as a
+    cosine transform reads them: even samples first, then the odd ones
+    reversed at the end, zeros between."""
+    at = (slice(None),) * ax
+    m, q = src.shape[ax], dst.shape[ax]
+    even, odd = (m + 1) // 2, m // 2
+    dst[at + (slice(0, even),)] = src[at + (slice(0, None, 2),)]
+    dst[at + (slice(even, q - odd),)] = 0.0
+    if odd:
+        dst[at + (slice(q - odd, q),)] = src[at + (slice(2 * odd - 1, None, -2),)]
+
+
+def _unreorder(src: np.ndarray, dst: np.ndarray, ax: int) -> None:
+    """The first m samples, along axis ax, of the lines src that a cosine
+    transform reads in _reorder's order, into dst."""
+    at = (slice(None),) * ax
+    m, q = dst.shape[ax], src.shape[ax]
+    even, odd = (m + 1) // 2, m // 2
+    dst[at + (slice(0, None, 2),)] = src[at + (slice(0, even),)]
+    if odd:
+        dst[at + (slice(1, None, 2),)] = src[at + (slice(q - 1, q - 1 - odd, -1),)]
 
 
 def apply_heat(f: GridFunction, t: float) -> GridFunction:

@@ -24,6 +24,7 @@ M = 64, t = 1 and n = 1, 2, ..., 256 stops at n = 99 on an increase of
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -47,6 +48,7 @@ from .scheme import (
     duhamel_rule,
     monotone_solve,
     subsolution_coefficient,
+    subsolution_values,
     subsolution_w,
 )
 from .semigroup import HeatPropagator, apply_heat
@@ -109,15 +111,29 @@ def _finish(name: str, margin: float, tolerance: float, details: dict) -> CheckR
 _TRUST_PAD = 5.0
 
 
-def _trusted_mask(grid: Grid, t: float) -> np.ndarray:
-    """Nodes with max_i |x_i| <= L - _TRUST_PAD * sqrt(t)."""
+def _trusted_mask(grid: Grid, t: float, cheb: "np.ndarray | None" = None) -> np.ndarray:
+    """Nodes with max_i |x_i| <= L - _TRUST_PAD * sqrt(t): of the whole grid,
+    or of the nodes whose max_i |x_i| cheb holds."""
     r_safe = grid.half_width - _TRUST_PAD * math.sqrt(t)
     if r_safe <= grid.h:
         raise ParameterError(
             f"no trusted nodes left: half_width {grid.half_width} too small for t = {t}"
         )
-    cheb = np.max(np.abs(np.stack(grid.node_mesh())), axis=0)
+    if cheb is None:
+        cheb = np.max(np.abs(np.stack(grid.node_mesh())), axis=0)
     return cheb <= r_safe
+
+
+def _orthant_nodes(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """|x| (bit for bit grid.radius_values()'s) and max_i |x_i| at the nodes
+    of the positive orthant, built from its axes alone: no full-grid field,
+    whose transients set the peak memory of the radial checks."""
+    axis = grid.axis_nodes()[grid.points_per_axis // 2 :]
+    mesh = np.meshgrid(*(axis,) * grid.n_dim, indexing="ij", sparse=True)
+    r2 = np.zeros((axis.size,) * grid.n_dim)
+    for m in mesh:
+        r2 += m * m
+    return np.sqrt(r2), functools.reduce(np.maximum, mesh)
 
 
 def _default_grid(n_dim: int) -> tuple[float, int]:
@@ -143,12 +159,14 @@ def check_subsolution(
 
     At gamma = 0, q = 1/2 the two sides agree identically (the barrier is the
     exact extremal), so the margin there measures pure quadrature error.
-    Each time's quadrature sum is one batched propagator call, whose
-    producer writes each batch's rows of w(sigma_j)^q straight into the
-    operator's workspace, so the check holds no stack.  A row is
-    lambda^q sigma^{q/(1-q)} (r + sqrt sigma)^{-gamma q/(1-q)}: one power per
-    distinct radius (the grid's mirror symmetry leaves 3498 of 36864 in 2D
-    at M = 192), gathered onto the grid, then multiplied by the weight.
+    Every field here is radial, so the check computes on the positive
+    orthant, with a mirror propagator.  Each time's quadrature sum is one
+    batched propagator call, whose producer writes each batch's rows of
+    w(sigma_j)^q straight into the operator's workspace, so the check holds
+    no stack.  A row is lambda^q sigma^{q/(1-q)} (r + sqrt sigma)^{-gamma q/(1-q)}:
+    one power per distinct radius (3498 of the orthant's 9216 in 2D at
+    M = 192), gathered onto the orthant, then multiplied by the weight; the
+    barrier w(t) is gathered the same way.
     """
     params = Params(q=q, gamma=gamma, n_dim=n_dim)
     if half_width is None or points is None:
@@ -156,10 +174,10 @@ def check_subsolution(
         half_width = half_width if half_width is not None else dflt[0]
         points = points if points is not None else dflt[1]
     grid = make_grid(n_dim, half_width, points)
-    prop = HeatPropagator(grid)
-    radius = grid.radius_values()
+    prop = HeatPropagator(grid, mirror=True)
+    radius, cheb = _orthant_nodes(grid)
     radii, where = np.unique(radius, return_inverse=True)
-    where = where.reshape(grid.shape)  # numpy 2.x releases disagree on its shape
+    where = where.reshape(prop.shape)  # numpy 2.x releases disagree on its shape
     weight = prop.weight_values(gamma) if gamma != 0.0 else None
     lam_q = subsolution_coefficient(params) ** q
     expo = gamma * q / (1.0 - q)
@@ -177,8 +195,8 @@ def check_subsolution(
                 out *= weight
 
         acc = prop.apply_heat_values(fill, float(t) - sigs, weights=wts[None])[0]
-        target = subsolution_w(grid, params, float(t), radius).values
-        mask = _trusted_mask(grid, float(t))
+        target = np.take(subsolution_values(params, float(t), radii), where)
+        mask = _trusted_mask(grid, float(t), cheb)
         m = float(np.min((acc - target)[mask]))
         per_time[repr(float(t))] = m
         worst = min(worst, m)
@@ -483,20 +501,21 @@ def check_max_at_origin(
     The grid has no node at the origin; the maximum must be attained at one of
     the 2^N innermost nodes (|x_i| = h/2 on every axis).  The margin is the
     worst value of (max over innermost nodes) - (global max), scaled by the
-    field size.  In 3D, points is capped at 96 per axis; details["grid"]
-    holds the grid actually used.
+    field size.  The data are radial, so the check computes on the positive
+    orthant, with a mirror propagator, where the innermost node is the
+    first.  In 3D, points is capped at 96 per axis; details["grid"] holds
+    the grid actually used.
     """
     if n_dim == 3 and points > 96:
         points = 96
     grid = make_grid(n_dim, half_width, points)
-    r = grid.radius_values()
+    r = _orthant_nodes(grid)[0]
     r_max = float(np.max(r)) + 1.0
-    inner = np.max(np.abs(np.stack(grid.node_mesh())), axis=0) <= 0.5 * grid.h + 1e-12 * grid.h
     rng = np.random.default_rng(seed)
     fns = list(profiles) if profiles is not None else [
         _random_radial_profile(rng) for _ in range(n_profiles)
     ]
-    prop = HeatPropagator(grid)
+    prop = HeatPropagator(grid, mirror=True)
     op = prop.prepare([t])  # one kernel for every profile
     worst = math.inf
     for fn in fns:
@@ -504,7 +523,7 @@ def check_max_at_origin(
         f = np.asarray(fn(r), dtype=float)
         evolved = prop.apply_heat_values(f[None], op)[0]
         scale = max(1.0, float(np.max(np.abs(evolved))))
-        m = (float(np.max(evolved[inner])) - float(np.max(evolved))) / scale
+        m = (float(evolved[(0,) * n_dim]) - float(np.max(evolved))) / scale
         worst = min(worst, m)
     details = {
         "profiles": len(fns),
@@ -526,7 +545,8 @@ def check_heaviside_gap(
     Pointwise the discrete gap stays strictly below 1/2 (the kernel weight at
     zero displacement is withheld from the jump), and the supremum approaches
     1/2 from below with deficit ~ h/(4 sqrt(pi t)).  Margin: min over times of
-    tol - |sup_gap - 1/2|, with the pointwise ceiling also enforced.
+    tol - |sup_gap - 1/2|, with the pointwise ceiling also enforced.  Step
+    data are not mirror-symmetric, so the check stays on the full grid.
     """
     grid = make_grid(1, half_width, points)
     u0 = standard_data(grid, "step")
@@ -563,6 +583,8 @@ def check_smoothing_exponent(
     Log-log least squares over a geometric time grid; the slope must match
     -gamma/2 and the intercept ln(eta1) within the stated bands.  The margin
     is the worse of the two band residuals; tolerance 0 (bands are absolute).
+    The weighted constant is radial, so the check computes on the positive
+    orthant, with a mirror propagator, where the innermost node is the first.
     """
     if times is None:
         times = np.geomspace(0.25, 4.0, 9)
@@ -571,13 +593,12 @@ def check_smoothing_exponent(
     if points is None:
         points = 2048 if n_dim == 1 else 256
     grid = make_grid(n_dim, half_width, points)
-    prop = HeatPropagator(grid)
-    ones = np.ones(grid.shape)
-    inner = np.max(np.abs(np.stack(grid.node_mesh())), axis=0) <= 0.5 * grid.h + 1e-12 * grid.h
+    prop = HeatPropagator(grid, mirror=True)
+    ones = np.ones(prop.shape)
     vals = []
     for t in times:
         out = prop.apply_weighted_values(ones, float(t), gamma)
-        vals.append(float(np.max(out[inner])))
+        vals.append(float(out[(0,) * n_dim]))
     lt = np.log(np.asarray(times, dtype=float))
     lv = np.log(np.asarray(vals))
     slope, intercept = np.polyfit(lt, lv, 1)

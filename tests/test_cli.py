@@ -208,6 +208,7 @@ def test_solve_writes_csv_and_sidecar(tmp_path, capsys):
     assert meta["n_schedule"] == [1, 2]
     assert meta["times"] == [0.0, 0.25, 0.5]
     assert meta["diagnostics"]["monotone_violation"] <= 1e-8
+    assert meta["diagnostics"]["orthant"] is True  # constant data march on the orthant
 
 
 def test_solve_reruns_are_byte_identical(tmp_path):
@@ -220,6 +221,20 @@ def test_solve_reruns_are_byte_identical(tmp_path):
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_solve_sidecar_names_the_route_of_its_data(tmp_path):
+    # step data march on the full grid, reruns byte for byte as well
+    args = [
+        "solve", "--u0", "step", "--gamma", "0.1", "--points", "64",
+        "--half-width", "6", "--t-end", "0.25", "--n-schedule", "1,2",
+    ]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert json.loads((tmp_path / "a.json").read_text())["diagnostics"]["orthant"] is False
 
 
 def test_verify_subset_exit_zero_and_report(tmp_path, capsys):

@@ -13,7 +13,10 @@ from singheat import (
     GridFunction,
     ParameterError,
     Params,
+    is_mirror_symmetric,
     make_grid,
+    mirrored,
+    orthant,
     sample,
     standard_data,
     sup_norm,
@@ -282,11 +285,62 @@ def test_weight_field_is_exactly_symmetric_and_matches_the_per_cell_rule(n_dim, 
     assert np.max(np.abs(w - ref) / ref) <= 1e-14
 
 
+@pytest.mark.parametrize("n_dim,points", [(1, 64), (1, 30), (2, 8), (2, 30), (3, 8), (3, 12)])
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.9])
+def test_orthant_weight_is_the_orthant_of_the_weight_field(n_dim, points, gamma):
+    # built on the orthant alone, bit for bit the full field's orthant
+    g = make_grid(n_dim, 10.0, points)
+    half = weight_field(g, gamma, orthant=True)
+    assert half.shape == (points // 2,) * n_dim and not half.flags.writeable
+    np.testing.assert_array_equal(half, orthant(weight_field(g, gamma).values))
+
+
 def test_weight_rejects_gamma_out_of_range(grid_1d):
     with pytest.raises(ParameterError):
         weight_field(grid_1d, 1.2)  # >= min(2, 1)
     with pytest.raises(ParameterError):
         weight_field(grid_1d, -0.1)
+
+
+# ---------------------------------------------------------------------------
+# Orthant and mirror images
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_dim,points", [(1, 8), (1, 30), (2, 6), (2, 30), (3, 4), (3, 10)])
+def test_orthant_round_trip_is_exact(n_dim, points):
+    g = make_grid(n_dim, 3.0, points)
+    half = np.random.default_rng(points).uniform(-1.0, 1.0, (points // 2,) * n_dim)
+    full = mirrored(half)
+    assert full.shape == g.shape
+    np.testing.assert_array_equal(orthant(full), half)
+    # the orthant is the block of nodes whose coordinates are all positive
+    for mesh in g.node_mesh():
+        assert np.all(orthant(mesh) > 0.0)
+        assert np.count_nonzero(mesh > 0.0) == mesh.size // 2
+    # a full field that is mirror-symmetric is the mirror image of its orthant
+    data = standard_data(g, "gauss:0.7").values
+    np.testing.assert_array_equal(mirrored(orthant(data)), data)
+
+
+@pytest.mark.parametrize("n_dim,points", [(1, 8), (2, 6), (3, 4)])
+def test_mirrored_field_is_exactly_symmetric(n_dim, points):
+    half = np.random.default_rng(3).uniform(-1.0, 1.0, (points // 2,) * n_dim)
+    full = mirrored(half)
+    assert is_mirror_symmetric(full)
+    for axis in range(n_dim):
+        np.testing.assert_array_equal(full, np.flip(full, axis))
+    bent = full.copy()
+    bent[(0,) * n_dim] = np.nextafter(bent[(0,) * n_dim], np.inf)  # one ulp off
+    assert not is_mirror_symmetric(bent)
+
+
+def test_standard_data_symmetry():
+    # every datum but step is radial, so exactly mirror-symmetric
+    for n_dim, points in [(1, 64), (2, 16), (3, 8)]:
+        g = make_grid(n_dim, 4.0, points)
+        for spec in ("zero", "const:2", "bump", "bump:1.5", "gauss:2"):
+            assert is_mirror_symmetric(standard_data(g, spec).values)
+    assert not is_mirror_symmetric(standard_data(make_grid(1, 4.0, 64), "step").values)
 
 
 # ---------------------------------------------------------------------------

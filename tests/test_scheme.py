@@ -376,6 +376,40 @@ def test_picard_rejects_mismatched_mesh_and_records():
         picard_solve(u0, Nonlinearity.zero(), p, mesh, propagator=other)
 
 
+def test_picard_mirror_propagator_rejects_asymmetric_data():
+    g = make_grid(1, 8.0, 64)
+    p = Params(q=0.5, gamma=0.3, n_dim=1)
+    mesh = TimeMesh.build(0.5, 0.3, 0.25)
+    nl = Nonlinearity.regularized(0.5, 2)
+    with pytest.raises(ParameterError, match="mirror-symmetric"):
+        mirror = HeatPropagator(g, mirror=True)
+        picard_solve(standard_data(g, "step"), nl, p, mesh, propagator=mirror)
+    # without a propagator, step data march on the full grid
+    assert not picard_solve(standard_data(g, "step"), nl, p, mesh).diagnostics["orthant"]
+
+
+@pytest.mark.parametrize(
+    "n_dim,points,spec", [(1, 64, "bump"), (1, 30, "gauss:2"), (2, 16, "bump:3")]
+)
+def test_picard_on_the_orthant_matches_the_full_grid(n_dim, points, spec):
+    # symmetric data march on the orthant by default; the snapshots, mirrored
+    # back, agree with a march on the full grid, with the same sweeps
+    g = make_grid(n_dim, 8.0, points)
+    p = Params(q=0.5, gamma=0.3, n_dim=n_dim)
+    mesh = TimeMesh.build(0.5, 0.3, 0.125, must_include=(0.15,))
+    nl = Nonlinearity.regularized(0.5, 4)
+    u0 = standard_data(g, spec)
+    half = picard_solve(u0, nl, p, mesh)
+    full = picard_solve(u0, nl, p, mesh, propagator=HeatPropagator(g))
+    assert half.diagnostics["orthant"] and not full.diagnostics["orthant"]
+    assert half.diagnostics["total_sweeps"] == full.diagnostics["total_sweeps"]
+    assert half.times == full.times
+    for a, b in zip(half.snapshots, full.snapshots):
+        assert a.values.shape == g.shape
+        np.testing.assert_array_equal(a.values, np.flip(a.values, axis=0))
+        np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
+
+
 def test_picard_sweep_budget_enforced(monkeypatch):
     g = make_grid(1, 12.0, 64)
     p = Params(q=0.5, gamma=0.0, n_dim=1)
@@ -397,9 +431,9 @@ def test_picard_looks_up_kernels_once_per_window_length(monkeypatch):
     lookup = HeatPropagator._kernel_entry
     scratch = HeatPropagator._scratch
 
-    def counted(self, t, length=None):
+    def counted(self, t, length=None, out=None):
         lookups.append(np.size(t))
-        return lookup(self, t, length)
+        return lookup(self, t, length, out)
 
     def watched(self, *specs):
         before = self._buffer
@@ -586,7 +620,7 @@ def test_below_the_knee_source_and_field_interpolation_agree():
 def test_a_sweep_evaluates_the_source_at_the_knots_only(monkeypatch):
     # the nonlinearity sees each window's start once and then, per sweep,
     # one stack of the K - 1 = nodes_per_window + 1 unknowns: never the
-    # J = 72 quadrature rows
+    # J = 72 quadrature rows.  Bump data march on the positive orthant
     shapes = []
     call = Nonlinearity.__call__
 
@@ -600,10 +634,11 @@ def test_a_sweep_evaluates_the_source_at_the_knots_only(monkeypatch):
     mesh = TimeMesh.build(0.5, 0.3, 0.125, must_include=(0.15,))
     traj = picard_solve(standard_data(g, "bump"), Nonlinearity.regularized(0.5, 4), p, mesh)
     sweeps = traj.diagnostics["total_sweeps"]
-    assert sweeps > mesh.window_count
+    assert sweeps > mesh.window_count and traj.diagnostics["orthant"]
     unknowns = mesh.nodes_per_window + 1
-    assert shapes.count(g.shape) == mesh.window_count
-    assert shapes.count((unknowns,) + g.shape) == sweeps
+    half = (g.points_per_axis // 2,)
+    assert shapes.count(half) == mesh.window_count
+    assert shapes.count((unknowns,) + half) == sweeps
     assert len(shapes) == mesh.window_count + sweeps
 
 

@@ -14,6 +14,8 @@ from singheat import (
     gaussian_exact,
     heat_kernel,
     make_grid,
+    mirrored,
+    orthant,
     sample,
     standard_data,
     sup_norm,
@@ -730,3 +732,106 @@ def test_propagator_preserves_symmetry():
     f = standard_data(g, "bump:3")
     out = apply_heat(f, 1.0).values
     np.testing.assert_allclose(out, out[::-1], rtol=0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The mirror route
+# ---------------------------------------------------------------------------
+
+# rows of several lengths, two of them the identity
+_MIRROR_TIMES = np.array([0.0, 0.3, 1.0, 0.05, 0.7, 0.0, 0.2, 0.45])
+_MIRROR_WEIGHTS = np.array(
+    [[0.5, 1.0, 0.25, 0.0, 2.0, 1.0, 0.0, 0.5], [0.0, 0.0, 1.0, 3.0, 0.0, 0.5, 1.0, 0.0]]
+)
+
+
+@pytest.mark.parametrize(
+    "n_dim,points", [(1, 30), (1, 256), (2, 30), (2, 40), (3, 12), (3, 30)]
+)
+@pytest.mark.parametrize("t_scale", [0.02, 1.0])
+@pytest.mark.parametrize("batch_rows", [None, 3])
+def test_mirror_and_full_routes_agree(n_dim, points, t_scale, batch_rows, monkeypatch):
+    # the same sums on the orthant (cosine transforms) as on the full grid
+    # (FFT or direct), for mirror-symmetric fields: stacks, weights, a (J, K)
+    # mix, a producer and the weighted operator, with t = 0 rows, an odd
+    # half axis (M = 30), more than one batch (batch_rows) and, for the long
+    # times, the transform length at its cap Q = M (the reach 13 sqrt(t) / h
+    # exceeds the box at L = 6, t = 1)
+    g = make_grid(n_dim, 6.0, points)
+    times = _MIRROR_TIMES * t_scale
+    q = semigroup._orthant_length(points, g.h, float(times.max()))
+    assert q == points if t_scale == 1.0 else q < points
+    if batch_rows is not None:
+        monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * q**n_dim)
+    full, mirror = HeatPropagator(g), HeatPropagator(g, mirror=True)
+    assert mirror.shape == (points // 2,) * n_dim and full.shape == g.shape
+    rng = np.random.default_rng(7 * points + n_dim)
+    halves = rng.uniform(0.0, 2.0, (times.size,) + mirror.shape)
+    fields = np.stack([mirrored(h) for h in halves])
+    mix = rng.uniform(0.0, 1.0, (times.size, 3))
+    mix[2] = 0.0  # a row that mixes nothing
+
+    def agree(on_full, on_half):
+        ref = np.stack([orthant(f) for f in on_full])
+        assert on_half.shape == ref.shape
+        assert np.max(np.abs(on_half - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    for weights in (None, _MIRROR_WEIGHTS):
+        op = mirror.prepare(times, weights)
+        assert op._padded == (q,) * n_dim
+        if batch_rows is not None:
+            assert op._step == batch_rows
+        agree(full.apply_heat_values(fields, times, weights), mirror.apply_heat_values(halves, op))
+        agree(
+            full.apply_weighted_values(fields, times, 0.4, weights),
+            mirror.apply_weighted_values(halves, times, 0.4, weights),
+        )
+        mixed = mirror.prepare(times, weights, mix)
+
+        def fill(lo, hi, out):
+            out[...] = halves[lo:hi]
+
+        ref = full.prepare(times, weights, mix).apply(fields[:3])
+        agree(ref, mirror.apply_heat_values(halves[:3], mixed))
+        agree(ref, mirror.apply_heat_values(fill, mixed))
+
+
+@pytest.mark.parametrize("m", [2, 12, 30, 64, 136, 256, 1024])
+@pytest.mark.parametrize("t_max", [0.0, 1e-6, 1e-3, 0.03, 0.5, 8.0])
+def test_orthant_length_is_even_and_covers_the_kernel_reach(m, t_max):
+    # Q is _padded_length's rule at P = 2Q: the least even 5-smooth Q with
+    # 2Q >= M + reach, capped at M; a reach past the box folds nothing back
+    # onto it, since no displacement within the box exceeds M - 1
+    h = 24.0 / m
+    q = semigroup._orthant_length(m, h, t_max)
+    reach = math.ceil(13.0 * math.sqrt(t_max) / h)
+    assert q % 2 == 0 and 1 <= q <= m
+    assert 2 * q >= m + min(reach, m)
+    fits = [k for k in range(2, m, 2) if 2 * k >= m + reach and _is_5_smooth(k)]
+    assert q == (fits[0] if fits else m)
+
+
+def test_mirror_kernel_factor_is_the_real_fft_factor():
+    # the first Q values of the real part of the FFT path's factor at
+    # P = 2Q, written straight into a given array
+    g = make_grid(1, 8.0, 128)
+    times = np.array([1e-3, 0.05, 0.4, 2.0])
+    q = semigroup._orthant_length(128, g.h, float(times.max()))
+    fft = HeatPropagator(g)._kernel_entry(times, 2 * q)
+    out = np.empty((times.size, q))
+    mirror = HeatPropagator(g, mirror=True)
+    assert mirror._kernel_entry(times, 2 * q, out=out) is out
+    np.testing.assert_array_equal(out, fft.real[:, :q])
+    np.testing.assert_allclose(fft.imag, 0.0, rtol=0, atol=1e-16)
+
+
+def test_mirror_propagator_takes_orthant_fields_only():
+    g = make_grid(2, 6.0, 16)
+    mirror = HeatPropagator(g, mirror=True)
+    assert mirror._spectral  # never the direct path
+    with pytest.raises(ParameterError):
+        mirror.apply_heat_values(np.ones(g.shape), 0.1)
+    with pytest.raises(ParameterError):
+        mirror.apply_heat_values(np.ones((2,) + g.shape), np.array([0.1, 0.2]))
+    np.testing.assert_array_equal(mirror.apply_heat_values(np.ones(mirror.shape), 0.0), 1.0)
+    assert mirror.weight_values(0.5).shape == mirror.shape

@@ -6,9 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from singheat import scheme, semigroup, verify
 from singheat import (
     CheckReport,
     GronwallInstance,
+    Params,
     ParameterError,
     SolveConfig,
     check_comparison,
@@ -22,7 +24,10 @@ from singheat import (
     check_uniqueness_contraction,
     default_suite,
     gronwall_envelope,
+    make_grid,
+    monotone_solve,
     run_suite,
+    standard_data,
     volterra_extremal,
 )
 
@@ -457,3 +462,38 @@ def test_run_suite_pool_size(monkeypatch, cores, checks, workers):
     reports = verify_mod.run_suite(names)
     assert [r.name for r in reports] == names
     assert sizes == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize(
+    "caller,mirror",
+    [
+        (lambda: check_subsolution(0.5, 0.3, 1, points=256), True),
+        (lambda: check_subsolution(0.3, 0.5, 2, points=48), True),
+        (lambda: check_max_at_origin(n_profiles=2, points=128), True),
+        (lambda: check_smoothing_exponent(0.3, 1, points=512), True),
+        ("zero", True),
+        ("bump", True),
+        (lambda: check_heaviside_gap(points=1024, tol=1.0), False),
+        ("step", False),
+    ],
+)
+def test_each_caller_builds_the_route_its_data_allow(caller, mirror, monkeypatch):
+    # radial checks and solves of symmetric data work on the orthant; step
+    # data and the heaviside check stay on the full grid
+    built = []
+
+    class Spy(semigroup.HeatPropagator):
+        def __init__(self, grid, mirror=False):
+            built.append(mirror)
+            super().__init__(grid, mirror)
+
+    for module in (semigroup, scheme, verify):
+        monkeypatch.setattr(module, "HeatPropagator", Spy)
+    if isinstance(caller, str):
+        g = make_grid(1, 8.0, 64)
+        cfg = SolveConfig(n_schedule=(1, 2))
+        traj = monotone_solve(standard_data(g, caller), Params(0.5, 0.3, 1), 0.25, cfg)
+        assert traj.diagnostics["orthant"] is mirror
+    else:
+        assert caller().passed
+    assert built and all(b is mirror for b in built)
