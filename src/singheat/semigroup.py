@@ -14,26 +14,21 @@ falls short of 1 by more than _EPS_TAIL = 1e-10, i.e. when the box itself
 truncates the kernel: results past that point would be quantitatively wrong,
 not just smoothed.
 
-The operators take one of three routes, which evaluate the same sums.
+The operators take one of two routes, which evaluate the same sums.
 Fields that are mirror-symmetric in every axis (every radial field: the
 weight, the radial checks' data, and solves of such data) take the mirror
-route, on the positive orthant alone (see below).  Other fields on 1D and 2D
-grids, and on 3D grids of more than 128 points per axis, use FFTs on a
-zero-padded box; on smaller 3D grids they use direct separable convolution
-(in 2D the FFT path is the faster one at every size).
+route, on the positive orthant alone (see below).  Other fields, in any
+dimension, take the FFT path: FFTs on a zero-padded box.
 
-The sampled kernel is a product of one 1D kernel per axis.  On the
-direct path, zero-extended correlation with it along one axis is a product
-with an M x M Toeplitz matrix, and all rows of a call are multiplied by
-their matrices in one batched matmul per axis.  On the FFT path each axis is padded from M to P points: P covers the
-box plus the reach of the operator's longest-time kernel (13 sqrt(t_max),
-beyond which the Gaussian is zero in double precision), rounded up to an
-even 5-smooth length and capped at the doubled box 2M.  The kernel wrapped
-at length P keeps its displacements up to P - M, so the circular
-convolution folds nothing back onto the box.  The N-D spectrum is the outer
-product of 1D spectra: an operator holds one 1D spectrum per time (O(M)
-bytes in any dimension), and each row's spectrum is multiplied by it once
-per axis.
+The sampled kernel is a product of one 1D kernel per axis.  On the FFT
+path each axis is padded from M to P points: P covers the box plus the reach
+of the operator's longest-time kernel (13 sqrt(t_max), beyond which the
+Gaussian is zero in double precision), rounded up to an even 5-smooth length
+and capped at the doubled box 2M.  The kernel wrapped at length P keeps its
+displacements up to P - M, so the circular convolution folds nothing back
+onto the box.  The N-D spectrum is the outer product of 1D spectra: an
+operator holds one 1D spectrum per time (O(M) bytes in any dimension), and
+each row's spectrum is multiplied by it once per axis.
 
 One call can also apply a stack of fields, each for its own time, and return
 weighted sums of the results: the batched form of the Duhamel quadrature.
@@ -47,19 +42,18 @@ a caller that applies the same times again keeps its operator.  The Picard
 solve prepares its sweep and free-term operators once per window length, in
 window-relative time, since a window's lags depend on its length alone, and
 applies them to every window of that length, on every ladder level that has
-one.  On the FFT path the sums are taken in the spectral domain, so J fields
-for T targets cost J forward and T inverse transforms.  Rows are transformed
-in batches sized by a fixed workspace budget, which keeps the padded arrays
-in cache; each batch is added only into the targets that weigh its rows.
+one.  The sums are taken in the spectral domain, so J fields for T targets
+cost J forward and T inverse transforms.  Rows are transformed in batches
+sized by a fixed workspace budget, which keeps the padded arrays in cache;
+each batch is added only into the targets that weigh its rows.
 
 An operator prepared with a (J, K) mix matrix takes K inputs and applies
-row j to sum_k mix[j, k] input_k.  The transform is linear, so the FFT path
+row j to sum_k mix[j, k] input_k.  The transform is linear, so the operator
 transforms the K inputs and forms each batch's row spectra as the same
-mixes of theirs; the direct path mixes the rows in real space.  The Picard
-sweep's source is linear in its knot values between the knots (it
-interpolates the source, not the field), so its J = 72 quadrature rows cost
-K = 10 forward transforms; its free term is a one-column mix of the window
-start, whose 9 rows cost one.
+mixes of theirs.  The Picard sweep's source is linear in its knot values
+between the knots (it interpolates the source, not the field), so its J = 72
+quadrature rows cost K = 10 forward transforms; its free term is a
+one-column mix of the window start, whose 9 rows cost one.
 
 An apply takes the J fields (or K inputs) as a stack or as a producer that
 writes each batch's rows into the propagator's scratch, so a caller whose
@@ -78,8 +72,7 @@ convolution, which a DCT-II, a real product and a DCT-III compute exactly
 on the orthant (Martucci 1994): the FFT path's sums at P = 2Q, where the
 half axis of M/2 points is padded to Q (see _orthant_length).  Each cosine
 transform is one rfft of length Q (Makhoul 1980), so an axis costs about a
-quarter of the FFT path's transform, in every dimension, and 3D grids of
-any size take this route rather than the direct path.  The kernel factor
+quarter of the FFT path's transform, in every dimension.  The kernel factor
 of a row is real, the first Q values of the FFT path's factor at P = 2Q,
 and the batch, weight, mix and producer loop is the FFT path's.
 """
@@ -92,7 +85,6 @@ from typing import Sequence
 
 import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily; keep that out of the first apply)
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, TruncationError
 from .fields import Grid, GridFunction, weight_field
@@ -105,7 +97,6 @@ __all__ = [
     "heat_kernel",
 ]
 
-_DIRECT_LIMIT = 128  # per-axis size up to which 3D uses direct summation
 # Reach of the FFT kernel in units of sqrt(t): the Gaussian's mass beyond it,
 # erfc(13 / 2) = 3.8e-20, is below double-precision rounding (2^-53 = 1.1e-16).
 _KERNEL_REACH = 13.0
@@ -113,7 +104,6 @@ _KERNEL_REACH = 13.0
 _EXP_ZERO = -746.0
 # Padded-FFT workspace of one batch of rows.  Sized to stay in a core's L2
 # cache: transforms of a larger batch run slower per row than single ones.
-# The direct path asks a producer for as many rows per call as fit in it.
 _FFT_WORKSPACE_BYTES = 2**20
 # Largest shortfall of a sampled kernel's raw mass below 1 that
 # renormalization absorbs; a larger one means the box truncates the kernel.
@@ -181,19 +171,18 @@ class HeatPropagator:
     mirror-symmetric in every axis, held by their positive orthant (see
     fields.orthant): every field it takes and returns, and its weight
     field, has shape (M/2,)^N.  Such a propagator always takes the mirror
-    route (see the module docstring) and never the direct path.
+    route (see the module docstring); any other takes the FFT path.
 
-    A kernel factor is one 1D array: the 2M-1 normalized axis samples on the
-    direct path; on the FFT path, the spectrum of the axis kernel wrapped at
-    the padded length P <= 2M of the operator that asks for it (the P/2+1
-    half spectrum in 1D, the full P in 2D and 3D, whose last axis uses its
-    first P/2+1 values); on the mirror route, the first Q values of the real
-    part of that spectrum at P = 2Q, which is real up to rounding since the
-    wrapped kernel is symmetric.  The N-D kernel is the product of that
-    factor over the axes and is never formed.  The propagator keeps no
-    kernels: each prepared operator builds its own factors, all in one call,
-    and holds them while it lives.  A kernel whose raw mass falls short of 1
-    by more than _EPS_TAIL raises TruncationError.
+    A kernel factor is one 1D array: on the FFT path, the spectrum of the
+    axis kernel wrapped at the padded length P <= 2M of the operator that
+    asks for it (the P/2+1 half spectrum in 1D, the full P in 2D and 3D,
+    whose last axis uses its first P/2+1 values); on the mirror route, the
+    first Q values of the real part of that spectrum at P = 2Q, which is
+    real up to rounding since the wrapped kernel is symmetric.  The N-D
+    kernel is the product of that factor over the axes and is never formed.
+    The propagator keeps no kernels: each prepared operator builds its own
+    factors, all in one call, and holds them while it lives.  A kernel whose
+    raw mass falls short of 1 by more than _EPS_TAIL raises TruncationError.
     It memoizes the weight field of each gamma and owns the scratch buffer
     that every apply of its operators works in (see _scratch).  Use one
     propagator, with its operators, per thread; a producer must not apply
@@ -203,7 +192,6 @@ class HeatPropagator:
     def __init__(self, grid: Grid, mirror: bool = False):
         self.grid = grid
         self.mirror = bool(mirror)
-        self._spectral = self.mirror or grid.n_dim < 3 or grid.points_per_axis > _DIRECT_LIMIT
         self._weights: dict[float, np.ndarray] = {}
         self._buffer = np.empty(0, dtype=np.uint8)
 
@@ -260,12 +248,12 @@ class HeatPropagator:
 
     def _kernel_entry(self, t, length: "int | None" = None, out=None) -> np.ndarray:
         """The 1D kernel factor for time t, at padded length `length`
-        (default 2M) on the FFT path and the mirror route (see the class
-        docstring).  For a 1D array of times t > 0, the factors are built in
-        one pass, one row per time, and written into out when it is given;
-        a truncating time raises TruncationError naming it.  The samples are
-        freed before the transform, so a build holds at most the wrapped
-        kernels, their spectra and the result at once."""
+        (default 2M; see the class docstring).  For a 1D array of times
+        t > 0, the factors are built in one pass, one row per time, and
+        written into out when it is given; a truncating time raises
+        TruncationError naming it.  The samples are freed before the transform, so a build
+        holds at most the wrapped kernels, their spectra and the result at
+        once."""
         m = self.grid.points_per_axis
         scalar = np.ndim(t) == 0
         g = self._axis_samples(np.atleast_1d(t))
@@ -273,10 +261,6 @@ class HeatPropagator:
         for s, mass in zip(np.atleast_1d(t).tolist(), axis_mass.tolist()):
             self._check_mass(s, mass**self.grid.n_dim)
         g /= axis_mass[:, None]
-        if not self._spectral:
-            # the far samples underflow to subnormals, on which matmul is slow
-            g[g < np.finfo(float).tiny] = 0.0
-            return g[0] if scalar else g
         length = 2 * m if length is None else length
         # displacements up to k on each side; length >= M + k keeps the
         # circular convolution from wrapping any of them onto the box
@@ -419,8 +403,6 @@ class PreparedHeat:
       see _dct_forward) and the DCT pair in place of the FFTs.  Every
       spectrum is held as the FFT path's half spectrum at P = Q, so the
       loop, its batches, mixes and weights are the FFT path's.
-    - Direct path: the stacked Toeplitz views of the rows with t > 0.  With
-      a mix, one matmul mixes the J rows from the K inputs in real space.
 
     The operator holds no workspace: its applies work in the propagator's
     scratch (see HeatPropagator), and every result is a fresh array.
@@ -436,12 +418,7 @@ class PreparedHeat:
         count = times.size
         self._shape = (count,) + prop.shape
         self._inputs = count if mix is None else mix.shape[1]
-        self._live = live = np.flatnonzero(times > 0.0)
-        if not prop._spectral:
-            samples = prop._kernel_entry(times[live]) if live.size else np.empty((0, 2 * m - 1))
-            self._toeplitz = sliding_window_view(samples, m, axis=1)[:, ::-1]
-            self._step = max(1, min(count, _FFT_WORKSPACE_BYTES // (8 * m**n)))
-            return
+        live = np.flatnonzero(times > 0.0)
         if prop.mirror:
             q = _orthant_length(m, grid.h, float(times.max()))
             kernel_length, width = 2 * q, q
@@ -524,72 +501,20 @@ class PreparedHeat:
             def fill(lo, hi, out):
                 out[...] = stack[lo:hi]
 
-        if self.propagator._spectral:
-            return self._apply_spectral(fill)
-        return self._apply_direct(fill)
-
-    def _apply_direct(self, fill) -> np.ndarray:
-        """Zero-extended correlation of an axis with the 2M-1 normalized
-        samples g is the product with the M x M Toeplitz matrix
-        T[i, k] = g[k - i + M - 1], whose row i is the window g[M-1-i : 2M-1-i].
-        The rows are produced into an array of J rows, _step at a time
-        (with a mix, the K inputs into one of K rows, and mixed into the J
-        rows by one matmul).  Those with t > 0 are multiplied by their T (a
-        sliding-window view of their samples, no copy) in one batched matmul
-        per axis; rows with t = 0 pass through unchanged.  Each axis is moved
-        to the front of a row in the spent input and multiplied into a second
-        array.  They are views of the scratch taken at the start of the
-        call."""
-        count = self._shape[0]
-        live = self._live
-        rows, prod, inputs = self.propagator._scratch(
-            (self._shape, float),
-            ((live.size * math.prod(self._shape[1:]),), float),
-            ((0 if self.mix is None else self._inputs,) + self._shape[1:], float),
-        )
-        inputs = rows if self.mix is None else inputs
-        for lo in range(0, self._inputs, self._step):
-            fill(lo, min(lo + self._step, self._inputs), inputs[lo : lo + self._step])
-        if self.mix is not None:
-            np.matmul(self.mix, inputs.reshape(self._inputs, -1), out=rows.reshape(count, -1))
-        if live.size:
-            m = self.propagator.grid.points_per_axis
-            part = rows if live.size == count else rows[live]
-            spent = part.reshape(-1)  # the input, free once the first axis is multiplied
-            for ax in range(1, len(self._shape)):
-                moved = np.moveaxis(part, ax, 1)
-                if ax > 1:  # the previous axis's product, in this axis's order
-                    scratch = spent.reshape(moved.shape)
-                    scratch[...] = moved
-                    moved = scratch
-                out = prod.reshape(moved.shape)
-                np.matmul(
-                    self._toeplitz,
-                    moved.reshape(live.size, m, -1),
-                    out=out.reshape(live.size, m, -1),
-                )
-                part = np.moveaxis(out, 1, ax)
-            if live.size == count:
-                rows[...] = part
-            else:
-                rows[live] = part
-        if self.weights is None:
-            return rows.copy()
-        flat = rows.reshape(count, -1)
-        return (self.weights @ flat).reshape((self.weights.shape[0],) + self._shape[1:])
+        return self._apply_spectral(fill)
 
     def _apply_spectral(self, fill) -> np.ndarray:
-        """One forward transform per row (with a mix, per input) and one
-        inverse per output field, in views of the scratch taken at the start
-        of the call.  The FFT path and the mirror route share this loop and
-        the layout of their spectra; only their transform pair (_transform,
-        _to_box) and the dtype of their factors differ.  On the mirror route
-        the factors are real and scale the spectra's float view, which holds
-        real cosine coefficients.  Each batch is produced into a contiguous
-        array and copied into one padded along the last axis only (on the
-        mirror route, reordered into the lines of its cosine transform): the
-        producer's elementwise passes run slower on a strided view (g_n on a
-        2D M = 192 row: 70 us more).
+        """Every operator's apply: one forward transform per row (with a
+        mix, per input) and one inverse per output field, in views of the
+        scratch taken at the start of the call.  The FFT path and the mirror
+        route share this loop and the layout of their spectra; only their
+        transform pair (_transform, _to_box) and the dtype of their factors
+        differ.  On the mirror route the factors are real and scale the
+        spectra's float view, which holds real cosine coefficients.  Each
+        batch is produced into a contiguous array and copied into one padded
+        along the last axis only (on the mirror route, reordered into the
+        lines of its cosine transform): the producer's elementwise passes
+        run slower on a strided view (g_n on a 2D M = 192 row: 70 us more).
         With a mix, a batch's row spectra are its block of the mix times the
         spectra of the inputs that block reads; with weights, each batch's
         spectra go into the sums of the targets that weigh them.  Each is

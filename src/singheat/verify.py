@@ -503,11 +503,8 @@ def check_max_at_origin(
     worst value of (max over innermost nodes) - (global max), scaled by the
     field size.  The data are radial, so the check computes on the positive
     orthant, with a mirror propagator, where the innermost node is the
-    first.  In 3D, points is capped at 96 per axis; details["grid"] holds
-    the grid actually used.
+    first.
     """
-    if n_dim == 3 and points > 96:
-        points = 96
     grid = make_grid(n_dim, half_width, points)
     r = _orthant_nodes(grid)[0]
     r_max = float(np.max(r)) + 1.0

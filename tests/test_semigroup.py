@@ -94,13 +94,9 @@ def test_positivity_and_sup_contraction():
 
 
 def test_direct_and_spectral_paths_agree():
-    # a small 3D grid runs as a direct correlation, a 1D grid through
-    # zero-padded FFTs; both must give the dense reference's field
-    g_direct = make_grid(3, 8.0, 32)
-    g_fft = make_grid(1, 8.0, 256)
-    assert not HeatPropagator(g_direct)._spectral
-    assert HeatPropagator(g_fft)._spectral
-    for g in (g_direct, g_fft):
+    # zero-padded FFTs on a 3D and a 1D grid give the field of the dense
+    # reference, a direct sum over every pair of nodes
+    for g in (make_grid(3, 8.0, 32), make_grid(1, 8.0, 256)):
         f = standard_data(g, "bump:2")
         t = 0.5
         out = apply_heat(f, t)
@@ -149,9 +145,8 @@ _BATCH_WEIGHTS = np.array(
 )
 @pytest.mark.parametrize("gamma", [0.0, 0.4])
 def test_batched_apply_matches_single_applies(n_dim, points, batch_rows, gamma, monkeypatch):
-    # FFT path in 1D and 2D, direct in 3D up to 128 points per axis;
-    # batch_rows shrinks the FFT workspace so the rows are transformed that
-    # many at a time
+    # the FFT path in every dimension; batch_rows shrinks the FFT workspace
+    # so the rows are transformed that many at a time
     g = make_grid(n_dim, 8.0, points)
     if batch_rows is not None:
         p = semigroup._padded_length(points, g.h, float(_BATCH_TIMES.max()))
@@ -204,10 +199,10 @@ def test_batched_apply_validation(points):
 @pytest.mark.parametrize("n_dim,points", [(2, 16), (2, 10), (3, 16), (3, 10), (3, 6)])
 @pytest.mark.parametrize("gamma", [0.0, 0.4])
 def test_direct_path_equals_per_row_correlation(n_dim, points, gamma):
-    # reference: each row with t > 0 correlated axis by axis with its
-    # normalized 2M-1 kernel samples, zero outside the box
+    # reference: each row with t > 0 correlated directly, axis by axis, with
+    # its normalized 2M-1 kernel samples, zero outside the box
     g = make_grid(n_dim, 8.0, points)
-    prop = _direct_propagator(g)
+    prop = HeatPropagator(g)
     rng = np.random.default_rng(7 * n_dim + points)
     stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + g.shape)
     weighted = stack * prop.weight_values(gamma) if gamma else stack
@@ -221,7 +216,6 @@ def test_direct_path_equals_per_row_correlation(n_dim, points, gamma):
         ref[j] = row
     out = prop.apply_weighted_values(stack, _BATCH_TIMES, gamma)
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-14)
-    np.testing.assert_array_equal(out[1], weighted[1])  # t = 0 passes through
     summed = prop.apply_weighted_values(stack, _BATCH_TIMES, gamma, _BATCH_WEIGHTS)
     np.testing.assert_allclose(
         summed, np.tensordot(_BATCH_WEIGHTS, ref, axes=1), rtol=0, atol=1e-14
@@ -232,12 +226,24 @@ def test_direct_path_equals_per_row_correlation(n_dim, points, gamma):
 # Prepared operator
 # ---------------------------------------------------------------------------
 
+def _cases(*cases):
+    """pytest params (n_dim, points[, batch_rows]) of cases written as
+    (n_dim, points, fft[, batch_rows]), each named by all its values.  fft
+    only names a case, so that its id stays stable: it is the path the case
+    took while fields that are not mirror-symmetric had two.  Every case
+    now takes the FFT path; those marked False are the grids the direct
+    path served (2D M = 16 and 64, 3D M = 16 to 64), which the others
+    leave out."""
+    return [
+        pytest.param(*case[:2], *case[3:], id="-".join(map(str, case))) for case in cases
+    ]
+
+
 def _per_row_reference(prop, stack, times, weights):
-    """Each row through its own kernel, then the weighted sums.  FFT path:
-    the row zero-padded to the doubled box 2M is transformed, its spectrum
+    """Each row through its own kernel, then the weighted sums: the row
+    zero-padded to the doubled box 2M is transformed, its spectrum
     multiplied by the full-length axis factor once per axis, and transformed
-    back.  Direct path: each axis is
-    multiplied by the dense Toeplitz matrix of the normalized samples."""
+    back."""
     m = prop.grid.points_per_axis
     n = prop.grid.n_dim
     corner = (slice(0, m),) * n
@@ -247,28 +253,20 @@ def _per_row_reference(prop, stack, times, weights):
             rows.append(f.copy())
             continue
         entry = prop._kernel_entry(float(t))
-        if prop._spectral:
-            padded = np.zeros((2 * m,) * n)
-            padded[corner] = f
-            spec = np.fft.rfftn(padded)
-            for ax in range(n - 1):
-                spec = spec * entry.reshape((-1,) + (1,) * (n - 1 - ax))
-            spec = spec * entry[: m + 1]
-            rows.append(np.fft.irfftn(spec, s=(2 * m,) * n, axes=tuple(range(n)))[corner])
-        else:
-            idx = np.arange(m)
-            toeplitz = entry[idx[None, :] - idx[:, None] + m - 1]
-            row = f
-            for ax in range(n):
-                row = np.moveaxis(np.tensordot(toeplitz, row, axes=([1], [ax])), 0, ax)
-            rows.append(row)
+        padded = np.zeros((2 * m,) * n)
+        padded[corner] = f
+        spec = np.fft.rfftn(padded)
+        for ax in range(n - 1):
+            spec = spec * entry.reshape((-1,) + (1,) * (n - 1 - ax))
+        spec = spec * entry[: m + 1]
+        rows.append(np.fft.irfftn(spec, s=(2 * m,) * n, axes=tuple(range(n)))[corner])
     rows = np.stack(rows)
     return rows if weights is None else np.tensordot(weights, rows, axes=1)
 
 
 @pytest.mark.parametrize(
-    "n_dim,points,spectral,batch_rows",
-    [
+    "n_dim,points,batch_rows",
+    _cases(
         (1, 256, True, None),  # one batch of all rows
         (1, 256, True, 1),
         (1, 256, True, 2),
@@ -281,12 +279,10 @@ def _per_row_reference(prop, stack, times, weights):
         (2, 16, False, None),
         (3, 24, False, None),
         (3, 16, False, None),
-    ],
+    ),
 )
 @pytest.mark.parametrize("gamma", [0.0, 0.4])
-def test_prepared_apply_equals_per_row_construction(
-    n_dim, points, spectral, batch_rows, gamma, monkeypatch
-):
+def test_prepared_apply_equals_per_row_construction(n_dim, points, batch_rows, gamma, monkeypatch):
     # _BATCH_TIMES has a t = 0 row; _BATCH_WEIGHTS an all-zero target row and
     # columns weighted by two targets
     g = make_grid(n_dim, 6.0, points)
@@ -294,13 +290,13 @@ def test_prepared_apply_equals_per_row_construction(
         # the workspace holds batch_rows rows padded to the operator's length
         p = semigroup._padded_length(points, g.h, float(_BATCH_TIMES.max()))
         monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * p**n_dim)
-    prop = _path_propagator(g, spectral, monkeypatch)
+    prop = HeatPropagator(g)
     rng = np.random.default_rng(3 * n_dim + points)
     for weights in (None, _BATCH_WEIGHTS):
         op = prop.prepare(_BATCH_TIMES, weights)
         if batch_rows is not None:
             assert op._step == batch_rows
-        elif n_dim == 3 and spectral:
+        elif (n_dim, points) == (3, 12):
             assert op._step == 4  # the default workspace splits the rows 4 + 1
         # the operator's workspace is reused: a second stack must not see the first
         for _ in range(2):
@@ -315,38 +311,34 @@ def test_prepared_apply_equals_per_row_construction(
 
 
 @pytest.mark.parametrize(
-    "n_dim,points,spectral,batch_rows",
-    [
+    "n_dim,points,batch_rows",
+    _cases(
         (1, 256, True, None),  # one batch of every row
         (1, 256, True, 1),
         (2, 136, True, None),  # one-row batches at the default workspace
         (2, 24, True, 2),
         (3, 12, True, None),  # batches of 4 rows and 1
         (3, 12, True, 1),
-        (2, 64, False, None),  # producer chunks of every row
+        (2, 64, False, None),
         (2, 64, False, 1),
         (3, 16, False, None),
         (3, 16, False, 1),
-        (3, 32, False, None),  # chunks of 4 rows and 1
+        (3, 32, False, None),
         (3, 32, False, 1),
-    ],
+    ),
 )
 @pytest.mark.parametrize("gamma", [0.0, 0.4])
-def test_producer_apply_equals_stack_apply(
-    n_dim, points, spectral, batch_rows, gamma, monkeypatch
-):
+def test_producer_apply_equals_stack_apply(n_dim, points, batch_rows, gamma, monkeypatch):
     # a producer that writes the rows of a stack gives that stack's result
-    # bit for bit, on both paths, with and without weights and with a t = 0
-    # row; the operator asks for every row once, in order, and hands the
-    # producer views of its propagator's scratch
+    # bit for bit, with and without weights and with a t = 0 row; the
+    # operator asks for every row once, in order, and hands the producer
+    # views of its propagator's scratch
     g = make_grid(n_dim, 6.0, points)
     if batch_rows is not None:
-        # the FFT workspace holds batch_rows padded rows; the direct path
-        # asks for as many unpadded rows as the same budget holds
+        # the FFT workspace holds batch_rows padded rows
         p = semigroup._padded_length(points, g.h, float(_BATCH_TIMES.max()))
-        row_bytes = 16 * p**n_dim if spectral else 8 * points**n_dim
-        monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * row_bytes)
-    prop = _path_propagator(g, spectral, monkeypatch)
+        monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * p**n_dim)
+    prop = HeatPropagator(g)
     rng = np.random.default_rng(7 * n_dim + points)
     stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + g.shape)
     weight = prop.weight_values(gamma) if gamma else None
@@ -386,8 +378,8 @@ _MIX = np.array(
 
 
 @pytest.mark.parametrize(
-    "n_dim,points,spectral,batch_rows",
-    [
+    "n_dim,points,batch_rows",
+    _cases(
         (1, 256, True, None),  # one batch of every row
         (1, 256, True, 1),
         (1, 256, True, 2),
@@ -396,24 +388,21 @@ _MIX = np.array(
         (2, 136, True, None),  # one-row batches at the default workspace
         (3, 16, False, None),
         (3, 16, False, 1),
-    ],
+    ),
 )
 @pytest.mark.parametrize("gamma", [0.0, 0.4])
 def test_mixed_inputs_equal_mixed_fields_applied_row_by_row(
-    n_dim, points, spectral, batch_rows, gamma, monkeypatch
+    n_dim, points, batch_rows, gamma, monkeypatch
 ):
     # an operator prepared with a (J, K) mix takes K inputs and gives the
-    # per-row result on the J mixed fields: the FFT path mixes the rows'
-    # spectra from the inputs' spectra, the direct path mixes the rows in
-    # real space.  A producer of the inputs is asked for each batch of them
-    # once, in order, and gives the stack's result bit for bit
+    # per-row result on the J mixed fields: it mixes the rows' spectra from
+    # the inputs' spectra.  A producer of the inputs is asked for each batch
+    # of them once, in order, and gives the stack's result bit for bit
     g = make_grid(n_dim, 6.0, points)
     if batch_rows is not None:
         p = semigroup._padded_length(points, g.h, float(_BATCH_TIMES.max()))
-        row_bytes = 16 * p**n_dim if spectral else 8 * points**n_dim
-        monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * row_bytes)
+        monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * p**n_dim)
     prop = HeatPropagator(g)
-    assert prop._spectral == spectral
     rng = np.random.default_rng(13 * n_dim + points)
     weight = prop.weight_values(gamma) if gamma else 1.0
     count = _MIX.shape[1]
@@ -440,11 +429,10 @@ def test_mixed_inputs_equal_mixed_fields_applied_row_by_row(
 
 @pytest.mark.parametrize("n_dim,points", [(1, 64), (2, 24), (2, 40), (3, 12), (3, 16)])
 @pytest.mark.parametrize("t_max", [0.02, 1.0])
-def test_pruned_transforms_equal_numpys(n_dim, points, t_max, monkeypatch):
+def test_pruned_transforms_equal_numpys(n_dim, points, t_max):
     # the forward transform of the rows padded along the last axis is rfftn
     # of the rows zero-padded to P per axis, and the inverse is irfftn cut
     # to the box, both bit for bit, at P < 2M and at P = 2M
-    monkeypatch.setattr(semigroup, "_DIRECT_LIMIT", 0)
     g = make_grid(n_dim, 6.0, points)
     op = HeatPropagator(g).prepare(_BATCH_TIMES * t_max)
     p = op._padded[-1]
@@ -466,13 +454,12 @@ def test_pruned_transforms_equal_numpys(n_dim, points, t_max, monkeypatch):
 
 @pytest.mark.parametrize("n_dim,points", [(1, 256), (2, 24), (3, 12)])
 @pytest.mark.parametrize("t_max", [0.02, 1.0])
-def test_padded_length_leaves_the_operator_unchanged(n_dim, points, t_max, monkeypatch):
+def test_padded_length_leaves_the_operator_unchanged(n_dim, points, t_max):
     # padded only as far as the longest kernel reaches (P < 2M for short
     # times, the doubled box for long ones), the operator is the one padded
     # to 2M, since the kernel is zero beyond that reach in double precision.
     # Bound: 8 ulps of the largest output; the batched sums and the per-row
     # reference round differently even at P = 2M (up to 4.5 ulps measured)
-    monkeypatch.setattr(semigroup, "_DIRECT_LIMIT", 0)
     g = make_grid(n_dim, 6.0, points)
     prop = HeatPropagator(g)
     times = _BATCH_TIMES * t_max
@@ -531,29 +518,10 @@ def test_prepared_operator_validation():
 # Per-axis kernel factors
 # ---------------------------------------------------------------------------
 
-def _spectral_propagator(grid, monkeypatch):
-    """A fresh FFT-path propagator, whatever the grid size."""
-    monkeypatch.setattr(semigroup, "_DIRECT_LIMIT", 0)
-    return HeatPropagator(grid)
-
-
-def _direct_propagator(grid):
-    """A fresh direct-path propagator, whatever the grid.  The direct path
-    runs in every dimension; by default only 3D grids of up to _DIRECT_LIMIT
-    points per axis take it."""
-    prop = HeatPropagator(grid)
-    prop._spectral = False
-    return prop
-
-
-def _path_propagator(grid, spectral, monkeypatch):
-    return _spectral_propagator(grid, monkeypatch) if spectral else _direct_propagator(grid)
-
-
 @pytest.mark.parametrize("n_dim,points", [(2, 24), (3, 12)])
-def test_per_axis_spectrum_is_the_full_kernel_spectrum(n_dim, points, monkeypatch):
+def test_per_axis_spectrum_is_the_full_kernel_spectrum(n_dim, points):
     g = make_grid(n_dim, 4.0, points)
-    prop = _spectral_propagator(g, monkeypatch)
+    prop = HeatPropagator(g)
     m = points
     for t in (0.05, 0.6):
         entry = prop._kernel_entry(t)
@@ -582,30 +550,14 @@ def test_one_dimensional_entry_is_the_half_spectrum():
     assert entry.shape == (257,)
 
 
-@pytest.mark.parametrize("n_dim,points", [(2, 64), (3, 64), (3, 32)])
-def test_direct_samples_have_no_subnormals(n_dim, points):
-    # exp(-d^2 / 4t) underflows to subnormals between the normal samples and
-    # the zeros; the direct path flushes them to zero and keeps the rest
-    g = make_grid(n_dim, 8.0, points)
-    prop = _direct_propagator(g)
-    tiny = np.finfo(float).tiny
-    for t in (1 / 32, 0.05):
-        raw = prop._axis_samples(t)
-        raw = raw / raw.sum()
-        assert np.any((raw > 0.0) & (raw < tiny))  # the case is not vacuous
-        entry = prop._kernel_entry(t)
-        assert not np.any((entry > 0.0) & (entry < tiny))
-        np.testing.assert_array_equal(entry, np.where(raw < tiny, 0.0, raw))
-
-
 @pytest.mark.parametrize("n_dim,points", [(2, 16), (3, 16), (3, 8)])
 @pytest.mark.parametrize("times", [_BATCH_TIMES, _BATCH_TIMES[_BATCH_TIMES > 0.0]])
 def test_direct_apply_results_own_their_memory(n_dim, points, times):
-    # the direct path multiplies in the propagator's scratch: no result
-    # shares memory with it, and a later apply, of this operator or of
-    # another one of the propagator, leaves the result unchanged
+    # an apply works in the propagator's scratch: no result shares memory
+    # with it, and a later apply, of this operator or of another one of the
+    # propagator, leaves the result unchanged
     g = make_grid(n_dim, 6.0, points)
-    prop = _direct_propagator(g)
+    prop = HeatPropagator(g)
     rng = np.random.default_rng(points)
     for weights in (None, rng.uniform(0.0, 1.0, (2, times.size))):
         op = prop.prepare(times, weights)
@@ -619,25 +571,22 @@ def test_direct_apply_results_own_their_memory(n_dim, points, times):
         np.testing.assert_array_equal(op.apply(np.zeros((times.size,) + g.shape)), 0.0)
 
 
-@pytest.mark.parametrize(
-    "n_dim,points,spectral", [(1, 256, True), (2, 24, True), (3, 12, True), (3, 12, False)]
-)
-def test_operators_of_one_propagator_share_its_scratch(n_dim, points, spectral, monkeypatch):
+@pytest.mark.parametrize("n_dim,points", _cases((1, 256, True), (2, 24, True), (3, 12, True)))
+def test_operators_of_one_propagator_share_its_scratch(n_dim, points):
     # operators whose padded lengths and row counts differ, applied in turn
     # on one propagator, give what each gives on a fresh propagator, bit for
     # bit: a free term (one input mixed into four rows), a Picard-like sweep
     # (weights and a mix, a longer time) and a one-row weighted operator (a
-    # short time, so a shorter padded length on the FFT path).  No result
-    # shares memory with the scratch, which only grows
+    # short time, so a shorter padded length).  No result shares memory with
+    # the scratch, which only grows
     g = make_grid(n_dim, 6.0, points)
-    prop = _path_propagator(g, spectral, monkeypatch)
+    prop = HeatPropagator(g)
     specs = [
         (np.array([0.05, 0.1, 0.2, 0.3]), None, np.ones((4, 1))),
         (_BATCH_TIMES, _BATCH_WEIGHTS, _MIX),
         (np.array([0.01]), np.array([[0.5]]), None),
     ]
-    if spectral:  # the padded lengths differ
-        assert len({semigroup._padded_length(points, g.h, float(t.max())) for t, _, _ in specs}) > 1
+    assert len({semigroup._padded_length(points, g.h, float(t.max())) for t, _, _ in specs}) > 1
     ops = [prop.prepare(t, w, mix=x) for t, w, x in specs]
     rng = np.random.default_rng(5 * n_dim + points)
     sizes = []
@@ -646,7 +595,7 @@ def test_operators_of_one_propagator_share_its_scratch(n_dim, points, spectral, 
             count = t.size if x is None else x.shape[1]
             stack = rng.uniform(0.0, 2.0, (count,) + g.shape)
             out = op.apply(stack)
-            fresh = _path_propagator(g, spectral, monkeypatch)
+            fresh = HeatPropagator(g)
             np.testing.assert_array_equal(out, fresh.prepare(t, w, mix=x).apply(stack))
             assert not np.shares_memory(out, prop._buffer)
             sizes.append(prop._buffer.size)
@@ -654,20 +603,19 @@ def test_operators_of_one_propagator_share_its_scratch(n_dim, points, spectral, 
 
 
 @pytest.mark.parametrize(
-    "n_dim,points,spectral",
-    [(1, 256, True), (2, 24, True), (2, 64, False), (3, 64, False), (3, 32, False)],
+    "n_dim,points",
+    _cases((1, 256, True), (2, 24, True), (2, 64, False), (3, 64, False), (3, 32, False)),
 )
-def test_kernel_entry_on_a_time_array_stacks_the_scalar_calls(n_dim, points, spectral, monkeypatch):
+def test_kernel_entry_on_a_time_array_stacks_the_scalar_calls(n_dim, points):
     # one pass over a time array builds, row by row, what one call per time
     # builds: samples and factors, at the default and at a padded length
     g = make_grid(n_dim, 8.0, points)
-    prop = _path_propagator(g, spectral, monkeypatch)
+    prop = HeatPropagator(g)
     times = np.array([1e-4, 1 / 32, 0.05, 0.3, 1.0])
     samples = prop._axis_samples(times)
     assert samples.shape == (times.size, 2 * points - 1)
     np.testing.assert_array_equal(samples, np.stack([prop._axis_samples(t) for t in times]))
-    lengths = (None, semigroup._padded_length(points, g.h, 1.0)) if spectral else (None,)
-    for length in lengths:
+    for length in (None, semigroup._padded_length(points, g.h, 1.0)):
         batch = prop._kernel_entry(times, length)
         rows = np.stack([prop._kernel_entry(float(t), length) for t in times])
         assert batch.shape == rows.shape and batch.dtype == rows.dtype
@@ -682,29 +630,6 @@ def test_kernel_entry_batch_names_its_truncating_time(n_dim, points):
         prop._kernel_entry(np.array([0.01, 0.5, 25.0, 0.02]))
     with pytest.raises(TruncationError, match=r"t = 25\.0:"):
         prop.prepare([0.01, 25.0])
-
-
-@pytest.mark.parametrize("n_dim,points", [(2, 40), (3, 20), (3, 12)])
-def test_spectral_and_direct_paths_agree(n_dim, points, monkeypatch):
-    g = make_grid(n_dim, 6.0, points)
-    spectral = _spectral_propagator(g, monkeypatch)
-    direct = _direct_propagator(g)
-    rng = np.random.default_rng(11)
-    stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + g.shape)
-    for gamma in (0.0, 0.4):
-        for t in (0.05, 0.7):
-            np.testing.assert_allclose(
-                spectral.apply_weighted_values(stack[0], t, gamma),
-                direct.apply_weighted_values(stack[0], t, gamma),
-                rtol=0,
-                atol=1e-13,
-            )
-        np.testing.assert_allclose(
-            spectral.apply_weighted_values(stack, _BATCH_TIMES, gamma, _BATCH_WEIGHTS),
-            direct.apply_weighted_values(stack, _BATCH_TIMES, gamma, _BATCH_WEIGHTS),
-            rtol=0,
-            atol=1e-13,
-        )
 
 
 def test_smoothing_bound_for_weighted_operator():
@@ -752,7 +677,7 @@ _MIRROR_WEIGHTS = np.array(
 @pytest.mark.parametrize("batch_rows", [None, 3])
 def test_mirror_and_full_routes_agree(n_dim, points, t_scale, batch_rows, monkeypatch):
     # the same sums on the orthant (cosine transforms) as on the full grid
-    # (FFT or direct), for mirror-symmetric fields: stacks, weights, a (J, K)
+    # (the FFT path), for mirror-symmetric fields: stacks, weights, a (J, K)
     # mix, a producer and the weighted operator, with t = 0 rows, an odd
     # half axis (M = 30), more than one batch (batch_rows) and, for the long
     # times, the transform length at its cap Q = M (the reach 13 sqrt(t) / h
@@ -828,7 +753,6 @@ def test_mirror_kernel_factor_is_the_real_fft_factor():
 def test_mirror_propagator_takes_orthant_fields_only():
     g = make_grid(2, 6.0, 16)
     mirror = HeatPropagator(g, mirror=True)
-    assert mirror._spectral  # never the direct path
     with pytest.raises(ParameterError):
         mirror.apply_heat_values(np.ones(g.shape), 0.1)
     with pytest.raises(ParameterError):

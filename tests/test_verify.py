@@ -314,9 +314,9 @@ def test_max_at_origin_passes_and_is_deterministic():
     assert a.margin == b.margin  # seeded profiles
 
 
-def test_max_at_origin_reports_its_3d_cap():
+def test_max_at_origin_uses_its_3d_grid_as_given():
     rep = check_max_at_origin(n_profiles=2, n_dim=3, points=128)
-    assert rep.details["grid"] == [3, 10.0, 96]
+    assert rep.details["grid"] == [3, 10.0, 128]
     rep = check_max_at_origin(n_profiles=2, n_dim=1, points=256)
     assert rep.details["grid"] == [1, 10.0, 256]
 
