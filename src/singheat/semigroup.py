@@ -33,27 +33,39 @@ each row's spectrum is multiplied by it once per axis.
 One call can also apply a stack of fields, each for its own time, and return
 weighted sums of the results: the batched form of the Duhamel quadrature.
 Every call goes through a prepared operator (PreparedHeat), built by
-HeatPropagator.prepare for fixed times, weights and mix: it builds the kernels
-once, all in one vectorized pass (one array of samples, one mass check per
-row, one batched transform), and holds them stacked, one row per field,
-together with the batch plan; every apply works in its propagator's one
-scratch buffer.  Nothing caches kernels beyond the operators that hold them:
-a caller that applies the same times again keeps its operator.  The Picard
-solve prepares its sweep and free-term operators once per window length, in
-window-relative time, since a window's lags depend on its length alone, and
-applies them to every window of that length, on every ladder level that has
-one.  The sums are taken in the spectral domain, so J fields for T targets
-cost J forward and T inverse transforms.  Rows are transformed in batches
-sized by a fixed workspace budget, which keeps the padded arrays in cache;
-each batch is added only into the targets that weigh its rows.
+HeatPropagator.prepare for fixed times, weights and mix: it builds the
+kernels once, all in one vectorized pass (one array of samples, one mass
+check per row, one batched transform), and holds them stacked, one row per
+field, together with its blocks of spectral lines; every apply works in its
+propagator's one scratch buffer.  Nothing caches kernels beyond the
+operators that hold them: a caller that applies the same times again keeps
+its operator.  The Picard solve prepares its sweep and free-term operators
+once per window length, in window-relative time, since a window's lags
+depend on its length alone, and applies them to every window of that length,
+on every ladder level that has one.  The sums are taken in the spectral
+domain, so J fields for T targets cost J forward and T inverse transforms.
+Every apply, on either route, is one loop: transform, contract, invert.
+Fields are transformed in batches sized by a fixed workspace budget, which
+keeps the padded arrays in cache.  The contraction runs over blocks of lines
+along the first spectral axis (a 1D spectrum is one line, one block): for
+each block it forms the row spectra (Y = mix @ X, or the batch itself
+without a mix), multiplies them by the rows' kernel factors (those of the
+earlier axes, whose product is small, in one pass, then the last axis's),
+and adds weights @ Y into the targets' sums or keeps Y as the result.  Last,
+the outputs are inverted.
 
 An operator prepared with a (J, K) mix matrix takes K inputs and applies
 row j to sum_k mix[j, k] input_k.  The transform is linear, so the operator
-transforms the K inputs and forms each batch's row spectra as the same
-mixes of theirs.  The Picard sweep's source is linear in its knot values
-between the knots (it interpolates the source, not the field), so its J = 72
+transforms the K inputs once and mixes the row spectra from theirs.  With
+weights, all J rows are contracted together, a block at a time, so an apply
+holds the K input spectra, the T sums and one block, never the J row
+spectra.  The Picard sweep's source is linear in its knot values between
+the knots (it interpolates the source, not the field), so its J = 72
 quadrature rows cost K = 10 forward transforms; its free term is a
-one-column mix of the window start, whose 9 rows cost one.
+one-column mix of the window start, whose 9 rows cost one.  An operator
+without a mix has no inputs to share: each batch of its rows is its own
+inputs, contracted before the next batch is produced, so its fields stream.
+Without weights the results stream too, each batch inverted in turn.
 
 An apply takes the J fields (or K inputs) as a stack or as a producer that
 writes each batch's rows into the propagator's scratch, so a caller whose
@@ -74,7 +86,7 @@ half axis of M/2 points is padded to Q (see _orthant_length).  Each cosine
 transform is one rfft of length Q (Makhoul 1980), so an axis costs about a
 quarter of the FFT path's transform, in every dimension.  The kernel factor
 of a row is real, the first Q values of the FFT path's factor at P = 2Q,
-and the batch, weight, mix and producer loop is the FFT path's.
+and the transform-contract-invert loop is the FFT path's.
 """
 
 from __future__ import annotations
@@ -307,6 +319,9 @@ class HeatPropagator:
                 raise ParameterError(
                     f"mix matrix shape {mix.shape} does not match {times.size} rows"
                 )
+        for name, matrix in (("weight", weights), ("mix", mix)):
+            if matrix is not None and not np.all(np.isfinite(matrix)):
+                raise ParameterError(f"{name} matrix entries must be finite (got {matrix})")
         return PreparedHeat(self, times, weights, mix)
 
     def apply_heat_values(self, values, t, weights=None) -> np.ndarray:
@@ -366,12 +381,9 @@ class HeatPropagator:
         return self.apply_heat_values(values * self.weight_values(gamma), t, weights)
 
 
-def _mix_plan(block: np.ndarray):
-    """The range of inputs a batch of mix rows reads (at least one), and
-    that block of the mix."""
-    used = np.flatnonzero((block != 0.0).any(axis=0))
-    ins = slice(int(used[0]), int(used[-1]) + 1) if used.size else slice(0, 1)
-    return ins, np.ascontiguousarray(block[:, ins])
+def _flat(spec: np.ndarray) -> np.ndarray:
+    """A stack of spectra as a matrix of floats, one row per spectrum; a view."""
+    return spec.view(float).reshape(spec.shape[0], -1)
 
 
 class PreparedHeat:
@@ -384,25 +396,20 @@ class PreparedHeat:
     on the times, weights and mix alone:
 
     - FFT path: the padded length P of every axis, sized to the reach of
-      the kernel of the largest time (see _padded_length); the per-row
+      the kernel of the largest time (see _padded_length), and the per-row
       kernel factors at that length stacked into one (J, P) complex array
-      ((J, P/2+1) in 1D), ones for t = 0 rows; the batches of rows whose
-      padded spectra fit _FFT_WORKSPACE_BYTES, each with the range of
-      targets that weigh its rows and that block of weights, and with a
-      mix, the range of inputs its rows mix and that block of the mix.  One
-      apply produces each batch into the scratch, transforms it (see
-      _forward), multiplies it by the factors once per axis (one broadcast
-      multiply over the batch), adds weights @ spectra into its targets,
-      and ends with the T inverse transforms.  With a mix, the K inputs
-      are produced and transformed first, in batches of the same size, and
-      each batch's row spectra are mixed from theirs: the transform is
-      linear, so K forward transforms serve the J rows.
-    - Mirror route: the same, with the cosine-transform length Q of the half
-      axis in place of P (see _orthant_length), real factors of Q values
-      per row (on the last axis, paired to match the spectrum's float view;
-      see _dct_forward) and the DCT pair in place of the FFTs.  Every
-      spectrum is held as the FFT path's half spectrum at P = Q, so the
-      loop, its batches, mixes and weights are the FFT path's.
+      ((J, P/2+1) in 1D), ones for t = 0 rows.
+    - Mirror route: the cosine-transform length Q of the half axis in place
+      of P (see _orthant_length) and real factors of Q values per row (on
+      the last axis, paired to match the spectrum's float view; see
+      _dct_forward).  Every spectrum is held as the FFT path's half
+      spectrum at P = Q, so the apply loop is the FFT path's.
+    - On both: _step, the rows whose padded spectra fit
+      _FFT_WORKSPACE_BYTES, the batches in which fields are produced,
+      transformed and inverted; _span, the rows contracted at once (all J
+      with a mix and weights, else one batch); and _blocks, the cuts of the
+      first spectral axis into blocks of lines, each with its rows' factor
+      views.
 
     The operator holds no workspace: its applies work in the propagator's
     scratch (see HeatPropagator), and every result is a fresh array.
@@ -453,10 +460,8 @@ class PreparedHeat:
             pairs[:, 0, 1] = factors[:, 0]  # c_0 pairs with a zero
             pairs[:, 1:, 1] = factors[:, : q // 2 - 1 : -1]
             axes[-1] = pairs.reshape((count,) + (1,) * (n - 1) + (q + 2,))
-        self._factors = axes
         row_bytes = 16 * q**n
         self._step = step = max(1, min(count, _FFT_WORKSPACE_BYTES // row_bytes))
-        produced = min(step, self._inputs)
         if prop.mirror:
             # a batch's lines in real space and, for the earlier axes, their
             # half spectra
@@ -464,19 +469,29 @@ class PreparedHeat:
             self._work = ((lines,), (lines // q * (q // 2 + 1) if n > 1 else 0,))
         else:
             # the produced rows padded along the last axis; no complex work
-            self._work = ((produced,) + self._shape[1:-1] + self._padded[-1:], (0,))
-        self._batches = []
-        for lo in range(0, count, step):
-            hi = min(lo + step, count)
-            own = wts = None
-            if weights is not None:
-                hit = np.flatnonzero((weights[:, lo:hi] != 0.0).any(axis=1))
-                if not hit.size:  # rows no target weighs are never transformed
-                    continue
-                own = slice(int(hit[0]), int(hit[-1]) + 1)
-                wts = np.ascontiguousarray(weights[own, lo:hi])
-            mixing = None if mix is None else _mix_plan(mix[lo:hi])
-            self._batches.append((lo, hi, own, wts, mixing))
+            self._work = ((min(step, self._inputs),) + self._shape[1:-1] + (q,), (0,))
+        # rows per contraction: all J of an operator with a mix and weights,
+        # else one batch, so that the rows (without a mix) or the results
+        # (without weights) stream through the scratch
+        self._span = count if mix is not None and weights is not None else step
+        # blocks of lines along the first spectral axis (a 1D spectrum is one
+        # line): all of them if the contraction's spectra fit the workspace,
+        # as a batch's do, else as many as fit a quarter of it, so that a
+        # block and the lines it reads and adds into stay in cache (a 2D
+        # M = 192 sweep ran 10-20% slower with blocks of the whole workspace,
+        # and a 3D M = 32 solve about 10% slower with its batches cut up)
+        lines = self._spec_shape[0] if n > 1 else 1
+        line_bytes = 16 * self._span * math.prod(self._spec_shape) // lines
+        per = lines
+        if lines * line_bytes > _FFT_WORKSPACE_BYTES:
+            per = max(1, _FFT_WORKSPACE_BYTES // (4 * line_bytes))
+        cuts = [slice(a, a + per) for a in range(0, lines, per)] if per < lines else [slice(None)]
+        self._blocks = [(cut, [axes[0][:, cut]] + axes[1:]) for cut in cuts]
+        # the spectra an apply keeps besides its inputs': with weights the T
+        # sums, else a mixed batch's results; and with both, a block's rows
+        self._held = weights.shape[0] if weights is not None else 0 if mix is None else step
+        block = (per,) + self._spec_shape[1:] if n > 1 else self._spec_shape
+        self._block_shape = (count,) + block if mix is not None and weights is not None else (0,)
 
     def apply(self, values) -> np.ndarray:
         """The T weighted sums (without weights, the J results) of J fields,
@@ -504,78 +519,79 @@ class PreparedHeat:
         return self._apply_spectral(fill)
 
     def _apply_spectral(self, fill) -> np.ndarray:
-        """Every operator's apply: one forward transform per row (with a
-        mix, per input) and one inverse per output field, in views of the
-        scratch taken at the start of the call.  The FFT path and the mirror
-        route share this loop and the layout of their spectra; only their
-        transform pair (_transform, _to_box) and the dtype of their factors
-        differ.  On the mirror route the factors are real and scale the
-        spectra's float view, which holds real cosine coefficients.  Each
-        batch is produced into a contiguous array and copied into one padded
-        along the last axis only (on the mirror route, reordered into the
-        lines of its cosine transform): the producer's elementwise passes
-        run slower on a strided view (g_n on a 2D M = 192 row: 70 us more).
-        With a mix, a batch's row spectra are its block of the mix times the
-        spectra of the inputs that block reads; with weights, each batch's
-        spectra go into the sums of the targets that weigh them.  Each is
-        one real matrix product, on complex values viewed as float pairs.
-        A batch of one row is added as that row scaled by each target's
-        weight instead: the same products and sums, bit for bit, without the
-        matmul's overhead (at 2D P = 320, 0.10 against 0.30 ms per row).  Its
-        mix stays one product, which for a row of two terms at 2D P = 240
-        took 39 us against 59 us for two scaled adds."""
-        spec_shape = self._spec_shape
-        targets = 0 if self.weights is None else self.weights.shape[0]
-        produced = min(self._step, self._inputs)  # with a mix, the inputs only
-        rows, work, spec, sums, inputs, lines = self.propagator._scratch(
-            ((produced,) + self._shape[1:], float),
+        """Every operator's apply, in views of the scratch taken at the start
+        of the call: transform, contract, invert.  Fields are produced and
+        transformed _step at a time (see _transform).  With a mix the K
+        inputs are transformed first; without, each batch of rows is its own
+        inputs, transformed just before its contraction.  A contraction of
+        rows lo .. hi - 1 runs over the blocks of spectral lines: it forms
+        the block's row spectra Y (mix[lo:hi] @ X, or the batch itself),
+        scales them by the rows' factors in two passes (the earlier axes'
+        product, then the last axis's) and, with weights, adds
+        weights[:, lo:hi] @ Y into the T sums (the first contraction writes
+        them); without weights Y is the result, and each contraction
+        inverts its rows before the next.  With weights the T sums are
+        inverted last (see _to_box).  Each product is one real matrix
+        product, on complex values viewed as float pairs.  The FFT path and
+        the mirror route differ only in their transform pair and in their
+        factors, which on the mirror route are real and scale the spectra's
+        float view."""
+        mix, weights = self.mix, self.weights
+        count, step, span = self._shape[0], self._step, self._span
+        targets = count if weights is None else weights.shape[0]
+        rows, work, lines, spec, outs, ys = self.propagator._scratch(
+            ((min(step, self._inputs),) + self._shape[1:], float),
             (self._work[0], float),
-            ((self._step,) + spec_shape, complex),
-            ((targets,) + spec_shape, complex),
-            ((0 if self.mix is None else self._inputs,) + spec_shape, complex),
             (self._work[1], complex),
+            ((step if mix is None else self._inputs,) + self._spec_shape, complex),
+            ((self._held,) + self._spec_shape, complex),
+            (self._block_shape, complex),
         )
         work = (work, lines)
         if not self.propagator.mirror:
             work[0][..., self._shape[-1] :] = 0.0  # the padding, shared with other operators
-        if self.mix is not None:
-            for lo in range(0, self._inputs, self._step):
-                hi = min(lo + self._step, self._inputs)
-                self._transform(fill, lo, hi, rows, work, inputs[lo:hi])
-            flat_inputs = inputs.view(float).reshape(self._inputs, -1)
-        if self.weights is None:
-            out = np.empty(self._shape)
-        else:
-            sums.fill(0.0)
-            flat_sums = sums.view(float).reshape(sums.shape[0], -1)
-        for lo, hi, own, wts, mixing in self._batches:
-            nb = hi - lo
-            if mixing is None:
-                part = self._transform(fill, lo, hi, rows, work, spec[:nb])
-            else:
-                part = spec[:nb]
-                ins, block = mixing
-                np.matmul(block, flat_inputs[ins], out=part.view(float).reshape(nb, -1))
-            scaled = part.view(float) if self.propagator.mirror else part
-            for factor in self._factors:
-                scaled *= factor[lo:hi]
-            if own is None:
-                self._to_box(part, work, out[lo:hi])
-            elif nb == 1:
-                flat_sums[own] += wts * part.view(float).reshape(1, -1)
-            else:
-                flat_sums[own] += wts @ part.view(float).reshape(nb, -1)
-        if self.weights is None:
-            return out
-        out = np.empty((sums.shape[0],) + self._shape[1:])
-        for k in range(0, sums.shape[0], self._step):
-            self._to_box(sums[k : k + self._step], work, out[k : k + self._step])
+        if mix is not None:
+            for lo in range(0, self._inputs, step):
+                hi = min(lo + step, self._inputs)
+                self._transform(fill, lo, hi, rows, work, spec[lo:hi])
+        out = np.empty((targets,) + self._shape[1:])
+        x = spec
+        for lo in range(0, count, span):
+            hi = min(lo + span, count)
+            if mix is None:
+                x = self._transform(fill, lo, hi, rows, work, spec[: hi - lo])
+            res = x if mix is None else outs[: hi - lo]  # the rows' results, without weights
+            for cut, factors in self._blocks:
+                y = x[:, cut]
+                if mix is not None:
+                    block = res[:, cut] if weights is None else ys[:, : y.shape[1]]
+                    np.matmul(mix[lo:hi], _flat(y), out=_flat(block))
+                    y = block
+                scaled = y.view(float) if self.propagator.mirror else y
+                *head, last = factors
+                if head:  # the earlier axes' factors are small: one pass for all
+                    scaled *= functools.reduce(np.multiply, head)[lo:hi]
+                scaled *= last[lo:hi]
+                if weights is not None:
+                    sums = _flat(outs[:, cut])
+                    if lo == 0:
+                        np.matmul(weights[:, :hi], _flat(y), out=sums)
+                    else:
+                        sums += weights[:, lo:hi] @ _flat(y)
+            if weights is None:
+                self._to_box(res, work, out[lo:hi])
+        if weights is not None:
+            for k in range(0, targets, step):
+                self._to_box(outs[k : k + step], work, out[k : k + step])
         return out
 
     def _transform(self, fill, lo: int, hi: int, rows, work, out: np.ndarray) -> np.ndarray:
         """Produce rows lo .. hi - 1 into rows and write their spectra into
         out: on the FFT path, padded into work and transformed by _forward;
-        on the mirror route, by _dct_forward.  Returns out."""
+        on the mirror route, by _dct_forward.  Returns out.  rows is
+        contiguous, not a view of the padded lines: the producer's
+        elementwise passes run slower on a strided view (g_n on a 2D
+        M = 192 row: 70 us more)."""
         nb = hi - lo
         fill(lo, hi, rows[:nb])
         if self.propagator.mirror:

@@ -371,3 +371,50 @@ def test_source_modules_have_no_unused_imports():
     assert modules
     unused = {p.name: _unused_imports(p) for p in modules}
     assert not {name: names for name, names in unused.items() if names}
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """The private module-level functions, classes and constants of a module
+    and the private methods of its classes, by name, with their lines.
+    Dunders are not private."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            found.update(
+                (item.name, item.lineno) for item in node.body if isinstance(item, ast.FunctionDef)
+            )
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update(
+                (n.id, node.lineno) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+            )
+    return {
+        name: line
+        for name, line in found.items()
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    }
+
+
+def test_source_modules_define_nothing_private_that_no_module_reads():
+    # a read is a loaded name or attribute anywhere in src/, so a helper
+    # that only its own definition or a docstring names is dead code
+    src = Path(__file__).resolve().parents[1] / "src"
+    trees = {p: ast.parse(p.read_text()) for p in sorted(src.rglob("*.py"))}
+    assert trees
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = {
+        f"{path.name}: {name} (line {line})"
+        for path, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    }
+    assert not unread
+

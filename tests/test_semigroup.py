@@ -194,6 +194,14 @@ def test_batched_apply_validation(points):
         prop.apply_heat_values(stack, np.array([0.1, 0.2, 0.3]), np.ones((2, 2)))
     with pytest.raises(ParameterError):
         prop.apply_heat_values(stack[0], 0.1, np.ones((1, 1)))
+    # non-finite weights or mixes would turn every sum into NaN
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError):
+            prop.prepare([0.1, 0.2], weights=[[bad, 1.0]])
+        with pytest.raises(ParameterError):
+            prop.apply_heat_values(stack, np.array([0.1, 0.2, 0.3]), [[1.0, bad, 0.0]])
+        with pytest.raises(ParameterError):
+            prop.prepare([0.1, 0.2], mix=[[1.0], [bad]])
 
 
 @pytest.mark.parametrize("n_dim,points", [(2, 16), (2, 10), (3, 16), (3, 10), (3, 6)])
@@ -264,6 +272,30 @@ def _per_row_reference(prop, stack, times, weights):
     return rows if weights is None else np.tensordot(weights, rows, axes=1)
 
 
+def _split_lines(monkeypatch, length, n_dim, rows):
+    """Shrink the FFT workspace so that an operator of transform length
+    `length` contracts `rows` rows at a time (1 for one-row batches) over
+    blocks of k lines of its first spectral axis, and return k: the largest
+    k at which the spectra outgrow the workspace and the last block is
+    shorter (1 if there is none).  A 1D spectrum is one line, one block at
+    any workspace: there the workspace just drops to one-row batches, and k
+    is None."""
+    if n_dim == 1:
+        monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", 16)
+        return None
+    k = next((k for k in range((length - 1) // 4, 1, -1) if length % k), 1)
+    line_bytes = 16 * rows * length ** (n_dim - 2) * (length // 2 + 1)
+    monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", 4 * k * line_bytes)
+    return k
+
+
+def _check_blocks(op, k):
+    """The operator contracts its first spectral axis in blocks of k lines,
+    or, for k = None, in one block."""
+    starts = [cut.start for cut, _ in op._blocks]
+    assert starts == ([None] if k is None else list(range(0, op._spec_shape[0], k)))
+
+
 @pytest.mark.parametrize(
     "n_dim,points,batch_rows",
     _cases(
@@ -279,6 +311,8 @@ def _per_row_reference(prop, stack, times, weights):
         (2, 16, False, None),
         (3, 24, False, None),
         (3, 16, False, None),
+        (2, 24, True, "blocks"),  # one-row batches, 48 lines in blocks of 11
+        (3, 12, True, "blocks"),  # one-row batches, 24 lines in blocks of 5
     ),
 )
 @pytest.mark.parametrize("gamma", [0.0, 0.4])
@@ -286,15 +320,20 @@ def test_prepared_apply_equals_per_row_construction(n_dim, points, batch_rows, g
     # _BATCH_TIMES has a t = 0 row; _BATCH_WEIGHTS an all-zero target row and
     # columns weighted by two targets
     g = make_grid(n_dim, 6.0, points)
-    if batch_rows is not None:
+    p = semigroup._padded_length(points, g.h, float(_BATCH_TIMES.max()))
+    if batch_rows == "blocks":
+        k = _split_lines(monkeypatch, p, n_dim, rows=1)
+    elif batch_rows is not None:
         # the workspace holds batch_rows rows padded to the operator's length
-        p = semigroup._padded_length(points, g.h, float(_BATCH_TIMES.max()))
         monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * p**n_dim)
     prop = HeatPropagator(g)
     rng = np.random.default_rng(3 * n_dim + points)
     for weights in (None, _BATCH_WEIGHTS):
         op = prop.prepare(_BATCH_TIMES, weights)
-        if batch_rows is not None:
+        if batch_rows == "blocks":
+            assert op._step == 1
+            _check_blocks(op, k)
+        elif batch_rows is not None:
             assert op._step == batch_rows
         elif (n_dim, points) == (3, 12):
             assert op._step == 4  # the default workspace splits the rows 4 + 1
@@ -388,6 +427,8 @@ _MIX = np.array(
         (2, 136, True, None),  # one-row batches at the default workspace
         (3, 16, False, None),
         (3, 16, False, 1),
+        (2, 24, True, "blocks"),  # 48 lines in blocks of 11
+        (3, 16, False, "blocks"),  # 32 lines in blocks of 7
     ),
 )
 @pytest.mark.parametrize("gamma", [0.0, 0.4])
@@ -399,16 +440,22 @@ def test_mixed_inputs_equal_mixed_fields_applied_row_by_row(
     # the inputs' spectra.  A producer of the inputs is asked for each batch
     # of them once, in order, and gives the stack's result bit for bit
     g = make_grid(n_dim, 6.0, points)
-    if batch_rows is not None:
-        p = semigroup._padded_length(points, g.h, float(_BATCH_TIMES.max()))
+    p = semigroup._padded_length(points, g.h, float(_BATCH_TIMES.max()))
+    if isinstance(batch_rows, int):
         monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * p**n_dim)
     prop = HeatPropagator(g)
     rng = np.random.default_rng(13 * n_dim + points)
     weight = prop.weight_values(gamma) if gamma else 1.0
     count = _MIX.shape[1]
     for weights in (None, _BATCH_WEIGHTS):
+        if batch_rows == "blocks":
+            # with weights all J rows are contracted at once, else one-row batches
+            rows = 1 if weights is None else _BATCH_TIMES.size
+            k = _split_lines(monkeypatch, p, n_dim, rows)
         op = prop.prepare(_BATCH_TIMES, weights, mix=_MIX)
-        if batch_rows is not None:
+        if batch_rows == "blocks":
+            _check_blocks(op, k)
+        elif batch_rows is not None:
             assert op._step == batch_rows
         for _ in range(2):  # the workspace is reused: a second stack must not see the first
             inputs = rng.uniform(0.0, 2.0, (count,) + g.shape)
@@ -602,6 +649,39 @@ def test_operators_of_one_propagator_share_its_scratch(n_dim, points):
     assert sizes == sorted(sizes) and sizes[3:] == sizes[2:3] * 3  # grown by the first round
 
 
+def test_sweep_shaped_operator_holds_no_row_spectra():
+    # a 3D operator shaped like a Picard sweep: J = 72 rows, each mixed from
+    # two of K = 10 knot inputs and weighed by one of T = 9 targets.  After
+    # an apply the scratch holds the K input spectra, the T sums, one block
+    # of the rows' lines and one batch's transform work (its rows, their
+    # reordered lines and half spectra, each within the workspace), not the
+    # J row spectra, which alone take 8.6 MB here
+    g = make_grid(3, 8.0, 32)
+    prop = HeatPropagator(g, mirror=True)
+    rows, knots, targets = 72, 10, 9
+    owner = np.repeat(np.arange(targets), rows // targets)
+    lo = np.minimum(owner, knots - 2)
+    theta = np.tile(np.linspace(0.0, 1.0, rows // targets), targets)
+    mix = np.zeros((rows, knots))
+    mix[np.arange(rows), lo] = 1.0 - theta
+    mix[np.arange(rows), lo + 1] = theta
+    weights = np.zeros((targets, rows))
+    weights[owner, np.arange(rows)] = 1.0 / 8.0
+    times = 0.25 * (owner + 1 - theta) / targets
+    op = prop.prepare(times, weights, mix)
+    stack = np.random.default_rng(17).uniform(0.0, 1.0, (knots,) + prop.shape)
+    out = op.apply(stack)
+    assert out.shape == (targets,) + prop.shape
+    spectrum = 16 * math.prod(op._spec_shape)
+    bound = (
+        (knots + targets) * spectrum
+        + 16 * math.prod(op._block_shape)
+        + 3 * semigroup._FFT_WORKSPACE_BYTES
+    )
+    assert rows * spectrum > bound  # a scratch holding the row spectra fails
+    assert prop._buffer.nbytes <= bound
+
+
 @pytest.mark.parametrize(
     "n_dim,points",
     _cases((1, 256, True), (2, 24, True), (2, 64, False), (3, 64, False), (3, 32, False)),
@@ -674,19 +754,21 @@ _MIRROR_WEIGHTS = np.array(
     "n_dim,points", [(1, 30), (1, 256), (2, 30), (2, 40), (3, 12), (3, 30)]
 )
 @pytest.mark.parametrize("t_scale", [0.02, 1.0])
-@pytest.mark.parametrize("batch_rows", [None, 3])
+@pytest.mark.parametrize("batch_rows", [None, 3, "blocks"])
 def test_mirror_and_full_routes_agree(n_dim, points, t_scale, batch_rows, monkeypatch):
     # the same sums on the orthant (cosine transforms) as on the full grid
     # (the FFT path), for mirror-symmetric fields: stacks, weights, a (J, K)
     # mix, a producer and the weighted operator, with t = 0 rows, an odd
-    # half axis (M = 30), more than one batch (batch_rows) and, for the long
-    # times, the transform length at its cap Q = M (the reach 13 sqrt(t) / h
+    # half axis (M = 30), more than one batch (batch_rows), the spectral
+    # lines in blocks ("blocks": uneven in 2D and 3D but for 3D M = 12,
+    # whose 8 or 12 lines come in blocks of one) and, for the long times,
+    # the transform length at its cap Q = M (the reach 13 sqrt(t) / h
     # exceeds the box at L = 6, t = 1)
     g = make_grid(n_dim, 6.0, points)
     times = _MIRROR_TIMES * t_scale
     q = semigroup._orthant_length(points, g.h, float(times.max()))
     assert q == points if t_scale == 1.0 else q < points
-    if batch_rows is not None:
+    if batch_rows == 3:
         monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * q**n_dim)
     full, mirror = HeatPropagator(g), HeatPropagator(g, mirror=True)
     assert mirror.shape == (points // 2,) * n_dim and full.shape == g.shape
@@ -702,16 +784,25 @@ def test_mirror_and_full_routes_agree(n_dim, points, t_scale, batch_rows, monkey
         assert np.max(np.abs(on_half - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     for weights in (None, _MIRROR_WEIGHTS):
+        if batch_rows == "blocks":
+            k = _split_lines(monkeypatch, q, n_dim, rows=1)
         op = mirror.prepare(times, weights)
         assert op._padded == (q,) * n_dim
-        if batch_rows is not None:
+        if batch_rows == "blocks":
+            assert op._step == 1
+            _check_blocks(op, k)
+        elif batch_rows is not None:
             assert op._step == batch_rows
         agree(full.apply_heat_values(fields, times, weights), mirror.apply_heat_values(halves, op))
         agree(
             full.apply_weighted_values(fields, times, 0.4, weights),
             mirror.apply_weighted_values(halves, times, 0.4, weights),
         )
+        if batch_rows == "blocks":
+            k = _split_lines(monkeypatch, q, n_dim, rows=1 if weights is None else times.size)
         mixed = mirror.prepare(times, weights, mix)
+        if batch_rows == "blocks":
+            _check_blocks(mixed, k)
 
         def fill(lo, hi, out):
             out[...] = halves[lo:hi]
