@@ -257,31 +257,22 @@ def contraction_window(gamma: float, lipschitz: float, eta1_value: float, theta:
 
 @dataclass(frozen=True)
 class TimeMesh:
-    """Partition of [0, t_end] into contraction windows, with the graded
-    endpoint quadrature of each window precomputed."""
+    """Partition of [0, t_end] into contraction windows.
+
+    The mesh holds no quadrature: a window's rules depend on its length
+    alone, so picard_solve has _window_plan build them once per length, in
+    window-relative time.
+    """
 
     t_end: float
-    gamma: float
-    nodes_per_window: int
     boundaries: tuple[float, ...]
-    window_nodes: tuple[np.ndarray, ...]
-    window_weights: tuple[np.ndarray, ...]
 
     @classmethod
     def build(
-        cls,
-        t_end: float,
-        gamma: float,
-        window_length: float,
-        nodes_per_window: int = 8,
-        must_include: Iterable[float] = (),
+        cls, t_end: float, window_length: float, must_include: Iterable[float] = ()
     ) -> "TimeMesh":
         if not (math.isfinite(t_end) and t_end > 0.0):
             raise ParameterError(f"t_end must be positive (got {t_end})")
-        if not (0.0 <= gamma < 2.0):
-            raise ParameterError(f"gamma must lie in [0, 2) (got {gamma})")
-        if nodes_per_window < 2:
-            raise ParameterError(f"nodes_per_window must be >= 2 (got {nodes_per_window})")
         if not (window_length > 0.0):
             raise ParameterError(f"window_length must be positive (got {window_length})")
         w_len = min(window_length, t_end)
@@ -307,20 +298,7 @@ class TimeMesh:
             bounds.extend(prev + span * j / pieces for j in range(1, pieces))
             bounds.append(s)
             prev = s
-        nodes = []
-        weights = []
-        for a, b in zip(bounds, bounds[1:]):
-            sig, wq = duhamel_rule(a, b, gamma, nodes_per_window)
-            nodes.append(sig)
-            weights.append(wq)
-        return cls(
-            t_end=float(t_end),
-            gamma=float(gamma),
-            nodes_per_window=int(nodes_per_window),
-            boundaries=tuple(bounds),
-            window_nodes=tuple(nodes),
-            window_weights=tuple(weights),
-        )
+        return cls(t_end=float(t_end), boundaries=tuple(bounds))
 
     def __post_init__(self) -> None:
         bs = self.boundaries
@@ -328,15 +306,6 @@ class TimeMesh:
             raise ParameterError("boundaries must run from 0 to t_end")
         if any(b1 <= b0 for b0, b1 in zip(bs, bs[1:])):
             raise ParameterError("boundaries must be strictly increasing")
-        for (a, b, sig, wq) in zip(bs, bs[1:], self.window_nodes, self.window_weights):
-            # extreme grading can merge ulp-colliding nodes, so a window may
-            # carry fewer than nodes_per_window points, never more
-            if not (1 <= sig.size <= self.nodes_per_window) or wq.size != sig.size:
-                raise ParameterError("per-window rule size mismatch")
-            if not (np.all(sig > a) and np.all(sig < b)):
-                raise ParameterError("quadrature nodes must lie strictly inside their window")
-            if not np.all(wq > 0.0):
-                raise ParameterError("quadrature weights must be positive")
 
     @property
     def window_count(self) -> int:
@@ -454,12 +423,14 @@ def _json_safe(v) -> bool:
 # Picard marching
 # ---------------------------------------------------------------------------
 
-def _window_plan(prop: HeatPropagator, mesh: TimeMesh, widx: int, gamma: float) -> tuple:
-    """The operators of one window's sweeps, in window-relative time.
+def _window_plan(prop: HeatPropagator, length: float, gamma: float, n_nodes: int) -> tuple:
+    """The operators of the sweeps of a window of the given length.
 
-    Every quantity of a window shifts with it, so the plan holds for every
-    window of the same length.  Target i is the quadrature node sigma_i - a
-    (the last target is the window end b - a); its rule is the Duhamel
+    Every quantity of a window shifts with it, so the plan depends on the
+    length alone and holds for every window of that length.  It is built
+    in window-relative time, the window being [0, length]: the targets are
+    the nodes of the window's own Duhamel rule on [0, length], of n_nodes
+    nodes, and the window end, and target i's rule is the Duhamel
     quadrature on [0, target i], one source row per node.  Row j belongs to
     the target owning node s_j.  The sweep knows the weighted source
     |x|^{-gamma} g(u) at the knots 0, targets[0], ... only, and interpolates
@@ -468,14 +439,12 @@ def _window_plan(prop: HeatPropagator, mesh: TimeMesh, widx: int, gamma: float) 
     (rows, knots) matrix interp that holds 1 - theta and theta in columns lo
     and lo + 1.  Returns the prepared free-term operator (S(target i) on
     each row, all mixed from the window start alone, which is transformed
-    once) and the prepared sweep operator (lags target_i - s_j, weighted
+    once; a mix without weights means identity weights, so its sums are the
+    rows) and the prepared sweep operator (lags target_i - s_j, weighted
     per target, its rows mixed from the knots' sources by interp).
     """
-    a = mesh.boundaries[widx]
-    nodes = mesh.window_nodes[widx] - a
-    targets = np.append(nodes, mesh.boundaries[widx + 1] - a)
-    rules = [duhamel_rule(0.0, tau, gamma, mesh.nodes_per_window) for tau in nodes]
-    rules.append((nodes, mesh.window_weights[widx]))
+    targets = np.append(duhamel_rule(0.0, length, gamma, n_nodes)[0], length)
+    rules = [duhamel_rule(0.0, tau, gamma, n_nodes) for tau in targets]
     knots = np.concatenate(([0.0], targets))
     sigmas = np.concatenate([sig for sig, _ in rules])
     owner = np.repeat(np.arange(len(rules)), [sig.size for sig, _ in rules])
@@ -519,11 +488,13 @@ def picard_solve(
     sums; on the FFT path it transforms the K knot sources, not the rows.
     Interpolating the source instead of the field changes the result by
     about eps_fp, not its accuracy: both rules are first order between the
-    knots.  The lags and weights of that call, the free term's times and
-    the interpolation depend only on the window's length (they are
-    shift-invariant in time), so they are built once per distinct window
-    length, in window-relative time, and reused by every window of that
-    length and each of its sweeps.  The sweeps write the knots' sources
+    knots.  The mesh holds only the window boundaries.  The lags and
+    weights of that call, the free term's times and the interpolation
+    depend only on the window's length (they are shift-invariant in time),
+    so _window_plan builds them once per distinct window length, from that
+    length alone, in window-relative time (with config.nodes_per_window
+    nodes per rule), and every window of that length and each of its
+    sweeps reuses them.  The sweeps write the knots' sources
     and the residual's difference into arrays allocated once per call, and
     again only when a plan's knot count changes.  Sweeps stop when the
     largest nodewise update falls below config.eps_fp; a window that needs
@@ -548,10 +519,6 @@ def picard_solve(
     grid = u0.grid
     if float(u0.values.min()) < 0.0:
         raise ParameterError("initial data must be non-negative")
-    if abs(mesh.gamma - params.gamma) > 1e-12:
-        raise ParameterError(
-            f"mesh was graded for gamma = {mesh.gamma}, params carry {params.gamma}"
-        )
     if propagator is None:
         prop = HeatPropagator(grid, mirror=is_mirror_symmetric(u0.values))
     else:
@@ -602,7 +569,7 @@ def picard_solve(
         b = mesh.boundaries[widx + 1]
         plan = plans.get(key)
         if plan is None:
-            plan = plans[key] = _window_plan(prop, mesh, widx, gam)
+            plan = plans[key] = _window_plan(prop, b - a, gam, config.nodes_per_window)
             built += 1
         free_op, sweep = plan
         count = sweep.mix.shape[1]  # the window start and the targets
@@ -696,13 +663,7 @@ def monotone_solve(
             config.window_cap,
             contraction_window(params.gamma, nl.lipschitz, e1, config.contraction_theta),
         )
-        mesh = TimeMesh.build(
-            t_end,
-            params.gamma,
-            w_len,
-            nodes_per_window=config.nodes_per_window,
-            must_include=records,
-        )
+        mesh = TimeMesh.build(t_end, w_len, must_include=records)
         shifted = GridFunction(u0.grid, u0.values + 1.0 / n)
         traj = picard_solve(
             shifted, nl, params, mesh, config, record_times=records, propagator=prop, plans=plans
@@ -731,9 +692,7 @@ def monotone_solve(
     assert last_traj is not None
     last_traj.diagnostics.update(
         {
-            "n_used": [n for n, *_ in history] if history else list(
-                config.n_schedule[: len(gaps) + 1]
-            ),
+            "n_used": list(config.n_schedule[: len(gaps) + 1]),
             "inter_level_gaps": gaps,
             "monotone_violation": worst_violation,
             "window_plans": built,

@@ -51,21 +51,24 @@ along the first spectral axis (a 1D spectrum is one line, one block): for
 each block it forms the row spectra (Y = mix @ X, or the batch itself
 without a mix), multiplies them by the rows' kernel factors (those of the
 earlier axes, whose product is small, in one pass, then the last axis's),
-and adds weights @ Y into the targets' sums or keeps Y as the result.  Last,
-the outputs are inverted.
+and adds weights @ Y into the targets' sums or, without weights, keeps Y as
+the result.  Last, the outputs are inverted.
 
 An operator prepared with a (J, K) mix matrix takes K inputs and applies
 row j to sum_k mix[j, k] input_k.  The transform is linear, so the operator
-transforms the K inputs once and mixes the row spectra from theirs.  With
-weights, all J rows are contracted together, a block at a time, so an apply
-holds the K input spectra, the T sums and one block, never the J row
-spectra.  The Picard sweep's source is linear in its knot values between
-the knots (it interpolates the source, not the field), so its J = 72
-quadrature rows cost K = 10 forward transforms; its free term is a
-one-column mix of the window start, whose 9 rows cost one.  An operator
-without a mix has no inputs to share: each batch of its rows is its own
-inputs, contracted before the next batch is produced, so its fields stream.
-Without weights the results stream too, each batch inverted in turn.
+transforms the K inputs once and mixes the row spectra from theirs.  A
+mixed operator always returns weighted sums: a mix without weights means
+the identity weights, whose J sums are the J rows' results exactly (each
+adds zeros to one product by 1).  All J rows are contracted together, a
+block at a time, so an apply holds the K input spectra, the T sums and one
+block, never the J row spectra.  The Picard sweep's source is linear in its
+knot values between the knots (it interpolates the source, not the field),
+so its J = 72 quadrature rows cost K = 10 forward transforms; its free term
+mixes its 9 rows from the window start alone (a one-column mix, identity
+weights), so they cost one.  An operator without a mix has no inputs to
+share: each batch of its rows is its own inputs, contracted before the
+next batch is produced, so its fields stream.  Without weights its results
+stream too, each batch inverted in turn.
 
 An apply takes the J fields (or K inputs) as a stack or as a producer that
 writes each batch's rows into the propagator's scratch, so a caller whose
@@ -299,7 +302,8 @@ class HeatPropagator:
         fixed length-J time array (and an optional (T, J) weight matrix),
         with its kernel factors built once.  With a (J, K) mix matrix the
         operator takes K fields instead, and row j is S(t[j]) applied to
-        sum_k mix[j, k] stack[k]; see PreparedHeat."""
+        sum_k mix[j, k] stack[k]; a mix without weights takes the identity
+        weights, so its J sums are the rows' results.  See PreparedHeat."""
         times = np.asarray(t, dtype=float)
         if times.ndim != 1 or times.size < 1:
             raise ParameterError(
@@ -319,6 +323,8 @@ class HeatPropagator:
                 raise ParameterError(
                     f"mix matrix shape {mix.shape} does not match {times.size} rows"
                 )
+            if weights is None:
+                weights = np.eye(times.size)
         for name, matrix in (("weight", weights), ("mix", mix)):
             if matrix is not None and not np.all(np.isfinite(matrix)):
                 raise ParameterError(f"{name} matrix entries must be finite (got {matrix})")
@@ -390,7 +396,8 @@ class PreparedHeat:
     """sum_j weights[i, j] S(t[j]) f_j (or the stack of S(t[j]) f_j without
     weights) for fixed times and weights, applied to any number of stacks f.
     With a (J, K) mix matrix the operator takes K inputs x_k and its J rows
-    are the mixes f_j = sum_k mix[j, k] x_k.
+    are the mixes f_j = sum_k mix[j, k] x_k; a mixed operator always has
+    weights (prepare gives the identity to a mix without them).
 
     Built once by HeatPropagator.prepare, it holds everything that depends
     on the times, weights and mix alone:
@@ -407,7 +414,7 @@ class PreparedHeat:
     - On both: _step, the rows whose padded spectra fit
       _FFT_WORKSPACE_BYTES, the batches in which fields are produced,
       transformed and inverted; _span, the rows contracted at once (all J
-      with a mix and weights, else one batch); and _blocks, the cuts of the
+      with a mix, else one batch); and _blocks, the cuts of the
       first spectral axis into blocks of lines, each with its rows' factor
       views.
 
@@ -470,10 +477,10 @@ class PreparedHeat:
         else:
             # the produced rows padded along the last axis; no complex work
             self._work = ((min(step, self._inputs),) + self._shape[1:-1] + (q,), (0,))
-        # rows per contraction: all J of an operator with a mix and weights,
-        # else one batch, so that the rows (without a mix) or the results
-        # (without weights) stream through the scratch
-        self._span = count if mix is not None and weights is not None else step
+        # rows per contraction: all J of an operator with a mix, else one
+        # batch, so that its rows and, without weights, its results stream
+        # through the scratch
+        self._span = count if mix is not None else step
         # blocks of lines along the first spectral axis (a 1D spectrum is one
         # line): all of them if the contraction's spectra fit the workspace,
         # as a batch's do, else as many as fit a quarter of it, so that a
@@ -488,10 +495,10 @@ class PreparedHeat:
         cuts = [slice(a, a + per) for a in range(0, lines, per)] if per < lines else [slice(None)]
         self._blocks = [(cut, [axes[0][:, cut]] + axes[1:]) for cut in cuts]
         # the spectra an apply keeps besides its inputs': with weights the T
-        # sums, else a mixed batch's results; and with both, a block's rows
-        self._held = weights.shape[0] if weights is not None else 0 if mix is None else step
+        # sums, and with a mix a block's rows
+        self._held = weights.shape[0] if weights is not None else 0
         block = (per,) + self._spec_shape[1:] if n > 1 else self._spec_shape
-        self._block_shape = (count,) + block if mix is not None and weights is not None else (0,)
+        self._block_shape = (count,) + block if mix is not None else (0,)
 
     def apply(self, values) -> np.ndarray:
         """The T weighted sums (without weights, the J results) of J fields,
@@ -522,14 +529,15 @@ class PreparedHeat:
         """Every operator's apply, in views of the scratch taken at the start
         of the call: transform, contract, invert.  Fields are produced and
         transformed _step at a time (see _transform).  With a mix the K
-        inputs are transformed first; without, each batch of rows is its own
-        inputs, transformed just before its contraction.  A contraction of
-        rows lo .. hi - 1 runs over the blocks of spectral lines: it forms
-        the block's row spectra Y (mix[lo:hi] @ X, or the batch itself),
-        scales them by the rows' factors in two passes (the earlier axes'
-        product, then the last axis's) and, with weights, adds
+        inputs are transformed first and all J rows are one contraction;
+        without, each batch of rows is its own inputs, transformed just
+        before its contraction.  A contraction of rows lo .. hi - 1 runs
+        over the blocks of spectral lines: it forms the block's row spectra
+        Y (mix @ X, or the batch itself), scales them by the rows' factors
+        in two passes (the earlier axes' product, then the last axis's)
+        and, with weights, which a mixed operator always has, adds
         weights[:, lo:hi] @ Y into the T sums (the first contraction writes
-        them); without weights Y is the result, and each contraction
+        them).  Without weights Y is the result, and each contraction
         inverts its rows before the next.  With weights the T sums are
         inverted last (see _to_box).  Each product is one real matrix
         product, on complex values viewed as float pairs.  The FFT path and
@@ -560,12 +568,11 @@ class PreparedHeat:
             hi = min(lo + span, count)
             if mix is None:
                 x = self._transform(fill, lo, hi, rows, work, spec[: hi - lo])
-            res = x if mix is None else outs[: hi - lo]  # the rows' results, without weights
             for cut, factors in self._blocks:
                 y = x[:, cut]
                 if mix is not None:
-                    block = res[:, cut] if weights is None else ys[:, : y.shape[1]]
-                    np.matmul(mix[lo:hi], _flat(y), out=_flat(block))
+                    block = ys[:, : y.shape[1]]
+                    np.matmul(mix, _flat(y), out=_flat(block))
                     y = block
                 scaled = y.view(float) if self.propagator.mirror else y
                 *head, last = factors
@@ -579,7 +586,7 @@ class PreparedHeat:
                     else:
                         sums += weights[:, lo:hi] @ _flat(y)
             if weights is None:
-                self._to_box(res, work, out[lo:hi])
+                self._to_box(x, work, out[lo:hi])
         if weights is not None:
             for k in range(0, targets, step):
                 self._to_box(outs[k : k + step], work, out[k : k + step])

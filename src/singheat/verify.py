@@ -677,10 +677,9 @@ def check_uniqueness_contraction(
     grid = make_grid(n_dim, half_width, points)
     u0 = standard_data(grid, data_spec)
     cfg_a = config if config is not None else SolveConfig()
-    cfg_b = SolveConfig(
-        eps_fp=cfg_a.eps_fp,
+    cfg_b = replace(
+        cfg_a,
         nodes_per_window=cfg_a.nodes_per_window + 2,
-        n_schedule=cfg_a.n_schedule,
         window_cap=0.7 * cfg_a.window_cap,
         contraction_theta=0.9 * cfg_a.contraction_theta,
     )

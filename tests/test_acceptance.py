@@ -217,7 +217,7 @@ def test_c07_exact_ode_recovery():
     mid = np.abs(grid.axis_nodes()) < 2.0
     nl = Nonlinearity.regularized(0.5, 1)
     w = min(0.25, contraction_window(0.0, nl.lipschitz, eta1(0.0, 1)))
-    mesh = TimeMesh.build(1.0, 0.0, w, must_include=(1.0,))
+    mesh = TimeMesh.build(1.0, w, must_include=(1.0,))
     traj = picard_solve(standard_data(grid, "const:1"), nl, params, mesh, record_times=(1.0,))
     dev_const = float(np.max(np.abs(traj.snapshot_at(1.0).values[mid] - 2.25)))
 

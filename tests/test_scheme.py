@@ -245,8 +245,13 @@ def test_duhamel_rule_survives_extreme_grading():
     assert sig[-1] < 0.7
     assert np.all(np.diff(sig) > 0)
     assert np.all(w > 0)
-    mesh = TimeMesh.build(1.0, 1.7, 0.25, nodes_per_window=32)
-    assert mesh.window_count >= 4
+    # a window plan at that grading: every quadrature row has a
+    # non-negative lag (prepare rejects others), one owning target and a
+    # positive weight
+    free_op, sweep = _window_plan(HeatPropagator(make_grid(1, 8.0, 64)), 0.25, 1.7, 32)
+    assert sweep.weights.shape[0] == free_op.weights.shape[0] == sweep.mix.shape[1] - 1
+    assert np.all((sweep.weights > 0).sum(axis=0) == 1)
+    assert np.all(sweep.weights >= 0)
 
 
 def test_duhamel_rule_nodes_interior_ascending_weights_positive():
@@ -281,7 +286,7 @@ def test_contraction_window_formula():
 # ---------------------------------------------------------------------------
 
 def test_time_mesh_covers_and_includes_records():
-    mesh = TimeMesh.build(1.0, 0.3, 0.22, nodes_per_window=6, must_include=(0.5, 0.77))
+    mesh = TimeMesh.build(1.0, 0.22, must_include=(0.5, 0.77))
     bs = mesh.boundaries
     assert bs[0] == 0.0 and bs[-1] == 1.0
     assert all(b > a for a, b in zip(bs, bs[1:]))
@@ -290,23 +295,20 @@ def test_time_mesh_covers_and_includes_records():
     # no window exceeds the requested length
     assert max(b - a for a, b in zip(bs, bs[1:])) <= 0.22 * (1 + 1e-9)
     assert mesh.window_count == len(bs) - 1
-    for (a, b), sig, w in zip(zip(bs, bs[1:]), mesh.window_nodes, mesh.window_weights):
-        assert np.all((sig > a) & (sig < b))
-        assert np.all(w > 0)
 
 
 def test_time_mesh_window_longer_than_horizon_is_clamped():
-    mesh = TimeMesh.build(0.1, 0.0, 5.0)
+    mesh = TimeMesh.build(0.1, 5.0)
     assert mesh.boundaries == (0.0, 0.1)
 
 
 def test_time_mesh_rejects_bad_records():
     with pytest.raises(ParameterError):
-        TimeMesh.build(1.0, 0.3, 0.25, must_include=(1.5,))
+        TimeMesh.build(1.0, 0.25, must_include=(1.5,))
     with pytest.raises(ParameterError):
-        TimeMesh.build(1.0, 0.3, 0.25, must_include=(0.0,))
+        TimeMesh.build(1.0, 0.25, must_include=(0.0,))
     with pytest.raises(ParameterError):
-        TimeMesh.build(1.0, 0.3, 0.25, must_include=(-0.2,))
+        TimeMesh.build(1.0, 0.25, must_include=(-0.2,))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +319,7 @@ def test_picard_zero_source_is_plain_heat():
     g = make_grid(1, 10.0, 256)
     p = Params(q=0.5, gamma=0.0, n_dim=1)
     u0 = standard_data(g, "bump:2")
-    mesh = TimeMesh.build(1.0, 0.0, 0.25)
+    mesh = TimeMesh.build(1.0, 0.25)
     traj = picard_solve(u0, Nonlinearity.zero(), p, mesh)
     ref = apply_heat(u0, 1.0)
     assert sup_norm(ref.with_values(traj.snapshot_at(1.0).values - ref.values)) < 1e-12
@@ -331,7 +333,7 @@ def test_picard_flat_data_follows_the_ode():
     u0 = standard_data(g, "const:1")
     nl = Nonlinearity.regularized(0.5, 1)  # data >= 1 stays beyond the knee
     w = min(0.25, contraction_window(0.0, nl.lipschitz, eta1(0.0, 1)))
-    mesh = TimeMesh.build(1.0, 0.0, w, must_include=(0.5, 1.0))
+    mesh = TimeMesh.build(1.0, w, must_include=(0.5, 1.0))
     traj = picard_solve(u0, nl, p, mesh, record_times=(0.5, 1.0))
     x = g.axis_nodes()
     mid = np.abs(x) < 2.0
@@ -348,7 +350,7 @@ def test_picard_iterates_rise_to_the_limit():
     p = Params(q=0.5, gamma=0.0, n_dim=1)
     u0 = standard_data(g, "const:1")
     nl = Nonlinearity.regularized(0.5, 1)
-    mesh = TimeMesh.build(1.0, 0.0, 0.25)
+    mesh = TimeMesh.build(1.0, 0.25)
     loose = picard_solve(u0, nl, p, mesh, SolveConfig(eps_fp=1e-4))
     tight = picard_solve(u0, nl, p, mesh, SolveConfig(eps_fp=1e-10))
     a = loose.snapshot_at(1.0).values
@@ -361,10 +363,7 @@ def test_picard_rejects_mismatched_mesh_and_records():
     g = make_grid(1, 8.0, 64)
     p = Params(q=0.5, gamma=0.3, n_dim=1)
     u0 = standard_data(g, "zero")
-    mesh0 = TimeMesh.build(1.0, 0.0, 0.25)
-    with pytest.raises(ParameterError):
-        picard_solve(u0, Nonlinearity.zero(), p, mesh0)  # mesh graded for wrong gamma
-    mesh = TimeMesh.build(1.0, 0.3, 0.25)
+    mesh = TimeMesh.build(1.0, 0.25)
     with pytest.raises(ParameterError):
         picard_solve(u0, Nonlinearity.zero(), p, mesh, record_times=(0.33,))
     neg = u0.with_values(np.full(g.shape, -1.0))
@@ -379,7 +378,7 @@ def test_picard_rejects_mismatched_mesh_and_records():
 def test_picard_mirror_propagator_rejects_asymmetric_data():
     g = make_grid(1, 8.0, 64)
     p = Params(q=0.5, gamma=0.3, n_dim=1)
-    mesh = TimeMesh.build(0.5, 0.3, 0.25)
+    mesh = TimeMesh.build(0.5, 0.25)
     nl = Nonlinearity.regularized(0.5, 2)
     with pytest.raises(ParameterError, match="mirror-symmetric"):
         mirror = HeatPropagator(g, mirror=True)
@@ -396,7 +395,7 @@ def test_picard_on_the_orthant_matches_the_full_grid(n_dim, points, spec):
     # back, agree with a march on the full grid, with the same sweeps
     g = make_grid(n_dim, 8.0, points)
     p = Params(q=0.5, gamma=0.3, n_dim=n_dim)
-    mesh = TimeMesh.build(0.5, 0.3, 0.125, must_include=(0.15,))
+    mesh = TimeMesh.build(0.5, 0.125, must_include=(0.15,))
     nl = Nonlinearity.regularized(0.5, 4)
     u0 = standard_data(g, spec)
     half = picard_solve(u0, nl, p, mesh)
@@ -415,7 +414,7 @@ def test_picard_sweep_budget_enforced(monkeypatch):
     p = Params(q=0.5, gamma=0.0, n_dim=1)
     u0 = standard_data(g, "const:1")
     nl = Nonlinearity.regularized(0.5, 1)
-    mesh = TimeMesh.build(1.0, 0.0, 0.25)
+    mesh = TimeMesh.build(1.0, 0.25)
     monkeypatch.setattr(scheme, "_MAX_PICARD_SWEEPS", 1)
     with pytest.raises(ConvergenceError, match="after 1 sweeps"):
         picard_solve(u0, nl, p, mesh, SolveConfig(eps_fp=1e-8))
@@ -450,7 +449,7 @@ def test_picard_looks_up_kernels_once_per_window_length(monkeypatch):
     u0 = standard_data(g, "bump")
     nl = Nonlinearity.regularized(0.5, 2)
     # windows of 0.075 on [0, 0.15], then of 0.35/3 on [0.15, 0.5]
-    mesh = TimeMesh.build(0.5, 0.3, 0.125, must_include=(0.15,))
+    mesh = TimeMesh.build(0.5, 0.125, must_include=(0.15,))
     counts, sweeps, growth = [], [], []
     for eps in (1e-6, 1e-10):
         lookups.clear()
@@ -468,8 +467,8 @@ def test_picard_looks_up_kernels_once_per_window_length(monkeypatch):
     assert growth[1] == []
     # per length: one lookup for the free term's operator, of one kernel per
     # target, and one for the sweep's, of one kernel per (target, node) row
-    targets = mesh.nodes_per_window + 1
-    assert counts[0] == counts[1] == (2 * 2, 2 * targets * (1 + mesh.nodes_per_window))
+    nodes = SolveConfig().nodes_per_window
+    assert counts[0] == counts[1] == (2 * 2, 2 * (nodes + 1) * (1 + nodes))
 
 
 def test_ladder_exact_window_plan_pads_to_the_kernel_reach():
@@ -477,9 +476,9 @@ def test_ladder_exact_window_plan_pads_to_the_kernel_reach():
     # 0.03125,0.0625`: windows of 1/32, so every lag is at most 1/32 and each
     # axis is padded to 256 + ceil(13 sqrt(1/32) / h) = 281 -> 288, not 512
     g = make_grid(1, 12.0, 256)
-    mesh = TimeMesh.build(0.0625, 0.0, 0.25, must_include=(0.03125, 0.0625))
+    mesh = TimeMesh.build(0.0625, 0.25, must_include=(0.03125, 0.0625))
     assert mesh.boundaries == (0.0, 0.03125, 0.0625)
-    free_op, sweep = _window_plan(HeatPropagator(g), mesh, 0, 0.0)
+    free_op, sweep = _window_plan(HeatPropagator(g), 0.03125, 0.0, 8)
     assert free_op._padded == sweep._padded == (288,)
 
 
@@ -493,7 +492,7 @@ def test_a_sweep_holds_no_stack_of_source_values():
     params = Params(q=0.5, gamma=0.5, n_dim=2)
     nl = Nonlinearity.regularized(0.5, 1)
     window = contraction_window(0.5, nl.lipschitz, eta1(0.5, 2))
-    mesh = TimeMesh.build(0.05, 0.5, min(0.25, window))
+    mesh = TimeMesh.build(0.05, min(0.25, window))
     u0 = GridFunction(g, np.ones(g.shape))
     tracemalloc.start()
     try:
@@ -531,11 +530,12 @@ def _reference_picard(u0, nonlinearity, params, mesh, config, field_rule=False):
     gam = params.gamma
     u_left = np.array(u0.values, dtype=float)
     ends, sweeps = [], 0
-    for widx in range(mesh.window_count):
-        a, b = mesh.boundaries[widx], mesh.boundaries[widx + 1]
-        targets = np.append(mesh.window_nodes[widx], b)
+    nodes = config.nodes_per_window
+    for a, b in zip(mesh.boundaries, mesh.boundaries[1:]):
+        # the rules in absolute time, not the solver's window-relative ones
+        targets = np.append(duhamel_rule(a, b, gam, nodes)[0], b)
         free = [prop.apply_heat_values(u_left, tau - a) for tau in targets]
-        rules = [duhamel_rule(a, tau, gam, mesh.nodes_per_window) for tau in targets]
+        rules = [duhamel_rule(a, tau, gam, nodes) for tau in targets]
         state = [f.copy() for f in free]
         knots = np.concatenate(([a], targets))
         for _ in range(scheme._MAX_PICARD_SWEEPS):
@@ -582,7 +582,7 @@ def _check_against_reference(points, mesh):
 def test_picard_matches_the_per_node_reference_sweep(points):
     nl = Nonlinearity.regularized(0.5, 4)
     w = min(0.25, contraction_window(0.3, nl.lipschitz, eta1(0.3, 1)))
-    mesh = TimeMesh.build(0.5, 0.3, w)
+    mesh = TimeMesh.build(0.5, w)
     assert mesh.window_count >= 3
     _check_against_reference(points, mesh)
 
@@ -591,7 +591,7 @@ def test_picard_matches_the_per_node_reference_sweep(points):
 def test_picard_matches_the_reference_on_two_window_lengths(points):
     # the record time splits the mesh into windows of 0.075 and of 0.35/3:
     # each window reuses the plan of its length, built in relative time
-    mesh = TimeMesh.build(0.5, 0.3, 0.125, must_include=(0.15,))
+    mesh = TimeMesh.build(0.5, 0.125, must_include=(0.15,))
     traj = _check_against_reference(points, mesh)
     assert (traj.diagnostics["windows"], traj.diagnostics["window_plans"]) == (5, 2)
 
@@ -606,7 +606,7 @@ def test_below_the_knee_source_and_field_interpolation_agree():
     nl = Nonlinearity.regularized(0.5, 16)
     cfg = SolveConfig()
     window = contraction_window(0.3, nl.lipschitz, eta1(0.3, 1))
-    mesh = TimeMesh.build(0.1, 0.3, min(0.25, window))
+    mesh = TimeMesh.build(0.1, min(0.25, window))
     assert mesh.window_count >= 2
     traj = picard_solve(u0, nl, p, mesh, cfg)
     # the fields grow in time, so the last one bounds every knot's
@@ -631,11 +631,11 @@ def test_a_sweep_evaluates_the_source_at_the_knots_only(monkeypatch):
     monkeypatch.setattr(Nonlinearity, "__call__", counted)
     g = make_grid(1, 10.0, 64)
     p = Params(q=0.5, gamma=0.3, n_dim=1)
-    mesh = TimeMesh.build(0.5, 0.3, 0.125, must_include=(0.15,))
+    mesh = TimeMesh.build(0.5, 0.125, must_include=(0.15,))
     traj = picard_solve(standard_data(g, "bump"), Nonlinearity.regularized(0.5, 4), p, mesh)
     sweeps = traj.diagnostics["total_sweeps"]
     assert sweeps > mesh.window_count and traj.diagnostics["orthant"]
-    unknowns = mesh.nodes_per_window + 1
+    unknowns = SolveConfig().nodes_per_window + 1
     half = (g.points_per_axis // 2,)
     assert shapes.count(half) == mesh.window_count
     assert shapes.count((unknowns,) + half) == sweeps
@@ -649,7 +649,7 @@ def test_picard_snapshots_are_arrays_of_their_own():
     g = make_grid(1, 10.0, 64)
     p = Params(q=0.5, gamma=0.3, n_dim=1)
     nl = Nonlinearity.regularized(0.5, 4)
-    mesh = TimeMesh.build(0.5, 0.3, 0.125, must_include=(0.15,))
+    mesh = TimeMesh.build(0.5, 0.125, must_include=(0.15,))
     prop, plans = HeatPropagator(g), {}
     traj = picard_solve(standard_data(g, "bump"), nl, p, mesh, propagator=prop, plans=plans)
     values = [s.values for s in traj.snapshots]
@@ -704,9 +704,9 @@ def test_ladder_levels_share_their_window_plans(monkeypatch):
     solve, plan = scheme.picard_solve, scheme._window_plan
     planned, levels, scratch = [], [], []
 
-    def counted_plan(prop, mesh, widx, gamma):
-        planned.append(mesh.boundaries[widx + 1] - mesh.boundaries[widx])
-        return plan(prop, mesh, widx, gamma)
+    def counted_plan(prop, length, gamma, n_nodes):
+        planned.append(length)
+        return plan(prop, length, gamma, n_nodes)
 
     def spied_solve(u, nl, params, mesh, config, record_times, *, propagator, plans):
         traj = solve(u, nl, params, mesh, config, record_times, propagator=propagator, plans=plans)
@@ -780,7 +780,7 @@ def test_trajectory_csv_and_metadata():
     g = make_grid(1, 6.0, 32)
     p = Params(q=0.5, gamma=0.0, n_dim=1)
     u0 = standard_data(g, "const:1")
-    mesh = TimeMesh.build(0.5, 0.0, 0.25)
+    mesh = TimeMesh.build(0.5, 0.25)
     traj = picard_solve(u0, Nonlinearity.zero(), p, mesh, record_times=(0.5,))
     text = traj.to_csv_text()
     lines = text.strip().split("\n")
@@ -824,7 +824,7 @@ def test_trajectory_snapshot_lookup_raises_off_knot():
     g = make_grid(1, 6.0, 32)
     p = Params(q=0.5, gamma=0.0, n_dim=1)
     u0 = standard_data(g, "const:1")
-    mesh = TimeMesh.build(0.5, 0.0, 0.25)
+    mesh = TimeMesh.build(0.5, 0.25)
     traj = picard_solve(u0, Nonlinearity.zero(), p, mesh)
     with pytest.raises(ParameterError):
         traj.snapshot_at(0.1234)

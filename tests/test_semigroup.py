@@ -449,9 +449,8 @@ def test_mixed_inputs_equal_mixed_fields_applied_row_by_row(
     count = _MIX.shape[1]
     for weights in (None, _BATCH_WEIGHTS):
         if batch_rows == "blocks":
-            # with weights all J rows are contracted at once, else one-row batches
-            rows = 1 if weights is None else _BATCH_TIMES.size
-            k = _split_lines(monkeypatch, p, n_dim, rows)
+            # a mixed operator contracts all J rows at once, with or without weights
+            k = _split_lines(monkeypatch, p, n_dim, rows=_BATCH_TIMES.size)
         op = prop.prepare(_BATCH_TIMES, weights, mix=_MIX)
         if batch_rows == "blocks":
             _check_blocks(op, k)
@@ -464,6 +463,10 @@ def test_mixed_inputs_equal_mixed_fields_applied_row_by_row(
             out = prop.apply_weighted_values(inputs, op, gamma)
             assert out.shape == ref.shape
             np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
+        if weights is None:
+            # a mix without weights takes the identity weights, bit for bit
+            eye = prop.prepare(_BATCH_TIMES, np.eye(_BATCH_TIMES.size), mix=_MIX)
+            np.testing.assert_array_equal(prop.apply_weighted_values(inputs, eye, gamma), out)
         calls = []
 
         def fill(lo, hi, rows):
@@ -799,7 +802,8 @@ def test_mirror_and_full_routes_agree(n_dim, points, t_scale, batch_rows, monkey
             mirror.apply_weighted_values(halves, times, 0.4, weights),
         )
         if batch_rows == "blocks":
-            k = _split_lines(monkeypatch, q, n_dim, rows=1 if weights is None else times.size)
+            # a mixed operator contracts all J rows at once
+            k = _split_lines(monkeypatch, q, n_dim, rows=times.size)
         mixed = mirror.prepare(times, weights, mix)
         if batch_rows == "blocks":
             _check_blocks(mixed, k)
