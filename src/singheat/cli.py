@@ -8,7 +8,10 @@ along a parameter segment).
 Each subcommand accepts only the options it reads (``_COMMANDS``).  Option
 precedence is built-in defaults, then a JSON config file (--config) that may
 set those of them, then explicit flags; ``verify``, none of whose options a
-file could set, takes no --config.  Outputs are written atomically
+file could set, takes no --config.  Every option is checked before any
+work starts, by the library object that reads it (Params, the solve's
+Grid, SolveConfig and TimeMesh, and standard_data for the data spec), and
+a value it rejects is a usage error.  Outputs are written atomically
 (temp file + rename) and are byte-identical across reruns of the same
 configuration.  Exit codes: 0 success / all checks pass, 1 check failures,
 2 usage errors, 3 runtime failures (reported as one structured line on
@@ -19,10 +22,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -30,8 +32,8 @@ import numpy as np
 
 from . import constants as const_mod
 from .errors import ConvergenceError, ParameterError, SeriesRangeError, TruncationError
-from .fields import DEFAULT_POINTS, Params, make_grid, standard_data
-from .scheme import SolveConfig, monotone_solve
+from .fields import DEFAULT_POINTS, Grid, Params, make_grid, standard_data
+from .scheme import SolveConfig, TimeMesh, monotone_solve
 from .verify import default_suite, run_suite
 
 __all__ = ["RunConfig", "main", "parse_config", "run"]
@@ -43,15 +45,16 @@ _DEFAULTS: dict = {
     "half_width": 12.0,
     "points": None,  # DEFAULT_POINTS of the dimension
     "t_end": 1.0,
-    "n_schedule": "1,2,4,8,16,32,64",
-    "eps_fp": 1e-8,
-    "nodes_per_window": 8,
-    "window_cap": 0.25,
+    "n_schedule": ",".join(map(str, SolveConfig.n_schedule)),
+    "eps_fp": SolveConfig.eps_fp,
+    "nodes_per_window": SolveConfig.nodes_per_window,
+    "window_cap": SolveConfig.window_cap,
     "u0": "bump",
     "record": None,
 }
-
-_DATA_NAMES = ("zero", "const", "bump", "gauss", "step")
+_INTEGERS = ("dim", "points", "nodes_per_window")
+# the library's field names that are not their option's
+_OPTION_OF = {"n_dim": "dim", "points_per_axis": "points"}
 
 # The options each command reads, after its one-line help.  The parser offers
 # a command exactly these, and a --config file that may set those of them that
@@ -111,7 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "half_width": ("--half-width", {"type": float, "help": "box half width L"}),
         "points": ("--points", {
             "type": int,
-            "help": "grid points per axis, even (default 1024, 192, 64 in 1D, 2D, 3D)"}),
+            "help": "grid points per axis, even (default "
+                    f"{', '.join(map(str, DEFAULT_POINTS.values()))} in 1D, 2D, 3D)"}),
         "t_end": ("--t-end", {"type": float, "help": "final time"}),
         "n_schedule": ("--n-schedule", {"help": "comma list of regularization levels"}),
         "eps_fp": ("--eps-fp", {"type": float, "help": "fixed-point stopping tolerance"}),
@@ -160,12 +164,9 @@ def _number(key: str, value, kind, fail):
 
 def _parse_schedule(text: str, fail) -> tuple[int, ...]:
     try:
-        sched = tuple(int(s) for s in str(text).split(",") if s.strip())
+        return tuple(int(s) for s in str(text).split(",") if s.strip())
     except ValueError:
         fail(f"n_schedule: could not parse {text!r} as a comma list of integers")
-    if not sched or any(n < 1 for n in sched) or any(b <= a for a, b in zip(sched, sched[1:])):
-        fail(f"n_schedule: must be strictly increasing positive integers (got {text!r})")
-    return sched
 
 
 def _parse_record(text, fail) -> "tuple[float, ...] | None":
@@ -177,63 +178,52 @@ def _parse_record(text, fail) -> "tuple[float, ...] | None":
         try:
             vals = tuple(float(s) for s in str(text).split(",") if s.strip())
         except ValueError:
-            fail(f"record: could not parse {text!r} as a comma list of times")
-    if not vals or any(t <= 0 for t in vals):
-        fail(f"record: times must be positive (got {text!r})")
+            vals = ()
+    if not vals:
+        fail(f"record: could not parse {text!r} as a comma list of times")
     return tuple(sorted(set(vals)))
 
 
-def _range_error(param: str, value: float, dim: int) -> "str | None":
-    """Why ``value`` is not a valid q or gamma in dimension ``dim``, or None."""
-    if param == "q":
-        return None if 0.0 < value < 1.0 else f"must lie in (0, 1) (got {value})"
-    top = min(2, dim)
-    return None if 0.0 <= value < top else f"must lie in [0, {top}) for dim={dim} (got {value})"
+def _checked(fail, build, label: "str | None" = None):
+    """build(), with a ParameterError it raises made a usage error.  The
+    message is label and the library's; by default label names the option
+    whose field starts the library's message."""
+    try:
+        return build()
+    except ParameterError as exc:
+        if label is None:
+            field = str(exc).split()[0]
+            label = f"{_OPTION_OF.get(field, field)}: "
+        fail(f"{label}{exc}")
 
 
-def _solve_options(merged: dict, dim: int, fail) -> dict:
-    """The numeric knobs of ``solve``, validated."""
-    opts: dict = {}
-    half_width = opts["half_width"] = _number("half_width", merged["half_width"], float, fail)
-    if not (half_width > 0.0 and math.isfinite(half_width)):
-        fail(f"half_width: must be positive (got {merged['half_width']})")
-    points = opts["points"] = (
-        DEFAULT_POINTS[dim] if merged["points"] is None
-        else _number("points", merged["points"], int, fail)
+def _params(cfg: RunConfig) -> Params:
+    """The parameters of a command that reads q and dim (gamma 0 when it
+    reads no gamma)."""
+    return Params(q=cfg.q, gamma=0.0 if cfg.gamma is None else cfg.gamma, n_dim=cfg.dim)
+
+
+def _grid_and_config(cfg: RunConfig) -> tuple[Grid, SolveConfig]:
+    """The grid and the scheme's settings of a solve."""
+    config = SolveConfig(
+        eps_fp=cfg.eps_fp,
+        nodes_per_window=cfg.nodes_per_window,
+        n_schedule=cfg.n_schedule,
+        window_cap=cfg.window_cap,
     )
-    if points < 2 or points % 2:
-        fail(f"points: must be an even integer >= 2 (got {merged['points']})")
-    t_end = opts["t_end"] = _number("t_end", merged["t_end"], float, fail)
-    if not (t_end > 0.0 and math.isfinite(t_end)):
-        fail(f"t_end: must be positive (got {merged['t_end']})")
-    opts["n_schedule"] = _parse_schedule(merged["n_schedule"], fail)
-    eps_fp = opts["eps_fp"] = _number("eps_fp", merged["eps_fp"], float, fail)
-    if not (0.0 < eps_fp < 1.0):
-        fail(f"eps_fp: must lie in (0, 1) (got {merged['eps_fp']})")
-    npw = opts["nodes_per_window"] = _number(
-        "nodes_per_window", merged["nodes_per_window"], int, fail
-    )
-    if npw < 2:
-        fail(f"nodes_per_window: must be >= 2 (got {merged['nodes_per_window']})")
-    wcap = opts["window_cap"] = _number("window_cap", merged["window_cap"], float, fail)
-    if not (wcap > 0.0):
-        fail(f"window_cap: must be positive (got {merged['window_cap']})")
-    u0 = opts["u0"] = str(merged["u0"])
-    if u0.partition(":")[0] not in _DATA_NAMES:
-        fail(f"u0: unknown data spec {u0!r} (expect one of {', '.join(_DATA_NAMES)})")
-    record = opts["record"] = _parse_record(merged["record"], fail)
-    if record is not None and any(t > t_end * (1 + 1e-9) for t in record):
-        fail(f"record: times must not exceed t_end = {t_end}")
-    return opts
+    return make_grid(cfg.dim, cfg.half_width, cfg.points), config
 
 
 def parse_config(argv: "Sequence[str] | None" = None) -> RunConfig:
     """Parse argv into a RunConfig.
 
     Precedence: built-in defaults, then the --config JSON file (for the
-    commands that take one), then explicit flags.  Invalid values, and config
-    keys the command does not read, exit with a usage error naming the
-    offending key.
+    commands that take one), then explicit flags.  Each value is converted
+    to a number, then checked by building what the command will read:
+    Params, the solve's Grid and SolveConfig, its TimeMesh for t_end and the
+    record times, and standard_data on a grid of 2 points per axis for u0.
+    Values those reject, values that are not numbers, and config keys the
+    command does not read exit with a usage error naming the offending key.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -262,21 +252,15 @@ def parse_config(argv: "Sequence[str] | None" = None) -> RunConfig:
             merged[key] = flag_val
     # flag-only options pass through as parsed
     opts = {key: getattr(args, key) for key in names if key not in merged}
-
-    dim = 1
-    if "dim" in merged:
-        dim = opts["dim"] = _number("dim", merged["dim"], int, fail)
-        if dim not in (1, 2, 3):
-            fail(f"dim: must be 1, 2 or 3 (got {merged['dim']})")
-    for key in ("q", "gamma"):
-        if key in merged:
-            opts[key] = _number(key, merged[key], float, fail)
-            why = _range_error(key, opts[key], dim)
-            if why:
-                fail(f"{key}: {why}")
-
-    if command == "solve":
-        opts.update(_solve_options(merged, dim, fail))
+    for key, value in merged.items():
+        if key == "n_schedule":
+            opts[key] = _parse_schedule(value, fail)
+        elif key == "record":
+            opts[key] = _parse_record(value, fail)
+        elif key == "u0":
+            opts[key] = str(value)
+        elif key != "points" or value is not None:  # points left unset follow the dimension
+            opts[key] = _number(key, value, int if key in _INTEGERS else float, fail)
 
     if command == "verify":
         opts["suite"] = None
@@ -287,16 +271,22 @@ def parse_config(argv: "Sequence[str] | None" = None) -> RunConfig:
             if unknown:
                 fail(f"suite: unknown check name(s) {unknown}; "
                      f"available: {', '.join(sorted(available))}")
-
+        return RunConfig(command=command, **opts)
+    cfg = RunConfig(command=command, **opts)
+    params = _checked(fail, lambda: _params(cfg))
+    if command == "solve":
+        if cfg.points is None:
+            cfg = replace(cfg, points=DEFAULT_POINTS[cfg.dim])
+        grid, _ = _checked(fail, lambda: _grid_and_config(cfg))
+        _checked(fail, lambda: TimeMesh.build(cfg.t_end, cfg.t_end, cfg.record or ()))
+        _checked(fail, lambda: standard_data(replace(grid, points_per_axis=2), cfg.u0), "u0: ")
     if command == "sweep":
         for key in ("start", "stop"):
-            why = _range_error(args.param, opts[key], dim)
-            if why:
-                fail(f"{key}: the swept {args.param} {why}")
-        if args.count < 2:
-            fail(f"count: must be >= 2 (got {args.count})")
-
-    return RunConfig(command=command, **opts)
+            _checked(fail, lambda: replace(params, **{cfg.param: getattr(cfg, key)}),
+                     f"{key}: the swept ")
+        if cfg.count < 2:
+            fail(f"count: must be >= 2 (got {cfg.count})")
+    return cfg
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -327,7 +317,7 @@ def _emit(text: str, json_path: "str | None") -> None:
 def run(cfg: RunConfig) -> int:
     """Execute one resolved invocation; returns the process exit code."""
     if cfg.command == "constants":
-        report = const_mod.constants_report(Params(q=cfg.q, gamma=cfg.gamma, n_dim=cfg.dim))
+        report = const_mod.constants_report(_params(cfg))
         _emit(_dump_json(report.as_json_dict()), cfg.json_path)
         return 0
 
@@ -354,17 +344,11 @@ def run(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command == "solve":
-        grid = make_grid(cfg.dim, cfg.half_width, cfg.points)
-        params = Params(q=cfg.q, gamma=cfg.gamma, n_dim=cfg.dim)
-        u0 = standard_data(grid, cfg.u0)
-        solve_cfg = SolveConfig(
-            eps_fp=cfg.eps_fp,
-            nodes_per_window=cfg.nodes_per_window,
-            n_schedule=cfg.n_schedule,
-            window_cap=cfg.window_cap,
-        )
+        grid, solve_cfg = _grid_and_config(cfg)
         records = cfg.record if cfg.record is not None else (cfg.t_end,)
-        traj = monotone_solve(u0, params, cfg.t_end, solve_cfg, record_times=records)
+        traj = monotone_solve(
+            standard_data(grid, cfg.u0), _params(cfg), cfg.t_end, solve_cfg, record_times=records
+        )
         _atomic_write_text(cfg.out, traj.to_csv_text())
         meta = traj.metadata()
         meta["data"] = cfg.u0
@@ -388,14 +372,10 @@ def run(cfg: RunConfig) -> int:
 
     if cfg.command == "sweep":
         values = np.linspace(cfg.start, cfg.stop, cfg.count)
-        if cfg.param == "gamma":
-            triples = [(cfg.q, float(g), cfg.dim) for g in values]
-        else:
-            triples = [(float(qq), cfg.gamma, cfg.dim) for qq in values]
-
+        params = _params(cfg)
         records = [
-            const_mod.constants_report(Params(q=q, gamma=g, n_dim=n)).as_json_dict()
-            for q, g, n in triples
+            const_mod.constants_report(replace(params, **{cfg.param: float(v)})).as_json_dict()
+            for v in values
         ]
         payload = {
             "param": cfg.param,

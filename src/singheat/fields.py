@@ -61,7 +61,7 @@ class Params:
             raise ParameterError(f"q must lie in the open interval (0, 1) (got {self.q})")
         if not (0.0 <= float(self.gamma) < self.gamma_sup):
             raise ParameterError(
-                f"gamma must lie in [0, {self.gamma_sup}) for n_dim={self.n_dim} "
+                f"gamma must lie in [0, {self.gamma_sup:g}) for n_dim={self.n_dim} "
                 f"(got {self.gamma})"
             )
 

@@ -280,7 +280,7 @@ class TimeMesh:
         anchors = sorted(set(float(s) for s in must_include) | {float(t_end)})
         clean: list[float] = []
         for s in anchors:
-            if s <= tol or s > t_end + tol:
+            if not tol < s <= t_end + tol:
                 raise ParameterError(f"record time {s} outside (0, t_end]")
             s = min(s, float(t_end))
             if clean and s - clean[-1] <= tol:
@@ -504,16 +504,17 @@ def picard_solve(
     (default: all of them).  Fields stay non-negative throughout; values are
     clipped at 0 before the nonlinearity only to absorb FFT rounding dust.
 
-    propagator (on u0's grid) and plans (window plans by length) let
-    successive calls on one grid, gamma and nodes per window share their
-    plans, as the levels of monotone_solve do; by default the call makes
-    its own, a mirror propagator when u0 is exactly mirror-symmetric in
-    every axis.  A mirror propagator marches on the positive orthant (the
-    fields, the weight and the sweep's arrays hold (M/2,)^N values), and
-    each recorded snapshot is mirrored back onto the full grid; it takes
-    symmetric data only (ParameterError otherwise).  The diagnostics'
+    propagator (on u0's grid) and plans (window plans keyed by window
+    length, gamma and config.nodes_per_window) let successive calls on one
+    grid share their plans, as the levels of monotone_solve do; a call
+    builds its own plan for a key it does not find.  By default the call
+    makes its own propagator and plans, a mirror propagator when u0 is
+    exactly mirror-symmetric in every axis.  A mirror propagator marches on
+    the positive orthant (the fields, the weight and the sweep's arrays
+    hold (M/2,)^N values), and each recorded snapshot is mirrored back onto
+    the full grid; it takes symmetric data only (ParameterError otherwise).  The diagnostics'
     orthant says which route the call marched on.  A call first drops the
-    plans of lengths its mesh lacks; the plans hold kernels only.  The
+    plans of keys its own windows lack; the plans hold kernels only.  The
     diagnostics' window_plans counts the plans the call built.
     """
     grid = u0.grid
@@ -530,11 +531,15 @@ def picard_solve(
     if prop.grid != grid:
         raise ParameterError("the propagator belongs to another grid")
     plans = {} if plans is None else plans
-    # lengths that agree to rounding noise share a plan
-    keys = [float(f"{b - a:.12e}") for a, b in zip(mesh.boundaries, mesh.boundaries[1:])]
+    gam = params.gamma
+    # a plan is keyed by all it depends on; lengths that agree to rounding
+    # noise share one
+    keys = [
+        (float(f"{b - a:.12e}"), gam, config.nodes_per_window)
+        for a, b in zip(mesh.boundaries, mesh.boundaries[1:])
+    ]
     for key in set(plans) - set(keys):
         del plans[key]
-    gam = params.gamma
     tolb = 1e-9 * max(1.0, mesh.t_end)
     bset = list(mesh.boundaries)
     if record_times is None:
@@ -655,7 +660,7 @@ def monotone_solve(
     worst_violation = 0.0
     history: list[tuple[int, tuple[np.ndarray, ...]]] = []
     prop = HeatPropagator(u0.grid, mirror=is_mirror_symmetric(u0.values))
-    plans: dict[float, tuple] = {}
+    plans: dict[tuple, tuple] = {}
     built = 0
     for n in config.n_schedule:
         nl = Nonlinearity.regularized(params.q, n)

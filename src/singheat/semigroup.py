@@ -51,24 +51,22 @@ along the first spectral axis (a 1D spectrum is one line, one block): for
 each block it forms the row spectra (Y = mix @ X, or the batch itself
 without a mix), multiplies them by the rows' kernel factors (those of the
 earlier axes, whose product is small, in one pass, then the last axis's),
-and adds weights @ Y into the targets' sums or, without weights, keeps Y as
-the result.  Last, the outputs are inverted.
+and adds weights @ Y into the targets' sums.  Last, the sums are inverted.
+Every operator returns weighted sums: one prepared without weights takes
+the identity weights, whose J sums are the J rows' results exactly (each
+adds zeros to one product by 1).
 
 An operator prepared with a (J, K) mix matrix takes K inputs and applies
 row j to sum_k mix[j, k] input_k.  The transform is linear, so the operator
-transforms the K inputs once and mixes the row spectra from theirs.  A
-mixed operator always returns weighted sums: a mix without weights means
-the identity weights, whose J sums are the J rows' results exactly (each
-adds zeros to one product by 1).  All J rows are contracted together, a
-block at a time, so an apply holds the K input spectra, the T sums and one
-block, never the J row spectra.  The Picard sweep's source is linear in its
+transforms the K inputs once and mixes the row spectra from theirs.  All J
+rows are contracted together, a block at a time, so an apply holds the K
+input spectra, the T sums and one block, never the J row spectra.  The Picard sweep's source is linear in its
 knot values between the knots (it interpolates the source, not the field),
 so its J = 72 quadrature rows cost K = 10 forward transforms; its free term
 mixes its 9 rows from the window start alone (a one-column mix, identity
 weights), so they cost one.  An operator without a mix has no inputs to
 share: each batch of its rows is its own inputs, contracted before the
-next batch is produced, so its fields stream.  Without weights its results
-stream too, each batch inverted in turn.
+next batch is produced, so its fields stream.
 
 An apply takes the J fields (or K inputs) as a stack or as a producer that
 writes each batch's rows into the propagator's scratch, so a caller whose
@@ -302,8 +300,9 @@ class HeatPropagator:
         fixed length-J time array (and an optional (T, J) weight matrix),
         with its kernel factors built once.  With a (J, K) mix matrix the
         operator takes K fields instead, and row j is S(t[j]) applied to
-        sum_k mix[j, k] stack[k]; a mix without weights takes the identity
-        weights, so its J sums are the rows' results.  See PreparedHeat."""
+        sum_k mix[j, k] stack[k].  Without weights the operator takes the
+        identity weights, so its J sums are the rows' results.  See
+        PreparedHeat."""
         times = np.asarray(t, dtype=float)
         if times.ndim != 1 or times.size < 1:
             raise ParameterError(
@@ -311,20 +310,17 @@ class HeatPropagator:
             )
         if not np.all(np.isfinite(times)) or float(times.min()) < 0.0:
             raise ParameterError(f"evolution times must be finite and >= 0 (got {times})")
-        if weights is not None:
-            weights = np.asarray(weights, dtype=float)
-            if weights.ndim != 2 or weights.shape[1] != times.size:
-                raise ParameterError(
-                    f"weight matrix shape {weights.shape} does not match {times.size} fields"
-                )
+        weights = np.eye(times.size) if weights is None else np.asarray(weights, dtype=float)
+        if weights.ndim != 2 or weights.shape[1] != times.size:
+            raise ParameterError(
+                f"weight matrix shape {weights.shape} does not match {times.size} fields"
+            )
         if mix is not None:
             mix = np.asarray(mix, dtype=float)
             if mix.ndim != 2 or mix.shape[0] != times.size or mix.shape[1] < 1:
                 raise ParameterError(
                     f"mix matrix shape {mix.shape} does not match {times.size} rows"
                 )
-            if weights is None:
-                weights = np.eye(times.size)
         for name, matrix in (("weight", weights), ("mix", mix)):
             if matrix is not None and not np.all(np.isfinite(matrix)):
                 raise ParameterError(f"{name} matrix entries must be finite (got {matrix})")
@@ -393,11 +389,10 @@ def _flat(spec: np.ndarray) -> np.ndarray:
 
 
 class PreparedHeat:
-    """sum_j weights[i, j] S(t[j]) f_j (or the stack of S(t[j]) f_j without
-    weights) for fixed times and weights, applied to any number of stacks f.
-    With a (J, K) mix matrix the operator takes K inputs x_k and its J rows
-    are the mixes f_j = sum_k mix[j, k] x_k; a mixed operator always has
-    weights (prepare gives the identity to a mix without them).
+    """sum_j weights[i, j] S(t[j]) f_j for fixed times and weights (the
+    identity, when prepare was given none), applied to any number of stacks
+    f.  With a (J, K) mix matrix the operator takes K inputs x_k and its J
+    rows are the mixes f_j = sum_k mix[j, k] x_k.
 
     Built once by HeatPropagator.prepare, it holds everything that depends
     on the times, weights and mix alone:
@@ -478,8 +473,7 @@ class PreparedHeat:
             # the produced rows padded along the last axis; no complex work
             self._work = ((min(step, self._inputs),) + self._shape[1:-1] + (q,), (0,))
         # rows per contraction: all J of an operator with a mix, else one
-        # batch, so that its rows and, without weights, its results stream
-        # through the scratch
+        # batch, so that its rows stream through the scratch
         self._span = count if mix is not None else step
         # blocks of lines along the first spectral axis (a 1D spectrum is one
         # line): all of them if the contraction's spectra fit the workspace,
@@ -494,15 +488,12 @@ class PreparedHeat:
             per = max(1, _FFT_WORKSPACE_BYTES // (4 * line_bytes))
         cuts = [slice(a, a + per) for a in range(0, lines, per)] if per < lines else [slice(None)]
         self._blocks = [(cut, [axes[0][:, cut]] + axes[1:]) for cut in cuts]
-        # the spectra an apply keeps besides its inputs': with weights the T
-        # sums, and with a mix a block's rows
-        self._held = weights.shape[0] if weights is not None else 0
+        # with a mix, an apply keeps a block's rows besides the T sums
         block = (per,) + self._spec_shape[1:] if n > 1 else self._spec_shape
         self._block_shape = (count,) + block if mix is not None else (0,)
 
     def apply(self, values) -> np.ndarray:
-        """The T weighted sums (without weights, the J results) of J fields,
-        or of the J mixes of K inputs.
+        """The T weighted sums of J fields, or of the J mixes of K inputs.
 
         values is a (J, *grid) stack ((K, *grid) with a mix), or a producer
         fill(lo, hi, out) that writes fields (inputs) lo .. hi - 1 into out,
@@ -535,24 +526,22 @@ class PreparedHeat:
         over the blocks of spectral lines: it forms the block's row spectra
         Y (mix @ X, or the batch itself), scales them by the rows' factors
         in two passes (the earlier axes' product, then the last axis's)
-        and, with weights, which a mixed operator always has, adds
-        weights[:, lo:hi] @ Y into the T sums (the first contraction writes
-        them).  Without weights Y is the result, and each contraction
-        inverts its rows before the next.  With weights the T sums are
-        inverted last (see _to_box).  Each product is one real matrix
+        and adds weights[:, lo:hi] @ Y into the T sums (the first
+        contraction writes them).  The T sums are inverted last (see
+        _to_box).  Each product is one real matrix
         product, on complex values viewed as float pairs.  The FFT path and
         the mirror route differ only in their transform pair and in their
         factors, which on the mirror route are real and scale the spectra's
         float view."""
         mix, weights = self.mix, self.weights
         count, step, span = self._shape[0], self._step, self._span
-        targets = count if weights is None else weights.shape[0]
+        targets = weights.shape[0]
         rows, work, lines, spec, outs, ys = self.propagator._scratch(
             ((min(step, self._inputs),) + self._shape[1:], float),
             (self._work[0], float),
             (self._work[1], complex),
             ((step if mix is None else self._inputs,) + self._spec_shape, complex),
-            ((self._held,) + self._spec_shape, complex),
+            ((targets,) + self._spec_shape, complex),
             (self._block_shape, complex),
         )
         work = (work, lines)
@@ -579,17 +568,13 @@ class PreparedHeat:
                 if head:  # the earlier axes' factors are small: one pass for all
                     scaled *= functools.reduce(np.multiply, head)[lo:hi]
                 scaled *= last[lo:hi]
-                if weights is not None:
-                    sums = _flat(outs[:, cut])
-                    if lo == 0:
-                        np.matmul(weights[:, :hi], _flat(y), out=sums)
-                    else:
-                        sums += weights[:, lo:hi] @ _flat(y)
-            if weights is None:
-                self._to_box(x, work, out[lo:hi])
-        if weights is not None:
-            for k in range(0, targets, step):
-                self._to_box(outs[k : k + step], work, out[k : k + step])
+                sums = _flat(outs[:, cut])
+                if lo == 0:
+                    np.matmul(weights[:, :hi], _flat(y), out=sums)
+                else:
+                    sums += weights[:, lo:hi] @ _flat(y)
+        for k in range(0, targets, step):
+            self._to_box(outs[k : k + step], work, out[k : k + step])
         return out
 
     def _transform(self, fill, lo: int, hi: int, rows, work, out: np.ndarray) -> np.ndarray:

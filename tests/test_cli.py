@@ -11,6 +11,17 @@ from pathlib import Path
 import pytest
 
 from singheat.cli import _build_parser, main, parse_config
+from singheat.fields import DEFAULT_POINTS
+
+# solve inputs that the library rejects: the data spec, read by
+# standard_data, and a record time past t_end = 1, read by TimeMesh
+LIBRARY_REJECTS = [
+    ["--u0", "gauss:abc"],
+    ["--u0", "const:-1"],
+    ["--u0", "bump:0"],
+    ["--dim", "2", "--u0", "step"],
+    ["--record", "1.0000000005"],
+]
 
 
 def test_defaults_resolve():
@@ -79,12 +90,30 @@ def test_unknown_config_key_is_a_usage_error(tmp_path):
         ["sweep", "--param", "gamma", "--start", "1.5", "--stop", "0.1", "--dim", "1",
          "--count", "3"],                                   # start leaves [0, 1)
         ["sweep", "--param", "q", "--start", "1.2", "--stop", "0.5", "--count", "3"],
+        *(["solve", "--out", "x.csv"] + extra for extra in LIBRARY_REJECTS),
     ],
 )
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         parse_config(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("extra", LIBRARY_REJECTS)
+def test_solve_usage_error_starts_no_work(tmp_path, monkeypatch, extra):
+    # each input is rejected while parsing, by the object that reads it:
+    # no solve starts and no output is written
+    import singheat.cli as cli_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(cli_mod, "monotone_solve", no_solve)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--out", str(out)] + extra)
+    assert exc.value.code == 2
+    assert not out.exists() and not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -94,6 +123,9 @@ def test_usage_errors_exit_2(argv):
         (["solve", "--out", "x.csv"], {"points": 32.9}, None, "points"),
         (["solve", "--out", "x.csv"], {"record": [0.5, "late"]}, None, "record"),
         (["solve", "--out", "x.csv"], {"t_end": "late"}, "abc", "t_end"),
+        (["constants"], {"q": None}, None, "q"),
+        (["solve", "--out", "x.csv"], {"gamma": None}, None, "gamma"),
+        (["solve", "--out", "x.csv"], {"window_cap": None}, None, "window_cap"),
     ],
 )
 def test_values_that_are_not_numbers_exit_2(tmp_path, monkeypatch, capsys, command, config,
@@ -147,6 +179,17 @@ def test_readme_lists_each_commands_options():
         for cmd, p in sub.choices.items()
     }
     assert documented == offered
+
+
+def test_readme_and_help_state_the_default_points(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    stated = re.search(r"`--points` defaults to (\d+) in 1D, (\d+) in 2D and (\d+) in 3D", readme)
+    values = tuple(str(DEFAULT_POINTS[dim]) for dim in (1, 2, 3))
+    assert stated and stated.groups() == values
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"(default {', '.join(values)} in 1D, 2D, 3D)" in help_text
 
 
 def test_constants_json_payload(capsys):

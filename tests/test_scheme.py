@@ -309,6 +309,8 @@ def test_time_mesh_rejects_bad_records():
         TimeMesh.build(1.0, 0.25, must_include=(0.0,))
     with pytest.raises(ParameterError):
         TimeMesh.build(1.0, 0.25, must_include=(-0.2,))
+    with pytest.raises(ParameterError, match="record time nan"):
+        TimeMesh.build(1.0, 0.25, must_include=(0.5, math.nan))
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +666,27 @@ def test_picard_snapshots_are_arrays_of_their_own():
         np.testing.assert_array_equal(v, k)
 
 
+@pytest.mark.parametrize("gamma,nodes", [(0.6, 8), (0.3, 6)])
+def test_picard_builds_its_own_plans_for_another_gamma_or_node_count(gamma, nodes):
+    # plans handed over from a call with gamma 0.3 and 8 nodes per window
+    # hold other rules: a call with another gamma or node count builds its
+    # own, drops the others and ends bit for bit where a fresh call does
+    g = make_grid(1, 10.0, 64)
+    nl = Nonlinearity.regularized(0.5, 2)
+    mesh = TimeMesh.build(0.5, 0.125)
+    u0 = standard_data(g, "bump")
+    prop, plans = HeatPropagator(g, mirror=True), {}
+    picard_solve(u0, nl, Params(q=0.5, gamma=0.3), mesh, propagator=prop, plans=plans)
+    assert len(plans) == 1
+    p, cfg = Params(q=0.5, gamma=gamma), SolveConfig(nodes_per_window=nodes)
+    shared = picard_solve(u0, nl, p, mesh, cfg, propagator=prop, plans=plans)
+    assert shared.diagnostics["window_plans"] == 1
+    assert set(plans) == {(0.125, gamma, nodes)}
+    fresh = picard_solve(u0, nl, p, mesh, cfg)
+    for a, b in zip(fresh.snapshots, shared.snapshots, strict=True):
+        np.testing.assert_array_equal(b.values, a.values)
+
+
 # ---------------------------------------------------------------------------
 # Monotone ladder
 # ---------------------------------------------------------------------------
@@ -712,7 +735,8 @@ def test_ladder_levels_share_their_window_plans(monkeypatch):
         traj = solve(u, nl, params, mesh, config, record_times, propagator=propagator, plans=plans)
         bounds = mesh.boundaries
         lengths = {float(f"{b - a:.12e}") for a, b in zip(bounds, bounds[1:])}
-        assert set(plans) == lengths  # only this level's lengths are kept
+        # only this level's lengths are kept, keyed with gamma and node count
+        assert set(plans) == {(x, params.gamma, config.nodes_per_window) for x in lengths}
         # every level works in the one propagator's scratch, which only grows
         scratch.append((propagator, propagator._buffer.size))
         assert not np.shares_memory(traj.snapshots[-1].values, propagator._buffer)
