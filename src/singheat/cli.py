@@ -26,7 +26,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -289,13 +289,25 @@ def parse_config(argv: "Sequence[str] | None" = None) -> RunConfig:
     return cfg
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+def _atomic_write(path: str, write: Callable[[TextIO], None]) -> None:
+    """Write ``path`` by calling ``write`` on an open temporary file beside
+    it, then rename that file over ``path``.  If anything raises, the
+    temporary file is removed and ``path`` keeps its old contents."""
     p = Path(path)
     if p.parent and not p.parent.exists():
         raise ParameterError(f"output directory {p.parent} does not exist")
     tmp = p.with_name(p.name + f".tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, p)
+    try:
+        with open(tmp, "w") as fh:
+            write(fh)
+        os.replace(tmp, p)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _atomic_write_text(path: str, text: str) -> None:
+    _atomic_write(path, lambda fh: fh.write(text))
 
 
 def _dump_json(obj) -> str:
@@ -349,7 +361,7 @@ def run(cfg: RunConfig) -> int:
         traj = monotone_solve(
             standard_data(grid, cfg.u0), _params(cfg), cfg.t_end, solve_cfg, record_times=records
         )
-        _atomic_write_text(cfg.out, traj.to_csv_text())
+        _atomic_write(cfg.out, traj.write_csv)
         meta = traj.metadata()
         meta["data"] = cfg.u0
         meta["n_schedule"] = list(cfg.n_schedule)

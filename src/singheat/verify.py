@@ -27,12 +27,12 @@ from __future__ import annotations
 import functools
 import math
 import os
+import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import numpy.random  # noqa: F401  (numpy loads it lazily; keep that out of the checks)
 
 from . import constants
 from .errors import ParameterError, SeriesRangeError
@@ -458,10 +458,11 @@ def _inst_dict(inst: GronwallInstance) -> dict:
 # Kernel-shape checks
 # ---------------------------------------------------------------------------
 
-def _random_radial_profile(rng: np.random.Generator):
+def _random_radial_profile(rng: random.Random):
     """Random non-increasing radial profile: a positive mixture of Gaussians,
-    Lorentzians, linear ramps, and plateaus."""
-    coefs = rng.uniform(0.1, 2.0, size=4)
+    Lorentzians, linear ramps, and plateaus, its parameters drawn from the
+    stdlib generator ``rng`` (a ``random.Random(seed)``)."""
+    coefs = [rng.uniform(0.1, 2.0) for _ in range(4)]
     a = rng.uniform(0.05, 3.0)
     b = rng.uniform(0.05, 3.0)
     ramp_r = rng.uniform(0.5, 6.0)
@@ -503,12 +504,13 @@ def check_max_at_origin(
     worst value of (max over innermost nodes) - (global max), scaled by the
     field size.  The data are radial, so the check computes on the positive
     orthant, with a mirror propagator, where the innermost node is the
-    first.
+    first.  Unless ``profiles`` are given, the check draws ``n_profiles``
+    random profiles from the stdlib ``random.Random(seed)``.
     """
     grid = make_grid(n_dim, half_width, points)
     r = _orthant_nodes(grid)[0]
     r_max = float(np.max(r)) + 1.0
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     fns = list(profiles) if profiles is not None else [
         _random_radial_profile(rng) for _ in range(n_profiles)
     ]

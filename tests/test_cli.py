@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from singheat.cli import _build_parser, main, parse_config
+from singheat.cli import _atomic_write, _build_parser, main, parse_config
 from singheat.fields import DEFAULT_POINTS
 
 # solve inputs that the library rejects: the data spec, read by
@@ -254,6 +254,20 @@ def test_solve_writes_csv_and_sidecar(tmp_path, capsys):
     assert meta["diagnostics"]["orthant"] is True  # constant data march on the orthant
 
 
+def test_failed_write_leaves_no_temporary_file(tmp_path):
+    out = tmp_path / "traj.csv"
+    out.write_text("old\n")
+
+    def write(fh):
+        fh.write("t,node_index,coord_1,u\n")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        _atomic_write(str(out), write)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["traj.csv"]
+    assert out.read_bytes() == b"old\n"
+
+
 def test_solve_reruns_are_byte_identical(tmp_path):
     args = [
         "solve", "--u0", "bump", "--gamma", "0.1", "--points", "64",
@@ -363,7 +377,8 @@ def test_console_script_entry_point():
 
 
 def test_commands_never_import_scipy(tmp_path):
-    # scipy is only for the quadrature cross-checks: no command path loads it
+    # scipy is only for the quadrature cross-checks, and numpy.random (6 MB
+    # of RSS) only for tests: no command path loads either
     script = f"""
 import sys
 from singheat.cli import main
@@ -375,6 +390,8 @@ assert main(["constants", "--gamma", "0.3", "--dim", "2"]) == 0
 assert main(["gamma-star", "--q", "0.5"]) == 0
 assert main(["sweep", "--param", "gamma", "--start", "0", "--stop", "0.4", "--count", "3"]) == 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+loaded = sorted(m for m in sys.modules if m.startswith("numpy.random"))
 assert not loaded, loaded
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

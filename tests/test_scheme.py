@@ -1,5 +1,6 @@
 """Regularized nonlinearity, time meshes, and the Picard / monotone solvers."""
 
+import io
 import math
 import tracemalloc
 
@@ -806,7 +807,7 @@ def test_trajectory_csv_and_metadata():
     u0 = standard_data(g, "const:1")
     mesh = TimeMesh.build(0.5, 0.25)
     traj = picard_solve(u0, Nonlinearity.zero(), p, mesh, record_times=(0.5,))
-    text = traj.to_csv_text()
+    text = _csv(traj)
     lines = text.strip().split("\n")
     assert lines[0] == "t,node_index,coord_1,u"
     assert len(lines) == 1 + 2 * 32  # t = 0 plus one recorded time
@@ -831,7 +832,7 @@ def test_trajectory_csv_text_is_pinned():
         GridFunction(g, np.array([[1e-20, 2.0], [0.1, 12345.678]])),
     )
     traj = Trajectory(grid=g, params=p, times=(0.0, 0.125), snapshots=snaps)
-    assert traj.to_csv_text() == (
+    assert _csv(traj) == (
         "t,node_index,coord_1,coord_2,u\n"
         "0.0,0,-0.5,-0.5,0.0\n"
         "0.0,1,-0.5,0.5,0.25\n"
@@ -842,6 +843,55 @@ def test_trajectory_csv_text_is_pinned():
         "0.125,2,0.5,-0.5,0.1\n"
         "0.125,3,0.5,0.5,12345.678\n"
     )
+
+
+def _csv(traj) -> str:
+    fh = io.StringIO()
+    traj.write_csv(fh)
+    return fh.getvalue()
+
+
+def _random_trajectory(n_dim: int, points: int, snapshots: int, seed: int) -> Trajectory:
+    g = make_grid(n_dim, 3.0, points)
+    rng = np.random.default_rng(seed)
+    snaps = tuple(GridFunction(g, rng.uniform(0.0, 2.0, g.shape) ** 3) for _ in range(snapshots))
+    times = tuple(0.1 * k for k in range(snapshots))
+    return Trajectory(grid=g, params=Params(q=0.5, gamma=0.0, n_dim=n_dim), times=times,
+                      snapshots=snaps)
+
+
+@pytest.mark.parametrize(
+    "n_dim,points,snapshots",
+    [
+        (1, 10, 3),  # 10 nodes: a chunk of 7, then a short one of 3
+        (1, 4, 2),   # fewer nodes than one chunk
+        (2, 6, 2),   # 36 nodes: 5 chunks of 7 and a last node alone
+        (3, 4, 3),   # 64 nodes: 9 chunks of 7 and a last node alone
+    ],
+)
+def test_trajectory_csv_bytes_do_not_depend_on_the_chunk(monkeypatch, n_dim, points, snapshots):
+    traj = _random_trajectory(n_dim, points, snapshots, seed=n_dim * 100 + points)
+    whole = _csv(traj)
+    assert whole.count("\n") == 1 + snapshots * points**n_dim
+    monkeypatch.setattr(scheme, "_CSV_CHUNK", 7)
+    assert _csv(traj) == whole
+
+
+def test_trajectory_csv_writer_memory_does_not_grow_with_the_output(monkeypatch, tmp_path):
+    # a writer that held the whole text would peak at several times the file's size
+    monkeypatch.setattr(scheme, "_CSV_CHUNK", 1024)
+    traj = _random_trajectory(3, 32, 2, seed=5)
+    out = tmp_path / "traj.csv"
+    with open(out, "w") as fh:
+        tracemalloc.start()
+        try:
+            traj.write_csv(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 2_000_000
+    assert peak < size / 4, (peak, size)
 
 
 def test_trajectory_snapshot_lookup_raises_off_knot():
