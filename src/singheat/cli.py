@@ -266,11 +266,7 @@ def parse_config(argv: "Sequence[str] | None" = None) -> RunConfig:
         opts["suite"] = None
         if args.suite != "all":
             suite = opts["suite"] = tuple(s.strip() for s in args.suite.split(",") if s.strip())
-            available = default_suite()
-            unknown = [s for s in suite if s not in available]
-            if unknown:
-                fail(f"suite: unknown check name(s) {unknown}; "
-                     f"available: {', '.join(sorted(available))}")
+            _checked(fail, lambda: default_suite(suite), "suite: ")
         return RunConfig(command=command, **opts)
     cfg = RunConfig(command=command, **opts)
     params = _checked(fail, lambda: _params(cfg))

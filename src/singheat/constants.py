@@ -280,11 +280,7 @@ def gamma_star(q: float, n_dim: int) -> GammaStarResult:
     bisection refines it until |lambda - 1| <= _GAMMA_STAR_TOL.  If the scan
     sees no crossing the result carries the right endpoint and crossed=False.
     """
-    if not (0.0 < q < 1.0):
-        raise ParameterError(f"q must lie in (0, 1) (got {q})")
-    if n_dim not in (1, 2, 3):
-        raise ParameterError(f"n_dim must be one of 1, 2, 3 (got {n_dim})")
-    g_sup = float(min(2, n_dim))
+    g_sup = Params(q=q, gamma=0.0, n_dim=n_dim).gamma_sup
     grid = g_sup * (np.arange(1, _GAMMA_STAR_SCAN + 1)) / (_GAMMA_STAR_SCAN + 1)
     lo = grid[0] * 1e-3  # lambda -> q < 1 as gamma -> 0, so the left end is below 1
     f_lo = lambda_gamma(q, float(lo), n_dim) - 1.0

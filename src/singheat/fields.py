@@ -118,11 +118,11 @@ class Grid:
 
     def radius_values(self) -> np.ndarray:
         """Euclidean norm |x| at every node (never zero on this grid)."""
-        mesh = self.node_mesh()
+        ax = self.axis_nodes()
         out = np.zeros(self.shape)
-        for m in mesh:
+        for m in np.meshgrid(*(ax,) * self.n_dim, indexing="ij", sparse=True):
             out += m * m
-        return np.sqrt(out)
+        return np.sqrt(out, out=out)
 
 
 def make_grid(n_dim: int, half_width: float, points_per_axis: int) -> Grid:
@@ -161,15 +161,9 @@ def orthant(values: np.ndarray) -> np.ndarray:
 def mirrored(half: np.ndarray) -> np.ndarray:
     """The full-grid field whose positive orthant is half and which is
     mirror-symmetric in every axis: a fresh array of shape (M,)^N whose
-    values are exact copies of half's."""
-    out = np.empty(tuple(2 * s for s in half.shape))
-    orthant(out)[...] = half
-    for ax, m in enumerate(half.shape):
-        # the axes before ax are complete: reflect the filled half of this one
-        lead = (slice(None),) * ax
-        tail = tuple(slice(s, None) for s in half.shape[ax + 1 :])
-        out[lead + (slice(0, m),) + tail] = np.flip(out[lead + (slice(m, None),) + tail], ax)
-    return out
+    values are exact copies of half's, padded before every axis by numpy's
+    "symmetric" mode (the reflection that repeats the edge value)."""
+    return np.pad(half, [(s, 0) for s in half.shape], mode="symmetric")
 
 
 def is_mirror_symmetric(values: np.ndarray) -> bool:
@@ -340,7 +334,7 @@ def standard_data(grid: Grid, spec: str) -> GridFunction:
     Recognized forms: ``zero``, ``const:c`` (c >= 0, default 1), ``bump`` or
     ``bump:R`` (smooth compact bump of height 1 and support radius R, default
     1), ``gauss:a`` (exp(-a |x|^2), a > 0, default 1), and ``step`` (1D only:
-    the indicator of x > 0).
+    the indicator of x > 0).  ``zero`` and ``step`` take no argument.
     """
     name, _, arg = spec.partition(":")
 
@@ -352,6 +346,8 @@ def standard_data(grid: Grid, spec: str) -> GridFunction:
         except ValueError:
             raise ParameterError(f"could not parse numeric argument in spec {spec!r}") from None
 
+    if arg and name in ("zero", "step"):
+        raise ParameterError(f"{name} data takes no argument (got spec {spec!r})")
     r = grid.radius_values()
     if name == "zero":
         vals = np.zeros(grid.shape)

@@ -71,12 +71,9 @@ next batch is produced, so its fields stream.
 An apply takes the J fields (or K inputs) as a stack or as a producer that
 writes each batch's rows into the propagator's scratch, so a caller whose
 fields are computed (the sub-solution check's barrier powers) never holds
-all J of them.  The FFT path pads the rows along the last axis only, and
-the transforms skip the lines that hold only padding.  Forward, rfft runs
-over the M^(N-1) lines of the last axis, then fft along each earlier axis
-over the lines that are non-zero so far; inverse, after each axis only the
-M lines that reach the box go on.  Both keep numpy's rfftn and irfftn axis
-order, so the sums are theirs bit for bit.
+all J of them.  On the FFT path, 2D and 3D applies call numpy's rfftn and
+irfftn at P points per axis and cut the inverse to the box; a 1D apply pads
+its rows to P itself and calls rfft and irfft.
 
 The mirror route (HeatPropagator(grid, mirror=True)) holds every field by
 its positive orthant, (M/2)^N values.  The zero-extended convolution of a
@@ -470,8 +467,9 @@ class PreparedHeat:
             lines = step * q ** (n - 1) * (q + 2)
             self._work = ((lines,), (lines // q * (q // 2 + 1) if n > 1 else 0,))
         else:
-            # the produced rows padded along the last axis; no complex work
-            self._work = ((min(step, self._inputs),) + self._shape[1:-1] + (q,), (0,))
+            # a batch of 1D rows padded to P (rfftn pads 2D and 3D rows itself);
+            # no complex work
+            self._work = ((min(step, self._inputs), q) if n == 1 else (0,), (0,))
         # rows per contraction: all J of an operator with a mix, else one
         # batch, so that its rows stream through the scratch
         self._span = count if mix is not None else step
@@ -546,7 +544,7 @@ class PreparedHeat:
         )
         work = (work, lines)
         if not self.propagator.mirror:
-            work[0][..., self._shape[-1] :] = 0.0  # the padding, shared with other operators
+            work[0][..., self._shape[-1] :] = 0.0  # 1D rows' padding, shared with other operators
         if mix is not None:
             for lo in range(0, self._inputs, step):
                 hi = min(lo + step, self._inputs)
@@ -579,60 +577,37 @@ class PreparedHeat:
 
     def _transform(self, fill, lo: int, hi: int, rows, work, out: np.ndarray) -> np.ndarray:
         """Produce rows lo .. hi - 1 into rows and write their spectra into
-        out: on the FFT path, padded into work and transformed by _forward;
-        on the mirror route, by _dct_forward.  Returns out.  rows is
-        contiguous, not a view of the padded lines: the producer's
-        elementwise passes run slower on a strided view (g_n on a 2D
-        M = 192 row: 70 us more)."""
+        out: on the mirror route by _dct_forward, else by numpy's transforms
+        of the rows zero-padded to P per axis.  A 1D row is padded into work
+        first (numpy transforms a padded line faster than it pads one
+        itself) and rfft writes into out; rfftn, which takes no out in 2D
+        and 3D, pads the rows itself.  Returns out.  rows is contiguous, not
+        a view of the padded lines: the producer's elementwise passes run
+        slower on a strided view (g_n on a 2D M = 192 row: 70 us more)."""
         nb = hi - lo
         fill(lo, hi, rows[:nb])
         if self.propagator.mirror:
             return self._dct_forward(rows[:nb], work, out)
-        padded = work[0][:nb]
-        padded[..., : self._shape[-1]] = rows[:nb]
-        return self._forward(padded, out)
+        if len(self._padded) == 1:
+            padded = work[0][:nb]
+            padded[:, : self._shape[-1]] = rows[:nb]
+            return np.fft.rfft(padded, axis=1, out=out)
+        out[...] = np.fft.rfftn(rows[:nb], s=self._padded, axes=range(1, rows.ndim))
+        return out
 
     def _to_box(self, spec: np.ndarray, work, out: np.ndarray) -> None:
         """Write the box of the inverse transforms of a batch of spectra
-        into out; overwrites spec."""
+        into out: irfft (irfftn in 2D and 3D) at P per axis, cut to the
+        first M values; on the mirror route, _dct_inverse, which overwrites
+        spec."""
         if self.propagator.mirror:
             self._dct_inverse(spec, work, out)
+            return
+        box = (slice(None),) + (slice(0, self._shape[-1]),) * len(self._padded)
+        if len(self._padded) == 1:
+            out[...] = np.fft.irfft(spec, n=self._padded[0], axis=1)[box]
         else:
-            out[...] = self._inverse(spec)
-
-    def _forward(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The half spectra of a batch of rows zero-padded to P points per
-        axis, into out: what rfftn computes, in its axis order, transforming
-        only the lines that hold data.  rows holds the M^(N-1) lines of the
-        last axis, padded to P (numpy transforms a padded line faster than
-        it pads one itself); the lines of each earlier axis that are
-        non-zero so far are padded with zeros in place and transformed
-        there.  rfft and fft are called directly: rfftn only adds argument
-        handling, which costs about as much as the 9 inverse transforms of a
-        1D sweep at M = 256."""
-        n = rows.ndim - 1
-        if n == 1:
-            return np.fft.rfft(rows, axis=1, out=out)
-        m = rows.shape[1]
-        np.fft.rfft(rows, axis=n, out=out[(slice(None),) + (slice(0, m),) * (n - 1)])
-        for ax in range(n - 1, 0, -1):
-            lines = out[(slice(None),) + (slice(0, m),) * (ax - 1)]
-            lines[(slice(None),) * ax + (slice(m, None),)] = 0.0
-            np.fft.fft(lines, axis=ax, out=lines)
-        return out
-
-    def _inverse(self, spec: np.ndarray) -> np.ndarray:
-        """The box of the inverse transforms of a batch of half spectra, as
-        irfftn computes it, in its axis order: after each axis only the
-        first M lines, which the box holds, go on to the next.  Overwrites
-        spec."""
-        n = spec.ndim - 1
-        p = self._padded[0]
-        m = self._shape[1]
-        for ax in range(1, n):
-            np.fft.ifft(spec, axis=ax, out=spec)
-            spec = spec[(slice(None),) * ax + (slice(0, m),)]
-        return np.fft.irfft(spec, n=p, axis=n)[..., :m]
+            out[...] = np.fft.irfftn(spec, s=self._padded, axes=range(1, spec.ndim))[box]
 
     # -- the mirror route's cosine transforms --------------------------------
     #

@@ -29,7 +29,7 @@ import math
 import os
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -87,13 +87,7 @@ class CheckReport:
         return f"{word} {self.name} margin={self.margin:.6g} tol={self.tolerance:.6g}"
 
     def as_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "margin": self.margin,
-            "tolerance": self.tolerance,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _finish(name: str, margin: float, tolerance: float, details: dict) -> CheckReport:
@@ -424,34 +418,24 @@ def check_gronwall(inst: "GronwallInstance | None" = None, tol: "float | None" =
     if inst.a_const == 0.0:
         tolerance = 1e-12 if tol is None else tol
         margin = -float(np.max(np.abs(psi)))
-        details = {"instance": _inst_dict(inst), "sup_psi": float(np.max(np.abs(psi)))}
+        details = {"instance": inst, "sup_psi": float(np.max(np.abs(psi)))}
         return _finish(name, margin, tolerance, details)
     env = gronwall_envelope(inst, t)
     if inst.alpha == 0.0:
         tolerance = 1e-6 if tol is None else tol
         rel = np.abs(psi - env) / np.maximum(env, 1e-300)
         margin = -float(np.max(rel))
-        details = {"instance": _inst_dict(inst), "max_rel_dev": float(np.max(rel))}
+        details = {"instance": inst, "max_rel_dev": float(np.max(rel))}
         return _finish(name, margin, tolerance, details)
     tolerance = 1e-4 if tol is None else tol
     rel = (env - psi) / np.maximum(env, 1e-300)
     margin = float(np.min(rel[1:]))  # t = 0 is exact by construction
     details = {
-        "instance": _inst_dict(inst),
+        "instance": inst,
         "max_overshoot": float(max(0.0, -np.min(rel[1:]))),
         "envelope_end": float(env[-1]),
     }
     return _finish(name, margin, tolerance, details)
-
-
-def _inst_dict(inst: GronwallInstance) -> dict:
-    return {
-        "a_const": inst.a_const,
-        "m_const": inst.m_const,
-        "alpha": inst.alpha,
-        "t_end": inst.t_end,
-        "steps": inst.steps,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -712,10 +696,11 @@ def check_uniqueness_contraction(
 # Suite
 # ---------------------------------------------------------------------------
 
-def default_suite() -> "dict[str, Callable[[], CheckReport]]":
-    """Named zero-argument check runners, sized for interactive use."""
+def default_suite(names: "Sequence[str] | None" = None) -> "dict[str, Callable[[], CheckReport]]":
+    """Named zero-argument check runners, sized for interactive use: all of
+    them, or those of the given names (ParameterError names any unknown)."""
     light = SolveConfig(n_schedule=(1, 2, 4, 8, 16))
-    return {
+    suite = {
         "subsolution": lambda: check_subsolution(0.5, 0.3, 1),
         "subsolution-2d": lambda: check_subsolution(0.3, 0.5, 2),
         "lower-bound": lambda: check_lower_bound(
@@ -744,6 +729,12 @@ def default_suite() -> "dict[str, Callable[[], CheckReport]]":
             0.5, 0.1, 1, points=256, config=light
         ),
     }
+    if not names:
+        return suite
+    unknown = [n for n in names if n not in suite]
+    if unknown:
+        raise ParameterError(f"unknown check name(s) {unknown}; available: {sorted(suite)}")
+    return {n: suite[n] for n in names}
 
 
 def run_suite(names: "Sequence[str] | None" = None) -> list[CheckReport]:
@@ -756,17 +747,7 @@ def run_suite(names: "Sequence[str] | None" = None) -> list[CheckReport]:
     converted into failing reports carrying the error text, so one broken
     check cannot take down the suite.
     """
-    suite = default_suite()
-    if names:
-        unknown = [n for n in names if n not in suite]
-        if unknown:
-            raise ParameterError(
-                f"unknown check name(s) {unknown}; available: {sorted(suite)}"
-            )
-        selected = {n: suite[n] for n in names}
-    else:
-        selected = suite
-    ordered = sorted(selected.items())
+    ordered = sorted(default_suite(names).items())
 
     def run_one(item):
         name, fn = item

@@ -21,6 +21,8 @@ LIBRARY_REJECTS = [
     ["--u0", "bump:0"],
     ["--dim", "2", "--u0", "step"],
     ["--record", "1.0000000005"],
+    ["--u0", "zero:junk"],
+    ["--u0", "step:7"],
 ]
 
 
@@ -434,10 +436,18 @@ def test_source_modules_have_no_unused_imports():
 
 
 def _private_definitions(tree: ast.Module) -> dict:
-    """The private module-level functions, classes and constants of a module
-    and the private methods of its classes, by name, with their lines.
-    Dunders are not private."""
+    """The private module-level functions, classes and constants of a module,
+    the private methods of its classes and the private attributes stored on
+    self, by name, with their (first) lines.  Dunders are not private."""
     found = {}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            found.setdefault(node.attr, node.lineno)
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             found[node.name] = node.lineno

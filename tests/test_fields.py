@@ -1,6 +1,7 @@
 """Grid geometry, parameter validation, sampling, and the singular weight."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,29 @@ def test_grid_shape_and_radius(grid_2d):
     # radius is the Euclidean norm of the node coordinates
     xx, yy = grid_2d.node_mesh()
     np.testing.assert_allclose(r, np.hypot(xx, yy), rtol=1e-15)
+
+
+@pytest.mark.parametrize("n_dim,points", [(1, 64), (2, 48), (3, 16)])
+def test_radius_values_are_the_dense_formulas_bit_for_bit(n_dim, points):
+    g = make_grid(n_dim, 4.0, points)
+    dense = np.zeros(g.shape)
+    for m in g.node_mesh():
+        dense += m * m
+    np.testing.assert_array_equal(g.radius_values(), np.sqrt(dense))
+
+
+def test_radius_values_hold_no_full_coordinate_arrays():
+    # the radii of a 3D M = 64 grid (one 2 MB field) are built from the
+    # axis alone: the call's peak stays below 3 fields, where N full
+    # coordinate arrays and their squares would take 5
+    g = make_grid(3, 8.0, 64)
+    tracemalloc.start()
+    try:
+        g.radius_values()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * g.node_count
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +404,9 @@ def test_standard_data_bare_names_take_defaults(grid_1d):
     np.testing.assert_allclose(standard_data(grid_1d, "gauss").values, np.exp(-(x**2)), rtol=1e-15)
 
 
-@pytest.mark.parametrize("spec", ["nope", "const:x", "const:-1", "gauss:-1", "bump:0"])
+@pytest.mark.parametrize(
+    "spec", ["nope", "const:x", "const:-1", "gauss:-1", "bump:0", "zero:junk", "step:7"]
+)
 def test_standard_data_rejects_malformed_specs(grid_1d, spec):
     with pytest.raises(ParameterError):
         standard_data(grid_1d, spec)

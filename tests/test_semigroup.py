@@ -477,31 +477,6 @@ def test_mixed_inputs_equal_mixed_fields_applied_row_by_row(
         assert calls == [(lo, min(lo + op._step, count)) for lo in range(0, count, op._step)]
 
 
-@pytest.mark.parametrize("n_dim,points", [(1, 64), (2, 24), (2, 40), (3, 12), (3, 16)])
-@pytest.mark.parametrize("t_max", [0.02, 1.0])
-def test_pruned_transforms_equal_numpys(n_dim, points, t_max):
-    # the forward transform of the rows padded along the last axis is rfftn
-    # of the rows zero-padded to P per axis, and the inverse is irfftn cut
-    # to the box, both bit for bit, at P < 2M and at P = 2M
-    g = make_grid(n_dim, 6.0, points)
-    op = HeatPropagator(g).prepare(_BATCH_TIMES * t_max)
-    p = op._padded[-1]
-    assert p < 2 * points if t_max < 1.0 else p == 2 * points
-    rng = np.random.default_rng(points)
-    rows = rng.uniform(-1.0, 1.0, (3,) + g.shape)
-    padded = np.zeros((3,) + (p,) * n_dim)
-    box = (slice(None),) + (slice(0, points),) * n_dim
-    padded[box] = rows
-    axes = tuple(range(1, n_dim + 1))
-    ref = np.fft.rfftn(padded, axes=axes)
-    out = np.full(ref.shape, np.nan, dtype=complex)  # the transform must write every value
-    lines = padded[(slice(None),) + (slice(0, points),) * (n_dim - 1)]  # the workspace's rows
-    np.testing.assert_array_equal(op._forward(lines, out), ref)
-    spec = rng.uniform(-1.0, 1.0, ref.shape) + 1j * rng.uniform(-1.0, 1.0, ref.shape)
-    inv_ref = np.fft.irfftn(spec, s=(p,) * n_dim, axes=axes)[box]
-    np.testing.assert_array_equal(op._inverse(spec.copy()), inv_ref)
-
-
 @pytest.mark.parametrize("n_dim,points", [(1, 256), (2, 24), (3, 12)])
 @pytest.mark.parametrize("t_max", [0.02, 1.0])
 def test_padded_length_leaves_the_operator_unchanged(n_dim, points, t_max):

@@ -409,10 +409,17 @@ def test_run_suite_rejects_unknown_names():
         run_suite(["no-such-check"])
 
 
+def test_default_suite_selects_names_and_names_the_unknown():
+    assert list(default_suite(["heaviside", "gronwall-exp"])) == ["heaviside", "gronwall-exp"]
+    assert default_suite(()).keys() == default_suite().keys()
+    with pytest.raises(ParameterError, match=r"\['nope', 'nix'\]"):
+        default_suite(["heaviside", "nope", "nix"])
+
+
 def test_run_suite_converts_crashes_to_failing_reports(monkeypatch):
     import singheat.verify as verify_mod
 
-    def broken_suite():
+    def broken_suite(names=None):
         return {"boom": lambda: 1 / 0}
 
     monkeypatch.setattr(verify_mod, "default_suite", broken_suite)
@@ -455,7 +462,7 @@ def test_run_suite_pool_size(monkeypatch, cores, checks, workers):
     names = [f"c{k}" for k in range(checks)]
     monkeypatch.setattr(
         verify_mod, "default_suite",
-        lambda: {n: (lambda n=n: CheckReport(n, True, 1.0, 0.0)) for n in names},
+        lambda selected=None: {n: (lambda n=n: CheckReport(n, True, 1.0, 0.0)) for n in names},
     )
     monkeypatch.setattr(verify_mod, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cores)
