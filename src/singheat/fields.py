@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import GridMismatchError, ParameterError
 
@@ -251,8 +250,18 @@ def _weight_1d(grid: Grid, gamma: float) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per node
-    count and shared read-only."""
-    x, w = leggauss(n_nodes)
+    count and shared read-only.
+
+    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the symmetric tridiagonal Jacobi matrix of the Legendre recurrence, whose
+    off-diagonal entries are k / sqrt(4k^2 - 1), k = 1 .. n - 1, and each
+    weight is 2 v_0^2, with v_0 the first component of the node's unit
+    eigenvector.  numpy.linalg is loaded with numpy; numpy.polynomial's
+    leggauss, which agrees to rounding, is not."""
+    k = np.arange(1, n_nodes, dtype=float)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = 2.0 * v[0] ** 2
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

@@ -54,7 +54,10 @@ earlier axes, whose product is small, in one pass, then the last axis's),
 and adds weights @ Y into the targets' sums.  Last, the sums are inverted.
 Every operator returns weighted sums: one prepared without weights takes
 the identity weights, whose J sums are the J rows' results exactly (each
-adds zeros to one product by 1).
+adds zeros to one product by 1).  When such an operator's rows fit one
+batch (a one-row operator's always do), its scaled batch spectra are those
+sums, and are inverted where they lie, so the apply holds one spectrum per
+row and no sums.
 
 An operator prepared with a (J, K) mix matrix takes K inputs and applies
 row j to sum_k mix[j, k] input_k.  The transform is linear, so the operator
@@ -307,11 +310,12 @@ class HeatPropagator:
             )
         if not np.all(np.isfinite(times)) or float(times.min()) < 0.0:
             raise ParameterError(f"evolution times must be finite and >= 0 (got {times})")
-        weights = np.eye(times.size) if weights is None else np.asarray(weights, dtype=float)
-        if weights.ndim != 2 or weights.shape[1] != times.size:
-            raise ParameterError(
-                f"weight matrix shape {weights.shape} does not match {times.size} fields"
-            )
+        if weights is not None:
+            weights = np.asarray(weights, dtype=float)
+            if weights.ndim != 2 or weights.shape[1] != times.size:
+                raise ParameterError(
+                    f"weight matrix shape {weights.shape} does not match {times.size} fields"
+                )
         if mix is not None:
             mix = np.asarray(mix, dtype=float)
             if mix.ndim != 2 or mix.shape[0] != times.size or mix.shape[1] < 1:
@@ -406,22 +410,24 @@ class PreparedHeat:
     - On both: _step, the rows whose padded spectra fit
       _FFT_WORKSPACE_BYTES, the batches in which fields are produced,
       transformed and inverted; _span, the rows contracted at once (all J
-      with a mix, else one batch); and _blocks, the cuts of the
+      with a mix, else one batch); _blocks, the cuts of the
       first spectral axis into blocks of lines, each with its rows' factor
-      views.
+      views; and _in_place, whether the operator was prepared without
+      weights or a mix and one batch holds every row, so that the batch's
+      scaled spectra are inverted as the sums.
 
     The operator holds no workspace: its applies work in the propagator's
     scratch (see HeatPropagator), and every result is a fresh array.
     """
 
     def __init__(self, prop: HeatPropagator, times: np.ndarray, weights, mix):
+        count = times.size
         self.propagator = prop
-        self.weights = weights
+        self.weights = np.eye(count) if weights is None else weights
         self.mix = mix
         grid = prop.grid
         m = grid.points_per_axis
         n = grid.n_dim
-        count = times.size
         self._shape = (count,) + prop.shape
         self._inputs = count if mix is None else mix.shape[1]
         live = np.flatnonzero(times > 0.0)
@@ -473,6 +479,9 @@ class PreparedHeat:
         # rows per contraction: all J of an operator with a mix, else one
         # batch, so that its rows stream through the scratch
         self._span = count if mix is not None else step
+        # identity weights on rows that one batch holds: the batch's scaled
+        # spectra are the sums, and are inverted where they lie
+        self._in_place = weights is None and mix is None and count <= step
         # blocks of lines along the first spectral axis (a 1D spectrum is one
         # line): all of them if the contraction's spectra fit the workspace,
         # as a batch's do, else as many as fit a quarter of it, so that a
@@ -526,11 +535,12 @@ class PreparedHeat:
         in two passes (the earlier axes' product, then the last axis's)
         and adds weights[:, lo:hi] @ Y into the T sums (the first
         contraction writes them).  The T sums are inverted last (see
-        _to_box).  Each product is one real matrix
-        product, on complex values viewed as float pairs.  The FFT path and
-        the mirror route differ only in their transform pair and in their
-        factors, which on the mirror route are real and scale the spectra's
-        float view."""
+        _to_box); an operator _in_place has no sums in its scratch and
+        inverts its one batch's scaled spectra instead, which equal them.
+        Each product is one real matrix product, on complex values viewed
+        as float pairs.  The FFT path and the mirror route differ only in
+        their transform pair and in their factors, which on the mirror
+        route are real and scale the spectra's float view."""
         mix, weights = self.mix, self.weights
         count, step, span = self._shape[0], self._step, self._span
         targets = weights.shape[0]
@@ -539,7 +549,7 @@ class PreparedHeat:
             (self._work[0], float),
             (self._work[1], complex),
             ((step if mix is None else self._inputs,) + self._spec_shape, complex),
-            ((targets,) + self._spec_shape, complex),
+            ((0 if self._in_place else targets,) + self._spec_shape, complex),
             (self._block_shape, complex),
         )
         work = (work, lines)
@@ -566,11 +576,15 @@ class PreparedHeat:
                 if head:  # the earlier axes' factors are small: one pass for all
                     scaled *= functools.reduce(np.multiply, head)[lo:hi]
                 scaled *= last[lo:hi]
+                if self._in_place:
+                    continue
                 sums = _flat(outs[:, cut])
                 if lo == 0:
                     np.matmul(weights[:, :hi], _flat(y), out=sums)
                 else:
                     sums += weights[:, lo:hi] @ _flat(y)
+        if self._in_place:
+            outs = x
         for k in range(0, targets, step):
             self._to_box(outs[k : k + step], work, out[k : k + step])
         return out

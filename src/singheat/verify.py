@@ -28,7 +28,7 @@ import functools
 import math
 import os
 import random
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
@@ -741,31 +741,47 @@ def run_suite(names: "Sequence[str] | None" = None) -> list[CheckReport]:
     """Run named checks (default: all) and return their reports, each named
     by its suite key, sorted by that key.
 
-    The checks run on a thread pool of os.cpu_count() workers, capped at the
-    number of checks selected; with one worker they run in the calling
-    thread.  Failures inside a check (as opposed to failed inequalities) are
+    The checks run on os.cpu_count() workers, capped at the number of
+    checks selected: the calling thread and one threading.Thread helper per
+    further worker, each taking the next unclaimed check in name order until
+    none is left.  With one worker no thread is started.  The helpers are
+    joined before the call returns, even when the calling thread's share
+    raises.  Failures inside a check (as opposed to failed inequalities) are
     converted into failing reports carrying the error text, so one broken
     check cannot take down the suite.
     """
     ordered = sorted(default_suite(names).items())
+    reports: list = [None] * len(ordered)
+    claim = iter(enumerate(ordered))
+    lock = threading.Lock()
 
-    def run_one(item):
-        name, fn = item
-        try:
-            return replace(fn(), name=name)
-        except Exception as exc:  # surface as a failing report, don't crash the suite
-            return CheckReport(
-                name=name,
-                passed=False,
-                margin=-math.inf,
-                tolerance=0.0,
-                details={"error": f"{type(exc).__name__}: {exc}"},
-            )
+    def work():
+        while True:
+            with lock:
+                item = next(claim, None)
+            if item is None:
+                return
+            k, (name, fn) = item
+            try:
+                reports[k] = replace(fn(), name=name)
+            except Exception as exc:  # surface as a failing report, don't crash the suite
+                reports[k] = CheckReport(
+                    name=name,
+                    passed=False,
+                    margin=-math.inf,
+                    tolerance=0.0,
+                    details={"error": f"{type(exc).__name__}: {exc}"},
+                )
 
-    jobs = min(os.cpu_count() or 1, len(ordered))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run_one, ordered))
-    else:
-        reports = [run_one(item) for item in ordered]
+    helpers = [
+        threading.Thread(target=work)
+        for _ in range(min(os.cpu_count() or 1, len(ordered)) - 1)
+    ]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
     return reports

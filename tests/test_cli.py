@@ -380,7 +380,10 @@ def test_console_script_entry_point():
 
 def test_commands_never_import_scipy(tmp_path):
     # scipy is only for the quadrature cross-checks, and numpy.random (6 MB
-    # of RSS) only for tests: no command path loads either
+    # of RSS) only for tests: no command path loads either.  Nor does one
+    # load concurrent.futures (with logging; verify's workers are plain
+    # threads) or numpy.polynomial (Gauss-Legendre rules come from
+    # numpy.linalg): each costs every command memory for code it never runs
     script = f"""
 import sys
 from singheat.cli import main
@@ -394,6 +397,9 @@ assert main(["sweep", "--param", "gamma", "--start", "0", "--stop", "0.4", "--co
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
 loaded = sorted(m for m in sys.modules if m.startswith("numpy.random"))
+assert not loaded, loaded
+loaded = sorted(m for m in sys.modules
+                if m == "logging" or m.startswith(("concurrent.futures", "numpy.polynomial")))
 assert not loaded, loaded
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

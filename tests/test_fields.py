@@ -192,6 +192,37 @@ def test_sample_reports_offending_node(grid_1d):
 
 
 # ---------------------------------------------------------------------------
+# Gauss-Legendre rules
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_gauss_legendre_matches_numpys_leggauss(n):
+    from numpy.polynomial.legendre import leggauss  # the reference, loaded here only
+
+    x, w = gauss_legendre(n)
+    ref_x, ref_w = leggauss(n)
+    assert np.max(np.abs(x - ref_x)) <= 1e-14
+    assert np.max(np.abs(w - ref_w)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 16, 32, 64])
+def test_gauss_legendre_integrates_polynomials_of_degree_below_2n(n):
+    x, w = gauss_legendre(n)
+    for k in range(2 * n):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(float(np.sum(w * x**k)) - exact) <= 1e-14, k
+
+
+def test_gauss_legendre_arrays_are_shared_read_only():
+    x, w = gauss_legendre(7)
+    assert gauss_legendre(7)[0] is x
+    for arr in (x, w):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
 # Singular weight
 # ---------------------------------------------------------------------------
 

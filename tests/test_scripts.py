@@ -2,7 +2,9 @@
 prints its table, so a change of the package's API cannot break them
 unseen."""
 
+import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -20,8 +22,12 @@ _RUNS = {
 }
 
 
+# scripts that need more than arguments, each run by its own test below
+_OWN_TESTS = {"compare_outputs.py"}
+
+
 def test_every_script_is_run():
-    assert {p.name for p in (_ROOT / "scripts").glob("*.py")} == set(_RUNS)
+    assert {p.name for p in (_ROOT / "scripts").glob("*.py")} == set(_RUNS) | _OWN_TESTS
 
 
 @pytest.mark.parametrize("script,args", list(_RUNS.items()))
@@ -39,3 +45,60 @@ def test_script_runs(script, args):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def _git(repo, *args):
+    subprocess.run(
+        ["git", "-c", "user.name=test", "-c", "user.email=test@example.com", *args],
+        cwd=repo, check=True, capture_output=True,
+    )
+
+
+def test_compare_outputs_finds_the_one_changed_output(tmp_path):
+    # a repository of the package, the benchmark's workload list and the
+    # script, whose second commit changes the top-level help text alone: the
+    # script, run against the first commit, reports that output and no other,
+    # exits 1, and leaves no worktree behind
+    repo = tmp_path / "repo"
+    for part in ("src", "perfbench", "scripts"):
+        shutil.copytree(_ROOT / part, repo / part, ignore=shutil.ignore_patterns("__pycache__"))
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "first")
+    cli = repo / "src" / "singheat" / "cli.py"
+    text = cli.read_text()
+    old = 'description="solver and checks'
+    assert text.count(old) == 1
+    cli.write_text(text.replace(old, 'description="the solver and checks'))
+    _git(repo, "commit", "-q", "-am", "second")
+    done = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "compare_outputs.py"), "HEAD~1",
+         "--only", "help,help-solve,gamma-star"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    lines = done.stdout.splitlines()
+    verdicts = [line for line in lines if line.startswith("  ")]
+    assert [line.split(",")[0] for line in lines[1:] if not line.startswith("  ")] == [
+        "gamma-star: exit 0 -> 0", "help: exit 0 -> 0", "help-solve: exit 0 -> 0",
+    ]
+    changed = "  stdout: differs at line 3: 'solver and checks for the"
+    assert [v if not v.startswith(changed) else changed for v in verdicts] == [
+        "  gamma-star.json: equal", "  stdout: equal", changed, "  stdout: equal",
+    ]
+    assert "-> 'the solver and checks for the" in verdicts[2]
+    listed = subprocess.run(["git", "worktree", "list"], cwd=repo, capture_output=True, text=True)
+    assert len(listed.stdout.splitlines()) == 1
+
+
+def test_compare_outputs_measures_numbers_when_the_text_agrees():
+    spec = importlib.util.spec_from_file_location("compare_outputs", _ROOT / "scripts" / "compare_outputs.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    assert mod.compare(b"t,u\n0.5,1e-3\n", b"t,u\n0.5,1e-3\n") == "equal"
+    assert mod.compare(b"t,u\n0.5,1e-3\n", b"t,u\n0.5,1.5e-3\n") == "max |diff| 0.0005 (2 numbers)"
+    assert mod.compare(b'{"m": NaN, "x": -2}', b'{"m": NaN, "x": -2.25}') == (
+        "max |diff| 0.25 (2 numbers)"
+    )
+    assert mod.compare(b"a 1\nb 2\n", b"a 1\nc 2\n") == "differs at line 2: 'b 2' -> 'c 2'"
+    assert mod.compare(b"a 1\n", b"a 1\nb 2\n") == "differs in length: 1 -> 2 lines"

@@ -627,6 +627,30 @@ def test_operators_of_one_propagator_share_its_scratch(n_dim, points):
     assert sizes == sorted(sizes) and sizes[3:] == sizes[2:3] * 3  # grown by the first round
 
 
+@pytest.mark.parametrize(
+    "n_dim,points,mirror", [(1, 512, False), (2, 48, False), (2, 192, True), (3, 32, True)]
+)
+def test_one_row_operator_holds_one_spectrum(n_dim, points, mirror):
+    # an operator prepared without weights whose rows fit one batch inverts
+    # the batch's spectra where they lie: after an apply the scratch holds
+    # that one spectrum and one batch's transform work, and no separate
+    # sums.  Its results are those of the same operator given the identity
+    # weights explicitly, which forms the sums, bit for bit
+    g = make_grid(n_dim, 10.0 if n_dim < 3 else 8.0, points)
+    prop = HeatPropagator(g, mirror=mirror)
+    f = np.random.default_rng(points).uniform(0.0, 1.0, prop.shape)
+    op = prop.prepare([0.5])
+    out = op.apply(f[None])
+    spectrum = 16 * math.prod(op._spec_shape)
+    work = 8 * math.prod(op._work[0]) + 16 * math.prod(op._work[1])
+    assert prop._buffer.nbytes <= spectrum + 8 * f.size + work + 4 * 64
+    np.testing.assert_array_equal(out, prop.prepare([0.5], [[1.0]]).apply(f[None]))
+    rows = np.stack([f, f[::-1]])
+    np.testing.assert_array_equal(
+        prop.prepare([0.1, 0.3]).apply(rows), prop.prepare([0.1, 0.3], np.eye(2)).apply(rows)
+    )
+
+
 def test_sweep_shaped_operator_holds_no_row_spectra():
     # a 3D operator shaped like a Picard sweep: J = 72 rows, each mixed from
     # two of K = 10 knot inputs and weighed by one of T = 9 targets.  After

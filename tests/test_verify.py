@@ -1,6 +1,9 @@
 """The check library: each inequality check on light instances, plus failure
 and error paths."""
 
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -446,29 +449,103 @@ def test_run_suite_parallel_matches_serial(monkeypatch):
         assert a.margin == b.margin
 
 
+def _fake_suite(monkeypatch, suite):
+    monkeypatch.setattr(
+        verify, "default_suite", lambda selected=None: {n: suite[n] for n in selected}
+    )
+
+
 @pytest.mark.parametrize("cores,checks,workers", [(4, 3, 3), (2, 3, 2), (1, 3, None), (4, 1, None)])
 def test_run_suite_pool_size(monkeypatch, cores, checks, workers):
-    # one worker per core, capped at the checks selected; one worker means
-    # no pool
-    import singheat.verify as verify_mod
+    # one worker per core, capped at the checks selected; the calling thread
+    # is one of them, so one worker (None) starts no thread
+    started = []
 
-    sizes = []
-
-    class Recording(verify_mod.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
     names = [f"c{k}" for k in range(checks)]
-    monkeypatch.setattr(
-        verify_mod, "default_suite",
-        lambda selected=None: {n: (lambda n=n: CheckReport(n, True, 1.0, 0.0)) for n in names},
-    )
-    monkeypatch.setattr(verify_mod, "ThreadPoolExecutor", Recording)
-    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: cores)
-    reports = verify_mod.run_suite(names)
+    _fake_suite(monkeypatch, {n: (lambda n=n: CheckReport(n, True, 1.0, 0.0)) for n in names})
+    monkeypatch.setattr(verify.threading, "Thread", Recording)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cores)
+    reports = run_suite(names)
     assert [r.name for r in reports] == names
-    assert sizes == ([] if workers is None else [workers])
+    assert len(started) == (0 if workers is None else workers - 1)
+    assert not any(t.is_alive() for t in started)
+
+
+def test_run_suite_claims_each_check_once_under_contention(monkeypatch):
+    # more workers than cores and a short switch interval: every check runs
+    # exactly once, and every report lands in its name's place
+    names = [f"c{k:03d}" for k in range(300)]
+    ran = []
+
+    def check(name):
+        ran.append(name)
+        return CheckReport("unnamed", True, 1.0, 0.0)
+
+    _fake_suite(monkeypatch, {n: (lambda n=n: check(n)) for n in names})
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reports = run_suite(names)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == names
+    assert [r.name for r in reports] == names
+
+
+def _on_two_threads(on_caller, on_helper):
+    """Two checks that wait for each other, so the calling thread runs one
+    and the helper the other, each then calling its own function."""
+    caller = threading.get_ident()
+    both = threading.Barrier(2)
+
+    def check():
+        both.wait(timeout=30)
+        (on_caller if threading.get_ident() == caller else on_helper)()
+        return CheckReport("unnamed", True, 1.0, 0.0)
+
+    return {"a": check, "b": check}
+
+
+def test_run_suite_reports_a_helpers_error_in_name_order(monkeypatch):
+    def boom():
+        raise RuntimeError("boom")
+
+    _fake_suite(monkeypatch, _on_two_threads(lambda: None, boom))
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    reports = run_suite(["b", "a"])
+    assert [r.name for r in reports] == ["a", "b"]
+    failed = [r for r in reports if not r.passed]
+    assert len(failed) == 1 and failed[0].details == {"error": "RuntimeError: boom"}
+    assert failed[0].margin == -np.inf
+
+
+def test_run_suite_joins_its_helper_when_the_callers_share_raises(monkeypatch):
+    class Stop(BaseException):
+        pass
+
+    raised = threading.Event()
+    done = []
+
+    def stop():
+        raised.set()
+        raise Stop
+
+    def finish():  # still running when the caller's share raises
+        raised.wait(timeout=30)
+        time.sleep(0.1)
+        done.append(True)
+
+    _fake_suite(monkeypatch, _on_two_threads(stop, finish))
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    with pytest.raises(Stop):
+        run_suite(["a", "b"])
+    assert done == [True]
 
 
 @pytest.mark.parametrize(
