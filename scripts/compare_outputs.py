@@ -7,11 +7,12 @@ uncommitted changes included), each with its own ``src`` on PYTHONPATH, and
 prints one line per output: ``equal`` when the bytes agree; else, when the
 text between the numbers agrees, the largest absolute difference of the
 numbers; else the first line that differs.  Each command's line gives its
-exit code, wall time and, for a solve, the total Picard sweep count from
-its sidecar, in REV and here.  The list is the benchmark's two workloads
-(perfbench/workloads.py), the default, 2D, 3D and step-data solves,
-``constants``, ``gamma-star``, ``sweep`` and every ``--help``.  Only local git
-is used.
+exit code, wall time and, for a solve, the Picard sweeps of its whole
+ladder, summed over the sidecar's ``levels`` entries, in REV and here (a
+sidecar without them gives its last level's ``total_sweeps``, marked so).
+The list is the benchmark's two workloads (perfbench/workloads.py), the
+default, 2D, 3D, step-data and gamma = 0.6 solves, ``constants``,
+``gamma-star``, ``sweep`` and every ``--help``.  Only local git is used.
 
     python scripts/compare_outputs.py REV [--only NAME,...]
 
@@ -47,6 +48,7 @@ COMMANDS = (
         ("solve-3d", ["solve", "--dim", "3", "--points", "32", "--half-width", "8",
                       "--t-end", "0.25", "--n-schedule", "1,2,4,8,16", "--out", "solve.csv"]),
         ("solve-step", ["solve", "--u0", "step", "--points", "256", "--out", "solve.csv"]),
+        ("solve-gamma-0.6", ["solve", "--gamma", "0.6", "--points", "256", "--out", "solve.csv"]),
         ("constants", ["constants", "--gamma", "0.3", "--dim", "2", "--json", "constants.json"]),
         ("gamma-star", ["gamma-star", "--q", "0.5", "--json", "gamma-star.json"]),
         ("sweep", ["sweep", "--param", "gamma", "--start", "0", "--stop", "0.4",
@@ -75,11 +77,15 @@ def _run(tree: Path, argv: list, workdir: Path) -> dict:
     return {"exit": done.returncode, "wall": wall, "outputs": outputs}
 
 
-def _sweeps(outputs: dict) -> "int | None":
+def _sweeps(outputs: dict) -> "int | str | None":
+    """The Picard sweeps of a solve's whole ladder, from its sidecar."""
     for name, data in outputs.items():
         if name.endswith(".json"):
             try:
-                return json.loads(data)["diagnostics"]["total_sweeps"]
+                diag = json.loads(data)["diagnostics"]
+                if "levels" in diag:
+                    return sum(level["sweeps"] for level in diag["levels"])
+                return f"{diag['total_sweeps']} (last level)"
             except (ValueError, KeyError, TypeError):
                 pass
     return None

@@ -247,21 +247,38 @@ def _weight_1d(grid: Grid, gamma: float) -> np.ndarray:
     return (b**e - a**e) / (e * h)
 
 
+def _legendre_with_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence
+    (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}, at points inside (-1, 1)."""
+    p_prev, p = np.ones_like(x), x.copy()
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
 @functools.lru_cache(maxsize=64)
 def gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per node
-    count and shared read-only.
+    """Gauss-Legendre nodes and weights on [-1, 1], ascending, computed once
+    per node count and shared read-only.
 
-    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
-    the symmetric tridiagonal Jacobi matrix of the Legendre recurrence, whose
-    off-diagonal entries are k / sqrt(4k^2 - 1), k = 1 .. n - 1, and each
-    weight is 2 v_0^2, with v_0 the first component of the node's unit
-    eigenvector.  numpy.linalg is loaded with numpy; numpy.polynomial's
-    leggauss, which agrees to rounding, is not."""
-    k = np.arange(1, n_nodes, dtype=float)
-    off = k / np.sqrt(4.0 * k * k - 1.0)
-    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    w = 2.0 * v[0] ** 2
+    The nodes are the roots of P_n, found by Newton's method on the
+    three-term recurrence (as in Hale and Townsend, SIAM J. Sci. Comput. 35,
+    2013, without their asymptotic expansions) from the guesses
+    cos(pi (k - 1/4) / (n + 1/2)), k = n .. 1, for at most 10 steps (every
+    rule of 1 to 256 nodes settles within 5); the weights are
+    2 / ((1 - x^2) P_n'(x)^2).  Numpy ufuncs alone: no LAPACK routine runs,
+    and numpy.polynomial's leggauss, which agrees to rounding, is not
+    loaded."""
+    k = np.arange(n_nodes, 0, -1, dtype=float)
+    x = np.cos(np.pi * (k - 0.25) / (n_nodes + 0.5))
+    for _ in range(10):
+        p, dp = _legendre_with_derivative(n_nodes, x)
+        step = p / dp
+        x -= step
+        if float(np.max(np.abs(step))) <= 1e-15:
+            break
+    dp = _legendre_with_derivative(n_nodes, x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

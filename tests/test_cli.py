@@ -254,6 +254,9 @@ def test_solve_writes_csv_and_sidecar(tmp_path, capsys):
     assert meta["times"] == [0.0, 0.25, 0.5]
     assert meta["diagnostics"]["monotone_violation"] <= 1e-8
     assert meta["diagnostics"]["orthant"] is True  # constant data march on the orthant
+    levels = meta["diagnostics"]["levels"]
+    assert [lv["n"] for lv in levels] == [1, 2]
+    assert levels[-1]["sweeps"] == meta["diagnostics"]["total_sweeps"]
 
 
 def test_failed_write_leaves_no_temporary_file(tmp_path):
@@ -382,8 +385,8 @@ def test_commands_never_import_scipy(tmp_path):
     # scipy is only for the quadrature cross-checks, and numpy.random (6 MB
     # of RSS) only for tests: no command path loads either.  Nor does one
     # load concurrent.futures (with logging; verify's workers are plain
-    # threads) or numpy.polynomial (Gauss-Legendre rules come from
-    # numpy.linalg): each costs every command memory for code it never runs
+    # threads) or numpy.polynomial (Gauss-Legendre rules come from Newton's
+    # method): each costs every command memory for code it never runs
     script = f"""
 import sys
 from singheat.cli import main
@@ -401,6 +404,38 @@ assert not loaded, loaded
 loaded = sorted(m for m in sys.modules
                 if m == "logging" or m.startswith(("concurrent.futures", "numpy.polynomial")))
 assert not loaded, loaded
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_never_call_lapack(tmp_path):
+    # numpy.linalg's LAPACK routines fault in 1.2-1.4 MB of the BLAS
+    # library's code on first call: Gauss-Legendre rules come from Newton's
+    # method and the smoothing check's line from the closed-form least
+    # squares, so no command calls one.  Each routine is replaced, before
+    # singheat is imported, by a stub that raises
+    script = f"""
+import numpy.linalg._umath_linalg as lapack
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a LAPACK routine was called")
+
+for name in dir(lapack):
+    if not name.startswith("_") and callable(getattr(lapack, name)):
+        setattr(lapack, name, refuse)
+
+from singheat.cli import main
+out = {str(tmp_path)!r}
+codes = [
+    main(["solve", "--gamma", "0.3", "--points", "32", "--half-width", "6",
+          "--t-end", "0.25", "--n-schedule", "1,2", "--out", out + "/s.csv"]),
+    main(["verify", "--suite", "smoothing,subsolution", "--json", out + "/v.json"]),
+    main(["constants", "--gamma", "0.3", "--dim", "2"]),
+    main(["gamma-star", "--q", "0.5"]),
+    main(["sweep", "--param", "gamma", "--start", "0", "--stop", "0.4", "--count", "3"]),
+]
+assert codes == [0] * 5, codes
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -347,8 +347,12 @@ def test_picard_flat_data_follows_the_ode():
 
 
 def test_picard_iterates_rise_to_the_limit():
-    # tightening eps_fp can only raise the computed field: iterates increase
-    # from the free term toward the window fixed point
+    # tightening eps_fp raises the computed field on this march: each window
+    # starts below its fixed point (from the free term, or from it plus the
+    # Duhamel parts of earlier windows, extrapolated linearly), and the
+    # monotone map keeps its iterates below it.  An extrapolated start may
+    # in general lie on either side of the fixed point; the window's
+    # contraction bounds the stopped iterate's distance either way
     g = make_grid(1, 12.0, 64)
     p = Params(q=0.5, gamma=0.0, n_dim=1)
     u0 = standard_data(g, "const:1")
@@ -523,23 +527,36 @@ def _interp_stack(knots, stack, t):
     return (1.0 - th) * stack[i - 1] + th * stack[i]
 
 
-def _reference_picard(u0, nonlinearity, params, mesh, config, field_rule=False):
+def _reference_picard(
+    u0, nonlinearity, params, mesh, config, field_rule=False, free_start=False
+):
     """The per-node Jacobi sweep: one propagator apply per (target, node)
     pair, each with its own interpolation of the knots' sources g(u).
     With field_rule, the fields are interpolated instead and g applied to
-    the result (the rule before source interpolation).  Returns the field
-    at every window end and the number of sweeps."""
+    the result (the rule before source interpolation).  A window starts
+    from its free term plus the Duhamel part (converged state minus free
+    term) of the last two windows of its length, extrapolated linearly,
+    or of the last one alone; with free_start, from the free term alone.
+    Returns the field at every window end and the number of sweeps."""
     prop = HeatPropagator(u0.grid)
     gam = params.gamma
     u_left = np.array(u0.values, dtype=float)
     ends, sweeps = [], 0
     nodes = config.nodes_per_window
+    past, length = [], None
     for a, b in zip(mesh.boundaries, mesh.boundaries[1:]):
         # the rules in absolute time, not the solver's window-relative ones
         targets = np.append(duhamel_rule(a, b, gam, nodes)[0], b)
         free = [prop.apply_heat_values(u_left, tau - a) for tau in targets]
         rules = [duhamel_rule(a, tau, gam, nodes) for tau in targets]
-        state = [f.copy() for f in free]
+        if f"{b - a:.12e}" != length:
+            past, length = [], f"{b - a:.12e}"
+        if free_start or not past:
+            state = [f.copy() for f in free]
+        elif len(past) == 1:
+            state = [f + d for f, d in zip(free, past[-1])]
+        else:
+            state = [f + 2.0 * d1 - d0 for f, d0, d1 in zip(free, *past[-2:])]
         knots = np.concatenate(([a], targets))
         for _ in range(scheme._MAX_PICARD_SWEEPS):
             stack = [u_left] + state
@@ -561,6 +578,7 @@ def _reference_picard(u0, nonlinearity, params, mesh, config, field_rule=False):
                 break
         else:
             raise ConvergenceError("reference sweep stalled")
+        past = past[-1:] + [[x - f for x, f in zip(state, free)]]
         u_left = state[-1]
         ends.append(u_left)
     return ends, sweeps
@@ -597,6 +615,27 @@ def test_picard_matches_the_reference_on_two_window_lengths(points):
     mesh = TimeMesh.build(0.5, 0.125, must_include=(0.15,))
     traj = _check_against_reference(points, mesh)
     assert (traj.diagnostics["windows"], traj.diagnostics["window_plans"]) == (5, 2)
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.6])
+def test_the_extrapolated_start_saves_sweeps(gamma):
+    # a march of six or more windows of one length: from the third window on,
+    # a window starts from the Duhamel parts of the two before it,
+    # extrapolated, so it takes fewer sweeps than from the free term, and
+    # stops within eps_fp of where the free-term start stops
+    g = make_grid(1, 10.0, 64)
+    p = Params(q=0.5, gamma=gamma, n_dim=1)
+    u0 = standard_data(g, "bump")
+    nl = Nonlinearity.regularized(0.5, 4)
+    cfg = SolveConfig()
+    w = min(0.25, contraction_window(gamma, nl.lipschitz, eta1(gamma, 1)))
+    mesh = TimeMesh.build(0.5, w)
+    assert mesh.window_count >= 6
+    traj = picard_solve(u0, nl, p, mesh, cfg)
+    ends, sweeps = _reference_picard(u0, nl, p, mesh, cfg, free_start=True)
+    assert traj.diagnostics["total_sweeps"] < sweeps
+    for snap, ref in zip(traj.snapshots[1:], ends, strict=True):
+        np.testing.assert_allclose(snap.values, ref, rtol=0, atol=1e-8)
 
 
 def test_below_the_knee_source_and_field_interpolation_agree():
@@ -776,6 +815,40 @@ def test_ladder_history_levels_share_no_memory():
     for i, a in enumerate(arrays):
         for b in arrays[i + 1 :]:
             assert not np.shares_memory(a, b)
+
+
+def test_ladder_reports_each_levels_counts(monkeypatch):
+    # one entry per level run, in schedule order, with that level's own
+    # windows, sweeps and max_residual; the top-level ones are the last
+    # level's
+    g = make_grid(1, 10.0, 64)
+    p = Params(q=0.5, gamma=0.3, n_dim=1)
+    cfg = SolveConfig(n_schedule=(1, 2, 4))
+    seen = []
+    solve = scheme.picard_solve
+
+    def recorded(*args, **kwargs):
+        traj = solve(*args, **kwargs)
+        seen.append(dict(traj.diagnostics))
+        return traj
+
+    monkeypatch.setattr(scheme, "picard_solve", recorded)
+    traj = monotone_solve(standard_data(g, "bump"), p, 0.5, cfg)
+    levels = traj.diagnostics["levels"]
+    assert [lv["n"] for lv in levels] == traj.diagnostics["n_used"] == [1, 2, 4]
+    for lv, diag in zip(levels, seen, strict=True):
+        assert lv == {
+            "n": diag["n"],
+            "windows": diag["windows"],
+            "sweeps": diag["total_sweeps"],
+            "max_residual": diag["max_residual"],
+        }
+        assert 0.0 < lv["max_residual"] <= cfg.eps_fp
+    top = traj.diagnostics
+    assert levels[-1] == {
+        "n": 4, "windows": top["windows"], "sweeps": top["total_sweeps"],
+        "max_residual": top["max_residual"],
+    }
 
 
 def test_monotone_ladder_early_stop():

@@ -3,6 +3,7 @@ prints its table, so a change of the package's API cannot break them
 unseen."""
 
 import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -91,10 +92,15 @@ def test_compare_outputs_finds_the_one_changed_output(tmp_path):
     assert len(listed.stdout.splitlines()) == 1
 
 
-def test_compare_outputs_measures_numbers_when_the_text_agrees():
+def _compare_outputs():
     spec = importlib.util.spec_from_file_location("compare_outputs", _ROOT / "scripts" / "compare_outputs.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
+    return mod
+
+
+def test_compare_outputs_measures_numbers_when_the_text_agrees():
+    mod = _compare_outputs()
     assert mod.compare(b"t,u\n0.5,1e-3\n", b"t,u\n0.5,1e-3\n") == "equal"
     assert mod.compare(b"t,u\n0.5,1e-3\n", b"t,u\n0.5,1.5e-3\n") == "max |diff| 0.0005 (2 numbers)"
     assert mod.compare(b'{"m": NaN, "x": -2}', b'{"m": NaN, "x": -2.25}') == (
@@ -102,3 +108,13 @@ def test_compare_outputs_measures_numbers_when_the_text_agrees():
     )
     assert mod.compare(b"a 1\nb 2\n", b"a 1\nc 2\n") == "differs at line 2: 'b 2' -> 'c 2'"
     assert mod.compare(b"a 1\n", b"a 1\nb 2\n") == "differs in length: 1 -> 2 lines"
+
+
+def test_compare_outputs_sums_the_sweeps_of_every_level():
+    mod = _compare_outputs()
+    levels = [{"n": 1, "sweeps": 5}, {"n": 2, "sweeps": 7}]
+    side = {"diagnostics": {"total_sweeps": 7, "levels": levels}}
+    assert mod._sweeps({"stdout": b"", "out.json": json.dumps(side).encode()}) == 12
+    del side["diagnostics"]["levels"]
+    assert mod._sweeps({"out.json": json.dumps(side).encode()}) == "7 (last level)"
+    assert mod._sweeps({"stdout": b"PASS"}) is None

@@ -344,6 +344,19 @@ def test_smoothing_exponent_light():
     assert rep.details["intercept"] == pytest.approx(rep.details["expected_intercept"], rel=0.05)
 
 
+@pytest.mark.parametrize("gamma", [0.3, 0.4])
+def test_smoothing_fit_is_numpys_least_squares_line(gamma):
+    # the check fits its line in closed form, with no LAPACK call; on the
+    # check's own data that is np.polyfit's line
+    rep = check_smoothing_exponent(gamma=gamma, n_dim=1)
+    prop = semigroup.HeatPropagator(make_grid(1, 24.0, 2048), mirror=True)
+    times = rep.details["times"]
+    vals = [prop.apply_weighted_values(np.ones(prop.shape), t, gamma)[0] for t in times]
+    slope, intercept = np.polyfit(np.log(times), np.log(vals), 1)
+    assert abs(rep.details["slope"] - slope) <= 1e-12
+    assert abs(rep.details["intercept"] - intercept) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Threshold checks
 # ---------------------------------------------------------------------------
