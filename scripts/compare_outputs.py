@@ -4,9 +4,12 @@
 Checks REV out into a temporary git worktree, runs one list of ``singheat``
 commands in that tree and in this one (the checkout holding this script,
 uncommitted changes included), each with its own ``src`` on PYTHONPATH, and
-prints one line per output: ``equal`` when the bytes agree; else, when the
-text between the numbers agrees, the largest absolute difference of the
-numbers; else the first line that differs.  Each command's line gives its
+prints one line per output: ``equal`` when the bytes agree; for a ``.json``
+output, else, key by key: the largest absolute difference of the numbers
+both sides hold, and the keys whose other values changed, were added or
+were removed; for any other output, else, when the text between the numbers
+agrees, the largest absolute difference of the numbers; else the first line
+that differs.  Each command's line gives its
 exit code, wall time and, for a solve, the Picard sweeps of its whole
 ladder, summed over the sidecar's ``levels`` entries, in REV and here (a
 sidecar without them gives its last level's ``total_sweeps``, marked so).
@@ -116,6 +119,56 @@ def compare(old: bytes, new: bytes) -> str:
     return f"differs in length: {len(a.splitlines())} -> {len(b.splitlines())} lines"
 
 
+def _leaves(node, path: str = "") -> dict:
+    """Every leaf of parsed JSON (an empty list or object counts as one) by
+    its path: object keys joined by dots, list items as [index]."""
+    if isinstance(node, dict) and node:
+        items = ((f"{path}.{k}" if path else k, v) for k, v in node.items())
+    elif isinstance(node, list) and node:
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(node))
+    else:
+        return {path: node}
+    leaves = {}
+    for key, value in items:
+        leaves.update(_leaves(value, key))
+    return leaves
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def compare_json(old: bytes, new: bytes) -> str:
+    """``equal`` for equal bytes; else, over the parsed JSON key by key, the
+    largest absolute difference of the numbers both sides hold and the
+    paths of the other leaves that changed, were added or were removed;
+    compare()'s verdict when a side is not JSON."""
+    if old == new:
+        return "equal"
+    try:
+        a, b = _leaves(json.loads(old)), _leaves(json.loads(new))
+    except ValueError:
+        return compare(old, new)
+    worst, numbers, changed = 0.0, 0, []
+    for key in (k for k in a if k in b):
+        u, v = a[key], b[key]
+        if _is_number(u) and _is_number(v):
+            numbers += 1
+            if u != v and not (math.isnan(u) and math.isnan(v)):
+                worst = max(worst, abs(u - v))
+        elif u != v:
+            changed.append(key)
+    verdict = f"max |diff| {worst:.3g} ({numbers} shared numbers)"
+    for label, keys in (
+        ("changed", changed),
+        ("added", [k for k in b if k not in a]),
+        ("removed", [k for k in a if k not in b]),
+    ):
+        if keys:
+            verdict += f"; {label} {', '.join(keys)}"
+    return verdict
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("rev", help="the git revision to compare with, e.g. HEAD~1")
@@ -154,7 +207,8 @@ def main(argv=None) -> int:
                     if out not in old["outputs"] or out not in new["outputs"]:
                         verdict = "only in " + ("this tree" if out in new["outputs"] else args.rev)
                     else:
-                        verdict = compare(old["outputs"][out], new["outputs"][out])
+                        diff = compare_json if out.endswith(".json") else compare
+                        verdict = diff(old["outputs"][out], new["outputs"][out])
                     differ |= verdict != "equal"
                     print(f"  {out}: {verdict}")
         finally:

@@ -461,8 +461,8 @@ def _window_plan(prop: HeatPropagator, length: float, gamma: float, n_nodes: int
     (rows, knots) matrix interp that holds 1 - theta and theta in columns lo
     and lo + 1.  Returns the prepared free-term operator (S(target i) on
     each row, all mixed from the window start alone, which is transformed
-    once; a mix without weights means identity weights, so its sums are the
-    rows) and the prepared sweep operator (lags target_i - s_j, weighted
+    once; prepared without weights, it returns the rows) and the prepared
+    sweep operator (lags target_i - s_j, weighted
     per target, its rows mixed from the knots' sources by interp).
     """
     targets = np.append(duhamel_rule(0.0, length, gamma, n_nodes)[0], length)
@@ -547,8 +547,8 @@ def picard_solve(
     diagnostics' window_plans counts the plans the call built.
     """
     grid = u0.grid
-    if float(u0.values.min()) < 0.0:
-        raise ParameterError("initial data must be non-negative")
+    if not np.all(np.isfinite(u0.values)) or float(u0.values.min()) < 0.0:
+        raise ParameterError("initial data must be finite and non-negative")
     if propagator is None:
         prop = HeatPropagator(grid, mirror=is_mirror_symmetric(u0.values))
     else:

@@ -49,27 +49,26 @@ Fields are transformed in batches sized by a fixed workspace budget, which
 keeps the padded arrays in cache.  The contraction runs over blocks of lines
 along the first spectral axis (a 1D spectrum is one line, one block): for
 each block it forms the row spectra (Y = mix @ X, or the batch itself
-without a mix), multiplies them by the rows' kernel factors (those of the
-earlier axes, whose product is small, in one pass, then the last axis's),
-and adds weights @ Y into the targets' sums.  Last, the sums are inverted.
-Every operator returns weighted sums: one prepared without weights takes
-the identity weights, whose J sums are the J rows' results exactly (each
-adds zeros to one product by 1).  When such an operator's rows fit one
-batch (a one-row operator's always do), its scaled batch spectra are those
-sums, and are inverted where they lie, so the apply holds one spectrum per
-row and no sums.
+without a mix) and multiplies them by the rows' kernel factors (those of
+the earlier axes, whose product is small, in one pass, then the last
+axis's).  With weights it adds weights @ Y into the targets' sums, which
+are inverted last.  Without weights Y is the result: an operator with a
+mix writes it into its J result spectra, and one without a mix inverts each
+batch's scaled spectra before it produces the next, so that apply holds one
+batch of spectra and no sums.
 
 An operator prepared with a (J, K) mix matrix takes K inputs and applies
 row j to sum_k mix[j, k] input_k.  The transform is linear, so the operator
 transforms the K inputs once and mixes the row spectra from theirs.  All J
-rows are contracted together, a block at a time, so an apply holds the K
-input spectra, the T sums and one block, never the J row spectra.  The Picard sweep's source is linear in its
-knot values between the knots (it interpolates the source, not the field),
-so its J = 72 quadrature rows cost K = 10 forward transforms; its free term
-mixes its 9 rows from the window start alone (a one-column mix, identity
-weights), so they cost one.  An operator without a mix has no inputs to
-share: each batch of its rows is its own inputs, contracted before the
-next batch is produced, so its fields stream.
+rows are contracted together, a block at a time, so a weighted apply holds
+the K input spectra, the T sums and one block, never the J row spectra.
+The Picard sweep's source is linear in its knot values between the knots
+(it interpolates the source, not the field), so its J = 72 quadrature rows
+cost K = 10 forward transforms; its free term mixes its 9 rows from the
+window start alone (a one-column mix, no weights), so they cost one.  An
+operator without a mix has no inputs to share: each batch of its rows is
+its own inputs, contracted before the next batch is produced, so its
+fields stream.
 
 An apply takes the J fields (or K inputs) as a stack or as a producer that
 writes each batch's rows into the propagator's scratch, so a caller whose
@@ -297,12 +296,11 @@ class HeatPropagator:
 
     def prepare(self, t, weights=None, mix=None) -> "PreparedHeat":
         """The operator stack -> sum_j weights[i, j] S(t[j]) stack[j] for a
-        fixed length-J time array (and an optional (T, J) weight matrix),
-        with its kernel factors built once.  With a (J, K) mix matrix the
-        operator takes K fields instead, and row j is S(t[j]) applied to
-        sum_k mix[j, k] stack[k].  Without weights the operator takes the
-        identity weights, so its J sums are the rows' results.  See
-        PreparedHeat."""
+        fixed length-J time array and a (T, J) weight matrix, with its
+        kernel factors built once; without weights, the J rows
+        S(t[j]) stack[j] themselves.  With a (J, K) mix matrix the operator
+        takes K fields instead, and row j is S(t[j]) applied to
+        sum_k mix[j, k] stack[k].  See PreparedHeat."""
         times = np.asarray(t, dtype=float)
         if times.ndim != 1 or times.size < 1:
             raise ParameterError(
@@ -390,10 +388,11 @@ def _flat(spec: np.ndarray) -> np.ndarray:
 
 
 class PreparedHeat:
-    """sum_j weights[i, j] S(t[j]) f_j for fixed times and weights (the
-    identity, when prepare was given none), applied to any number of stacks
-    f.  With a (J, K) mix matrix the operator takes K inputs x_k and its J
-    rows are the mixes f_j = sum_k mix[j, k] x_k.
+    """sum_j weights[i, j] S(t[j]) f_j for fixed times and weights, or the
+    J rows S(t[j]) f_j when prepare was given no weights (weights is then
+    None), applied to any number of stacks f.  With a (J, K) mix matrix the
+    operator takes K inputs x_k and its J rows are the mixes
+    f_j = sum_k mix[j, k] x_k.
 
     Built once by HeatPropagator.prepare, it holds everything that depends
     on the times, weights and mix alone:
@@ -410,11 +409,8 @@ class PreparedHeat:
     - On both: _step, the rows whose padded spectra fit
       _FFT_WORKSPACE_BYTES, the batches in which fields are produced,
       transformed and inverted; _span, the rows contracted at once (all J
-      with a mix, else one batch); _blocks, the cuts of the
-      first spectral axis into blocks of lines, each with its rows' factor
-      views; and _in_place, whether the operator was prepared without
-      weights or a mix and one batch holds every row, so that the batch's
-      scaled spectra are inverted as the sums.
+      with a mix, else one batch); and _blocks, the cuts of the first
+      spectral axis into blocks of lines, each with its rows' factor views.
 
     The operator holds no workspace: its applies work in the propagator's
     scratch (see HeatPropagator), and every result is a fresh array.
@@ -423,7 +419,7 @@ class PreparedHeat:
     def __init__(self, prop: HeatPropagator, times: np.ndarray, weights, mix):
         count = times.size
         self.propagator = prop
-        self.weights = np.eye(count) if weights is None else weights
+        self.weights = weights
         self.mix = mix
         grid = prop.grid
         m = grid.points_per_axis
@@ -479,9 +475,6 @@ class PreparedHeat:
         # rows per contraction: all J of an operator with a mix, else one
         # batch, so that its rows stream through the scratch
         self._span = count if mix is not None else step
-        # identity weights on rows that one batch holds: the batch's scaled
-        # spectra are the sums, and are inverted where they lie
-        self._in_place = weights is None and mix is None and count <= step
         # blocks of lines along the first spectral axis (a 1D spectrum is one
         # line): all of them if the contraction's spectra fit the workspace,
         # as a batch's do, else as many as fit a quarter of it, so that a
@@ -495,12 +488,14 @@ class PreparedHeat:
             per = max(1, _FFT_WORKSPACE_BYTES // (4 * line_bytes))
         cuts = [slice(a, a + per) for a in range(0, lines, per)] if per < lines else [slice(None)]
         self._blocks = [(cut, [axes[0][:, cut]] + axes[1:]) for cut in cuts]
-        # with a mix, an apply keeps a block's rows besides the T sums
+        # with a mix and weights, an apply keeps a block's rows besides the T
+        # sums; without weights the rows are the results
         block = (per,) + self._spec_shape[1:] if n > 1 else self._spec_shape
-        self._block_shape = (count,) + block if mix is not None else (0,)
+        self._block_shape = (count,) + block if mix is not None and weights is not None else (0,)
 
     def apply(self, values) -> np.ndarray:
-        """The T weighted sums of J fields, or of the J mixes of K inputs.
+        """The T weighted sums of J fields (without weights, the J rows),
+        or of the J mixes of K inputs.
 
         values is a (J, *grid) stack ((K, *grid) with a mix), or a producer
         fill(lo, hi, out) that writes fields (inputs) lo .. hi - 1 into out,
@@ -531,25 +526,27 @@ class PreparedHeat:
         without, each batch of rows is its own inputs, transformed just
         before its contraction.  A contraction of rows lo .. hi - 1 runs
         over the blocks of spectral lines: it forms the block's row spectra
-        Y (mix @ X, or the batch itself), scales them by the rows' factors
-        in two passes (the earlier axes' product, then the last axis's)
-        and adds weights[:, lo:hi] @ Y into the T sums (the first
-        contraction writes them).  The T sums are inverted last (see
-        _to_box); an operator _in_place has no sums in its scratch and
-        inverts its one batch's scaled spectra instead, which equal them.
-        Each product is one real matrix product, on complex values viewed
-        as float pairs.  The FFT path and the mirror route differ only in
-        their transform pair and in their factors, which on the mirror
-        route are real and scale the spectra's float view."""
+        Y (mix @ X, or the batch itself) and scales them by the rows'
+        factors in two passes (the earlier axes' product, then the last
+        axis's).  With weights it adds weights[:, lo:hi] @ Y into the T
+        sums (the first contraction writes them), which are inverted last
+        (see _to_box).  Without weights Y is the result: mix @ X is written
+        straight into the J result spectra, inverted last; without a mix
+        either, each batch's scaled spectra are inverted into its rows of
+        the result before the next batch is produced.  Each product is one
+        real matrix product, on complex values viewed as float pairs.  The
+        FFT path and the mirror route differ only in their transform pair
+        and in their factors, which on the mirror route are real and scale
+        the spectra's float view."""
         mix, weights = self.mix, self.weights
         count, step, span = self._shape[0], self._step, self._span
-        targets = weights.shape[0]
+        targets = count if weights is None else weights.shape[0]
         rows, work, lines, spec, outs, ys = self.propagator._scratch(
             ((min(step, self._inputs),) + self._shape[1:], float),
             (self._work[0], float),
             (self._work[1], complex),
             ((step if mix is None else self._inputs,) + self._spec_shape, complex),
-            ((0 if self._in_place else targets,) + self._spec_shape, complex),
+            ((0 if weights is None and mix is None else targets,) + self._spec_shape, complex),
             (self._block_shape, complex),
         )
         work = (work, lines)
@@ -568,7 +565,7 @@ class PreparedHeat:
             for cut, factors in self._blocks:
                 y = x[:, cut]
                 if mix is not None:
-                    block = ys[:, : y.shape[1]]
+                    block = outs[:, cut] if weights is None else ys[:, : y.shape[1]]
                     np.matmul(mix, _flat(y), out=_flat(block))
                     y = block
                 scaled = y.view(float) if self.propagator.mirror else y
@@ -576,16 +573,16 @@ class PreparedHeat:
                 if head:  # the earlier axes' factors are small: one pass for all
                     scaled *= functools.reduce(np.multiply, head)[lo:hi]
                 scaled *= last[lo:hi]
-                if self._in_place:
+                if weights is None:
                     continue
                 sums = _flat(outs[:, cut])
                 if lo == 0:
                     np.matmul(weights[:, :hi], _flat(y), out=sums)
                 else:
                     sums += weights[:, lo:hi] @ _flat(y)
-        if self._in_place:
-            outs = x
-        for k in range(0, targets, step):
+            if weights is None and mix is None:
+                self._to_box(x, work, out[lo:hi])
+        for k in range(0, len(outs), step):  # no sums when the batches were inverted
             self._to_box(outs[k : k + step], work, out[k : k + step])
         return out
 

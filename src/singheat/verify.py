@@ -19,7 +19,11 @@ That does not extend to two ladder levels: they use different g_n, and where
 the walls drag values below the knee 1/(2n), g_m > g_n for m > n, so the
 ladder's decrease can fail there (the zero-data gamma = 0 solve with L = 12,
 M = 64, t = 1 and n = 1, 2, ..., 256 stops at n = 99 on an increase of
-3.07e-5).
+3.07e-5).  Not every failure of the decrease is a wall effect: the 1D step
+datum at gamma = 0.1, L = 12, M = 64 (h = 0.375) fails at n = 64 by 1.7e-3,
+and at the same h with the walls twice as far out (L = 24, M = 128) still by
+1.47e-3.  Its cause is open; ROADMAP item 1 (the kernel's variance on steps
+shorter than h^2) names the likely one.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -250,7 +251,7 @@ def test_duhamel_rule_survives_extreme_grading():
     # non-negative lag (prepare rejects others), one owning target and a
     # positive weight
     free_op, sweep = _window_plan(HeatPropagator(make_grid(1, 8.0, 64)), 0.25, 1.7, 32)
-    assert sweep.weights.shape[0] == free_op.weights.shape[0] == sweep.mix.shape[1] - 1
+    assert sweep.weights.shape[0] == free_op.mix.shape[0] == sweep.mix.shape[1] - 1
     assert np.all((sweep.weights > 0).sum(axis=0) == 1)
     assert np.all(sweep.weights >= 0)
 
@@ -380,6 +381,28 @@ def test_picard_rejects_mismatched_mesh_and_records():
     other = HeatPropagator(make_grid(1, 12.0, 64))
     with pytest.raises(ParameterError):
         picard_solve(u0, Nonlinearity.zero(), p, mesh, propagator=other)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solves_reject_non_finite_data_before_any_sweep(bad, monkeypatch):
+    # one NaN or inf node is refused up front, with no plan built, no sweep
+    # run and no RuntimeWarning, by the Picard march and by the ladder
+    g = make_grid(1, 8.0, 64)
+    p = Params(q=0.5, gamma=0.3, n_dim=1)
+    values = standard_data(g, "bump").values.copy()
+    values[5] = bad
+    u0 = GridFunction(g, values)
+
+    def no_plan(*args):
+        raise AssertionError("a plan was built")
+
+    monkeypatch.setattr(scheme, "_window_plan", no_plan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="finite"):
+            picard_solve(u0, Nonlinearity.regularized(0.5, 2), p, TimeMesh.build(0.5, 0.25))
+        with pytest.raises(ParameterError, match="finite"):
+            monotone_solve(u0, p, 0.5, SolveConfig(n_schedule=(1, 2)))
 
 
 def test_picard_mirror_propagator_rejects_asymmetric_data():

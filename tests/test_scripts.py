@@ -110,6 +110,31 @@ def test_compare_outputs_measures_numbers_when_the_text_agrees():
     assert mod.compare(b"a 1\n", b"a 1\nb 2\n") == "differs in length: 1 -> 2 lines"
 
 
+def test_compare_outputs_compares_json_key_by_key():
+    # a sidecar that gains a key: the text comparison stops at the first
+    # line that differs, the key-by-key one still measures the shared
+    # numbers and names the new key
+    mod = _compare_outputs()
+    old = {"diagnostics": {"max_residual": 1e-9, "orthant": True, "windows": 4}, "t_end": 1.0}
+    new = json.loads(json.dumps(old))
+    new["diagnostics"]["levels"] = [{"n": 1}]
+    new["diagnostics"]["max_residual"] = 1.5e-9
+    a = json.dumps(old, indent=2).encode()
+    b = json.dumps(new, indent=2).encode()
+    assert mod.compare(a, b).startswith("differs at line")
+    assert mod.compare_json(a, b) == (
+        "max |diff| 5e-10 (3 shared numbers); added diagnostics.levels[0].n"
+    )
+    new["diagnostics"]["orthant"] = False
+    b = json.dumps(new, indent=2).encode()
+    assert mod.compare_json(b, a) == (
+        "max |diff| 5e-10 (3 shared numbers); changed diagnostics.orthant; "
+        "removed diagnostics.levels[0].n"
+    )
+    assert mod.compare_json(a, a) == "equal"
+    assert mod.compare_json(b"a 1\n", b"a 2\n") == "max |diff| 1 (1 numbers)"
+
+
 def test_compare_outputs_sums_the_sweeps_of_every_level():
     mod = _compare_outputs()
     levels = [{"n": 1, "sweeps": 5}, {"n": 2, "sweeps": 7}]

@@ -464,7 +464,8 @@ def test_mixed_inputs_equal_mixed_fields_applied_row_by_row(
             assert out.shape == ref.shape
             np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
         if weights is None:
-            # a mix without weights takes the identity weights, bit for bit
+            # a mix without weights returns the rows: those of explicit identity
+            # weights, bit for bit
             eye = prop.prepare(_BATCH_TIMES, np.eye(_BATCH_TIMES.size), mix=_MIX)
             np.testing.assert_array_equal(prop.apply_weighted_values(inputs, eye, gamma), out)
         calls = []
@@ -631,15 +632,22 @@ def test_operators_of_one_propagator_share_its_scratch(n_dim, points):
     "n_dim,points,mirror", [(1, 512, False), (2, 48, False), (2, 192, True), (3, 32, True)]
 )
 def test_one_row_operator_holds_one_spectrum(n_dim, points, mirror):
-    # an operator prepared without weights whose rows fit one batch inverts
-    # the batch's spectra where they lie: after an apply the scratch holds
-    # that one spectrum and one batch's transform work, and no separate
-    # sums.  Its results are those of the same operator given the identity
-    # weights explicitly, which forms the sums, bit for bit
+    # an operator prepared without weights has none (weights is None) and
+    # returns its rows: it inverts each batch's spectra where they lie, so
+    # after an apply the scratch holds one batch of spectra and its
+    # transform work, and no sums, whether one batch holds every row (one
+    # row) or the rows span several (nine, in 2D M = 192 on the orthant).
+    # One with a mix and no weights, shaped like the free term, writes its
+    # mixed spectra as its results: the scratch holds the input's spectrum
+    # and the nine result spectra, and no block of row spectra.  Their
+    # results are those of the same operators given the identity weights
+    # explicitly, which form the sums, bit for bit
     g = make_grid(n_dim, 10.0 if n_dim < 3 else 8.0, points)
     prop = HeatPropagator(g, mirror=mirror)
-    f = np.random.default_rng(points).uniform(0.0, 1.0, prop.shape)
+    rng = np.random.default_rng(points)
+    f = rng.uniform(0.0, 1.0, prop.shape)
     op = prop.prepare([0.5])
+    assert op.weights is None
     out = op.apply(f[None])
     spectrum = 16 * math.prod(op._spec_shape)
     work = 8 * math.prod(op._work[0]) + 16 * math.prod(op._work[1])
@@ -649,6 +657,25 @@ def test_one_row_operator_holds_one_spectrum(n_dim, points, mirror):
     np.testing.assert_array_equal(
         prop.prepare([0.1, 0.3]).apply(rows), prop.prepare([0.1, 0.3], np.eye(2)).apply(rows)
     )
+    times = np.linspace(0.1, 0.5, 9)
+    stack = rng.uniform(0.0, 1.0, (times.size,) + prop.shape)
+    prop = HeatPropagator(g, mirror=mirror)
+    op = prop.prepare(times)
+    if (n_dim, points, mirror) == (2, 192, True):
+        assert op._step < times.size
+    out = op.apply(stack)
+    spectrum = 16 * math.prod(op._spec_shape)
+    work = 8 * math.prod(op._work[0]) + 16 * math.prod(op._work[1])
+    assert prop._buffer.nbytes <= op._step * (spectrum + 8 * f.size) + work + 6 * 64
+    np.testing.assert_array_equal(out, prop.prepare(times, np.eye(times.size)).apply(stack))
+    prop = HeatPropagator(g, mirror=mirror)
+    op = prop.prepare(times, mix=np.ones((times.size, 1)))
+    assert op.weights is None and op._block_shape == (0,)
+    out = op.apply(f[None])
+    work = 8 * math.prod(op._work[0]) + 16 * math.prod(op._work[1])
+    assert prop._buffer.nbytes <= (1 + times.size) * spectrum + 8 * f.size + work + 6 * 64
+    eye = prop.prepare(times, np.eye(times.size), mix=np.ones((times.size, 1)))
+    np.testing.assert_array_equal(out, eye.apply(f[None]))
 
 
 def test_sweep_shaped_operator_holds_no_row_spectra():
