@@ -9,13 +9,14 @@ output, else, key by key: the largest absolute difference of the numbers
 both sides hold, and the keys whose other values changed, were added or
 were removed; for any other output, else, when the text between the numbers
 agrees, the largest absolute difference of the numbers; else the first line
-that differs.  Each command's line gives its
-exit code, wall time and, for a solve, the Picard sweeps of its whole
-ladder, summed over the sidecar's ``levels`` entries, in REV and here (a
-sidecar without them gives its last level's ``total_sweeps``, marked so).
-The list is the benchmark's two workloads (perfbench/workloads.py), the
-default, 2D, 3D, step-data and gamma = 0.6 solves, ``constants``,
-``gamma-star``, ``sweep`` and every ``--help``.  Only local git is used.
+that differs.  Each command's line gives its exit code, wall time, peak
+RSS (the child's ru_maxrss) and, for a solve, the Picard sweeps of its
+whole ladder, summed over the sidecar's ``levels`` entries, in REV and here
+(a sidecar without them gives its last level's ``total_sweeps``, marked
+so).  The list is the benchmark's two workloads (perfbench/workloads.py),
+the default, 2D, 3D, step-data and gamma = 0.6 solves, the full default
+``verify`` suite, ``constants``, ``gamma-star``, ``sweep`` and every
+``--help``.  Only local git is used.
 
     python scripts/compare_outputs.py REV [--only NAME,...]
 
@@ -52,6 +53,7 @@ COMMANDS = (
                       "--t-end", "0.25", "--n-schedule", "1,2,4,8,16", "--out", "solve.csv"]),
         ("solve-step", ["solve", "--u0", "step", "--points", "256", "--out", "solve.csv"]),
         ("solve-gamma-0.6", ["solve", "--gamma", "0.6", "--points", "256", "--out", "solve.csv"]),
+        ("verify-all", ["verify", "--json", "verify.json"]),
         ("constants", ["constants", "--gamma", "0.3", "--dim", "2", "--json", "constants.json"]),
         ("gamma-star", ["gamma-star", "--q", "0.5", "--json", "gamma-star.json"]),
         ("sweep", ["sweep", "--param", "gamma", "--start", "0", "--stop", "0.4",
@@ -65,19 +67,25 @@ _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?Infinity|NaN|
 
 
 def _run(tree: Path, argv: list, workdir: Path) -> dict:
-    """One command in one tree: its exit code, wall time and outputs (stdout
-    and every file it wrote into workdir), by name."""
+    """One command in one tree: its exit code, wall time, peak RSS in MB
+    (the child's ru_maxrss, from os.wait4) and outputs (stdout and every
+    file it wrote into workdir), by name."""
     workdir.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-m", "singheat.cli", *argv],
-        cwd=workdir, env=env, capture_output=True,
-    )
-    wall = time.perf_counter() - start
-    outputs = {"stdout": done.stdout}
+    with tempfile.TemporaryFile() as stdout:
+        start = time.perf_counter()
+        child = subprocess.Popen(
+            [sys.executable, "-m", "singheat.cli", *argv],
+            cwd=workdir, env=env, stdout=stdout, stderr=subprocess.DEVNULL,
+        )
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)
+        stdout.seek(0)
+        outputs = {"stdout": stdout.read()}
     outputs.update((p.name, p.read_bytes()) for p in sorted(workdir.iterdir()))
-    return {"exit": done.returncode, "wall": wall, "outputs": outputs}
+    return {"exit": child.returncode, "wall": wall, "peak_mb": usage.ru_maxrss / 1024,
+            "outputs": outputs}
 
 
 def _sweeps(outputs: dict) -> "int | str | None":
@@ -202,7 +210,8 @@ def main(argv=None) -> int:
                 if sweeps != (None, None):
                     line += f", sweeps {sweeps[0]} -> {sweeps[1]}"
                     differ |= sweeps[0] != sweeps[1]
-                print(line + f", {old['wall']:.2f} s -> {new['wall']:.2f} s")
+                print(line + f", {old['wall']:.2f} s -> {new['wall']:.2f} s"
+                      f", {old['peak_mb']:.1f} MB -> {new['peak_mb']:.1f} MB peak")
                 for out in sorted(set(old["outputs"]) | set(new["outputs"])):
                     if out not in old["outputs"] or out not in new["outputs"]:
                         verdict = "only in " + ("this tree" if out in new["outputs"] else args.rev)

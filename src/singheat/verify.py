@@ -30,9 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import random
-import threading
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
@@ -335,11 +333,10 @@ def volterra_extremal(inst: GronwallInstance) -> tuple[np.ndarray, np.ndarray]:
     leading part, so one inverse, built once, serves every block including a
     short last one.  That inverse is lower-triangular Toeplitz as well, so it
     is held as its first column and applied as a convolution.  Nothing here
-    calls a threaded BLAS routine: with np.linalg.inv and a matrix product
-    in their place, the check running first in the verify pool took about
-    0.1 s instead of 0.01 s while the other thread also called BLAS.  This
-    extremal equality solution is the largest function satisfying the
-    inequality of the instance.
+    calls np.linalg or a matrix product, so the solve calls no LAPACK or
+    threaded BLAS routine, whose first call faults in over a megabyte of
+    the library's code.  This extremal equality solution is the largest
+    function satisfying the inequality of the instance.
     """
     a_c, m_c, al = inst.a_const, inst.m_const, inst.alpha
     n = inst.steps
@@ -746,50 +743,27 @@ def default_suite(names: "Sequence[str] | None" = None) -> "dict[str, Callable[[
 
 
 def run_suite(names: "Sequence[str] | None" = None) -> list[CheckReport]:
-    """Run named checks (default: all) and return their reports, each named
-    by its suite key, sorted by that key.
+    """Run named checks (default: all) one after another on the calling
+    thread, in name order, and return their reports, each named by its
+    suite key, sorted by that key.
 
-    The checks run on os.cpu_count() workers, capped at the number of
-    checks selected: the calling thread and one threading.Thread helper per
-    further worker, each taking the next unclaimed check in name order until
-    none is left.  With one worker no thread is started.  The helpers are
-    joined before the call returns, even when the calling thread's share
-    raises.  Failures inside a check (as opposed to failed inequalities) are
-    converted into failing reports carrying the error text, so one broken
-    check cannot take down the suite.
+    An Exception inside a check (as opposed to a failed inequality) becomes
+    a failing report with margin -inf and the error text, and the remaining
+    checks still run, so one broken check cannot take down the suite.  Any
+    other BaseException propagates.
     """
-    ordered = sorted(default_suite(names).items())
-    reports: list = [None] * len(ordered)
-    claim = iter(enumerate(ordered))
-    lock = threading.Lock()
-
-    def work():
-        while True:
-            with lock:
-                item = next(claim, None)
-            if item is None:
-                return
-            k, (name, fn) = item
-            try:
-                reports[k] = replace(fn(), name=name)
-            except Exception as exc:  # surface as a failing report, don't crash the suite
-                reports[k] = CheckReport(
+    reports = []
+    for name, fn in sorted(default_suite(names).items()):
+        try:
+            reports.append(replace(fn(), name=name))
+        except Exception as exc:  # surface as a failing report, don't crash the suite
+            reports.append(
+                CheckReport(
                     name=name,
                     passed=False,
                     margin=-math.inf,
                     tolerance=0.0,
                     details={"error": f"{type(exc).__name__}: {exc}"},
                 )
-
-    helpers = [
-        threading.Thread(target=work)
-        for _ in range(min(os.cpu_count() or 1, len(ordered)) - 1)
-    ]
-    for helper in helpers:
-        helper.start()
-    try:
-        work()
-    finally:
-        for helper in helpers:
-            helper.join()
+            )
     return reports

@@ -441,6 +441,36 @@ assert codes == [0] * 5, codes
     assert proc.returncode == 0, proc.stderr
 
 
+def test_commands_start_no_thread(tmp_path):
+    # verify runs its checks one after another on the calling thread, and no
+    # other command starts a thread either, whatever the core count
+    script = f"""
+import os
+import threading
+
+os.cpu_count = lambda: 4
+
+def refuse(self):
+    raise AssertionError("a thread was started")
+
+threading.Thread.start = refuse
+
+from singheat.cli import main
+out = {str(tmp_path)!r}
+codes = [
+    main(["solve", "--gamma", "0.3", "--points", "32", "--half-width", "6",
+          "--t-end", "0.25", "--n-schedule", "1,2", "--out", out + "/s.csv"]),
+    main(["verify", "--suite", "heaviside,smoothing,subsolution", "--json", out + "/v.json"]),
+    main(["constants", "--gamma", "0.3", "--dim", "2"]),
+    main(["gamma-star", "--q", "0.5"]),
+    main(["sweep", "--param", "gamma", "--start", "0", "--stop", "0.4", "--count", "3"]),
+]
+assert codes == [0] * 5, codes
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _unused_imports(path: Path) -> list:
     """Names a module imports and never reads.  A read is a name in the
     code, in a string annotation or in __all__; an import marked

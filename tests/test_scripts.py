@@ -143,3 +143,11 @@ def test_compare_outputs_sums_the_sweeps_of_every_level():
     del side["diagnostics"]["levels"]
     assert mod._sweeps({"out.json": json.dumps(side).encode()}) == "7 (last level)"
     assert mod._sweeps({"stdout": b"PASS"}) is None
+
+
+def test_compare_outputs_reports_each_commands_peak(tmp_path):
+    mod = _compare_outputs()
+    done = mod._run(_ROOT, ["gamma-star", "--q", "0.5"], tmp_path / "out")
+    assert done["exit"] == 0
+    assert done["peak_mb"] > 0
+    assert b"gamma" in done["outputs"]["stdout"]

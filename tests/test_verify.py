@@ -1,9 +1,7 @@
 """The check library: each inequality check on light instances, plus failure
 and error paths."""
 
-import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -445,20 +443,19 @@ def test_run_suite_converts_crashes_to_failing_reports(monkeypatch):
     assert "ZeroDivisionError" in reports[0].details["error"]
 
 
-def test_run_suite_parallel_matches_serial(monkeypatch):
-    # the nine light checks of the benchmark suite on a pool of two threads;
-    # the propagator checks run at once, each on its own propagator
+def test_run_suite_matches_direct_calls():
+    # the nine light checks of the benchmark suite, through run_suite and
+    # called one by one
     names = [
         "gronwall-exp", "gronwall-singular", "gronwall-zero", "heaviside", "lambda-limit",
         "max-at-origin", "smoothing", "subsolution", "subsolution-2d",
     ]
     suite = default_suite()
-    serial = [suite[name]() for name in names]
-    monkeypatch.setattr("singheat.verify.os.cpu_count", lambda: 2)
-    parallel = run_suite(names)
-    assert all(r.passed for r in serial)
-    assert [r.name for r in parallel] == names
-    for a, b in zip(serial, parallel):
+    direct = [suite[name]() for name in names]
+    reports = run_suite(names)
+    assert all(r.passed for r in direct)
+    assert [r.name for r in reports] == names
+    for a, b in zip(direct, reports):
         assert a.margin == b.margin
 
 
@@ -468,97 +465,55 @@ def _fake_suite(monkeypatch, suite):
     )
 
 
-@pytest.mark.parametrize("cores,checks,workers", [(4, 3, 3), (2, 3, 2), (1, 3, None), (4, 1, None)])
-def test_run_suite_pool_size(monkeypatch, cores, checks, workers):
-    # one worker per core, capped at the checks selected; the calling thread
-    # is one of them, so one worker (None) starts no thread
-    started = []
-
-    class Recording(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    names = [f"c{k}" for k in range(checks)]
-    _fake_suite(monkeypatch, {n: (lambda n=n: CheckReport(n, True, 1.0, 0.0)) for n in names})
-    monkeypatch.setattr(verify.threading, "Thread", Recording)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: cores)
-    reports = run_suite(names)
-    assert [r.name for r in reports] == names
-    assert len(started) == (0 if workers is None else workers - 1)
-    assert not any(t.is_alive() for t in started)
-
-
-def test_run_suite_claims_each_check_once_under_contention(monkeypatch):
-    # more workers than cores and a short switch interval: every check runs
-    # exactly once, and every report lands in its name's place
-    names = [f"c{k:03d}" for k in range(300)]
+def test_run_suite_runs_each_check_once_on_the_calling_thread(monkeypatch):
+    # in name order, on the caller's thread, and no thread is started
+    names = [f"c{k}" for k in range(5)]
     ran = []
 
     def check(name):
-        ran.append(name)
+        ran.append((name, threading.get_ident()))
         return CheckReport("unnamed", True, 1.0, 0.0)
 
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
     _fake_suite(monkeypatch, {n: (lambda n=n: check(n)) for n in names})
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        reports = run_suite(names)
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(ran) == names
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    reports = run_suite(names[::-1])
+    assert ran == [(n, threading.get_ident()) for n in names]
     assert [r.name for r in reports] == names
 
 
-def _on_two_threads(on_caller, on_helper):
-    """Two checks that wait for each other, so the calling thread runs one
-    and the helper the other, each then calling its own function."""
-    caller = threading.get_ident()
-    both = threading.Barrier(2)
+def test_run_suite_reports_a_middle_checks_error_in_its_place(monkeypatch):
+    ran = []
 
-    def check():
-        both.wait(timeout=30)
-        (on_caller if threading.get_ident() == caller else on_helper)()
+    def ok(name):
+        ran.append(name)
         return CheckReport("unnamed", True, 1.0, 0.0)
 
-    return {"a": check, "b": check}
-
-
-def test_run_suite_reports_a_helpers_error_in_name_order(monkeypatch):
     def boom():
+        ran.append("b")
         raise RuntimeError("boom")
 
-    _fake_suite(monkeypatch, _on_two_threads(lambda: None, boom))
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-    reports = run_suite(["b", "a"])
-    assert [r.name for r in reports] == ["a", "b"]
-    failed = [r for r in reports if not r.passed]
-    assert len(failed) == 1 and failed[0].details == {"error": "RuntimeError: boom"}
-    assert failed[0].margin == -np.inf
+    _fake_suite(monkeypatch, {"a": lambda: ok("a"), "b": boom, "c": lambda: ok("c")})
+    reports = run_suite(["c", "b", "a"])
+    assert ran == ["a", "b", "c"]
+    assert [r.name for r in reports] == ["a", "b", "c"]
+    assert [r.passed for r in reports] == [True, False, True]
+    assert reports[1].details == {"error": "RuntimeError: boom"}
+    assert reports[1].margin == -np.inf
 
 
-def test_run_suite_joins_its_helper_when_the_callers_share_raises(monkeypatch):
-    class Stop(BaseException):
-        pass
+def test_run_suite_lets_a_keyboard_interrupt_propagate(monkeypatch):
+    ran = []
 
-    raised = threading.Event()
-    done = []
+    def interrupt():
+        raise KeyboardInterrupt
 
-    def stop():
-        raised.set()
-        raise Stop
-
-    def finish():  # still running when the caller's share raises
-        raised.wait(timeout=30)
-        time.sleep(0.1)
-        done.append(True)
-
-    _fake_suite(monkeypatch, _on_two_threads(stop, finish))
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-    with pytest.raises(Stop):
+    _fake_suite(monkeypatch, {"a": interrupt, "b": lambda: ran.append("b")})
+    with pytest.raises(KeyboardInterrupt):
         run_suite(["a", "b"])
-    assert done == [True]
+    assert ran == []
 
 
 @pytest.mark.parametrize(
