@@ -10,13 +10,13 @@ both sides hold, and the keys whose other values changed, were added or
 were removed; for any other output, else, when the text between the numbers
 agrees, the largest absolute difference of the numbers; else the first line
 that differs.  Each command's line gives its exit code, wall time, peak
-RSS (the child's ru_maxrss) and, for a solve, the Picard sweeps of its
-whole ladder, summed over the sidecar's ``levels`` entries, in REV and here
-(a sidecar without them gives its last level's ``total_sweeps``, marked
-so).  The list is the benchmark's two workloads (perfbench/workloads.py),
-the default, 2D, 3D, step-data and gamma = 0.6 solves, the full default
-``verify`` suite, ``constants``, ``gamma-star``, ``sweep`` and every
-``--help``.  Only local git is used.
+RSS (the command's own VmHWM, which it writes as it exits) and, for a
+solve, the Picard sweeps of its whole ladder, summed over the sidecar's
+``levels`` entries, in REV and here (a sidecar without them gives its last
+level's ``total_sweeps``, marked so).  The list is the benchmark's two
+workloads (perfbench/workloads.py), the default, 2D, 3D, step-data and
+gamma = 0.6 solves, the full default ``verify`` suite, ``constants``,
+``gamma-star``, ``sweep`` and every ``--help``.  Only local git is used.
 
     python scripts/compare_outputs.py REV [--only NAME,...]
 
@@ -63,29 +63,46 @@ COMMANDS = (
     + [(f"help-{cmd}", [cmd, "--help"]) for cmd in _SUBCOMMANDS]
 )
 
+# Runs the CLI as ``python -m singheat.cli`` does, after arranging for the
+# interpreter to write its VmHWM, in kB, into the file named by its first
+# argument as it exits.  The high-water mark of /proc/self/status starts
+# afresh at exec, whereas ru_maxrss keeps that of the image the child was
+# forked from: this script's, however large it has grown.
+_CHILD = '''
+import atexit, runpy, sys
+
+peak = sys.argv.pop(1)
+
+def _write_peak():
+    with open("/proc/self/status") as status, open(peak, "w") as out:
+        out.write(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+
+atexit.register(_write_peak)
+runpy.run_module("singheat.cli", run_name="__main__", alter_sys=True)
+'''
+
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?Infinity|NaN|-?inf|nan")
 
 
 def _run(tree: Path, argv: list, workdir: Path) -> dict:
     """One command in one tree: its exit code, wall time, peak RSS in MB
-    (the child's ru_maxrss, from os.wait4) and outputs (stdout and every
-    file it wrote into workdir), by name."""
+    (its own VmHWM; nan if it wrote none) and outputs (stdout and every file
+    it wrote into workdir), by name."""
     workdir.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    peak = workdir.with_name(workdir.name + ".peak")
     with tempfile.TemporaryFile() as stdout:
         start = time.perf_counter()
-        child = subprocess.Popen(
-            [sys.executable, "-m", "singheat.cli", *argv],
+        code = subprocess.call(
+            [sys.executable, "-c", _CHILD, str(peak), *argv],
             cwd=workdir, env=env, stdout=stdout, stderr=subprocess.DEVNULL,
         )
-        _, status, usage = os.wait4(child.pid, 0)
         wall = time.perf_counter() - start
-        child.returncode = os.waitstatus_to_exitcode(status)
         stdout.seek(0)
         outputs = {"stdout": stdout.read()}
     outputs.update((p.name, p.read_bytes()) for p in sorted(workdir.iterdir()))
-    return {"exit": child.returncode, "wall": wall, "peak_mb": usage.ru_maxrss / 1024,
-            "outputs": outputs}
+    peak_mb = int(peak.read_text()) / 1024 if peak.exists() else math.nan
+    return {"exit": code, "wall": wall, "peak_mb": peak_mb, "outputs": outputs}
 
 
 def _sweeps(outputs: dict) -> "int | str | None":

@@ -266,6 +266,8 @@ def parse_config(argv: "Sequence[str] | None" = None) -> RunConfig:
         opts["suite"] = None
         if args.suite != "all":
             suite = opts["suite"] = tuple(s.strip() for s in args.suite.split(",") if s.strip())
+            if not suite:
+                fail(f"suite: {args.suite!r} names no check; give 'all' or check names")
             _checked(fail, lambda: default_suite(suite), "suite: ")
         return RunConfig(command=command, **opts)
     cfg = RunConfig(command=command, **opts)

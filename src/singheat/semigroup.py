@@ -26,23 +26,24 @@ of the operator's longest-time kernel (13 sqrt(t_max), beyond which the
 Gaussian is zero in double precision), rounded up to an even 5-smooth length
 and capped at the doubled box 2M.  The kernel wrapped at length P keeps its
 displacements up to P - M, so the circular convolution folds nothing back
-onto the box.  The N-D spectrum is the outer product of 1D spectra: an
-operator holds one 1D spectrum per time (O(M) bytes in any dimension), and
-each row's spectrum is multiplied by it once per axis.
+onto the box, and only those are sampled (see _kernel_entry).  The N-D
+spectrum is the outer product of 1D spectra: an operator holds one 1D
+spectrum per time (O(M) bytes in any dimension), and each row's spectrum is
+multiplied by it once per axis.
 
 One call can also apply a stack of fields, each for its own time, and return
 weighted sums of the results: the batched form of the Duhamel quadrature.
 Every call goes through a prepared operator (PreparedHeat), built by
 HeatPropagator.prepare for fixed times, weights and mix: it builds the
-kernels once, all in one vectorized pass (one array of samples, one mass
-check per row, one batched transform), and holds them stacked, one row per
-field, together with its blocks of spectral lines; every apply works in its
-propagator's one scratch buffer.  Nothing caches kernels beyond the
-operators that hold them: a caller that applies the same times again keeps
-its operator.  The Picard solve prepares its sweep and free-term operators
-once per window length, in window-relative time, since a window's lags
-depend on its length alone, and applies them to every window of that length,
-on every ladder level that has one.  The sums are taken in the spectral
+kernels once, all in one vectorized pass (one array of samples over the
+kernels' reach, one mass check, one batched transform), and holds them
+stacked, one row per field, together with its blocks of spectral lines;
+every apply works in its propagator's one scratch buffer.  Nothing caches
+kernels beyond the operators that hold them: a caller that applies the same
+times again keeps its operator.  The Picard solve prepares its sweep and
+free-term operators once per window length, in window-relative time, since
+a window's lags depend on its length alone, and applies them to every
+window of that length, on every ladder level that has one.  The sums are taken in the spectral
 domain, so J fields for T targets cost J forward and T inverse transforms.
 Every apply, on either route, is one loop: transform, contract, invert.
 Fields are transformed in batches sized by a fixed workspace budget, which
@@ -227,22 +228,31 @@ class HeatPropagator:
 
     # -- kernel construction -------------------------------------------------
 
-    def _axis_samples(self, t) -> np.ndarray:
-        """1D kernel samples h * G_t at displacements -(M-1)..(M-1); for a
-        1D time array, one row per time."""
-        m = self.grid.points_per_axis
+    def _axis_samples(self, t, reach: "int | None" = None) -> np.ndarray:
+        """1D kernel samples h * G_t at displacements -k..k, in grid steps,
+        for k = reach (default M - 1, the whole box); for a 1D time array,
+        one row per time.  The samples are formed in the one array that they
+        are returned in: d^2 at d = i h, i = 0..k, over the row's exponent
+        coefficient -4t, overwritten by its exp and scaled, then mirrored
+        onto -k..-1."""
         h = self.grid.h
-        d = np.arange(-(m - 1), m, dtype=float) * h
+        k = self.grid.points_per_axis - 1 if reach is None else reach
         times = np.atleast_1d(np.asarray(t, dtype=float))
-        arg = -d * d / (4.0 * times[:, None])
+        samples = np.empty((times.size, 2 * k + 1))
+        half = samples[:, k:]
+        squares = np.arange(k + 1, dtype=float)
+        squares *= h
+        squares *= squares
+        coefficient = -4.0 * times
+        np.divide(squares, coefficient[:, None], out=half)
+        del squares
         # exp underflows to 0 below _EXP_ZERO, and numpy's exp is several
-        # times slower on such arguments than on the others: skip them.  The
-        # samples overwrite their arguments, so a prepare holds one array of
-        # them, not two
-        under = arg <= _EXP_ZERO
-        samples = np.exp(arg, out=arg, where=~under)
-        samples[under] = 0.0
-        samples *= np.array([h * (4.0 * math.pi * s) ** -0.5 for s in times.tolist()])[:, None]
+        # times slower on such arguments than on the others: skip them
+        under = half <= _EXP_ZERO
+        np.exp(half, out=half, where=~under)
+        half[under] = 0.0
+        half *= (h * (4.0 * math.pi * times) ** -0.5)[:, None]
+        samples[:, :k] = half[:, :0:-1]
         return samples[0] if np.ndim(t) == 0 else samples
 
     def raw_kernel_mass(self, t: float) -> float:
@@ -251,35 +261,42 @@ class HeatPropagator:
             raise ParameterError(f"raw_kernel_mass requires t > 0 (got {t})")
         return float(np.sum(self._axis_samples(t))) ** self.grid.n_dim
 
-    def _check_mass(self, t: float, mass: float) -> None:
-        if mass < 1.0 - _EPS_TAIL:
-            raise TruncationError(
-                f"box half-width {self.grid.half_width} truncates the heat kernel at "
-                f"t = {t}: discrete mass {mass:.12g} < 1 - {_EPS_TAIL}"
-            )
-
     def _kernel_entry(self, t, length: "int | None" = None, out=None) -> np.ndarray:
         """The 1D kernel factor for time t, at padded length `length`
         (default 2M; see the class docstring).  For a 1D array of times
         t > 0, the factors are built in one pass, one row per time, and
         written into out when it is given; a truncating time raises
-        TruncationError naming it.  The samples are freed before the transform, so a build
-        holds at most the wrapped kernels, their spectra and the result at
-        once."""
+        TruncationError naming the first.
+
+        The kernel wrapped at length L keeps its displacements up to
+        k = min(L - M, M - 1), and only those are sampled and summed.  For
+        k < M - 1, L covers the reach of every row's kernel, beyond which
+        its mass is below erfc(6.5) = 4e-20; a kernel that the box
+        truncates reaches past M - 1, which forces L = 2M and the whole
+        box.  The samples are freed before the transform, so a build holds
+        at most the wrapped kernels, their spectra and the result at once."""
         m = self.grid.points_per_axis
         scalar = np.ndim(t) == 0
-        g = self._axis_samples(np.atleast_1d(t))
-        axis_mass = np.sum(g, axis=1)
-        for s, mass in zip(np.atleast_1d(t).tolist(), axis_mass.tolist()):
-            self._check_mass(s, mass**self.grid.n_dim)
-        g /= axis_mass[:, None]
+        times = np.atleast_1d(np.asarray(t, dtype=float))
         length = 2 * m if length is None else length
-        # displacements up to k on each side; length >= M + k keeps the
-        # circular convolution from wrapping any of them onto the box
+        # length >= M + k keeps the circular convolution from wrapping any
+        # displacement onto the box
         k = min(length - m, m - 1)
-        wrapped = np.zeros((g.shape[0], length))
-        wrapped[:, : k + 1] = g[:, m - 1 : m + k]            # displacements 0 .. k
-        wrapped[:, length - k :] = g[:, m - 1 - k : m - 1]   # displacements -k .. -1
+        g = self._axis_samples(times, k)
+        axis_mass = np.sum(g, axis=1)
+        mass = axis_mass**self.grid.n_dim
+        short = mass < 1.0 - _EPS_TAIL
+        if short.any():
+            first = int(np.argmax(short))
+            raise TruncationError(
+                f"box half-width {self.grid.half_width} truncates the heat kernel at "
+                f"t = {float(times[first])}: discrete mass {float(mass[first]):.12g} "
+                f"< 1 - {_EPS_TAIL}"
+            )
+        g /= axis_mass[:, None]
+        wrapped = np.zeros((times.size, length))
+        wrapped[:, : k + 1] = g[:, k:]            # displacements 0 .. k
+        wrapped[:, length - k :] = g[:, :k]       # displacements -k .. -1
         del g
         if self.mirror:
             spectra = np.fft.rfft(wrapped)

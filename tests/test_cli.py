@@ -101,6 +101,15 @@ def test_usage_errors_exit_2(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("suite", [",", " ", " , ,", ""])
+def test_suite_naming_no_check_is_a_usage_error(capsys, suite):
+    # a --suite that names no check is refused, not read as the whole suite
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["verify", "--suite", suite])
+    assert exc.value.code == 2
+    assert "error: suite: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("extra", LIBRARY_REJECTS)
 def test_solve_usage_error_starts_no_work(tmp_path, monkeypatch, extra):
     # each input is rejected while parsing, by the object that reads it:

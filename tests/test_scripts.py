@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -151,3 +152,16 @@ def test_compare_outputs_reports_each_commands_peak(tmp_path):
     assert done["exit"] == 0
     assert done["peak_mb"] > 0
     assert b"gamma" in done["outputs"]["stdout"]
+
+
+def test_compare_outputs_peak_is_the_commands_own(tmp_path):
+    # a command started after the script has grown by about 100 MB reports
+    # the peak it reaches alone, not the high-water mark of the image it was
+    # forked from
+    mod = _compare_outputs()
+    argv = ["gamma-star", "--q", "0.5"]
+    alone = mod._run(_ROOT, argv, tmp_path / "alone")["peak_mb"]
+    ballast = np.ones(100 * 2**20 // 8)  # every page written, so resident
+    grown = mod._run(_ROOT, argv, tmp_path / "grown")["peak_mb"]
+    assert ballast.nbytes / 2**20 > grown
+    assert abs(grown - alone) < 10.0

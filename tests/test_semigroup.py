@@ -1,6 +1,7 @@
 """Discrete heat semigroup: mass, exact Gaussians, contraction, weighting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -739,6 +740,90 @@ def test_kernel_entry_batch_names_its_truncating_time(n_dim, points):
         prop._kernel_entry(np.array([0.01, 0.5, 25.0, 0.02]))
     with pytest.raises(TruncationError, match=r"t = 25\.0:"):
         prop.prepare([0.01, 25.0])
+
+
+def _kernel_length(prop, t_max):
+    """The padded length L at which an operator of times up to t_max asks
+    for its factors: P on the FFT path, 2Q on the mirror route."""
+    m, h = prop.grid.points_per_axis, prop.grid.h
+    if prop.mirror:
+        return 2 * semigroup._orthant_length(m, h, t_max)
+    return semigroup._padded_length(m, h, t_max)
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["fft", "mirror"])
+@pytest.mark.parametrize("n_dim,half_width,points", [(1, 8.0, 256), (2, 6.0, 48), (3, 6.0, 24)])
+def test_kernel_entry_samples_the_kernels_reach_alone(monkeypatch, n_dim, half_width, points,
+                                                      mirror):
+    # at a padded length L below the 2M cap and at the cap, the factors are
+    # those of a full-box build (samples at every displacement of the box,
+    # summed to their mass, wrapped at L and transformed), within 1e-15 of
+    # the largest, and no displacement beyond k = min(L - M, M - 1) is
+    # sampled
+    g = make_grid(n_dim, half_width, points)
+    prop = HeatPropagator(g, mirror=mirror)
+    m = points
+    full_box = HeatPropagator._axis_samples
+    widths = []
+
+    def counted(self, t, reach=None):
+        samples = full_box(self, t, reach)
+        widths.append(samples.shape[-1])
+        return samples
+
+    monkeypatch.setattr(HeatPropagator, "_axis_samples", counted)
+    times = np.array([0.5, 1e-3, 1.0, 0.1, 1e-5]) * 0.05
+    below = _kernel_length(prop, float(times.max()))
+    assert below < 2 * m
+    for length in (below, 2 * m):
+        k = min(length - m, m - 1)
+        factors = prop._kernel_entry(times, length)
+        assert widths == [2 * k + 1]
+        widths.clear()
+        samples = full_box(prop, times)
+        samples /= samples.sum(axis=1)[:, None]
+        wrapped = np.zeros((times.size, length))
+        wrapped[:, : k + 1] = samples[:, m - 1 : m + k]
+        wrapped[:, length - k :] = samples[:, m - 1 - k : m - 1]
+        if mirror:
+            ref = np.fft.rfft(wrapped).real[:, : length // 2]
+        else:
+            ref = (np.fft.rfft if n_dim == 1 else np.fft.fft)(wrapped)
+        assert factors.shape == ref.shape and factors.dtype == ref.dtype
+        assert np.max(np.abs(factors - ref)) <= 1e-15 * np.max(np.abs(ref))
+    # an operator asks at L below the cap
+    prop.prepare(times)
+    assert widths == [2 * (below - m) + 1]
+    widths.clear()
+    # a time the box truncates is named, the first of two, and forces L = 2M
+    with pytest.raises(TruncationError, match=r"t = 30\.0:"):
+        prop.prepare(np.append(times, [30.0, 25.0]))
+    assert widths == [2 * m - 1]
+    assert _kernel_length(prop, 25.0) == 2 * m
+
+
+def test_kernel_build_memory():
+    # tracemalloc peaks of the 1D M = 32768 builds: the samples at t = 1
+    # (the whole box) take one array and a half-width vector of squares;
+    # prepare at t = 0.01 samples its reach alone, and holds the factors,
+    # the wrapped kernel and its transform at the peak
+    g = make_grid(1, 6.0, 32768)
+    prop = HeatPropagator(g)
+    tracemalloc.start()
+    try:
+        samples = prop._axis_samples(1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+        assert samples.shape == (2 * 32768 - 1,)
+        assert peak <= 2 * samples.nbytes
+        del samples
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        op = prop.prepare([0.01])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    factors = 16 * (op._padded[0] // 2 + 1)
+    assert peak <= 3 * factors
 
 
 def test_smoothing_bound_for_weighted_operator():
