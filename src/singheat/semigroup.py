@@ -74,9 +74,12 @@ fields stream.
 An apply takes the J fields (or K inputs) as a stack or as a producer that
 writes each batch's rows into the propagator's scratch, so a caller whose
 fields are computed (the sub-solution check's barrier powers) never holds
-all J of them.  On the FFT path, 2D and 3D applies call numpy's rfftn and
-irfftn at P points per axis and cut the inverse to the box; a 1D apply pads
-its rows to P itself and calls rfft and irfft.
+all J of them.  The rows go to the front of the memory their spectra will
+take, since every forward transform reads them out before it writes a
+spectrum: the scratch holds each batch once.  On the FFT path, 2D and 3D
+applies call numpy's rfftn and irfftn at P points per axis and cut the
+inverse to the box; a 1D apply pads its rows to P itself, calls rfft, and
+calls irfft into those padded rows.
 
 The mirror route (HeatPropagator(grid, mirror=True)) holds every field by
 its positive orthant, (M/2)^N values.  The zero-extended convolution of a
@@ -417,7 +420,9 @@ class PreparedHeat:
     - FFT path: the padded length P of every axis, sized to the reach of
       the kernel of the largest time (see _padded_length), and the per-row
       kernel factors at that length stacked into one (J, P) complex array
-      ((J, P/2+1) in 1D), ones for t = 0 rows.
+      ((J, P/2+1) in 1D), ones for t = 0 rows.  In 1D, _work holds the
+      padded rows that a batch of inputs is transformed from and a batch
+      of results is inverted into: a batch of whichever are more.
     - Mirror route: the cosine-transform length Q of the half axis in place
       of P (see _orthant_length) and real factors of Q values per row (on
       the last axis, paired to match the spectrum's float view; see
@@ -430,7 +435,10 @@ class PreparedHeat:
       spectral axis into blocks of lines, each with its rows' factor views.
 
     The operator holds no workspace: its applies work in the propagator's
-    scratch (see HeatPropagator), and every result is a fresh array.
+    scratch (see HeatPropagator), and every result is a fresh array.  The
+    scratch holds each batch once: its rows are produced into the memory
+    its spectra take (see _transform), and a 1D batch is padded and
+    inverted in one set of padded rows (see _to_box).
     """
 
     def __init__(self, prop: HeatPropagator, times: np.ndarray, weights, mix):
@@ -486,9 +494,12 @@ class PreparedHeat:
             lines = step * q ** (n - 1) * (q + 2)
             self._work = ((lines,), (lines // q * (q // 2 + 1) if n > 1 else 0,))
         else:
-            # a batch of 1D rows padded to P (rfftn pads 2D and 3D rows itself);
-            # no complex work
-            self._work = ((min(step, self._inputs), q) if n == 1 else (0,), (0,))
+            # a batch of 1D rows padded to P, which the forward transform reads
+            # and the inverse writes, so it holds a batch of inputs or of
+            # targets (rfftn and irfftn pad 2D and 3D rows themselves); no
+            # complex work
+            targets = count if weights is None else weights.shape[0]
+            self._work = ((min(step, max(self._inputs, targets)), q) if n == 1 else (0,), (0,))
         # rows per contraction: all J of an operator with a mix, else one
         # batch, so that its rows stream through the scratch
         self._span = count if mix is not None else step
@@ -518,7 +529,9 @@ class PreparedHeat:
         fill(lo, hi, out) that writes fields (inputs) lo .. hi - 1 into out,
         a contiguous (hi - lo, *grid) view of the propagator's scratch.  The
         operator calls it once per batch, in order, so the caller never holds
-        the whole stack.  A stack is the producer that copies its rows.
+        the whole stack.  The transform overwrites out with the batch's
+        spectra after the producer returns, so a producer must not keep it.
+        A stack is the producer that copies its rows.
         """
         if callable(values):
             fill = values
@@ -558,8 +571,7 @@ class PreparedHeat:
         mix, weights = self.mix, self.weights
         count, step, span = self._shape[0], self._step, self._span
         targets = count if weights is None else weights.shape[0]
-        rows, work, lines, spec, outs, ys = self.propagator._scratch(
-            ((min(step, self._inputs),) + self._shape[1:], float),
+        work, lines, spec, outs, ys = self.propagator._scratch(
             (self._work[0], float),
             (self._work[1], complex),
             ((step if mix is None else self._inputs,) + self._spec_shape, complex),
@@ -567,18 +579,16 @@ class PreparedHeat:
             (self._block_shape, complex),
         )
         work = (work, lines)
-        if not self.propagator.mirror:
-            work[0][..., self._shape[-1] :] = 0.0  # 1D rows' padding, shared with other operators
         if mix is not None:
             for lo in range(0, self._inputs, step):
                 hi = min(lo + step, self._inputs)
-                self._transform(fill, lo, hi, rows, work, spec[lo:hi])
+                self._transform(fill, lo, hi, work, spec[lo:hi])
         out = np.empty((targets,) + self._shape[1:])
         x = spec
         for lo in range(0, count, span):
             hi = min(lo + span, count)
             if mix is None:
-                x = self._transform(fill, lo, hi, rows, work, spec[: hi - lo])
+                x = self._transform(fill, lo, hi, work, spec[: hi - lo])
             for cut, factors in self._blocks:
                 y = x[:, cut]
                 if mix is not None:
@@ -603,37 +613,46 @@ class PreparedHeat:
             self._to_box(outs[k : k + step], work, out[k : k + step])
         return out
 
-    def _transform(self, fill, lo: int, hi: int, rows, work, out: np.ndarray) -> np.ndarray:
-        """Produce rows lo .. hi - 1 into rows and write their spectra into
-        out: on the mirror route by _dct_forward, else by numpy's transforms
-        of the rows zero-padded to P per axis.  A 1D row is padded into work
+    def _transform(self, fill, lo: int, hi: int, work, out: np.ndarray) -> np.ndarray:
+        """Produce rows lo .. hi - 1 into the front of out's memory and
+        overwrite them with their spectra: on the mirror route by
+        _dct_forward, else by numpy's transforms of the rows zero-padded to
+        P per axis.  Every transform reads the rows out before it writes a
+        spectrum (_reorder's real lines, the 1D padded rows, rfftn's own
+        result), and a row takes no more bytes than its spectrum, so the
+        rows need no buffer of their own.  A 1D row is padded into work
         first (numpy transforms a padded line faster than it pads one
         itself) and rfft writes into out; rfftn, which takes no out in 2D
-        and 3D, pads the rows itself.  Returns out.  rows is contiguous, not
-        a view of the padded lines: the producer's elementwise passes run
-        slower on a strided view (g_n on a 2D M = 192 row: 70 us more)."""
+        and 3D, pads the rows itself.  Returns out.  The rows are
+        contiguous, not a view of the padded lines: the producer's
+        elementwise passes run slower on a strided view (g_n on a 2D
+        M = 192 row: 70 us more)."""
         nb = hi - lo
-        fill(lo, hi, rows[:nb])
+        rows = np.ndarray((nb,) + self._shape[1:], float, out)
+        fill(lo, hi, rows)
         if self.propagator.mirror:
-            return self._dct_forward(rows[:nb], work, out)
+            return self._dct_forward(rows, work, out)
         if len(self._padded) == 1:
             padded = work[0][:nb]
-            padded[:, : self._shape[-1]] = rows[:nb]
+            padded[:, : self._shape[-1]] = rows
+            padded[:, self._shape[-1] :] = 0.0  # _to_box and other operators write it
             return np.fft.rfft(padded, axis=1, out=out)
-        out[...] = np.fft.rfftn(rows[:nb], s=self._padded, axes=range(1, rows.ndim))
+        out[...] = np.fft.rfftn(rows, s=self._padded, axes=range(1, rows.ndim))
         return out
 
     def _to_box(self, spec: np.ndarray, work, out: np.ndarray) -> None:
         """Write the box of the inverse transforms of a batch of spectra
         into out: irfft (irfftn in 2D and 3D) at P per axis, cut to the
         first M values; on the mirror route, _dct_inverse, which overwrites
-        spec."""
+        spec.  A 1D batch is inverted into the padded rows of work, which
+        the next forward transform pads again."""
         if self.propagator.mirror:
             self._dct_inverse(spec, work, out)
             return
         box = (slice(None),) + (slice(0, self._shape[-1]),) * len(self._padded)
         if len(self._padded) == 1:
-            out[...] = np.fft.irfft(spec, n=self._padded[0], axis=1)[box]
+            padded = np.fft.irfft(spec, n=self._padded[0], axis=1, out=work[0][: len(spec)])
+            out[...] = padded[box]
         else:
             out[...] = np.fft.irfftn(spec, s=self._padded, axes=range(1, spec.ndim))[box]
 

@@ -372,36 +372,38 @@ def test_producer_apply_equals_stack_apply(n_dim, points, batch_rows, gamma, mon
     # a producer that writes the rows of a stack gives that stack's result
     # bit for bit, with and without weights and with a t = 0 row; the
     # operator asks for every row once, in order, and hands the producer
-    # views of its propagator's scratch
+    # contiguous views of its propagator's scratch, on either route (the
+    # mirror route's fields are orthant halves of the grid's)
     g = make_grid(n_dim, 6.0, points)
     if batch_rows is not None:
         # the FFT workspace holds batch_rows padded rows
         p = semigroup._padded_length(points, g.h, float(_BATCH_TIMES.max()))
         monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * p**n_dim)
-    prop = HeatPropagator(g)
-    rng = np.random.default_rng(7 * n_dim + points)
-    stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + g.shape)
-    weight = prop.weight_values(gamma) if gamma else None
-    for weights in (None, _BATCH_WEIGHTS):
-        op = prop.prepare(_BATCH_TIMES, weights)
-        if batch_rows is not None:
-            assert op._step == batch_rows
-        calls = []
+    for prop in (HeatPropagator(g), HeatPropagator(g, mirror=True)):
+        rng = np.random.default_rng(7 * n_dim + points)
+        stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + prop.shape)
+        weight = prop.weight_values(gamma) if gamma else None
+        for weights in (None, _BATCH_WEIGHTS):
+            op = prop.prepare(_BATCH_TIMES, weights)
+            if batch_rows is not None and not prop.mirror:
+                assert op._step == batch_rows
+            calls = []
 
-        def fill(lo, hi, out):
-            calls.append((lo, hi))
-            assert out.shape == (hi - lo,) + g.shape
-            assert np.shares_memory(out, prop._buffer)
-            for k, row in enumerate(out):
-                row[...] = stack[lo + k] * weight if gamma else stack[lo + k]
+            def fill(lo, hi, out):
+                calls.append((lo, hi))
+                assert out.shape == (hi - lo,) + prop.shape
+                assert out.flags.c_contiguous
+                assert np.shares_memory(out, prop._buffer)
+                for k, row in enumerate(out):
+                    row[...] = stack[lo + k] * weight if gamma else stack[lo + k]
 
-        produced = prop.apply_heat_values(fill, op)
-        ref = prop.apply_weighted_values(stack, op, gamma)
-        np.testing.assert_array_equal(produced, ref)
-        assert not np.shares_memory(produced, prop._buffer)
-        # every column of _BATCH_WEIGHTS is weighted, so no batch is skipped
-        count, step = _BATCH_TIMES.size, op._step
-        assert calls == [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+            produced = prop.apply_heat_values(fill, op)
+            ref = prop.apply_weighted_values(stack, op, gamma)
+            np.testing.assert_array_equal(produced, ref)
+            assert not np.shares_memory(produced, prop._buffer)
+            # every column of _BATCH_WEIGHTS is weighted, so no batch is skipped
+            count, step = _BATCH_TIMES.size, op._step
+            assert calls == [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 # five rows mixed from three inputs: a copy, two interpolations, a row that
@@ -477,6 +479,31 @@ def test_mixed_inputs_equal_mixed_fields_applied_row_by_row(
 
         np.testing.assert_array_equal(prop.apply_heat_values(fill, op), out)
         assert calls == [(lo, min(lo + op._step, count)) for lo in range(0, count, op._step)]
+
+
+@pytest.mark.parametrize("inputs,targets", [(1, None), (2, 7)])
+def test_one_dimensional_inverse_batches_more_targets_than_inputs(inputs, targets, monkeypatch):
+    # a 1D apply inverts each batch of spectra into the padded rows that its
+    # forward transforms pad the inputs in, so those rows hold a batch of
+    # inputs or of results, whichever is larger.  Here batches of three
+    # rows: the free term's shape (one input mixed into nine rows, no
+    # weights) and a weighted one (two inputs, seven sums), whose results
+    # are inverted in three batches, equal the per-row reference
+    g = make_grid(1, 6.0, 256)
+    times = np.linspace(0.05, 0.45, 9)
+    p = semigroup._padded_length(256, g.h, float(times.max()))
+    monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", 3 * 16 * p)
+    prop = HeatPropagator(g)
+    rng = np.random.default_rng(11 + inputs)
+    mix = np.ones((times.size, 1)) if inputs == 1 else rng.uniform(0.0, 1.0, (times.size, inputs))
+    weights = None if targets is None else rng.uniform(0.0, 1.0, (targets, times.size))
+    op = prop.prepare(times, weights, mix)
+    assert op._step == 3 and op._work[0] == (3, p)
+    stack = rng.uniform(0.0, 2.0, (inputs,) + g.shape)
+    ref = _per_row_reference(prop, mix @ stack, times, weights)
+    out = op.apply(stack)
+    assert out.shape == ref.shape and len(out) > 2 * op._step
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("n_dim,points", [(1, 256), (2, 24), (3, 12)])
@@ -710,6 +737,47 @@ def test_sweep_shaped_operator_holds_no_row_spectra():
     )
     assert rows * spectrum > bound  # a scratch holding the row spectra fails
     assert prop._buffer.nbytes <= bound
+
+
+def test_one_dimensional_apply_memory():
+    # an apply at 1D M = 32768, t = 1 (P = 65536, one-row batches) peaks at
+    # its scratch and its result: the row is produced into its spectrum's
+    # memory and inverted into its padded row, so it allocates no rows
+    # buffer and no (rows, P) inverse
+    g = make_grid(1, 6.0, 32768)
+    prop = HeatPropagator(g)
+    op = prop.prepare([1.0])
+    f = np.random.default_rng(19).uniform(0.0, 1.0, (1,) + g.shape)
+    tracemalloc.start()
+    try:
+        out = op.apply(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op._padded == (65536,) and op._step == 1
+    assert peak <= prop._buffer.nbytes + out.nbytes + 2**16
+
+
+def test_mirror_batch_scratch_holds_no_rows():
+    # a 2D M = 192 orthant apply of 32 weighted rows from a producer, shaped
+    # like the subsolution-2d check's: its scratch holds one batch of
+    # spectra, the sum's spectrum and the transform work, and no buffer of
+    # the batch's rows, which are produced into their spectra's memory
+    g = make_grid(2, 10.0, 192)
+    prop = HeatPropagator(g, mirror=True)
+    times = np.linspace(0.01, 0.5, 32)
+    op = prop.prepare(times, np.full((1, times.size), 1.0 / times.size))
+    stack = np.random.default_rng(23).uniform(0.0, 1.0, (times.size,) + prop.shape)
+
+    def fill(lo, hi, out):
+        out[...] = stack[lo:hi]
+
+    out = op.apply(fill)
+    np.testing.assert_array_equal(out, op.apply(stack))
+    assert 1 < op._step < times.size
+    spectrum = 16 * math.prod(op._spec_shape)
+    work = 8 * math.prod(op._work[0]) + 16 * math.prod(op._work[1])
+    assert prop._buffer.nbytes <= (op._step + 1) * spectrum + work + 5 * 64
 
 
 @pytest.mark.parametrize(
