@@ -10,10 +10,10 @@ precedence is built-in defaults, then a JSON config file (--config) that may
 set those of them, then explicit flags; ``verify``, none of whose options a
 file could set, takes no --config.  Every option is checked before any
 work starts, by the library object that reads it (Params, the solve's
-Grid, SolveConfig and TimeMesh, and standard_data for the data spec), and
-a value it rejects is a usage error.  Outputs are written atomically
-(temp file + rename) and are byte-identical across reruns of the same
-configuration.  Exit codes: 0 success / all checks pass, 1 check failures,
+Grid, SolveConfig and TimeMesh, and standard_data for the data spec; an
+output path, by its directory), and a value it rejects is a usage error.
+Outputs are written atomically (temp file + rename) and are byte-identical
+across reruns of the same configuration.  Exit codes: 0 success / all checks pass, 1 check failures,
 2 usage errors, 3 runtime failures (reported as one structured line on
 stderr).
 """
@@ -222,8 +222,9 @@ def parse_config(argv: "Sequence[str] | None" = None) -> RunConfig:
     to a number, then checked by building what the command will read:
     Params, the solve's Grid and SolveConfig, its TimeMesh for t_end and the
     record times, and standard_data on a grid of 2 points per axis for u0.
-    Values those reject, values that are not numbers, and config keys the
-    command does not read exit with a usage error naming the offending key.
+    An --out or --json path must lie in an existing directory.  Values those
+    reject, values that are not numbers, and config keys the command does
+    not read exit with a usage error naming the offending key.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -261,6 +262,10 @@ def parse_config(argv: "Sequence[str] | None" = None) -> RunConfig:
             opts[key] = str(value)
         elif key != "points" or value is not None:  # points left unset follow the dimension
             opts[key] = _number(key, value, int if key in _INTEGERS else float, fail)
+    for key, option in (("out", "out"), ("json_path", "json")):
+        path = opts.get(key)
+        if path and not Path(path).parent.is_dir():
+            fail(f"{option}: output directory {Path(path).parent} does not exist")
 
     if command == "verify":
         opts["suite"] = None

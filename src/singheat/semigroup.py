@@ -88,9 +88,12 @@ convolution, which a DCT-II, a real product and a DCT-III compute exactly
 on the orthant (Martucci 1994): the FFT path's sums at P = 2Q, where the
 half axis of M/2 points is padded to Q (see _orthant_length).  Each cosine
 transform is one rfft of length Q (Makhoul 1980), so an axis costs about a
-quarter of the FFT path's transform, in every dimension.  The kernel factor
-of a row is real, the first Q values of the FFT path's factor at P = 2Q,
-and the transform-contract-invert loop is the FFT path's.
+quarter of the FFT path's transform, in every dimension.  A batch is
+transformed along its last axis at once and along each earlier axis one
+row at a time, in both directions, so the scratch holds one row's padded
+lines along an earlier axis, not a batch's.  The kernel factor of a row is
+real, the first Q values of the FFT path's factor at P = 2Q, and the
+transform-contract-invert loop is the FFT path's.
 """
 
 from __future__ import annotations
@@ -427,7 +430,11 @@ class PreparedHeat:
       of P (see _orthant_length) and real factors of Q values per row (on
       the last axis, paired to match the spectrum's float view; see
       _dct_forward).  Every spectrum is held as the FFT path's half
-      spectrum at P = Q, so the apply loop is the FFT path's.
+      spectrum at P = Q, so the apply loop is the FFT path's.  _work
+      holds the batch's real lines along the last axis, or one row's
+      padded lines along an earlier axis if those are more, and one row's
+      half spectra of the latter: the earlier axes are transformed a row
+      at a time.
     - On both: _step, the rows whose padded spectra fit
       _FFT_WORKSPACE_BYTES, the batches in which fields are produced,
       transformed and inverted; _span, the rows contracted at once (all J
@@ -489,10 +496,12 @@ class PreparedHeat:
         row_bytes = 16 * q**n
         self._step = step = max(1, min(count, _FFT_WORKSPACE_BYTES // row_bytes))
         if prop.mirror:
-            # a batch's lines in real space and, for the earlier axes, their
-            # half spectra
-            lines = step * q ** (n - 1) * (q + 2)
-            self._work = ((lines,), (lines // q * (q // 2 + 1) if n > 1 else 0,))
+            # the batch's real lines along the last axis, or one row's padded
+            # lines along an earlier axis, whichever are more, and those
+            # lines' half spectra: the earlier axes go a row at a time
+            lines = q ** (n - 1) * (q + 2) if n > 1 else 0
+            batch = step * prop.shape[0] ** (n - 1) * q
+            self._work = ((max(batch, lines),), (lines // q * (q // 2 + 1),))
         else:
             # a batch of 1D rows padded to P, which the forward transform reads
             # and the inverse writes, so it holds a batch of inputs or of
@@ -677,8 +686,9 @@ class PreparedHeat:
     def _dct_forward(self, rows: np.ndarray, work, out: np.ndarray) -> np.ndarray:
         """The cosine spectra of a batch of orthant rows zero-padded to Q per
         axis, into the complex array out, in rfftn's axis order: the last
-        axis over its m^(N-1) data lines, then each earlier axis, in the
-        float view, over the lines that are non-zero so far."""
+        axis over the batch's m^(N-1) data lines at once, then each earlier
+        axis, in the float view, over the lines that are non-zero so far,
+        one row at a time, so that the work holds one row's lines."""
         real, lines = work
         n = rows.ndim - 1
         m = rows.shape[1]
@@ -691,22 +701,23 @@ class PreparedHeat:
         dst = out[(slice(None),) + (slice(0, m),) * (n - 1)]
         np.fft.rfft(line, axis=n, out=dst)
         dst *= twiddle
-        for ax in range(n - 1, 0, -1):
+        for ax in range(n - 2, -1, -1):  # an axis of one row
             at = (slice(None),) * ax
-            src = dst.view(float)
-            shape = src.shape[:ax] + (q,) + src.shape[ax + 1 :]
+            srcs = out[(slice(None),) + (slice(0, m),) * (ax + 1)].view(float)
+            shape = srcs.shape[1 : ax + 1] + (q,) + srcs.shape[ax + 2 :]
             line = real[: math.prod(shape)].reshape(shape)
-            _reorder(src, line, ax)
             cshape = shape[:ax] + (half + 1,) + shape[ax + 1 :]
             spec = lines[: math.prod(cshape)].reshape(cshape)
-            np.fft.rfft(line, axis=ax, out=spec)
-            spec *= twiddle.reshape((half + 1,) + (1,) * (n - ax))
-            dst = out[(slice(None),) + (slice(0, m),) * (ax - 1)]
-            flat = dst.view(float)
-            flat[at + (slice(0, half + 1),)] = spec.real
-            np.negative(
-                spec.imag[at + (slice(half - 1, 0, -1),)], out=flat[at + (slice(half + 1, q),)]
-            )
+            turn = twiddle.reshape((half + 1,) + (1,) * (n - 1 - ax))
+            dsts = out[(slice(None),) + (slice(0, m),) * ax].view(float)
+            for src, flat in zip(srcs, dsts):
+                _reorder(src, line, ax)
+                np.fft.rfft(line, axis=ax, out=spec)
+                spec *= turn
+                flat[at + (slice(0, half + 1),)] = spec.real
+                np.negative(
+                    spec.imag[at + (slice(half - 1, 0, -1),)], out=flat[at + (slice(half + 1, q),)]
+                )
         return out
 
     def _dct_inverse(self, spec: np.ndarray, work, out: np.ndarray) -> np.ndarray:
@@ -714,31 +725,37 @@ class PreparedHeat:
         contiguous spectra, into out, axis 1 first: after each earlier axis
         only the first m values, which the box holds, go on to the next,
         written over the front of spec.  An earlier axis, in the float view,
-        forms exp(i pi k / 2Q) (d_k - i d_(Q-k)) from its coefficients d; the
-        last axis turns its half spectra by exp(i pi k / 2Q) in place.  Each
-        takes one irfft of length Q per line and reads the box from it: even
-        samples forward, odd samples backward from the end."""
+        forms exp(i pi k / 2Q) (d_k - i d_(Q-k)) from its coefficients d, one
+        row at a time and in order, since a row's box ends before the next
+        row starts; the last axis turns the batch's half spectra by
+        exp(i pi k / 2Q) in place.  Each takes one irfft of length Q per line
+        and reads the box from it: even samples forward, odd samples
+        backward from the end."""
         real, lines = work
         n = spec.ndim - 1
         m = out.shape[1]
         q = self._padded[0]
         half = q // 2
         twiddle = self._twiddles[1]
-        for ax in range(1, n):
+        for ax in range(n - 1):  # an axis of one row
             at = (slice(None),) * ax
+            turn = twiddle.reshape((half + 1,) + (1,) * (n - 1 - ax))
             flat = spec.view(float)
-            cshape = flat.shape[:ax] + (half + 1,) + flat.shape[ax + 1 :]
+            shape = flat.shape[1:]
+            line = real[: math.prod(shape)].reshape(shape)
+            cshape = shape[:ax] + (half + 1,) + shape[ax + 1 :]
             c = lines[: math.prod(cshape)].reshape(cshape)
-            c.real = flat[at + (slice(0, half + 1),)]
-            c.imag[at + (slice(0, 1),)] = 0.0
-            np.negative(
-                flat[at + (slice(q - 1, half - 1, -1),)], out=c.imag[at + (slice(1, None),)]
-            )
-            c *= twiddle.reshape((half + 1,) + (1,) * (n - ax))
-            line = np.fft.irfft(c, n=q, axis=ax, out=real[: flat.size].reshape(flat.shape))
-            box = flat.shape[:ax] + (m,) + flat.shape[ax + 1 :]
+            box = flat.shape[: ax + 1] + (m,) + flat.shape[ax + 2 :]
             kept = flat.reshape(-1)[: math.prod(box)].reshape(box)
-            _unreorder(line, kept, ax)
+            for row, dst in zip(flat, kept):
+                c.real = row[at + (slice(0, half + 1),)]
+                c.imag[at + (slice(0, 1),)] = 0.0
+                np.negative(
+                    row[at + (slice(q - 1, half - 1, -1),)], out=c.imag[at + (slice(1, None),)]
+                )
+                c *= turn
+                np.fft.irfft(c, n=q, axis=ax, out=line)
+                _unreorder(line, dst, ax)
             spec = kept.view(complex)
         spec *= twiddle
         shape = spec.shape[:-1] + (q,)

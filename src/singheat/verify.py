@@ -15,15 +15,18 @@ at distance 5 sqrt(t) is below 1e-3 of the local scale, decaying like
 erfc(5/2)/2 ~ 2e-4 toward the interior).  Comparing two trajectories of one
 ladder level needs no mask: the same discrete operator and the same g_n drive
 both, so ordering is preserved at every node including the sagging ones.
-That does not extend to two ladder levels: they use different g_n, and where
-the walls drag values below the knee 1/(2n), g_m > g_n for m > n, so the
-ladder's decrease can fail there (the zero-data gamma = 0 solve with L = 12,
-M = 64, t = 1 and n = 1, 2, ..., 256 stops at n = 99 on an increase of
-3.07e-5).  Not every failure of the decrease is a wall effect: the 1D step
-datum at gamma = 0.1, L = 12, M = 64 (h = 0.375) fails at n = 64 by 1.7e-3,
-and at the same h with the walls twice as far out (L = 24, M = 128) still by
-1.47e-3.  Its cause is open; ROADMAP item 1 (the kernel's variance on steps
-shorter than h^2) names the likely one.
+That does not extend to two ladder levels: they use different g_n and
+windows of different lengths, so the ladder's decrease can fail.  The
+zero-data gamma = 0 solve with L = 12, M = 64, t = 1 and n = 1, 2, ..., 256
+stops at n = 99 on an increase of 3.07e-5, and the 1D step datum at
+gamma = 0.1, L = 12, M = 64 (h = 0.375) fails at n = 64 by 1.7e-3 (at the
+same h with the walls twice as far out, L = 24 and M = 128, still by
+1.47e-3).  The walls are not the likely cause of either: both ladders pass
+with a kernel whose discrete variance is 2 tau on steps tau shorter than
+h^2 (ROADMAP item 1).  The likely cause is that the sampled kernel's
+variance falls short of 2 tau on such steps, so short steps do not compose
+to a long one and two levels, whose windows differ, run different discrete
+operators.
 """
 
 from __future__ import annotations

@@ -128,6 +128,33 @@ def test_solve_usage_error_starts_no_work(tmp_path, monkeypatch, extra):
 
 
 @pytest.mark.parametrize(
+    "argv,option,work",
+    [
+        (["solve", "--out", "{missing}/o.csv"], "out", "singheat.cli.monotone_solve"),
+        (["verify", "--suite", "all", "--json", "{missing}/x.json"], "json",
+         "singheat.cli.run_suite"),
+        (["constants", "--json", "{missing}/c.json"], "json",
+         "singheat.constants.constants_report"),
+    ],
+)
+def test_output_in_a_missing_directory_is_a_usage_error(
+    tmp_path, monkeypatch, capsys, argv, option, work
+):
+    # an output path whose directory does not exist is refused while
+    # parsing, before the command's work starts, not after it
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(work, no_work)
+    missing = tmp_path / "nodir"
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(missing=missing) for arg in argv])
+    assert exc.value.code == 2
+    assert f"error: {option}: output directory {missing} does not exist" in capsys.readouterr().err
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize(
     "command,config,env,key",
     [
         (["constants"], {"q": "abc"}, None, "q"),
@@ -333,10 +360,14 @@ def test_verify_exit_one_on_failing_check(monkeypatch, capsys):
 
 
 def test_numerical_errors_exit_3(tmp_path, capsys):
-    rc = main(["constants", "--json", str(tmp_path / "no_dir" / "x.json")])
+    # a box of half-width 1 truncates the kernel of a step of the ladder
+    out = tmp_path / "x.csv"
+    rc = main(["solve", "--out", str(out), "--half-width", "1", "--points", "8",
+               "--t-end", "10", "--n-schedule", "1"])
     assert rc == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ParameterError:")
+    assert err.startswith("error: TruncationError:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_preserves_input_order(capsys):

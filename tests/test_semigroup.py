@@ -759,25 +759,78 @@ def test_one_dimensional_apply_memory():
 
 
 def test_mirror_batch_scratch_holds_no_rows():
-    # a 2D M = 192 orthant apply of 32 weighted rows from a producer, shaped
-    # like the subsolution-2d check's: its scratch holds one batch of
-    # spectra, the sum's spectrum and the transform work, and no buffer of
-    # the batch's rows, which are produced into their spectra's memory
-    g = make_grid(2, 10.0, 192)
-    prop = HeatPropagator(g, mirror=True)
-    times = np.linspace(0.01, 0.5, 32)
-    op = prop.prepare(times, np.full((1, times.size), 1.0 / times.size))
-    stack = np.random.default_rng(23).uniform(0.0, 1.0, (times.size,) + prop.shape)
+    # orthant applies of 32 weighted rows from a producer, in batches of
+    # more than one row, in 2D M = 192 (shaped like the subsolution-2d
+    # check's) and 3D M = 32: the scratch holds one batch of spectra, the
+    # sum's spectrum and the transform work, and no buffer of the batch's
+    # rows, which are produced into their spectra's memory.  The work is
+    # the batch's real lines along the last axis, or one row's padded lines
+    # along an earlier axis if they are more, and those lines' half
+    # spectra: the earlier axes are transformed one row at a time, so the
+    # work holds no batch of their lines
+    for n_dim, points, half_width in ((2, 192, 10.0), (3, 32, 8.0)):
+        g = make_grid(n_dim, half_width, points)
+        prop = HeatPropagator(g, mirror=True)
+        times = np.linspace(0.01, 0.5, 32)
+        op = prop.prepare(times, np.full((1, times.size), 1.0 / times.size))
+        stack = np.random.default_rng(23).uniform(0.0, 1.0, (times.size,) + prop.shape)
 
-    def fill(lo, hi, out):
-        out[...] = stack[lo:hi]
+        def fill(lo, hi, out):
+            out[...] = stack[lo:hi]
 
-    out = op.apply(fill)
-    np.testing.assert_array_equal(out, op.apply(stack))
-    assert 1 < op._step < times.size
-    spectrum = 16 * math.prod(op._spec_shape)
-    work = 8 * math.prod(op._work[0]) + 16 * math.prod(op._work[1])
-    assert prop._buffer.nbytes <= (op._step + 1) * spectrum + work + 5 * 64
+        out = op.apply(fill)
+        np.testing.assert_array_equal(out, op.apply(stack))
+        assert 1 < op._step < times.size
+        m, q = points // 2, op._padded[0]
+        spectrum = 16 * math.prod(op._spec_shape)
+        lines = q ** (n_dim - 1) * (q + 2)
+        work = 8 * max(op._step * m ** (n_dim - 1) * q, lines) + 16 * lines // q * (q // 2 + 1)
+        assert prop._buffer.nbytes <= (op._step + 1) * spectrum + work + 5 * 64
+
+
+@pytest.mark.parametrize("n_dim,points,half_width", [(2, 192, 10.0), (3, 24, 6.0), (3, 32, 8.0)])
+@pytest.mark.parametrize("kind", ["producer", "mixed"])
+def test_mirror_batched_and_one_row_applies_are_bit_identical(
+    n_dim, points, half_width, kind, monkeypatch
+):
+    # an orthant apply in batches of several rows and the same apply in
+    # one-row batches agree bit for bit: the last axis is transformed over
+    # the batch's lines at once and each earlier axis a row at a time, and a
+    # line's transform does not depend on the lines beside it.  "producer"
+    # writes weighted rows (times |x|^-0.4) and sums them into five
+    # targets, each of which weighs one row, so that its sum has the same
+    # bits in any order; "mixed" mixes the twelve rows from three inputs
+    # and sums them into seven targets, so that the sums are inverted in
+    # several batches.  A mixed operator contracts all its rows at once,
+    # whatever its batches
+    g = make_grid(n_dim, half_width, points)
+    times = np.linspace(0.0, 0.5, 12)
+    rng = np.random.default_rng(29 * n_dim + points)
+    if kind == "producer":
+        weights = np.zeros((5, times.size))
+        weights[np.arange(5), [0, 3, 4, 8, 11]] = rng.uniform(0.5, 1.0, 5)
+        mix = None
+    else:
+        weights = rng.uniform(0.0, 1.0, (7, times.size))
+        mix = rng.uniform(0.0, 1.0, (times.size, 3))
+    count = times.size if mix is None else mix.shape[1]
+    inputs = rng.uniform(0.0, 2.0, (count,) + (points // 2,) * n_dim)
+    results = []
+    for one_row in (False, True):
+        prop = HeatPropagator(g, mirror=True)
+        if one_row:
+            q = semigroup._orthant_length(points, g.h, float(times.max()))
+            monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", 16 * q**n_dim)
+        op = prop.prepare(times, weights, mix)
+        assert (op._step == 1) if one_row else (1 < op._step < len(weights))
+        weight = prop.weight_values(0.4)
+
+        def fill(lo, hi, out):
+            out[...] = inputs[lo:hi]
+            out *= weight
+
+        results.append(op.apply(fill))
+    np.testing.assert_array_equal(results[1], results[0])
 
 
 @pytest.mark.parametrize(

@@ -59,7 +59,10 @@ def test_subsolution_check_passes_at_reference_point():
 def test_subsolution_check_holds_no_stack():
     # the 2D check of the default suite writes its rows of w^q into the
     # operator's workspace batch by batch; a (32, 192, 192) stack of them
-    # alone would be 9.4 MB (the peak was 19.2 MB while it held one)
+    # alone would be 9.4 MB (the peak was 19.2 MB while it held one).  Its
+    # cosine transforms run the earlier axis one row at a time, so the
+    # scratch holds one row's lines along it, not a batch's: 2.05 MB peak,
+    # against 2.59 MB with a batch's
     tracemalloc.start()
     try:
         rep = check_subsolution(0.3, 0.5, 2)
@@ -67,7 +70,7 @@ def test_subsolution_check_holds_no_stack():
     finally:
         tracemalloc.stop()
     assert rep.passed
-    assert peak < 8e6
+    assert peak <= 2.2e6
 
 
 def test_subsolution_check_gamma_zero_equality_case():
