@@ -507,7 +507,7 @@ def picard_solve(
     nonlinearity once, as one stack (the window start's source is computed
     once per window), and one batched propagator call mixes the quadrature
     rows from the K knot sources and returns the per-target quadrature
-    sums; on the FFT path it transforms the K knot sources, not the rows.
+    sums; on either route it transforms the K knot sources, not the rows.
     Interpolating the source instead of the field changes the result by
     about eps_fp, not its accuracy: both rules are first order between the
     knots.  The mesh holds only the window boundaries.  The lags and
@@ -538,7 +538,8 @@ def picard_solve(
     grid share their plans, as the levels of monotone_solve do; a call
     builds its own plan for a key it does not find.  By default the call
     makes its own propagator and plans, a mirror propagator when u0 is
-    exactly mirror-symmetric in every axis.  A mirror propagator marches on
+    exactly mirror-symmetric in every axis; other data are 1D only
+    (ParameterError above 1D, before any plan).  A mirror propagator marches on
     the positive orthant (the fields, the weight and the sweep's arrays
     hold (M/2,)^N values), and each recorded snapshot is mirrored back onto
     the full grid; it takes symmetric data only (ParameterError otherwise).  The diagnostics'
@@ -697,9 +698,11 @@ def monotone_solve(
     all levels work in one scratch buffer; the diagnostics' window_plans
     counts the plans of the whole ladder.  The propagator is a mirror one,
     and the ladder marches on the positive orthant, when u0 is exactly
-    mirror-symmetric in every axis (every shifted level then is too); the
-    snapshots, the gaps and the violation are taken on the full grid
-    either way, and the diagnostics' orthant says which route it took.
+    mirror-symmetric in every axis (every shifted level then is too), and
+    other data, 1D only, march on the full grid (ParameterError above 1D,
+    before any plan); the snapshots, the gaps and the violation are taken on
+    the full grid either way, and the diagnostics' orthant says which route
+    it took.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ParameterError(f"t_end must be positive (got {t_end})")

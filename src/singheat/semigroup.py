@@ -17,19 +17,22 @@ not just smoothed.
 The operators take one of two routes, which evaluate the same sums.
 Fields that are mirror-symmetric in every axis (every radial field: the
 weight, the radial checks' data, and solves of such data) take the mirror
-route, on the positive orthant alone (see below).  Other fields, in any
-dimension, take the FFT path: FFTs on a zero-padded box.
+route, on the positive orthant alone (see below), in every dimension.
+Other fields are 1D only (step data and the heaviside check) and take the
+FFT path: FFTs on a zero-padded line.  A propagator on the full grid of a
+2D or 3D grid is refused (ParameterError), since every 2D and 3D datum is
+radial.
 
 The sampled kernel is a product of one 1D kernel per axis.  On the FFT
-path each axis is padded from M to P points: P covers the box plus the reach
+path the line is padded from M to P points: P covers the box plus the reach
 of the operator's longest-time kernel (13 sqrt(t_max), beyond which the
 Gaussian is zero in double precision), rounded up to an even 5-smooth length
 and capped at the doubled box 2M.  The kernel wrapped at length P keeps its
 displacements up to P - M, so the circular convolution folds nothing back
-onto the box, and only those are sampled (see _kernel_entry).  The N-D
-spectrum is the outer product of 1D spectra: an operator holds one 1D
-spectrum per time (O(M) bytes in any dimension), and each row's spectrum is
-multiplied by it once per axis.
+onto the box, and only those are sampled (see _kernel_entry).  On the mirror
+route the N-D spectrum is the outer product of 1D factors: an operator
+holds one 1D factor per time (O(M) bytes in any dimension), and each row's
+spectrum is multiplied by it once per axis.
 
 One call can also apply a stack of fields, each for its own time, and return
 weighted sums of the results: the batched form of the Duhamel quadrature.
@@ -76,23 +79,21 @@ writes each batch's rows into the propagator's scratch, so a caller whose
 fields are computed (the sub-solution check's barrier powers) never holds
 all J of them.  The rows go to the front of the memory their spectra will
 take, since every forward transform reads them out before it writes a
-spectrum: the scratch holds each batch once.  On the FFT path, 2D and 3D
-applies call numpy's rfftn and irfftn at P points per axis and cut the
-inverse to the box; a 1D apply pads its rows to P itself, calls rfft, and
-calls irfft into those padded rows.
+spectrum: the scratch holds each batch once.  On the FFT path an apply pads
+its rows to P itself, calls rfft, and calls irfft into those padded rows.
 
 The mirror route (HeatPropagator(grid, mirror=True)) holds every field by
 its positive orthant, (M/2)^N values.  The zero-extended convolution of a
 mirror-symmetric field with the symmetric kernel is a symmetric
 convolution, which a DCT-II, a real product and a DCT-III compute exactly
-on the orthant (Martucci 1994): the FFT path's sums at P = 2Q, where the
-half axis of M/2 points is padded to Q (see _orthant_length).  Each cosine
-transform is one rfft of length Q (Makhoul 1980), so an axis costs about a
-quarter of the FFT path's transform, in every dimension.  A batch is
-transformed along its last axis at once and along each earlier axis one
-row at a time, in both directions, so the scratch holds one row's padded
-lines along an earlier axis, not a batch's.  The kernel factor of a row is
-real, the first Q values of the FFT path's factor at P = 2Q, and the
+on the orthant (Martucci 1994): the sums of an FFT at P = 2Q per axis,
+where the half axis of M/2 points is padded to Q (see _orthant_length).
+Each cosine transform is one rfft of length Q (Makhoul 1980), so an axis
+costs about a quarter of a full-grid transform.  A batch is transformed
+along its last axis at once and along each earlier axis one row at a time,
+in both directions, so the scratch holds one row's padded lines along an
+earlier axis, not a batch's.  The kernel factor of a row is real, the first
+Q values of the FFT path's factor at P = 2Q, and the
 transform-contract-invert loop is the FFT path's.
 """
 
@@ -106,7 +107,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily; keep that out of the first apply)
 
 from .errors import ParameterError, TruncationError
-from .fields import Grid, GridFunction, weight_field
+from .fields import Grid, GridFunction, is_mirror_symmetric, mirrored, orthant, weight_field
 
 __all__ = [
     "HeatPropagator",
@@ -190,15 +191,15 @@ class HeatPropagator:
     mirror-symmetric in every axis, held by their positive orthant (see
     fields.orthant): every field it takes and returns, and its weight
     field, has shape (M/2,)^N.  Such a propagator always takes the mirror
-    route (see the module docstring); any other takes the FFT path.
+    route (see the module docstring); any other takes the FFT path, which
+    is 1D only: mirror=False on a 2D or 3D grid raises ParameterError.
 
-    A kernel factor is one 1D array: on the FFT path, the spectrum of the
-    axis kernel wrapped at the padded length P <= 2M of the operator that
-    asks for it (the P/2+1 half spectrum in 1D, the full P in 2D and 3D,
-    whose last axis uses its first P/2+1 values); on the mirror route, the
-    first Q values of the real part of that spectrum at P = 2Q, which is
-    real up to rounding since the wrapped kernel is symmetric.  The N-D
-    kernel is the product of that factor over the axes and is never formed.
+    A kernel factor is one 1D array: on the FFT path, the P/2+1 half
+    spectrum of the kernel wrapped at the padded length P <= 2M of the
+    operator that asks for it; on the mirror route, the first Q values of
+    the real part of that spectrum at P = 2Q, which is real up to rounding
+    since the wrapped kernel is symmetric.  The N-D kernel is the product
+    of that factor over the axes and is never formed.
     The propagator keeps no kernels: each prepared operator builds its own
     factors, all in one call, and holds them while it lives.  A kernel whose
     raw mass falls short of 1 by more than _EPS_TAIL raises TruncationError.
@@ -209,6 +210,8 @@ class HeatPropagator:
     """
 
     def __init__(self, grid: Grid, mirror: bool = False):
+        if grid.n_dim > 1 and not mirror:
+            raise ParameterError("above 1D only mirror-symmetric fields are applied (mirror=True)")
         self.grid = grid
         self.mirror = bool(mirror)
         self._weights: dict[float, np.ndarray] = {}
@@ -311,8 +314,7 @@ class HeatPropagator:
                 out = np.empty((spectra.shape[0], length // 2))
             out[...] = spectra.real[:, : length // 2]
         else:
-            transform = np.fft.rfft if self.grid.n_dim == 1 else np.fft.fft
-            out = transform(wrapped, out=out)
+            out = np.fft.rfft(wrapped, out=out)
         return out[0] if scalar else out
 
     # -- application ---------------------------------------------------------
@@ -372,6 +374,7 @@ class HeatPropagator:
             return self.prepare(t, weights).apply(values)
         if not math.isfinite(t) or t < 0.0:
             raise ParameterError(f"evolution time must be >= 0 (got {t})")
+        values = np.asarray(values, dtype=float)
         if values.shape != self.shape:
             raise ParameterError(
                 f"value shape {values.shape} does not match field shape {self.shape}"
@@ -420,17 +423,17 @@ class PreparedHeat:
     Built once by HeatPropagator.prepare, it holds everything that depends
     on the times, weights and mix alone:
 
-    - FFT path: the padded length P of every axis, sized to the reach of
-      the kernel of the largest time (see _padded_length), and the per-row
-      kernel factors at that length stacked into one (J, P) complex array
-      ((J, P/2+1) in 1D), ones for t = 0 rows.  In 1D, _work holds the
-      padded rows that a batch of inputs is transformed from and a batch
-      of results is inverted into: a batch of whichever are more.
+    - FFT path (1D): the padded length P, sized to the reach of the
+      kernel of the largest time (see _padded_length), and the per-row
+      kernel factors at that length stacked into one (J, P/2+1) complex
+      array, ones for t = 0 rows.  _work holds the padded rows that a
+      batch of inputs is transformed from and a batch of results is
+      inverted into: a batch of whichever are more.
     - Mirror route: the cosine-transform length Q of the half axis in place
       of P (see _orthant_length) and real factors of Q values per row (on
       the last axis, paired to match the spectrum's float view; see
-      _dct_forward).  Every spectrum is held as the FFT path's half
-      spectrum at P = Q, so the apply loop is the FFT path's.  _work
+      _dct_forward).  Every spectrum is held as rfftn's half spectrum at
+      Q points per axis, so the apply loop is the FFT path's.  _work
       holds the batch's real lines along the last axis, or one row's
       padded lines along an earlier axis if those are more, and one row's
       half spectra of the latter: the earlier axes are transformed a row
@@ -444,8 +447,8 @@ class PreparedHeat:
     The operator holds no workspace: its applies work in the propagator's
     scratch (see HeatPropagator), and every result is a fresh array.  The
     scratch holds each batch once: its rows are produced into the memory
-    its spectra take (see _transform), and a 1D batch is padded and
-    inverted in one set of padded rows (see _to_box).
+    its spectra take (see _transform), and on the FFT path a batch is
+    padded and inverted in one set of padded rows (see _to_box).
     """
 
     def __init__(self, prop: HeatPropagator, times: np.ndarray, weights, mix):
@@ -466,7 +469,7 @@ class PreparedHeat:
             self._twiddles = (twiddle, twiddle.conj())
         else:
             q = _padded_length(m, grid.h, float(times.max()))
-            kernel_length, width = q, (q // 2 + 1 if n == 1 else q)
+            kernel_length, width = q, q // 2 + 1
         self._padded = (q,) * n
         # the half spectra of the last axis, on either route
         self._spec_shape = (q,) * (n - 1) + (q // 2 + 1,)
@@ -482,7 +485,8 @@ class PreparedHeat:
         # spectrum; the last axis holds the half spectrum on the FFT path,
         # and on the mirror route the pairs (c_k, -c_(Q-k)) of cosine
         # coefficients (see _dct_forward) in the spectrum's float view, so
-        # its factor pairs G_k with G_(Q-k)
+        # its factor pairs G_k with G_(Q-k); the earlier axes are the mirror
+        # route's alone
         axes = [
             factors[:, :w].reshape((count,) + (1,) * ax + (w,) + (1,) * (n - 1 - ax))
             for ax, w in enumerate(self._spec_shape)
@@ -503,12 +507,11 @@ class PreparedHeat:
             batch = step * prop.shape[0] ** (n - 1) * q
             self._work = ((max(batch, lines),), (lines // q * (q // 2 + 1),))
         else:
-            # a batch of 1D rows padded to P, which the forward transform reads
+            # a batch of rows padded to P, which the forward transform reads
             # and the inverse writes, so it holds a batch of inputs or of
-            # targets (rfftn and irfftn pad 2D and 3D rows themselves); no
-            # complex work
+            # targets; no complex work
             targets = count if weights is None else weights.shape[0]
-            self._work = ((min(step, max(self._inputs, targets)), q) if n == 1 else (0,), (0,))
+            self._work = ((min(step, max(self._inputs, targets)), q), (0,))
         # rows per contraction: all J of an operator with a mix, else one
         # batch, so that its rows stream through the scratch
         self._span = count if mix is not None else step
@@ -625,45 +628,35 @@ class PreparedHeat:
     def _transform(self, fill, lo: int, hi: int, work, out: np.ndarray) -> np.ndarray:
         """Produce rows lo .. hi - 1 into the front of out's memory and
         overwrite them with their spectra: on the mirror route by
-        _dct_forward, else by numpy's transforms of the rows zero-padded to
-        P per axis.  Every transform reads the rows out before it writes a
-        spectrum (_reorder's real lines, the 1D padded rows, rfftn's own
-        result), and a row takes no more bytes than its spectrum, so the
-        rows need no buffer of their own.  A 1D row is padded into work
-        first (numpy transforms a padded line faster than it pads one
-        itself) and rfft writes into out; rfftn, which takes no out in 2D
-        and 3D, pads the rows itself.  Returns out.  The rows are
-        contiguous, not a view of the padded lines: the producer's
-        elementwise passes run slower on a strided view (g_n on a 2D
-        M = 192 row: 70 us more)."""
+        _dct_forward, else by rfft of the rows zero-padded to P.  Every
+        transform reads the rows out before it writes a spectrum
+        (_reorder's real lines, the padded rows), and a row takes no more
+        bytes than its spectrum, so the rows need no buffer of their own.
+        On the FFT path a row is padded into work first (numpy transforms a
+        padded line faster than it pads one itself) and rfft writes into
+        out.  Returns out.  The rows are contiguous, not a view of the
+        padded lines: the producer's elementwise passes run slower on a
+        strided view (g_n on a 2D M = 192 row: 70 us more)."""
         nb = hi - lo
         rows = np.ndarray((nb,) + self._shape[1:], float, out)
         fill(lo, hi, rows)
         if self.propagator.mirror:
             return self._dct_forward(rows, work, out)
-        if len(self._padded) == 1:
-            padded = work[0][:nb]
-            padded[:, : self._shape[-1]] = rows
-            padded[:, self._shape[-1] :] = 0.0  # _to_box and other operators write it
-            return np.fft.rfft(padded, axis=1, out=out)
-        out[...] = np.fft.rfftn(rows, s=self._padded, axes=range(1, rows.ndim))
-        return out
+        padded = work[0][:nb]
+        padded[:, : self._shape[-1]] = rows
+        padded[:, self._shape[-1] :] = 0.0  # _to_box and other operators write it
+        return np.fft.rfft(padded, axis=1, out=out)
 
     def _to_box(self, spec: np.ndarray, work, out: np.ndarray) -> None:
         """Write the box of the inverse transforms of a batch of spectra
-        into out: irfft (irfftn in 2D and 3D) at P per axis, cut to the
-        first M values; on the mirror route, _dct_inverse, which overwrites
-        spec.  A 1D batch is inverted into the padded rows of work, which
-        the next forward transform pads again."""
+        into out: on the FFT path irfft at P into the padded rows of work,
+        which the next forward transform pads again, cut to the first M
+        values; on the mirror route, _dct_inverse, which overwrites spec."""
         if self.propagator.mirror:
             self._dct_inverse(spec, work, out)
             return
-        box = (slice(None),) + (slice(0, self._shape[-1]),) * len(self._padded)
-        if len(self._padded) == 1:
-            padded = np.fft.irfft(spec, n=self._padded[0], axis=1, out=work[0][: len(spec)])
-            out[...] = padded[box]
-        else:
-            out[...] = np.fft.irfftn(spec, s=self._padded, axes=range(1, spec.ndim))[box]
+        padded = np.fft.irfft(spec, n=self._padded[0], axis=1, out=work[0][: len(spec)])
+        out[...] = padded[:, : self._shape[-1]]
 
     # -- the mirror route's cosine transforms --------------------------------
     #
@@ -791,9 +784,13 @@ def _unreorder(src: np.ndarray, dst: np.ndarray, ax: int) -> None:
 def apply_heat(f: GridFunction, t: float) -> GridFunction:
     """Discrete heat semigroup S(t) acting on a grid function; builds its
     kernel afresh (a caller applying one time to many fields prepares it
-    once with HeatPropagator.prepare)."""
-    prop = HeatPropagator(f.grid)
-    return GridFunction(f.grid, prop.apply_heat_values(f.values, t))
+    once with HeatPropagator.prepare).  A field that is mirror-symmetric in
+    every axis takes the mirror route, as the solves do; any other is 1D
+    only (ParameterError above 1D)."""
+    if not is_mirror_symmetric(f.values):
+        return GridFunction(f.grid, HeatPropagator(f.grid).apply_heat_values(f.values, t))
+    prop = HeatPropagator(f.grid, mirror=True)
+    return GridFunction(f.grid, mirrored(prop.apply_heat_values(orthant(f.values), t)))
 
 
 def gaussian_exact(grid: Grid, a: float, t: float) -> GridFunction:

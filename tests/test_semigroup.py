@@ -10,12 +10,15 @@ from scipy import ndimage
 from singheat import (
     HeatPropagator,
     ParameterError,
+    Params,
+    SolveConfig,
     TruncationError,
     apply_heat,
     gaussian_exact,
     heat_kernel,
     make_grid,
     mirrored,
+    monotone_solve,
     orthant,
     sample,
     standard_data,
@@ -94,25 +97,59 @@ def test_positivity_and_sup_contraction():
     assert sup_norm(out) <= sup_norm(f) * (1 + 1e-12)
 
 
-def test_direct_and_spectral_paths_agree():
-    # zero-padded FFTs on a 3D and a 1D grid give the field of the dense
-    # reference, a direct sum over every pair of nodes
+def test_apply_heat_equals_the_dense_reference(dense_heat):
+    # apply_heat takes the mirror route for mirror-symmetric fields (a 3D and
+    # a 1D bump) and the full grid for others (a 1D tilted bump), and gives
+    # the field of the dense reference, a direct sum over every pair of nodes
+    t = 0.5
     for g in (make_grid(3, 8.0, 32), make_grid(1, 8.0, 256)):
         f = standard_data(g, "bump:2")
-        t = 0.5
         out = apply_heat(f, t)
-        # dense reference: axis kernel matrix normalized by the total sample
-        # mass over the full displacement set (matching the operator's single
-        # global renormalization, not a per-row one), applied along each axis
-        x = g.axis_nodes()
-        m = g.points_per_axis
-        disp = np.arange(-(m - 1), m) * g.h
-        total = np.exp(-(disp**2) / (4 * t)).sum()
-        k = np.exp(-((x[:, None] - x[None, :]) ** 2) / (4 * t)) / total
-        ref = f.values
-        for ax in range(g.n_dim):
-            ref = np.moveaxis(np.tensordot(k, ref, axes=([1], [ax])), 0, ax)
-        np.testing.assert_allclose(out.values, ref, atol=1e-12)
+        np.testing.assert_allclose(out.values, dense_heat(g, f.values[None], [t])[0], atol=1e-12)
+    tilted = f.with_values(f.values * np.exp(0.1 * g.axis_nodes()))
+    out = apply_heat(tilted, t)
+    np.testing.assert_allclose(out.values, dense_heat(g, tilted.values[None], [t])[0], atol=1e-12)
+
+
+def test_full_grid_route_is_one_dimensional(monkeypatch):
+    # above 1D a propagator takes the mirror route alone: a full-grid one is
+    # refused when it is made, and with it apply_heat on a field that is not
+    # mirror-symmetric, and monotone_solve on such data before it prepares
+    # any operator
+    for n_dim in (2, 3):
+        with pytest.raises(ParameterError, match="mirror-symmetric"):
+            HeatPropagator(make_grid(n_dim, 6.0, 16))
+    g = make_grid(2, 6.0, 16)
+    tilted = sample(g, lambda x, y: np.exp(-((x - 1.0) ** 2) - y**2))
+    with pytest.raises(ParameterError, match="mirror-symmetric"):
+        apply_heat(tilted, 0.1)
+    prepared = []
+    prepare = HeatPropagator.prepare
+
+    def counted(self, *args, **kwargs):
+        prepared.append(args)
+        return prepare(self, *args, **kwargs)
+
+    monkeypatch.setattr(HeatPropagator, "prepare", counted)
+    config = SolveConfig(n_schedule=(1, 2))
+    with pytest.raises(ParameterError, match="mirror-symmetric"):
+        monotone_solve(tilted, Params(q=0.5, gamma=0.3, n_dim=2), 0.25, config)
+    assert prepared == []
+    monotone_solve(standard_data(g, "bump"), Params(q=0.5, gamma=0.3, n_dim=2), 0.25, config)
+    assert prepared
+
+
+def test_scalar_apply_takes_any_array_like():
+    # a list of the field's values is applied like the array; a wrong shape
+    # is refused
+    g = make_grid(1, 8.0, 64)
+    prop = HeatPropagator(g)
+    f = standard_data(g, "step").values
+    np.testing.assert_array_equal(
+        prop.apply_heat_values(list(f), 0.1), prop.apply_heat_values(f, 0.1)
+    )
+    with pytest.raises(ParameterError):
+        prop.apply_heat_values([1.0] * 63, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -145,26 +182,34 @@ _BATCH_WEIGHTS = np.array(
     ],
 )
 @pytest.mark.parametrize("gamma", [0.0, 0.4])
-def test_batched_apply_matches_single_applies(n_dim, points, batch_rows, gamma, monkeypatch):
-    # the FFT path in every dimension; batch_rows shrinks the FFT workspace
-    # so the rows are transformed that many at a time
+def test_batched_apply_matches_single_applies(
+    n_dim, points, batch_rows, gamma, monkeypatch, dense_heat
+):
+    # the full grid in 1D, the mirror route above; batch_rows shrinks the
+    # FFT workspace so the rows are transformed that many at a time.  The
+    # single applies are the dense reference's
     g = make_grid(n_dim, 8.0, points)
+    prop = HeatPropagator(g, mirror=n_dim > 1)
     if batch_rows is not None:
-        p = semigroup._padded_length(points, g.h, float(_BATCH_TIMES.max()))
+        p = _transform_length(prop, float(_BATCH_TIMES.max()))
         monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * p**n_dim)
-    prop = HeatPropagator(g)
     rng = np.random.default_rng(100 * n_dim + points)
-    stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + g.shape)
+    stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + prop.shape)
     singles = np.stack(
         [prop.apply_weighted_values(f, float(t), gamma) for f, t in zip(stack, _BATCH_TIMES)]
     )
+    weighted = stack * prop.weight_values(gamma) if gamma else stack
+    ref = dense_heat(g, weighted, _BATCH_TIMES, half=prop.mirror)
+    np.testing.assert_allclose(singles, ref, rtol=0, atol=1e-13)
     batched = prop.apply_weighted_values(stack, _BATCH_TIMES, gamma)
+    if batch_rows is not None:
+        assert prop.prepare(_BATCH_TIMES)._step == batch_rows
     np.testing.assert_allclose(batched, singles, rtol=0, atol=1e-13)
     # the t = 0 row is the (weighted) field itself
     weighted = stack[1] * prop.weight_values(gamma) if gamma else stack[1]
     np.testing.assert_allclose(batched[1], weighted, rtol=0, atol=1e-13)
     summed = prop.apply_weighted_values(stack, _BATCH_TIMES, gamma, _BATCH_WEIGHTS)
-    assert summed.shape == (_BATCH_WEIGHTS.shape[0],) + g.shape
+    assert summed.shape == (_BATCH_WEIGHTS.shape[0],) + prop.shape
     np.testing.assert_allclose(
         summed, np.tensordot(_BATCH_WEIGHTS, singles, axes=1), rtol=0, atol=1e-13
     )
@@ -208,21 +253,23 @@ def test_batched_apply_validation(points):
 @pytest.mark.parametrize("n_dim,points", [(2, 16), (2, 10), (3, 16), (3, 10), (3, 6)])
 @pytest.mark.parametrize("gamma", [0.0, 0.4])
 def test_direct_path_equals_per_row_correlation(n_dim, points, gamma):
-    # reference: each row with t > 0 correlated directly, axis by axis, with
-    # its normalized 2M-1 kernel samples, zero outside the box
+    # the mirror route, on odd half axes too (M = 10 and 6), against each
+    # row with t > 0 correlated directly, axis by axis, with its normalized
+    # 2M-1 kernel samples, zero outside the box, on the full grid and taken
+    # on the orthant
     g = make_grid(n_dim, 8.0, points)
-    prop = HeatPropagator(g)
+    prop = HeatPropagator(g, mirror=True)
     rng = np.random.default_rng(7 * n_dim + points)
-    stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + g.shape)
+    stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + prop.shape)
     weighted = stack * prop.weight_values(gamma) if gamma else stack
     ref = np.empty_like(stack)
     for j, t in enumerate(_BATCH_TIMES):
-        row = weighted[j]
+        row = mirrored(weighted[j])
         if t > 0.0:
             samples = prop._axis_samples(t)
             for ax in range(n_dim):
                 row = ndimage.correlate1d(row, samples / samples.sum(), axis=ax, mode="constant")
-        ref[j] = row
+        ref[j] = orthant(row)
     out = prop.apply_weighted_values(stack, _BATCH_TIMES, gamma)
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-14)
     summed = prop.apply_weighted_values(stack, _BATCH_TIMES, gamma, _BATCH_WEIGHTS)
@@ -237,40 +284,29 @@ def test_direct_path_equals_per_row_correlation(n_dim, points, gamma):
 
 def _cases(*cases):
     """pytest params (n_dim, points[, batch_rows]) of cases written as
-    (n_dim, points, fft[, batch_rows]), each named by all its values.  fft
-    only names a case, so that its id stays stable: it is the path the case
-    took while fields that are not mirror-symmetric had two.  Every case
-    now takes the FFT path; those marked False are the grids the direct
-    path served (2D M = 16 and 64, 3D M = 16 to 64), which the others
-    leave out."""
+    (n_dim, points, flag[, batch_rows]), each named by all its values.  The
+    flag only names a case, so that its id stays stable: those marked False
+    are the grids that a direct (Toeplitz) path once served (2D M = 16 and
+    64, 3D M = 16 to 64).  A 1D case takes the full grid, any other the
+    mirror route."""
     return [
         pytest.param(*case[:2], *case[3:], id="-".join(map(str, case))) for case in cases
     ]
 
 
-def _per_row_reference(prop, stack, times, weights):
-    """Each row through its own kernel, then the weighted sums: the row
-    zero-padded to the doubled box 2M is transformed, its spectrum
-    multiplied by the full-length axis factor once per axis, and transformed
-    back."""
-    m = prop.grid.points_per_axis
-    n = prop.grid.n_dim
-    corner = (slice(0, m),) * n
-    rows = []
-    for f, t in zip(stack, times):
-        if t == 0.0:
-            rows.append(f.copy())
-            continue
-        entry = prop._kernel_entry(float(t))
-        padded = np.zeros((2 * m,) * n)
-        padded[corner] = f
-        spec = np.fft.rfftn(padded)
-        for ax in range(n - 1):
-            spec = spec * entry.reshape((-1,) + (1,) * (n - 1 - ax))
-        spec = spec * entry[: m + 1]
-        rows.append(np.fft.irfftn(spec, s=(2 * m,) * n, axes=tuple(range(n)))[corner])
-    rows = np.stack(rows)
-    return rows if weights is None else np.tensordot(weights, rows, axes=1)
+def _transform_length(prop, t_max):
+    """The transform length per axis of an operator of times up to t_max:
+    P on the full grid, Q on the mirror route."""
+    m, h = prop.grid.points_per_axis, prop.grid.h
+    if prop.mirror:
+        return semigroup._orthant_length(m, h, t_max)
+    return semigroup._padded_length(m, h, t_max)
+
+
+def _kernel_length(prop, t_max):
+    """The padded length L at which an operator of times up to t_max asks
+    for its factors: P on the full grid, 2Q on the mirror route."""
+    return _transform_length(prop, t_max) * (2 if prop.mirror else 1)
 
 
 def _split_lines(monkeypatch, length, n_dim, rows):
@@ -305,29 +341,32 @@ def _check_blocks(op, k):
         (1, 256, True, 2),
         (2, 24, True, None),
         (2, 24, True, 2),
-        (2, 136, True, None),  # one-row batches at the default workspace
-        (3, 12, True, None),  # batches of 4 rows and 1 (P = 2M = 24)
+        (2, 136, True, None),  # batches of 3 rows and 2 at the default workspace
+        (3, 12, True, None),
         (3, 12, True, 1),
         (2, 64, False, None),
         (2, 16, False, None),
         (3, 24, False, None),
         (3, 16, False, None),
-        (2, 24, True, "blocks"),  # one-row batches, 48 lines in blocks of 11
-        (3, 12, True, "blocks"),  # one-row batches, 24 lines in blocks of 5
+        (2, 24, True, "blocks"),  # one-row batches, 24 lines in blocks of 5
+        (3, 12, True, "blocks"),  # one-row batches, 12 lines in blocks of 1
     ),
 )
 @pytest.mark.parametrize("gamma", [0.0, 0.4])
-def test_prepared_apply_equals_per_row_construction(n_dim, points, batch_rows, gamma, monkeypatch):
+def test_prepared_apply_equals_per_row_construction(
+    n_dim, points, batch_rows, gamma, monkeypatch, dense_heat
+):
     # _BATCH_TIMES has a t = 0 row; _BATCH_WEIGHTS an all-zero target row and
-    # columns weighted by two targets
+    # columns weighted by two targets.  The reference sums each row
+    # densely, on the full grid in 1D and on the orthant above
     g = make_grid(n_dim, 6.0, points)
-    p = semigroup._padded_length(points, g.h, float(_BATCH_TIMES.max()))
+    prop = HeatPropagator(g, mirror=n_dim > 1)
+    p = _transform_length(prop, float(_BATCH_TIMES.max()))
     if batch_rows == "blocks":
         k = _split_lines(monkeypatch, p, n_dim, rows=1)
     elif batch_rows is not None:
         # the workspace holds batch_rows rows padded to the operator's length
         monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * p**n_dim)
-    prop = HeatPropagator(g)
     rng = np.random.default_rng(3 * n_dim + points)
     for weights in (None, _BATCH_WEIGHTS):
         op = prop.prepare(_BATCH_TIMES, weights)
@@ -336,13 +375,13 @@ def test_prepared_apply_equals_per_row_construction(n_dim, points, batch_rows, g
             _check_blocks(op, k)
         elif batch_rows is not None:
             assert op._step == batch_rows
-        elif (n_dim, points) == (3, 12):
-            assert op._step == 4  # the default workspace splits the rows 4 + 1
+        elif (n_dim, points) == (2, 136):
+            assert op._step == 3  # the default workspace splits the rows 3 + 2
         # the operator's workspace is reused: a second stack must not see the first
         for _ in range(2):
-            stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + g.shape)
+            stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + prop.shape)
             weighted = stack * prop.weight_values(gamma) if gamma else stack
-            ref = _per_row_reference(prop, weighted, _BATCH_TIMES, weights)
+            ref = dense_heat(g, weighted, _BATCH_TIMES, weights, half=prop.mirror)
             out = prop.apply_weighted_values(stack, op, gamma)
             assert out.shape == ref.shape
             np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
@@ -355,9 +394,9 @@ def test_prepared_apply_equals_per_row_construction(n_dim, points, batch_rows, g
     _cases(
         (1, 256, True, None),  # one batch of every row
         (1, 256, True, 1),
-        (2, 136, True, None),  # one-row batches at the default workspace
+        (2, 136, True, None),  # batches of 3 rows and 2 at the default workspace
         (2, 24, True, 2),
-        (3, 12, True, None),  # batches of 4 rows and 1
+        (3, 12, True, None),
         (3, 12, True, 1),
         (2, 64, False, None),
         (2, 64, False, 1),
@@ -372,20 +411,22 @@ def test_producer_apply_equals_stack_apply(n_dim, points, batch_rows, gamma, mon
     # a producer that writes the rows of a stack gives that stack's result
     # bit for bit, with and without weights and with a t = 0 row; the
     # operator asks for every row once, in order, and hands the producer
-    # contiguous views of its propagator's scratch, on either route (the
-    # mirror route's fields are orthant halves of the grid's)
+    # contiguous views of its propagator's scratch, on either route in 1D
+    # and on the mirror route above (whose fields are orthant halves of the
+    # grid's)
     g = make_grid(n_dim, 6.0, points)
-    if batch_rows is not None:
-        # the FFT workspace holds batch_rows padded rows
-        p = semigroup._padded_length(points, g.h, float(_BATCH_TIMES.max()))
-        monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * p**n_dim)
-    for prop in (HeatPropagator(g), HeatPropagator(g, mirror=True)):
+    props = [HeatPropagator(g, mirror=True)] + ([HeatPropagator(g)] if n_dim == 1 else [])
+    for prop in props:
+        if batch_rows is not None:
+            # the FFT workspace holds batch_rows padded rows
+            p = _transform_length(prop, float(_BATCH_TIMES.max()))
+            monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * p**n_dim)
         rng = np.random.default_rng(7 * n_dim + points)
         stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + prop.shape)
         weight = prop.weight_values(gamma) if gamma else None
         for weights in (None, _BATCH_WEIGHTS):
             op = prop.prepare(_BATCH_TIMES, weights)
-            if batch_rows is not None and not prop.mirror:
+            if batch_rows is not None:
                 assert op._step == batch_rows
             calls = []
 
@@ -427,26 +468,27 @@ _MIX = np.array(
         (1, 256, True, 2),
         (2, 24, True, None),
         (2, 24, True, 1),
-        (2, 136, True, None),  # one-row batches at the default workspace
+        (2, 136, True, None),  # batches of 3 rows and 2 at the default workspace
         (3, 16, False, None),
         (3, 16, False, 1),
-        (2, 24, True, "blocks"),  # 48 lines in blocks of 11
-        (3, 16, False, "blocks"),  # 32 lines in blocks of 7
+        (2, 24, True, "blocks"),  # 24 lines in blocks of 5
+        (3, 16, False, "blocks"),  # 16 lines in blocks of 3
     ),
 )
 @pytest.mark.parametrize("gamma", [0.0, 0.4])
 def test_mixed_inputs_equal_mixed_fields_applied_row_by_row(
-    n_dim, points, batch_rows, gamma, monkeypatch
+    n_dim, points, batch_rows, gamma, monkeypatch, dense_heat
 ):
     # an operator prepared with a (J, K) mix takes K inputs and gives the
-    # per-row result on the J mixed fields: it mixes the rows' spectra from
-    # the inputs' spectra.  A producer of the inputs is asked for each batch
-    # of them once, in order, and gives the stack's result bit for bit
+    # dense reference's rows of the J mixed fields: it mixes the rows'
+    # spectra from the inputs' spectra.  A producer of the inputs is asked
+    # for each batch of them once, in order, and gives the stack's result
+    # bit for bit.  The full grid in 1D, the mirror route above
     g = make_grid(n_dim, 6.0, points)
-    p = semigroup._padded_length(points, g.h, float(_BATCH_TIMES.max()))
+    prop = HeatPropagator(g, mirror=n_dim > 1)
+    p = _transform_length(prop, float(_BATCH_TIMES.max()))
     if isinstance(batch_rows, int):
         monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * p**n_dim)
-    prop = HeatPropagator(g)
     rng = np.random.default_rng(13 * n_dim + points)
     weight = prop.weight_values(gamma) if gamma else 1.0
     count = _MIX.shape[1]
@@ -460,9 +502,9 @@ def test_mixed_inputs_equal_mixed_fields_applied_row_by_row(
         elif batch_rows is not None:
             assert op._step == batch_rows
         for _ in range(2):  # the workspace is reused: a second stack must not see the first
-            inputs = rng.uniform(0.0, 2.0, (count,) + g.shape)
+            inputs = rng.uniform(0.0, 2.0, (count,) + prop.shape)
             mixed = np.tensordot(_MIX, inputs * weight, axes=1)
-            ref = _per_row_reference(prop, mixed, _BATCH_TIMES, weights)
+            ref = dense_heat(g, mixed, _BATCH_TIMES, weights, half=prop.mirror)
             out = prop.apply_weighted_values(inputs, op, gamma)
             assert out.shape == ref.shape
             np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
@@ -482,13 +524,15 @@ def test_mixed_inputs_equal_mixed_fields_applied_row_by_row(
 
 
 @pytest.mark.parametrize("inputs,targets", [(1, None), (2, 7)])
-def test_one_dimensional_inverse_batches_more_targets_than_inputs(inputs, targets, monkeypatch):
+def test_one_dimensional_inverse_batches_more_targets_than_inputs(
+    inputs, targets, monkeypatch, dense_heat
+):
     # a 1D apply inverts each batch of spectra into the padded rows that its
     # forward transforms pad the inputs in, so those rows hold a batch of
     # inputs or of results, whichever is larger.  Here batches of three
     # rows: the free term's shape (one input mixed into nine rows, no
     # weights) and a weighted one (two inputs, seven sums), whose results
-    # are inverted in three batches, equal the per-row reference
+    # are inverted in three batches, equal the dense reference
     g = make_grid(1, 6.0, 256)
     times = np.linspace(0.05, 0.45, 9)
     p = semigroup._padded_length(256, g.h, float(times.max()))
@@ -500,7 +544,7 @@ def test_one_dimensional_inverse_batches_more_targets_than_inputs(inputs, target
     op = prop.prepare(times, weights, mix)
     assert op._step == 3 and op._work[0] == (3, p)
     stack = rng.uniform(0.0, 2.0, (inputs,) + g.shape)
-    ref = _per_row_reference(prop, mix @ stack, times, weights)
+    ref = dense_heat(g, mix @ stack, times, weights)
     out = op.apply(stack)
     assert out.shape == ref.shape and len(out) > 2 * op._step
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
@@ -508,22 +552,23 @@ def test_one_dimensional_inverse_batches_more_targets_than_inputs(inputs, target
 
 @pytest.mark.parametrize("n_dim,points", [(1, 256), (2, 24), (3, 12)])
 @pytest.mark.parametrize("t_max", [0.02, 1.0])
-def test_padded_length_leaves_the_operator_unchanged(n_dim, points, t_max):
-    # padded only as far as the longest kernel reaches (P < 2M for short
-    # times, the doubled box for long ones), the operator is the one padded
-    # to 2M, since the kernel is zero beyond that reach in double precision.
-    # Bound: 8 ulps of the largest output; the batched sums and the per-row
-    # reference round differently even at P = 2M (up to 4.5 ulps measured)
+def test_padded_length_leaves_the_operator_unchanged(n_dim, points, t_max, dense_heat):
+    # padded only as far as the longest kernel reaches (a transform length
+    # below the cap for short times, at the cap for long ones: P = 2M on the
+    # full grid in 1D, Q = M on the mirror route above), the operator gives
+    # the dense reference's sums, since the kernel is zero beyond that reach
+    # in double precision.  Bound: 8 ulps of the largest output
     g = make_grid(n_dim, 6.0, points)
-    prop = HeatPropagator(g)
+    prop = HeatPropagator(g, mirror=n_dim > 1)
+    cap = points if prop.mirror else 2 * points
     times = _BATCH_TIMES * t_max
     rng = np.random.default_rng(5 * n_dim + points)
     for weights in (None, _BATCH_WEIGHTS):
         op = prop.prepare(times, weights)
         p = op._padded[-1]
-        assert p < 2 * points if t_max < 1.0 else p == 2 * points
-        stack = rng.uniform(0.0, 2.0, (times.size,) + g.shape)
-        ref = _per_row_reference(prop, stack, times, weights)
+        assert p < cap if t_max < 1.0 else p == cap
+        stack = rng.uniform(0.0, 2.0, (times.size,) + prop.shape)
+        ref = dense_heat(g, stack, times, weights, half=prop.mirror)
         ulp = np.finfo(float).eps * np.abs(ref).max()
         np.testing.assert_allclose(prop.apply_heat_values(stack, op), ref, rtol=0, atol=8 * ulp)
 
@@ -574,12 +619,15 @@ def test_prepared_operator_validation():
 
 @pytest.mark.parametrize("n_dim,points", [(2, 24), (3, 12)])
 def test_per_axis_spectrum_is_the_full_kernel_spectrum(n_dim, points):
+    # the mirror route's factors, multiplied over the axes, are the N-D
+    # kernel's spectrum at the doubled box: its first M values per axis,
+    # which are real, as the kernel is symmetric
     g = make_grid(n_dim, 4.0, points)
-    prop = HeatPropagator(g)
+    prop = HeatPropagator(g, mirror=True)
     m = points
     for t in (0.05, 0.6):
         entry = prop._kernel_entry(t)
-        assert entry.shape == (2 * m,)
+        assert entry.shape == (m,)
         # the full N-D kernel, built as the outer product of the wrapped axis kernel
         g1 = prop._axis_samples(t)
         g1 = g1 / g1.sum()
@@ -589,12 +637,12 @@ def test_per_axis_spectrum_is_the_full_kernel_spectrum(n_dim, points):
         kern = wrapped
         for _ in range(n_dim - 1):
             kern = np.multiply.outer(kern, wrapped)
-        ref = np.fft.rfftn(kern)
-        prod = np.ones(ref.shape, dtype=complex)
+        ref = np.fft.rfftn(kern)[(slice(0, m),) * n_dim]
+        np.testing.assert_allclose(ref.imag, 0.0, rtol=0, atol=1e-15)
+        prod = np.ones(ref.shape)
         for ax in range(n_dim):
-            factor = entry if ax < n_dim - 1 else entry[: m + 1]
-            prod = prod * factor.reshape((-1,) + (1,) * (n_dim - 1 - ax))
-        np.testing.assert_allclose(prod, ref, rtol=0, atol=1e-15)
+            prod = prod * entry.reshape((-1,) + (1,) * (n_dim - 1 - ax))
+        np.testing.assert_allclose(prod, ref.real, rtol=0, atol=1e-15)
 
 
 def test_one_dimensional_entry_is_the_half_spectrum():
@@ -607,22 +655,22 @@ def test_one_dimensional_entry_is_the_half_spectrum():
 @pytest.mark.parametrize("n_dim,points", [(2, 16), (3, 16), (3, 8)])
 @pytest.mark.parametrize("times", [_BATCH_TIMES, _BATCH_TIMES[_BATCH_TIMES > 0.0]])
 def test_direct_apply_results_own_their_memory(n_dim, points, times):
-    # an apply works in the propagator's scratch: no result shares memory
-    # with it, and a later apply, of this operator or of another one of the
-    # propagator, leaves the result unchanged
+    # an apply on the mirror route works in the propagator's scratch: no
+    # result shares memory with it, and a later apply, of this operator or
+    # of another one of the propagator, leaves the result unchanged
     g = make_grid(n_dim, 6.0, points)
-    prop = HeatPropagator(g)
+    prop = HeatPropagator(g, mirror=True)
     rng = np.random.default_rng(points)
     for weights in (None, rng.uniform(0.0, 1.0, (2, times.size))):
         op = prop.prepare(times, weights)
-        first = op.apply(rng.uniform(0.0, 1.0, (times.size,) + g.shape))
+        first = op.apply(rng.uniform(0.0, 1.0, (times.size,) + prop.shape))
         kept = first.copy()
-        second = op.apply(rng.uniform(0.0, 1.0, (times.size,) + g.shape))
+        second = op.apply(rng.uniform(0.0, 1.0, (times.size,) + prop.shape))
         assert not np.shares_memory(first, second)
         assert not np.shares_memory(first, prop._buffer)
-        prop.prepare(times[:1]).apply(rng.uniform(0.0, 1.0, (1,) + g.shape))
+        prop.prepare(times[:1]).apply(rng.uniform(0.0, 1.0, (1,) + prop.shape))
         np.testing.assert_array_equal(first, kept)
-        np.testing.assert_array_equal(op.apply(np.zeros((times.size,) + g.shape)), 0.0)
+        np.testing.assert_array_equal(op.apply(np.zeros((times.size,) + prop.shape)), 0.0)
 
 
 @pytest.mark.parametrize("n_dim,points", _cases((1, 256, True), (2, 24, True), (3, 12, True)))
@@ -632,24 +680,25 @@ def test_operators_of_one_propagator_share_its_scratch(n_dim, points):
     # bit: a free term (one input mixed into four rows), a Picard-like sweep
     # (weights and a mix, a longer time) and a one-row weighted operator (a
     # short time, so a shorter padded length).  No result shares memory with
-    # the scratch, which only grows
+    # the scratch, which only grows.  The full grid in 1D, the mirror route
+    # above
     g = make_grid(n_dim, 6.0, points)
-    prop = HeatPropagator(g)
+    prop = HeatPropagator(g, mirror=n_dim > 1)
     specs = [
         (np.array([0.05, 0.1, 0.2, 0.3]), None, np.ones((4, 1))),
         (_BATCH_TIMES, _BATCH_WEIGHTS, _MIX),
         (np.array([0.01]), np.array([[0.5]]), None),
     ]
-    assert len({semigroup._padded_length(points, g.h, float(t.max())) for t, _, _ in specs}) > 1
+    assert len({_transform_length(prop, float(t.max())) for t, _, _ in specs}) > 1
     ops = [prop.prepare(t, w, mix=x) for t, w, x in specs]
     rng = np.random.default_rng(5 * n_dim + points)
     sizes = []
     for _ in range(2):
         for (t, w, x), op in zip(specs, ops):
             count = t.size if x is None else x.shape[1]
-            stack = rng.uniform(0.0, 2.0, (count,) + g.shape)
+            stack = rng.uniform(0.0, 2.0, (count,) + prop.shape)
             out = op.apply(stack)
-            fresh = HeatPropagator(g)
+            fresh = HeatPropagator(g, mirror=prop.mirror)
             np.testing.assert_array_equal(out, fresh.prepare(t, w, mix=x).apply(stack))
             assert not np.shares_memory(out, prop._buffer)
             sizes.append(prop._buffer.size)
@@ -657,7 +706,7 @@ def test_operators_of_one_propagator_share_its_scratch(n_dim, points):
 
 
 @pytest.mark.parametrize(
-    "n_dim,points,mirror", [(1, 512, False), (2, 48, False), (2, 192, True), (3, 32, True)]
+    "n_dim,points,mirror", [(1, 512, False), (2, 48, True), (2, 192, True), (3, 32, True)]
 )
 def test_one_row_operator_holds_one_spectrum(n_dim, points, mirror):
     # an operator prepared without weights has none (weights is None) and
@@ -839,14 +888,15 @@ def test_mirror_batched_and_one_row_applies_are_bit_identical(
 )
 def test_kernel_entry_on_a_time_array_stacks_the_scalar_calls(n_dim, points):
     # one pass over a time array builds, row by row, what one call per time
-    # builds: samples and factors, at the default and at a padded length
+    # builds: samples and factors, at the default and at a padded length,
+    # on the full grid in 1D and on the mirror route above
     g = make_grid(n_dim, 8.0, points)
-    prop = HeatPropagator(g)
+    prop = HeatPropagator(g, mirror=n_dim > 1)
     times = np.array([1e-4, 1 / 32, 0.05, 0.3, 1.0])
     samples = prop._axis_samples(times)
     assert samples.shape == (times.size, 2 * points - 1)
     np.testing.assert_array_equal(samples, np.stack([prop._axis_samples(t) for t in times]))
-    for length in (None, semigroup._padded_length(points, g.h, 1.0)):
+    for length in (None, _kernel_length(prop, 1.0)):
         batch = prop._kernel_entry(times, length)
         rows = np.stack([prop._kernel_entry(float(t), length) for t in times])
         assert batch.shape == rows.shape and batch.dtype == rows.dtype
@@ -856,31 +906,29 @@ def test_kernel_entry_on_a_time_array_stacks_the_scalar_calls(n_dim, points):
 @pytest.mark.parametrize("n_dim,points", [(1, 64), (2, 16)])
 def test_kernel_entry_batch_names_its_truncating_time(n_dim, points):
     g = make_grid(n_dim, 4.0, points)
-    prop = HeatPropagator(g)
+    prop = HeatPropagator(g, mirror=n_dim > 1)
     with pytest.raises(TruncationError, match=r"t = 25\.0:"):
         prop._kernel_entry(np.array([0.01, 0.5, 25.0, 0.02]))
     with pytest.raises(TruncationError, match=r"t = 25\.0:"):
         prop.prepare([0.01, 25.0])
 
 
-def _kernel_length(prop, t_max):
-    """The padded length L at which an operator of times up to t_max asks
-    for its factors: P on the FFT path, 2Q on the mirror route."""
-    m, h = prop.grid.points_per_axis, prop.grid.h
-    if prop.mirror:
-        return 2 * semigroup._orthant_length(m, h, t_max)
-    return semigroup._padded_length(m, h, t_max)
-
-
-@pytest.mark.parametrize("mirror", [False, True], ids=["fft", "mirror"])
-@pytest.mark.parametrize("n_dim,half_width,points", [(1, 8.0, 256), (2, 6.0, 48), (3, 6.0, 24)])
+@pytest.mark.parametrize(
+    "n_dim,half_width,points,mirror",
+    [
+        pytest.param(1, 8.0, 256, False, id="1-8.0-256-fft"),
+        pytest.param(1, 8.0, 256, True, id="1-8.0-256-mirror"),
+        pytest.param(2, 6.0, 48, True, id="2-6.0-48-mirror"),
+        pytest.param(3, 6.0, 24, True, id="3-6.0-24-mirror"),
+    ],
+)
 def test_kernel_entry_samples_the_kernels_reach_alone(monkeypatch, n_dim, half_width, points,
                                                       mirror):
     # at a padded length L below the 2M cap and at the cap, the factors are
     # those of a full-box build (samples at every displacement of the box,
     # summed to their mass, wrapped at L and transformed), within 1e-15 of
     # the largest, and no displacement beyond k = min(L - M, M - 1) is
-    # sampled
+    # sampled; on the full grid (1D only) and on the mirror route
     g = make_grid(n_dim, half_width, points)
     prop = HeatPropagator(g, mirror=mirror)
     m = points
@@ -906,10 +954,9 @@ def test_kernel_entry_samples_the_kernels_reach_alone(monkeypatch, n_dim, half_w
         wrapped = np.zeros((times.size, length))
         wrapped[:, : k + 1] = samples[:, m - 1 : m + k]
         wrapped[:, length - k :] = samples[:, m - 1 - k : m - 1]
+        ref = np.fft.rfft(wrapped)
         if mirror:
-            ref = np.fft.rfft(wrapped).real[:, : length // 2]
-        else:
-            ref = (np.fft.rfft if n_dim == 1 else np.fft.fft)(wrapped)
+            ref = ref.real[:, : length // 2]
         assert factors.shape == ref.shape and factors.dtype == ref.dtype
         assert np.max(np.abs(factors - ref)) <= 1e-15 * np.max(np.abs(ref))
     # an operator asks at L below the cap
@@ -960,17 +1007,21 @@ def test_smoothing_bound_for_weighted_operator():
 
 
 def test_weighted_operator_gamma_zero_is_plain_heat():
+    # on either route; apply_heat takes the mirror one for symmetric data
     g = make_grid(1, 8.0, 256)
     f = standard_data(g, "gauss:1")
-    a = HeatPropagator(g).apply_weighted_values(f.values, 0.5, 0.0)
-    b = apply_heat(f, 0.5)
-    np.testing.assert_array_equal(a, b.values)
+    full, mirror = HeatPropagator(g), HeatPropagator(g, mirror=True)
+    a = full.apply_weighted_values(f.values, 0.5, 0.0)
+    np.testing.assert_array_equal(a, full.apply_heat_values(f.values, 0.5))
+    a = mirrored(mirror.apply_weighted_values(orthant(f.values), 0.5, 0.0))
+    np.testing.assert_array_equal(a, apply_heat(f, 0.5).values)
 
 
 def test_propagator_preserves_symmetry():
+    # on the full grid, where nothing imposes it
     g = make_grid(1, 8.0, 256)
     f = standard_data(g, "bump:3")
-    out = apply_heat(f, 1.0).values
+    out = HeatPropagator(g).apply_heat_values(f.values, 1.0)
     np.testing.assert_allclose(out, out[::-1], rtol=0, atol=1e-15)
 
 
@@ -990,33 +1041,41 @@ _MIRROR_WEIGHTS = np.array(
 )
 @pytest.mark.parametrize("t_scale", [0.02, 1.0])
 @pytest.mark.parametrize("batch_rows", [None, 3, "blocks"])
-def test_mirror_and_full_routes_agree(n_dim, points, t_scale, batch_rows, monkeypatch):
-    # the same sums on the orthant (cosine transforms) as on the full grid
-    # (the FFT path), for mirror-symmetric fields: stacks, weights, a (J, K)
-    # mix, a producer and the weighted operator, with t = 0 rows, an odd
-    # half axis (M = 30), more than one batch (batch_rows), the spectral
-    # lines in blocks ("blocks": uneven in 2D and 3D but for 3D M = 12,
-    # whose 8 or 12 lines come in blocks of one) and, for the long times,
-    # the transform length at its cap Q = M (the reach 13 sqrt(t) / h
-    # exceeds the box at L = 6, t = 1)
+def test_mirror_and_full_routes_agree(
+    n_dim, points, t_scale, batch_rows, monkeypatch, dense_heat
+):
+    # the sums of the dense reference on the orthant (cosine transforms),
+    # and in 1D those of the full grid too, for mirror-symmetric fields:
+    # stacks, weights, a (J, K) mix, a producer and the weighted operator,
+    # with t = 0 rows, an odd half axis (M = 30), more than one batch
+    # (batch_rows), the spectral lines in blocks ("blocks": uneven in 2D and
+    # 3D but for 3D M = 12, whose 8 or 12 lines come in blocks of one) and,
+    # for the long times, the transform length at its cap Q = M (the reach
+    # 13 sqrt(t) / h exceeds the box at L = 6, t = 1)
     g = make_grid(n_dim, 6.0, points)
     times = _MIRROR_TIMES * t_scale
     q = semigroup._orthant_length(points, g.h, float(times.max()))
     assert q == points if t_scale == 1.0 else q < points
     if batch_rows == 3:
         monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * q**n_dim)
-    full, mirror = HeatPropagator(g), HeatPropagator(g, mirror=True)
-    assert mirror.shape == (points // 2,) * n_dim and full.shape == g.shape
+    mirror = HeatPropagator(g, mirror=True)
+    assert mirror.shape == (points // 2,) * n_dim
+    full = HeatPropagator(g) if n_dim == 1 else None
     rng = np.random.default_rng(7 * points + n_dim)
     halves = rng.uniform(0.0, 2.0, (times.size,) + mirror.shape)
-    fields = np.stack([mirrored(h) for h in halves])
     mix = rng.uniform(0.0, 1.0, (times.size, 3))
     mix[2] = 0.0  # a row that mixes nothing
+    weight = mirror.weight_values(0.4)
 
-    def agree(on_full, on_half):
-        ref = np.stack([orthant(f) for f in on_full])
-        assert on_half.shape == ref.shape
-        assert np.max(np.abs(on_half - ref)) <= 1e-13 * np.max(np.abs(ref))
+    def agree(on_half, rows, weights):
+        # against the sums of the J orthant rows that the operator applies
+        refs = [dense_heat(g, rows, times, weights, half=True)]
+        if full is not None:
+            on_full = full.apply_heat_values(np.stack([mirrored(r) for r in rows]), times, weights)
+            refs.append(np.stack([orthant(f) for f in on_full]))
+        for ref in refs:
+            assert on_half.shape == ref.shape
+            assert np.max(np.abs(on_half - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     for weights in (None, _MIRROR_WEIGHTS):
         if batch_rows == "blocks":
@@ -1028,11 +1087,8 @@ def test_mirror_and_full_routes_agree(n_dim, points, t_scale, batch_rows, monkey
             _check_blocks(op, k)
         elif batch_rows is not None:
             assert op._step == batch_rows
-        agree(full.apply_heat_values(fields, times, weights), mirror.apply_heat_values(halves, op))
-        agree(
-            full.apply_weighted_values(fields, times, 0.4, weights),
-            mirror.apply_weighted_values(halves, times, 0.4, weights),
-        )
+        agree(mirror.apply_heat_values(halves, op), halves, weights)
+        agree(mirror.apply_weighted_values(halves, times, 0.4, weights), halves * weight, weights)
         if batch_rows == "blocks":
             # a mixed operator contracts all J rows at once
             k = _split_lines(monkeypatch, q, n_dim, rows=times.size)
@@ -1043,9 +1099,9 @@ def test_mirror_and_full_routes_agree(n_dim, points, t_scale, batch_rows, monkey
         def fill(lo, hi, out):
             out[...] = halves[lo:hi]
 
-        ref = full.prepare(times, weights, mix).apply(fields[:3])
-        agree(ref, mirror.apply_heat_values(halves[:3], mixed))
-        agree(ref, mirror.apply_heat_values(fill, mixed))
+        rows = np.tensordot(mix, halves[:3], axes=1)
+        agree(mirror.apply_heat_values(halves[:3], mixed), rows, weights)
+        agree(mirror.apply_heat_values(fill, mixed), rows, weights)
 
 
 @pytest.mark.parametrize("m", [2, 12, 30, 64, 136, 256, 1024])

@@ -81,21 +81,31 @@ def test_subsolution_check_gamma_zero_equality_case():
     assert abs(rep.margin) < 1e-4
 
 
-def _per_node_subsolution_margins(q, gamma, n_dim, times=(0.25, 1.0), nodes=32):
-    """The sub-solution check as one weighted apply per quadrature node."""
-    from singheat import HeatPropagator, Params, duhamel_rule, make_grid, subsolution_w
+def _per_node_subsolution_margins(dense_heat, q, gamma, n_dim, times=(0.25, 1.0), nodes=32):
+    """The sub-solution check as one weighted apply per quadrature node, on
+    the full grid: the propagator's in 1D, the dense reference's above."""
+    from singheat import (
+        HeatPropagator, Params, duhamel_rule, make_grid, subsolution_w, weight_field
+    )
     from singheat.verify import _default_grid, _trusted_mask
 
     params = Params(q=q, gamma=gamma, n_dim=n_dim)
     grid = make_grid(n_dim, *_default_grid(n_dim))
-    prop = HeatPropagator(grid)
+    if n_dim == 1:
+        apply = HeatPropagator(grid).apply_weighted_values
+    else:
+        weight = weight_field(grid, gamma).values
+
+        def apply(values, t, gamma):
+            return dense_heat(grid, (values * weight)[None], [t])[0]
+
     out = {}
     for t in times:
         sigs, wts = duhamel_rule(0.0, float(t), gamma, nodes)
         acc = np.zeros(grid.shape)
         for s, w in zip(sigs, wts):
             ws = subsolution_w(grid, params, float(s)).values
-            acc += w * prop.apply_weighted_values(ws**q, float(t) - float(s), gamma)
+            acc += w * apply(ws**q, float(t) - float(s), gamma)
         target = subsolution_w(grid, params, float(t)).values
         mask = _trusted_mask(grid, float(t))
         out[repr(float(t))] = float(np.min((acc - target)[mask]))
@@ -103,9 +113,9 @@ def _per_node_subsolution_margins(q, gamma, n_dim, times=(0.25, 1.0), nodes=32):
 
 
 @pytest.mark.parametrize("name,args", [("subsolution", (0.5, 0.3, 1)), ("subsolution-2d", (0.3, 0.5, 2))])
-def test_batched_subsolution_matches_per_node_sum(name, args):
+def test_batched_subsolution_matches_per_node_sum(name, args, dense_heat):
     rep = default_suite()[name]()
-    ref = _per_node_subsolution_margins(*args)
+    ref = _per_node_subsolution_margins(dense_heat, *args)
     got = rep.details["per_time_margin"]
     assert sorted(got) == sorted(ref)
     for key, value in ref.items():
