@@ -15,9 +15,10 @@ solve, the Picard sweeps of its whole ladder, summed over the sidecar's
 ``levels`` entries, in REV and here (a sidecar without them gives its last
 level's ``total_sweeps``, marked so).  The list is the benchmark's two
 workloads (perfbench/workloads.py), the default, 2D, 3D, step-data and
-gamma = 0.6 solves, the full default ``verify`` suite and its 2D sub-solution
-check alone (which sets the suite's peak), ``constants``,
-``gamma-star``, ``sweep`` and every ``--help``.  Only local git is used.
+gamma = 0.6 solves, the full default ``verify`` suite and, alone, the two
+of its checks whose peak comes closest to the suite's (the 2D sub-solution
+check and ``heaviside``, 1D at M = 32768), ``constants``, ``gamma-star``,
+``sweep`` and every ``--help``.  Only local git is used.
 
     python scripts/compare_outputs.py REV [--only NAME,...]
 
@@ -56,6 +57,7 @@ COMMANDS = (
         ("solve-gamma-0.6", ["solve", "--gamma", "0.6", "--points", "256", "--out", "solve.csv"]),
         ("verify-all", ["verify", "--json", "verify.json"]),
         ("verify-2d", ["verify", "--suite", "subsolution-2d"]),
+        ("verify-heaviside", ["verify", "--suite", "heaviside"]),
         ("constants", ["constants", "--gamma", "0.3", "--dim", "2", "--json", "constants.json"]),
         ("gamma-star", ["gamma-star", "--q", "0.5", "--json", "gamma-star.json"]),
         ("sweep", ["sweep", "--param", "gamma", "--start", "0", "--stop", "0.4",

@@ -285,7 +285,7 @@ class TimeMesh:
         if not (window_length > 0.0):
             raise ParameterError(f"window_length must be positive (got {window_length})")
         w_len = min(window_length, t_end)
-        tol = 1e-12 * max(1.0, t_end)
+        tol = 1e-12 * t_end
         anchors = sorted(set(float(s) for s in must_include) | {float(t_end)})
         clean: list[float] = []
         for s in anchors:
@@ -366,7 +366,8 @@ class Trajectory:
     """Snapshots of one run at increasing times (t = 0 included).
 
     ``write_csv`` streams them to a text file as CSV and ``metadata`` gives
-    the JSON sidecar's payload.
+    the JSON sidecar's payload: every diagnostic but ``history`` (the
+    ladder's snapshot arrays, which only ``keep_history=True`` attaches).
     """
 
     grid: Grid
@@ -386,7 +387,7 @@ class Trajectory:
 
     def snapshot_at(self, t: float) -> GridFunction:
         for tt, snap in zip(self.times, self.snapshots):
-            if abs(tt - t) <= 1e-9 * max(1.0, abs(t)):
+            if abs(tt - t) <= 1e-9 * abs(t):
                 return snap
         raise ParameterError(f"no snapshot recorded at t = {t} (have {self.times})")
 
@@ -413,7 +414,7 @@ class Trajectory:
         return "\n".join(map(",".join, rows)) + "\n"
 
     def metadata(self) -> dict:
-        diag = {k: v for k, v in self.diagnostics.items() if _json_safe(v)}
+        diag = {k: v for k, v in self.diagnostics.items() if k != "history"}
         return {
             "params": {
                 "q": self.params.q,
@@ -429,16 +430,6 @@ class Trajectory:
             "node_order": "C order over the axis meshes, axis 1 slowest",
             "diagnostics": diag,
         }
-
-
-def _json_safe(v) -> bool:
-    if isinstance(v, (bool, int, float, str)) or v is None:
-        return True
-    if isinstance(v, (list, tuple)):
-        return all(_json_safe(x) for x in v)
-    if isinstance(v, dict):
-        return all(isinstance(k, str) and _json_safe(x) for k, x in v.items())
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +561,7 @@ def picard_solve(
     ]
     for key in set(plans) - set(keys):
         del plans[key]
-    tolb = 1e-9 * max(1.0, mesh.t_end)
+    tolb = 1e-9 * mesh.t_end
     bset = list(mesh.boundaries)
     if record_times is None:
         records = set(bset[1:])
@@ -591,7 +582,7 @@ def picard_solve(
     # knots' weighted sources and the residual's difference, which also
     # holds the clipped fields on their way into the nonlinearity
     knots = diff = None
-    weight = prop.weight_values(gam) if gam != 0.0 else None
+    weight = prop.weight_values(gam)
     # the Duhamel parts (converged state - free term) of the last two windows
     # of the current length, older first, whose linear extrapolation starts
     # the next window's sweeps: at most two arrays of the state's size,
@@ -602,8 +593,7 @@ def picard_solve(
     def source(fields, out, scratch):
         # |x|^{-gamma} g(max(fields, 0)) into out; the max drops FFT rounding dust
         nonlinearity(np.maximum(fields, 0.0, out=scratch), out=out)
-        if weight is not None:
-            out *= weight
+        out *= weight
 
     for widx, key in enumerate(keys):
         a = mesh.boundaries[widx]

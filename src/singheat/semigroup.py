@@ -29,10 +29,12 @@ of the operator's longest-time kernel (13 sqrt(t_max), beyond which the
 Gaussian is zero in double precision), rounded up to an even 5-smooth length
 and capped at the doubled box 2M.  The kernel wrapped at length P keeps its
 displacements up to P - M, so the circular convolution folds nothing back
-onto the box, and only those are sampled (see _kernel_entry).  On the mirror
-route the N-D spectrum is the outer product of 1D factors: an operator
-holds one 1D factor per time (O(M) bytes in any dimension), and each row's
-spectrum is multiplied by it once per axis.
+onto the box, and only those are sampled (see _kernel_entry).  The wrapped
+kernel is symmetric, so its spectrum is real (to rounding) and every kernel
+factor is a real array, on either route.  On the mirror route the N-D
+spectrum is the outer product of 1D factors: an operator holds one 1D
+factor per time (O(M) bytes in any dimension), and each row's spectrum is
+multiplied by it once per axis.
 
 One call can also apply a stack of fields, each for its own time, and return
 weighted sums of the results: the batched form of the Duhamel quadrature.
@@ -92,9 +94,9 @@ Each cosine transform is one rfft of length Q (Makhoul 1980), so an axis
 costs about a quarter of a full-grid transform.  A batch is transformed
 along its last axis at once and along each earlier axis one row at a time,
 in both directions, so the scratch holds one row's padded lines along an
-earlier axis, not a batch's.  The kernel factor of a row is real, the first
-Q values of the FFT path's factor at P = 2Q, and the
-transform-contract-invert loop is the FFT path's.
+earlier axis, not a batch's.  The route reads the first Q values of the
+FFT path's factor at P = 2Q, and the transform-contract-invert loop is the
+FFT path's.
 """
 
 from __future__ import annotations
@@ -194,12 +196,12 @@ class HeatPropagator:
     route (see the module docstring); any other takes the FFT path, which
     is 1D only: mirror=False on a 2D or 3D grid raises ParameterError.
 
-    A kernel factor is one 1D array: on the FFT path, the P/2+1 half
+    A kernel factor is one real 1D array: the P/2+1 values of the half
     spectrum of the kernel wrapped at the padded length P <= 2M of the
-    operator that asks for it; on the mirror route, the first Q values of
-    the real part of that spectrum at P = 2Q, which is real up to rounding
-    since the wrapped kernel is symmetric.  The N-D kernel is the product
-    of that factor over the axes and is never formed.
+    operator that asks for it, which is real up to rounding since the
+    wrapped kernel is symmetric.  The mirror route reads the first Q values
+    of the factor at P = 2Q.  The N-D kernel is the product of that factor
+    over the axes and is never formed.
     The propagator keeps no kernels: each prepared operator builds its own
     factors, all in one call, and holds them while it lives.  A kernel whose
     raw mass falls short of 1 by more than _EPS_TAIL raises TruncationError.
@@ -270,20 +272,24 @@ class HeatPropagator:
             raise ParameterError(f"raw_kernel_mass requires t > 0 (got {t})")
         return float(np.sum(self._axis_samples(t))) ** self.grid.n_dim
 
-    def _kernel_entry(self, t, length: "int | None" = None, out=None) -> np.ndarray:
-        """The 1D kernel factor for time t, at padded length `length`
-        (default 2M; see the class docstring).  For a 1D array of times
-        t > 0, the factors are built in one pass, one row per time, and
-        written into out when it is given; a truncating time raises
-        TruncationError naming the first.
+    def _kernel_entry(self, t, length: "int | None" = None) -> np.ndarray:
+        """The 1D kernel factor for time t at padded length L = `length`
+        (default 2M): the L/2 + 1 values of the real part of the rfft of
+        the kernel wrapped at L, on either route (see the class docstring).
+        For a 1D array of times t > 0, the factors are built in one pass,
+        one row per time; a truncating time raises TruncationError naming
+        the first.
 
         The kernel wrapped at length L keeps its displacements up to
         k = min(L - M, M - 1), and only those are sampled and summed.  For
         k < M - 1, L covers the reach of every row's kernel, beyond which
         its mass is below erfc(6.5) = 4e-20; a kernel that the box
         truncates reaches past M - 1, which forces L = 2M and the whole
-        box.  The samples are freed before the transform, so a build holds
-        at most the wrapped kernels, their spectra and the result at once."""
+        box.  The wrapped kernel is symmetric, so its spectrum is real up to
+        rounding (below 1e-15), which the real part drops.  The samples are
+        freed before the transform and the wrapped kernels before the
+        result is allocated, so a build holds at most the wrapped kernels
+        and their spectra, or the spectra and the result, at once."""
         m = self.grid.points_per_axis
         scalar = np.ndim(t) == 0
         times = np.atleast_1d(np.asarray(t, dtype=float))
@@ -307,14 +313,9 @@ class HeatPropagator:
         wrapped[:, : k + 1] = g[:, k:]            # displacements 0 .. k
         wrapped[:, length - k :] = g[:, :k]       # displacements -k .. -1
         del g
-        if self.mirror:
-            spectra = np.fft.rfft(wrapped)
-            del wrapped
-            if out is None:
-                out = np.empty((spectra.shape[0], length // 2))
-            out[...] = spectra.real[:, : length // 2]
-        else:
-            out = np.fft.rfft(wrapped, out=out)
+        spectra = np.fft.rfft(wrapped)
+        del wrapped
+        out = spectra.real.copy()
         return out[0] if scalar else out
 
     # -- application ---------------------------------------------------------
@@ -350,37 +351,24 @@ class HeatPropagator:
                 raise ParameterError(f"{name} matrix entries must be finite (got {matrix})")
         return PreparedHeat(self, times, weights, mix)
 
-    def apply_heat_values(self, values, t, weights=None) -> np.ndarray:
-        """S(t) applied to a value array of the grid's shape, or to a stack.
-
-        With a scalar t, values has the grid's shape and the result is
-        S(t) values.  With a length-J time array, values is a (J, *grid)
-        stack and the result is the stack of S(t[j]) values[j]; a (T, J)
-        weights matrix instead returns the T sums
-        sum_j weights[i, j] S(t[j]) values[j].  t may also be an operator
-        from prepare(), which carries its own times, weights and mix: a
-        caller applying the same times to many stacks prepares them once.
-        An operator prepared with a (J, K) mix takes a (K, *grid) stack.
-        With a time array or an operator, values may also be a producer
-        fill(lo, hi, out) of the stack's rows (see PreparedHeat.apply).
-        """
+    def apply_heat_values(self, values, t) -> np.ndarray:
+        """S(t) applied to a value array of the propagator's field shape,
+        for one scalar time t; or, with t an operator from prepare(), which
+        carries its own times, weights and mix, that operator applied to
+        values, a stack or a producer (see PreparedHeat.apply).  Times,
+        weights and mixes of a batch go to prepare: a caller applying the
+        same times to many stacks prepares them once."""
         if isinstance(t, PreparedHeat):
-            if t.propagator is not self or weights is not None:
-                raise ParameterError(
-                    "a prepared operator carries its own weights and belongs to its propagator"
-                )
+            if t.propagator is not self:
+                raise ParameterError("a prepared operator belongs to its propagator")
             return t.apply(values)
-        if np.ndim(t) != 0:
-            return self.prepare(t, weights).apply(values)
-        if not math.isfinite(t) or t < 0.0:
-            raise ParameterError(f"evolution time must be >= 0 (got {t})")
+        if np.ndim(t) != 0 or not math.isfinite(t) or t < 0.0:
+            raise ParameterError(f"evolution time must be one scalar >= 0 (got {t})")
         values = np.asarray(values, dtype=float)
         if values.shape != self.shape:
             raise ParameterError(
                 f"value shape {values.shape} does not match field shape {self.shape}"
             )
-        if weights is not None:
-            raise ParameterError("a weight matrix needs a time array, not a scalar time")
         if t == 0.0:
             return np.array(values, dtype=float, copy=True)
         return self.prepare([float(t)]).apply(values[None])[0]
@@ -397,15 +385,11 @@ class HeatPropagator:
             self._weights[gamma] = vals
         return vals
 
-    def apply_weighted_values(
-        self, values: np.ndarray, t, gamma: float, weights=None
-    ) -> np.ndarray:
-        """S_gamma(t) = S(t) after multiplication by the cell-averaged weight;
-        takes a stack, times (or a prepared operator) and weights as
-        apply_heat_values does."""
-        if gamma == 0.0:
-            return self.apply_heat_values(values, t, weights)
-        return self.apply_heat_values(values * self.weight_values(gamma), t, weights)
+    def apply_weighted_values(self, values: np.ndarray, t, gamma: float) -> np.ndarray:
+        """S_gamma(t) = S(t) after multiplication by the cell-averaged weight
+        (exactly ones at gamma = 0); takes a field and a scalar time, or a
+        stack and a prepared operator, as apply_heat_values does."""
+        return self.apply_heat_values(values * self.weight_values(gamma), t)
 
 
 def _flat(spec: np.ndarray) -> np.ndarray:
@@ -425,24 +409,26 @@ class PreparedHeat:
 
     - FFT path (1D): the padded length P, sized to the reach of the
       kernel of the largest time (see _padded_length), and the per-row
-      kernel factors at that length stacked into one (J, P/2+1) complex
+      kernel factors at that length stacked into one (J, P/2+1) real
       array, ones for t = 0 rows.  _work holds the padded rows that a
       batch of inputs is transformed from and a batch of results is
       inverted into: a batch of whichever are more.
     - Mirror route: the cosine-transform length Q of the half axis in place
-      of P (see _orthant_length) and real factors of Q values per row (on
-      the last axis, paired to match the spectrum's float view; see
-      _dct_forward).  Every spectrum is held as rfftn's half spectrum at
-      Q points per axis, so the apply loop is the FFT path's.  _work
-      holds the batch's real lines along the last axis, or one row's
-      padded lines along an earlier axis if those are more, and one row's
-      half spectra of the latter: the earlier axes are transformed a row
-      at a time.
+      of P (see _orthant_length) and the factors at 2Q, of which it reads
+      the first Q values per row (on the last axis, paired to match the
+      spectrum's float view; see _dct_forward).  Every spectrum is held as
+      rfftn's half spectrum at Q points per axis, so the apply loop is the
+      FFT path's.  _work holds the batch's real lines along the last axis,
+      or one row's padded lines along an earlier axis if those are more,
+      and one row's half spectra of the latter: the earlier axes are
+      transformed a row at a time.
     - On both: _step, the rows whose padded spectra fit
       _FFT_WORKSPACE_BYTES, the batches in which fields are produced,
       transformed and inverted; _span, the rows contracted at once (all J
-      with a mix, else one batch); and _blocks, the cuts of the first
-      spectral axis into blocks of lines, each with its rows' factor views.
+      with a mix, else one batch); _blocks, the cuts of the first
+      spectral axis into blocks of lines, each with its rows' factor views;
+      and _lanes, the slices of a spectrum's float view along its last
+      axis that the last axis's factor scales, one at a time.
 
     The operator holds no workspace: its applies work in the propagator's
     scratch (see HeatPropagator), and every result is a fresh array.  The
@@ -464,39 +450,40 @@ class PreparedHeat:
         live = np.flatnonzero(times > 0.0)
         if prop.mirror:
             q = _orthant_length(m, grid.h, float(times.max()))
-            kernel_length, width = 2 * q, q
+            kernel_length = 2 * q
             twiddle = np.exp(-0.5j * np.pi / q * np.arange(q // 2 + 1))
             self._twiddles = (twiddle, twiddle.conj())
         else:
             q = _padded_length(m, grid.h, float(times.max()))
-            kernel_length, width = q, q // 2 + 1
+            kernel_length = q
         self._padded = (q,) * n
         # the half spectra of the last axis, on either route
         self._spec_shape = (q,) * (n - 1) + (q // 2 + 1,)
-        # the live rows' factors are built straight into the array; S(0) is
-        # the identity, so its rows hold ones
-        factors = np.empty((count, width), dtype=float if prop.mirror else complex)
-        if live.size:
-            prop._kernel_entry(times[live], kernel_length, out=factors[: live.size])
-        if live.size < count:
-            factors[live] = factors[: live.size]  # numpy buffers the overlap
-            factors[times == 0.0] = 1.0
+        factors = prop._kernel_entry(times[live], kernel_length)
+        if live.size < count:  # S(0) is the identity, so its rows hold ones
+            rows = np.ones((count, factors.shape[1]))
+            rows[live] = factors
+            factors = rows
         # factor of each row along each axis, shaped to broadcast over the row
-        # spectrum; the last axis holds the half spectrum on the FFT path,
-        # and on the mirror route the pairs (c_k, -c_(Q-k)) of cosine
-        # coefficients (see _dct_forward) in the spectrum's float view, so
-        # its factor pairs G_k with G_(Q-k); the earlier axes are the mirror
-        # route's alone
+        # spectrum's float view, which _lanes cuts along the last axis.  On
+        # the FFT path the half spectrum's real and imaginary parts take the
+        # same factor, each in place (a broadcast over both, or a complex
+        # product, would allocate a buffer); on the mirror route the last
+        # axis holds the pairs (c_k, -c_(Q-k)) of cosine coefficients (see
+        # _dct_forward), so its factor pairs G_k with G_(Q-k).  The earlier
+        # axes are the mirror route's alone
         axes = [
             factors[:, :w].reshape((count,) + (1,) * ax + (w,) + (1,) * (n - 1 - ax))
             for ax, w in enumerate(self._spec_shape)
         ]
+        self._lanes = (slice(0, None, 2), slice(1, None, 2))
         if prop.mirror:
             pairs = np.empty((count, q // 2 + 1, 2))
             pairs[:, :, 0] = factors[:, : q // 2 + 1]
             pairs[:, 0, 1] = factors[:, 0]  # c_0 pairs with a zero
-            pairs[:, 1:, 1] = factors[:, : q // 2 - 1 : -1]
+            pairs[:, 1:, 1] = factors[:, q - 1 : q // 2 - 1 : -1]
             axes[-1] = pairs.reshape((count,) + (1,) * (n - 1) + (q + 2,))
+            self._lanes = (slice(None),)
         row_bytes = 16 * q**n
         self._step = step = max(1, min(count, _FFT_WORKSPACE_BYTES // row_bytes))
         if prop.mirror:
@@ -576,10 +563,12 @@ class PreparedHeat:
         straight into the J result spectra, inverted last; without a mix
         either, each batch's scaled spectra are inverted into its rows of
         the result before the next batch is produced.  Each product is one
-        real matrix product, on complex values viewed as float pairs.  The
-        FFT path and the mirror route differ only in their transform pair
-        and in their factors, which on the mirror route are real and scale
-        the spectra's float view."""
+        real matrix product, on complex values viewed as float pairs, and
+        the real factors scale that float view in place: on the FFT path
+        its even and its odd entries (each spectrum's real and imaginary
+        parts) by the same factor, on the mirror route the whole view by
+        the paired factor.  The two differ in nothing else but their
+        transform pair."""
         mix, weights = self.mix, self.weights
         count, step, span = self._shape[0], self._step, self._span
         targets = count if weights is None else weights.shape[0]
@@ -607,11 +596,13 @@ class PreparedHeat:
                     block = outs[:, cut] if weights is None else ys[:, : y.shape[1]]
                     np.matmul(mix, _flat(y), out=_flat(block))
                     y = block
-                scaled = y.view(float) if self.propagator.mirror else y
+                scaled = y.view(float)
                 *head, last = factors
                 if head:  # the earlier axes' factors are small: one pass for all
                     scaled *= functools.reduce(np.multiply, head)[lo:hi]
-                scaled *= last[lo:hi]
+                for lane in self._lanes:
+                    part = scaled[..., lane]
+                    part *= last[lo:hi]
                 if weights is None:
                     continue
                 sums = _flat(outs[:, cut])

@@ -160,10 +160,11 @@ def check_subsolution(
     exact extremal), so the margin there measures pure quadrature error.
     Every field here is radial, so the check computes on the positive
     orthant, with a mirror propagator.  Each time's quadrature sum is one
-    batched propagator call, whose producer writes each batch's rows of
-    w(sigma_j)^q straight into the operator's workspace, so the check holds
-    no stack.  A row is lambda^q sigma^{q/(1-q)} (r + sqrt sigma)^{-gamma q/(1-q)}:
-    one power per distinct radius (3498 of the orthant's 9216 in 2D at
+    operator, prepared for the rule's lags and weights and applied once to
+    a producer that writes each batch's rows of w(sigma_j)^q straight into
+    the operator's workspace, so the check holds no stack.  A row is
+    lambda^q sigma^{q/(1-q)} (r + sqrt sigma)^{-gamma q/(1-q)}: one power
+    per distinct radius (3498 of the orthant's 9216 in 2D at
     M = 192), gathered onto the orthant, then multiplied by the weight; the
     barrier w(t) is gathered the same way.
     """
@@ -177,7 +178,7 @@ def check_subsolution(
     radius, cheb = _orthant_nodes(grid)
     radii, where = np.unique(radius, return_inverse=True)
     where = where.reshape(prop.shape)  # numpy 2.x releases disagree on its shape
-    weight = prop.weight_values(gamma) if gamma != 0.0 else None
+    weight = prop.weight_values(gamma)
     lam_q = subsolution_coefficient(params) ** q
     expo = gamma * q / (1.0 - q)
     per_time = {}
@@ -190,10 +191,9 @@ def check_subsolution(
                 vals = np.power(radii + math.sqrt(s), -expo)
                 vals *= lam_q * s ** (q / (1.0 - q))
                 np.take(vals, where, out=row)
-            if weight is not None:
-                out *= weight
+            out *= weight
 
-        acc = prop.apply_heat_values(fill, float(t) - sigs, weights=wts[None])[0]
+        acc = prop.apply_heat_values(fill, prop.prepare(float(t) - sigs, wts[None]))[0]
         target = np.take(subsolution_values(params, float(t), radii), where)
         mask = _trusted_mask(grid, float(t), cheb)
         m = float(np.min((acc - target)[mask]))

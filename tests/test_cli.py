@@ -295,6 +295,18 @@ def test_solve_writes_csv_and_sidecar(tmp_path, capsys):
     assert levels[-1]["sweeps"] == meta["diagnostics"]["total_sweeps"]
 
 
+@pytest.mark.parametrize("t_end", ["1e-10", "1e-13"])
+def test_short_solves_write_their_t_end_snapshot(tmp_path, capsys, t_end):
+    # record times match relative to the time, so a run far below t = 1
+    # records its t_end (the default record) as any other run does
+    out = tmp_path / "short.csv"
+    argv = ["solve", "--t-end", t_end, "--points", "64", "--n-schedule", "1,2"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = [line.split(",")[0] for line in out.read_text().strip().split("\n")[1:]]
+    assert rows == ["0.0"] * 64 + [repr(float(t_end))] * 64
+    assert json.loads((tmp_path / "short.json").read_text())["times"] == [0.0, float(t_end)]
+
+
 def test_failed_write_leaves_no_temporary_file(tmp_path):
     out = tmp_path / "traj.csv"
     out.write_text("old\n")

@@ -485,9 +485,9 @@ def test_picard_looks_up_kernels_once_per_window_length(monkeypatch):
     lookup = HeatPropagator._kernel_entry
     scratch = HeatPropagator._scratch
 
-    def counted(self, t, length=None, out=None):
+    def counted(self, t, length=None):
         lookups.append(np.size(t))
-        return lookup(self, t, length, out)
+        return lookup(self, t, length)
 
     def watched(self, *specs):
         before = self._buffer
@@ -941,6 +941,38 @@ def test_trajectory_csv_and_metadata():
     import json
 
     json.dumps(meta)  # metadata must be JSON-serializable as-is
+
+
+def test_metadata_of_a_ladder_with_history_is_json_without_it():
+    g = make_grid(1, 6.0, 32)
+    p = Params(q=0.5, gamma=0.0, n_dim=1)
+    cfg = SolveConfig(n_schedule=(1, 2))
+    traj = monotone_solve(standard_data(g, "zero"), p, 0.25, cfg, keep_history=True)
+    assert "history" in traj.diagnostics
+    meta = traj.metadata()
+    assert "history" not in meta["diagnostics"]
+    assert set(meta["diagnostics"]) == set(traj.diagnostics) - {"history"}
+    import json
+
+    json.dumps(meta)
+
+
+def test_snapshot_times_below_one_match_relative_to_the_time():
+    # a snapshot at 1e-10 is found at 1e-10, not at t = 0, and a mesh of
+    # t_end = 1e-13 takes its own end as a record time
+    g = make_grid(1, 6.0, 32)
+    p = Params(q=0.5, gamma=0.0, n_dim=1)
+    snaps = (GridFunction(g, np.zeros(g.shape)), GridFunction(g, np.ones(g.shape)))
+    traj = Trajectory(grid=g, params=p, times=(0.0, 1e-10), snapshots=snaps)
+    assert traj.snapshot_at(1e-10) is snaps[1]
+    assert traj.snapshot_at(0.0) is snaps[0]
+    with pytest.raises(ParameterError):
+        traj.snapshot_at(2e-10)
+    assert TimeMesh.build(1e-13, 1e-13, must_include=(1e-13,)).boundaries == (0.0, 1e-13)
+    mesh = TimeMesh.build(1e-10, 0.25)
+    traj = picard_solve(standard_data(g, "const:1"), Nonlinearity.zero(), p, mesh,
+                        record_times=(1e-10,))
+    assert traj.times == (0.0, 1e-10)
 
 
 def test_trajectory_csv_text_is_pinned():

@@ -201,14 +201,15 @@ def test_batched_apply_matches_single_applies(
     weighted = stack * prop.weight_values(gamma) if gamma else stack
     ref = dense_heat(g, weighted, _BATCH_TIMES, half=prop.mirror)
     np.testing.assert_allclose(singles, ref, rtol=0, atol=1e-13)
-    batched = prop.apply_weighted_values(stack, _BATCH_TIMES, gamma)
+    op = prop.prepare(_BATCH_TIMES)
+    batched = prop.apply_weighted_values(stack, op, gamma)
     if batch_rows is not None:
-        assert prop.prepare(_BATCH_TIMES)._step == batch_rows
+        assert op._step == batch_rows
     np.testing.assert_allclose(batched, singles, rtol=0, atol=1e-13)
     # the t = 0 row is the (weighted) field itself
     weighted = stack[1] * prop.weight_values(gamma) if gamma else stack[1]
     np.testing.assert_allclose(batched[1], weighted, rtol=0, atol=1e-13)
-    summed = prop.apply_weighted_values(stack, _BATCH_TIMES, gamma, _BATCH_WEIGHTS)
+    summed = prop.apply_weighted_values(stack, prop.prepare(_BATCH_TIMES, _BATCH_WEIGHTS), gamma)
     assert summed.shape == (_BATCH_WEIGHTS.shape[0],) + prop.shape
     np.testing.assert_allclose(
         summed, np.tensordot(_BATCH_WEIGHTS, singles, axes=1), rtol=0, atol=1e-13
@@ -221,7 +222,7 @@ def test_single_apply_is_the_one_row_batch(points):
     prop = HeatPropagator(g)
     f = standard_data(g, "bump:2").values
     one = prop.apply_heat_values(f, 0.4)
-    np.testing.assert_array_equal(prop.apply_heat_values(f[None], np.array([0.4]))[0], one)
+    np.testing.assert_array_equal(prop.apply_heat_values(f[None], prop.prepare([0.4]))[0], one)
 
 
 @pytest.mark.parametrize("points", [64, 256])
@@ -231,21 +232,19 @@ def test_batched_apply_validation(points):
     stack = np.ones((3,) + g.shape)
     for bad in ([0.1, -0.2, 0.3], [0.1, 0.2, math.nan], [math.inf, 0.2, 0.3]):
         with pytest.raises(ParameterError):
-            prop.apply_heat_values(stack, np.array(bad))
+            prop.prepare(np.array(bad))
     with pytest.raises(ParameterError):
-        prop.apply_heat_values(stack, np.array([0.1, 0.2]))  # three fields, two times
+        prop.apply_heat_values(stack, prop.prepare([0.1, 0.2]))  # three fields, two times
     with pytest.raises(ParameterError):
-        prop.apply_heat_values(stack[0], np.array([0.1]))  # no stack axis
+        prop.apply_heat_values(stack[0], prop.prepare([0.1]))  # no stack axis
     with pytest.raises(ParameterError):
-        prop.apply_heat_values(stack, np.array([0.1, 0.2, 0.3]), np.ones((2, 2)))
-    with pytest.raises(ParameterError):
-        prop.apply_heat_values(stack[0], 0.1, np.ones((1, 1)))
+        prop.prepare([0.1, 0.2, 0.3], np.ones((2, 2)))
     # non-finite weights or mixes would turn every sum into NaN
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterError):
             prop.prepare([0.1, 0.2], weights=[[bad, 1.0]])
         with pytest.raises(ParameterError):
-            prop.apply_heat_values(stack, np.array([0.1, 0.2, 0.3]), [[1.0, bad, 0.0]])
+            prop.prepare([0.1, 0.2, 0.3], [[1.0, bad, 0.0]])
         with pytest.raises(ParameterError):
             prop.prepare([0.1, 0.2], mix=[[1.0], [bad]])
 
@@ -270,9 +269,9 @@ def test_direct_path_equals_per_row_correlation(n_dim, points, gamma):
             for ax in range(n_dim):
                 row = ndimage.correlate1d(row, samples / samples.sum(), axis=ax, mode="constant")
         ref[j] = orthant(row)
-    out = prop.apply_weighted_values(stack, _BATCH_TIMES, gamma)
+    out = prop.apply_weighted_values(stack, prop.prepare(_BATCH_TIMES), gamma)
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-14)
-    summed = prop.apply_weighted_values(stack, _BATCH_TIMES, gamma, _BATCH_WEIGHTS)
+    summed = prop.apply_weighted_values(stack, prop.prepare(_BATCH_TIMES, _BATCH_WEIGHTS), gamma)
     np.testing.assert_allclose(
         summed, np.tensordot(_BATCH_WEIGHTS, ref, axes=1), rtol=0, atol=1e-14
     )
@@ -599,8 +598,6 @@ def test_prepared_operator_validation():
     with pytest.raises(ParameterError):
         prop.apply_heat_values(np.ones((3,) + g.shape), op)  # three fields, two times
     with pytest.raises(ParameterError):
-        prop.apply_heat_values(np.ones((2,) + g.shape), op, np.ones((1, 2)))
-    with pytest.raises(ParameterError):
         HeatPropagator(g).apply_heat_values(np.ones((2,) + g.shape), op)  # another propagator
     for bad in ([0.1, -0.2], [math.nan, 0.2], []):
         with pytest.raises(ParameterError):
@@ -619,15 +616,17 @@ def test_prepared_operator_validation():
 
 @pytest.mark.parametrize("n_dim,points", [(2, 24), (3, 12)])
 def test_per_axis_spectrum_is_the_full_kernel_spectrum(n_dim, points):
-    # the mirror route's factors, multiplied over the axes, are the N-D
-    # kernel's spectrum at the doubled box: its first M values per axis,
-    # which are real, as the kernel is symmetric
+    # the mirror route's factors, M + 1 real values at the doubled box, of
+    # which it reads the first M, multiplied over the axes, are the N-D
+    # kernel's spectrum there: its first M values per axis, which are real,
+    # as the kernel is symmetric
     g = make_grid(n_dim, 4.0, points)
     prop = HeatPropagator(g, mirror=True)
     m = points
     for t in (0.05, 0.6):
         entry = prop._kernel_entry(t)
-        assert entry.shape == (m,)
+        assert entry.shape == (m + 1,) and entry.dtype == float
+        entry = entry[:m]
         # the full N-D kernel, built as the outer product of the wrapped axis kernel
         g1 = prop._axis_samples(t)
         g1 = g1 / g1.sum()
@@ -645,11 +644,28 @@ def test_per_axis_spectrum_is_the_full_kernel_spectrum(n_dim, points):
         np.testing.assert_allclose(prod, ref.real, rtol=0, atol=1e-15)
 
 
+def test_apply_takes_one_scalar_time_or_an_operator():
+    # times, weights and mixes of a batch go to prepare: a time array, or a
+    # weight matrix as a third argument, is refused
+    g = make_grid(1, 8.0, 64)
+    for prop in (HeatPropagator(g), HeatPropagator(g, mirror=True)):
+        stack = np.ones((2,) + prop.shape)
+        for times in (np.array([0.1, 0.2]), [0.1, 0.2], np.array([0.1])):
+            with pytest.raises(ParameterError):
+                prop.apply_heat_values(stack, times)
+            with pytest.raises(ParameterError):
+                prop.apply_weighted_values(stack, times, 0.4)
+        with pytest.raises(TypeError):
+            prop.apply_heat_values(stack, np.array([0.1, 0.2]), np.ones((1, 2)))
+        with pytest.raises(TypeError):
+            prop.apply_weighted_values(stack[0], 0.1, 0.4, np.ones((1, 1)))
+
+
 def test_one_dimensional_entry_is_the_half_spectrum():
     g = make_grid(1, 8.0, 256)
     prop = HeatPropagator(g)
     entry = prop._kernel_entry(0.3)
-    assert entry.shape == (257,)
+    assert entry.shape == (257,) and entry.dtype == float
 
 
 @pytest.mark.parametrize("n_dim,points", [(2, 16), (3, 16), (3, 8)])
@@ -928,7 +944,9 @@ def test_kernel_entry_samples_the_kernels_reach_alone(monkeypatch, n_dim, half_w
     # those of a full-box build (samples at every displacement of the box,
     # summed to their mass, wrapped at L and transformed), within 1e-15 of
     # the largest, and no displacement beyond k = min(L - M, M - 1) is
-    # sampled; on the full grid (1D only) and on the mirror route
+    # sampled; on the full grid (1D only) and on the mirror route, which
+    # both return the real part of that spectrum, as floats: its imaginary
+    # part is rounding, since the wrapped kernel is symmetric
     g = make_grid(n_dim, half_width, points)
     prop = HeatPropagator(g, mirror=mirror)
     m = points
@@ -954,10 +972,10 @@ def test_kernel_entry_samples_the_kernels_reach_alone(monkeypatch, n_dim, half_w
         wrapped = np.zeros((times.size, length))
         wrapped[:, : k + 1] = samples[:, m - 1 : m + k]
         wrapped[:, length - k :] = samples[:, m - 1 - k : m - 1]
-        ref = np.fft.rfft(wrapped)
-        if mirror:
-            ref = ref.real[:, : length // 2]
-        assert factors.shape == ref.shape and factors.dtype == ref.dtype
+        spectrum = np.fft.rfft(wrapped)
+        assert np.max(np.abs(spectrum.imag)) < 1e-15
+        ref = spectrum.real
+        assert factors.shape == ref.shape and factors.dtype == float
         assert np.max(np.abs(factors - ref)) <= 1e-15 * np.max(np.abs(ref))
     # an operator asks at L below the cap
     prop.prepare(times)
@@ -1071,7 +1089,9 @@ def test_mirror_and_full_routes_agree(
         # against the sums of the J orthant rows that the operator applies
         refs = [dense_heat(g, rows, times, weights, half=True)]
         if full is not None:
-            on_full = full.apply_heat_values(np.stack([mirrored(r) for r in rows]), times, weights)
+            on_full = full.apply_heat_values(
+                np.stack([mirrored(r) for r in rows]), full.prepare(times, weights)
+            )
             refs.append(np.stack([orthant(f) for f in on_full]))
         for ref in refs:
             assert on_half.shape == ref.shape
@@ -1088,7 +1108,7 @@ def test_mirror_and_full_routes_agree(
         elif batch_rows is not None:
             assert op._step == batch_rows
         agree(mirror.apply_heat_values(halves, op), halves, weights)
-        agree(mirror.apply_weighted_values(halves, times, 0.4, weights), halves * weight, weights)
+        agree(mirror.apply_weighted_values(halves, op, 0.4), halves * weight, weights)
         if batch_rows == "blocks":
             # a mixed operator contracts all J rows at once
             k = _split_lines(monkeypatch, q, n_dim, rows=times.size)
@@ -1120,17 +1140,13 @@ def test_orthant_length_is_even_and_covers_the_kernel_reach(m, t_max):
 
 
 def test_mirror_kernel_factor_is_the_real_fft_factor():
-    # the first Q values of the real part of the FFT path's factor at
-    # P = 2Q, written straight into a given array
+    # the FFT path's real factor at P = 2Q, bit for bit
     g = make_grid(1, 8.0, 128)
     times = np.array([1e-3, 0.05, 0.4, 2.0])
     q = semigroup._orthant_length(128, g.h, float(times.max()))
     fft = HeatPropagator(g)._kernel_entry(times, 2 * q)
-    out = np.empty((times.size, q))
-    mirror = HeatPropagator(g, mirror=True)
-    assert mirror._kernel_entry(times, 2 * q, out=out) is out
-    np.testing.assert_array_equal(out, fft.real[:, :q])
-    np.testing.assert_allclose(fft.imag, 0.0, rtol=0, atol=1e-16)
+    mirror = HeatPropagator(g, mirror=True)._kernel_entry(times, 2 * q)
+    np.testing.assert_array_equal(mirror, fft)
 
 
 def test_mirror_propagator_takes_orthant_fields_only():

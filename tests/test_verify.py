@@ -348,6 +348,22 @@ def test_heaviside_gap_light():
     assert all(v < 0.5 for v in rep.details["sup_gap"].values())
 
 
+def test_heaviside_gap_memory():
+    # the default check at 1D M = 32768 peaks in its apply at t = 1
+    # (P = 65536): the step data, the scratch's spectrum and padded row,
+    # the real kernel factor and the result, each about M floats: seven in
+    # all (1.84 MB).  A complex factor would be an eighth (2.10 MB)
+    points = 32768
+    tracemalloc.start()
+    try:
+        rep = check_heaviside_gap(points=points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak <= 7 * 8 * points + 2**16
+
+
 def test_smoothing_exponent_light():
     rep = check_smoothing_exponent(gamma=0.4, n_dim=1)
     assert rep.passed
