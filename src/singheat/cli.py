@@ -360,9 +360,8 @@ def run(cfg: RunConfig) -> int:
 
     if cfg.command == "solve":
         grid, solve_cfg = _grid_and_config(cfg)
-        records = cfg.record if cfg.record is not None else (cfg.t_end,)
         traj = monotone_solve(
-            standard_data(grid, cfg.u0), _params(cfg), cfg.t_end, solve_cfg, record_times=records
+            standard_data(grid, cfg.u0), _params(cfg), cfg.t_end, solve_cfg, cfg.record or ()
         )
         _atomic_write(cfg.out, traj.write_csv)
         meta = traj.metadata()

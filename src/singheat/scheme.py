@@ -174,29 +174,25 @@ class Nonlinearity:
 # ---------------------------------------------------------------------------
 
 def subsolution_coefficient(params: Params) -> float:
-    """Coefficient lambda = [(1-q) eta0]^{1/(1-q)} of the explicit barrier."""
-    e0 = constants.eta0(params.q, params.gamma, params.n_dim)
-    return ((1.0 - params.q) * e0) ** (1.0 / (1.0 - params.q))
+    """Coefficient lambda = [(1-q) eta0]^{1/(1-q)} of the explicit barrier:
+    the fixed point of the coefficient recursion, constants.ck_fixed_point."""
+    return constants.ck_fixed_point(params.q, params.gamma, params.n_dim)
 
 
-def subsolution_w(
-    grid: Grid, params: Params, t: float, radius: "np.ndarray | None" = None
-) -> GridFunction:
+def subsolution_w(grid: Grid, params: Params, t: float) -> GridFunction:
     """Explicit sub-solution w(x, t) = lambda t^{1/(1-q)} (|x| + sqrt t)^{-gamma/(1-q)}.
 
     Vanishes identically at t = 0 and is radially non-increasing.  The
     maximal solution of the integral equation dominates it (the ladder's
     levels are checked against it by verify.check_lower_bound); not every
     non-negative solution does, since with zero data u = 0 is one and lies
-    below w at every t > 0.  A caller evaluating many times may pass the
-    grid's radius field once.
+    below w at every t > 0.
     """
     if not math.isfinite(t) or t < 0.0:
         raise ParameterError(f"time must be >= 0 (got {t})")
     if t == 0.0:
         return GridFunction(grid, np.zeros(grid.shape))
-    r = grid.radius_values() if radius is None else radius
-    return GridFunction(grid, subsolution_values(params, t, r))
+    return GridFunction(grid, subsolution_values(params, t, grid.radius_values()))
 
 
 def subsolution_values(params: Params, t: float, radius: np.ndarray) -> np.ndarray:
@@ -266,15 +262,19 @@ def contraction_window(gamma: float, lipschitz: float, eta1_value: float, theta:
 
 @dataclass(frozen=True)
 class TimeMesh:
-    """Partition of [0, t_end] into contraction windows.
+    """Partition of [0, t_end] into contraction windows, and the boundaries
+    at which a solve keeps its snapshots.
 
-    The mesh holds no quadrature: a window's rules depend on its length
-    alone, so picard_solve has _window_plan build them once per length, in
-    window-relative time.
+    build anchors a boundary at each record time it is given, and at t_end;
+    records holds those anchors, ascending, with t_end last.  picard_solve
+    keeps a snapshot at t = 0 and at each of them.  The mesh holds no
+    quadrature: a window's rules depend on its length alone, so picard_solve
+    has _window_plan build them once per length, in window-relative time.
     """
 
     t_end: float
     boundaries: tuple[float, ...]
+    records: tuple[float, ...]
 
     @classmethod
     def build(
@@ -307,7 +307,7 @@ class TimeMesh:
             bounds.extend(prev + span * j / pieces for j in range(1, pieces))
             bounds.append(s)
             prev = s
-        return cls(t_end=float(t_end), boundaries=tuple(bounds))
+        return cls(t_end=float(t_end), boundaries=tuple(bounds), records=tuple(clean))
 
     def __post_init__(self) -> None:
         bs = self.boundaries
@@ -315,6 +315,8 @@ class TimeMesh:
             raise ParameterError("boundaries must run from 0 to t_end")
         if any(b1 <= b0 for b0, b1 in zip(bs, bs[1:])):
             raise ParameterError("boundaries must be strictly increasing")
+        if not set(self.records) <= set(bs[1:]):
+            raise ParameterError(f"record times {self.records} are not all boundaries after 0")
 
     @property
     def window_count(self) -> int:
@@ -366,8 +368,7 @@ class Trajectory:
     """Snapshots of one run at increasing times (t = 0 included).
 
     ``write_csv`` streams them to a text file as CSV and ``metadata`` gives
-    the JSON sidecar's payload: every diagnostic but ``history`` (the
-    ladder's snapshot arrays, which only ``keep_history=True`` attaches).
+    the JSON sidecar's payload.
     """
 
     grid: Grid
@@ -414,7 +415,6 @@ class Trajectory:
         return "\n".join(map(",".join, rows)) + "\n"
 
     def metadata(self) -> dict:
-        diag = {k: v for k, v in self.diagnostics.items() if k != "history"}
         return {
             "params": {
                 "q": self.params.q,
@@ -428,7 +428,7 @@ class Trajectory:
             },
             "times": list(self.times),
             "node_order": "C order over the axis meshes, axis 1 slowest",
-            "diagnostics": diag,
+            "diagnostics": dict(self.diagnostics),
         }
 
 
@@ -480,7 +480,6 @@ def picard_solve(
     params: Params,
     mesh: TimeMesh,
     config: SolveConfig = SolveConfig(),
-    record_times: "Sequence[float] | None" = None,
     *,
     propagator: "HeatPropagator | None" = None,
     plans: "dict | None" = None,
@@ -501,10 +500,9 @@ def picard_solve(
     sums; on either route it transforms the K knot sources, not the rows.
     Interpolating the source instead of the field changes the result by
     about eps_fp, not its accuracy: both rules are first order between the
-    knots.  The mesh holds only the window boundaries.  The lags and
-    weights of that call, the free term's times and the interpolation
-    depend only on the window's length (they are shift-invariant in time),
-    so _window_plan builds them once per distinct window length, from that
+    knots.  The lags and weights of that call, the free term's times and
+    the interpolation depend only on the window's length (they are
+    shift-invariant in time), so _window_plan builds them once per distinct window length, from that
     length alone, in window-relative time (with config.nodes_per_window
     nodes per rule), and every window of that length and each of its
     sweeps reuses them.  A window's sweeps start from its free term plus
@@ -520,9 +518,10 @@ def picard_solve(
     fixed point, which may lie on either side of it.  A window that needs
     more than _MAX_PICARD_SWEEPS sweeps raises ConvergenceError.
 
-    record_times selects which window boundaries are kept as snapshots
-    (default: all of them).  Fields stay non-negative throughout; values are
-    clipped at 0 before the nonlinearity only to absorb FFT rounding dust.
+    The trajectory keeps u0 and the field at each boundary in mesh.records.
+    Fields stay non-negative throughout; values are clipped at 0 before the
+    nonlinearity only to absorb FFT rounding dust.  params.n_dim must be the
+    grid's (ParameterError otherwise, before any plan).
 
     propagator (on u0's grid) and plans (window plans keyed by window
     length, gamma and config.nodes_per_window) let successive calls on one
@@ -541,6 +540,10 @@ def picard_solve(
     grid = u0.grid
     if not np.all(np.isfinite(u0.values)) or float(u0.values.min()) < 0.0:
         raise ParameterError("initial data must be finite and non-negative")
+    if params.n_dim != grid.n_dim:
+        raise ParameterError(
+            f"params.n_dim = {params.n_dim} differs from the grid's dimension {grid.n_dim}"
+        )
     if propagator is None:
         prop = HeatPropagator(grid, mirror=is_mirror_symmetric(u0.values))
     else:
@@ -561,17 +564,6 @@ def picard_solve(
     ]
     for key in set(plans) - set(keys):
         del plans[key]
-    tolb = 1e-9 * mesh.t_end
-    bset = list(mesh.boundaries)
-    if record_times is None:
-        records = set(bset[1:])
-    else:
-        records = set()
-        for t in record_times:
-            hits = [b for b in bset if abs(b - float(t)) <= tolb]
-            if not hits:
-                raise ParameterError(f"record time {t} is not a mesh boundary")
-            records.add(hits[0])
     times_out = [0.0]
     snaps_out = [GridFunction(grid, u0.values)]
     u_left = np.array(orthant(u0.values) if prop.mirror else u0.values, dtype=float)
@@ -643,7 +635,7 @@ def picard_solve(
         else:
             duhamel.append(state - free)
         u_left = state[-1].copy()
-        if b in records:
+        if b in mesh.records:
             times_out.append(b)
             snaps_out.append(GridFunction(grid, mirrored(u_left) if prop.mirror else u_left))
     diag = {
@@ -669,19 +661,18 @@ def monotone_solve(
     params: Params,
     t_end: float,
     config: SolveConfig = SolveConfig(),
-    record_times: "Sequence[float] | None" = None,
-    keep_history: bool = False,
+    record_times: Sequence[float] = (),
 ) -> Trajectory:
     """Run the regularized scheme along the n-schedule and return the last run.
 
-    For each n the data is shifted up by 1/n and the source replaced by g_n;
-    successive runs must decrease pointwise at every recorded time, up to a
-    fixed 1e-8 rounding slack (violation raises ConvergenceError).  The
-    diagnostics carry the inter-level sup gaps and, under levels, one entry
-    per level run: its n, windows, sweeps and max_residual; the top-level
-    windows, total_sweeps and max_residual are the last level's.  With
-    keep_history=True the per-level snapshot arrays are attached (not
-    serialized) so callers can inspect the whole ladder.
+    Each level keeps snapshots at t = 0, at the record times and at t_end,
+    which every level's TimeMesh anchors as boundaries.  For each n the data
+    is shifted up by 1/n and the source replaced by g_n; successive runs
+    must decrease pointwise at every recorded time, up to a fixed 1e-8
+    rounding slack (violation raises ConvergenceError).  The diagnostics
+    carry the inter-level sup gaps and, under levels, one entry per level
+    run: its n, windows, sweeps and max_residual; the top-level windows,
+    total_sweeps and max_residual are the last level's.
 
     Every level marches on one propagator and one dict of window plans, so
     a window length that recurs from level to level is planned once and
@@ -696,13 +687,11 @@ def monotone_solve(
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ParameterError(f"t_end must be positive (got {t_end})")
-    records = tuple(float(t) for t in (record_times if record_times else (t_end,)))
     e1 = constants.eta1(params.gamma, params.n_dim)
     prev_snaps: "list[np.ndarray] | None" = None
     last_traj: "Trajectory | None" = None
     gaps: list[float] = []
     worst_violation = 0.0
-    history: list[tuple[int, tuple[np.ndarray, ...]]] = []
     prop = HeatPropagator(u0.grid, mirror=is_mirror_symmetric(u0.values))
     plans: dict[tuple, tuple] = {}
     built = 0
@@ -713,11 +702,9 @@ def monotone_solve(
             config.window_cap,
             contraction_window(params.gamma, nl.lipschitz, e1, config.contraction_theta),
         )
-        mesh = TimeMesh.build(t_end, w_len, must_include=records)
+        mesh = TimeMesh.build(t_end, w_len, must_include=record_times)
         shifted = GridFunction(u0.grid, u0.values + 1.0 / n)
-        traj = picard_solve(
-            shifted, nl, params, mesh, config, record_times=records, propagator=prop, plans=plans
-        )
+        traj = picard_solve(shifted, nl, params, mesh, config, propagator=prop, plans=plans)
         built += traj.diagnostics["window_plans"]
         levels.append(
             {
@@ -741,8 +728,6 @@ def monotone_solve(
             gaps.append(
                 max(float(np.max(np.abs(prev - cur))) for cur, prev in zip(cur_snaps, prev_snaps))
             )
-        if keep_history:
-            history.append((n, tuple(cur_snaps)))
         prev_snaps = cur_snaps
         last_traj = traj
         if gaps and gaps[-1] < config.eps_fp:
@@ -757,6 +742,4 @@ def monotone_solve(
             "levels": levels,
         }
     )
-    if keep_history:
-        last_traj.diagnostics["history"] = history
     return last_traj

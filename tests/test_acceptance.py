@@ -46,6 +46,7 @@ from singheat import (
     positive_part,
     standard_data,
 )
+from singheat import scheme
 from singheat.constants import eta1_by_quadrature, sphere_area
 
 
@@ -218,7 +219,7 @@ def test_c07_exact_ode_recovery():
     nl = Nonlinearity.regularized(0.5, 1)
     w = min(0.25, contraction_window(0.0, nl.lipschitz, eta1(0.0, 1)))
     mesh = TimeMesh.build(1.0, w, must_include=(1.0,))
-    traj = picard_solve(standard_data(grid, "const:1"), nl, params, mesh, record_times=(1.0,))
+    traj = picard_solve(standard_data(grid, "const:1"), nl, params, mesh)
     dev_const = float(np.max(np.abs(traj.snapshot_at(1.0).values[mid] - 2.25)))
 
     # zero data: the vanishing-regularization limit is ((1-q) t)^{1/(1-q)},
@@ -270,24 +271,31 @@ def test_c09_lower_bound():
 # C10 -- ladder monotonicity and the comparison principle
 # ---------------------------------------------------------------------------
 
-def test_c10_monotone_structure():
+def test_c10_monotone_structure(monkeypatch):
     grid = make_grid(1, 12.0, 256)
     params = Params(q=0.5, gamma=0.3, n_dim=1)
+    levels = []
+    solve = scheme.picard_solve
+
+    def captured(*args, **kwargs):
+        levels.append(solve(*args, **kwargs))
+        return levels[-1]
+
+    monkeypatch.setattr(scheme, "picard_solve", captured)
     traj = monotone_solve(
         standard_data(grid, "bump"),
         params,
         1.0,
         SolveConfig(n_schedule=(1, 2, 4, 8, 16, 32, 64)),
         record_times=(0.5, 1.0),
-        keep_history=True,
     )
-    # recompute the worst inter-level increase from the stored history rather
-    # than trusting the solver's own bookkeeping
+    # recompute the worst inter-level increase from the level trajectories,
+    # as each level's march returned them, rather than trusting the solver's
+    # own bookkeeping
     worst_up = 0.0
-    hist = traj.diagnostics["history"]
-    for (_, snaps_a), (_, snaps_b) in zip(hist, hist[1:]):
-        for a, b in zip(snaps_a, snaps_b):
-            worst_up = max(worst_up, float(np.max(b - a)))
+    for run_a, run_b in zip(levels, levels[1:]):
+        for a, b in zip(run_a.snapshots, run_b.snapshots, strict=True):
+            worst_up = max(worst_up, float(np.max(b.values - a.values)))
     worst_up = max(worst_up, traj.diagnostics["monotone_violation"])
 
     rep = check_comparison(config=SolveConfig(eps_fp=1e-10), tol=1e-6)
