@@ -14,11 +14,12 @@ RSS (the command's own VmHWM, which it writes as it exits) and, for a
 solve, the Picard sweeps of its whole ladder, summed over the sidecar's
 ``levels`` entries, in REV and here (a sidecar without them gives its last
 level's ``total_sweeps``, marked so).  The list is the benchmark's two
-workloads (perfbench/workloads.py), the default, 2D, 3D, step-data and
-gamma = 0.6 solves, a solve with several record times, the full default ``verify`` suite and, alone, the two
-of its checks whose peak comes closest to the suite's (the 2D sub-solution
-check and ``heaviside``, 1D at M = 32768), ``constants``, ``gamma-star``,
-``sweep`` and every ``--help``.  Only local git is used.
+workloads (perfbench/workloads.py), the default, 2D, 3D and gamma = 0.6
+solves, a solve with several record times, the full default ``verify``
+suite and, alone, the two of its checks whose peak comes closest to the
+suite's (the 2D sub-solution check and ``heaviside``, 1D at M = 32768),
+``constants``, ``gamma-star``, ``sweep`` and every ``--help``.  Only local
+git is used.
 
     python scripts/compare_outputs.py REV [--only NAME,...]
 
@@ -53,7 +54,6 @@ COMMANDS = (
         ("solve-2d", ["solve", "--dim", "2", "--n-schedule", "1,2,4,8", "--out", "solve.csv"]),
         ("solve-3d", ["solve", "--dim", "3", "--points", "32", "--half-width", "8",
                       "--t-end", "0.25", "--n-schedule", "1,2,4,8,16", "--out", "solve.csv"]),
-        ("solve-step", ["solve", "--u0", "step", "--points", "256", "--out", "solve.csv"]),
         ("solve-gamma-0.6", ["solve", "--gamma", "0.6", "--points", "256", "--out", "solve.csv"]),
         ("solve-record", ["solve", "--points", "256", "--record", "0.25,0.5,1.0",
                           "--out", "solve.csv"]),

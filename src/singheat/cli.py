@@ -123,8 +123,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "type": int, "help": "quadrature nodes per time window"}),
         "window_cap": ("--window-cap", {
             "type": float, "help": "upper bound on the Picard window length"}),
-        "u0": ("--u0", {"help": "initial data: zero | const:c | bump[:R] | gauss:a | step"}),
-        "record": ("--record", {"help": "comma list of snapshot times (default: t_end)"}),
+        "u0": ("--u0", {
+            "help": "initial data, all radial: zero | const:c | bump[:R] | gauss:a "
+                    "(no step: it is not in C_0)"}),
+        "record": ("--record", {"help": "comma list of snapshot times besides t_end"}),
         "out": ("--out", {"required": True, "help": "CSV output path (JSON sidecar alongside)"}),
         "suite": ("--suite", {"default": "all", "help": "'all' or comma list of check names"}),
         "param": ("--param", {

@@ -359,8 +359,9 @@ def standard_data(grid: Grid, spec: str) -> GridFunction:
 
     Recognized forms: ``zero``, ``const:c`` (c >= 0, default 1), ``bump`` or
     ``bump:R`` (smooth compact bump of height 1 and support radius R, default
-    1), ``gauss:a`` (exp(-a |x|^2), a > 0, default 1), and ``step`` (1D only:
-    the indicator of x > 0).  ``zero`` and ``step`` take no argument.
+    1), and ``gauss:a`` (exp(-a |x|^2), a > 0, default 1).  ``zero`` takes
+    no argument.  Every datum is radial, so mirror-symmetric in every axis,
+    as the heat operator requires (see semigroup).
     """
     name, _, arg = spec.partition(":")
 
@@ -372,7 +373,7 @@ def standard_data(grid: Grid, spec: str) -> GridFunction:
         except ValueError:
             raise ParameterError(f"could not parse numeric argument in spec {spec!r}") from None
 
-    if arg and name in ("zero", "step"):
+    if arg and name == "zero":
         raise ParameterError(f"{name} data takes no argument (got spec {spec!r})")
     r = grid.radius_values()
     if name == "zero":
@@ -395,10 +396,6 @@ def standard_data(grid: Grid, spec: str) -> GridFunction:
         s2 = (r / radius) ** 2
         inside = s2 < 1.0
         vals[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
-    elif name == "step":
-        if grid.n_dim != 1:
-            raise ParameterError("step data is defined in one dimension only")
-        vals = (grid.axis_nodes() > 0.0).astype(float)
     else:
         raise ParameterError(f"unknown initial-data spec {spec!r}")
     return GridFunction(grid, vals)

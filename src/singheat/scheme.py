@@ -474,6 +474,15 @@ def _window_plan(prop: HeatPropagator, length: float, gamma: float, n_nodes: int
     return free, prop.prepare(targets[owner] - sigmas, weights, mix=interp)
 
 
+def _check_data(u0: GridFunction) -> None:
+    """Refuse initial data that are not finite, non-negative and exactly
+    mirror-symmetric in every axis (ParameterError)."""
+    if not np.all(np.isfinite(u0.values)) or float(u0.values.min()) < 0.0:
+        raise ParameterError("initial data must be finite and non-negative")
+    if not is_mirror_symmetric(u0.values):
+        raise ParameterError("initial data must be mirror-symmetric in every axis")
+
+
 def picard_solve(
     u0: GridFunction,
     nonlinearity: Nonlinearity,
@@ -497,7 +506,7 @@ def picard_solve(
     nonlinearity once, as one stack (the window start's source is computed
     once per window), and one batched propagator call mixes the quadrature
     rows from the K knot sources and returns the per-target quadrature
-    sums; on either route it transforms the K knot sources, not the rows.
+    sums; it transforms the K knot sources, not the rows.
     Interpolating the source instead of the field changes the result by
     about eps_fp, not its accuracy: both rules are first order between the
     knots.  The lags and weights of that call, the free term's times and
@@ -527,31 +536,21 @@ def picard_solve(
     length, gamma and config.nodes_per_window) let successive calls on one
     grid share their plans, as the levels of monotone_solve do; a call
     builds its own plan for a key it does not find.  By default the call
-    makes its own propagator and plans, a mirror propagator when u0 is
-    exactly mirror-symmetric in every axis; other data are 1D only
-    (ParameterError above 1D, before any plan).  A mirror propagator marches on
-    the positive orthant (the fields, the weight and the sweep's arrays
-    hold (M/2,)^N values), and each recorded snapshot is mirrored back onto
-    the full grid; it takes symmetric data only (ParameterError otherwise).  The diagnostics'
-    orthant says which route the call marched on.  A call first drops the
+    makes its own propagator and plans.  u0 must be exactly
+    mirror-symmetric in every axis (ParameterError otherwise, before any
+    plan): the call marches on the positive orthant (the fields, the
+    weight and the sweep's arrays hold (M/2,)^N values), and each recorded
+    snapshot is mirrored back onto the full grid.  A call first drops the
     plans of keys its own windows lack; the plans hold kernels only.  The
     diagnostics' window_plans counts the plans the call built.
     """
     grid = u0.grid
-    if not np.all(np.isfinite(u0.values)) or float(u0.values.min()) < 0.0:
-        raise ParameterError("initial data must be finite and non-negative")
+    _check_data(u0)
     if params.n_dim != grid.n_dim:
         raise ParameterError(
             f"params.n_dim = {params.n_dim} differs from the grid's dimension {grid.n_dim}"
         )
-    if propagator is None:
-        prop = HeatPropagator(grid, mirror=is_mirror_symmetric(u0.values))
-    else:
-        prop = propagator
-        if prop.mirror and not is_mirror_symmetric(u0.values):
-            raise ParameterError(
-                "a mirror propagator needs data that are mirror-symmetric in every axis"
-            )
+    prop = HeatPropagator(grid) if propagator is None else propagator
     if prop.grid != grid:
         raise ParameterError("the propagator belongs to another grid")
     plans = {} if plans is None else plans
@@ -566,7 +565,7 @@ def picard_solve(
         del plans[key]
     times_out = [0.0]
     snaps_out = [GridFunction(grid, u0.values)]
-    u_left = np.array(orthant(u0.values) if prop.mirror else u0.values, dtype=float)
+    u_left = np.array(orthant(u0.values), dtype=float)
     total_sweeps = 0
     worst_resid = 0.0
     built = 0
@@ -637,9 +636,8 @@ def picard_solve(
         u_left = state[-1].copy()
         if b in mesh.records:
             times_out.append(b)
-            snaps_out.append(GridFunction(grid, mirrored(u_left) if prop.mirror else u_left))
+            snaps_out.append(GridFunction(grid, mirrored(u_left)))
     diag = {
-        "orthant": prop.mirror,
         "windows": mesh.window_count,
         "window_plans": built,
         "total_sweeps": total_sweeps,
@@ -677,22 +675,21 @@ def monotone_solve(
     Every level marches on one propagator and one dict of window plans, so
     a window length that recurs from level to level is planned once and
     all levels work in one scratch buffer; the diagnostics' window_plans
-    counts the plans of the whole ladder.  The propagator is a mirror one,
-    and the ladder marches on the positive orthant, when u0 is exactly
-    mirror-symmetric in every axis (every shifted level then is too), and
-    other data, 1D only, march on the full grid (ParameterError above 1D,
-    before any plan); the snapshots, the gaps and the violation are taken on
-    the full grid either way, and the diagnostics' orthant says which route
-    it took.
+    counts the plans of the whole ladder.  The ladder marches on the
+    positive orthant, so u0 must be exactly mirror-symmetric in every axis
+    (ParameterError otherwise, before any plan; every shifted level then is
+    too); the snapshots, the gaps and the violation are taken on the full
+    grid.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ParameterError(f"t_end must be positive (got {t_end})")
+    _check_data(u0)  # before the shift by 1/n, which could round an asymmetry away
     e1 = constants.eta1(params.gamma, params.n_dim)
     prev_snaps: "list[np.ndarray] | None" = None
     last_traj: "Trajectory | None" = None
     gaps: list[float] = []
     worst_violation = 0.0
-    prop = HeatPropagator(u0.grid, mirror=is_mirror_symmetric(u0.values))
+    prop = HeatPropagator(u0.grid)
     plans: dict[tuple, tuple] = {}
     built = 0
     levels: list[dict] = []

@@ -14,27 +14,22 @@ falls short of 1 by more than _EPS_TAIL = 1e-10, i.e. when the box itself
 truncates the kernel: results past that point would be quantitatively wrong,
 not just smoothed.
 
-The operators take one of two routes, which evaluate the same sums.
-Fields that are mirror-symmetric in every axis (every radial field: the
-weight, the radial checks' data, and solves of such data) take the mirror
-route, on the positive orthant alone (see below), in every dimension.
-Other fields are 1D only (step data and the heaviside check) and take the
-FFT path: FFTs on a zero-padded line.  A propagator on the full grid of a
-2D or 3D grid is refused (ParameterError), since every 2D and 3D datum is
-radial.
+Every field is held by its positive orthant, (M/2)^N values, in every
+dimension.  The weight and every built-in datum are radial, so they are
+mirror-symmetric in every axis; a field that is not is refused
+(ParameterError).
 
-The sampled kernel is a product of one 1D kernel per axis.  On the FFT
-path the line is padded from M to P points: P covers the box plus the reach
-of the operator's longest-time kernel (13 sqrt(t_max), beyond which the
-Gaussian is zero in double precision), rounded up to an even 5-smooth length
-and capped at the doubled box 2M.  The kernel wrapped at length P keeps its
-displacements up to P - M, so the circular convolution folds nothing back
-onto the box, and only those are sampled (see _kernel_entry).  The wrapped
-kernel is symmetric, so its spectrum is real (to rounding) and every kernel
-factor is a real array, on either route.  On the mirror route the N-D
-spectrum is the outer product of 1D factors: an operator holds one 1D
-factor per time (O(M) bytes in any dimension), and each row's spectrum is
-multiplied by it once per axis.
+The sampled kernel is a product of one 1D kernel per axis.  Each axis of
+M/2 orthant points is padded to Q: 2Q covers the box plus the reach of the
+operator's longest-time kernel (13 sqrt(t_max), beyond which the Gaussian is
+zero in double precision), Q rounded up to an even 5-smooth length and
+capped at M.  The kernel wrapped at length 2Q keeps its displacements up to
+2Q - M, so the circular convolution at 2Q folds nothing back onto the box,
+and only those are sampled (see _kernel_entry).  The wrapped kernel is
+symmetric, so its spectrum is real (to rounding) and every kernel factor is
+a real array.  The N-D spectrum is the outer product of 1D factors: an
+operator holds one 1D factor per time (O(M) bytes in any dimension), and
+each row's spectrum is multiplied by it once per axis.
 
 One call can also apply a stack of fields, each for its own time, and return
 weighted sums of the results: the batched form of the Duhamel quadrature.
@@ -50,7 +45,7 @@ free-term operators once per window length, in window-relative time, since
 a window's lags depend on its length alone, and applies them to every
 window of that length, on every ladder level that has one.  The sums are taken in the spectral
 domain, so J fields for T targets cost J forward and T inverse transforms.
-Every apply, on either route, is one loop: transform, contract, invert.
+Every apply is one loop: transform, contract, invert.
 Fields are transformed in batches sized by a fixed workspace budget, which
 keeps the padded arrays in cache.  The contraction runs over blocks of lines
 along the first spectral axis (a 1D spectrum is one line, one block): for
@@ -81,22 +76,18 @@ writes each batch's rows into the propagator's scratch, so a caller whose
 fields are computed (the sub-solution check's barrier powers) never holds
 all J of them.  The rows go to the front of the memory their spectra will
 take, since every forward transform reads them out before it writes a
-spectrum: the scratch holds each batch once.  On the FFT path an apply pads
-its rows to P itself, calls rfft, and calls irfft into those padded rows.
+spectrum: the scratch holds each batch once.
 
-The mirror route (HeatPropagator(grid, mirror=True)) holds every field by
-its positive orthant, (M/2)^N values.  The zero-extended convolution of a
-mirror-symmetric field with the symmetric kernel is a symmetric
-convolution, which a DCT-II, a real product and a DCT-III compute exactly
-on the orthant (Martucci 1994): the sums of an FFT at P = 2Q per axis,
-where the half axis of M/2 points is padded to Q (see _orthant_length).
-Each cosine transform is one rfft of length Q (Makhoul 1980), so an axis
-costs about a quarter of a full-grid transform.  A batch is transformed
-along its last axis at once and along each earlier axis one row at a time,
-in both directions, so the scratch holds one row's padded lines along an
-earlier axis, not a batch's.  The route reads the first Q values of the
-FFT path's factor at P = 2Q, and the transform-contract-invert loop is the
-FFT path's.
+The zero-extended convolution of a mirror-symmetric field with the
+symmetric kernel is a symmetric convolution, which a DCT-II, a real product
+and a DCT-III compute exactly on the orthant (Martucci 1994): the sums of
+an FFT of the full line zero-padded to 2Q per axis, where the half axis of
+M/2 points is padded to Q (see _orthant_length).  Each cosine transform is
+one rfft of length Q (Makhoul 1980), so an axis costs about a quarter of a
+full-grid transform.  A batch is transformed along its last axis at once
+and along each earlier axis one row at a time, in both directions, so the
+scratch holds one row's padded lines along an earlier axis, not a batch's.
+The operator reads the first Q values of each kernel factor at 2Q.
 """
 
 from __future__ import annotations
@@ -119,7 +110,7 @@ __all__ = [
     "heat_kernel",
 ]
 
-# Reach of the FFT kernel in units of sqrt(t): the Gaussian's mass beyond it,
+# Reach of the kernel in units of sqrt(t): the Gaussian's mass beyond it,
 # erfc(13 / 2) = 3.8e-20, is below double-precision rounding (2^-53 = 1.1e-16).
 _KERNEL_REACH = 13.0
 # exp(x) rounds to 0.0 for every x below this (exp(-746) < 2^-1075).
@@ -160,18 +151,11 @@ def _reach(h: float, t_max: float) -> int:
     return math.ceil(_KERNEL_REACH * math.sqrt(t_max) / h)
 
 
-def _padded_length(m: int, h: float, t_max: float) -> int:
-    """FFT length of an axis of m points for kernels of times up to t_max:
-    the smallest even 5-smooth integer >= m + ceil(_KERNEL_REACH sqrt(t_max)
-    / h), capped at 2m."""
-    return _smooth_length(m + _reach(h, t_max), 2 * m)
-
-
 def _orthant_length(m: int, h: float, t_max: float) -> int:
     """Cosine-transform length Q of the half axis of a grid of m points per
     axis, for kernels of times up to t_max: the smallest even 5-smooth Q
-    with 2Q >= m + ceil(_KERNEL_REACH sqrt(t_max) / h), capped at m.  That
-    is _padded_length's no-wrap condition on P = 2Q."""
+    with 2Q >= m + ceil(_KERNEL_REACH sqrt(t_max) / h), capped at m: the
+    circular convolution at 2Q then wraps no displacement onto the box."""
     return _smooth_length(-(-(m + _reach(h, t_max)) // 2), m)
 
 
@@ -189,19 +173,16 @@ def _scratch_layout(specs: tuple) -> tuple:
 class HeatPropagator:
     """Applies S(t) and S_gamma(t) on one grid.
 
-    With mirror=True the propagator applies them to fields that are
-    mirror-symmetric in every axis, held by their positive orthant (see
-    fields.orthant): every field it takes and returns, and its weight
-    field, has shape (M/2,)^N.  Such a propagator always takes the mirror
-    route (see the module docstring); any other takes the FFT path, which
-    is 1D only: mirror=False on a 2D or 3D grid raises ParameterError.
+    The propagator applies them to fields that are mirror-symmetric in
+    every axis, held by their positive orthant (see fields.orthant): every
+    field it takes and returns, and its weight field, has shape (M/2,)^N.
 
-    A kernel factor is one real 1D array: the P/2+1 values of the half
-    spectrum of the kernel wrapped at the padded length P <= 2M of the
-    operator that asks for it, which is real up to rounding since the
-    wrapped kernel is symmetric.  The mirror route reads the first Q values
-    of the factor at P = 2Q.  The N-D kernel is the product of that factor
-    over the axes and is never formed.
+    A kernel factor is one real 1D array: the Q + 1 values of the half
+    spectrum of the kernel wrapped at length 2Q <= 2M, for the
+    cosine-transform length Q of the operator that asks for it, which is
+    real up to rounding since the wrapped kernel is symmetric.  The
+    operator reads its first Q values.  The N-D kernel is the product of
+    that factor over the axes and is never formed.
     The propagator keeps no kernels: each prepared operator builds its own
     factors, all in one call, and holds them while it lives.  A kernel whose
     raw mass falls short of 1 by more than _EPS_TAIL raises TruncationError.
@@ -211,21 +192,16 @@ class HeatPropagator:
     another operator of the same propagator.
     """
 
-    def __init__(self, grid: Grid, mirror: bool = False):
-        if grid.n_dim > 1 and not mirror:
-            raise ParameterError("above 1D only mirror-symmetric fields are applied (mirror=True)")
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.mirror = bool(mirror)
         self._weights: dict[float, np.ndarray] = {}
         self._buffer = np.empty(0, dtype=np.uint8)
 
     @property
     def shape(self) -> tuple:
-        """Shape of the fields the propagator applies to: the grid's, or
-        (M/2,)^N on the orthant."""
-        if self.mirror:
-            return (self.grid.points_per_axis // 2,) * self.grid.n_dim
-        return self.grid.shape
+        """Shape of the fields the propagator applies to: the orthant's,
+        (M/2,)^N."""
+        return (self.grid.points_per_axis // 2,) * self.grid.n_dim
 
     def _scratch(self, *specs) -> list:
         """Views of the scratch buffer, one per (shape, dtype), at 64-byte
@@ -275,7 +251,7 @@ class HeatPropagator:
     def _kernel_entry(self, t, length: "int | None" = None) -> np.ndarray:
         """The 1D kernel factor for time t at padded length L = `length`
         (default 2M): the L/2 + 1 values of the real part of the rfft of
-        the kernel wrapped at L, on either route (see the class docstring).
+        the kernel wrapped at L (see the class docstring).
         For a 1D array of times t > 0, the factors are built in one pass,
         one row per time; a truncating time raises TruncationError naming
         the first.
@@ -374,15 +350,11 @@ class HeatPropagator:
         return self.prepare([float(t)]).apply(values[None])[0]
 
     def weight_values(self, gamma: float) -> np.ndarray:
-        """The cell-averaged weight field of gamma, of the propagator's
-        field shape (on the orthant, built there alone)."""
+        """The cell-averaged weight field of gamma on the orthant, built
+        there alone."""
         vals = self._weights.get(gamma)
         if vals is None:
-            if self.mirror:
-                vals = weight_field(self.grid, gamma, orthant=True)
-            else:
-                vals = weight_field(self.grid, gamma).values
-            self._weights[gamma] = vals
+            vals = self._weights[gamma] = weight_field(self.grid, gamma, orthant=True)
         return vals
 
     def apply_weighted_values(self, values: np.ndarray, t, gamma: float) -> np.ndarray:
@@ -407,34 +379,26 @@ class PreparedHeat:
     Built once by HeatPropagator.prepare, it holds everything that depends
     on the times, weights and mix alone:
 
-    - FFT path (1D): the padded length P, sized to the reach of the
-      kernel of the largest time (see _padded_length), and the per-row
-      kernel factors at that length stacked into one (J, P/2+1) real
-      array, ones for t = 0 rows.  _work holds the padded rows that a
-      batch of inputs is transformed from and a batch of results is
-      inverted into: a batch of whichever are more.
-    - Mirror route: the cosine-transform length Q of the half axis in place
-      of P (see _orthant_length) and the factors at 2Q, of which it reads
-      the first Q values per row (on the last axis, paired to match the
-      spectrum's float view; see _dct_forward).  Every spectrum is held as
-      rfftn's half spectrum at Q points per axis, so the apply loop is the
-      FFT path's.  _work holds the batch's real lines along the last axis,
-      or one row's padded lines along an earlier axis if those are more,
-      and one row's half spectra of the latter: the earlier axes are
-      transformed a row at a time.
-    - On both: _step, the rows whose padded spectra fit
-      _FFT_WORKSPACE_BYTES, the batches in which fields are produced,
-      transformed and inverted; _span, the rows contracted at once (all J
-      with a mix, else one batch); _blocks, the cuts of the first
-      spectral axis into blocks of lines, each with its rows' factor views;
-      and _lanes, the slices of a spectrum's float view along its last
-      axis that the last axis's factor scales, one at a time.
+    - the cosine-transform length Q of the half axis, sized to the reach
+      of the kernel of the largest time (see _orthant_length), and the
+      per-row kernel factors at 2Q, of which it reads the first Q values
+      per row (on the last axis, paired to match the spectrum's float
+      view; see _dct_forward), ones for t = 0 rows.  Every spectrum is held
+      as rfftn's half spectrum at Q points per axis;
+    - _work: the batch's real lines along the last axis, or one row's
+      padded lines along an earlier axis if those are more, and one row's
+      half spectra of the latter: the earlier axes are transformed a row
+      at a time;
+    - _step, the rows whose padded spectra fit _FFT_WORKSPACE_BYTES, the
+      batches in which fields are produced, transformed and inverted;
+      _span, the rows contracted at once (all J with a mix, else one
+      batch); and _blocks, the cuts of the first spectral axis into blocks
+      of lines, each with its rows' factor views.
 
     The operator holds no workspace: its applies work in the propagator's
     scratch (see HeatPropagator), and every result is a fresh array.  The
     scratch holds each batch once: its rows are produced into the memory
-    its spectra take (see _transform), and on the FFT path a batch is
-    padded and inverted in one set of padded rows (see _to_box).
+    its spectra take (see _transform).
     """
 
     def __init__(self, prop: HeatPropagator, times: np.ndarray, weights, mix):
@@ -448,57 +412,37 @@ class PreparedHeat:
         self._shape = (count,) + prop.shape
         self._inputs = count if mix is None else mix.shape[1]
         live = np.flatnonzero(times > 0.0)
-        if prop.mirror:
-            q = _orthant_length(m, grid.h, float(times.max()))
-            kernel_length = 2 * q
-            twiddle = np.exp(-0.5j * np.pi / q * np.arange(q // 2 + 1))
-            self._twiddles = (twiddle, twiddle.conj())
-        else:
-            q = _padded_length(m, grid.h, float(times.max()))
-            kernel_length = q
-        self._padded = (q,) * n
-        # the half spectra of the last axis, on either route
+        self._q = q = _orthant_length(m, grid.h, float(times.max()))
+        twiddle = np.exp(-0.5j * np.pi / q * np.arange(q // 2 + 1))
+        self._twiddles = (twiddle, twiddle.conj())
+        # the half spectra of the last axis
         self._spec_shape = (q,) * (n - 1) + (q // 2 + 1,)
-        factors = prop._kernel_entry(times[live], kernel_length)
+        factors = prop._kernel_entry(times[live], 2 * q)
         if live.size < count:  # S(0) is the identity, so its rows hold ones
             rows = np.ones((count, factors.shape[1]))
             rows[live] = factors
             factors = rows
         # factor of each row along each axis, shaped to broadcast over the row
-        # spectrum's float view, which _lanes cuts along the last axis.  On
-        # the FFT path the half spectrum's real and imaginary parts take the
-        # same factor, each in place (a broadcast over both, or a complex
-        # product, would allocate a buffer); on the mirror route the last
-        # axis holds the pairs (c_k, -c_(Q-k)) of cosine coefficients (see
-        # _dct_forward), so its factor pairs G_k with G_(Q-k).  The earlier
-        # axes are the mirror route's alone
+        # spectrum's float view.  The last axis holds the pairs
+        # (c_k, -c_(Q-k)) of cosine coefficients (see _dct_forward), so its
+        # factor pairs G_k with G_(Q-k)
         axes = [
-            factors[:, :w].reshape((count,) + (1,) * ax + (w,) + (1,) * (n - 1 - ax))
-            for ax, w in enumerate(self._spec_shape)
+            factors[:, :q].reshape((count,) + (1,) * ax + (q,) + (1,) * (n - 1 - ax))
+            for ax in range(n - 1)
         ]
-        self._lanes = (slice(0, None, 2), slice(1, None, 2))
-        if prop.mirror:
-            pairs = np.empty((count, q // 2 + 1, 2))
-            pairs[:, :, 0] = factors[:, : q // 2 + 1]
-            pairs[:, 0, 1] = factors[:, 0]  # c_0 pairs with a zero
-            pairs[:, 1:, 1] = factors[:, q - 1 : q // 2 - 1 : -1]
-            axes[-1] = pairs.reshape((count,) + (1,) * (n - 1) + (q + 2,))
-            self._lanes = (slice(None),)
+        pairs = np.empty((count, q // 2 + 1, 2))
+        pairs[:, :, 0] = factors[:, : q // 2 + 1]
+        pairs[:, 0, 1] = factors[:, 0]  # c_0 pairs with a zero
+        pairs[:, 1:, 1] = factors[:, q - 1 : q // 2 - 1 : -1]
+        axes.append(pairs.reshape((count,) + (1,) * (n - 1) + (q + 2,)))
         row_bytes = 16 * q**n
         self._step = step = max(1, min(count, _FFT_WORKSPACE_BYTES // row_bytes))
-        if prop.mirror:
-            # the batch's real lines along the last axis, or one row's padded
-            # lines along an earlier axis, whichever are more, and those
-            # lines' half spectra: the earlier axes go a row at a time
-            lines = q ** (n - 1) * (q + 2) if n > 1 else 0
-            batch = step * prop.shape[0] ** (n - 1) * q
-            self._work = ((max(batch, lines),), (lines // q * (q // 2 + 1),))
-        else:
-            # a batch of rows padded to P, which the forward transform reads
-            # and the inverse writes, so it holds a batch of inputs or of
-            # targets; no complex work
-            targets = count if weights is None else weights.shape[0]
-            self._work = ((min(step, max(self._inputs, targets)), q), (0,))
+        # the batch's real lines along the last axis, or one row's padded
+        # lines along an earlier axis, whichever are more, and those lines'
+        # half spectra: the earlier axes go a row at a time
+        lines = q ** (n - 1) * (q + 2) if n > 1 else 0
+        batch = step * prop.shape[0] ** (n - 1) * q
+        self._work = ((max(batch, lines),), (lines // q * (q // 2 + 1),))
         # rows per contraction: all J of an operator with a mix, else one
         # batch, so that its rows stream through the scratch
         self._span = count if mix is not None else step
@@ -559,16 +503,13 @@ class PreparedHeat:
         factors in two passes (the earlier axes' product, then the last
         axis's).  With weights it adds weights[:, lo:hi] @ Y into the T
         sums (the first contraction writes them), which are inverted last
-        (see _to_box).  Without weights Y is the result: mix @ X is written
-        straight into the J result spectra, inverted last; without a mix
-        either, each batch's scaled spectra are inverted into its rows of
-        the result before the next batch is produced.  Each product is one
-        real matrix product, on complex values viewed as float pairs, and
-        the real factors scale that float view in place: on the FFT path
-        its even and its odd entries (each spectrum's real and imaginary
-        parts) by the same factor, on the mirror route the whole view by
-        the paired factor.  The two differ in nothing else but their
-        transform pair."""
+        (see _dct_inverse).  Without weights Y is the result: mix @ X is
+        written straight into the J result spectra, inverted last; without
+        a mix either, each batch's scaled spectra are inverted into its
+        rows of the result before the next batch is produced.  Each product
+        is one real matrix product, on complex values viewed as float
+        pairs, and the real factors scale that float view in place, the
+        last axis by the paired factor."""
         mix, weights = self.mix, self.weights
         count, step, span = self._shape[0], self._step, self._span
         targets = count if weights is None else weights.shape[0]
@@ -600,9 +541,7 @@ class PreparedHeat:
                 *head, last = factors
                 if head:  # the earlier axes' factors are small: one pass for all
                     scaled *= functools.reduce(np.multiply, head)[lo:hi]
-                for lane in self._lanes:
-                    part = scaled[..., lane]
-                    part *= last[lo:hi]
+                scaled *= last[lo:hi]
                 if weights is None:
                     continue
                 sums = _flat(outs[:, cut])
@@ -611,59 +550,38 @@ class PreparedHeat:
                 else:
                     sums += weights[:, lo:hi] @ _flat(y)
             if weights is None and mix is None:
-                self._to_box(x, work, out[lo:hi])
+                self._dct_inverse(x, work, out[lo:hi])
         for k in range(0, len(outs), step):  # no sums when the batches were inverted
-            self._to_box(outs[k : k + step], work, out[k : k + step])
+            self._dct_inverse(outs[k : k + step], work, out[k : k + step])
         return out
 
     def _transform(self, fill, lo: int, hi: int, work, out: np.ndarray) -> np.ndarray:
         """Produce rows lo .. hi - 1 into the front of out's memory and
-        overwrite them with their spectra: on the mirror route by
-        _dct_forward, else by rfft of the rows zero-padded to P.  Every
-        transform reads the rows out before it writes a spectrum
-        (_reorder's real lines, the padded rows), and a row takes no more
-        bytes than its spectrum, so the rows need no buffer of their own.
-        On the FFT path a row is padded into work first (numpy transforms a
-        padded line faster than it pads one itself) and rfft writes into
-        out.  Returns out.  The rows are contiguous, not a view of the
-        padded lines: the producer's elementwise passes run slower on a
-        strided view (g_n on a 2D M = 192 row: 70 us more)."""
-        nb = hi - lo
-        rows = np.ndarray((nb,) + self._shape[1:], float, out)
+        overwrite them with their spectra by _dct_forward, which reads the
+        rows out (into _reorder's real lines) before it writes a spectrum;
+        a row takes no more bytes than its spectrum, so the rows need no
+        buffer of their own.  Returns out.  The rows are contiguous, not a
+        view of the padded lines: the producer's elementwise passes run
+        slower on a strided view (g_n on a 2D M = 192 row: 70 us more)."""
+        rows = np.ndarray((hi - lo,) + self._shape[1:], float, out)
         fill(lo, hi, rows)
-        if self.propagator.mirror:
-            return self._dct_forward(rows, work, out)
-        padded = work[0][:nb]
-        padded[:, : self._shape[-1]] = rows
-        padded[:, self._shape[-1] :] = 0.0  # _to_box and other operators write it
-        return np.fft.rfft(padded, axis=1, out=out)
+        return self._dct_forward(rows, work, out)
 
-    def _to_box(self, spec: np.ndarray, work, out: np.ndarray) -> None:
-        """Write the box of the inverse transforms of a batch of spectra
-        into out: on the FFT path irfft at P into the padded rows of work,
-        which the next forward transform pads again, cut to the first M
-        values; on the mirror route, _dct_inverse, which overwrites spec."""
-        if self.propagator.mirror:
-            self._dct_inverse(spec, work, out)
-            return
-        padded = np.fft.irfft(spec, n=self._padded[0], axis=1, out=work[0][: len(spec)])
-        out[...] = padded[:, : self._shape[-1]]
-
-    # -- the mirror route's cosine transforms --------------------------------
+    # -- the cosine transforms -----------------------------------------------
     #
     # A field held on the orthant extends to the full box as its mirror image
     # in every axis, and a half axis of m points zero-padded to Q extends to
-    # the 2Q-periodic line that is symmetric about -1/2: the FFT path's line
-    # padded to P = 2Q, shifted by M/2.  Its DFT is exp(i pi k / 2Q) times
-    # its DCT-II, and the kernel's is real, so the FFT path's circular
-    # convolution at P = 2Q is a DCT-II, a real product and a DCT-III on the
+    # the 2Q-periodic line that is symmetric about -1/2: the full line
+    # zero-padded to 2Q, shifted by M/2.  Its DFT is exp(i pi k / 2Q) times
+    # its DCT-II, and the kernel's is real, so the circular convolution at
+    # 2Q is a DCT-II, a real product and a DCT-III on the
     # orthant (Martucci, IEEE Trans. Signal Process. 42(5), 1994).  Each
     # cosine transform of a line is one rfft of length Q of its even
     # samples followed by its odd ones reversed, turned by exp(-i pi k / 2Q)
     # (Makhoul, IEEE Trans. ASSP 28(1), 1980): the result W_k, k <= Q/2,
     # holds half the DCT-II as c_k = Re W_k and c_(Q-k) = -Im W_k.  The last
-    # axis keeps W as it is, so a spectrum has the FFT path's layout at
-    # P = Q; each earlier axis writes c_0 .. c_(Q-1) out in order.  The
+    # axis keeps W as it is, so a spectrum has rfftn's layout at Q points
+    # per axis; each earlier axis writes c_0 .. c_(Q-1) out in order.  The
     # inverse runs the same steps backwards; with that scaling it is the
     # DCT-III over Q, the exact inverse.
 
@@ -676,7 +594,7 @@ class PreparedHeat:
         real, lines = work
         n = rows.ndim - 1
         m = rows.shape[1]
-        q = self._padded[0]
+        q = self._q
         half = q // 2
         twiddle = self._twiddles[0]
         shape = rows.shape[:-1] + (q,)
@@ -718,7 +636,7 @@ class PreparedHeat:
         real, lines = work
         n = spec.ndim - 1
         m = out.shape[1]
-        q = self._padded[0]
+        q = self._q
         half = q // 2
         twiddle = self._twiddles[1]
         for ax in range(n - 1):  # an axis of one row
@@ -775,12 +693,12 @@ def _unreorder(src: np.ndarray, dst: np.ndarray, ax: int) -> None:
 def apply_heat(f: GridFunction, t: float) -> GridFunction:
     """Discrete heat semigroup S(t) acting on a grid function; builds its
     kernel afresh (a caller applying one time to many fields prepares it
-    once with HeatPropagator.prepare).  A field that is mirror-symmetric in
-    every axis takes the mirror route, as the solves do; any other is 1D
-    only (ParameterError above 1D)."""
+    once with HeatPropagator.prepare).  The field must be mirror-symmetric
+    in every axis (ParameterError otherwise), and is applied on its
+    orthant, as the solves are."""
     if not is_mirror_symmetric(f.values):
-        return GridFunction(f.grid, HeatPropagator(f.grid).apply_heat_values(f.values, t))
-    prop = HeatPropagator(f.grid, mirror=True)
+        raise ParameterError("the heat operator takes fields mirror-symmetric in every axis")
+    prop = HeatPropagator(f.grid)
     return GridFunction(f.grid, mirrored(prop.apply_heat_values(orthant(f.values), t)))
 
 

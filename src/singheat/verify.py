@@ -18,15 +18,12 @@ both, so ordering is preserved at every node including the sagging ones.
 That does not extend to two ladder levels: they use different g_n and
 windows of different lengths, so the ladder's decrease can fail.  The
 zero-data gamma = 0 solve with L = 12, M = 64, t = 1 and n = 1, 2, ..., 256
-stops at n = 99 on an increase of 3.07e-5, and the 1D step datum at
-gamma = 0.1, L = 12, M = 64 (h = 0.375) fails at n = 64 by 1.7e-3 (at the
-same h with the walls twice as far out, L = 24 and M = 128, still by
-1.47e-3).  The walls are not the likely cause of either: both ladders pass
-with a kernel whose discrete variance is 2 tau on steps tau shorter than
-h^2 (ROADMAP item 1).  The likely cause is that the sampled kernel's
-variance falls short of 2 tau on such steps, so short steps do not compose
-to a long one and two levels, whose windows differ, run different discrete
-operators.
+stops at n = 99 on an increase of 3.07e-5.  The walls are not the likely
+cause: the ladder passes with a kernel whose discrete variance is 2 tau on
+steps tau shorter than h^2 (ROADMAP item 1).  The likely cause is that the
+sampled kernel's variance falls short of 2 tau on such steps, so short
+steps do not compose to a long one and two levels, whose windows differ,
+run different discrete operators.
 """
 
 from __future__ import annotations
@@ -44,6 +41,7 @@ from .errors import ParameterError, SeriesRangeError
 from .fields import (
     DEFAULT_POINTS,
     Grid,
+    GridFunction,
     Params,
     make_grid,
     standard_data,
@@ -159,10 +157,10 @@ def check_subsolution(
     At gamma = 0, q = 1/2 the two sides agree identically (the barrier is the
     exact extremal), so the margin there measures pure quadrature error.
     Every field here is radial, so the check computes on the positive
-    orthant, with a mirror propagator.  Each time's quadrature sum is one
-    operator, prepared for the rule's lags and weights and applied once to
-    a producer that writes each batch's rows of w(sigma_j)^q straight into
-    the operator's workspace, so the check holds no stack.  A row is
+    orthant.  Each time's quadrature sum is one operator, prepared for the
+    rule's lags and weights and applied once to a producer that writes each
+    batch's rows of w(sigma_j)^q straight into the operator's workspace, so
+    the check holds no stack.  A row is
     lambda^q sigma^{q/(1-q)} (r + sqrt sigma)^{-gamma q/(1-q)}: one power
     per distinct radius (3498 of the orthant's 9216 in 2D at
     M = 192), gathered onto the orthant, then multiplied by the weight; the
@@ -174,7 +172,7 @@ def check_subsolution(
         half_width = half_width if half_width is not None else dflt[0]
         points = points if points is not None else dflt[1]
     grid = make_grid(n_dim, half_width, points)
-    prop = HeatPropagator(grid, mirror=True)
+    prop = HeatPropagator(grid)
     radius, cheb = _orthant_nodes(grid)
     radii, where = np.unique(radius, return_inverse=True)
     where = where.reshape(prop.shape)  # numpy 2.x releases disagree on its shape
@@ -491,9 +489,9 @@ def check_max_at_origin(
     the 2^N innermost nodes (|x_i| = h/2 on every axis).  The margin is the
     worst value of (max over innermost nodes) - (global max), scaled by the
     field size.  The data are radial, so the check computes on the positive
-    orthant, with a mirror propagator, where the innermost node is the
-    first.  Unless ``profiles`` are given, the check draws ``n_profiles``
-    random profiles from the stdlib ``random.Random(seed)``.
+    orthant, where the innermost node is the first.  Unless ``profiles``
+    are given, the check draws ``n_profiles`` random profiles from the
+    stdlib ``random.Random(seed)``.
     """
     grid = make_grid(n_dim, half_width, points)
     r = _orthant_nodes(grid)[0]
@@ -502,7 +500,7 @@ def check_max_at_origin(
     fns = list(profiles) if profiles is not None else [
         _random_radial_profile(rng) for _ in range(n_profiles)
     ]
-    prop = HeatPropagator(grid, mirror=True)
+    prop = HeatPropagator(grid)
     op = prop.prepare([t])  # one kernel for every profile
     worst = math.inf
     for fn in fns:
@@ -527,21 +525,28 @@ def check_heaviside_gap(
     points: int = 32768,
     tol: float = 1e-3,
 ) -> CheckReport:
-    """For step data the one-step gap |S(t) u0 - u0| has supremum 1/2.
+    """At a jump of height 1 the one-step gap |S(t) u0 - u0| has supremum
+    1/2.
 
-    Pointwise the discrete gap stays strictly below 1/2 (the kernel weight at
-    zero displacement is withheld from the jump), and the supremum approaches
-    1/2 from below with deficit ~ h/(4 sqrt(pi t)).  Margin: min over times of
-    tol - |sup_gap - 1/2|, with the pointwise ceiling also enforced.  Step
-    data are not mirror-symmetric, so the check stays on the full grid.
+    The datum u0 is the indicator of |x| < L/2 on a 1D grid of half width
+    L: two jumps L apart, each at a midpoint between nodes.  Next to a jump
+    the discrete gap approaches 1/2 from below with deficit ~ h/(4 sqrt(pi
+    t)), half the kernel weight at zero displacement, which is withheld
+    from the jump.  The far jump raises the gap next to the near one by
+    (1/2) erfc(L / (2 sqrt t)): 1.1e-5 at t = 1 on L = 6 (a step datum
+    that meets the zero extension at the wall x = L has the same term, from
+    the wall).  The gap stays below 1/2 while that term is below the
+    deficit h/(4 sqrt(pi t)) (5.2e-5 at t = 1 on this grid), which is why
+    the pointwise ceiling 1/2 + 1e-12 holds.  Margin: min over times of
+    tol - |sup_gap - 1/2|, with that ceiling also enforced.
     """
     grid = make_grid(1, half_width, points)
-    u0 = standard_data(grid, "step")
+    u0 = GridFunction(grid, (grid.radius_values() < 0.5 * half_width).astype(float))
     worst = math.inf
     gaps = {}
     for t in times:
         # the evolved field is freed once the gap is formed, and the gap
-        # before the next time's apply
+        # before the next time's apply (with its propagator's scratch)
         gap = apply_heat(u0, float(t)).values - u0.values
         sup_gap = float(np.max(np.abs(gap, out=gap)))
         del gap
@@ -573,8 +578,8 @@ def check_smoothing_exponent(
     slope must match -gamma/2 and the intercept ln(eta1) within the stated
     bands.  The margin is the worse of the two band residuals; tolerance 0
     (bands are absolute).  The weighted constant is radial, so the check
-    computes on the positive orthant, with a mirror propagator, where the
-    innermost node is the first.
+    computes on the positive orthant, where the innermost node is the
+    first.
     """
     if times is None:
         times = np.geomspace(0.25, 4.0, 9)
@@ -583,7 +588,7 @@ def check_smoothing_exponent(
     if points is None:
         points = 2048 if n_dim == 1 else 256
     grid = make_grid(n_dim, half_width, points)
-    prop = HeatPropagator(grid, mirror=True)
+    prop = HeatPropagator(grid)
     ones = np.ones(prop.shape)
     vals = []
     for t in times:

@@ -29,7 +29,7 @@ def _axis_matrix(grid, t, half):
     from singheat import HeatPropagator
 
     m = grid.points_per_axis
-    samples = HeatPropagator(grid, mirror=True)._axis_samples(t)
+    samples = HeatPropagator(grid)._axis_samples(t)
     samples /= samples.sum()
     nodes = np.arange(m)
     matrix = samples[nodes[None, :] - nodes[:, None] + m - 1]
@@ -56,6 +56,6 @@ def _dense_heat(grid, stack, times, weights=None, half=False):
 
 @pytest.fixture
 def dense_heat():
-    """The reference that the propagator's routes are checked against: the
+    """The reference that the propagator is checked against: the
     zero-extended convolution with the sampled kernel as dense sums."""
     return _dense_heat

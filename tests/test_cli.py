@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from singheat import scheme, semigroup
 from singheat.cli import _atomic_write, _build_parser, main, parse_config
-from singheat.fields import DEFAULT_POINTS
+from singheat.fields import DEFAULT_POINTS, make_grid
 
 # solve inputs that the library rejects: the data spec, read by
 # standard_data, and a record time past t_end = 1, read by TimeMesh
@@ -19,7 +20,7 @@ LIBRARY_REJECTS = [
     ["--u0", "gauss:abc"],
     ["--u0", "const:-1"],
     ["--u0", "bump:0"],
-    ["--dim", "2", "--u0", "step"],
+    ["--u0", "step"],
     ["--record", "1.0000000005"],
     ["--u0", "zero:junk"],
     ["--u0", "step:7"],
@@ -293,7 +294,6 @@ def test_solve_writes_csv_and_sidecar(tmp_path, capsys):
     assert meta["n_schedule"] == [1, 2]
     assert meta["times"] == [0.0, 0.25, 0.5]
     assert meta["diagnostics"]["monotone_violation"] <= 1e-8
-    assert meta["diagnostics"]["orthant"] is True  # constant data march on the orthant
     levels = meta["diagnostics"]["levels"]
     assert [lv["n"] for lv in levels] == [1, 2]
     assert levels[-1]["sweeps"] == meta["diagnostics"]["total_sweeps"]
@@ -337,18 +337,21 @@ def test_solve_reruns_are_byte_identical(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
-def test_solve_sidecar_names_the_route_of_its_data(tmp_path):
-    # step data march on the full grid, reruns byte for byte as well
-    args = [
-        "solve", "--u0", "step", "--gamma", "0.1", "--points", "64",
-        "--half-width", "6", "--t-end", "0.25", "--n-schedule", "1,2",
-    ]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-    assert json.loads((tmp_path / "a.json").read_text())["diagnostics"]["orthant"] is False
+def test_solve_builds_one_propagator_on_its_grid(tmp_path, monkeypatch):
+    # a solve's whole ladder marches on one HeatPropagator(grid), which
+    # takes no route argument
+    built = []
+
+    class Spy(semigroup.HeatPropagator):
+        def __init__(self, grid):
+            built.append(grid)
+            super().__init__(grid)
+
+    for module in (semigroup, scheme):
+        monkeypatch.setattr(module, "HeatPropagator", Spy)
+    args = ["solve", "--points", "64", "--t-end", "0.25", "--n-schedule", "1,2"]
+    assert main(args + ["--out", str(tmp_path / "a.csv")]) == 0
+    assert built == [make_grid(1, 12.0, 64)]
 
 
 def test_verify_subset_exit_zero_and_report(tmp_path, capsys):

@@ -390,12 +390,13 @@ def test_mirrored_field_is_exactly_symmetric(n_dim, points):
 
 
 def test_standard_data_symmetry():
-    # every datum but step is radial, so exactly mirror-symmetric
+    # every datum is radial, so exactly mirror-symmetric; there is no step
     for n_dim, points in [(1, 64), (2, 16), (3, 8)]:
         g = make_grid(n_dim, 4.0, points)
         for spec in ("zero", "const:2", "bump", "bump:1.5", "gauss:2"):
             assert is_mirror_symmetric(standard_data(g, spec).values)
-    assert not is_mirror_symmetric(standard_data(make_grid(1, 4.0, 64), "step").values)
+        with pytest.raises(ParameterError, match="unknown"):
+            standard_data(g, "step")
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +420,6 @@ def test_standard_data_bump_support(grid_2d):
     assert np.all(f.values[r >= 2.0] == 0.0)
     assert np.all(f.values[r < 2.0] > 0.0)
     assert np.max(f.values) <= 1.0
-
-
-def test_standard_data_step_is_1d_only(grid_1d, grid_2d):
-    f = standard_data(grid_1d, "step")
-    x = grid_1d.axis_nodes()
-    np.testing.assert_array_equal(f.values, (x > 0).astype(float))
-    with pytest.raises(ParameterError):
-        standard_data(grid_2d, "step")
 
 
 def test_standard_data_bare_names_take_defaults(grid_1d):

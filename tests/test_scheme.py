@@ -28,7 +28,9 @@ from singheat import (
     duhamel_rule,
     g_n,
     make_grid,
+    mirrored,
     monotone_solve,
+    orthant,
     picard_solve,
     positive_part,
     standard_data,
@@ -464,54 +466,54 @@ def _every_boundary(mesh):
 
 
 def test_picard_mirror_propagator_rejects_asymmetric_data():
+    # a one-sided datum (the indicator of x > 0) is refused, with a
+    # propagator handed over or without one
     g = make_grid(1, 8.0, 64)
     p = Params(q=0.5, gamma=0.3, n_dim=1)
     mesh = TimeMesh.build(0.5, 0.25)
     nl = Nonlinearity.regularized(0.5, 2)
-    with pytest.raises(ParameterError, match="mirror-symmetric"):
-        mirror = HeatPropagator(g, mirror=True)
-        picard_solve(standard_data(g, "step"), nl, p, mesh, propagator=mirror)
-    # without a propagator, step data march on the full grid
-    assert not picard_solve(standard_data(g, "step"), nl, p, mesh).diagnostics["orthant"]
+    one_sided = GridFunction(g, (g.axis_nodes() > 0.0).astype(float))
+    for prop in (HeatPropagator(g), None):
+        with pytest.raises(ParameterError, match="mirror-symmetric"):
+            picard_solve(one_sided, nl, p, mesh, propagator=prop)
 
 
 class _DenseFullGrid:
-    """A full-grid stand-in for a propagator, whose operators are the dense
-    reference's sums: above 1D the solver has no full-grid route."""
-
-    mirror = False
+    """A stand-in for a propagator whose operators are the dense
+    reference's sums on the full grid: it takes and returns orthant fields,
+    as the solver holds them, mirrors each onto the full grid, sums it
+    there and cuts the result back to the orthant."""
 
     def __init__(self, grid, dense_heat):
-        self.grid, self.shape, self._heat = grid, grid.shape, dense_heat
+        self.grid, self._heat = grid, dense_heat
+        self.shape = (grid.points_per_axis // 2,) * grid.n_dim
 
     def weight_values(self, gamma):
-        return weight_field(self.grid, gamma).values
+        return orthant(weight_field(self.grid, gamma).values)
 
     def prepare(self, t, weights=None, mix=None):
         return SimpleNamespace(times=np.asarray(t, dtype=float), weights=weights, mix=mix)
 
     def apply_heat_values(self, values, op):
         rows = values if op.mix is None else np.tensordot(op.mix, values, axes=1)
-        return self._heat(self.grid, rows, op.times, op.weights)
+        full = self._heat(self.grid, [mirrored(r) for r in rows], op.times, op.weights)
+        return np.stack([orthant(f) for f in full])
 
 
 @pytest.mark.parametrize(
     "n_dim,points,spec", [(1, 64, "bump"), (1, 30, "gauss:2"), (2, 16, "bump:3")]
 )
 def test_picard_on_the_orthant_matches_the_full_grid(n_dim, points, spec, dense_heat):
-    # symmetric data march on the orthant by default; the snapshots, mirrored
-    # back, agree with a march on the full grid, with the same sweeps: in 1D
-    # on the solver's full-grid route, above it with the dense reference's
-    # operators
+    # data march on the orthant; the snapshots, mirrored back, agree with a
+    # march whose operators are the dense reference's sums on the full grid,
+    # with the same sweeps
     g = make_grid(n_dim, 8.0, points)
     p = Params(q=0.5, gamma=0.3, n_dim=n_dim)
     mesh = _every_boundary(TimeMesh.build(0.5, 0.125, must_include=(0.15,)))
     nl = Nonlinearity.regularized(0.5, 4)
     u0 = standard_data(g, spec)
     half = picard_solve(u0, nl, p, mesh)
-    prop = HeatPropagator(g) if n_dim == 1 else _DenseFullGrid(g, dense_heat)
-    full = picard_solve(u0, nl, p, mesh, propagator=prop)
-    assert half.diagnostics["orthant"] and not full.diagnostics["orthant"]
+    full = picard_solve(u0, nl, p, mesh, propagator=_DenseFullGrid(g, dense_heat))
     assert half.diagnostics["total_sweeps"] == full.diagnostics["total_sweeps"]
     assert half.times == full.times == mesh.boundaries
     for a, b in zip(half.snapshots, full.snapshots):
@@ -554,7 +556,7 @@ def test_picard_looks_up_kernels_once_per_window_length(monkeypatch):
 
     monkeypatch.setattr(HeatPropagator, "_kernel_entry", counted)
     monkeypatch.setattr(HeatPropagator, "_scratch", watched)
-    g = make_grid(1, 12.0, 256)  # FFT path
+    g = make_grid(1, 12.0, 256)
     prop = HeatPropagator(g)
     p = Params(q=0.5, gamma=0.3, n_dim=1)
     u0 = standard_data(g, "bump")
@@ -584,13 +586,14 @@ def test_picard_looks_up_kernels_once_per_window_length(monkeypatch):
 
 def test_ladder_exact_window_plan_pads_to_the_kernel_reach():
     # the first level of `solve --dim 1 --points 256 --t-end 0.0625 --record
-    # 0.03125,0.0625`: windows of 1/32, so every lag is at most 1/32 and each
-    # axis is padded to 256 + ceil(13 sqrt(1/32) / h) = 281 -> 288, not 512
+    # 0.03125,0.0625`: windows of 1/32, so every lag is at most 1/32 and the
+    # half axis of 128 points is padded to Q = 144, the least even 5-smooth
+    # Q with 2Q >= 256 + ceil(13 sqrt(1/32) / h) = 281, not to Q = M = 256
     g = make_grid(1, 12.0, 256)
     mesh = TimeMesh.build(0.0625, 0.25, must_include=(0.03125, 0.0625))
     assert mesh.boundaries == (0.0, 0.03125, 0.0625)
     free_op, sweep = _window_plan(HeatPropagator(g), 0.03125, 0.0, 8)
-    assert free_op._padded == sweep._padded == (288,)
+    assert free_op._q == sweep._q == 144
 
 
 def test_a_sweep_holds_no_stack_of_source_values():
@@ -641,10 +644,12 @@ def _reference_picard(
     from its free term plus the Duhamel part (converged state minus free
     term) of the last two windows of its length, extrapolated linearly,
     or of the last one alone; with free_start, from the free term alone.
-    Returns the field at every window end and the number of sweeps."""
+    The fields are orthant fields, as the solver holds them.  Returns the
+    field at every window end, mirrored onto the full grid, and the number
+    of sweeps."""
     prop = HeatPropagator(u0.grid)
     gam = params.gamma
-    u_left = np.array(u0.values, dtype=float)
+    u_left = np.array(orthant(u0.values), dtype=float)
     ends, sweeps = [], 0
     nodes = config.nodes_per_window
     past, length = [], None
@@ -684,7 +689,7 @@ def _reference_picard(
             raise ConvergenceError("reference sweep stalled")
         past = past[-1:] + [[x - f for x, f in zip(state, free)]]
         u_left = state[-1]
-        ends.append(u_left)
+        ends.append(mirrored(u_left))
     return ends, sweeps
 
 
@@ -703,7 +708,7 @@ def _check_against_reference(points, mesh):
     return traj
 
 
-@pytest.mark.parametrize("points", [64, 256])  # a coarse and a fine grid (1D: FFT path)
+@pytest.mark.parametrize("points", [64, 256])  # a coarse and a fine grid
 def test_picard_matches_the_per_node_reference_sweep(points):
     nl = Nonlinearity.regularized(0.5, 4)
     w = min(0.25, contraction_window(0.3, nl.lipschitz, eta1(0.3, 1)))
@@ -712,7 +717,7 @@ def test_picard_matches_the_per_node_reference_sweep(points):
     _check_against_reference(points, mesh)
 
 
-@pytest.mark.parametrize("points", [64, 256])  # a coarse and a fine grid (1D: FFT path)
+@pytest.mark.parametrize("points", [64, 256])  # a coarse and a fine grid
 def test_picard_matches_the_reference_on_two_window_lengths(points):
     # the record time splits the mesh into windows of 0.075 and of 0.35/3:
     # each window reuses the plan of its length, built in relative time
@@ -766,7 +771,7 @@ def test_below_the_knee_source_and_field_interpolation_agree():
 def test_a_sweep_evaluates_the_source_at_the_knots_only(monkeypatch):
     # the nonlinearity sees each window's start once and then, per sweep,
     # one stack of the K - 1 = nodes_per_window + 1 unknowns: never the
-    # J = 72 quadrature rows.  Bump data march on the positive orthant
+    # J = 72 quadrature rows.  The data march on the positive orthant
     shapes = []
     call = Nonlinearity.__call__
 
@@ -780,7 +785,7 @@ def test_a_sweep_evaluates_the_source_at_the_knots_only(monkeypatch):
     mesh = TimeMesh.build(0.5, 0.125, must_include=(0.15,))
     traj = picard_solve(standard_data(g, "bump"), Nonlinearity.regularized(0.5, 4), p, mesh)
     sweeps = traj.diagnostics["total_sweeps"]
-    assert sweeps > mesh.window_count and traj.diagnostics["orthant"]
+    assert sweeps > mesh.window_count
     unknowns = SolveConfig().nodes_per_window + 1
     half = (g.points_per_axis // 2,)
     assert shapes.count(half) == mesh.window_count
@@ -819,7 +824,7 @@ def test_picard_builds_its_own_plans_for_another_gamma_or_node_count(gamma, node
     nl = Nonlinearity.regularized(0.5, 2)
     mesh = TimeMesh.build(0.5, 0.125)
     u0 = standard_data(g, "bump")
-    prop, plans = HeatPropagator(g, mirror=True), {}
+    prop, plans = HeatPropagator(g), {}
     picard_solve(u0, nl, Params(q=0.5, gamma=0.3), mesh, propagator=prop, plans=plans)
     assert len(plans) == 1
     p, cfg = Params(q=0.5, gamma=gamma), SolveConfig(nodes_per_window=nodes)

@@ -9,9 +9,11 @@ from scipy import ndimage
 
 from singheat import (
     HeatPropagator,
+    Nonlinearity,
     ParameterError,
     Params,
     SolveConfig,
+    TimeMesh,
     TruncationError,
     apply_heat,
     gaussian_exact,
@@ -20,6 +22,7 @@ from singheat import (
     mirrored,
     monotone_solve,
     orthant,
+    picard_solve,
     sample,
     standard_data,
     sup_norm,
@@ -89,7 +92,7 @@ def test_constants_are_preserved_in_the_interior():
 def test_positivity_and_sup_contraction():
     g = make_grid(1, 10.0, 512)
     rng = np.random.default_rng(7)
-    vals = rng.uniform(0.0, 2.0, g.shape)
+    vals = mirrored(rng.uniform(0.0, 2.0, g.points_per_axis // 2))
     f = sample(g, lambda x: 0 * x).with_values(vals)
     out = apply_heat(f, 0.7)
     assert np.all(out.values >= 0.0)
@@ -98,31 +101,24 @@ def test_positivity_and_sup_contraction():
 
 
 def test_apply_heat_equals_the_dense_reference(dense_heat):
-    # apply_heat takes the mirror route for mirror-symmetric fields (a 3D and
-    # a 1D bump) and the full grid for others (a 1D tilted bump), and gives
-    # the field of the dense reference, a direct sum over every pair of nodes
+    # apply_heat applies a mirror-symmetric field (a 3D and a 1D bump) on its
+    # orthant and gives the field of the dense reference, a direct sum over
+    # every pair of nodes of the full grid
     t = 0.5
     for g in (make_grid(3, 8.0, 32), make_grid(1, 8.0, 256)):
         f = standard_data(g, "bump:2")
         out = apply_heat(f, t)
         np.testing.assert_allclose(out.values, dense_heat(g, f.values[None], [t])[0], atol=1e-12)
-    tilted = f.with_values(f.values * np.exp(0.1 * g.axis_nodes()))
-    out = apply_heat(tilted, t)
-    np.testing.assert_allclose(out.values, dense_heat(g, tilted.values[None], [t])[0], atol=1e-12)
 
 
-def test_full_grid_route_is_one_dimensional(monkeypatch):
-    # above 1D a propagator takes the mirror route alone: a full-grid one is
-    # refused when it is made, and with it apply_heat on a field that is not
-    # mirror-symmetric, and monotone_solve on such data before it prepares
-    # any operator
-    for n_dim in (2, 3):
-        with pytest.raises(ParameterError, match="mirror-symmetric"):
-            HeatPropagator(make_grid(n_dim, 6.0, 16))
-    g = make_grid(2, 6.0, 16)
-    tilted = sample(g, lambda x, y: np.exp(-((x - 1.0) ** 2) - y**2))
-    with pytest.raises(ParameterError, match="mirror-symmetric"):
-        apply_heat(tilted, 0.1)
+@pytest.mark.parametrize("n_dim", [1, 2, 3])
+def test_asymmetric_data_are_refused_before_any_plan(n_dim, monkeypatch):
+    # every field is held on its orthant, in every dimension: a field that
+    # is not mirror-symmetric (a bump moved off the origin along the first
+    # axis) is refused by apply_heat, picard_solve and monotone_solve
+    # before any operator is prepared; the centred bump is solved
+    g = make_grid(n_dim, 6.0, 16)
+    moved = sample(g, lambda *xs: np.exp(-((xs[0] - 1.0) ** 2) - sum(x * x for x in xs[1:])))
     prepared = []
     prepare = HeatPropagator.prepare
 
@@ -131,11 +127,20 @@ def test_full_grid_route_is_one_dimensional(monkeypatch):
         return prepare(self, *args, **kwargs)
 
     monkeypatch.setattr(HeatPropagator, "prepare", counted)
+    params = Params(q=0.5, gamma=0.3, n_dim=n_dim)
     config = SolveConfig(n_schedule=(1, 2))
+    mesh = TimeMesh.build(0.25, 0.125)
+    nl = Nonlinearity.regularized(0.5, 1)
     with pytest.raises(ParameterError, match="mirror-symmetric"):
-        monotone_solve(tilted, Params(q=0.5, gamma=0.3, n_dim=2), 0.25, config)
+        apply_heat(moved, 0.1)
+    with pytest.raises(ParameterError, match="mirror-symmetric"):
+        picard_solve(moved, nl, params, mesh)
+    with pytest.raises(ParameterError, match="mirror-symmetric"):
+        picard_solve(moved, nl, params, mesh, propagator=HeatPropagator(g))
+    with pytest.raises(ParameterError, match="mirror-symmetric"):
+        monotone_solve(moved, params, 0.25, config)
     assert prepared == []
-    monotone_solve(standard_data(g, "bump"), Params(q=0.5, gamma=0.3, n_dim=2), 0.25, config)
+    monotone_solve(standard_data(g, "bump"), params, 0.25, config)
     assert prepared
 
 
@@ -144,12 +149,12 @@ def test_scalar_apply_takes_any_array_like():
     # is refused
     g = make_grid(1, 8.0, 64)
     prop = HeatPropagator(g)
-    f = standard_data(g, "step").values
+    f = orthant(standard_data(g, "bump:3").values)
     np.testing.assert_array_equal(
         prop.apply_heat_values(list(f), 0.1), prop.apply_heat_values(f, 0.1)
     )
     with pytest.raises(ParameterError):
-        prop.apply_heat_values([1.0] * 63, 0.1)
+        prop.apply_heat_values([1.0] * 31, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +190,11 @@ _BATCH_WEIGHTS = np.array(
 def test_batched_apply_matches_single_applies(
     n_dim, points, batch_rows, gamma, monkeypatch, dense_heat
 ):
-    # the full grid in 1D, the mirror route above; batch_rows shrinks the
-    # FFT workspace so the rows are transformed that many at a time.  The
-    # single applies are the dense reference's
+    # on the orthant; batch_rows shrinks the FFT workspace so the rows are
+    # transformed that many at a time.  The single applies are the dense
+    # reference's
     g = make_grid(n_dim, 8.0, points)
-    prop = HeatPropagator(g, mirror=n_dim > 1)
+    prop = HeatPropagator(g)
     if batch_rows is not None:
         p = _transform_length(prop, float(_BATCH_TIMES.max()))
         monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * p**n_dim)
@@ -199,7 +204,7 @@ def test_batched_apply_matches_single_applies(
         [prop.apply_weighted_values(f, float(t), gamma) for f, t in zip(stack, _BATCH_TIMES)]
     )
     weighted = stack * prop.weight_values(gamma) if gamma else stack
-    ref = dense_heat(g, weighted, _BATCH_TIMES, half=prop.mirror)
+    ref = dense_heat(g, weighted, _BATCH_TIMES, half=True)
     np.testing.assert_allclose(singles, ref, rtol=0, atol=1e-13)
     op = prop.prepare(_BATCH_TIMES)
     batched = prop.apply_weighted_values(stack, op, gamma)
@@ -220,7 +225,7 @@ def test_batched_apply_matches_single_applies(
 def test_single_apply_is_the_one_row_batch(points):
     g = make_grid(1, 8.0, points)
     prop = HeatPropagator(g)
-    f = standard_data(g, "bump:2").values
+    f = orthant(standard_data(g, "bump:2").values)
     one = prop.apply_heat_values(f, 0.4)
     np.testing.assert_array_equal(prop.apply_heat_values(f[None], prop.prepare([0.4]))[0], one)
 
@@ -229,7 +234,7 @@ def test_single_apply_is_the_one_row_batch(points):
 def test_batched_apply_validation(points):
     g = make_grid(1, 8.0, points)
     prop = HeatPropagator(g)
-    stack = np.ones((3,) + g.shape)
+    stack = np.ones((3,) + prop.shape)
     for bad in ([0.1, -0.2, 0.3], [0.1, 0.2, math.nan], [math.inf, 0.2, 0.3]):
         with pytest.raises(ParameterError):
             prop.prepare(np.array(bad))
@@ -252,12 +257,12 @@ def test_batched_apply_validation(points):
 @pytest.mark.parametrize("n_dim,points", [(2, 16), (2, 10), (3, 16), (3, 10), (3, 6)])
 @pytest.mark.parametrize("gamma", [0.0, 0.4])
 def test_direct_path_equals_per_row_correlation(n_dim, points, gamma):
-    # the mirror route, on odd half axes too (M = 10 and 6), against each
-    # row with t > 0 correlated directly, axis by axis, with its normalized
-    # 2M-1 kernel samples, zero outside the box, on the full grid and taken
-    # on the orthant
+    # on the orthant, on odd half axes too (M = 10 and 6), against each row
+    # with t > 0 correlated directly, axis by axis, with its normalized 2M-1
+    # kernel samples, zero outside the box, on the full grid and taken on
+    # the orthant
     g = make_grid(n_dim, 8.0, points)
-    prop = HeatPropagator(g, mirror=True)
+    prop = HeatPropagator(g)
     rng = np.random.default_rng(7 * n_dim + points)
     stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + prop.shape)
     weighted = stack * prop.weight_values(gamma) if gamma else stack
@@ -286,26 +291,21 @@ def _cases(*cases):
     (n_dim, points, flag[, batch_rows]), each named by all its values.  The
     flag only names a case, so that its id stays stable: those marked False
     are the grids that a direct (Toeplitz) path once served (2D M = 16 and
-    64, 3D M = 16 to 64).  A 1D case takes the full grid, any other the
-    mirror route."""
+    64, 3D M = 16 to 64)."""
     return [
         pytest.param(*case[:2], *case[3:], id="-".join(map(str, case))) for case in cases
     ]
 
 
 def _transform_length(prop, t_max):
-    """The transform length per axis of an operator of times up to t_max:
-    P on the full grid, Q on the mirror route."""
-    m, h = prop.grid.points_per_axis, prop.grid.h
-    if prop.mirror:
-        return semigroup._orthant_length(m, h, t_max)
-    return semigroup._padded_length(m, h, t_max)
+    """The transform length Q per axis of an operator of times up to t_max."""
+    return semigroup._orthant_length(prop.grid.points_per_axis, prop.grid.h, t_max)
 
 
 def _kernel_length(prop, t_max):
-    """The padded length L at which an operator of times up to t_max asks
-    for its factors: P on the full grid, 2Q on the mirror route."""
-    return _transform_length(prop, t_max) * (2 if prop.mirror else 1)
+    """The padded length 2Q at which an operator of times up to t_max asks
+    for its factors."""
+    return 2 * _transform_length(prop, t_max)
 
 
 def _split_lines(monkeypatch, length, n_dim, rows):
@@ -357,9 +357,9 @@ def test_prepared_apply_equals_per_row_construction(
 ):
     # _BATCH_TIMES has a t = 0 row; _BATCH_WEIGHTS an all-zero target row and
     # columns weighted by two targets.  The reference sums each row
-    # densely, on the full grid in 1D and on the orthant above
+    # densely, on the orthant
     g = make_grid(n_dim, 6.0, points)
-    prop = HeatPropagator(g, mirror=n_dim > 1)
+    prop = HeatPropagator(g)
     p = _transform_length(prop, float(_BATCH_TIMES.max()))
     if batch_rows == "blocks":
         k = _split_lines(monkeypatch, p, n_dim, rows=1)
@@ -380,7 +380,7 @@ def test_prepared_apply_equals_per_row_construction(
         for _ in range(2):
             stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + prop.shape)
             weighted = stack * prop.weight_values(gamma) if gamma else stack
-            ref = dense_heat(g, weighted, _BATCH_TIMES, weights, half=prop.mirror)
+            ref = dense_heat(g, weighted, _BATCH_TIMES, weights, half=True)
             out = prop.apply_weighted_values(stack, op, gamma)
             assert out.shape == ref.shape
             np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
@@ -410,40 +410,38 @@ def test_producer_apply_equals_stack_apply(n_dim, points, batch_rows, gamma, mon
     # a producer that writes the rows of a stack gives that stack's result
     # bit for bit, with and without weights and with a t = 0 row; the
     # operator asks for every row once, in order, and hands the producer
-    # contiguous views of its propagator's scratch, on either route in 1D
-    # and on the mirror route above (whose fields are orthant halves of the
-    # grid's)
+    # contiguous views of its propagator's scratch (the fields are orthant
+    # halves of the grid's)
     g = make_grid(n_dim, 6.0, points)
-    props = [HeatPropagator(g, mirror=True)] + ([HeatPropagator(g)] if n_dim == 1 else [])
-    for prop in props:
+    prop = HeatPropagator(g)
+    if batch_rows is not None:
+        # the FFT workspace holds batch_rows padded rows
+        p = _transform_length(prop, float(_BATCH_TIMES.max()))
+        monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * p**n_dim)
+    rng = np.random.default_rng(7 * n_dim + points)
+    stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + prop.shape)
+    weight = prop.weight_values(gamma) if gamma else None
+    for weights in (None, _BATCH_WEIGHTS):
+        op = prop.prepare(_BATCH_TIMES, weights)
         if batch_rows is not None:
-            # the FFT workspace holds batch_rows padded rows
-            p = _transform_length(prop, float(_BATCH_TIMES.max()))
-            monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * p**n_dim)
-        rng = np.random.default_rng(7 * n_dim + points)
-        stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + prop.shape)
-        weight = prop.weight_values(gamma) if gamma else None
-        for weights in (None, _BATCH_WEIGHTS):
-            op = prop.prepare(_BATCH_TIMES, weights)
-            if batch_rows is not None:
-                assert op._step == batch_rows
-            calls = []
+            assert op._step == batch_rows
+        calls = []
 
-            def fill(lo, hi, out):
-                calls.append((lo, hi))
-                assert out.shape == (hi - lo,) + prop.shape
-                assert out.flags.c_contiguous
-                assert np.shares_memory(out, prop._buffer)
-                for k, row in enumerate(out):
-                    row[...] = stack[lo + k] * weight if gamma else stack[lo + k]
+        def fill(lo, hi, out):
+            calls.append((lo, hi))
+            assert out.shape == (hi - lo,) + prop.shape
+            assert out.flags.c_contiguous
+            assert np.shares_memory(out, prop._buffer)
+            for k, row in enumerate(out):
+                row[...] = stack[lo + k] * weight if gamma else stack[lo + k]
 
-            produced = prop.apply_heat_values(fill, op)
-            ref = prop.apply_weighted_values(stack, op, gamma)
-            np.testing.assert_array_equal(produced, ref)
-            assert not np.shares_memory(produced, prop._buffer)
-            # every column of _BATCH_WEIGHTS is weighted, so no batch is skipped
-            count, step = _BATCH_TIMES.size, op._step
-            assert calls == [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+        produced = prop.apply_heat_values(fill, op)
+        ref = prop.apply_weighted_values(stack, op, gamma)
+        np.testing.assert_array_equal(produced, ref)
+        assert not np.shares_memory(produced, prop._buffer)
+        # every column of _BATCH_WEIGHTS is weighted, so no batch is skipped
+        count, step = _BATCH_TIMES.size, op._step
+        assert calls == [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 # five rows mixed from three inputs: a copy, two interpolations, a row that
@@ -482,9 +480,9 @@ def test_mixed_inputs_equal_mixed_fields_applied_row_by_row(
     # dense reference's rows of the J mixed fields: it mixes the rows'
     # spectra from the inputs' spectra.  A producer of the inputs is asked
     # for each batch of them once, in order, and gives the stack's result
-    # bit for bit.  The full grid in 1D, the mirror route above
+    # bit for bit
     g = make_grid(n_dim, 6.0, points)
-    prop = HeatPropagator(g, mirror=n_dim > 1)
+    prop = HeatPropagator(g)
     p = _transform_length(prop, float(_BATCH_TIMES.max()))
     if isinstance(batch_rows, int):
         monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * p**n_dim)
@@ -503,7 +501,7 @@ def test_mixed_inputs_equal_mixed_fields_applied_row_by_row(
         for _ in range(2):  # the workspace is reused: a second stack must not see the first
             inputs = rng.uniform(0.0, 2.0, (count,) + prop.shape)
             mixed = np.tensordot(_MIX, inputs * weight, axes=1)
-            ref = dense_heat(g, mixed, _BATCH_TIMES, weights, half=prop.mirror)
+            ref = dense_heat(g, mixed, _BATCH_TIMES, weights, half=True)
             out = prop.apply_weighted_values(inputs, op, gamma)
             assert out.shape == ref.shape
             np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
@@ -526,24 +524,24 @@ def test_mixed_inputs_equal_mixed_fields_applied_row_by_row(
 def test_one_dimensional_inverse_batches_more_targets_than_inputs(
     inputs, targets, monkeypatch, dense_heat
 ):
-    # a 1D apply inverts each batch of spectra into the padded rows that its
-    # forward transforms pad the inputs in, so those rows hold a batch of
-    # inputs or of results, whichever is larger.  Here batches of three
-    # rows: the free term's shape (one input mixed into nine rows, no
+    # a 1D apply inverts each batch of spectra through the real lines that
+    # its forward transforms reorder the inputs into, so those lines hold a
+    # batch of inputs or of results, whichever is larger.  Here batches of
+    # three rows: the free term's shape (one input mixed into nine rows, no
     # weights) and a weighted one (two inputs, seven sums), whose results
     # are inverted in three batches, equal the dense reference
     g = make_grid(1, 6.0, 256)
     times = np.linspace(0.05, 0.45, 9)
-    p = semigroup._padded_length(256, g.h, float(times.max()))
-    monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", 3 * 16 * p)
+    q = semigroup._orthant_length(256, g.h, float(times.max()))
+    monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", 3 * 16 * q)
     prop = HeatPropagator(g)
     rng = np.random.default_rng(11 + inputs)
     mix = np.ones((times.size, 1)) if inputs == 1 else rng.uniform(0.0, 1.0, (times.size, inputs))
     weights = None if targets is None else rng.uniform(0.0, 1.0, (targets, times.size))
     op = prop.prepare(times, weights, mix)
-    assert op._step == 3 and op._work[0] == (3, p)
-    stack = rng.uniform(0.0, 2.0, (inputs,) + g.shape)
-    ref = dense_heat(g, mix @ stack, times, weights)
+    assert op._step == 3 and op._work[0] == (3 * q,)
+    stack = rng.uniform(0.0, 2.0, (inputs,) + prop.shape)
+    ref = dense_heat(g, mix @ stack, times, weights, half=True)
     out = op.apply(stack)
     assert out.shape == ref.shape and len(out) > 2 * op._step
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
@@ -553,21 +551,19 @@ def test_one_dimensional_inverse_batches_more_targets_than_inputs(
 @pytest.mark.parametrize("t_max", [0.02, 1.0])
 def test_padded_length_leaves_the_operator_unchanged(n_dim, points, t_max, dense_heat):
     # padded only as far as the longest kernel reaches (a transform length
-    # below the cap for short times, at the cap for long ones: P = 2M on the
-    # full grid in 1D, Q = M on the mirror route above), the operator gives
-    # the dense reference's sums, since the kernel is zero beyond that reach
-    # in double precision.  Bound: 8 ulps of the largest output
+    # below the cap for short times, at the cap Q = M for long ones), the
+    # operator gives the dense reference's sums, since the kernel is zero
+    # beyond that reach in double precision.  Bound: 8 ulps of the largest
+    # output
     g = make_grid(n_dim, 6.0, points)
-    prop = HeatPropagator(g, mirror=n_dim > 1)
-    cap = points if prop.mirror else 2 * points
+    prop = HeatPropagator(g)
     times = _BATCH_TIMES * t_max
     rng = np.random.default_rng(5 * n_dim + points)
     for weights in (None, _BATCH_WEIGHTS):
         op = prop.prepare(times, weights)
-        p = op._padded[-1]
-        assert p < cap if t_max < 1.0 else p == cap
+        assert op._q < points if t_max < 1.0 else op._q == points
         stack = rng.uniform(0.0, 2.0, (times.size,) + prop.shape)
-        ref = dense_heat(g, stack, times, weights, half=prop.mirror)
+        ref = dense_heat(g, stack, times, weights, half=True)
         ulp = np.finfo(float).eps * np.abs(ref).max()
         np.testing.assert_allclose(prop.apply_heat_values(stack, op), ref, rtol=0, atol=8 * ulp)
 
@@ -579,26 +575,14 @@ def _is_5_smooth(p):
     return p == 1
 
 
-@pytest.mark.parametrize("m", [12, 64, 136, 256, 1024])
-@pytest.mark.parametrize("t_max", [1e-6, 1e-3, 0.03, 0.5, 8.0])
-def test_padded_length_is_the_least_smooth_cover_of_the_kernel_reach(m, t_max):
-    h = 24.0 / m
-    p = semigroup._padded_length(m, h, t_max)
-    least = m + math.ceil(13.0 * math.sqrt(t_max) / h)
-    fits = [q for q in range(least, 2 * m) if q % 2 == 0 and _is_5_smooth(q)]
-    # the least even 5-smooth length covering the box and the reach, or else
-    # the doubled box, which covers any kernel the box holds
-    assert p == (fits[0] if fits else 2 * m)
-
-
 def test_prepared_operator_validation():
     g = make_grid(1, 8.0, 256)
     prop = HeatPropagator(g)
     op = prop.prepare(np.array([0.1, 0.2]), np.ones((1, 2)))
     with pytest.raises(ParameterError):
-        prop.apply_heat_values(np.ones((3,) + g.shape), op)  # three fields, two times
+        prop.apply_heat_values(np.ones((3,) + prop.shape), op)  # three fields, two times
     with pytest.raises(ParameterError):
-        HeatPropagator(g).apply_heat_values(np.ones((2,) + g.shape), op)  # another propagator
+        HeatPropagator(g).apply_heat_values(np.ones((2,) + prop.shape), op)  # another propagator
     for bad in ([0.1, -0.2], [math.nan, 0.2], []):
         with pytest.raises(ParameterError):
             prop.prepare(np.array(bad))
@@ -607,7 +591,7 @@ def test_prepared_operator_validation():
             prop.prepare(np.array([0.1, 0.2]), mix=bad)
     mixed = prop.prepare(np.array([0.1, 0.2]), mix=np.ones((2, 3)))
     with pytest.raises(ParameterError):
-        prop.apply_heat_values(np.ones((2,) + g.shape), mixed)  # two fields, three inputs
+        prop.apply_heat_values(np.ones((2,) + prop.shape), mixed)  # two fields, three inputs
 
 
 # ---------------------------------------------------------------------------
@@ -616,12 +600,12 @@ def test_prepared_operator_validation():
 
 @pytest.mark.parametrize("n_dim,points", [(2, 24), (3, 12)])
 def test_per_axis_spectrum_is_the_full_kernel_spectrum(n_dim, points):
-    # the mirror route's factors, M + 1 real values at the doubled box, of
-    # which it reads the first M, multiplied over the axes, are the N-D
+    # the factors, M + 1 real values at the doubled box, of which an
+    # operator reads the first M, multiplied over the axes, are the N-D
     # kernel's spectrum there: its first M values per axis, which are real,
     # as the kernel is symmetric
     g = make_grid(n_dim, 4.0, points)
-    prop = HeatPropagator(g, mirror=True)
+    prop = HeatPropagator(g)
     m = points
     for t in (0.05, 0.6):
         entry = prop._kernel_entry(t)
@@ -648,17 +632,17 @@ def test_apply_takes_one_scalar_time_or_an_operator():
     # times, weights and mixes of a batch go to prepare: a time array, or a
     # weight matrix as a third argument, is refused
     g = make_grid(1, 8.0, 64)
-    for prop in (HeatPropagator(g), HeatPropagator(g, mirror=True)):
-        stack = np.ones((2,) + prop.shape)
-        for times in (np.array([0.1, 0.2]), [0.1, 0.2], np.array([0.1])):
-            with pytest.raises(ParameterError):
-                prop.apply_heat_values(stack, times)
-            with pytest.raises(ParameterError):
-                prop.apply_weighted_values(stack, times, 0.4)
-        with pytest.raises(TypeError):
-            prop.apply_heat_values(stack, np.array([0.1, 0.2]), np.ones((1, 2)))
-        with pytest.raises(TypeError):
-            prop.apply_weighted_values(stack[0], 0.1, 0.4, np.ones((1, 1)))
+    prop = HeatPropagator(g)
+    stack = np.ones((2,) + prop.shape)
+    for times in (np.array([0.1, 0.2]), [0.1, 0.2], np.array([0.1])):
+        with pytest.raises(ParameterError):
+            prop.apply_heat_values(stack, times)
+        with pytest.raises(ParameterError):
+            prop.apply_weighted_values(stack, times, 0.4)
+    with pytest.raises(TypeError):
+        prop.apply_heat_values(stack, np.array([0.1, 0.2]), np.ones((1, 2)))
+    with pytest.raises(TypeError):
+        prop.apply_weighted_values(stack[0], 0.1, 0.4, np.ones((1, 1)))
 
 
 def test_one_dimensional_entry_is_the_half_spectrum():
@@ -671,11 +655,11 @@ def test_one_dimensional_entry_is_the_half_spectrum():
 @pytest.mark.parametrize("n_dim,points", [(2, 16), (3, 16), (3, 8)])
 @pytest.mark.parametrize("times", [_BATCH_TIMES, _BATCH_TIMES[_BATCH_TIMES > 0.0]])
 def test_direct_apply_results_own_their_memory(n_dim, points, times):
-    # an apply on the mirror route works in the propagator's scratch: no
-    # result shares memory with it, and a later apply, of this operator or
-    # of another one of the propagator, leaves the result unchanged
+    # an apply works in the propagator's scratch: no result shares memory
+    # with it, and a later apply, of this operator or of another one of the
+    # propagator, leaves the result unchanged
     g = make_grid(n_dim, 6.0, points)
-    prop = HeatPropagator(g, mirror=True)
+    prop = HeatPropagator(g)
     rng = np.random.default_rng(points)
     for weights in (None, rng.uniform(0.0, 1.0, (2, times.size))):
         op = prop.prepare(times, weights)
@@ -696,10 +680,9 @@ def test_operators_of_one_propagator_share_its_scratch(n_dim, points):
     # bit: a free term (one input mixed into four rows), a Picard-like sweep
     # (weights and a mix, a longer time) and a one-row weighted operator (a
     # short time, so a shorter padded length).  No result shares memory with
-    # the scratch, which only grows.  The full grid in 1D, the mirror route
-    # above
+    # the scratch, which only grows
     g = make_grid(n_dim, 6.0, points)
-    prop = HeatPropagator(g, mirror=n_dim > 1)
+    prop = HeatPropagator(g)
     specs = [
         (np.array([0.05, 0.1, 0.2, 0.3]), None, np.ones((4, 1))),
         (_BATCH_TIMES, _BATCH_WEIGHTS, _MIX),
@@ -714,17 +697,15 @@ def test_operators_of_one_propagator_share_its_scratch(n_dim, points):
             count = t.size if x is None else x.shape[1]
             stack = rng.uniform(0.0, 2.0, (count,) + prop.shape)
             out = op.apply(stack)
-            fresh = HeatPropagator(g, mirror=prop.mirror)
+            fresh = HeatPropagator(g)
             np.testing.assert_array_equal(out, fresh.prepare(t, w, mix=x).apply(stack))
             assert not np.shares_memory(out, prop._buffer)
             sizes.append(prop._buffer.size)
     assert sizes == sorted(sizes) and sizes[3:] == sizes[2:3] * 3  # grown by the first round
 
 
-@pytest.mark.parametrize(
-    "n_dim,points,mirror", [(1, 512, False), (2, 48, True), (2, 192, True), (3, 32, True)]
-)
-def test_one_row_operator_holds_one_spectrum(n_dim, points, mirror):
+@pytest.mark.parametrize("n_dim,points", [(1, 512), (2, 48), (2, 192), (3, 32)])
+def test_one_row_operator_holds_one_spectrum(n_dim, points):
     # an operator prepared without weights has none (weights is None) and
     # returns its rows: it inverts each batch's spectra where they lie, so
     # after an apply the scratch holds one batch of spectra and its
@@ -736,7 +717,7 @@ def test_one_row_operator_holds_one_spectrum(n_dim, points, mirror):
     # results are those of the same operators given the identity weights
     # explicitly, which form the sums, bit for bit
     g = make_grid(n_dim, 10.0 if n_dim < 3 else 8.0, points)
-    prop = HeatPropagator(g, mirror=mirror)
+    prop = HeatPropagator(g)
     rng = np.random.default_rng(points)
     f = rng.uniform(0.0, 1.0, prop.shape)
     op = prop.prepare([0.5])
@@ -752,16 +733,16 @@ def test_one_row_operator_holds_one_spectrum(n_dim, points, mirror):
     )
     times = np.linspace(0.1, 0.5, 9)
     stack = rng.uniform(0.0, 1.0, (times.size,) + prop.shape)
-    prop = HeatPropagator(g, mirror=mirror)
+    prop = HeatPropagator(g)
     op = prop.prepare(times)
-    if (n_dim, points, mirror) == (2, 192, True):
+    if (n_dim, points) == (2, 192):
         assert op._step < times.size
     out = op.apply(stack)
     spectrum = 16 * math.prod(op._spec_shape)
     work = 8 * math.prod(op._work[0]) + 16 * math.prod(op._work[1])
     assert prop._buffer.nbytes <= op._step * (spectrum + 8 * f.size) + work + 6 * 64
     np.testing.assert_array_equal(out, prop.prepare(times, np.eye(times.size)).apply(stack))
-    prop = HeatPropagator(g, mirror=mirror)
+    prop = HeatPropagator(g)
     op = prop.prepare(times, mix=np.ones((times.size, 1)))
     assert op.weights is None and op._block_shape == (0,)
     out = op.apply(f[None])
@@ -779,7 +760,7 @@ def test_sweep_shaped_operator_holds_no_row_spectra():
     # reordered lines and half spectra, each within the workspace), not the
     # J row spectra, which alone take 8.6 MB here
     g = make_grid(3, 8.0, 32)
-    prop = HeatPropagator(g, mirror=True)
+    prop = HeatPropagator(g)
     rows, knots, targets = 72, 10, 9
     owner = np.repeat(np.arange(targets), rows // targets)
     lo = np.minimum(owner, knots - 2)
@@ -805,21 +786,21 @@ def test_sweep_shaped_operator_holds_no_row_spectra():
 
 
 def test_one_dimensional_apply_memory():
-    # an apply at 1D M = 32768, t = 1 (P = 65536, one-row batches) peaks at
-    # its scratch and its result: the row is produced into its spectrum's
-    # memory and inverted into its padded row, so it allocates no rows
-    # buffer and no (rows, P) inverse
+    # an apply at 1D M = 32768, t = 1 (Q = M = 32768, one-row batches)
+    # peaks at its scratch and its result: the row is produced into its
+    # spectrum's memory and inverted through the work's real line, so it
+    # allocates no rows buffer and no (rows, Q) inverse
     g = make_grid(1, 6.0, 32768)
     prop = HeatPropagator(g)
     op = prop.prepare([1.0])
-    f = np.random.default_rng(19).uniform(0.0, 1.0, (1,) + g.shape)
+    f = np.random.default_rng(19).uniform(0.0, 1.0, (1,) + prop.shape)
     tracemalloc.start()
     try:
         out = op.apply(f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert op._padded == (65536,) and op._step == 1
+    assert op._q == 32768 and op._step == 1
     assert peak <= prop._buffer.nbytes + out.nbytes + 2**16
 
 
@@ -835,7 +816,7 @@ def test_mirror_batch_scratch_holds_no_rows():
     # work holds no batch of their lines
     for n_dim, points, half_width in ((2, 192, 10.0), (3, 32, 8.0)):
         g = make_grid(n_dim, half_width, points)
-        prop = HeatPropagator(g, mirror=True)
+        prop = HeatPropagator(g)
         times = np.linspace(0.01, 0.5, 32)
         op = prop.prepare(times, np.full((1, times.size), 1.0 / times.size))
         stack = np.random.default_rng(23).uniform(0.0, 1.0, (times.size,) + prop.shape)
@@ -846,7 +827,7 @@ def test_mirror_batch_scratch_holds_no_rows():
         out = op.apply(fill)
         np.testing.assert_array_equal(out, op.apply(stack))
         assert 1 < op._step < times.size
-        m, q = points // 2, op._padded[0]
+        m, q = points // 2, op._q
         spectrum = 16 * math.prod(op._spec_shape)
         lines = q ** (n_dim - 1) * (q + 2)
         work = 8 * max(op._step * m ** (n_dim - 1) * q, lines) + 16 * lines // q * (q // 2 + 1)
@@ -882,7 +863,7 @@ def test_mirror_batched_and_one_row_applies_are_bit_identical(
     inputs = rng.uniform(0.0, 2.0, (count,) + (points // 2,) * n_dim)
     results = []
     for one_row in (False, True):
-        prop = HeatPropagator(g, mirror=True)
+        prop = HeatPropagator(g)
         if one_row:
             q = semigroup._orthant_length(points, g.h, float(times.max()))
             monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", 16 * q**n_dim)
@@ -904,10 +885,9 @@ def test_mirror_batched_and_one_row_applies_are_bit_identical(
 )
 def test_kernel_entry_on_a_time_array_stacks_the_scalar_calls(n_dim, points):
     # one pass over a time array builds, row by row, what one call per time
-    # builds: samples and factors, at the default and at a padded length,
-    # on the full grid in 1D and on the mirror route above
+    # builds: samples and factors, at the default and at a padded length
     g = make_grid(n_dim, 8.0, points)
-    prop = HeatPropagator(g, mirror=n_dim > 1)
+    prop = HeatPropagator(g)
     times = np.array([1e-4, 1 / 32, 0.05, 0.3, 1.0])
     samples = prop._axis_samples(times)
     assert samples.shape == (times.size, 2 * points - 1)
@@ -922,7 +902,7 @@ def test_kernel_entry_on_a_time_array_stacks_the_scalar_calls(n_dim, points):
 @pytest.mark.parametrize("n_dim,points", [(1, 64), (2, 16)])
 def test_kernel_entry_batch_names_its_truncating_time(n_dim, points):
     g = make_grid(n_dim, 4.0, points)
-    prop = HeatPropagator(g, mirror=n_dim > 1)
+    prop = HeatPropagator(g)
     with pytest.raises(TruncationError, match=r"t = 25\.0:"):
         prop._kernel_entry(np.array([0.01, 0.5, 25.0, 0.02]))
     with pytest.raises(TruncationError, match=r"t = 25\.0:"):
@@ -930,25 +910,22 @@ def test_kernel_entry_batch_names_its_truncating_time(n_dim, points):
 
 
 @pytest.mark.parametrize(
-    "n_dim,half_width,points,mirror",
+    "n_dim,half_width,points",
     [
-        pytest.param(1, 8.0, 256, False, id="1-8.0-256-fft"),
-        pytest.param(1, 8.0, 256, True, id="1-8.0-256-mirror"),
-        pytest.param(2, 6.0, 48, True, id="2-6.0-48-mirror"),
-        pytest.param(3, 6.0, 24, True, id="3-6.0-24-mirror"),
+        pytest.param(1, 8.0, 256, id="1-8.0-256-mirror"),
+        pytest.param(2, 6.0, 48, id="2-6.0-48-mirror"),
+        pytest.param(3, 6.0, 24, id="3-6.0-24-mirror"),
     ],
 )
-def test_kernel_entry_samples_the_kernels_reach_alone(monkeypatch, n_dim, half_width, points,
-                                                      mirror):
+def test_kernel_entry_samples_the_kernels_reach_alone(monkeypatch, n_dim, half_width, points):
     # at a padded length L below the 2M cap and at the cap, the factors are
     # those of a full-box build (samples at every displacement of the box,
     # summed to their mass, wrapped at L and transformed), within 1e-15 of
     # the largest, and no displacement beyond k = min(L - M, M - 1) is
-    # sampled; on the full grid (1D only) and on the mirror route, which
-    # both return the real part of that spectrum, as floats: its imaginary
-    # part is rounding, since the wrapped kernel is symmetric
+    # sampled.  The factors are the real part of that spectrum, as floats:
+    # its imaginary part is rounding, since the wrapped kernel is symmetric
     g = make_grid(n_dim, half_width, points)
-    prop = HeatPropagator(g, mirror=mirror)
+    prop = HeatPropagator(g)
     m = points
     full_box = HeatPropagator._axis_samples
     widths = []
@@ -992,7 +969,8 @@ def test_kernel_build_memory():
     # tracemalloc peaks of the 1D M = 32768 builds: the samples at t = 1
     # (the whole box) take one array and a half-width vector of squares;
     # prepare at t = 0.01 samples its reach alone, and holds the factors,
-    # the wrapped kernel and its transform at the peak
+    # the wrapped kernel and its transform, and its twiddles (Q/2 + 1
+    # complex values each way), at the peak
     g = make_grid(1, 6.0, 32768)
     prop = HeatPropagator(g)
     tracemalloc.start()
@@ -1008,8 +986,9 @@ def test_kernel_build_memory():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    factors = 16 * (op._padded[0] // 2 + 1)
-    assert peak <= 3 * factors
+    factors = 16 * (op._q + 1)
+    twiddles = 2 * 16 * (op._q // 2 + 1)
+    assert peak <= 3 * factors + twiddles
 
 
 def test_smoothing_bound_for_weighted_operator():
@@ -1018,33 +997,33 @@ def test_smoothing_bound_for_weighted_operator():
     gamma = 0.5
     f = standard_data(g, "const:1")
     for t in (0.25, 1.0):
-        out = HeatPropagator(g).apply_weighted_values(f.values, t, gamma)
+        out = HeatPropagator(g).apply_weighted_values(orthant(f.values), t, gamma)
         bound = eta1(gamma, 1) * t ** (-gamma / 2)
         assert float(np.max(np.abs(out))) <= bound * (1 + 1e-10)
         assert np.all(out > 0)
 
 
 def test_weighted_operator_gamma_zero_is_plain_heat():
-    # on either route; apply_heat takes the mirror one for symmetric data
+    # the weighted operator at gamma = 0 is the plain one, bit for bit, and
+    # so is apply_heat's field
     g = make_grid(1, 8.0, 256)
     f = standard_data(g, "gauss:1")
-    full, mirror = HeatPropagator(g), HeatPropagator(g, mirror=True)
-    a = full.apply_weighted_values(f.values, 0.5, 0.0)
-    np.testing.assert_array_equal(a, full.apply_heat_values(f.values, 0.5))
-    a = mirrored(mirror.apply_weighted_values(orthant(f.values), 0.5, 0.0))
-    np.testing.assert_array_equal(a, apply_heat(f, 0.5).values)
+    prop = HeatPropagator(g)
+    a = prop.apply_weighted_values(orthant(f.values), 0.5, 0.0)
+    np.testing.assert_array_equal(a, prop.apply_heat_values(orthant(f.values), 0.5))
+    np.testing.assert_array_equal(mirrored(a), apply_heat(f, 0.5).values)
 
 
 def test_propagator_preserves_symmetry():
-    # on the full grid, where nothing imposes it
+    # apply_heat's field is its orthant mirrored: symmetric bit for bit
     g = make_grid(1, 8.0, 256)
     f = standard_data(g, "bump:3")
-    out = HeatPropagator(g).apply_heat_values(f.values, 1.0)
-    np.testing.assert_allclose(out, out[::-1], rtol=0, atol=1e-15)
+    out = apply_heat(f, 1.0).values
+    np.testing.assert_array_equal(out, out[::-1])
 
 
 # ---------------------------------------------------------------------------
-# The mirror route
+# The orthant
 # ---------------------------------------------------------------------------
 
 # rows of several lengths, two of them the identity
@@ -1062,9 +1041,10 @@ _MIRROR_WEIGHTS = np.array(
 def test_mirror_and_full_routes_agree(
     n_dim, points, t_scale, batch_rows, monkeypatch, dense_heat
 ):
-    # the sums of the dense reference on the orthant (cosine transforms),
-    # and in 1D those of the full grid too, for mirror-symmetric fields:
-    # stacks, weights, a (J, K) mix, a producer and the weighted operator,
+    # the orthant's sums (cosine transforms) are those of the dense
+    # reference, on the orthant and on the full grid (of the mirrored rows,
+    # cut to the orthant), for mirror-symmetric fields: stacks, weights, a
+    # (J, K) mix, a producer and the weighted operator,
     # with t = 0 rows, an odd half axis (M = 30), more than one batch
     # (batch_rows), the spectral lines in blocks ("blocks": uneven in 2D and
     # 3D but for 3D M = 12, whose 8 or 12 lines come in blocks of one) and,
@@ -1076,23 +1056,19 @@ def test_mirror_and_full_routes_agree(
     assert q == points if t_scale == 1.0 else q < points
     if batch_rows == 3:
         monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * q**n_dim)
-    mirror = HeatPropagator(g, mirror=True)
-    assert mirror.shape == (points // 2,) * n_dim
-    full = HeatPropagator(g) if n_dim == 1 else None
+    prop = HeatPropagator(g)
+    assert prop.shape == (points // 2,) * n_dim
     rng = np.random.default_rng(7 * points + n_dim)
-    halves = rng.uniform(0.0, 2.0, (times.size,) + mirror.shape)
+    halves = rng.uniform(0.0, 2.0, (times.size,) + prop.shape)
     mix = rng.uniform(0.0, 1.0, (times.size, 3))
     mix[2] = 0.0  # a row that mixes nothing
-    weight = mirror.weight_values(0.4)
+    weight = prop.weight_values(0.4)
 
     def agree(on_half, rows, weights):
         # against the sums of the J orthant rows that the operator applies
+        on_full = dense_heat(g, np.stack([mirrored(r) for r in rows]), times, weights)
         refs = [dense_heat(g, rows, times, weights, half=True)]
-        if full is not None:
-            on_full = full.apply_heat_values(
-                np.stack([mirrored(r) for r in rows]), full.prepare(times, weights)
-            )
-            refs.append(np.stack([orthant(f) for f in on_full]))
+        refs.append(np.stack([orthant(f) for f in on_full]))
         for ref in refs:
             assert on_half.shape == ref.shape
             assert np.max(np.abs(on_half - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -1100,19 +1076,19 @@ def test_mirror_and_full_routes_agree(
     for weights in (None, _MIRROR_WEIGHTS):
         if batch_rows == "blocks":
             k = _split_lines(monkeypatch, q, n_dim, rows=1)
-        op = mirror.prepare(times, weights)
-        assert op._padded == (q,) * n_dim
+        op = prop.prepare(times, weights)
+        assert op._q == q
         if batch_rows == "blocks":
             assert op._step == 1
             _check_blocks(op, k)
         elif batch_rows is not None:
             assert op._step == batch_rows
-        agree(mirror.apply_heat_values(halves, op), halves, weights)
-        agree(mirror.apply_weighted_values(halves, op, 0.4), halves * weight, weights)
+        agree(prop.apply_heat_values(halves, op), halves, weights)
+        agree(prop.apply_weighted_values(halves, op, 0.4), halves * weight, weights)
         if batch_rows == "blocks":
             # a mixed operator contracts all J rows at once
             k = _split_lines(monkeypatch, q, n_dim, rows=times.size)
-        mixed = mirror.prepare(times, weights, mix)
+        mixed = prop.prepare(times, weights, mix)
         if batch_rows == "blocks":
             _check_blocks(mixed, k)
 
@@ -1120,16 +1096,16 @@ def test_mirror_and_full_routes_agree(
             out[...] = halves[lo:hi]
 
         rows = np.tensordot(mix, halves[:3], axes=1)
-        agree(mirror.apply_heat_values(halves[:3], mixed), rows, weights)
-        agree(mirror.apply_heat_values(fill, mixed), rows, weights)
+        agree(prop.apply_heat_values(halves[:3], mixed), rows, weights)
+        agree(prop.apply_heat_values(fill, mixed), rows, weights)
 
 
 @pytest.mark.parametrize("m", [2, 12, 30, 64, 136, 256, 1024])
 @pytest.mark.parametrize("t_max", [0.0, 1e-6, 1e-3, 0.03, 0.5, 8.0])
 def test_orthant_length_is_even_and_covers_the_kernel_reach(m, t_max):
-    # Q is _padded_length's rule at P = 2Q: the least even 5-smooth Q with
-    # 2Q >= M + reach, capped at M; a reach past the box folds nothing back
-    # onto it, since no displacement within the box exceeds M - 1
+    # the least even 5-smooth Q with 2Q >= M + reach, capped at M; a reach
+    # past the box folds nothing back onto it, since no displacement within
+    # the box exceeds M - 1
     h = 24.0 / m
     q = semigroup._orthant_length(m, h, t_max)
     reach = math.ceil(13.0 * math.sqrt(t_max) / h)
@@ -1140,21 +1116,31 @@ def test_orthant_length_is_even_and_covers_the_kernel_reach(m, t_max):
 
 
 def test_mirror_kernel_factor_is_the_real_fft_factor():
-    # the FFT path's real factor at P = 2Q, bit for bit
-    g = make_grid(1, 8.0, 128)
+    # an operator scales by the first Q values of the real factor at 2Q, bit
+    # for bit: along an earlier axis in order, along the last axis paired
+    # as (G_k, G_(Q-k)) to match the cosine coefficients (c_k, -c_(Q-k))
+    # that share an entry of the half spectrum (c_0 pairs with a zero)
+    g = make_grid(2, 8.0, 128)
     times = np.array([1e-3, 0.05, 0.4, 2.0])
+    prop = HeatPropagator(g)
+    op = prop.prepare(times)
     q = semigroup._orthant_length(128, g.h, float(times.max()))
-    fft = HeatPropagator(g)._kernel_entry(times, 2 * q)
-    mirror = HeatPropagator(g, mirror=True)._kernel_entry(times, 2 * q)
-    np.testing.assert_array_equal(mirror, fft)
+    assert op._q == q
+    factor = prop._kernel_entry(times, 2 * q)
+    (_, (first, last)), = op._blocks
+    np.testing.assert_array_equal(first.reshape(times.size, q), factor[:, :q])
+    pairs = last.reshape(times.size, q // 2 + 1, 2)
+    np.testing.assert_array_equal(pairs[:, :, 0], factor[:, : q // 2 + 1])
+    np.testing.assert_array_equal(pairs[:, 1:, 1], factor[:, q - 1 : q // 2 - 1 : -1])
+    np.testing.assert_array_equal(pairs[:, 0, 1], factor[:, 0])
 
 
 def test_mirror_propagator_takes_orthant_fields_only():
     g = make_grid(2, 6.0, 16)
-    mirror = HeatPropagator(g, mirror=True)
+    prop = HeatPropagator(g)
     with pytest.raises(ParameterError):
-        mirror.apply_heat_values(np.ones(g.shape), 0.1)
+        prop.apply_heat_values(np.ones(g.shape), 0.1)
     with pytest.raises(ParameterError):
-        mirror.apply_heat_values(np.ones((2,) + g.shape), np.array([0.1, 0.2]))
-    np.testing.assert_array_equal(mirror.apply_heat_values(np.ones(mirror.shape), 0.0), 1.0)
-    assert mirror.weight_values(0.5).shape == mirror.shape
+        prop.apply_heat_values(np.ones((2,) + g.shape), np.array([0.1, 0.2]))
+    np.testing.assert_array_equal(prop.apply_heat_values(np.ones(prop.shape), 0.0), 1.0)
+    assert prop.weight_values(0.5).shape == prop.shape

@@ -83,21 +83,16 @@ def test_subsolution_check_gamma_zero_equality_case():
 
 def _per_node_subsolution_margins(dense_heat, q, gamma, n_dim, times=(0.25, 1.0), nodes=32):
     """The sub-solution check as one weighted apply per quadrature node, on
-    the full grid: the propagator's in 1D, the dense reference's above."""
-    from singheat import (
-        HeatPropagator, Params, duhamel_rule, make_grid, subsolution_w, weight_field
-    )
+    the full grid, by the dense reference's sums."""
+    from singheat import Params, duhamel_rule, make_grid, subsolution_w, weight_field
     from singheat.verify import _default_grid, _trusted_mask
 
     params = Params(q=q, gamma=gamma, n_dim=n_dim)
     grid = make_grid(n_dim, *_default_grid(n_dim))
-    if n_dim == 1:
-        apply = HeatPropagator(grid).apply_weighted_values
-    else:
-        weight = weight_field(grid, gamma).values
+    weight = weight_field(grid, gamma).values
 
-        def apply(values, t, gamma):
-            return dense_heat(grid, (values * weight)[None], [t])[0]
+    def apply(values, t, gamma):
+        return dense_heat(grid, (values * weight)[None], [t])[0]
 
     out = {}
     for t in times:
@@ -349,10 +344,10 @@ def test_heaviside_gap_light():
 
 
 def test_heaviside_gap_memory():
-    # the default check at 1D M = 32768 peaks in its apply at t = 1
-    # (P = 65536): the step data, the scratch's spectrum and padded row,
-    # the real kernel factor and the result, each about M floats: seven in
-    # all (1.84 MB).  A complex factor would be an eighth (2.10 MB)
+    # the default check at 1D M = 32768 peaks while it prepares its t = 1
+    # operator (Q = M): the datum (M floats), the operator's twiddles (M/2
+    # + 1 complex values each way) and the kernel build's samples and
+    # wrapped kernel (2M floats each): seven M floats in all (1.84 MB)
     points = 32768
     tracemalloc.start()
     try:
@@ -376,7 +371,7 @@ def test_smoothing_fit_is_numpys_least_squares_line(gamma):
     # the check fits its line in closed form, with no LAPACK call; on the
     # check's own data that is np.polyfit's line
     rep = check_smoothing_exponent(gamma=gamma, n_dim=1)
-    prop = semigroup.HeatPropagator(make_grid(1, 24.0, 2048), mirror=True)
+    prop = semigroup.HeatPropagator(make_grid(1, 24.0, 2048))
     times = rep.details["times"]
     vals = [prop.apply_weighted_values(np.ones(prop.shape), t, gamma)[0] for t in times]
     slope, intercept = np.polyfit(np.log(times), np.log(vals), 1)
@@ -546,35 +541,35 @@ def test_run_suite_lets_a_keyboard_interrupt_propagate(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "caller,mirror",
+    "caller,count",
     [
-        (lambda: check_subsolution(0.5, 0.3, 1, points=256), True),
-        (lambda: check_subsolution(0.3, 0.5, 2, points=48), True),
-        (lambda: check_max_at_origin(n_profiles=2, points=128), True),
-        (lambda: check_smoothing_exponent(0.3, 1, points=512), True),
-        ("zero", True),
-        ("bump", True),
-        (lambda: check_heaviside_gap(points=1024, tol=1.0), False),
-        ("step", False),
+        pytest.param(lambda: check_subsolution(0.5, 0.3, 1, points=256), 1, id="subsolution"),
+        pytest.param(lambda: check_subsolution(0.3, 0.5, 2, points=48), 1, id="subsolution-2d"),
+        pytest.param(lambda: check_max_at_origin(n_profiles=2, points=128), 1, id="max-at-origin"),
+        pytest.param(lambda: check_smoothing_exponent(0.3, 1, points=512), 1, id="smoothing"),
+        pytest.param(lambda: check_heaviside_gap(points=1024, tol=1.0), 2, id="heaviside"),
+        pytest.param("zero", 1, id="zero"),
+        pytest.param("bump", 1, id="bump"),
     ],
 )
-def test_each_caller_builds_the_route_its_data_allow(caller, mirror, monkeypatch):
-    # radial checks and solves of symmetric data work on the orthant; step
-    # data and the heaviside check stay on the full grid
+def test_each_caller_builds_one_propagator_on_its_grid(caller, count, monkeypatch):
+    # every check and every solve holds its fields on the orthant of
+    # HeatPropagator(grid), which takes no route argument: one for a solve's
+    # whole ladder and for each radial check, one per time for the
+    # heaviside check, whose apply_heat calls free theirs between times
     built = []
 
     class Spy(semigroup.HeatPropagator):
-        def __init__(self, grid, mirror=False):
-            built.append(mirror)
-            super().__init__(grid, mirror)
+        def __init__(self, grid):
+            built.append(grid)
+            super().__init__(grid)
 
     for module in (semigroup, scheme, verify):
         monkeypatch.setattr(module, "HeatPropagator", Spy)
     if isinstance(caller, str):
         g = make_grid(1, 8.0, 64)
         cfg = SolveConfig(n_schedule=(1, 2))
-        traj = monotone_solve(standard_data(g, caller), Params(0.5, 0.3, 1), 0.25, cfg)
-        assert traj.diagnostics["orthant"] is mirror
+        monotone_solve(standard_data(g, caller), Params(0.5, 0.3, 1), 0.25, cfg)
     else:
         assert caller().passed
-    assert built and all(b is mirror for b in built)
+    assert len(built) == count
