@@ -203,8 +203,8 @@ def beta_gamma(q: float, gamma: float) -> float:
 
     Integral over (0, 1) of sigma^{(2-gamma)/(2(1-q)) - 1} (1-sigma)^{-gamma/2}
     d sigma, which is the Beta function B((2-gamma)/(2(1-q)), 1 - gamma/2).
-    Computed by algebraic-weight quadrature and checked against the Gamma
-    closed form.
+    Evaluated by its Gamma closed form, B(a, b) = Gamma(a) Gamma(b) /
+    Gamma(a + b), through log-Gamma once Gamma(a + b) would overflow.
     """
     if not (0.0 < q < 1.0):
         raise ParameterError(f"q must lie in (0, 1) (got {q})")

@@ -178,17 +178,14 @@ def sup_norm(f: GridFunction) -> float:
 def sample(grid: Grid, f: Callable) -> GridFunction:
     """Evaluate ``f`` at every node.
 
-    ``f`` receives one coordinate array per axis (vectorized call); a callable
-    that only accepts scalars is evaluated nodewise as a fallback.  Non-finite
-    values are rejected with the offending node named.
+    ``f`` receives one coordinate array per axis, in one vectorized call; an
+    error it raises passes to the caller.  Non-finite values are rejected
+    with the offending node named.
     """
     mesh = grid.node_mesh()
-    try:
-        values = np.asarray(f(*mesh), dtype=float)
-        if values.shape != grid.shape:
-            values = np.broadcast_to(values, grid.shape).copy()
-    except (TypeError, ValueError):
-        values = np.vectorize(lambda *xs: float(f(*xs)))(*mesh).astype(float)
+    values = np.asarray(f(*mesh), dtype=float)
+    if values.shape != grid.shape:
+        values = np.broadcast_to(values, grid.shape).copy()
     bad = ~np.isfinite(values)
     if bad.any():
         idx = tuple(int(k) for k in np.argwhere(bad)[0])
@@ -201,8 +198,8 @@ def sample(grid: Grid, f: Callable) -> GridFunction:
 # Singular weight as exact cell averages
 # ---------------------------------------------------------------------------
 
-def weight_field(grid: Grid, gamma: float, orthant: bool = False) -> "GridFunction | np.ndarray":
-    """Cell-averaged singular weight |y|^{-gamma}.
+def weight_field(grid: Grid, gamma: float) -> np.ndarray:
+    """Cell-averaged singular weight |y|^{-gamma} on the positive orthant.
 
     Each node carries h^{-N} * integral of |y|^{-gamma} over its own cell,
     finite for gamma < N.  In 1D the averages are in closed form.  In 2D/3D
@@ -215,9 +212,9 @@ def weight_field(grid: Grid, gamma: float, orthant: bool = False) -> "GridFuncti
     the positive orthant only; each class of cells that permuting the axes
     maps onto each other takes the value of one of them, and the other
     orthants are its mirror images, so the field has the grid's symmetries
-    exactly.  With orthant=True the result is the read-only array of those
-    positive-orthant values alone, of shape (M/2,)^N, with no full field
-    built.
+    exactly.  The result is the read-only array of the positive-orthant
+    values alone, of shape (M/2,)^N, with no full field built; mirrored()
+    of it is the full field.
     """
     if not (0.0 <= gamma < grid.n_dim):
         raise ParameterError(
@@ -231,10 +228,8 @@ def weight_field(grid: Grid, gamma: float, orthant: bool = False) -> "GridFuncti
         half = _weight_1d(grid, gamma)
     else:
         half = _weight_nd(grid, gamma)
-    if orthant:
-        half.setflags(write=False)
-        return half
-    return GridFunction(grid, mirrored(half))
+    half.setflags(write=False)
+    return half
 
 
 def _weight_1d(grid: Grid, gamma: float) -> np.ndarray:

@@ -115,7 +115,7 @@ def positive_part(values) -> np.ndarray:
 class Nonlinearity:
     """Source nonlinearity applied pointwise to non-negative fields.
 
-    kind "regularized" is g_n, "power" the raw r^q, "zero" the null source.
+    kind "regularized" is g_n, "power" the raw r^q.
     ``lipschitz`` reports a global sup-norm Lipschitz constant, or None for
     the pure power (not Lipschitz at 0).
     """
@@ -125,9 +125,9 @@ class Nonlinearity:
     n: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("regularized", "power", "zero"):
+        if self.kind not in ("regularized", "power"):
             raise ParameterError(f"unknown nonlinearity kind {self.kind!r}")
-        if self.kind != "zero" and not (0.0 < self.q < 1.0):
+        if not (0.0 < self.q < 1.0):
             raise ParameterError(f"q must lie in (0, 1) (got {self.q})")
         if self.kind == "regularized" and (not isinstance(self.n, (int, np.integer)) or self.n < 1):
             raise ParameterError(f"regularized nonlinearity needs integer n >= 1 (got {self.n})")
@@ -137,21 +137,12 @@ class Nonlinearity:
         if self.kind == "regularized":
             return g_n(values, self.n, self.q, out)
         arr = np.asarray(values, dtype=float)
-        if self.kind == "zero":
-            res = np.zeros_like(arr)
-        else:
-            if arr.size and float(arr.min()) < 0.0:
-                raise ParameterError("power nonlinearity expects non-negative input")
-            res = arr**self.q
-        if out is None:
-            return res
-        out[...] = res
-        return out
+        if arr.size and float(arr.min()) < 0.0:
+            raise ParameterError("power nonlinearity expects non-negative input")
+        return np.power(arr, self.q, out=out)
 
     @property
     def lipschitz(self) -> float | None:
-        if self.kind == "zero":
-            return 0.0
         if self.kind == "regularized":
             return (1.0 + self.q) * (2.0 * self.n) ** (1.0 - self.q)
         return None
@@ -163,10 +154,6 @@ class Nonlinearity:
     @staticmethod
     def power(q: float) -> "Nonlinearity":
         return Nonlinearity(kind="power", q=q)
-
-    @staticmethod
-    def zero() -> "Nonlinearity":
-        return Nonlinearity(kind="zero")
 
 
 # ---------------------------------------------------------------------------

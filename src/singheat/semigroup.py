@@ -4,7 +4,8 @@ The continuous operators are convolution with the Gaussian kernel
 G_t(x) = (4 pi t)^{-N/2} exp(-|x|^2 / (4t)) and, for the weighted variant,
 S_gamma(t) f = S(t)(|.|^{-gamma} f).  On a grid both become discrete linear
 convolutions with samples of G_t (zero extension outside the box), with the
-weight entering as its exact cell-average field.
+weight entering as its exact cell-average field, which the caller multiplies
+into the fields it applies S(t) to (HeatPropagator.weight_values).
 
 The sampled kernel is renormalized to unit discrete mass.  That keeps the
 discrete operator an L-infinity contraction that preserves constants exactly,
@@ -171,9 +172,11 @@ def _scratch_layout(specs: tuple) -> tuple:
 
 
 class HeatPropagator:
-    """Applies S(t) and S_gamma(t) on one grid.
+    """Applies S(t) on one grid, by the operators that it prepares
+    (prepare, then apply_heat_values); S_gamma(t) f is S(t) applied to
+    weight_values(gamma) * f.
 
-    The propagator applies them to fields that are mirror-symmetric in
+    The propagator applies S(t) to fields that are mirror-symmetric in
     every axis, held by their positive orthant (see fields.orthant): every
     field it takes and returns, and its weight field, has shape (M/2,)^N.
 
@@ -248,13 +251,12 @@ class HeatPropagator:
             raise ParameterError(f"raw_kernel_mass requires t > 0 (got {t})")
         return float(np.sum(self._axis_samples(t))) ** self.grid.n_dim
 
-    def _kernel_entry(self, t, length: "int | None" = None) -> np.ndarray:
-        """The 1D kernel factor for time t at padded length L = `length`
-        (default 2M): the L/2 + 1 values of the real part of the rfft of
-        the kernel wrapped at L (see the class docstring).
-        For a 1D array of times t > 0, the factors are built in one pass,
-        one row per time; a truncating time raises TruncationError naming
-        the first.
+    def _kernel_entry(self, times: np.ndarray, length: int) -> np.ndarray:
+        """The 1D kernel factors for a 1D array of times t > 0 at padded
+        length L = `length`, built in one pass, one row per time: the
+        L/2 + 1 values of the real part of the rfft of the kernel wrapped at
+        L (see the class docstring).  A truncating time raises
+        TruncationError naming the first.
 
         The kernel wrapped at length L keeps its displacements up to
         k = min(L - M, M - 1), and only those are sampled and summed.  For
@@ -267,9 +269,6 @@ class HeatPropagator:
         result is allocated, so a build holds at most the wrapped kernels
         and their spectra, or the spectra and the result, at once."""
         m = self.grid.points_per_axis
-        scalar = np.ndim(t) == 0
-        times = np.atleast_1d(np.asarray(t, dtype=float))
-        length = 2 * m if length is None else length
         # length >= M + k keeps the circular convolution from wrapping any
         # displacement onto the box
         k = min(length - m, m - 1)
@@ -291,15 +290,14 @@ class HeatPropagator:
         del g
         spectra = np.fft.rfft(wrapped)
         del wrapped
-        out = spectra.real.copy()
-        return out[0] if scalar else out
+        return spectra.real.copy()
 
     # -- application ---------------------------------------------------------
 
     def prepare(self, t, weights=None, mix=None) -> "PreparedHeat":
         """The operator stack -> sum_j weights[i, j] S(t[j]) stack[j] for a
-        fixed length-J time array and a (T, J) weight matrix, with its
-        kernel factors built once; without weights, the J rows
+        fixed length-J array of times t > 0 and a (T, J) weight matrix, with
+        its kernel factors built once; without weights, the J rows
         S(t[j]) stack[j] themselves.  With a (J, K) mix matrix the operator
         takes K fields instead, and row j is S(t[j]) applied to
         sum_k mix[j, k] stack[k].  See PreparedHeat."""
@@ -308,8 +306,8 @@ class HeatPropagator:
             raise ParameterError(
                 f"evolution times must form a non-empty 1D array (got shape {times.shape})"
             )
-        if not np.all(np.isfinite(times)) or float(times.min()) < 0.0:
-            raise ParameterError(f"evolution times must be finite and >= 0 (got {times})")
+        if not np.all(np.isfinite(times)) or float(times.min()) <= 0.0:
+            raise ParameterError(f"evolution times must be finite and > 0 (got {times})")
         if weights is not None:
             weights = np.asarray(weights, dtype=float)
             if weights.ndim != 2 or weights.shape[1] != times.size:
@@ -327,41 +325,47 @@ class HeatPropagator:
                 raise ParameterError(f"{name} matrix entries must be finite (got {matrix})")
         return PreparedHeat(self, times, weights, mix)
 
-    def apply_heat_values(self, values, t) -> np.ndarray:
-        """S(t) applied to a value array of the propagator's field shape,
-        for one scalar time t; or, with t an operator from prepare(), which
-        carries its own times, weights and mix, that operator applied to
-        values, a stack or a producer (see PreparedHeat.apply).  Times,
-        weights and mixes of a batch go to prepare: a caller applying the
-        same times to many stacks prepares them once."""
-        if isinstance(t, PreparedHeat):
-            if t.propagator is not self:
-                raise ParameterError("a prepared operator belongs to its propagator")
-            return t.apply(values)
-        if np.ndim(t) != 0 or not math.isfinite(t) or t < 0.0:
-            raise ParameterError(f"evolution time must be one scalar >= 0 (got {t})")
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.shape:
+    def apply_heat_values(self, values, op: "PreparedHeat") -> np.ndarray:
+        """The operator op, prepared by this propagator, applied to values:
+        the T weighted sums of J fields (without weights, the J rows), or of
+        the J mixes of K inputs.  op carries its own times, weights and mix,
+        so a caller applying the same times to many stacks prepares them
+        once.
+
+        values is a (J, *shape) stack ((K, *shape) with a mix), or a producer
+        fill(lo, hi, out) that writes fields (inputs) lo .. hi - 1 into out,
+        a contiguous (hi - lo, *shape) view of the propagator's scratch.  The
+        operator calls it once per batch, in order, so the caller never holds
+        the whole stack.  The transform overwrites out with the batch's
+        spectra after the producer returns, so a producer must not keep it.
+        A stack is the producer that copies its rows.
+        """
+        if not isinstance(op, PreparedHeat) or op.propagator is not self:
             raise ParameterError(
-                f"value shape {values.shape} does not match field shape {self.shape}"
+                f"apply_heat_values takes an operator that this propagator prepared (got {op!r})"
             )
-        if t == 0.0:
-            return np.array(values, dtype=float, copy=True)
-        return self.prepare([float(t)]).apply(values[None])[0]
+        if callable(values):
+            fill = values
+        else:
+            stack = np.asarray(values, dtype=float)
+            if stack.shape != (op._inputs,) + self.shape:
+                raise ParameterError(
+                    f"stack shape {stack.shape} does not match {op._inputs} fields of "
+                    f"grid shape {self.shape}"
+                )
+
+            def fill(lo, hi, out):
+                out[...] = stack[lo:hi]
+
+        return op._apply_spectral(fill)
 
     def weight_values(self, gamma: float) -> np.ndarray:
         """The cell-averaged weight field of gamma on the orthant, built
         there alone."""
         vals = self._weights.get(gamma)
         if vals is None:
-            vals = self._weights[gamma] = weight_field(self.grid, gamma, orthant=True)
+            vals = self._weights[gamma] = weight_field(self.grid, gamma)
         return vals
-
-    def apply_weighted_values(self, values: np.ndarray, t, gamma: float) -> np.ndarray:
-        """S_gamma(t) = S(t) after multiplication by the cell-averaged weight
-        (exactly ones at gamma = 0); takes a field and a scalar time, or a
-        stack and a prepared operator, as apply_heat_values does."""
-        return self.apply_heat_values(values * self.weight_values(gamma), t)
 
 
 def _flat(spec: np.ndarray) -> np.ndarray:
@@ -372,7 +376,8 @@ def _flat(spec: np.ndarray) -> np.ndarray:
 class PreparedHeat:
     """sum_j weights[i, j] S(t[j]) f_j for fixed times and weights, or the
     J rows S(t[j]) f_j when prepare was given no weights (weights is then
-    None), applied to any number of stacks f.  With a (J, K) mix matrix the
+    None), applied to any number of stacks f by
+    HeatPropagator.apply_heat_values.  With a (J, K) mix matrix the
     operator takes K inputs x_k and its J rows are the mixes
     f_j = sum_k mix[j, k] x_k.
 
@@ -383,8 +388,9 @@ class PreparedHeat:
       of the kernel of the largest time (see _orthant_length), and the
       per-row kernel factors at 2Q, of which it reads the first Q values
       per row (on the last axis, paired to match the spectrum's float
-      view; see _dct_forward), ones for t = 0 rows.  Every spectrum is held
-      as rfftn's half spectrum at Q points per axis;
+      view; see _dct_forward), and the twiddle exp(-i pi k / 2Q),
+      k <= Q/2, of its cosine transforms.  Every spectrum is held as
+      rfftn's half spectrum at Q points per axis;
     - _work: the batch's real lines along the last axis, or one row's
       padded lines along an earlier axis if those are more, and one row's
       half spectra of the latter: the earlier axes are transformed a row
@@ -411,17 +417,12 @@ class PreparedHeat:
         n = grid.n_dim
         self._shape = (count,) + prop.shape
         self._inputs = count if mix is None else mix.shape[1]
-        live = np.flatnonzero(times > 0.0)
         self._q = q = _orthant_length(m, grid.h, float(times.max()))
-        twiddle = np.exp(-0.5j * np.pi / q * np.arange(q // 2 + 1))
-        self._twiddles = (twiddle, twiddle.conj())
         # the half spectra of the last axis
         self._spec_shape = (q,) * (n - 1) + (q // 2 + 1,)
-        factors = prop._kernel_entry(times[live], 2 * q)
-        if live.size < count:  # S(0) is the identity, so its rows hold ones
-            rows = np.ones((count, factors.shape[1]))
-            rows[live] = factors
-            factors = rows
+        factors = prop._kernel_entry(times, 2 * q)
+        # after the factors, so that it adds nothing to their build's peak
+        self._twiddle = np.exp(-0.5j * np.pi / q * np.arange(q // 2 + 1))
         # factor of each row along each axis, shaped to broadcast over the row
         # spectrum's float view.  The last axis holds the pairs
         # (c_k, -c_(Q-k)) of cosine coefficients (see _dct_forward), so its
@@ -463,33 +464,6 @@ class PreparedHeat:
         # sums; without weights the rows are the results
         block = (per,) + self._spec_shape[1:] if n > 1 else self._spec_shape
         self._block_shape = (count,) + block if mix is not None and weights is not None else (0,)
-
-    def apply(self, values) -> np.ndarray:
-        """The T weighted sums of J fields (without weights, the J rows),
-        or of the J mixes of K inputs.
-
-        values is a (J, *grid) stack ((K, *grid) with a mix), or a producer
-        fill(lo, hi, out) that writes fields (inputs) lo .. hi - 1 into out,
-        a contiguous (hi - lo, *grid) view of the propagator's scratch.  The
-        operator calls it once per batch, in order, so the caller never holds
-        the whole stack.  The transform overwrites out with the batch's
-        spectra after the producer returns, so a producer must not keep it.
-        A stack is the producer that copies its rows.
-        """
-        if callable(values):
-            fill = values
-        else:
-            stack = np.asarray(values, dtype=float)
-            if stack.shape != (self._inputs,) + self._shape[1:]:
-                raise ParameterError(
-                    f"stack shape {stack.shape} does not match {self._inputs} fields of "
-                    f"grid shape {self._shape[1:]}"
-                )
-
-            def fill(lo, hi, out):
-                out[...] = stack[lo:hi]
-
-        return self._apply_spectral(fill)
 
     def _apply_spectral(self, fill) -> np.ndarray:
         """Every operator's apply, in views of the scratch taken at the start
@@ -596,7 +570,7 @@ class PreparedHeat:
         m = rows.shape[1]
         q = self._q
         half = q // 2
-        twiddle = self._twiddles[0]
+        twiddle = self._twiddle
         shape = rows.shape[:-1] + (q,)
         line = real[: math.prod(shape)].reshape(shape)
         _reorder(rows, line, n)
@@ -630,15 +604,17 @@ class PreparedHeat:
         forms exp(i pi k / 2Q) (d_k - i d_(Q-k)) from its coefficients d, one
         row at a time and in order, since a row's box ends before the next
         row starts; the last axis turns the batch's half spectra by
-        exp(i pi k / 2Q) in place.  Each takes one irfft of length Q per line
-        and reads the box from it: even samples forward, odd samples
-        backward from the end."""
+        exp(i pi k / 2Q) in place.  Each turn is by the conjugate of the
+        forward twiddle, taken as conj(conj(z) twiddle): the same products
+        as z conj(twiddle), with no second array.  Each takes one irfft of
+        length Q per line and reads the box from it: even samples forward,
+        odd samples backward from the end."""
         real, lines = work
         n = spec.ndim - 1
         m = out.shape[1]
         q = self._q
         half = q // 2
-        twiddle = self._twiddles[1]
+        twiddle = self._twiddle
         for ax in range(n - 1):  # an axis of one row
             at = (slice(None),) * ax
             turn = twiddle.reshape((half + 1,) + (1,) * (n - 1 - ax))
@@ -650,16 +626,18 @@ class PreparedHeat:
             box = flat.shape[: ax + 1] + (m,) + flat.shape[ax + 2 :]
             kept = flat.reshape(-1)[: math.prod(box)].reshape(box)
             for row, dst in zip(flat, kept):
+                # conj(d_k - i d_(Q-k)), turned, then conjugated back
                 c.real = row[at + (slice(0, half + 1),)]
                 c.imag[at + (slice(0, 1),)] = 0.0
-                np.negative(
-                    row[at + (slice(q - 1, half - 1, -1),)], out=c.imag[at + (slice(1, None),)]
-                )
+                c.imag[at + (slice(1, None),)] = row[at + (slice(q - 1, half - 1, -1),)]
                 c *= turn
+                np.conjugate(c, out=c)
                 np.fft.irfft(c, n=q, axis=ax, out=line)
                 _unreorder(line, dst, ax)
             spec = kept.view(complex)
+        np.conjugate(spec, out=spec)
         spec *= twiddle
+        np.conjugate(spec, out=spec)
         shape = spec.shape[:-1] + (q,)
         line = np.fft.irfft(spec, n=q, axis=n, out=real[: math.prod(shape)].reshape(shape))
         _unreorder(line, out, n)
@@ -691,15 +669,21 @@ def _unreorder(src: np.ndarray, dst: np.ndarray, ax: int) -> None:
 
 
 def apply_heat(f: GridFunction, t: float) -> GridFunction:
-    """Discrete heat semigroup S(t) acting on a grid function; builds its
+    """Discrete heat semigroup S(t) acting on a grid function, for one
+    time t >= 0: S(0) is the identity (f itself); for t > 0 it prepares its
     kernel afresh (a caller applying one time to many fields prepares it
     once with HeatPropagator.prepare).  The field must be mirror-symmetric
     in every axis (ParameterError otherwise), and is applied on its
     orthant, as the solves are."""
     if not is_mirror_symmetric(f.values):
         raise ParameterError("the heat operator takes fields mirror-symmetric in every axis")
+    if np.ndim(t) != 0 or not math.isfinite(t) or t < 0.0:
+        raise ParameterError(f"evolution time must be one scalar >= 0 (got {t})")
+    if t == 0.0:
+        return f
     prop = HeatPropagator(f.grid)
-    return GridFunction(f.grid, mirrored(prop.apply_heat_values(orthant(f.values), t)))
+    out = prop.apply_heat_values(orthant(f.values)[None], prop.prepare([float(t)]))
+    return GridFunction(f.grid, mirrored(out[0]))
 
 
 def gaussian_exact(grid: Grid, a: float, t: float) -> GridFunction:

@@ -589,11 +589,11 @@ def check_smoothing_exponent(
         points = 2048 if n_dim == 1 else 256
     grid = make_grid(n_dim, half_width, points)
     prop = HeatPropagator(grid)
-    ones = np.ones(prop.shape)
+    weighted = prop.weight_values(gamma)[None]  # the weighted constant 1
     vals = []
     for t in times:
-        out = prop.apply_weighted_values(ones, float(t), gamma)
-        vals.append(float(out[(0,) * n_dim]))
+        out = prop.apply_heat_values(weighted, prop.prepare([float(t)]))
+        vals.append(float(out[(0,) * (n_dim + 1)]))
     lt = np.log(np.asarray(times, dtype=float))
     lv = np.log(np.asarray(vals))
     # the least-squares line in closed form (np.polyfit would call LAPACK)

@@ -39,16 +39,15 @@ def _axis_matrix(grid, t, half):
 
 
 def _dense_heat(grid, stack, times, weights=None, half=False):
-    """Each row of stack under S(times[j]) by dense sums, one axis at a time
-    (a row with t = 0 is kept), then the (T, J) weighted sums if weights
-    are given.  With half=True the rows are positive orthants of
-    mirror-symmetric fields, and so are the results."""
+    """Each row of stack under S(times[j]) by dense sums, one axis at a time,
+    then the (T, J) weighted sums if weights are given.  With half=True the
+    rows are positive orthants of mirror-symmetric fields, and so are the
+    results."""
     rows = []
     for row, t in zip(np.asarray(stack, dtype=float), times):
-        if t > 0.0:
-            matrix = _axis_matrix(grid, float(t), half)
-            for ax in range(row.ndim):
-                row = np.moveaxis(np.tensordot(matrix, row, axes=([1], [ax])), 0, ax)
+        matrix = _axis_matrix(grid, float(t), half)
+        for ax in range(row.ndim):
+            row = np.moveaxis(np.tensordot(matrix, row, axes=([1], [ax])), 0, ax)
         rows.append(row)
     rows = np.stack(rows)
     return rows if weights is None else np.tensordot(weights, rows, axes=1)
@@ -59,3 +58,16 @@ def dense_heat():
     """The reference that the propagator is checked against: the
     zero-extended convolution with the sampled kernel as dense sums."""
     return _dense_heat
+
+
+def _heat_once(prop, values, t):
+    """S(t) applied to one orthant field by the propagator, through a
+    one-row operator prepared for it."""
+    return prop.apply_heat_values(np.asarray(values, dtype=float)[None], prop.prepare([t]))[0]
+
+
+@pytest.fixture
+def heat_once():
+    """One time applied to one field: the package's single entry point,
+    prepare then apply, for a row of one."""
+    return _heat_once

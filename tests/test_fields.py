@@ -180,10 +180,19 @@ def test_sample_matches_direct_evaluation(grid_2d):
     np.testing.assert_allclose(f.values, np.exp(-(xx**2 + yy**2) / 3.0), rtol=1e-15)
 
 
-def test_sample_accepts_scalar_only_callables(grid_1d):
-    # callables that choke on arrays fall back to per-node evaluation
-    f = sample(grid_1d, lambda x: math.exp(-abs(x)))
-    np.testing.assert_allclose(f.values, np.exp(-np.abs(grid_1d.axis_nodes())), rtol=1e-15)
+def test_sample_passes_on_a_scalar_only_callables_error(grid_1d):
+    # f is called once, on the coordinate arrays: a callable that takes
+    # scalars only raises its own error, which is neither caught nor
+    # retried node by node
+    calls = []
+
+    def scalar_only(x):
+        calls.append(np.shape(x))
+        return math.exp(-abs(x))
+
+    with pytest.raises(TypeError):
+        sample(grid_1d, scalar_only)
+    assert calls == [grid_1d.shape]
 
 
 def test_sample_reports_offending_node(grid_1d):
@@ -228,13 +237,13 @@ def test_gauss_legendre_arrays_are_shared_read_only():
 
 def test_weight_gamma_zero_is_one(grid_1d):
     w = weight_field(grid_1d, 0.0)
-    assert np.all(w.values == 1.0)
+    assert w.shape == (grid_1d.points_per_axis // 2,) and np.all(w == 1.0)
 
 
 def test_weight_1d_matches_cell_average_closed_form():
     g = make_grid(1, 4.0, 64)
     gamma = 0.6
-    w = weight_field(g, gamma).values
+    w = mirrored(weight_field(g, gamma))
     h = g.h
     x = g.axis_nodes()
     for k in [32, 33, 40, 63]:  # innermost positive node onward
@@ -249,7 +258,7 @@ def test_weight_1d_first_cell():
     # cell [0, h] yields h^{-gamma} / (1 - gamma); finite despite the pole
     g = make_grid(1, 4.0, 64)
     gamma = 0.5
-    w = weight_field(g, gamma).values
+    w = mirrored(weight_field(g, gamma))
     h = g.h
     k = 32
     assert w[k] == pytest.approx(h ** (-gamma) / (1 - gamma), rel=1e-13)
@@ -257,7 +266,7 @@ def test_weight_1d_first_cell():
 
 
 def test_weight_decreases_along_axis_ray(grid_1d):
-    w = weight_field(grid_1d, 0.4).values
+    w = mirrored(weight_field(grid_1d, 0.4))
     half = w[128:]
     assert np.all(np.diff(half) < 0)
 
@@ -265,7 +274,7 @@ def test_weight_decreases_along_axis_ray(grid_1d):
 def test_weight_2d_cell_averages_match_dblquad():
     g = make_grid(2, 2.0, 8)
     gamma = 0.7
-    w = weight_field(g, gamma).values
+    w = mirrored(weight_field(g, gamma))
     h = g.h
     x = g.axis_nodes()
 
@@ -288,7 +297,7 @@ def test_weight_2d_cell_averages_match_dblquad():
 
 def test_weight_3d_corner_cell_is_finite_and_positive():
     g = make_grid(3, 1.0, 4)
-    w = weight_field(g, 1.5).values
+    w = mirrored(weight_field(g, 1.5))
     assert np.isfinite(w).all()
     assert np.all(w > 0)
     # corner cells carry the largest average
@@ -332,7 +341,7 @@ def _per_cell_weight(grid, gamma):
 @pytest.mark.parametrize("gamma", [0.3, 0.5, 1.2])
 def test_weight_field_is_exactly_symmetric_and_matches_the_per_cell_rule(n_dim, points, gamma):
     g = make_grid(n_dim, 10.0, points)
-    w = weight_field(g, gamma).values
+    w = mirrored(weight_field(g, gamma))
     for axis in range(n_dim):  # mirror images and axis swaps are bit for bit equal
         np.testing.assert_array_equal(w, np.flip(w, axis))
         np.testing.assert_array_equal(w, np.swapaxes(w, axis, (axis + 1) % n_dim))
@@ -343,11 +352,19 @@ def test_weight_field_is_exactly_symmetric_and_matches_the_per_cell_rule(n_dim, 
 @pytest.mark.parametrize("n_dim,points", [(1, 64), (1, 30), (2, 8), (2, 30), (3, 8), (3, 12)])
 @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.9])
 def test_orthant_weight_is_the_orthant_of_the_weight_field(n_dim, points, gamma):
-    # built on the orthant alone, bit for bit the full field's orthant
+    # built on the orthant alone: a read-only array of (M/2)^N values that
+    # views no larger array, and the orthant of its mirror image, the full
+    # field, which is exactly mirror-symmetric
     g = make_grid(n_dim, 10.0, points)
-    half = weight_field(g, gamma, orthant=True)
+    half = weight_field(g, gamma)
     assert half.shape == (points // 2,) * n_dim and not half.flags.writeable
-    np.testing.assert_array_equal(half, orthant(weight_field(g, gamma).values))
+    base = half
+    while base.base is not None:
+        base = base.base
+    assert base.size == half.size
+    full = mirrored(half)
+    assert is_mirror_symmetric(full)
+    np.testing.assert_array_equal(orthant(full), half)
 
 
 def test_weight_rejects_gamma_out_of_range(grid_1d):

@@ -165,20 +165,18 @@ def test_positive_part_basics():
 def test_nonlinearity_kinds():
     reg = Nonlinearity.regularized(0.5, 4)
     pow_ = Nonlinearity.power(0.5)
-    zero = Nonlinearity.zero()
     vals = np.array([0.0, 0.01, 1.0, 4.0])
     np.testing.assert_allclose(reg(vals), g_n(vals, 4, 0.5))
     np.testing.assert_allclose(pow_(vals), vals**0.5)
-    np.testing.assert_array_equal(zero(vals), 0.0)
-    for nl in (reg, pow_, zero):
+    for nl in (reg, pow_):
         out = np.full_like(vals, np.nan)
         assert nl(vals, out=out) is out
         np.testing.assert_array_equal(out, nl(vals))
     assert reg.lipschitz == pytest.approx(1.5 * 8**0.5)
     assert pow_.lipschitz is None
-    assert zero.lipschitz == 0.0
-    with pytest.raises(ParameterError):
-        Nonlinearity(kind="cubic")
+    for kind in ("cubic", "zero"):
+        with pytest.raises(ParameterError):
+            Nonlinearity(kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +337,26 @@ def test_time_mesh_rejects_bad_records():
 # Picard solver
 # ---------------------------------------------------------------------------
 
+class _NoSource:
+    """The null source, in the form picard_solve calls a nonlinearity:
+    with it the march is the heat semigroup alone."""
+
+    kind, n = "none", None
+
+    def __call__(self, values, out):
+        out[...] = 0.0
+        return out
+
+
+_NO_SOURCE = _NoSource()
+
+
 def test_picard_zero_source_is_plain_heat():
     g = make_grid(1, 10.0, 256)
     p = Params(q=0.5, gamma=0.0, n_dim=1)
     u0 = standard_data(g, "bump:2")
     mesh = TimeMesh.build(1.0, 0.25)
-    traj = picard_solve(u0, Nonlinearity.zero(), p, mesh)
+    traj = picard_solve(u0, _NO_SOURCE, p, mesh)
     ref = apply_heat(u0, 1.0)
     assert sup_norm(ref.with_values(traj.snapshot_at(1.0).values - ref.values)) < 1e-12
 
@@ -394,14 +406,14 @@ def test_picard_rejects_mismatched_mesh_and_records():
     u0 = standard_data(g, "zero")
     mesh = TimeMesh.build(1.0, 0.25)
     with pytest.raises(ParameterError):
-        picard_solve(u0, Nonlinearity.zero(), p, replace(mesh, records=(0.33,)))
+        picard_solve(u0, _NO_SOURCE, p, replace(mesh, records=(0.33,)))
     neg = u0.with_values(np.full(g.shape, -1.0))
     with pytest.raises(ParameterError):
-        picard_solve(neg, Nonlinearity.zero(), p, mesh)
+        picard_solve(neg, _NO_SOURCE, p, mesh)
     # same shape, other spacing: its plans would be silently wrong here
     other = HeatPropagator(make_grid(1, 12.0, 64))
     with pytest.raises(ParameterError):
-        picard_solve(u0, Nonlinearity.zero(), p, mesh, propagator=other)
+        picard_solve(u0, _NO_SOURCE, p, mesh, propagator=other)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -489,7 +501,7 @@ class _DenseFullGrid:
         self.shape = (grid.points_per_axis // 2,) * grid.n_dim
 
     def weight_values(self, gamma):
-        return orthant(weight_field(self.grid, gamma).values)
+        return weight_field(self.grid, gamma)
 
     def prepare(self, t, weights=None, mix=None):
         return SimpleNamespace(times=np.asarray(t, dtype=float), weights=weights, mix=mix)
@@ -543,9 +555,9 @@ def test_picard_looks_up_kernels_once_per_window_length(monkeypatch):
     lookup = HeatPropagator._kernel_entry
     scratch = HeatPropagator._scratch
 
-    def counted(self, t, length=None):
-        lookups.append(np.size(t))
-        return lookup(self, t, length)
+    def counted(self, times, length):
+        lookups.append(times.size)
+        return lookup(self, times, length)
 
     def watched(self, *specs):
         before = self._buffer
@@ -635,10 +647,11 @@ def _interp_stack(knots, stack, t):
 
 
 def _reference_picard(
-    u0, nonlinearity, params, mesh, config, field_rule=False, free_start=False
+    heat_once, u0, nonlinearity, params, mesh, config, field_rule=False, free_start=False
 ):
     """The per-node Jacobi sweep: one propagator apply per (target, node)
-    pair, each with its own interpolation of the knots' sources g(u).
+    pair, each by its own one-row operator (heat_once) and with its own
+    interpolation of the knots' sources g(u).
     With field_rule, the fields are interpolated instead and g applied to
     the result (the rule before source interpolation).  A window starts
     from its free term plus the Duhamel part (converged state minus free
@@ -649,6 +662,7 @@ def _reference_picard(
     of sweeps."""
     prop = HeatPropagator(u0.grid)
     gam = params.gamma
+    weight = prop.weight_values(gam)
     u_left = np.array(orthant(u0.values), dtype=float)
     ends, sweeps = [], 0
     nodes = config.nodes_per_window
@@ -656,7 +670,7 @@ def _reference_picard(
     for a, b in zip(mesh.boundaries, mesh.boundaries[1:]):
         # the rules in absolute time, not the solver's window-relative ones
         targets = np.append(duhamel_rule(a, b, gam, nodes)[0], b)
-        free = [prop.apply_heat_values(u_left, tau - a) for tau in targets]
+        free = [heat_once(prop, u_left, tau - a) for tau in targets]
         rules = [duhamel_rule(a, tau, gam, nodes) for tau in targets]
         if f"{b - a:.12e}" != length:
             past, length = [], f"{b - a:.12e}"
@@ -678,7 +692,7 @@ def _reference_picard(
                         f_at = nonlinearity(positive_part(_interp_stack(knots, stack, s_val)))
                     else:
                         f_at = _interp_stack(knots, sources, s_val)
-                    acc += w_val * prop.apply_weighted_values(f_at, tau - s_val, gam)
+                    acc += w_val * heat_once(prop, f_at * weight, tau - s_val)
                 new_state.append(acc)
             resid = max(float(np.max(np.abs(nv - ov))) for nv, ov in zip(new_state, state))
             state = new_state
@@ -693,14 +707,14 @@ def _reference_picard(
     return ends, sweeps
 
 
-def _check_against_reference(points, mesh):
+def _check_against_reference(heat_once, points, mesh):
     g = make_grid(1, 10.0, points)
     p = Params(q=0.5, gamma=0.3, n_dim=1)
     u0 = standard_data(g, "bump")
     nl = Nonlinearity.regularized(0.5, 4)
     cfg = SolveConfig()
     traj = picard_solve(u0, nl, p, _every_boundary(mesh), cfg)
-    ends, sweeps = _reference_picard(u0, nl, p, mesh, cfg)
+    ends, sweeps = _reference_picard(heat_once, u0, nl, p, mesh, cfg)
     assert traj.diagnostics["total_sweeps"] == sweeps
     assert len(traj.snapshots) == 1 + len(ends)
     for snap, ref in zip(traj.snapshots[1:], ends):
@@ -709,25 +723,25 @@ def _check_against_reference(points, mesh):
 
 
 @pytest.mark.parametrize("points", [64, 256])  # a coarse and a fine grid
-def test_picard_matches_the_per_node_reference_sweep(points):
+def test_picard_matches_the_per_node_reference_sweep(points, heat_once):
     nl = Nonlinearity.regularized(0.5, 4)
     w = min(0.25, contraction_window(0.3, nl.lipschitz, eta1(0.3, 1)))
     mesh = TimeMesh.build(0.5, w)
     assert mesh.window_count >= 3
-    _check_against_reference(points, mesh)
+    _check_against_reference(heat_once, points, mesh)
 
 
 @pytest.mark.parametrize("points", [64, 256])  # a coarse and a fine grid
-def test_picard_matches_the_reference_on_two_window_lengths(points):
+def test_picard_matches_the_reference_on_two_window_lengths(points, heat_once):
     # the record time splits the mesh into windows of 0.075 and of 0.35/3:
     # each window reuses the plan of its length, built in relative time
     mesh = TimeMesh.build(0.5, 0.125, must_include=(0.15,))
-    traj = _check_against_reference(points, mesh)
+    traj = _check_against_reference(heat_once, points, mesh)
     assert (traj.diagnostics["windows"], traj.diagnostics["window_plans"]) == (5, 2)
 
 
 @pytest.mark.parametrize("gamma", [0.3, 0.6])
-def test_the_extrapolated_start_saves_sweeps(gamma):
+def test_the_extrapolated_start_saves_sweeps(gamma, heat_once):
     # a march of six or more windows of one length: from the third window on,
     # a window starts from the Duhamel parts of the two before it,
     # extrapolated, so it takes fewer sweeps than from the free term, and
@@ -741,13 +755,13 @@ def test_the_extrapolated_start_saves_sweeps(gamma):
     mesh = _every_boundary(TimeMesh.build(0.5, w))
     assert mesh.window_count >= 6
     traj = picard_solve(u0, nl, p, mesh, cfg)
-    ends, sweeps = _reference_picard(u0, nl, p, mesh, cfg, free_start=True)
+    ends, sweeps = _reference_picard(heat_once, u0, nl, p, mesh, cfg, free_start=True)
     assert traj.diagnostics["total_sweeps"] < sweeps
     for snap, ref in zip(traj.snapshots[1:], ends, strict=True):
         np.testing.assert_allclose(snap.values, ref, rtol=0, atol=1e-8)
 
 
-def test_below_the_knee_source_and_field_interpolation_agree():
+def test_below_the_knee_source_and_field_interpolation_agree(heat_once):
     # g_16 is linear below its knee 1/32, and there interpolating g(u)
     # between the knots is g of the interpolated u: on data that stays below
     # it the sweep equals the interpolate-then-evaluate rule to rounding
@@ -762,7 +776,7 @@ def test_below_the_knee_source_and_field_interpolation_agree():
     traj = picard_solve(u0, nl, p, mesh, cfg)
     # the fields grow in time, so the last one bounds every knot's
     assert float(traj.snapshots[-1].values.max()) < 0.5 / nl.n
-    ends, sweeps = _reference_picard(u0, nl, p, mesh, cfg, field_rule=True)
+    ends, sweeps = _reference_picard(heat_once, u0, nl, p, mesh, cfg, field_rule=True)
     assert traj.diagnostics["total_sweeps"] == sweeps
     for snap, ref in zip(traj.snapshots[1:], ends, strict=True):
         np.testing.assert_allclose(snap.values, ref, rtol=0, atol=1e-13)
@@ -999,7 +1013,7 @@ def test_trajectory_csv_and_metadata():
     p = Params(q=0.5, gamma=0.0, n_dim=1)
     u0 = standard_data(g, "const:1")
     mesh = TimeMesh.build(0.5, 0.25)
-    traj = picard_solve(u0, Nonlinearity.zero(), p, mesh)
+    traj = picard_solve(u0, _NO_SOURCE, p, mesh)
     text = _csv(traj)
     lines = text.strip().split("\n")
     assert lines[0] == "t,node_index,coord_1,u"
@@ -1036,7 +1050,7 @@ def test_snapshot_times_below_one_match_relative_to_the_time():
         traj.snapshot_at(2e-10)
     assert TimeMesh.build(1e-13, 1e-13, must_include=(1e-13,)).boundaries == (0.0, 1e-13)
     mesh = TimeMesh.build(1e-10, 0.25)
-    traj = picard_solve(standard_data(g, "const:1"), Nonlinearity.zero(), p, mesh)
+    traj = picard_solve(standard_data(g, "const:1"), _NO_SOURCE, p, mesh)
     assert traj.times == (0.0, 1e-10)
 
 
@@ -1117,7 +1131,7 @@ def test_trajectory_snapshot_lookup_raises_off_knot():
     p = Params(q=0.5, gamma=0.0, n_dim=1)
     u0 = standard_data(g, "const:1")
     mesh = TimeMesh.build(0.5, 0.25)
-    traj = picard_solve(u0, Nonlinearity.zero(), p, mesh)
+    traj = picard_solve(u0, _NO_SOURCE, p, mesh)
     with pytest.raises(ParameterError):
         traj.snapshot_at(0.1234)
 

@@ -25,7 +25,7 @@ _RUNS = {
 
 
 # scripts that need more than arguments, each run by its own test below
-_OWN_TESTS = {"compare_outputs.py"}
+_OWN_TESTS = {"code_lines.py", "compare_outputs.py"}
 
 
 def test_every_script_is_run():
@@ -165,3 +165,48 @@ def test_compare_outputs_peak_is_the_commands_own(tmp_path):
     grown = mod._run(_ROOT, argv, tmp_path / "grown")["peak_mb"]
     assert ballast.nbytes / 2**20 > grown
     assert abs(grown - alone) < 10.0
+
+
+def _code_lines():
+    spec = importlib.util.spec_from_file_location("code_lines", _ROOT / "scripts" / "code_lines.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+_SNIPPET = '''"""Module docstring,
+on two lines."""
+
+# a comment
+import math  # a trailing comment
+
+
+class A:
+    """Class docstring."""
+
+    x = (1,
+         2)  # a continuation line counts
+
+
+def f(a):
+    \'\'\'Function docstring.\'\'\'
+    text = """a string that is
+    not a docstring"""
+    return math.floor(a)
+'''
+
+
+def test_code_lines_counts_a_fixed_snippet(tmp_path):
+    # code lines of the snippet: the import, the class line, the two lines
+    # of x, the def line, the two lines of text and the return; no blank,
+    # comment or docstring line.  The script prints each module and the total
+    mod = _code_lines()
+    assert mod.code_lines(_SNIPPET) == 8
+    (tmp_path / "a.py").write_text(_SNIPPET)
+    (tmp_path / "b.py").write_text("x = 1\n")
+    done = subprocess.run(
+        [sys.executable, str(_ROOT / "scripts" / "code_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:-1] == ["     8  a.py", "     1  b.py", "     9  total"]

@@ -145,23 +145,24 @@ def test_asymmetric_data_are_refused_before_any_plan(n_dim, monkeypatch):
 
 
 def test_scalar_apply_takes_any_array_like():
-    # a list of the field's values is applied like the array; a wrong shape
+    # a stack given as nested lists is applied like the array; a wrong shape
     # is refused
     g = make_grid(1, 8.0, 64)
     prop = HeatPropagator(g)
     f = orthant(standard_data(g, "bump:3").values)
+    op = prop.prepare([0.1])
     np.testing.assert_array_equal(
-        prop.apply_heat_values(list(f), 0.1), prop.apply_heat_values(f, 0.1)
+        prop.apply_heat_values([list(f)], op), prop.apply_heat_values(f[None], op)
     )
     with pytest.raises(ParameterError):
-        prop.apply_heat_values([1.0] * 31, 0.1)
+        prop.apply_heat_values([[1.0] * 31], op)
 
 
 # ---------------------------------------------------------------------------
 # Batched application
 # ---------------------------------------------------------------------------
 
-_BATCH_TIMES = np.array([0.3, 0.0, 0.05, 0.3, 1.0])  # a t = 0 row and a repeated time
+_BATCH_TIMES = np.array([0.3, 0.01, 0.05, 0.3, 1.0])  # a short time and a repeated one
 _BATCH_WEIGHTS = np.array(
     [
         [0.5, 0.25, 0.0, 0.0, 0.0],
@@ -188,7 +189,7 @@ _BATCH_WEIGHTS = np.array(
 )
 @pytest.mark.parametrize("gamma", [0.0, 0.4])
 def test_batched_apply_matches_single_applies(
-    n_dim, points, batch_rows, gamma, monkeypatch, dense_heat
+    n_dim, points, batch_rows, gamma, monkeypatch, dense_heat, heat_once
 ):
     # on the orthant; batch_rows shrinks the FFT workspace so the rows are
     # transformed that many at a time.  The single applies are the dense
@@ -200,21 +201,16 @@ def test_batched_apply_matches_single_applies(
         monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * p**n_dim)
     rng = np.random.default_rng(100 * n_dim + points)
     stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + prop.shape)
-    singles = np.stack(
-        [prop.apply_weighted_values(f, float(t), gamma) for f, t in zip(stack, _BATCH_TIMES)]
-    )
-    weighted = stack * prop.weight_values(gamma) if gamma else stack
+    weighted = stack * prop.weight_values(gamma)
+    singles = np.stack([heat_once(prop, f, float(t)) for f, t in zip(weighted, _BATCH_TIMES)])
     ref = dense_heat(g, weighted, _BATCH_TIMES, half=True)
     np.testing.assert_allclose(singles, ref, rtol=0, atol=1e-13)
     op = prop.prepare(_BATCH_TIMES)
-    batched = prop.apply_weighted_values(stack, op, gamma)
+    batched = prop.apply_heat_values(weighted, op)
     if batch_rows is not None:
         assert op._step == batch_rows
     np.testing.assert_allclose(batched, singles, rtol=0, atol=1e-13)
-    # the t = 0 row is the (weighted) field itself
-    weighted = stack[1] * prop.weight_values(gamma) if gamma else stack[1]
-    np.testing.assert_allclose(batched[1], weighted, rtol=0, atol=1e-13)
-    summed = prop.apply_weighted_values(stack, prop.prepare(_BATCH_TIMES, _BATCH_WEIGHTS), gamma)
+    summed = prop.apply_heat_values(weighted, prop.prepare(_BATCH_TIMES, _BATCH_WEIGHTS))
     assert summed.shape == (_BATCH_WEIGHTS.shape[0],) + prop.shape
     np.testing.assert_allclose(
         summed, np.tensordot(_BATCH_WEIGHTS, singles, axes=1), rtol=0, atol=1e-13
@@ -222,12 +218,15 @@ def test_batched_apply_matches_single_applies(
 
 
 @pytest.mark.parametrize("points", [64, 256])
-def test_single_apply_is_the_one_row_batch(points):
+def test_single_apply_is_the_one_row_batch(points, heat_once):
+    # one field under one time is, bit for bit, the first row of a batch of
+    # two under that time
     g = make_grid(1, 8.0, points)
     prop = HeatPropagator(g)
     f = orthant(standard_data(g, "bump:2").values)
-    one = prop.apply_heat_values(f, 0.4)
-    np.testing.assert_array_equal(prop.apply_heat_values(f[None], prop.prepare([0.4]))[0], one)
+    one = heat_once(prop, f, 0.4)
+    two = prop.apply_heat_values(np.stack([f, f[::-1]]), prop.prepare([0.4, 0.4]))
+    np.testing.assert_array_equal(two[0], one)
 
 
 @pytest.mark.parametrize("points", [64, 256])
@@ -258,25 +257,24 @@ def test_batched_apply_validation(points):
 @pytest.mark.parametrize("gamma", [0.0, 0.4])
 def test_direct_path_equals_per_row_correlation(n_dim, points, gamma):
     # on the orthant, on odd half axes too (M = 10 and 6), against each row
-    # with t > 0 correlated directly, axis by axis, with its normalized 2M-1
+    # correlated directly, axis by axis, with its normalized 2M-1
     # kernel samples, zero outside the box, on the full grid and taken on
     # the orthant
     g = make_grid(n_dim, 8.0, points)
     prop = HeatPropagator(g)
     rng = np.random.default_rng(7 * n_dim + points)
     stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + prop.shape)
-    weighted = stack * prop.weight_values(gamma) if gamma else stack
+    weighted = stack * prop.weight_values(gamma)
     ref = np.empty_like(stack)
     for j, t in enumerate(_BATCH_TIMES):
         row = mirrored(weighted[j])
-        if t > 0.0:
-            samples = prop._axis_samples(t)
-            for ax in range(n_dim):
-                row = ndimage.correlate1d(row, samples / samples.sum(), axis=ax, mode="constant")
+        samples = prop._axis_samples(t)
+        for ax in range(n_dim):
+            row = ndimage.correlate1d(row, samples / samples.sum(), axis=ax, mode="constant")
         ref[j] = orthant(row)
-    out = prop.apply_weighted_values(stack, prop.prepare(_BATCH_TIMES), gamma)
+    out = prop.apply_heat_values(weighted, prop.prepare(_BATCH_TIMES))
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-14)
-    summed = prop.apply_weighted_values(stack, prop.prepare(_BATCH_TIMES, _BATCH_WEIGHTS), gamma)
+    summed = prop.apply_heat_values(weighted, prop.prepare(_BATCH_TIMES, _BATCH_WEIGHTS))
     np.testing.assert_allclose(
         summed, np.tensordot(_BATCH_WEIGHTS, ref, axes=1), rtol=0, atol=1e-14
     )
@@ -355,7 +353,7 @@ def _check_blocks(op, k):
 def test_prepared_apply_equals_per_row_construction(
     n_dim, points, batch_rows, gamma, monkeypatch, dense_heat
 ):
-    # _BATCH_TIMES has a t = 0 row; _BATCH_WEIGHTS an all-zero target row and
+    # _BATCH_TIMES has a short time; _BATCH_WEIGHTS an all-zero target row and
     # columns weighted by two targets.  The reference sums each row
     # densely, on the orthant
     g = make_grid(n_dim, 6.0, points)
@@ -379,9 +377,9 @@ def test_prepared_apply_equals_per_row_construction(
         # the operator's workspace is reused: a second stack must not see the first
         for _ in range(2):
             stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + prop.shape)
-            weighted = stack * prop.weight_values(gamma) if gamma else stack
+            weighted = stack * prop.weight_values(gamma)
             ref = dense_heat(g, weighted, _BATCH_TIMES, weights, half=True)
-            out = prop.apply_weighted_values(stack, op, gamma)
+            out = prop.apply_heat_values(weighted, op)
             assert out.shape == ref.shape
             np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
         if weights is not None:
@@ -408,7 +406,7 @@ def test_prepared_apply_equals_per_row_construction(
 @pytest.mark.parametrize("gamma", [0.0, 0.4])
 def test_producer_apply_equals_stack_apply(n_dim, points, batch_rows, gamma, monkeypatch):
     # a producer that writes the rows of a stack gives that stack's result
-    # bit for bit, with and without weights and with a t = 0 row; the
+    # bit for bit, with and without weights; the
     # operator asks for every row once, in order, and hands the producer
     # contiguous views of its propagator's scratch (the fields are orthant
     # halves of the grid's)
@@ -420,7 +418,7 @@ def test_producer_apply_equals_stack_apply(n_dim, points, batch_rows, gamma, mon
         monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * p**n_dim)
     rng = np.random.default_rng(7 * n_dim + points)
     stack = rng.uniform(0.0, 2.0, (_BATCH_TIMES.size,) + prop.shape)
-    weight = prop.weight_values(gamma) if gamma else None
+    weight = prop.weight_values(gamma)
     for weights in (None, _BATCH_WEIGHTS):
         op = prop.prepare(_BATCH_TIMES, weights)
         if batch_rows is not None:
@@ -433,10 +431,10 @@ def test_producer_apply_equals_stack_apply(n_dim, points, batch_rows, gamma, mon
             assert out.flags.c_contiguous
             assert np.shares_memory(out, prop._buffer)
             for k, row in enumerate(out):
-                row[...] = stack[lo + k] * weight if gamma else stack[lo + k]
+                row[...] = stack[lo + k] * weight
 
         produced = prop.apply_heat_values(fill, op)
-        ref = prop.apply_weighted_values(stack, op, gamma)
+        ref = prop.apply_heat_values(stack * weight, op)
         np.testing.assert_array_equal(produced, ref)
         assert not np.shares_memory(produced, prop._buffer)
         # every column of _BATCH_WEIGHTS is weighted, so no batch is skipped
@@ -487,7 +485,7 @@ def test_mixed_inputs_equal_mixed_fields_applied_row_by_row(
     if isinstance(batch_rows, int):
         monkeypatch.setattr(semigroup, "_FFT_WORKSPACE_BYTES", batch_rows * 16 * p**n_dim)
     rng = np.random.default_rng(13 * n_dim + points)
-    weight = prop.weight_values(gamma) if gamma else 1.0
+    weight = prop.weight_values(gamma)
     count = _MIX.shape[1]
     for weights in (None, _BATCH_WEIGHTS):
         if batch_rows == "blocks":
@@ -502,14 +500,14 @@ def test_mixed_inputs_equal_mixed_fields_applied_row_by_row(
             inputs = rng.uniform(0.0, 2.0, (count,) + prop.shape)
             mixed = np.tensordot(_MIX, inputs * weight, axes=1)
             ref = dense_heat(g, mixed, _BATCH_TIMES, weights, half=True)
-            out = prop.apply_weighted_values(inputs, op, gamma)
+            out = prop.apply_heat_values(inputs * weight, op)
             assert out.shape == ref.shape
             np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
         if weights is None:
             # a mix without weights returns the rows: those of explicit identity
             # weights, bit for bit
             eye = prop.prepare(_BATCH_TIMES, np.eye(_BATCH_TIMES.size), mix=_MIX)
-            np.testing.assert_array_equal(prop.apply_weighted_values(inputs, eye, gamma), out)
+            np.testing.assert_array_equal(prop.apply_heat_values(inputs * weight, eye), out)
         calls = []
 
         def fill(lo, hi, rows):
@@ -542,7 +540,7 @@ def test_one_dimensional_inverse_batches_more_targets_than_inputs(
     assert op._step == 3 and op._work[0] == (3 * q,)
     stack = rng.uniform(0.0, 2.0, (inputs,) + prop.shape)
     ref = dense_heat(g, mix @ stack, times, weights, half=True)
-    out = op.apply(stack)
+    out = prop.apply_heat_values(stack, op)
     assert out.shape == ref.shape and len(out) > 2 * op._step
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
 
@@ -583,7 +581,7 @@ def test_prepared_operator_validation():
         prop.apply_heat_values(np.ones((3,) + prop.shape), op)  # three fields, two times
     with pytest.raises(ParameterError):
         HeatPropagator(g).apply_heat_values(np.ones((2,) + prop.shape), op)  # another propagator
-    for bad in ([0.1, -0.2], [math.nan, 0.2], []):
+    for bad in ([0.1, -0.2], [math.nan, 0.2], [], [0.0], [0.1, 0.0]):
         with pytest.raises(ParameterError):
             prop.prepare(np.array(bad))
     for bad in (np.ones((3, 2)), np.ones(2), np.ones((2, 0))):  # a mix of J = 2 rows
@@ -608,7 +606,7 @@ def test_per_axis_spectrum_is_the_full_kernel_spectrum(n_dim, points):
     prop = HeatPropagator(g)
     m = points
     for t in (0.05, 0.6):
-        entry = prop._kernel_entry(t)
+        entry = prop._kernel_entry(np.array([t]), 2 * m)[0]
         assert entry.shape == (m + 1,) and entry.dtype == float
         entry = entry[:m]
         # the full N-D kernel, built as the outer product of the wrapped axis kernel
@@ -628,32 +626,33 @@ def test_per_axis_spectrum_is_the_full_kernel_spectrum(n_dim, points):
         np.testing.assert_allclose(prod, ref.real, rtol=0, atol=1e-15)
 
 
-def test_apply_takes_one_scalar_time_or_an_operator():
-    # times, weights and mixes of a batch go to prepare: a time array, or a
-    # weight matrix as a third argument, is refused
+def test_apply_takes_a_prepared_operator_only():
+    # times, weights and mixes go to prepare, which refuses a time <= 0: a
+    # scalar time, a time array or an operator of another propagator is
+    # refused by the apply, and so is a weight matrix as a third argument
     g = make_grid(1, 8.0, 64)
     prop = HeatPropagator(g)
     stack = np.ones((2,) + prop.shape)
-    for times in (np.array([0.1, 0.2]), [0.1, 0.2], np.array([0.1])):
+    other = HeatPropagator(g).prepare([0.1, 0.2])
+    for bad in (0.5, 0.0, np.array([0.1, 0.2]), [0.1, 0.2], np.array([0.1]), other):
         with pytest.raises(ParameterError):
-            prop.apply_heat_values(stack, times)
-        with pytest.raises(ParameterError):
-            prop.apply_weighted_values(stack, times, 0.4)
+            prop.apply_heat_values(stack, bad)
+    for times in ([0.0], [0.1, 0.0]):
+        with pytest.raises(ParameterError, match="> 0"):
+            prop.prepare(times)
     with pytest.raises(TypeError):
-        prop.apply_heat_values(stack, np.array([0.1, 0.2]), np.ones((1, 2)))
-    with pytest.raises(TypeError):
-        prop.apply_weighted_values(stack[0], 0.1, 0.4, np.ones((1, 1)))
+        prop.apply_heat_values(stack, prop.prepare([0.1, 0.2]), np.ones((1, 2)))
 
 
 def test_one_dimensional_entry_is_the_half_spectrum():
     g = make_grid(1, 8.0, 256)
     prop = HeatPropagator(g)
-    entry = prop._kernel_entry(0.3)
-    assert entry.shape == (257,) and entry.dtype == float
+    entry = prop._kernel_entry(np.array([0.3]), 512)
+    assert entry.shape == (1, 257) and entry.dtype == float
 
 
 @pytest.mark.parametrize("n_dim,points", [(2, 16), (3, 16), (3, 8)])
-@pytest.mark.parametrize("times", [_BATCH_TIMES, _BATCH_TIMES[_BATCH_TIMES > 0.0]])
+@pytest.mark.parametrize("times", [_BATCH_TIMES, _BATCH_TIMES[2:]])
 def test_direct_apply_results_own_their_memory(n_dim, points, times):
     # an apply works in the propagator's scratch: no result shares memory
     # with it, and a later apply, of this operator or of another one of the
@@ -663,14 +662,15 @@ def test_direct_apply_results_own_their_memory(n_dim, points, times):
     rng = np.random.default_rng(points)
     for weights in (None, rng.uniform(0.0, 1.0, (2, times.size))):
         op = prop.prepare(times, weights)
-        first = op.apply(rng.uniform(0.0, 1.0, (times.size,) + prop.shape))
+        first = prop.apply_heat_values(rng.uniform(0.0, 1.0, (times.size,) + prop.shape), op)
         kept = first.copy()
-        second = op.apply(rng.uniform(0.0, 1.0, (times.size,) + prop.shape))
+        second = prop.apply_heat_values(rng.uniform(0.0, 1.0, (times.size,) + prop.shape), op)
         assert not np.shares_memory(first, second)
         assert not np.shares_memory(first, prop._buffer)
-        prop.prepare(times[:1]).apply(rng.uniform(0.0, 1.0, (1,) + prop.shape))
+        prop.apply_heat_values(rng.uniform(0.0, 1.0, (1,) + prop.shape), prop.prepare(times[:1]))
         np.testing.assert_array_equal(first, kept)
-        np.testing.assert_array_equal(op.apply(np.zeros((times.size,) + prop.shape)), 0.0)
+        zeros = np.zeros((times.size,) + prop.shape)
+        np.testing.assert_array_equal(prop.apply_heat_values(zeros, op), 0.0)
 
 
 @pytest.mark.parametrize("n_dim,points", _cases((1, 256, True), (2, 24, True), (3, 12, True)))
@@ -696,9 +696,11 @@ def test_operators_of_one_propagator_share_its_scratch(n_dim, points):
         for (t, w, x), op in zip(specs, ops):
             count = t.size if x is None else x.shape[1]
             stack = rng.uniform(0.0, 2.0, (count,) + prop.shape)
-            out = op.apply(stack)
+            out = prop.apply_heat_values(stack, op)
             fresh = HeatPropagator(g)
-            np.testing.assert_array_equal(out, fresh.prepare(t, w, mix=x).apply(stack))
+            np.testing.assert_array_equal(
+                out, fresh.apply_heat_values(stack, fresh.prepare(t, w, mix=x))
+            )
             assert not np.shares_memory(out, prop._buffer)
             sizes.append(prop._buffer.size)
     assert sizes == sorted(sizes) and sizes[3:] == sizes[2:3] * 3  # grown by the first round
@@ -722,14 +724,16 @@ def test_one_row_operator_holds_one_spectrum(n_dim, points):
     f = rng.uniform(0.0, 1.0, prop.shape)
     op = prop.prepare([0.5])
     assert op.weights is None
-    out = op.apply(f[None])
+    out = prop.apply_heat_values(f[None], op)
     spectrum = 16 * math.prod(op._spec_shape)
     work = 8 * math.prod(op._work[0]) + 16 * math.prod(op._work[1])
     assert prop._buffer.nbytes <= spectrum + 8 * f.size + work + 4 * 64
-    np.testing.assert_array_equal(out, prop.prepare([0.5], [[1.0]]).apply(f[None]))
+    one = prop.prepare([0.5], [[1.0]])
+    np.testing.assert_array_equal(out, prop.apply_heat_values(f[None], one))
     rows = np.stack([f, f[::-1]])
     np.testing.assert_array_equal(
-        prop.prepare([0.1, 0.3]).apply(rows), prop.prepare([0.1, 0.3], np.eye(2)).apply(rows)
+        prop.apply_heat_values(rows, prop.prepare([0.1, 0.3])),
+        prop.apply_heat_values(rows, prop.prepare([0.1, 0.3], np.eye(2))),
     )
     times = np.linspace(0.1, 0.5, 9)
     stack = rng.uniform(0.0, 1.0, (times.size,) + prop.shape)
@@ -737,19 +741,20 @@ def test_one_row_operator_holds_one_spectrum(n_dim, points):
     op = prop.prepare(times)
     if (n_dim, points) == (2, 192):
         assert op._step < times.size
-    out = op.apply(stack)
+    out = prop.apply_heat_values(stack, op)
     spectrum = 16 * math.prod(op._spec_shape)
     work = 8 * math.prod(op._work[0]) + 16 * math.prod(op._work[1])
     assert prop._buffer.nbytes <= op._step * (spectrum + 8 * f.size) + work + 6 * 64
-    np.testing.assert_array_equal(out, prop.prepare(times, np.eye(times.size)).apply(stack))
+    eye = prop.prepare(times, np.eye(times.size))
+    np.testing.assert_array_equal(out, prop.apply_heat_values(stack, eye))
     prop = HeatPropagator(g)
     op = prop.prepare(times, mix=np.ones((times.size, 1)))
     assert op.weights is None and op._block_shape == (0,)
-    out = op.apply(f[None])
+    out = prop.apply_heat_values(f[None], op)
     work = 8 * math.prod(op._work[0]) + 16 * math.prod(op._work[1])
     assert prop._buffer.nbytes <= (1 + times.size) * spectrum + 8 * f.size + work + 6 * 64
     eye = prop.prepare(times, np.eye(times.size), mix=np.ones((times.size, 1)))
-    np.testing.assert_array_equal(out, eye.apply(f[None]))
+    np.testing.assert_array_equal(out, prop.apply_heat_values(f[None], eye))
 
 
 def test_sweep_shaped_operator_holds_no_row_spectra():
@@ -770,10 +775,10 @@ def test_sweep_shaped_operator_holds_no_row_spectra():
     mix[np.arange(rows), lo + 1] = theta
     weights = np.zeros((targets, rows))
     weights[owner, np.arange(rows)] = 1.0 / 8.0
-    times = 0.25 * (owner + 1 - theta) / targets
+    times = 0.25 * (owner + 1.5 - theta) / targets  # every lag > 0
     op = prop.prepare(times, weights, mix)
     stack = np.random.default_rng(17).uniform(0.0, 1.0, (knots,) + prop.shape)
-    out = op.apply(stack)
+    out = prop.apply_heat_values(stack, op)
     assert out.shape == (targets,) + prop.shape
     spectrum = 16 * math.prod(op._spec_shape)
     bound = (
@@ -796,7 +801,7 @@ def test_one_dimensional_apply_memory():
     f = np.random.default_rng(19).uniform(0.0, 1.0, (1,) + prop.shape)
     tracemalloc.start()
     try:
-        out = op.apply(f)
+        out = prop.apply_heat_values(f, op)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -824,8 +829,8 @@ def test_mirror_batch_scratch_holds_no_rows():
         def fill(lo, hi, out):
             out[...] = stack[lo:hi]
 
-        out = op.apply(fill)
-        np.testing.assert_array_equal(out, op.apply(stack))
+        out = prop.apply_heat_values(fill, op)
+        np.testing.assert_array_equal(out, prop.apply_heat_values(stack, op))
         assert 1 < op._step < times.size
         m, q = points // 2, op._q
         spectrum = 16 * math.prod(op._spec_shape)
@@ -850,7 +855,7 @@ def test_mirror_batched_and_one_row_applies_are_bit_identical(
     # several batches.  A mixed operator contracts all its rows at once,
     # whatever its batches
     g = make_grid(n_dim, half_width, points)
-    times = np.linspace(0.0, 0.5, 12)
+    times = np.linspace(0.04, 0.5, 12)
     rng = np.random.default_rng(29 * n_dim + points)
     if kind == "producer":
         weights = np.zeros((5, times.size))
@@ -875,7 +880,7 @@ def test_mirror_batched_and_one_row_applies_are_bit_identical(
             out[...] = inputs[lo:hi]
             out *= weight
 
-        results.append(op.apply(fill))
+        results.append(prop.apply_heat_values(fill, op))
     np.testing.assert_array_equal(results[1], results[0])
 
 
@@ -885,16 +890,16 @@ def test_mirror_batched_and_one_row_applies_are_bit_identical(
 )
 def test_kernel_entry_on_a_time_array_stacks_the_scalar_calls(n_dim, points):
     # one pass over a time array builds, row by row, what one call per time
-    # builds: samples and factors, at the default and at a padded length
+    # builds: samples and factors, at the doubled box and at a padded length
     g = make_grid(n_dim, 8.0, points)
     prop = HeatPropagator(g)
     times = np.array([1e-4, 1 / 32, 0.05, 0.3, 1.0])
     samples = prop._axis_samples(times)
     assert samples.shape == (times.size, 2 * points - 1)
     np.testing.assert_array_equal(samples, np.stack([prop._axis_samples(t) for t in times]))
-    for length in (None, _kernel_length(prop, 1.0)):
+    for length in (2 * points, _kernel_length(prop, 1.0)):
         batch = prop._kernel_entry(times, length)
-        rows = np.stack([prop._kernel_entry(float(t), length) for t in times])
+        rows = np.concatenate([prop._kernel_entry(np.array([t]), length) for t in times])
         assert batch.shape == rows.shape and batch.dtype == rows.dtype
         np.testing.assert_allclose(batch, rows, rtol=0, atol=1e-15)
 
@@ -904,7 +909,7 @@ def test_kernel_entry_batch_names_its_truncating_time(n_dim, points):
     g = make_grid(n_dim, 4.0, points)
     prop = HeatPropagator(g)
     with pytest.raises(TruncationError, match=r"t = 25\.0:"):
-        prop._kernel_entry(np.array([0.01, 0.5, 25.0, 0.02]))
+        prop._kernel_entry(np.array([0.01, 0.5, 25.0, 0.02]), 2 * points)
     with pytest.raises(TruncationError, match=r"t = 25\.0:"):
         prop.prepare([0.01, 25.0])
 
@@ -968,9 +973,9 @@ def test_kernel_entry_samples_the_kernels_reach_alone(monkeypatch, n_dim, half_w
 def test_kernel_build_memory():
     # tracemalloc peaks of the 1D M = 32768 builds: the samples at t = 1
     # (the whole box) take one array and a half-width vector of squares;
-    # prepare at t = 0.01 samples its reach alone, and holds the factors,
-    # the wrapped kernel and its transform, and its twiddles (Q/2 + 1
-    # complex values each way), at the peak
+    # prepare at t = 0.01 samples its reach alone and peaks in the factor
+    # build, at the wrapped kernel and its transform: its one twiddle
+    # (Q/2 + 1 complex values) is built after them, so it is not held there
     g = make_grid(1, 6.0, 32768)
     prop = HeatPropagator(g)
     tracemalloc.start()
@@ -987,30 +992,32 @@ def test_kernel_build_memory():
     finally:
         tracemalloc.stop()
     factors = 16 * (op._q + 1)
-    twiddles = 2 * 16 * (op._q // 2 + 1)
-    assert peak <= 3 * factors + twiddles
+    twiddle = 16 * (op._q // 2 + 1)
+    assert op._twiddle.nbytes == twiddle
+    assert peak < 2 * factors + twiddle
 
 
-def test_smoothing_bound_for_weighted_operator():
+def test_smoothing_bound_for_weighted_operator(heat_once):
     # sup S_gamma(t) f <= eta1 * t^{-gamma/2} sup f  (up to truncation slack)
     g = make_grid(1, 12.0, 1024)
     gamma = 0.5
     f = standard_data(g, "const:1")
     for t in (0.25, 1.0):
-        out = HeatPropagator(g).apply_weighted_values(orthant(f.values), t, gamma)
+        prop = HeatPropagator(g)
+        out = heat_once(prop, orthant(f.values) * prop.weight_values(gamma), t)
         bound = eta1(gamma, 1) * t ** (-gamma / 2)
         assert float(np.max(np.abs(out))) <= bound * (1 + 1e-10)
         assert np.all(out > 0)
 
 
-def test_weighted_operator_gamma_zero_is_plain_heat():
+def test_weighted_operator_gamma_zero_is_plain_heat(heat_once):
     # the weighted operator at gamma = 0 is the plain one, bit for bit, and
     # so is apply_heat's field
     g = make_grid(1, 8.0, 256)
     f = standard_data(g, "gauss:1")
     prop = HeatPropagator(g)
-    a = prop.apply_weighted_values(orthant(f.values), 0.5, 0.0)
-    np.testing.assert_array_equal(a, prop.apply_heat_values(orthant(f.values), 0.5))
+    a = heat_once(prop, orthant(f.values) * prop.weight_values(0.0), 0.5)
+    np.testing.assert_array_equal(a, heat_once(prop, orthant(f.values), 0.5))
     np.testing.assert_array_equal(mirrored(a), apply_heat(f, 0.5).values)
 
 
@@ -1026,8 +1033,8 @@ def test_propagator_preserves_symmetry():
 # The orthant
 # ---------------------------------------------------------------------------
 
-# rows of several lengths, two of them the identity
-_MIRROR_TIMES = np.array([0.0, 0.3, 1.0, 0.05, 0.7, 0.0, 0.2, 0.45])
+# rows of several lengths, two of them short
+_MIRROR_TIMES = np.array([0.01, 0.3, 1.0, 0.05, 0.7, 0.002, 0.2, 0.45])
 _MIRROR_WEIGHTS = np.array(
     [[0.5, 1.0, 0.25, 0.0, 2.0, 1.0, 0.0, 0.5], [0.0, 0.0, 1.0, 3.0, 0.0, 0.5, 1.0, 0.0]]
 )
@@ -1044,8 +1051,8 @@ def test_mirror_and_full_routes_agree(
     # the orthant's sums (cosine transforms) are those of the dense
     # reference, on the orthant and on the full grid (of the mirrored rows,
     # cut to the orthant), for mirror-symmetric fields: stacks, weights, a
-    # (J, K) mix, a producer and the weighted operator,
-    # with t = 0 rows, an odd half axis (M = 30), more than one batch
+    # (J, K) mix and a producer,
+    # with short times, an odd half axis (M = 30), more than one batch
     # (batch_rows), the spectral lines in blocks ("blocks": uneven in 2D and
     # 3D but for 3D M = 12, whose 8 or 12 lines come in blocks of one) and,
     # for the long times, the transform length at its cap Q = M (the reach
@@ -1062,7 +1069,6 @@ def test_mirror_and_full_routes_agree(
     halves = rng.uniform(0.0, 2.0, (times.size,) + prop.shape)
     mix = rng.uniform(0.0, 1.0, (times.size, 3))
     mix[2] = 0.0  # a row that mixes nothing
-    weight = prop.weight_values(0.4)
 
     def agree(on_half, rows, weights):
         # against the sums of the J orthant rows that the operator applies
@@ -1084,7 +1090,6 @@ def test_mirror_and_full_routes_agree(
         elif batch_rows is not None:
             assert op._step == batch_rows
         agree(prop.apply_heat_values(halves, op), halves, weights)
-        agree(prop.apply_weighted_values(halves, op, 0.4), halves * weight, weights)
         if batch_rows == "blocks":
             # a mixed operator contracts all J rows at once
             k = _split_lines(monkeypatch, q, n_dim, rows=times.size)
@@ -1135,12 +1140,12 @@ def test_mirror_kernel_factor_is_the_real_fft_factor():
     np.testing.assert_array_equal(pairs[:, 0, 1], factor[:, 0])
 
 
-def test_mirror_propagator_takes_orthant_fields_only():
+def test_mirror_propagator_takes_orthant_fields_only(heat_once):
     g = make_grid(2, 6.0, 16)
     prop = HeatPropagator(g)
     with pytest.raises(ParameterError):
-        prop.apply_heat_values(np.ones(g.shape), 0.1)
+        heat_once(prop, np.ones(g.shape), 0.1)
     with pytest.raises(ParameterError):
-        prop.apply_heat_values(np.ones((2,) + g.shape), np.array([0.1, 0.2]))
-    np.testing.assert_array_equal(prop.apply_heat_values(np.ones(prop.shape), 0.0), 1.0)
+        prop.apply_heat_values(np.ones((2,) + g.shape), prop.prepare([0.1, 0.2]))
+    assert heat_once(prop, np.ones(prop.shape), 0.1).shape == prop.shape
     assert prop.weight_values(0.5).shape == prop.shape

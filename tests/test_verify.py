@@ -84,12 +84,12 @@ def test_subsolution_check_gamma_zero_equality_case():
 def _per_node_subsolution_margins(dense_heat, q, gamma, n_dim, times=(0.25, 1.0), nodes=32):
     """The sub-solution check as one weighted apply per quadrature node, on
     the full grid, by the dense reference's sums."""
-    from singheat import Params, duhamel_rule, make_grid, subsolution_w, weight_field
+    from singheat import Params, duhamel_rule, make_grid, mirrored, subsolution_w, weight_field
     from singheat.verify import _default_grid, _trusted_mask
 
     params = Params(q=q, gamma=gamma, n_dim=n_dim)
     grid = make_grid(n_dim, *_default_grid(n_dim))
-    weight = weight_field(grid, gamma).values
+    weight = mirrored(weight_field(grid, gamma))
 
     def apply(values, t, gamma):
         return dense_heat(grid, (values * weight)[None], [t])[0]
@@ -367,13 +367,13 @@ def test_smoothing_exponent_light():
 
 
 @pytest.mark.parametrize("gamma", [0.3, 0.4])
-def test_smoothing_fit_is_numpys_least_squares_line(gamma):
+def test_smoothing_fit_is_numpys_least_squares_line(gamma, heat_once):
     # the check fits its line in closed form, with no LAPACK call; on the
     # check's own data that is np.polyfit's line
     rep = check_smoothing_exponent(gamma=gamma, n_dim=1)
     prop = semigroup.HeatPropagator(make_grid(1, 24.0, 2048))
     times = rep.details["times"]
-    vals = [prop.apply_weighted_values(np.ones(prop.shape), t, gamma)[0] for t in times]
+    vals = [heat_once(prop, prop.weight_values(gamma), t)[0] for t in times]
     slope, intercept = np.polyfit(np.log(times), np.log(vals), 1)
     assert abs(rep.details["slope"] - slope) <= 1e-12
     assert abs(rep.details["intercept"] - intercept) <= 1e-12
