@@ -24,7 +24,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
 
@@ -120,7 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "n_schedule": ("--n-schedule", {"help": "comma list of regularization levels"}),
         "eps_fp": ("--eps-fp", {"type": float, "help": "fixed-point stopping tolerance"}),
         "nodes_per_window": ("--nodes-per-window", {
-            "type": int, "help": "quadrature nodes per time window"}),
+            "type": int,
+            "help": f"quadrature nodes per time window (default {SolveConfig.nodes_per_window})"}),
         "window_cap": ("--window-cap", {
             "type": float, "help": "upper bound on the Picard window length"}),
         "u0": ("--u0", {
@@ -368,7 +369,9 @@ def run(cfg: RunConfig) -> int:
         _atomic_write(cfg.out, traj.write_csv)
         meta = traj.metadata()
         meta["data"] = cfg.u0
-        meta["n_schedule"] = list(cfg.n_schedule)
+        # the scheme's settings (n_schedule among them), so that the sidecar
+        # tells which rule and tolerances a run marched with
+        meta.update(asdict(solve_cfg))
         _atomic_write_text(_sidecar_path(cfg.out), _dump_json(meta))
         sys.stdout.write(
             f"wrote {cfg.out} ({len(traj.times)} snapshots x {grid.node_count} nodes) "

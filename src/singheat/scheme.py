@@ -194,25 +194,28 @@ def subsolution_values(params: Params, t: float, radius: np.ndarray) -> np.ndarr
 # Time discretization
 # ---------------------------------------------------------------------------
 
-def duhamel_rule(t_left: float, t_target: float, gamma: float, n_nodes: int):
-    """Quadrature in sigma for Duhamel integrals with a (t_target - sigma)^{-gamma/2}
-    endpoint singularity on [t_left, t_target].
+def duhamel_rule(t_left: float, t_target: float, p: float, n_nodes: int):
+    """Quadrature in sigma for Duhamel integrals on [t_left, t_target],
+    graded toward t_target: Gauss-Legendre in s, where t_target - sigma = s^p.
 
-    The substitution t_target - sigma = s^p, p = 2/(2 - gamma), turns the
-    singular factor times the Jacobian into the constant p, so Gauss-Legendre
-    in s converges at its full rate for smooth remaining factors.  Returns
+    Grade by what the integrand is smooth in.  A continuum integrand with a
+    (t_target - sigma)^{-gamma/2} endpoint singularity takes
+    p = 2/(2 - gamma): the substitution turns the singular factor times the
+    Jacobian into the constant p, so the rule converges at its full rate for
+    smooth remaining factors.  The solver's integrand on the grid is smooth
+    in the square root of the lag, so its windows take p = 2.  Returns
     (sigma_nodes, weights): nodes ascending and strictly interior, weights
     positive, to be applied directly to integrand values (the weights carry
     the Jacobian, not the singular factor; the integrand keeps its own
-    singularity, which the node clustering resolves).
+    singularity, which the node clustering resolves).  p must be finite
+    and at least 1.
     """
     if not (math.isfinite(t_left) and math.isfinite(t_target)) or t_target <= t_left:
         raise ParameterError(f"need t_left < t_target (got {t_left}, {t_target})")
-    if not (0.0 <= gamma < 2.0):
-        raise ParameterError(f"gamma must lie in [0, 2) (got {gamma})")
+    if not (1.0 <= p < math.inf):
+        raise ParameterError(f"the grading exponent p must be finite and >= 1 (got {p})")
     if n_nodes < 1:
         raise ParameterError(f"n_nodes must be >= 1 (got {n_nodes})")
-    p = 2.0 / (2.0 - gamma)
     span = t_target - t_left
     s_hi = span ** (1.0 / p)
     x, w = gauss_legendre(n_nodes)
@@ -325,7 +328,7 @@ class SolveConfig:
     """
 
     eps_fp: float = 1e-8
-    nodes_per_window: int = 8
+    nodes_per_window: int = 4
     n_schedule: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64)
     window_cap: float = 0.25
     contraction_theta: float = 0.5
@@ -423,15 +426,22 @@ class Trajectory:
 # Picard marching
 # ---------------------------------------------------------------------------
 
-def _window_plan(prop: HeatPropagator, length: float, gamma: float, n_nodes: int) -> tuple:
+def _window_plan(prop: HeatPropagator, length: float, n_nodes: int) -> tuple:
     """The operators of the sweeps of a window of the given length.
 
     Every quantity of a window shifts with it, so the plan depends on the
-    length alone and holds for every window of that length.  It is built
-    in window-relative time, the window being [0, length]: the targets are
-    the nodes of the window's own Duhamel rule on [0, length], of n_nodes
-    nodes, and the window end, and target i's rule is the Duhamel
-    quadrature on [0, target i], one source row per node.  Row j belongs to
+    length (and n_nodes) alone and holds for every window of that length,
+    at every gamma: the weight |x|^{-gamma} enters through the source, not
+    the plan.  It is built in window-relative time, the window being
+    [0, length]: the targets are the nodes of the window's own Duhamel rule
+    on [0, length], of n_nodes nodes, and the window end, and target i's
+    rule is the Duhamel quadrature on [0, target i], one source row per
+    node.  Every rule is graded in the square root of the lag, p = 2 in
+    duhamel_rule, whatever gamma is.  On the grid the integrand
+    S(lag)(|x|^{-gamma} g(u)) has no (lag)^{-gamma/2} singularity: the
+    cell-averaged weight is bounded, and the sampled kernel depends on the
+    lag only through d / sqrt(lag), so the integrand is smooth in
+    sqrt(lag), not in the continuum's lag^{1 - gamma/2}.  Row j belongs to
     the target owning node s_j.  The sweep knows the weighted source
     |x|^{-gamma} g(u) at the knots 0, targets[0], ... only, and interpolates
     it linearly between them (exact at the knots): row j's source is
@@ -443,8 +453,8 @@ def _window_plan(prop: HeatPropagator, length: float, gamma: float, n_nodes: int
     sweep operator (lags target_i - s_j, weighted
     per target, its rows mixed from the knots' sources by interp).
     """
-    targets = np.append(duhamel_rule(0.0, length, gamma, n_nodes)[0], length)
-    rules = [duhamel_rule(0.0, tau, gamma, n_nodes) for tau in targets]
+    targets = np.append(duhamel_rule(0.0, length, 2.0, n_nodes)[0], length)
+    rules = [duhamel_rule(0.0, tau, 2.0, n_nodes) for tau in targets]
     knots = np.concatenate(([0.0], targets))
     sigmas = np.concatenate([sig for sig, _ in rules])
     owner = np.repeat(np.arange(len(rules)), [sig.size for sig, _ in rules])
@@ -484,21 +494,24 @@ def picard_solve(
 
     Within each window [a, b] the unknowns are the fields at the window's
     quadrature nodes and at b.  Each sweep recomputes every unknown from the
-    free term S(tau - a) u(a) plus the graded quadrature of
-    S_gamma(tau - sigma) g(u(sigma)).  The source is evaluated at the
-    knots only, the window start and the unknowns, and interpolated
-    linearly in time between them (product integration: Brunner,
-    Collocation Methods for Volterra Integral and Related Functional
-    Equations, 2004).  So a sweep passes the K - 1 unknowns through the
-    nonlinearity once, as one stack (the window start's source is computed
-    once per window), and one batched propagator call mixes the quadrature
-    rows from the K knot sources and returns the per-target quadrature
-    sums; it transforms the K knot sources, not the rows.
-    Interpolating the source instead of the field changes the result by
-    about eps_fp, not its accuracy: both rules are first order between the
-    knots.  The lags and weights of that call, the free term's times and
-    the interpolation depend only on the window's length (they are
-    shift-invariant in time), so _window_plan builds them once per distinct window length, from that
+    free term S(tau - a) u(a) plus the quadrature of
+    S_gamma(tau - sigma) g(u(sigma)), graded in sqrt(tau - sigma), the
+    variable the grid's integrand is smooth in (_window_plan says why).
+    The source is evaluated at the knots only, the window start and the
+    unknowns, and interpolated linearly in time between them (product
+    integration on graded meshes: Brunner, Collocation Methods for
+    Volterra Integral and Related Functional Equations, 2004).  So a sweep
+    passes the K - 1 unknowns through the nonlinearity once, as one stack
+    (the window start's source is computed once per window), and one
+    batched propagator call mixes the quadrature rows from the K knot
+    sources and returns the per-target quadrature sums; it transforms the
+    K knot sources, not the rows.  With the default 4 nodes per window
+    that is 6 knots, 5 targets and 20 quadrature rows.  Interpolating the
+    source instead of the field changes the result by about eps_fp, not
+    its accuracy: both rules are first order between the knots.  The lags
+    and weights of that call, the free term's times and the interpolation
+    depend only on the window's length (they are shift-invariant in time),
+    so _window_plan builds them once per distinct window length, from that
     length alone, in window-relative time (with config.nodes_per_window
     nodes per rule), and every window of that length and each of its
     sweeps reuses them.  A window's sweeps start from its free term plus
@@ -520,7 +533,7 @@ def picard_solve(
     grid's (ParameterError otherwise, before any plan).
 
     propagator (on u0's grid) and plans (window plans keyed by window
-    length, gamma and config.nodes_per_window) let successive calls on one
+    length and config.nodes_per_window) let successive calls on one
     grid share their plans, as the levels of monotone_solve do; a call
     builds its own plan for a key it does not find.  By default the call
     makes its own propagator and plans.  u0 must be exactly
@@ -541,11 +554,10 @@ def picard_solve(
     if prop.grid != grid:
         raise ParameterError("the propagator belongs to another grid")
     plans = {} if plans is None else plans
-    gam = params.gamma
     # a plan is keyed by all it depends on; lengths that agree to rounding
     # noise share one
     keys = [
-        (float(f"{b - a:.12e}"), gam, config.nodes_per_window)
+        (float(f"{b - a:.12e}"), config.nodes_per_window)
         for a, b in zip(mesh.boundaries, mesh.boundaries[1:])
     ]
     for key in set(plans) - set(keys):
@@ -560,12 +572,12 @@ def picard_solve(
     # knots' weighted sources and the residual's difference, which also
     # holds the clipped fields on their way into the nonlinearity
     knots = diff = None
-    weight = prop.weight_values(gam)
+    weight = prop.weight_values(params.gamma)
     # the Duhamel parts (converged state - free term) of the last two windows
     # of the current length, older first, whose linear extrapolation starts
     # the next window's sweeps: at most two arrays of the state's size,
-    # nodes_per_window + 1 fields (2 x 663 kB on the orthant of the 2D
-    # M=192 grid, 2 x 2.4 MB on that of the 3D M=64 one)
+    # nodes_per_window + 1 fields (at 4 nodes, 2 x 369 kB on the orthant of
+    # the 2D M=192 grid, 2 x 1.3 MB on that of the 3D M=64 one)
     duhamel: list[np.ndarray] = []
 
     def source(fields, out, scratch):
@@ -578,7 +590,7 @@ def picard_solve(
         b = mesh.boundaries[widx + 1]
         plan = plans.get(key)
         if plan is None:
-            plan = plans[key] = _window_plan(prop, b - a, gam, config.nodes_per_window)
+            plan = plans[key] = _window_plan(prop, b - a, config.nodes_per_window)
             built += 1
         free_op, sweep = plan
         count = sweep.mix.shape[1]  # the window start and the targets

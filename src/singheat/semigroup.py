@@ -65,12 +65,12 @@ transforms the K inputs once and mixes the row spectra from theirs.  All J
 rows are contracted together, a block at a time, so a weighted apply holds
 the K input spectra, the T sums and one block, never the J row spectra.
 The Picard sweep's source is linear in its knot values between the knots
-(it interpolates the source, not the field), so its J = 72 quadrature rows
-cost K = 10 forward transforms; its free term mixes its 9 rows from the
-window start alone (a one-column mix, no weights), so they cost one.  An
-operator without a mix has no inputs to share: each batch of its rows is
-its own inputs, contracted before the next batch is produced, so its
-fields stream.
+(it interpolates the source, not the field), so its J = 20 quadrature rows
+(at the default 4 nodes per window) cost K = 6 forward transforms; its free
+term mixes its 5 rows from the window start alone (a one-column mix, no
+weights), so they cost one.  An operator without a mix has no inputs to
+share: each batch of its rows is its own inputs, contracted before the
+next batch is produced, so its fields stream.
 
 An apply takes the J fields (or K inputs) as a stack or as a producer that
 writes each batch's rows into the propagator's scratch, so a caller whose

@@ -35,7 +35,7 @@ def test_defaults_resolve():
     assert cfg.t_end == 1.0
     assert cfg.n_schedule == (1, 2, 4, 8, 16, 32, 64)
     assert cfg.eps_fp == 1e-8
-    assert cfg.nodes_per_window == 8 and cfg.window_cap == 0.25
+    assert cfg.nodes_per_window == 4 and cfg.window_cap == 0.25
     assert cfg.u0 == "bump" and cfg.record is None
     assert cfg.suite is None  # verify's option
     cfg = parse_config(["verify"])
@@ -292,6 +292,11 @@ def test_solve_writes_csv_and_sidecar(tmp_path, capsys):
     meta = json.loads(sidecar.read_text())
     assert meta["data"] == "const:1"
     assert meta["n_schedule"] == [1, 2]
+    # the scheme's other settings, at their defaults
+    settings = ("eps_fp", "nodes_per_window", "window_cap", "contraction_theta")
+    assert {k: meta[k] for k in settings} == {
+        "eps_fp": 1e-8, "nodes_per_window": 4, "window_cap": 0.25, "contraction_theta": 0.5,
+    }
     assert meta["times"] == [0.0, 0.25, 0.5]
     assert meta["diagnostics"]["monotone_violation"] <= 1e-8
     levels = meta["diagnostics"]["levels"]

@@ -227,7 +227,7 @@ def test_duhamel_rule_reproduces_singular_moment(gamma, rel):
     # 0 or 1: machine exact); otherwise the s^p endpoint factor limits
     # Gauss-Legendre to an algebraic rate, still ~1e-5 at 8 nodes
     t = 0.7
-    sig, w = duhamel_rule(0.0, t, gamma, 8)
+    sig, w = duhamel_rule(0.0, t, 2.0 / (2.0 - gamma), 8)
     approx = float(np.sum(w * sig * (t - sig) ** (-gamma / 2)))
     b2 = 1.0 / ((1 - gamma / 2) * (2 - gamma / 2))
     exact = b2 * t ** (2 - gamma / 2)
@@ -240,7 +240,7 @@ def test_duhamel_rule_converges_with_node_count():
     exact = b2 * t ** (2 - gamma / 2)
     errs = []
     for nn in (8, 16, 32):
-        sig, w = duhamel_rule(0.0, t, gamma, nn)
+        sig, w = duhamel_rule(0.0, t, 2.0 / (2.0 - gamma), nn)
         approx = float(np.sum(w * sig * (t - sig) ** (-gamma / 2)))
         errs.append(abs(approx - exact) / exact)
     assert errs[2] < errs[0] / 100
@@ -249,21 +249,20 @@ def test_duhamel_rule_converges_with_node_count():
 def test_duhamel_rule_survives_extreme_grading():
     # gamma near 2 drives p = 2/(2-gamma) high enough that raw s^p would
     # round nodes onto the window end; the rule must keep them interior
-    sig, w = duhamel_rule(0.0, 0.7, 1.7, 32)
+    sig, w = duhamel_rule(0.0, 0.7, 2.0 / (2.0 - 1.7), 32)
     assert sig[-1] < 0.7
     assert np.all(np.diff(sig) > 0)
     assert np.all(w > 0)
-    # a window plan at that grading: every quadrature row has a
-    # non-negative lag (prepare rejects others), one owning target and a
-    # positive weight
-    free_op, sweep = _window_plan(HeatPropagator(make_grid(1, 8.0, 64)), 0.25, 1.7, 32)
+    # a window plan of 32 nodes: every quadrature row has a non-negative
+    # lag (prepare rejects others), one owning target and a positive weight
+    free_op, sweep = _window_plan(HeatPropagator(make_grid(1, 8.0, 64)), 0.25, 32)
     assert sweep.weights.shape[0] == free_op.mix.shape[0] == sweep.mix.shape[1] - 1
     assert np.all((sweep.weights > 0).sum(axis=0) == 1)
     assert np.all(sweep.weights >= 0)
 
 
 def test_duhamel_rule_nodes_interior_ascending_weights_positive():
-    sig, w = duhamel_rule(0.25, 1.0, 0.8, 12)
+    sig, w = duhamel_rule(0.25, 1.0, 2.0 / (2.0 - 0.8), 12)
     assert np.all(np.diff(sig) > 0)
     assert sig[0] > 0.25 and sig[-1] < 1.0
     assert np.all(w > 0)
@@ -271,11 +270,12 @@ def test_duhamel_rule_nodes_interior_ascending_weights_positive():
 
 def test_duhamel_rule_validation():
     with pytest.raises(ParameterError):
-        duhamel_rule(1.0, 0.5, 0.3, 8)
+        duhamel_rule(1.0, 0.5, 2.0, 8)
+    for p in (0.5, math.inf, math.nan):  # below 1, unbounded, not a number
+        with pytest.raises(ParameterError):
+            duhamel_rule(0.0, 1.0, p, 8)
     with pytest.raises(ParameterError):
-        duhamel_rule(0.0, 1.0, 2.0, 8)
-    with pytest.raises(ParameterError):
-        duhamel_rule(0.0, 1.0, 0.3, 0)
+        duhamel_rule(0.0, 1.0, 2.0, 0)
 
 
 def test_contraction_window_formula():
@@ -604,16 +604,15 @@ def test_ladder_exact_window_plan_pads_to_the_kernel_reach():
     g = make_grid(1, 12.0, 256)
     mesh = TimeMesh.build(0.0625, 0.25, must_include=(0.03125, 0.0625))
     assert mesh.boundaries == (0.0, 0.03125, 0.0625)
-    free_op, sweep = _window_plan(HeatPropagator(g), 0.03125, 0.0, 8)
+    free_op, sweep = _window_plan(HeatPropagator(g), 0.03125, 4)
     assert free_op._q == sweep._q == 144
 
 
 def test_a_sweep_holds_no_stack_of_source_values():
     # one level of `solve --dim 2 --gamma 0.5 --points 192 --t-end 0.05`: the
-    # sweep evaluates the source at the 10 knots and the operator mixes each
-    # quadrature row's spectrum from theirs, so no stack of the 72 rows
-    # (21 MB each) is held: 26.3 MB peak, against 42.8 MB with one stack of
-    # interpolated fields and 78.7 MB with two
+    # sweep evaluates the source at the 6 knots and the operator mixes each
+    # quadrature row's spectrum from theirs, so no stack of the 20 rows is
+    # held: 5.0 MB peak on the orthant (7.5 MB at 8 nodes per window)
     g = make_grid(2, 10.0, 192)
     params = Params(q=0.5, gamma=0.5, n_dim=2)
     nl = Nonlinearity.regularized(0.5, 1)
@@ -661,17 +660,17 @@ def _reference_picard(
     field at every window end, mirrored onto the full grid, and the number
     of sweeps."""
     prop = HeatPropagator(u0.grid)
-    gam = params.gamma
-    weight = prop.weight_values(gam)
+    weight = prop.weight_values(params.gamma)
     u_left = np.array(orthant(u0.values), dtype=float)
     ends, sweeps = [], 0
     nodes = config.nodes_per_window
     past, length = [], None
     for a, b in zip(mesh.boundaries, mesh.boundaries[1:]):
-        # the rules in absolute time, not the solver's window-relative ones
-        targets = np.append(duhamel_rule(a, b, gam, nodes)[0], b)
+        # the solver's rules, graded in sqrt(lag) (p = 2), in absolute time,
+        # not the solver's window-relative ones
+        targets = np.append(duhamel_rule(a, b, 2.0, nodes)[0], b)
         free = [heat_once(prop, u_left, tau - a) for tau in targets]
-        rules = [duhamel_rule(a, tau, gam, nodes) for tau in targets]
+        rules = [duhamel_rule(a, tau, 2.0, nodes) for tau in targets]
         if f"{b - a:.12e}" != length:
             past, length = [], f"{b - a:.12e}"
         if free_start or not past:
@@ -761,6 +760,46 @@ def test_the_extrapolated_start_saves_sweeps(gamma, heat_once):
         np.testing.assert_allclose(snap.values, ref, rtol=0, atol=1e-8)
 
 
+def _rule_refinement_gaps(node_counts):
+    """The sup distance at t_end between picard_solve at each node count
+    and at 16 nodes per window, on ladder level n = 16 of a 1D solve: M =
+    256, L = 12, bump data + 1/16, gamma = 0.3, t_end = 0.5, on
+    contraction_window's mesh of 21 windows."""
+    g = make_grid(1, 12.0, 256)
+    p = Params(q=0.5, gamma=0.3, n_dim=1)
+    nl = Nonlinearity.regularized(0.5, 16)
+    u0 = GridFunction(g, standard_data(g, "bump").values + 1.0 / 16)
+    mesh = TimeMesh.build(0.5, min(0.25, contraction_window(0.3, nl.lipschitz, eta1(0.3, 1))))
+    assert mesh.window_count == 21
+
+    def end(nodes):
+        traj = picard_solve(u0, nl, p, mesh, SolveConfig(nodes_per_window=nodes))
+        return traj.snapshots[-1].values
+
+    fine = end(16)
+    return [float(np.max(np.abs(end(nodes) - fine))) for nodes in node_counts]
+
+
+def test_the_window_rule_at_4_nodes_lies_near_its_refinement():
+    # graded in sqrt(lag), the variable the grid's integrand is smooth in, 4
+    # nodes per window lie 6.7e-5 from 16
+    assert _rule_refinement_gaps([4])[0] <= 2e-4
+
+
+def test_a_gamma_graded_window_rule_misses_the_refinement_band(monkeypatch):
+    # the planted defect: the windows graded as the continuum's
+    # (t - sigma)^{-gamma/2} wants, p = 2/(2 - gamma), which the grid's
+    # integrand does not have; the same band fails at 4 nodes (2.4e-3) and
+    # at 8 (4.2e-4)
+    rule = scheme.duhamel_rule
+
+    def gamma_graded(t_left, t_target, p, n_nodes):
+        return rule(t_left, t_target, 2.0 / (2.0 - 0.3), n_nodes)
+
+    monkeypatch.setattr(scheme, "duhamel_rule", gamma_graded)
+    assert all(gap > 2e-4 for gap in _rule_refinement_gaps([4, 8]))
+
+
 def test_below_the_knee_source_and_field_interpolation_agree(heat_once):
     # g_16 is linear below its knee 1/32, and there interpolating g(u)
     # between the knots is g of the interpolated u: on data that stays below
@@ -785,7 +824,7 @@ def test_below_the_knee_source_and_field_interpolation_agree(heat_once):
 def test_a_sweep_evaluates_the_source_at_the_knots_only(monkeypatch):
     # the nonlinearity sees each window's start once and then, per sweep,
     # one stack of the K - 1 = nodes_per_window + 1 unknowns: never the
-    # J = 72 quadrature rows.  The data march on the positive orthant
+    # J = 20 quadrature rows.  The data march on the positive orthant
     shapes = []
     call = Nonlinearity.__call__
 
@@ -829,22 +868,24 @@ def test_picard_snapshots_are_arrays_of_their_own():
         np.testing.assert_array_equal(v, k)
 
 
-@pytest.mark.parametrize("gamma,nodes", [(0.6, 8), (0.3, 6)])
-def test_picard_builds_its_own_plans_for_another_gamma_or_node_count(gamma, nodes):
-    # plans handed over from a call with gamma 0.3 and 8 nodes per window
-    # hold other rules: a call with another gamma or node count builds its
-    # own, drops the others and ends bit for bit where a fresh call does
+@pytest.mark.parametrize("gamma,nodes,built", [(0.6, 4, 0), (0.3, 6, 1)])
+def test_picard_plans_are_shared_across_gamma_not_node_counts(gamma, nodes, built):
+    # plans handed over from a call with gamma 0.3 and 4 nodes per window:
+    # the rules do not depend on gamma (the weight enters through the
+    # source), so a call with another gamma reuses them, while a call with
+    # another node count builds its own and drops the others; either ends
+    # bit for bit where a fresh call does
     g = make_grid(1, 10.0, 64)
     nl = Nonlinearity.regularized(0.5, 2)
     mesh = TimeMesh.build(0.5, 0.125)
     u0 = standard_data(g, "bump")
     prop, plans = HeatPropagator(g), {}
     picard_solve(u0, nl, Params(q=0.5, gamma=0.3), mesh, propagator=prop, plans=plans)
-    assert len(plans) == 1
+    assert set(plans) == {(0.125, 4)}
     p, cfg = Params(q=0.5, gamma=gamma), SolveConfig(nodes_per_window=nodes)
     shared = picard_solve(u0, nl, p, mesh, cfg, propagator=prop, plans=plans)
-    assert shared.diagnostics["window_plans"] == 1
-    assert set(plans) == {(0.125, gamma, nodes)}
+    assert shared.diagnostics["window_plans"] == built
+    assert set(plans) == {(0.125, nodes)}
     fresh = picard_solve(u0, nl, p, mesh, cfg)
     for a, b in zip(fresh.snapshots, shared.snapshots, strict=True):
         np.testing.assert_array_equal(b.values, a.values)
@@ -905,16 +946,16 @@ def test_ladder_levels_share_their_window_plans(monkeypatch):
     solve, plan = scheme.picard_solve, scheme._window_plan
     planned, levels, scratch = [], [], []
 
-    def counted_plan(prop, length, gamma, n_nodes):
+    def counted_plan(prop, length, n_nodes):
         planned.append(length)
-        return plan(prop, length, gamma, n_nodes)
+        return plan(prop, length, n_nodes)
 
     def spied_solve(u, nl, params, mesh, config, *, propagator, plans):
         traj = solve(u, nl, params, mesh, config, propagator=propagator, plans=plans)
         bounds = mesh.boundaries
         lengths = {float(f"{b - a:.12e}") for a, b in zip(bounds, bounds[1:])}
-        # only this level's lengths are kept, keyed with gamma and node count
-        assert set(plans) == {(x, params.gamma, config.nodes_per_window) for x in lengths}
+        # only this level's lengths are kept, keyed with the node count
+        assert set(plans) == {(x, config.nodes_per_window) for x in lengths}
         # every level works in the one propagator's scratch, which only grows
         scratch.append((propagator, propagator._buffer.size))
         assert not np.shares_memory(traj.snapshots[-1].values, propagator._buffer)

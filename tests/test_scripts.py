@@ -21,6 +21,7 @@ _RUNS = {
     "threshold_map.py": ["--steps", "3"],
     "regularization_gap.py": ["--levels", "3", "--points", "64", "--t-end", "0.25"],
     "smoothing_table.py": [],
+    "time_rule.py": ["--points", "64", "--n-schedule", "1,2", "--t-end", "0.25"],
 }
 
 

@@ -758,9 +758,9 @@ def test_one_row_operator_holds_one_spectrum(n_dim, points):
 
 
 def test_sweep_shaped_operator_holds_no_row_spectra():
-    # a 3D operator shaped like a Picard sweep: J = 72 rows, each mixed from
-    # two of K = 10 knot inputs and weighed by one of T = 9 targets.  After
-    # an apply the scratch holds the K input spectra, the T sums, one block
+    # a 3D operator shaped like a Picard sweep of 8 nodes per window (the
+    # default is 4): J = 72 rows, each mixed from two of K = 10 knot inputs
+    # and weighed by one of T = 9 targets.  After an apply the scratch holds the K input spectra, the T sums, one block
     # of the rows' lines and one batch's transform work (its rows, their
     # reordered lines and half spectra, each within the workspace), not the
     # J row spectra, which alone take 8.6 MB here

@@ -96,7 +96,7 @@ def _per_node_subsolution_margins(dense_heat, q, gamma, n_dim, times=(0.25, 1.0)
 
     out = {}
     for t in times:
-        sigs, wts = duhamel_rule(0.0, float(t), gamma, nodes)
+        sigs, wts = duhamel_rule(0.0, float(t), 2.0 / (2.0 - gamma), nodes)
         acc = np.zeros(grid.shape)
         for s, w in zip(sigs, wts):
             ws = subsolution_w(grid, params, float(s)).values
