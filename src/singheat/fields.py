@@ -160,9 +160,12 @@ def orthant(values: np.ndarray) -> np.ndarray:
 def mirrored(half: np.ndarray) -> np.ndarray:
     """The full-grid field whose positive orthant is half and which is
     mirror-symmetric in every axis: a fresh array of shape (M,)^N whose
-    values are exact copies of half's, padded before every axis by numpy's
-    "symmetric" mode (the reflection that repeats the edge value)."""
-    return np.pad(half, [(s, 0) for s in half.shape], mode="symmetric")
+    values are exact copies of half's, each axis preceded by its
+    reflection, which repeats the edge value (numpy's "symmetric" padding)."""
+    full = half
+    for ax in range(half.ndim):
+        full = np.concatenate((np.flip(full, ax), full), axis=ax)
+    return full
 
 
 def is_mirror_symmetric(values: np.ndarray) -> bool:

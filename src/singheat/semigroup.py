@@ -46,7 +46,13 @@ free-term operators once per window length, in window-relative time, since
 a window's lags depend on its length alone, and applies them to every
 window of that length, on every ladder level that has one.  The sums are taken in the spectral
 domain, so J fields for T targets cost J forward and T inverse transforms.
-Every apply is one loop: transform, contract, invert.
+Every apply is one loop: transform, contract, invert.  An operator binds
+once, on its first apply, every view that its applies reuse (the scratch
+views, each batch's padded lines and spectra, the cuts that reorder them,
+each block's factor views and the float views that the products write
+into), and binds again only when its propagator's scratch buffer has since
+been replaced by a larger one, so that an apply runs only its numpy calls
+(FFTW's plan once, execute many: Frigo and Johnson, Proc. IEEE 93(2), 2005).
 Fields are transformed in batches sized by a fixed workspace budget, which
 keeps the padded arrays in cache.  The contraction runs over blocks of lines
 along the first spectral axis (a 1D spectrum is one line, one block): for
@@ -75,9 +81,10 @@ next batch is produced, so its fields stream.
 An apply takes the J fields (or K inputs) as a stack or as a producer that
 writes each batch's rows into the propagator's scratch, so a caller whose
 fields are computed (the sub-solution check's barrier powers) never holds
-all J of them.  The rows go to the front of the memory their spectra will
-take, since every forward transform reads them out before it writes a
-spectrum: the scratch holds each batch once.
+all J of them.  A stack is read in place: its rows are reordered straight
+into the padded lines.  A producer's rows go to the front of the memory
+their spectra will take, since every forward transform reads them out
+before it writes a spectrum: the scratch holds each batch once.
 
 The zero-extended convolution of a mirror-symmetric field with the
 symmetric kernel is a symmetric convolution, which a DCT-II, a real product
@@ -160,17 +167,6 @@ def _orthant_length(m: int, h: float, t_max: float) -> int:
     return _smooth_length(-(-(m + _reach(h, t_max)) // 2), m)
 
 
-@functools.lru_cache(maxsize=64)
-def _scratch_layout(specs: tuple) -> tuple:
-    """The byte offset of each (shape, dtype) in specs, each a multiple of
-    64, and the bytes they span.  Cached: an operator asks on every apply."""
-    offsets, end = [], 0
-    for shape, dtype in specs:
-        offsets.append(end)
-        end += -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
-    return tuple(offsets), end
-
-
 class HeatPropagator:
     """Applies S(t) on one grid, by the operators that it prepares
     (prepare, then apply_heat_values); S_gamma(t) f is S(t) applied to
@@ -208,9 +204,14 @@ class HeatPropagator:
 
     def _scratch(self, *specs) -> list:
         """Views of the scratch buffer, one per (shape, dtype), at 64-byte
-        aligned addresses; valid until the next call.  The buffer grows to
-        the largest request and is kept, so successive operators reuse it."""
-        offsets, end = _scratch_layout(specs)
+        aligned offsets.  The buffer grows to the largest request and is
+        kept, so successive operators reuse it: the views of every call
+        share its memory.  A call that outgrows the buffer replaces it, and
+        the retired one lives on while views of it do."""
+        offsets, end = [], 0
+        for shape, dtype in specs:
+            offsets.append(end)
+            end += -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
         if self._buffer.size < end:
             raw = np.empty(end + 63, dtype=np.uint8)
             self._buffer = raw[-raw.ctypes.data % 64 :][:end]
@@ -338,26 +339,24 @@ class HeatPropagator:
         operator calls it once per batch, in order, so the caller never holds
         the whole stack.  The transform overwrites out with the batch's
         spectra after the producer returns, so a producer must not keep it.
-        A stack is the producer that copies its rows.
+        A stack is read in place: its rows are reordered straight into the
+        operator's padded lines, in any memory order, so it is copied once.
+        The operator runs in the views it bound on its first apply, bound
+        again if the scratch buffer has been replaced since (see
+        PreparedHeat).
         """
         if not isinstance(op, PreparedHeat) or op.propagator is not self:
             raise ParameterError(
                 f"apply_heat_values takes an operator that this propagator prepared (got {op!r})"
             )
-        if callable(values):
-            fill = values
-        else:
-            stack = np.asarray(values, dtype=float)
-            if stack.shape != (op._inputs,) + self.shape:
+        if not callable(values):
+            values = np.asarray(values, dtype=float)
+            if values.shape != (op._inputs,) + self.shape:
                 raise ParameterError(
-                    f"stack shape {stack.shape} does not match {op._inputs} fields of "
+                    f"stack shape {values.shape} does not match {op._inputs} fields of "
                     f"grid shape {self.shape}"
                 )
-
-            def fill(lo, hi, out):
-                out[...] = stack[lo:hi]
-
-        return op._apply_spectral(fill)
+        return op._apply_spectral(values)
 
     def weight_values(self, gamma: float) -> np.ndarray:
         """The cell-averaged weight field of gamma on the orthant, built
@@ -388,7 +387,7 @@ class PreparedHeat:
       of the kernel of the largest time (see _orthant_length), and the
       per-row kernel factors at 2Q, of which it reads the first Q values
       per row (on the last axis, paired to match the spectrum's float
-      view; see _dct_forward), and the twiddle exp(-i pi k / 2Q),
+      view; see _forward), and the twiddle exp(-i pi k / 2Q),
       k <= Q/2, of its cosine transforms.  Every spectrum is held as
       rfftn's half spectrum at Q points per axis;
     - _work: the batch's real lines along the last axis, or one row's
@@ -403,8 +402,12 @@ class PreparedHeat:
 
     The operator holds no workspace: its applies work in the propagator's
     scratch (see HeatPropagator), and every result is a fresh array.  The
-    scratch holds each batch once: its rows are produced into the memory
-    its spectra take (see _transform).
+    scratch holds each batch once: a producer's rows are written into the
+    memory their spectra take, and a stack's are read in place (see
+    _bind_forward).  On its first apply the operator binds the views of
+    the scratch that every apply reuses (see _bind), and it binds them
+    again only on an apply that finds the propagator's buffer replaced by
+    a larger one; until then its views keep the retired buffer alive.
     """
 
     def __init__(self, prop: HeatPropagator, times: np.ndarray, weights, mix):
@@ -425,7 +428,7 @@ class PreparedHeat:
         self._twiddle = np.exp(-0.5j * np.pi / q * np.arange(q // 2 + 1))
         # factor of each row along each axis, shaped to broadcast over the row
         # spectrum's float view.  The last axis holds the pairs
-        # (c_k, -c_(Q-k)) of cosine coefficients (see _dct_forward), so its
+        # (c_k, -c_(Q-k)) of cosine coefficients (see _forward), so its
         # factor pairs G_k with G_(Q-k)
         axes = [
             factors[:, :q].reshape((count,) + (1,) * ax + (q,) + (1,) * (n - 1 - ax))
@@ -464,11 +467,77 @@ class PreparedHeat:
         # sums; without weights the rows are the results
         block = (per,) + self._spec_shape[1:] if n > 1 else self._spec_shape
         self._block_shape = (count,) + block if mix is not None and weights is not None else (0,)
+        self._out_shape = (count if weights is None else weights.shape[0],) + prop.shape
+        self._bound_to = None  # the scratch buffer of the views that _bind takes
 
-    def _apply_spectral(self, fill) -> np.ndarray:
-        """Every operator's apply, in views of the scratch taken at the start
-        of the call: transform, contract, invert.  Fields are produced and
-        transformed _step at a time (see _transform).  With a mix the K
+    def _bind(self) -> None:
+        """Take from the propagator's scratch every view that an apply
+        reuses, and record the buffer they lie in: the transform work, the
+        spectra of the inputs (or of one batch), the sums (or result
+        spectra) and one block of row spectra; each batch's forward views
+        (see _bind_forward); each contraction's blocks, with the float
+        views that its products read and write, its rows' factor views and
+        its weights' columns; and each batch's inverse views (see
+        _bind_inverse).  Taken on the first apply, and again on an apply
+        that finds the propagator's buffer replaced, as another operator's
+        larger scratch replaces it; until then these views keep the
+        retired buffer alive."""
+        mix, weights = self.mix, self.weights
+        count, step, span = self._shape[0], self._step, self._span
+        targets = self._out_shape[0]
+        prop = self.propagator
+        real, lines, spec, outs, ys = prop._scratch(
+            (self._work[0], float),
+            (self._work[1], complex),
+            ((step if mix is None else self._inputs,) + self._spec_shape, complex),
+            ((0 if weights is None and mix is None else targets,) + self._spec_shape, complex),
+            (self._block_shape, complex),
+        )
+        self._bound_to = prop._buffer
+        work = (real, lines)
+        # the apply's steps, each (forward, blocks, inverse), None or [] for
+        # a part it lacks: the inputs' transforms, the contractions, then
+        # the inverses of the sums
+        self._steps = []
+        if mix is not None:
+            for lo in range(0, self._inputs, step):
+                hi = min(lo + step, self._inputs)
+                self._steps.append((self._bind_forward(lo, hi, spec[lo:hi], work), [], None))
+        x = spec
+        for lo in range(0, count, span):
+            hi = min(lo + span, count)
+            forward = inverse = None
+            if mix is None:
+                x = spec[: hi - lo]
+                forward = self._bind_forward(lo, hi, x, work)
+                if weights is None:
+                    inverse = self._bind_inverse(lo, hi, x, work)
+            blocks = []
+            for cut, factors in self._blocks:
+                y = x[:, cut]
+                mixed = None
+                if mix is not None:
+                    mixed = _flat(y)
+                    y = outs[:, cut] if weights is None else ys[:, : y.shape[1]]
+                *head, last = factors
+                sums = columns = None
+                if weights is not None:
+                    sums = _flat(outs[:, cut])
+                    columns = weights[:, :hi] if lo == 0 else weights[:, lo:hi]
+                blocks.append(
+                    (mixed, _flat(y), y.view(float), [f[lo:hi] for f in head], last[lo:hi],
+                     sums, columns, lo == 0)
+                )
+            self._steps.append((forward, blocks, inverse))
+        for lo in range(0, len(outs), step):  # no sums when the batches were inverted
+            hi = min(lo + step, len(outs))
+            self._steps.append((None, [], self._bind_inverse(lo, hi, outs[lo:hi], work)))
+
+    def _apply_spectral(self, values) -> np.ndarray:
+        """Every operator's apply, of a stack or a producer, in the views
+        that _bind took (bound again first if the propagator's buffer was
+        replaced): transform, contract, invert.  Fields are produced and
+        transformed _step at a time (see _forward).  With a mix the K
         inputs are transformed first and all J rows are one contraction;
         without, each batch of rows is its own inputs, transformed just
         before its contraction.  A contraction of rows lo .. hi - 1 runs
@@ -477,69 +546,34 @@ class PreparedHeat:
         factors in two passes (the earlier axes' product, then the last
         axis's).  With weights it adds weights[:, lo:hi] @ Y into the T
         sums (the first contraction writes them), which are inverted last
-        (see _dct_inverse).  Without weights Y is the result: mix @ X is
+        (see _inverse).  Without weights Y is the result: mix @ X is
         written straight into the J result spectra, inverted last; without
         a mix either, each batch's scaled spectra are inverted into its
         rows of the result before the next batch is produced.  Each product
         is one real matrix product, on complex values viewed as float
         pairs, and the real factors scale that float view in place, the
         last axis by the paired factor."""
-        mix, weights = self.mix, self.weights
-        count, step, span = self._shape[0], self._step, self._span
-        targets = count if weights is None else weights.shape[0]
-        work, lines, spec, outs, ys = self.propagator._scratch(
-            (self._work[0], float),
-            (self._work[1], complex),
-            ((step if mix is None else self._inputs,) + self._spec_shape, complex),
-            ((0 if weights is None and mix is None else targets,) + self._spec_shape, complex),
-            (self._block_shape, complex),
-        )
-        work = (work, lines)
-        if mix is not None:
-            for lo in range(0, self._inputs, step):
-                hi = min(lo + step, self._inputs)
-                self._transform(fill, lo, hi, work, spec[lo:hi])
-        out = np.empty((targets,) + self._shape[1:])
-        x = spec
-        for lo in range(0, count, span):
-            hi = min(lo + span, count)
-            if mix is None:
-                x = self._transform(fill, lo, hi, work, spec[: hi - lo])
-            for cut, factors in self._blocks:
-                y = x[:, cut]
-                if mix is not None:
-                    block = outs[:, cut] if weights is None else ys[:, : y.shape[1]]
-                    np.matmul(mix, _flat(y), out=_flat(block))
-                    y = block
-                scaled = y.view(float)
-                *head, last = factors
+        if self._bound_to is not self.propagator._buffer:
+            self._bind()
+        out = np.empty(self._out_shape)
+        for forward, blocks, inverse in self._steps:
+            if forward is not None:
+                self._forward(values, forward)
+            for mixed, flat, scaled, head, last, sums, columns, first in blocks:
+                if mixed is not None:
+                    np.matmul(self.mix, mixed, out=flat)
                 if head:  # the earlier axes' factors are small: one pass for all
-                    scaled *= functools.reduce(np.multiply, head)[lo:hi]
-                scaled *= last[lo:hi]
-                if weights is None:
+                    scaled *= functools.reduce(np.multiply, head)
+                scaled *= last
+                if sums is None:
                     continue
-                sums = _flat(outs[:, cut])
-                if lo == 0:
-                    np.matmul(weights[:, :hi], _flat(y), out=sums)
+                if first:
+                    np.matmul(columns, flat, out=sums)
                 else:
-                    sums += weights[:, lo:hi] @ _flat(y)
-            if weights is None and mix is None:
-                self._dct_inverse(x, work, out[lo:hi])
-        for k in range(0, len(outs), step):  # no sums when the batches were inverted
-            self._dct_inverse(outs[k : k + step], work, out[k : k + step])
+                    sums += columns @ flat
+            if inverse is not None:
+                self._inverse(inverse, out)
         return out
-
-    def _transform(self, fill, lo: int, hi: int, work, out: np.ndarray) -> np.ndarray:
-        """Produce rows lo .. hi - 1 into the front of out's memory and
-        overwrite them with their spectra by _dct_forward, which reads the
-        rows out (into _reorder's real lines) before it writes a spectrum;
-        a row takes no more bytes than its spectrum, so the rows need no
-        buffer of their own.  Returns out.  The rows are contiguous, not a
-        view of the padded lines: the producer's elementwise passes run
-        slower on a strided view (g_n on a 2D M = 192 row: 70 us more)."""
-        rows = np.ndarray((hi - lo,) + self._shape[1:], float, out)
-        fill(lo, hi, rows)
-        return self._dct_forward(rows, work, out)
 
     # -- the cosine transforms -----------------------------------------------
     #
@@ -559,65 +593,96 @@ class PreparedHeat:
     # inverse runs the same steps backwards; with that scaling it is the
     # DCT-III over Q, the exact inverse.
 
-    def _dct_forward(self, rows: np.ndarray, work, out: np.ndarray) -> np.ndarray:
-        """The cosine spectra of a batch of orthant rows zero-padded to Q per
-        axis, into the complex array out, in rfftn's axis order: the last
-        axis over the batch's m^(N-1) data lines at once, then each earlier
-        axis, in the float view, over the lines that are non-zero so far,
-        one row at a time, so that the work holds one row's lines."""
+    def _bind_forward(self, lo: int, hi: int, out: np.ndarray, work) -> tuple:
+        """The views of the cosine transform of rows lo .. hi - 1 into the
+        complex array out (see _forward): the rows, produced into the front
+        of out's memory, since the reorder reads them out into the real
+        lines before the transform writes a spectrum (a row takes no more
+        bytes than its spectrum, so the rows need no buffer of their own;
+        they are contiguous, not a view of the padded lines, as the
+        producer's elementwise passes run slower on a strided view: g_n on
+        a 2D M = 192 row, 70 us more); the last axis's padded lines, with
+        the cuts of the rows that fill them, and its spectra; and, for each
+        earlier axis, one row's padded lines and half spectra, with each
+        row's views."""
         real, lines = work
-        n = rows.ndim - 1
-        m = rows.shape[1]
-        q = self._q
+        n = len(self._shape) - 1
+        m, q = self._shape[1], self._q
         half = q // 2
-        twiddle = self._twiddle
+        rows = np.ndarray((hi - lo,) + self._shape[1:], float, out)
         shape = rows.shape[:-1] + (q,)
         line = real[: math.prod(shape)].reshape(shape)
-        _reorder(rows, line, n)
+        cuts, zero = _line_cuts(m, q, n)
+        picks = [(line[to], frm) for frm, to in cuts]
         dst = out[(slice(None),) + (slice(0, m),) * (n - 1)]
-        np.fft.rfft(line, axis=n, out=dst)
-        dst *= twiddle
+        earlier = []
         for ax in range(n - 2, -1, -1):  # an axis of one row
             at = (slice(None),) * ax
             srcs = out[(slice(None),) + (slice(0, m),) * (ax + 1)].view(float)
             shape = srcs.shape[1 : ax + 1] + (q,) + srcs.shape[ax + 2 :]
-            line = real[: math.prod(shape)].reshape(shape)
+            axis_line = real[: math.prod(shape)].reshape(shape)
             cshape = shape[:ax] + (half + 1,) + shape[ax + 1 :]
             spec = lines[: math.prod(cshape)].reshape(cshape)
-            turn = twiddle.reshape((half + 1,) + (1,) * (n - 1 - ax))
+            turn = self._twiddle.reshape((half + 1,) + (1,) * (n - 1 - ax))
             dsts = out[(slice(None),) + (slice(0, m),) * ax].view(float)
-            for src, flat in zip(srcs, dsts):
-                _reorder(src, line, ax)
-                np.fft.rfft(line, axis=ax, out=spec)
-                spec *= turn
-                flat[at + (slice(0, half + 1),)] = spec.real
-                np.negative(
-                    spec.imag[at + (slice(half - 1, 0, -1),)], out=flat[at + (slice(half + 1, q),)]
-                )
-        return out
+            axis_cuts, axis_zero = _line_cuts(m, q, ax)
+            per_row = [
+                ([(axis_line[to], src[frm]) for frm, to in axis_cuts],
+                 flat[at + (slice(0, half + 1),)], flat[at + (slice(half + 1, q),)])
+                for src, flat in zip(srcs, dsts)
+            ]
+            earlier.append(
+                (ax, axis_line, axis_line[axis_zero], spec, turn, spec.real,
+                 spec.imag[at + (slice(half - 1, 0, -1),)], per_row)
+            )
+        return lo, hi, rows, picks, line[zero], line, dst, earlier
 
-    def _dct_inverse(self, spec: np.ndarray, work, out: np.ndarray) -> np.ndarray:
-        """The orthant box of the inverse cosine transforms of a batch of
-        contiguous spectra, into out, axis 1 first: after each earlier axis
-        only the first m values, which the box holds, go on to the next,
-        written over the front of spec.  An earlier axis, in the float view,
-        forms exp(i pi k / 2Q) (d_k - i d_(Q-k)) from its coefficients d, one
-        row at a time and in order, since a row's box ends before the next
-        row starts; the last axis turns the batch's half spectra by
-        exp(i pi k / 2Q) in place.  Each turn is by the conjugate of the
-        forward twiddle, taken as conj(conj(z) twiddle): the same products
-        as z conj(twiddle), with no second array.  Each takes one irfft of
-        length Q per line and reads the box from it: even samples forward,
-        odd samples backward from the end."""
+    def _forward(self, values, bound: tuple) -> None:
+        """The cosine spectra of a batch of orthant rows zero-padded to Q per
+        axis, in rfftn's axis order, in the views of _bind_forward: the
+        rows of a stack are reordered from it in place, a producer's from
+        the rows it writes.  The last axis goes over the batch's m^(N-1)
+        data lines at once, then each earlier axis, in the float view, over
+        the lines that are non-zero so far, one row at a time, so that the
+        work holds one row's lines."""
+        lo, hi, rows, picks, zero, line, dst, earlier = bound
+        if callable(values):
+            src = rows
+            values(lo, hi, rows)
+        else:
+            src = values[lo:hi]
+        for part, cut in picks:
+            part[...] = src[cut]
+        zero[...] = 0.0
+        np.fft.rfft(line, axis=-1, out=dst)
+        dst *= self._twiddle
+        for ax, axis_line, axis_zero, spec, turn, real, imag, per_row in earlier:
+            axis_zero[...] = 0.0  # no row writes there
+            for row_picks, head, tail in per_row:
+                for part, row in row_picks:
+                    part[...] = row
+                np.fft.rfft(axis_line, axis=ax, out=spec)
+                spec *= turn
+                head[...] = real
+                np.negative(imag, out=tail)
+
+    def _bind_inverse(self, lo: int, hi: int, spec: np.ndarray, work) -> tuple:
+        """The views of the inverse cosine transform of the contiguous
+        spectra spec into rows lo .. hi - 1 of a result (see _inverse): for
+        each earlier axis, axis 1 first, one row's coefficients and padded
+        lines, and each row's views of its spectrum and of the box it keeps,
+        written over the front of spec (after each earlier axis only the
+        first m values, which the box holds, go on to the next); then the
+        last axis's half spectra and padded lines, with the cuts of the
+        result that they fill."""
         real, lines = work
         n = spec.ndim - 1
-        m = out.shape[1]
-        q = self._q
+        m, q = self._shape[1], self._q
         half = q // 2
-        twiddle = self._twiddle
+        earlier = []
         for ax in range(n - 1):  # an axis of one row
             at = (slice(None),) * ax
-            turn = twiddle.reshape((half + 1,) + (1,) * (n - 1 - ax))
+            turn = self._twiddle.reshape((half + 1,) + (1,) * (n - 1 - ax))
             flat = spec.view(float)
             shape = flat.shape[1:]
             line = real[: math.prod(shape)].reshape(shape)
@@ -625,47 +690,67 @@ class PreparedHeat:
             c = lines[: math.prod(cshape)].reshape(cshape)
             box = flat.shape[: ax + 1] + (m,) + flat.shape[ax + 2 :]
             kept = flat.reshape(-1)[: math.prod(box)].reshape(box)
-            for row, dst in zip(flat, kept):
+            cuts = _line_cuts(m, q, ax)[0]
+            per_row = [
+                (row[at + (slice(0, half + 1),)], row[at + (slice(q - 1, half - 1, -1),)],
+                 [(dst[to], line[frm]) for to, frm in cuts])
+                for row, dst in zip(flat, kept)
+            ]
+            earlier.append(
+                (ax, c, c.real, c.imag[at + (slice(0, 1),)], c.imag[at + (slice(1, None),)],
+                 turn, line, per_row)
+            )
+            spec = kept.view(complex)
+        shape = spec.shape[:-1] + (q,)
+        line = real[: math.prod(shape)].reshape(shape)
+        parts = [((slice(lo, hi),) + to[1:], line[frm]) for to, frm in _line_cuts(m, q, n)[0]]
+        return earlier, spec, line, parts
+
+    def _inverse(self, bound: tuple, out: np.ndarray) -> None:
+        """The orthant box of the inverse cosine transforms of a batch of
+        spectra, into its rows of out, in the views of _bind_inverse.  An
+        earlier axis, in the float view, forms exp(i pi k / 2Q)
+        (d_k - i d_(Q-k)) from its coefficients d, one row at a time and in
+        order, since a row's box ends before the next row starts; the last
+        axis turns the batch's half spectra by exp(i pi k / 2Q) in place.
+        Each turn is by the conjugate of the forward twiddle, taken as
+        conj(conj(z) twiddle): the same products as z conj(twiddle), with
+        no second array.  Each takes one irfft of length Q per line and
+        reads the box from it: even samples forward, odd samples backward
+        from the end."""
+        earlier, spec, line, parts = bound
+        q = self._q
+        for ax, c, c_real, c_zero, c_imag, turn, axis_line, per_row in earlier:
+            for head, tail, picks in per_row:
                 # conj(d_k - i d_(Q-k)), turned, then conjugated back
-                c.real = row[at + (slice(0, half + 1),)]
-                c.imag[at + (slice(0, 1),)] = 0.0
-                c.imag[at + (slice(1, None),)] = row[at + (slice(q - 1, half - 1, -1),)]
+                c_real[...] = head
+                c_zero[...] = 0.0
+                c_imag[...] = tail
                 c *= turn
                 np.conjugate(c, out=c)
-                np.fft.irfft(c, n=q, axis=ax, out=line)
-                _unreorder(line, dst, ax)
-            spec = kept.view(complex)
+                np.fft.irfft(c, n=q, axis=ax, out=axis_line)
+                for part, src in picks:
+                    part[...] = src
         np.conjugate(spec, out=spec)
-        spec *= twiddle
+        spec *= self._twiddle
         np.conjugate(spec, out=spec)
-        shape = spec.shape[:-1] + (q,)
-        line = np.fft.irfft(spec, n=q, axis=n, out=real[: math.prod(shape)].reshape(shape))
-        _unreorder(line, out, n)
-        return out
+        np.fft.irfft(spec, n=q, axis=-1, out=line)
+        for cut, src in parts:
+            out[cut] = src
 
 
-def _reorder(src: np.ndarray, dst: np.ndarray, ax: int) -> None:
-    """Write the m lines of src along axis ax into the Q lines of dst as a
-    cosine transform reads them: even samples first, then the odd ones
-    reversed at the end, zeros between."""
+def _line_cuts(m: int, q: int, ax: int) -> tuple:
+    """How the m samples along axis ax of a field sit in Q padded lines as
+    a cosine transform reads them: the (field cut, line cut) pairs, the
+    even samples first and the odd ones reversed at the end, and the cut of
+    the zeros between.  The reorder copies each field cut into its line
+    cut, the inverse each line cut back into its field cut."""
     at = (slice(None),) * ax
-    m, q = src.shape[ax], dst.shape[ax]
     even, odd = (m + 1) // 2, m // 2
-    dst[at + (slice(0, even),)] = src[at + (slice(0, None, 2),)]
-    dst[at + (slice(even, q - odd),)] = 0.0
+    cuts = [(at + (slice(0, None, 2),), at + (slice(0, even),))]
     if odd:
-        dst[at + (slice(q - odd, q),)] = src[at + (slice(2 * odd - 1, None, -2),)]
-
-
-def _unreorder(src: np.ndarray, dst: np.ndarray, ax: int) -> None:
-    """The first m samples, along axis ax, of the lines src that a cosine
-    transform reads in _reorder's order, into dst."""
-    at = (slice(None),) * ax
-    m, q = dst.shape[ax], src.shape[ax]
-    even, odd = (m + 1) // 2, m // 2
-    dst[at + (slice(0, None, 2),)] = src[at + (slice(0, even),)]
-    if odd:
-        dst[at + (slice(1, None, 2),)] = src[at + (slice(q - 1, q - 1 - odd, -1),)]
+        cuts.append((at + (slice(1, None, 2),), at + (slice(q - 1, q - 1 - odd, -1),)))
+    return cuts, at + (slice(even, q - odd),)
 
 
 def apply_heat(f: GridFunction, t: float) -> GridFunction:

@@ -22,6 +22,7 @@ _RUNS = {
     "regularization_gap.py": ["--levels", "3", "--points", "64", "--t-end", "0.25"],
     "smoothing_table.py": [],
     "time_rule.py": ["--points", "64", "--n-schedule", "1,2", "--t-end", "0.25"],
+    "apply_cost.py": ["--repeats", "1"],
 }
 
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -704,6 +705,81 @@ def test_operators_of_one_propagator_share_its_scratch(n_dim, points):
             assert not np.shares_memory(out, prop._buffer)
             sizes.append(prop._buffer.size)
     assert sizes == sorted(sizes) and sizes[3:] == sizes[2:3] * 3  # grown by the first round
+
+
+def _memory(a):
+    """The array that owns a's memory."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("n_dim,points", [(1, 256), (2, 24), (3, 12)])
+def test_operators_bind_again_in_a_replaced_scratch(n_dim, points):
+    # an operator takes its views of the propagator's scratch on its first
+    # apply and keeps them while the buffer is kept.  A larger operator
+    # (nine rows and a longer time, so a longer padded length) replaces the
+    # buffer; the views of the two small operators keep the retired one
+    # alive until each has applied again, after which both work in the new
+    # buffer and the retired one is freed.  Every result is a fresh
+    # propagator's, bit for bit
+    g = make_grid(n_dim, 6.0, points)
+    prop = HeatPropagator(g)
+    specs = [
+        (np.array([0.01]), np.array([[0.5]]), None),
+        (np.array([0.05, 0.1]), None, np.ones((2, 1))),
+        (np.linspace(0.1, 1.0, 9), np.full((2, 9), 0.5), None),
+    ]
+    ops = [prop.prepare(t, w, mix=x) for t, w, x in specs]
+    rng = np.random.default_rng(7 * n_dim + points)
+    stacks = [
+        rng.uniform(0.0, 2.0, ((t.size if x is None else x.shape[1]),) + prop.shape)
+        for t, _, x in specs
+    ]
+
+    def apply(k):
+        out = prop.apply_heat_values(stacks[k], ops[k])
+        fresh = HeatPropagator(g)
+        t, w, x = specs[k]
+        np.testing.assert_array_equal(
+            out, fresh.apply_heat_values(stacks[k], fresh.prepare(t, w, mix=x))
+        )
+
+    apply(0)
+    apply(1)
+    retired = weakref.ref(_memory(prop._buffer))
+    apply(2)
+    assert _memory(prop._buffer) is not retired()
+    assert retired() is not None  # the small operators' views hold it
+    apply(0)
+    assert retired() is not None
+    apply(1)
+    assert retired() is None
+    size = prop._buffer.size
+    for k in (2, 0, 1):
+        apply(k)
+    assert prop._buffer.size == size
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("n_dim,points", [(1, 256), (2, 24), (3, 12)])
+def test_strided_and_fortran_stacks_are_read_in_place(n_dim, points, mixed):
+    # a stack is reordered into the padded lines straight from the
+    # caller's array: a strided view (every other field of a longer stack,
+    # each field's axes reversed) and a Fortran-ordered copy of it each
+    # give the result of its contiguous copy, bit for bit
+    g = make_grid(n_dim, 6.0, points)
+    prop = HeatPropagator(g)
+    op = prop.prepare(_BATCH_TIMES, _BATCH_WEIGHTS, mix=_MIX if mixed else None)
+    count = _MIX.shape[1] if mixed else _BATCH_TIMES.size
+    longer = np.random.default_rng(points + mixed).uniform(0.0, 2.0, (2 * count,) + prop.shape)
+    strided = longer[(slice(None, None, 2),) + (slice(None, None, -1),) * n_dim]
+    fortran = np.asfortranarray(strided)
+    assert not strided.flags.c_contiguous and not strided.flags.f_contiguous
+    assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+    want = prop.apply_heat_values(np.ascontiguousarray(strided), op)
+    np.testing.assert_array_equal(prop.apply_heat_values(strided, op), want)
+    np.testing.assert_array_equal(prop.apply_heat_values(fortran, op), want)
 
 
 @pytest.mark.parametrize("n_dim,points", [(1, 512), (2, 48), (2, 192), (3, 32)])
