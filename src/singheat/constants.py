@@ -44,7 +44,6 @@ __all__ = [
     "eta2",
     "eta_k",
     "eta_k_limit",
-    "gamma_fn",
     "gamma_star",
     "lambda_gamma",
     "mittag_leffler",
@@ -55,13 +54,6 @@ _TAIL_RADIUS = 44.0  # exp(-44^2/4) ~ 1e-210, far below every tolerance used
 _GL_NODES, _GL_WEIGHTS = gauss_legendre(32)
 # panel edges past r = 1; the panels below 1 depend on the integrand's decay
 _OUTER_EDGES = np.array([1.0, 2.0, 4.0, 6.0, 8.0, 12.0, 16.0, _TAIL_RADIUS])
-
-
-def gamma_fn(x: float) -> float:
-    """Euler Gamma function for real x > 0."""
-    if not (math.isfinite(x) and x > 0.0):
-        raise ParameterError(f"gamma_fn requires x > 0 (got {x})")
-    return math.gamma(x)
 
 
 def sphere_area(n_dim: int) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -28,9 +27,7 @@ __all__ = [
     "make_grid",
     "mirrored",
     "orthant",
-    "sample",
     "standard_data",
-    "sup_norm",
     "weight_field",
 ]
 
@@ -146,10 +143,6 @@ class GridFunction:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        """New field on the same grid."""
-        return GridFunction(self.grid, values)
-
 
 def orthant(values: np.ndarray) -> np.ndarray:
     """The block of a full-grid field on the positive orthant, the nodes with
@@ -171,30 +164,6 @@ def mirrored(half: np.ndarray) -> np.ndarray:
 def is_mirror_symmetric(values: np.ndarray) -> bool:
     """Whether a full-grid field equals its reflection in every axis exactly."""
     return all(np.array_equal(values, np.flip(values, ax)) for ax in range(values.ndim))
-
-
-def sup_norm(f: GridFunction) -> float:
-    """Maximum absolute node value; zero exactly when the field vanishes."""
-    return float(np.max(np.abs(f.values)))
-
-
-def sample(grid: Grid, f: Callable) -> GridFunction:
-    """Evaluate ``f`` at every node.
-
-    ``f`` receives one coordinate array per axis, in one vectorized call; an
-    error it raises passes to the caller.  Non-finite values are rejected
-    with the offending node named.
-    """
-    mesh = grid.node_mesh()
-    values = np.asarray(f(*mesh), dtype=float)
-    if values.shape != grid.shape:
-        values = np.broadcast_to(values, grid.shape).copy()
-    bad = ~np.isfinite(values)
-    if bad.any():
-        idx = tuple(int(k) for k in np.argwhere(bad)[0])
-        where = tuple(float(m[idx]) for m in mesh)
-        raise ParameterError(f"non-finite sample value at node {idx}, x={where}")
-    return GridFunction(grid, values)
 
 
 # ---------------------------------------------------------------------------

@@ -238,14 +238,12 @@ def contraction_window(gamma: float, lipschitz: float, eta1_value: float, theta:
 
     One sweep amplifies sup-norm differences by at most
     lipschitz * eta1 * W^{1 - gamma/2} / (1 - gamma/2); solve that = theta
-    for W.  Returns inf for a zero Lipschitz constant.
+    for W.
     """
     if not (0.0 < theta < 1.0):
         raise ParameterError(f"theta must lie in (0, 1) (got {theta})")
-    if lipschitz < 0.0 or eta1_value <= 0.0:
-        raise ParameterError("need lipschitz >= 0 and eta1_value > 0")
-    if lipschitz == 0.0:
-        return math.inf
+    if lipschitz <= 0.0 or eta1_value <= 0.0:
+        raise ParameterError("need lipschitz > 0 and eta1_value > 0")
     e = 1.0 - 0.5 * gamma
     return (theta * e / (lipschitz * eta1_value)) ** (1.0 / e)
 

@@ -102,7 +102,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence
 
 import numpy as np
 import numpy.fft  # noqa: F401  (numpy loads it lazily; keep that out of the first apply)
@@ -115,7 +114,6 @@ __all__ = [
     "PreparedHeat",
     "apply_heat",
     "gaussian_exact",
-    "heat_kernel",
 ]
 
 # Reach of the kernel in units of sqrt(t): the Gaussian's mass beyond it,
@@ -129,17 +127,6 @@ _FFT_WORKSPACE_BYTES = 2**20
 # Largest shortfall of a sampled kernel's raw mass below 1 that
 # renormalization absorbs; a larger one means the box truncates the kernel.
 _EPS_TAIL = 1e-10
-
-
-def heat_kernel(t: float, x: "float | Sequence[float]") -> float:
-    """Gaussian heat kernel G_t(x) for t > 0 at a single point."""
-    if not (math.isfinite(t) and t > 0.0):
-        raise ParameterError(f"heat_kernel requires t > 0 (got {t})")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if xs.ndim != 1 or xs.size not in (1, 2, 3):
-        raise ParameterError(f"position must have 1 to 3 components (got shape {xs.shape})")
-    n = xs.size
-    return float((4.0 * math.pi * t) ** (-0.5 * n) * math.exp(-float(xs @ xs) / (4.0 * t)))
 
 
 def _smooth_length(lo: int, cap: int) -> int:
@@ -219,16 +206,14 @@ class HeatPropagator:
 
     # -- kernel construction -------------------------------------------------
 
-    def _axis_samples(self, t, reach: "int | None" = None) -> np.ndarray:
+    def _axis_samples(self, times: np.ndarray, reach: int) -> np.ndarray:
         """1D kernel samples h * G_t at displacements -k..k, in grid steps,
-        for k = reach (default M - 1, the whole box); for a 1D time array,
-        one row per time.  The samples are formed in the one array that they
-        are returned in: d^2 at d = i h, i = 0..k, over the row's exponent
-        coefficient -4t, overwritten by its exp and scaled, then mirrored
-        onto -k..-1."""
+        for k = reach, one row per time of the 1D array times.  The samples
+        are formed in the one array that they are returned in: d^2 at
+        d = i h, i = 0..k, over the row's exponent coefficient -4t,
+        overwritten by its exp and scaled, then mirrored onto -k..-1."""
         h = self.grid.h
-        k = self.grid.points_per_axis - 1 if reach is None else reach
-        times = np.atleast_1d(np.asarray(t, dtype=float))
+        k = reach
         samples = np.empty((times.size, 2 * k + 1))
         half = samples[:, k:]
         squares = np.arange(k + 1, dtype=float)
@@ -244,13 +229,7 @@ class HeatPropagator:
         half[under] = 0.0
         half *= (h * (4.0 * math.pi * times) ** -0.5)[:, None]
         samples[:, :k] = half[:, :0:-1]
-        return samples[0] if np.ndim(t) == 0 else samples
-
-    def raw_kernel_mass(self, t: float) -> float:
-        """Discrete mass of the sampled kernel before renormalization."""
-        if not (math.isfinite(t) and t > 0.0):
-            raise ParameterError(f"raw_kernel_mass requires t > 0 (got {t})")
-        return float(np.sum(self._axis_samples(t))) ** self.grid.n_dim
+        return samples
 
     def _kernel_entry(self, times: np.ndarray, length: int) -> np.ndarray:
         """The 1D kernel factors for a 1D array of times t > 0 at padded

@@ -29,7 +29,7 @@ def _axis_matrix(grid, t, half):
     from singheat import HeatPropagator
 
     m = grid.points_per_axis
-    samples = HeatPropagator(grid)._axis_samples(t)
+    samples = HeatPropagator(grid)._axis_samples(np.array([t]), m - 1)[0]
     samples /= samples.sum()
     nodes = np.arange(m)
     matrix = samples[nodes[None, :] - nodes[:, None] + m - 1]

@@ -35,7 +35,7 @@ from singheat import (
     lambda_gamma,
     mittag_leffler,
 )
-from singheat.constants import eta1_by_quadrature, gamma_fn, sphere_area
+from singheat.constants import eta1_by_quadrature, sphere_area
 
 TRIPLES = [(0.5, 0.3, 1), (0.3, 0.5, 2), (0.7, 0.8, 3), (0.5, 0.0, 1)]
 
@@ -63,16 +63,6 @@ def riemann_radial(f, n_dim, gamma, r_min=0.0, r_max=20.0, n=1_000_000):
 # ---------------------------------------------------------------------------
 # Basic special functions
 # ---------------------------------------------------------------------------
-
-def test_gamma_fn_anchors():
-    assert gamma_fn(1.0) == 1.0
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-    assert gamma_fn(5.0) == 24.0
-    with pytest.raises(ParameterError):
-        gamma_fn(0.0)
-    with pytest.raises(ParameterError):
-        gamma_fn(-1.3)
-
 
 def test_sphere_area_low_dimensions():
     assert sphere_area(1) == pytest.approx(2.0)

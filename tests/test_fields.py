@@ -1,12 +1,10 @@
-"""Grid geometry, parameter validation, sampling, and the singular weight."""
+"""Grid geometry, parameter validation, grid functions, and the singular weight."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import integrate
 
 from singheat import (
@@ -18,12 +16,11 @@ from singheat import (
     make_grid,
     mirrored,
     orthant,
-    sample,
     standard_data,
-    sup_norm,
     weight_field,
 )
 from singheat.fields import _corner_cell_avg, _single_cell_avg, gauss_legendre
+from singheat.scheme import _check_data
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +126,7 @@ def test_radius_values_hold_no_full_coordinate_arrays():
 
 
 # ---------------------------------------------------------------------------
-# GridFunction and sup_norm
+# GridFunction
 # ---------------------------------------------------------------------------
 
 def test_grid_function_copies_and_freezes(grid_1d):
@@ -150,54 +147,13 @@ def test_grid_function_rejects_wrong_shape(grid_1d):
 
 def test_nonfinite_guard_sits_at_the_sampling_boundary(grid_1d):
     # GridFunction itself does not scan the payload (solver hot path); the
-    # finiteness check lives in sample(), the entry point for user callables
+    # finiteness check lives where data enter a solve (scheme._check_data)
     vals = np.ones(grid_1d.shape)
-    vals[3] = np.nan
+    vals[3] = vals[-4] = np.nan
     f = GridFunction(grid_1d, vals)
     assert np.isnan(f.values[3])
-    with pytest.raises(ParameterError, match="non-finite"):
-        sample(grid_1d, lambda x: np.where(np.abs(x) < 1, np.nan, 1.0))
-
-
-@given(
-    a=st.floats(-1e6, 1e6),
-    c=st.floats(-50, 50),
-)
-@settings(max_examples=50, deadline=None)
-def test_sup_norm_scaling_and_shift(a, c):
-    g = make_grid(1, 4.0, 32)
-    base = np.sin(g.axis_nodes())
-    f = GridFunction(g, a * base)
-    assert sup_norm(f) == pytest.approx(abs(a) * np.max(np.abs(base)), rel=1e-12, abs=1e-300)
-    # triangle inequality against the constant shift
-    fc = GridFunction(g, a * base + c)
-    assert sup_norm(fc) <= sup_norm(f) + abs(c) + 1e-12
-
-
-def test_sample_matches_direct_evaluation(grid_2d):
-    f = sample(grid_2d, lambda x, y: np.exp(-(x**2 + y**2) / 3.0))
-    xx, yy = grid_2d.node_mesh()
-    np.testing.assert_allclose(f.values, np.exp(-(xx**2 + yy**2) / 3.0), rtol=1e-15)
-
-
-def test_sample_passes_on_a_scalar_only_callables_error(grid_1d):
-    # f is called once, on the coordinate arrays: a callable that takes
-    # scalars only raises its own error, which is neither caught nor
-    # retried node by node
-    calls = []
-
-    def scalar_only(x):
-        calls.append(np.shape(x))
-        return math.exp(-abs(x))
-
-    with pytest.raises(TypeError):
-        sample(grid_1d, scalar_only)
-    assert calls == [grid_1d.shape]
-
-
-def test_sample_reports_offending_node(grid_1d):
-    with np.errstate(divide="ignore"), pytest.raises(ParameterError, match="node"):
-        sample(grid_1d, lambda x: 1.0 / (x - grid_1d.axis_nodes()[5]))
+    with pytest.raises(ParameterError, match="finite"):
+        _check_data(f)
 
 
 # ---------------------------------------------------------------------------

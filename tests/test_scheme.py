@@ -36,7 +36,6 @@ from singheat import (
     standard_data,
     subsolution_coefficient,
     subsolution_w,
-    sup_norm,
     weight_field,
 )
 from singheat import scheme
@@ -284,9 +283,12 @@ def test_contraction_window_formula():
     e = 1 - g / 2
     # one sweep over a window of length w amplifies by exactly theta
     assert lip * e1 * w**e / e == pytest.approx(0.5, rel=1e-12)
-    assert contraction_window(0.3, 0.0, 1.0) == math.inf
     with pytest.raises(ParameterError):
         contraction_window(0.3, 1.0, 1.0, theta=1.5)
+    # every source the solver builds has a positive Lipschitz constant
+    for lipschitz in (0.0, -1.0):
+        with pytest.raises(ParameterError):
+            contraction_window(0.3, lipschitz, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +360,7 @@ def test_picard_zero_source_is_plain_heat():
     mesh = TimeMesh.build(1.0, 0.25)
     traj = picard_solve(u0, _NO_SOURCE, p, mesh)
     ref = apply_heat(u0, 1.0)
-    assert sup_norm(ref.with_values(traj.snapshot_at(1.0).values - ref.values)) < 1e-12
+    assert np.max(np.abs(traj.snapshot_at(1.0).values - ref.values)) < 1e-12
 
 
 def test_picard_flat_data_follows_the_ode():
@@ -407,7 +409,7 @@ def test_picard_rejects_mismatched_mesh_and_records():
     mesh = TimeMesh.build(1.0, 0.25)
     with pytest.raises(ParameterError):
         picard_solve(u0, _NO_SOURCE, p, replace(mesh, records=(0.33,)))
-    neg = u0.with_values(np.full(g.shape, -1.0))
+    neg = GridFunction(g, np.full(g.shape, -1.0))
     with pytest.raises(ParameterError):
         picard_solve(neg, _NO_SOURCE, p, mesh)
     # same shape, other spacing: its plans would be silently wrong here

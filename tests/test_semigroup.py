@@ -9,6 +9,7 @@ import pytest
 from scipy import ndimage
 
 from singheat import (
+    GridFunction,
     HeatPropagator,
     Nonlinearity,
     ParameterError,
@@ -18,35 +19,43 @@ from singheat import (
     TruncationError,
     apply_heat,
     gaussian_exact,
-    heat_kernel,
     make_grid,
     mirrored,
     monotone_solve,
     orthant,
     picard_solve,
-    sample,
     standard_data,
-    sup_norm,
 )
 from singheat import semigroup
 from singheat.constants import eta1
 
 
 def test_heat_kernel_pointwise():
-    # (4 pi t)^{-N/2} exp(-|x|^2 / (4t)) at a few hand points
-    assert heat_kernel(1.0, 0.0) == pytest.approx((4 * math.pi) ** -0.5)
-    assert heat_kernel(0.25, 1.0) == pytest.approx(math.pi**-0.5 * math.exp(-1.0))
-    assert heat_kernel(1.0, (0.0, 0.0)) == pytest.approx((4 * math.pi) ** -1)
-    assert heat_kernel(0.5, (1.0, 1.0, 0.0)) == pytest.approx(
-        (2 * math.pi) ** -1.5 * math.exp(-1.0)
-    )
+    # the kernel samples are h G_t(x), G_t(x) = (4 pi t)^{-N/2} exp(-|x|^2 / (4t)),
+    # at a few hand points; the N-D kernel is the product of one 1D sample
+    # per axis
+    g = make_grid(1, 8.0, 64)
+    prop = HeatPropagator(g)
+    h, k = g.h, 4  # x = k h = 1
+
+    def at(t, *steps):
+        samples = prop._axis_samples(np.array([t]), k)[0]
+        return math.prod(samples[k + d] for d in steps) / h ** len(steps)
+
+    assert at(1.0, 0) == pytest.approx((4 * math.pi) ** -0.5)
+    assert at(0.25, k) == pytest.approx(math.pi**-0.5 * math.exp(-1.0))
+    assert at(1.0, 0, 0) == pytest.approx((4 * math.pi) ** -1)
+    assert at(0.5, k, -k, 0) == pytest.approx((2 * math.pi) ** -1.5 * math.exp(-1.0))
 
 
 def test_raw_kernel_mass_close_to_one():
+    # the samples of the whole box, displacements -(M - 1)..M - 1, before
+    # renormalization
     g = make_grid(1, 12.0, 1024)
     prop = HeatPropagator(g)
     for t in (0.01, 0.5, 1.0, 2.0):
-        assert prop.raw_kernel_mass(t) == pytest.approx(1.0, abs=1e-12)
+        mass = float(np.sum(prop._axis_samples(np.array([t]), g.points_per_axis - 1)))
+        assert mass == pytest.approx(1.0, abs=1e-12)
 
 
 def test_truncation_error_when_kernel_leaks():
@@ -72,7 +81,7 @@ def test_gaussian_evolution_matches_closed_form():
         for t in (0.5, 1.0):
             out = apply_heat(f0, t)
             ref = gaussian_exact(g, a, t)
-            assert sup_norm(out.with_values(out.values - ref.values)) < 1e-6
+            assert np.max(np.abs(out.values - ref.values)) < 1e-6
 
 
 def test_constants_are_preserved_in_the_interior():
@@ -94,11 +103,11 @@ def test_positivity_and_sup_contraction():
     g = make_grid(1, 10.0, 512)
     rng = np.random.default_rng(7)
     vals = mirrored(rng.uniform(0.0, 2.0, g.points_per_axis // 2))
-    f = sample(g, lambda x: 0 * x).with_values(vals)
+    f = GridFunction(g, vals)
     out = apply_heat(f, 0.7)
     assert np.all(out.values >= 0.0)
     # normalization keeps the sup bound up to a few ulps
-    assert sup_norm(out) <= sup_norm(f) * (1 + 1e-12)
+    assert np.max(np.abs(out.values)) <= np.max(np.abs(vals)) * (1 + 1e-12)
 
 
 def test_apply_heat_equals_the_dense_reference(dense_heat):
@@ -119,7 +128,8 @@ def test_asymmetric_data_are_refused_before_any_plan(n_dim, monkeypatch):
     # axis) is refused by apply_heat, picard_solve and monotone_solve
     # before any operator is prepared; the centred bump is solved
     g = make_grid(n_dim, 6.0, 16)
-    moved = sample(g, lambda *xs: np.exp(-((xs[0] - 1.0) ** 2) - sum(x * x for x in xs[1:])))
+    xs = g.node_mesh()
+    moved = GridFunction(g, np.exp(-((xs[0] - 1.0) ** 2) - sum(x * x for x in xs[1:])))
     prepared = []
     prepare = HeatPropagator.prepare
 
@@ -269,7 +279,7 @@ def test_direct_path_equals_per_row_correlation(n_dim, points, gamma):
     ref = np.empty_like(stack)
     for j, t in enumerate(_BATCH_TIMES):
         row = mirrored(weighted[j])
-        samples = prop._axis_samples(t)
+        samples = prop._axis_samples(np.array([t]), points - 1)[0]
         for ax in range(n_dim):
             row = ndimage.correlate1d(row, samples / samples.sum(), axis=ax, mode="constant")
         ref[j] = orthant(row)
@@ -611,7 +621,7 @@ def test_per_axis_spectrum_is_the_full_kernel_spectrum(n_dim, points):
         assert entry.shape == (m + 1,) and entry.dtype == float
         entry = entry[:m]
         # the full N-D kernel, built as the outer product of the wrapped axis kernel
-        g1 = prop._axis_samples(t)
+        g1 = prop._axis_samples(np.array([t]), m - 1)[0]
         g1 = g1 / g1.sum()
         wrapped = np.zeros(2 * m)
         wrapped[:m] = g1[m - 1 :]
@@ -970,9 +980,10 @@ def test_kernel_entry_on_a_time_array_stacks_the_scalar_calls(n_dim, points):
     g = make_grid(n_dim, 8.0, points)
     prop = HeatPropagator(g)
     times = np.array([1e-4, 1 / 32, 0.05, 0.3, 1.0])
-    samples = prop._axis_samples(times)
+    samples = prop._axis_samples(times, points - 1)
     assert samples.shape == (times.size, 2 * points - 1)
-    np.testing.assert_array_equal(samples, np.stack([prop._axis_samples(t) for t in times]))
+    rows = [prop._axis_samples(np.array([t]), points - 1) for t in times]
+    np.testing.assert_array_equal(samples, np.concatenate(rows))
     for length in (2 * points, _kernel_length(prop, 1.0)):
         batch = prop._kernel_entry(times, length)
         rows = np.concatenate([prop._kernel_entry(np.array([t]), length) for t in times])
@@ -1011,8 +1022,8 @@ def test_kernel_entry_samples_the_kernels_reach_alone(monkeypatch, n_dim, half_w
     full_box = HeatPropagator._axis_samples
     widths = []
 
-    def counted(self, t, reach=None):
-        samples = full_box(self, t, reach)
+    def counted(self, times, reach):
+        samples = full_box(self, times, reach)
         widths.append(samples.shape[-1])
         return samples
 
@@ -1025,7 +1036,7 @@ def test_kernel_entry_samples_the_kernels_reach_alone(monkeypatch, n_dim, half_w
         factors = prop._kernel_entry(times, length)
         assert widths == [2 * k + 1]
         widths.clear()
-        samples = full_box(prop, times)
+        samples = full_box(prop, times, m - 1)
         samples /= samples.sum(axis=1)[:, None]
         wrapped = np.zeros((times.size, length))
         wrapped[:, : k + 1] = samples[:, m - 1 : m + k]
@@ -1056,9 +1067,9 @@ def test_kernel_build_memory():
     prop = HeatPropagator(g)
     tracemalloc.start()
     try:
-        samples = prop._axis_samples(1.0)
+        samples = prop._axis_samples(np.array([1.0]), 32768 - 1)
         peak = tracemalloc.get_traced_memory()[1]
-        assert samples.shape == (2 * 32768 - 1,)
+        assert samples.shape == (1, 2 * 32768 - 1)
         assert peak <= 2 * samples.nbytes
         del samples
         tracemalloc.reset_peak()
